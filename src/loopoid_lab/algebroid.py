@@ -132,31 +132,37 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT, *, slab_tol=1e-
     Left: difference h -> m(g, h) at the unit of beta(g) along the
     alpha-vertical representative of the section.  Right: difference
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
-    the requested orientation.
+    the requested orientation.  ``coeffs`` of shape (r,) gives one vector;
+    a (k, r) matrix gives the (k, dim_g) rows of its k sections, with the
+    unit, frame and embedded base resolved once for all of them.
     """
     g = np.asarray(g, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if side == "left":
         u = np.asarray(q.beta(g), dtype=float)
-        fr = frame_field(u)
-        direction = coeffs @ fr.alpha_vertical
-        base = np.asarray(q.unit_embed(u), dtype=float)
-        probe = base + q.fd_step * direction
-        gap = np.linalg.norm(np.asarray(q.alpha(probe), dtype=float) - u)
-        if gap > slab_tol:
-            raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
-        return directional(lambda h: q.mul(g, h), base, direction, q.fd_step)
-    if side == "right":
+        reps = frame_field(u).alpha_vertical
+        slab = q.alpha
+        mul = lambda h: q.mul(g, h)
+    elif side == "right":
         u = np.asarray(q.alpha(g), dtype=float)
-        fr = frame_field(u)
-        direction = coeffs @ fr.beta_reps(orientation)
-        base = np.asarray(q.unit_embed(u), dtype=float)
+        reps = frame_field(u).beta_reps(orientation)
+        slab = q.beta
+        mul = lambda h: q.mul(h, g)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    base = np.asarray(q.unit_embed(u), dtype=float)
+
+    def along(direction):
         probe = base + q.fd_step * direction
-        gap = np.linalg.norm(np.asarray(q.beta(probe), dtype=float) - u)
+        gap = np.linalg.norm(np.asarray(slab(probe), dtype=float) - u)
         if gap > slab_tol:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
-        return directional(lambda h: q.mul(h, g), base, direction, q.fd_step)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return directional(mul, base, direction, q.fd_step)
+
+    directions = coeffs @ reps
+    if directions.ndim == 1:
+        return along(directions)
+    return np.array([along(d) for d in directions]).reshape(directions.shape)
 
 
 def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):

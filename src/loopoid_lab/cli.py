@@ -75,7 +75,8 @@ def _guarded(fn):
     """Run a subcommand body; emit machine-readable error JSON on failure."""
 
     def wrapper(*args, **kwargs):
-        out = kwargs.get("out")
+        # the report path: --out, or --report where --out names the CSV
+        out = kwargs.get("report_path", kwargs.get("out"))
         try:
             code = fn(*args, **kwargs)
         except LoopoidLabError as exc:
@@ -126,7 +127,7 @@ def verify_finite(spec_path, out, seed, as_text):
                 _check("inverse_property", "finite.semidirect_ip", rep.inverse_property, expect=True)
             )
     else:
-        checks.append(_check("entries_valid", "finite.table_wellformed", True, expect=True))
+        checks.append(_check("latin", "finite.table_latin", rep.is_latin_square, expect=True))
     report = {
         "command": "verify-finite",
         "kind": kind,

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebroid import ALIGNED, make_frame_field, prolong
-from .errors import NotComposable
+from .errors import LoopoidLabError, NotComposable
 from .loopoids import composable
 from .newton import newton_solve
 from .numdiff import directional, gradient, jacobian, null_space, smallest_singular_value
@@ -76,15 +76,10 @@ class Trajectory:
 def _derivative_along(system, side, g):
     """Directional derivatives of L along the side's frame fields at g."""
     q = system.loopoid
-    ff = system.frames()
+    g = np.asarray(g, dtype=float)
     lag = lambda p: np.atleast_1d(system.lagrangian(p))
-    u = np.asarray(q.beta(g) if side == "left" else q.alpha(g), dtype=float)
-    r = ff(u).rank
-    out = np.zeros(r)
-    for i in range(r):
-        v = prolong(q, ff, np.eye(r)[i], side, g, system.orientation)
-        out[i] = directional(lag, np.asarray(g, dtype=float), v, system.fd_step)[0]
-    return out
+    fields = prolong(q, system.frames(), np.eye(q.rank), side, g, system.orientation)
+    return np.array([directional(lag, g, v, system.fd_step)[0] for v in fields])
 
 
 def el_residual(system, g, h, *, check=True):
@@ -125,6 +120,10 @@ def legendre_vs_cotangent(system, g, rng=None):
 def step_solve(system, g, branch_seed=None):
     """Solve alpha(h) = beta(g) stacked with DL(g, h) = 0 for h.
 
+    g is fixed, so the g-side term of DL (the derivative along the left
+    fields at g) is computed once per solve; each residual evaluation
+    differentiates only along the right fields at h.
+
     The Newton seed is the embedded unit of beta(g) nudged toward g's fiber
     offset, which picks the solution branch continuous from the unit;
     ``branch_seed`` adds a caller-chosen offset on top.  Steps go through
@@ -134,15 +133,6 @@ def step_solve(system, g, branch_seed=None):
     q = system.loopoid
     g = np.asarray(g, dtype=float)
     bg = np.asarray(q.beta(g), dtype=float)
-
-    def residual(h):
-        return np.concatenate(
-            [
-                np.asarray(q.alpha(h), dtype=float) - bg,
-                el_residual(system, g, h, check=False),
-            ]
-        )
-
     seed = np.asarray(q.unit_embed(bg), dtype=float)
     # nudge only along the doubly-vertical directions: enough to leave the
     # unit saddle of the fiber equations, while coordinates the system does
@@ -155,6 +145,17 @@ def step_solve(system, g, branch_seed=None):
         seed = seed + 0.1 * (biv.T @ (biv @ fiber_offset))
     if branch_seed is not None:
         seed = seed + np.asarray(branch_seed, dtype=float)
+
+    left = _derivative_along(system, "left", g)
+
+    def residual(h):
+        return np.concatenate(
+            [
+                np.asarray(q.alpha(h), dtype=float) - bg,
+                left - _derivative_along(system, "right", h),
+            ]
+        )
+
     h, info = newton_solve(
         residual,
         seed,
@@ -176,8 +177,11 @@ def trajectory(system, g0, n_steps, branch_seed=None):
     for k in range(n_steps):
         try:
             h = step_solve(system, pts[-1], branch_seed)
-        except Exception as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
+        except LoopoidLabError as exc:
+            # prefix the step in place, so the type and fields such as
+            # SingularJacobian.cond survive
+            exc.args = (f"step {k}: {exc}",)
+            raise
         residuals.append(float(np.linalg.norm(el_residual(system, pts[-1], h, check=False))))
         gaps.append(
             float(np.linalg.norm(np.asarray(q.beta(pts[-1])) - np.asarray(q.alpha(h))))
@@ -234,7 +238,7 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0, sv_threshol
         g = e0 + rng.normal(scale=probe_radius, size=q.dim_g)
         try:
             h = step_solve(system, g)
-        except Exception:
+        except LoopoidLabError:
             p2 = np.inf
             break
         p2 = max(

@@ -70,12 +70,3 @@ def newton_solve(
     if best < tol:
         return x, {"iterations": max_iter, "residual": best, "cond": cond}
     raise NoConvergence(f"residual {best:.3e} > tol {tol:.1e} after {max_iter} iterations")
-
-
-def project_onto(constraint, x0, **kwargs):
-    """Newton projection: nearest-by-steps point with ``constraint(x) = 0``.
-
-    Thin alias of :func:`newton_solve`; the lstsq step makes underdetermined
-    constraints behave as pseudoinverse-predictor projections.
-    """
-    return newton_solve(constraint, x0, **kwargs)

@@ -38,8 +38,10 @@ def _canon(obj):
         return json.dumps(bool(obj) if obj is not None else None)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if v != v or v in (float("inf"), float("-inf")):
-            return repr(v)
+        if v != v:
+            return '"NaN"'
+        if v in (float("inf"), float("-inf")):
+            return '"Infinity"' if v > 0 else '"-Infinity"'
         return format(v, ".17g")
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))

@@ -230,16 +230,9 @@ def cotangent_fibration(q, side, mu, frame_field=None, orientation=ALIGNED):
         frame_field = make_frame_field(q)
     g = mu.base
     cov = mu.covector
-    if side == "beta":
-        u = np.asarray(q.beta(g), dtype=float)
-        r = frame_field(u).rank
-        return np.array(
-            [cov @ prolong(q, frame_field, np.eye(r)[i], "left", g) for i in range(r)]
-        )
-    if side == "alpha":
-        u = np.asarray(q.alpha(g), dtype=float)
-        r = frame_field(u).rank
-        return np.array(
-            [cov @ prolong(q, frame_field, np.eye(r)[i], "right", g, orientation) for i in range(r)]
-        )
-    raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
+    if side not in ("alpha", "beta"):
+        raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
+    fields = prolong(
+        q, frame_field, np.eye(q.rank), "left" if side == "beta" else "right", g, orientation
+    )
+    return np.array([cov @ v for v in fields])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from loopoid_lab.algebroid import ALIGNED, STRICT
-from loopoid_lab.errors import LoopoidLabError, NotComposable
+from loopoid_lab import mechanics
+from loopoid_lab.algebroid import ALIGNED, STRICT, prolong
+from loopoid_lab.errors import LoopoidLabError, NotComposable, SingularJacobian
 from loopoid_lab.loopoids import pair_groupoid, phi_quasiloopoid, product_loopoid
 from loopoid_lab.loops import planar_feedback_chart
 from loopoid_lab.mechanics import (
@@ -249,3 +250,103 @@ def test_newton_config_round_trip():
     )
     h = step_solve(system, np.array([0.0, 0.5]))
     assert np.allclose(h, [0.5, 1.0], atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the step map evaluates only what depends on the unknown
+# ---------------------------------------------------------------------------
+
+
+def _free_particle():
+    return DiscreteLagrangianSystem(
+        loopoid=pair_groupoid(1),
+        lagrangian=lambda g: 0.5 * float((g[1] - g[0]) ** 2),
+        orientation=STRICT,
+    )
+
+
+STEP_CASES = [
+    ("kinetic", np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])),
+    ("kinetic", np.array([0.3, 0.6, -0.2, 0.8, 0.1, -0.5])),
+    ("free_particle", np.array([0.2, 0.9])),
+]
+
+
+@pytest.mark.parametrize("name,g", STEP_CASES)
+def test_step_solve_equals_newton_on_el_residual(kinetic_system, monkeypatch, name, g):
+    system = kinetic_system if name == "kinetic" else _free_particle()
+    q = system.loopoid
+    calls = []
+
+    def spy(residual, seed, **kwargs):
+        calls.append((seed, kwargs))
+        return newton_solve(residual, seed, **kwargs)
+
+    monkeypatch.setattr(mechanics, "newton_solve", spy)
+    h = step_solve(system, g)
+    (seed, kwargs), = calls
+    bg = np.asarray(q.beta(g), dtype=float)
+
+    def full_residual(x):
+        return np.concatenate(
+            [np.asarray(q.alpha(x), dtype=float) - bg, el_residual(system, g, x, check=False)]
+        )
+
+    want, _ = newton_solve(full_residual, seed, **kwargs)
+    assert np.array_equal(h, want)
+
+
+def test_step_solve_differentiates_at_g_once(kinetic_system, monkeypatch):
+    sides = []
+    inner = mechanics._derivative_along
+
+    def counted(system, side, g):
+        sides.append(side)
+        return inner(system, side, g)
+
+    monkeypatch.setattr(mechanics, "_derivative_along", counted)
+    step_solve(kinetic_system, np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3]))
+    assert sides.count("left") == 1
+    assert sides.count("right") > 1
+
+
+@pytest.mark.parametrize("side,orientation", [("left", STRICT), ("right", STRICT), ("right", ALIGNED)])
+def test_prolong_matrix_rows_equal_single_calls(kinetic_system, rng, side, orientation):
+    q = kinetic_system.loopoid
+    ff = kinetic_system.frames()
+    r = q.rank
+    for g in q.sample_g(rng, 3):
+        rows = prolong(q, ff, np.eye(r), side, g, orientation)
+        singles = [prolong(q, ff, np.eye(r)[i], side, g, orientation) for i in range(r)]
+        assert rows.shape == (r, q.dim_g)
+        assert np.array_equal(rows, np.array(singles))
+        assert np.array_equal(prolong(q, ff, np.eye(r)[1:3], side, g, orientation), rows[1:3])
+
+
+STALL_START = np.array(
+    [
+        0.5772927981769481,
+        -1.6267712624608635,
+        0.02502155161638754,
+        -0.9704804997142129,
+        0.6657827995491138,
+        0.10086352147669461,
+    ]
+)
+
+
+def test_trajectory_keeps_error_type_and_fields(kinetic_system):
+    # this start stalls at the differencing noise floor in the third step
+    with pytest.raises(SingularJacobian) as err:
+        trajectory(kinetic_system, STALL_START, 3)
+    assert str(err.value) == "step 2: stalled at residual 4.411e-10 with condition inf"
+    assert err.value.cond == np.inf
+
+
+def test_trajectory_lets_other_exceptions_through(kinetic_system):
+    def broken(g):
+        raise ZeroDivisionError("lagrangian")
+
+    system = DiscreteLagrangianSystem(loopoid=kinetic_system.loopoid, lagrangian=broken)
+    with pytest.raises(ZeroDivisionError, match="^lagrangian$"):
+        trajectory(system, np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3]), 1)

@@ -157,6 +157,15 @@ def test_cli_verify_finite(runner, tmp_path):
     assert all("ref" in c for c in report["checks"])
 
 
+def test_cli_verify_finite_plain_table_must_be_latin(runner, tmp_path):
+    path = _write(tmp_path, "zeros.json", "finite", {"kind": "table", "order": 3, "unit": None, "table": [[0] * 3] * 3})
+    result = runner.invoke(main, ["verify-finite", "--spec", path])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert not report["ok"]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["latin"]
+
+
 def test_cli_octonion_suite(runner):
     result = runner.invoke(main, ["octonion", "--samples", "500", "--mul", "e1", "e2"])
     assert result.exit_code == 0, result.output
@@ -250,6 +259,42 @@ def test_cli_simulate_matches_surd(runner, tmp_path):
     assert row1[0] == 1
     assert abs(row1[1] - (1 + np.sqrt(21)) / 2) < 1e-7
     assert abs(row1[2] - (np.sqrt(21) - 3) / 2) < 1e-7
+
+
+def test_cli_simulate_error_goes_to_report(runner, tmp_path):
+    path = _write(tmp_path, "sys.json", "system", SYSTEM_BODY)
+    report = tmp_path / "r.json"
+    result = runner.invoke(main, ["simulate", "--spec", path, "--steps", "5", "--report", str(report)])
+    assert result.exit_code == 2
+    assert result.output == ""
+    err = json.loads(report.read_text())["error"]
+    assert err == {
+        "type": "NoConvergence",
+        "message": "step 3: residual 1.265e-07 > tol 1.0e-10 after 50 iterations",
+    }
+
+
+def test_cli_legendre_report_is_strict_json(runner, tmp_path):
+    body = {
+        "loopoid": {"kind": "phi", "phi": {"odd_coeffs": [1.0, 0.5]}},
+        "lagrangian": {"kind": "half_sum_squares"},
+        "start": [0.1, 0.2, 0.3],
+    }
+    path = _write(tmp_path, "phi.json", "system", body)
+    result = runner.invoke(main, ["legendre", "--spec", path])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in json.loads(result.output, parse_constant=_reject)["checks"]}
+    assert checks["flow_matches_legendre"]["value"] == "Infinity"
+    assert not checks["flow_matches_legendre"]["pass"]
+
+
+def _reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_canonical_json_encodes_non_finite_floats_as_strings():
+    text = canonical_json({"a": float("inf"), "b": -np.inf, "c": np.float64("nan")})
+    assert text == '{"a":"Infinity","b":"-Infinity","c":"NaN"}\n'
 
 
 def test_cli_legendre(runner, tmp_path):
