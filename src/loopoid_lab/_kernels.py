@@ -1,133 +1,24 @@
 """Hot kernels: Cayley-table identity scans and batched octonion products.
 
-Each kernel ships in two variants: an ``@njit`` one (triple loops, early
-exit) and a pure-numpy one (fancy-indexing broadcasts).  Wrappers named
-without a suffix dispatch on :data:`loopoid_lab._accel.NUMBA_ENABLED`, so
-setting ``LOOPOID_LAB_NO_NUMBA=1`` selects the numpy lane end to end.
-
-Scans take an ``(n, n)`` int64 table whose entries index into ``range(n)``
-and either the full triple range or explicit sample-index vectors.  They
-return the number of violated instances, so 0 means the identity holds.
-
-``benchmarks/bench_kernels.py`` times the two lanes against each other.
+The scans are numpy broadcasts over a fancy-indexed table and the octonion
+product is one ``einsum``.  Scans take an ``(n, n)`` int64 table whose entries index into ``range(n)`` and either the
+full triple range or explicit sample-index vectors.  They return the number
+of violated instances, so 0 means the identity holds.
 """
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
 
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _associative_scan_jit(t):
-    n = t.shape[0]
-    bad = 0
-    for a in range(n):
-        for b in range(n):
-            ab = t[a, b]
-            for c in range(n):
-                if t[ab, c] != t[a, t[b, c]]:
-                    bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _moufang_scan_jit(t, form):
-    n = t.shape[0]
-    bad = 0
-    for a in range(n):
-        for x in range(n):
-            for y in range(n):
-                if form == 0:
-                    lhs = t[t[t[a, x], a], y]
-                    rhs = t[a, t[x, t[a, y]]]
-                elif form == 1:
-                    lhs = t[t[t[x, a], y], a]
-                    rhs = t[x, t[a, t[y, a]]]
-                else:
-                    lhs = t[t[a, x], t[y, a]]
-                    rhs = t[t[a, t[x, y]], a]
-                if lhs != rhs:
-                    bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _left_bol_scan_jit(t):
-    n = t.shape[0]
-    bad = 0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a, t[b, t[a, c]]] != t[t[a, t[b, a]], c]:
-                    bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _right_bol_scan_jit(t):
-    n = t.shape[0]
-    bad = 0
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                if t[t[t[c, a], b], a] != t[c, t[t[a, b], a]]:
-                    bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _sampled_identity_jit(t, which, aa, bb, cc):
-    bad = 0
-    for s in range(aa.shape[0]):
-        a, b, c = aa[s], bb[s], cc[s]
-        if which == 0:
-            lhs, rhs = t[t[a, b], c], t[a, t[b, c]]
-        elif which == 1:
-            lhs, rhs = t[t[t[a, b], a], c], t[a, t[b, t[a, c]]]
-        elif which == 2:
-            lhs, rhs = t[t[t[b, a], c], a], t[b, t[a, t[c, a]]]
-        elif which == 3:
-            lhs, rhs = t[t[a, b], t[c, a]], t[t[a, t[b, c]], a]
-        elif which == 4:
-            lhs, rhs = t[a, t[b, t[a, c]]], t[t[a, t[b, a]], c]
-        else:
-            lhs, rhs = t[t[t[c, a], b], a], t[c, t[t[a, b], a]]
-        if lhs != rhs:
-            bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _oct_mul_many_jit(a, b, sign, index):
-    n = a.shape[0]
-    out = np.zeros((n, 8))
-    for s in range(n):
-        for i in range(8):
-            ai = a[s, i]
-            if ai == 0.0:
-                continue
-            for j in range(8):
-                out[s, index[i, j]] += ai * b[s, j] * sign[i, j]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-
-def _associative_scan_np(t):
+def associative_scan(t):
+    """Count of triples violating (ab)c = a(bc); 0 means associative."""
     n = t.shape[0]
     lhs = t[t]                      # [a, b, c] -> (ab)c
     rhs = t[np.arange(n)[:, None, None], t[None, :, :]]
     return int(np.count_nonzero(lhs != rhs))
 
 
-def _moufang_scan_np(t, form):
+def moufang_scan(t, form):
+    """Count of violations of the Moufang identity ``form`` (0, 1 or 2)."""
     n = t.shape[0]
     ar = np.arange(n)
     p = t
@@ -149,7 +40,8 @@ def _moufang_scan_np(t, form):
     return int(np.count_nonzero(lhs != rhs))
 
 
-def _left_bol_scan_np(t):
+def left_bol_scan(t):
+    """Count of violations of a(b(ac)) = (a(ba))c."""
     n = t.shape[0]
     ar = np.arange(n)
     i2 = t[:, t]                                 # i2[b, a, c] = b(ac)
@@ -159,7 +51,8 @@ def _left_bol_scan_np(t):
     return int(np.count_nonzero(lhs != rhs))
 
 
-def _right_bol_scan_np(t):
+def right_bol_scan(t):
+    """Count of violations of ((ca)b)a = c((ab)a)."""
     n = t.shape[0]
     ar = np.arange(n)
     k2 = t[t]                                    # k2[c, a, b] = (ca)b
@@ -169,7 +62,11 @@ def _right_bol_scan_np(t):
     return int(np.count_nonzero(lhs != rhs))
 
 
-def _sampled_identity_np(t, which, aa, bb, cc):
+def sampled_identity_scan(t, which, aa, bb, cc):
+    """Sampled violation count for identity ``which``.
+
+    0 associativity, 1..3 the Moufang forms, 4 left Bol, 5 right Bol.
+    """
     a, b, c = aa, bb, cc
     if which == 0:
         lhs, rhs = t[t[a, b], c], t[a, t[b, c]]
@@ -186,59 +83,6 @@ def _sampled_identity_np(t, which, aa, bb, cc):
     return int(np.count_nonzero(lhs != rhs))
 
 
-def _oct_mul_many_np(a, b, tensor):
-    return np.einsum("si,sj,ijk->sk", a, b, tensor)
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-# ---------------------------------------------------------------------------
-
-MOUFANG_FORMS = 3
-
-
-def associative_scan(t, use_numba=None):
-    """Count of triples violating (ab)c = a(bc); 0 means associative."""
-    if _pick(use_numba):
-        return int(_associative_scan_jit(t))
-    return _associative_scan_np(t)
-
-
-def moufang_scan(t, form, use_numba=None):
-    """Count of violations of the Moufang identity ``form`` (0, 1 or 2)."""
-    if _pick(use_numba):
-        return int(_moufang_scan_jit(t, form))
-    return _moufang_scan_np(t, form)
-
-
-def left_bol_scan(t, use_numba=None):
-    if _pick(use_numba):
-        return int(_left_bol_scan_jit(t))
-    return _left_bol_scan_np(t)
-
-
-def right_bol_scan(t, use_numba=None):
-    if _pick(use_numba):
-        return int(_right_bol_scan_jit(t))
-    return _right_bol_scan_np(t)
-
-
-def sampled_identity_scan(t, which, aa, bb, cc, use_numba=None):
-    """Sampled violation count for identity ``which``.
-
-    0 associativity, 1..3 the Moufang forms, 4 left Bol, 5 right Bol.
-    """
-    if _pick(use_numba):
-        return int(_sampled_identity_jit(t, which, aa, bb, cc))
-    return _sampled_identity_np(t, which, aa, bb, cc)
-
-
-def oct_mul_many(a, b, sign, index, tensor, use_numba=None):
+def oct_mul_many(a, b, tensor):
     """Batched octonion product of ``(N, 8)`` coefficient arrays."""
-    if _pick(use_numba):
-        return _oct_mul_many_jit(a, b, sign, index)
-    return _oct_mul_many_np(a, b, tensor)
-
-
-def _pick(use_numba):
-    return NUMBA_ENABLED if use_numba is None else bool(use_numba)
+    return np.einsum("si,sj,ijk->sk", a, b, tensor)

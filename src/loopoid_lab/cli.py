@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import LoopoidLabError
+from .errors import LoopoidLabError, SchemaError
 from .specio import (
     build_algebroid,
     build_finite,
@@ -71,6 +71,28 @@ def _load_spec(path, expected_kind):
     return spec
 
 
+def _point(text, option, spec, system):
+    """The point given as ``option`` (comma-separated floats), else ``body.start``.
+
+    Either must have ``loopoid.dim_g`` coordinates; a malformed one raises
+    SchemaError naming the option or the spec path.
+    """
+    dim = system.loopoid.dim_g
+    if text is not None:
+        path = option
+        try:
+            coords = [float(x) for x in text.split(",")]
+        except ValueError:
+            raise SchemaError(f"expected {dim} comma-separated numbers, got {text!r}", path) from None
+    elif spec.body.get("start") is not None:
+        path, coords = "$.body.start", spec.body["start"]
+    else:
+        raise LoopoidLabError(f"no start point: set body.start or pass {option}")
+    if len(coords) != dim:
+        raise SchemaError(f"expected {dim} coordinates (loopoid.dim_g), got {len(coords)}", path)
+    return np.asarray(coords, dtype=float)
+
+
 def _guarded(fn):
     """Run a subcommand body; emit machine-readable error JSON on failure."""
 
@@ -119,10 +141,8 @@ def verify_finite(spec_path, out, seed, as_text):
     elif kind == "semidirect":
         checks.append(_check("latin", "finite.semidirect_latin", rep.is_latin_square, expect=True))
         checks.append(_check("unit_exists", "finite.semidirect_unit", rep.unit, expect=table.unit))
-        from .finite import validate_latin_square as _v
-
         inner = build_finite({**spec.body["loop"], "kind": "table"})
-        if _v(inner).inverse_property:
+        if validate_latin_square(inner).inverse_property:
             checks.append(
                 _check("inverse_property", "finite.semidirect_ip", rep.inverse_property, expect=True)
             )
@@ -417,12 +437,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
     from .mechanics import trajectory
 
     system = build_system(spec.body)
-    if start_str is not None:
-        g0 = np.array([float(x) for x in start_str.split(",")])
-    elif spec.body.get("start") is not None:
-        g0 = np.asarray(spec.body["start"], dtype=float)
-    else:
-        raise LoopoidLabError("no start point: set body.start or pass --start")
+    g0 = _point(start_str, "--start", spec, system)
     traj = trajectory(system, g0, steps)
     header = ["step"] + [f"x{i+1}" for i in range(system.loopoid.dim_g)] + ["residual", "gap"]
     rows = []
@@ -461,12 +476,7 @@ def legendre_cmd(spec_path, at_str, out, seed):
 
     system = build_system(spec.body)
     q = system.loopoid
-    if at_str is not None:
-        g = np.array([float(x) for x in at_str.split(",")])
-    elif spec.body.get("start") is not None:
-        g = np.asarray(spec.body["start"], dtype=float)
-    else:
-        raise LoopoidLabError("no evaluation point: set body.start or pass --at")
+    g = _point(at_str, "--at", spec, system)
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
     consistency = legendre_vs_cotangent(system, g)

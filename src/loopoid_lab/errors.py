@@ -81,10 +81,6 @@ class NotSubmersion(LoopoidLabError):
     """Map fails the full-rank Jacobian test on samples."""
 
 
-class SamplerExhausted(LoopoidLabError):
-    """Sampler could not produce the requested number of valid points."""
-
-
 class EmptyFiber(LoopoidLabError):
     """Projection onto a fiber failed for every seed point."""
 

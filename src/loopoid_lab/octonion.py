@@ -108,17 +108,15 @@ class Octonion:
 
 def oct_mul(a, b):
     """Bilinear table-driven product."""
-    out = _kernels.oct_mul_many(
-        a.coeffs[None, :], b.coeffs[None, :], MUL_SIGN, MUL_INDEX, MUL_TENSOR
-    )[0]
+    out = _kernels.oct_mul_many(a.coeffs[None, :], b.coeffs[None, :], MUL_TENSOR)[0]
     return Octonion(out)
 
 
-def oct_mul_batch(a, b, use_numba=None):
+def oct_mul_batch(a, b):
     """Product of (N, 8) coefficient batches; hot path of the random checks."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _kernels.oct_mul_many(a, b, MUL_SIGN, MUL_INDEX, MUL_TENSOR, use_numba=use_numba)
+    return _kernels.oct_mul_many(a, b, MUL_TENSOR)
 
 
 def oct_inverse(g):

@@ -23,7 +23,7 @@ import numpy as np
 from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
 from .loopoids import build_local_section, composable, multiply
-from .numdiff import jacobian, smallest_singular_value
+from .numdiff import directional, jacobian, smallest_singular_value
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def tangent_multiply(q, xg, yh, *, velocity_tol=1e-7, predictor="unit", fd_step=
         vh = vh - corr
 
     if q.dim_m == 0:
-        t1 = _push(lambda x: multiply(q, x, h, unchecked=True), g, vg, step)
-        t2 = _push(lambda y: multiply(q, g, y, unchecked=True), h, vh, step)
+        t1 = directional(lambda x: multiply(q, x, h, unchecked=True), g, vg, step)
+        t2 = directional(lambda y: multiply(q, g, y, unchecked=True), h, vh, step)
         return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2)
 
     sigma = build_local_section(q, "beta", g, predictor=predictor)
@@ -105,19 +105,12 @@ def tangent_multiply(q, xg, yh, *, velocity_tol=1e-7, predictor="unit", fd_step=
     both = lambda qq: multiply(q, sigma(qq), tau(qq), unchecked=True)
 
     try:
-        t1 = _push(r_tau, g, vg, step)
-        t2 = _push(l_sigma, h, vh, step)
-        t3 = _push(both, quni, vq, step)
+        t1 = directional(r_tau, g, vg, step)
+        t2 = directional(l_sigma, h, vh, step)
+        t3 = directional(both, quni, vq, step)
     except NoConvergence as exc:
         raise SectionFailure(f"section projection failed inside the product: {exc}") from exc
     return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2 - t3)
-
-
-def _push(f, x, v, step):
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(x))))
-    return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
 
 
 def tangent_alpha(q, el, step=None):

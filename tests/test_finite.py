@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,17 +214,61 @@ def test_sampled_mode_beyond_cap(rng):
     assert rep.associative and rep.moufang
 
 
-def test_kernel_lanes_agree():
-    t = signed_basis_loop().table
-    for form in range(3):
-        assert _kernels.moufang_scan(t, form, use_numba=False) == _kernels.moufang_scan(
-            t, form, use_numba=True
-        )
-    assert _kernels.associative_scan(t, use_numba=False) == _kernels.associative_scan(
-        t, use_numba=True
+# Loop oracles for the kernel scans, indexed like ``sampled_identity_scan``'s
+# ``which``: associativity, the three Moufang forms, left Bol, right Bol.
+IDENTITIES = (
+    lambda m, a, b, c: m(m(a, b), c) == m(a, m(b, c)),
+    lambda m, a, b, c: m(m(m(a, b), a), c) == m(a, m(b, m(a, c))),
+    lambda m, a, b, c: m(m(m(b, a), c), a) == m(b, m(a, m(c, a))),
+    lambda m, a, b, c: m(m(a, b), m(c, a)) == m(m(a, m(b, c)), a),
+    lambda m, a, b, c: m(a, m(b, m(a, c))) == m(m(a, m(b, a)), c),
+    lambda m, a, b, c: m(m(m(c, a), b), a) == m(c, m(m(a, b), a)),
+)
+
+
+def _oracle_violations(t, which, triples):
+    m = lambda x, y: int(t[x, y])
+    return sum(not IDENTITIES[which](m, a, b, c) for a, b, c in triples)
+
+
+def _full_scans(t):
+    return (
+        _kernels.associative_scan(t),
+        _kernels.moufang_scan(t, 0),
+        _kernels.moufang_scan(t, 1),
+        _kernels.moufang_scan(t, 2),
+        _kernels.left_bol_scan(t),
+        _kernels.right_bol_scan(t),
     )
-    assert _kernels.left_bol_scan(t, use_numba=False) == _kernels.left_bol_scan(t, use_numba=True)
-    assert _kernels.right_bol_scan(t, use_numba=False) == _kernels.right_bol_scan(t, use_numba=True)
+
+
+def _oracle_tables():
+    # the signed basis loop and a seeded non-Latin table on which every
+    # identity has violations
+    rng = np.random.default_rng(7)
+    return signed_basis_loop().table, rng.integers(0, 9, size=(9, 9), dtype=np.int64)
+
+
+def test_scans_match_loop_oracle():
+    counts = []
+    for t in _oracle_tables():
+        triples = list(itertools.product(range(t.shape[0]), repeat=3))
+        counts.append(tuple(_oracle_violations(t, w, triples) for w in range(len(IDENTITIES))))
+        assert _full_scans(t) == counts[-1]
+    basis, noise = counts
+    # the octonion basis loop is Moufang and Bol but not associative
+    assert basis[0] > 0 and basis[1:] == (0,) * 5
+    assert min(noise) > 0
+
+
+def test_sampled_scan_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for t in _oracle_tables():
+        aa, bb, cc = rng.integers(0, t.shape[0], size=(3, 400))
+        triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
+        for which in range(len(IDENTITIES)):
+            got = _kernels.sampled_identity_scan(t, which, aa, bb, cc)
+            assert got == _oracle_violations(t, which, triples), which
 
 
 def test_table_json_round_trip():

@@ -307,6 +307,33 @@ def test_cli_legendre(runner, tmp_path):
     assert np.allclose(report["minus"], [0.06, -1.04, 0.2, 1.1], atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "command, option, report_flag",
+    [("simulate", "--start", "--report"), ("legendre", "--at", "--out")],
+    ids=["simulate", "legendre"],
+)
+@pytest.mark.parametrize(
+    "value, start, message",
+    [
+        ("a,b", None, "{option}: expected 6 comma-separated numbers, got 'a,b'"),
+        ("1,2", None, "{option}: expected 6 coordinates (loopoid.dim_g), got 2"),
+        (None, [1.0, 2.0], "$.body.start: expected 6 coordinates (loopoid.dim_g), got 2"),
+    ],
+    ids=["non_numeric", "wrong_length", "spec_wrong_length"],
+)
+def test_cli_bad_point_is_a_schema_error(runner, tmp_path, command, option, report_flag, value, start, message):
+    body = dict(SYSTEM_BODY, start=start)
+    path = _write(tmp_path, "sys.json", "system", body)
+    report = tmp_path / "r.json"
+    args = [command, "--spec", path, report_flag, str(report)]
+    if value is not None:
+        args += [option, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    err = json.loads(report.read_text())["error"]
+    assert err == {"type": "SchemaError", "message": message.format(option=option)}
+
+
 def test_cli_schema_error_is_machine_readable(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(spec_text("loop", {"mul": {"kind": "polynomial", "terms": [[]]}}))
