@@ -30,7 +30,10 @@ from .errors import (
     RankDeficient,
     RankNotConstant,
 )
+from .loopoids import SUBMERSION_FLOOR
 from .numdiff import (
+    CHART_STEP,
+    OUTER_STEP,
     directional,
     gradient,
     jacobian,
@@ -63,7 +66,7 @@ class AlgebroidFrame:
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def algebroid_frame(q, u, alpha_vertical=None, *, tol=1e-7):
+def algebroid_frame(q, u, alpha_vertical=None):
     """Compute the frame at the embedded unit of ``u``.
 
     ``alpha_vertical`` overrides the basis of ker T alpha (rows); by default
@@ -72,13 +75,13 @@ def algebroid_frame(q, u, alpha_vertical=None, *, tol=1e-7):
     """
     u = np.asarray(u, dtype=float)
     e = np.asarray(q.unit_embed(u), dtype=float)
-    ja = jacobian(q.alpha, e, q.fd_step)
-    jb = jacobian(q.beta, e, q.fd_step)
-    je = jacobian(q.unit_embed, u, q.fd_step)
+    ja = jacobian(q.alpha, e, CHART_STEP)
+    jb = jacobian(q.beta, e, CHART_STEP)
+    je = jacobian(q.unit_embed, u, CHART_STEP)
 
     r = q.rank
     if q.dim_m > 0 and (
-        smallest_singular_value(ja) < 1e-8 or smallest_singular_value(jb) < 1e-8
+        min(smallest_singular_value(ja), smallest_singular_value(jb)) < SUBMERSION_FLOOR
     ):
         raise RankDeficient(f"alpha/beta Jacobian loses submersion rank at u = {u}")
     if alpha_vertical is None and q.preferred_alpha_vertical is not None:
@@ -88,12 +91,12 @@ def algebroid_frame(q, u, alpha_vertical=None, *, tol=1e-7):
     a = np.atleast_2d(np.asarray(alpha_vertical, dtype=float))
     if a.shape != (r, q.dim_g):
         raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({r}, {q.dim_g})")
-    if q.dim_m > 0 and float(np.max(np.abs(ja @ a.T))) > tol:
+    if q.dim_m > 0 and float(np.max(np.abs(ja @ a.T))) > 1e-7:
         raise RankDeficient("alpha-vertical basis is not in ker T alpha")
 
     rho = (jb @ a.T).T                       # (r, m)
     b = a - rho @ je.T                       # strict: subtract T eps . rho
-    if q.dim_m > 0 and float(np.max(np.abs(jb @ b.T))) > tol:
+    if q.dim_m > 0 and float(np.max(np.abs(jb @ b.T))) > 1e-7:
         raise RankDeficient("beta-vertical representatives left ker T beta")
 
     biv = null_space(np.vstack([ja, jb]))    # orthonormal rows
@@ -126,7 +129,7 @@ def make_frame_field(q, alpha_vertical_fn=None):
     return field
 
 
-def prolong(q, frame_field, coeffs, side, g, orientation=STRICT, *, slab_tol=1e-6):
+def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     """Fundamental vector field value at g.
 
     Left: difference h -> m(g, h) at the unit of beta(g) along the
@@ -153,11 +156,11 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT, *, slab_tol=1e-
     base = np.asarray(q.unit_embed(u), dtype=float)
 
     def along(direction):
-        probe = base + q.fd_step * direction
+        probe = base + CHART_STEP * direction
         gap = np.linalg.norm(np.asarray(slab(probe), dtype=float) - u)
-        if gap > slab_tol:
+        if gap > 1e-6:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
-        return directional(mul, base, direction, q.fd_step)
+        return directional(mul, base, direction, CHART_STEP)
 
     directions = coeffs @ reps
     if directions.ndim == 1:
@@ -174,7 +177,7 @@ def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):
     return field
 
 
-def expand_in_frame(fr, side, value, orientation=STRICT, *, tm_tol=1e-5):
+def expand_in_frame(fr, side, value, orientation=STRICT):
     """Coefficients of a vertical vector in [side basis | TM basis].
 
     Returns (side_coeffs, tm_coeffs); raises FrameSingular on an
@@ -197,16 +200,14 @@ def algebroid_bracket(
     u,
     frame_field=None,
     orientation=STRICT,
-    outer_step=1e-4,
     return_tm=False,
 ):
     """Skew bracket of two constant-in-frame sections, in frame coefficients.
 
     The Lie bracket of the prolonged fields is evaluated at the embedded
-    unit by nested central differences (outer step here, inner step the
-    instance's) and expanded back in the frame; the TM component of the
-    expansion is reported when ``return_tm`` is set and should vanish, since
-    brackets of vertical fields stay vertical.
+    unit by nested central differences and expanded back in the frame; the
+    TM component of the expansion is reported when ``return_tm`` is set and
+    should vanish, since brackets of vertical fields stay vertical.
     """
     if frame_field is None:
         frame_field = make_frame_field(q)
@@ -214,7 +215,7 @@ def algebroid_bracket(
     fx = fundamental_field(q, frame_field, x_coeffs, side, orientation)
     fy = fundamental_field(q, frame_field, y_coeffs, side, orientation)
     e = np.asarray(q.unit_embed(u), dtype=float)
-    value = lie_bracket(fx, fy, e, outer_step)
+    value = lie_bracket(fx, fy, e)
     fr = frame_field(u)
     coeffs, tm = expand_in_frame(fr, side, value, orientation)
     if return_tm:
@@ -222,7 +223,7 @@ def algebroid_bracket(
     return coeffs
 
 
-def anchor(q, x_coeffs, u, side="left", frame_field=None, *, check_tol=1e-8):
+def anchor(q, x_coeffs, u, side="left", frame_field=None):
     """rho_l(X) = T beta(alpha-rep) or rho_r(X) = T alpha(strict beta-rep).
 
     The opposition contract rho_r = -rho_l is re-verified on every call.
@@ -234,16 +235,16 @@ def anchor(q, x_coeffs, u, side="left", frame_field=None, *, check_tol=1e-8):
     x = np.asarray(x_coeffs, dtype=float)
     rho_l = x @ fr.rho_left
     e = np.asarray(q.unit_embed(u), dtype=float)
-    ja = jacobian(q.alpha, e, q.fd_step)
+    ja = jacobian(q.alpha, e, CHART_STEP)
     rho_r = ja @ (x @ fr.beta_vertical)
-    if np.linalg.norm(rho_r + rho_l) > check_tol * max(1.0, np.linalg.norm(rho_l)):
+    if np.linalg.norm(rho_r + rho_l) > 1e-8 * max(1.0, np.linalg.norm(rho_l)):
         raise FrameSingular(
             f"anchor opposition violated: |rho_r + rho_l| = {np.linalg.norm(rho_r + rho_l):.2e}"
         )
     return rho_l if side == "left" else rho_r
 
 
-def check_almost_lie_loopoid(q, u_samples, frame_field=None, outer_step=1e-4):
+def check_almost_lie_loopoid(q, u_samples, frame_field=None):
     """max |rho([X,Y]) - [rho X, rho Y]| over frame pairs at sampled units."""
     if frame_field is None:
         frame_field = make_frame_field(q)
@@ -259,7 +260,7 @@ def check_almost_lie_loopoid(q, u_samples, frame_field=None, outer_step=1e-4):
                 rho_br = br @ fr.rho_left
                 fi = lambda up, k=i: frame_field(up).rho_left[k]
                 fj = lambda up, k=j: frame_field(up).rho_left[k]
-                vf = lie_bracket(fi, fj, u, outer_step)
+                vf = lie_bracket(fi, fj, u)
                 worst = max(worst, float(np.linalg.norm(rho_br - vf)))
     return worst
 
@@ -282,7 +283,6 @@ class SkewAlgebroidChart:
     rank: int
     c_fn: Callable
     rho_fn: Callable
-    fd_step: float = 1e-5
     name: str = "skew_algebroid"
     spec: Optional[dict] = None
 
@@ -346,11 +346,11 @@ def leibniz_bracket(chart, x_section, y_section, x):
     out = np.einsum("kij,i,j->k", c, f0, g0)
     vf = rho @ f0
     vg = rho @ g0
-    out = out + directional(gy, x, vf, chart.fd_step) - directional(fx, x, vg, chart.fd_step)
+    out = out + directional(gy, x, vf, CHART_STEP) - directional(fx, x, vg, CHART_STEP)
     return out
 
 
-def check_almost_lie_chart(chart, x_samples, tol_scale=1.0):
+def check_almost_lie_chart(chart, x_samples):
     """max |c^k_ij rho_k - [rho_i, rho_j]| over frame pairs at samples."""
     worst = 0.0
     for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
@@ -361,7 +361,7 @@ def check_almost_lie_chart(chart, x_samples, tol_scale=1.0):
                 lhs = rho @ c[:, i, j]
                 fi = lambda p, k=i: chart.rho(p)[:, k]
                 fj = lambda p, k=j: chart.rho(p)[:, k]
-                rhs = lie_bracket(fi, fj, x, 1e-5)
+                rhs = lie_bracket(fi, fj, x, CHART_STEP)
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
@@ -423,7 +423,6 @@ def prolong_algebroid(chart, pi, *, probe_rng=None, n_probe=8):
         rank=big_r,
         c_fn=c_fn,
         rho_fn=rho_fn,
-        fd_step=chart.fd_step,
         name=f"prolongation({chart.name})",
         spec={
             "kind": "prolongation",
@@ -451,31 +450,21 @@ def prolongation_projection_residual(chart, prolonged, pi, p_samples):
 # ---------------------------------------------------------------------------
 
 
-def contrast_metric(
-    q,
-    f_scalar,
-    u,
-    frame_field=None,
-    *,
-    jet_tol=1e-7,
-    jet_rng=None,
-    n_jet=10,
-    outer_step=1e-4,
-    inner_step=1e-5,
-):
+def contrast_metric(q, f_scalar, u, frame_field=None, *, jet_rng=None, n_jet=10):
     """Metric g_ij = X_i(X_j(F)) at the embedded unit via left prolongations.
 
-    Requires F and its first derivatives to vanish along sampled unit
-    points; returns the symmetrized matrix and the asymmetry residual.
+    Requires F and its first derivatives to vanish (below 1e-7) along
+    sampled unit points; returns the symmetrized matrix and the asymmetry
+    residual.
     """
     if frame_field is None:
         frame_field = make_frame_field(q)
     rng = jet_rng if jet_rng is not None else np.random.default_rng(0)
     for up in q.sample_m(rng, n_jet):
         e = np.asarray(q.unit_embed(up), dtype=float)
-        if abs(float(f_scalar(e))) > jet_tol:
+        if abs(float(f_scalar(e))) > 1e-7:
             raise JetNotVanishing(f"F({up}) = {f_scalar(e):.2e}")
-        if float(np.max(np.abs(gradient(f_scalar, e, inner_step)))) > jet_tol:
+        if float(np.max(np.abs(gradient(f_scalar, e, CHART_STEP)))) > 1e-7:
             raise JetNotVanishing(f"grad F nonzero at u = {up}")
 
     u = np.asarray(u, dtype=float)
@@ -486,16 +475,14 @@ def contrast_metric(
     def first_derivative(j):
         def phi(g):
             vj = prolong(q, frame_field, np.eye(r)[j], "left", g)
-            return directional(lambda p: np.atleast_1d(f_scalar(p)), g, vj, inner_step)[0]
+            return directional(lambda p: np.atleast_1d(f_scalar(p)), g, vj, CHART_STEP)[0]
 
         return phi
 
     g_mat = np.zeros((r, r))
     for j in range(r):
+        # differenced at c = 0, where c @ frame is exactly h * frame[i]
         phi_j = first_derivative(j)
-        for i in range(r):
-            vi = fr.alpha_vertical[i]
-            h = outer_step
-            g_mat[i, j] = (phi_j(e0 + h * vi) - phi_j(e0 - h * vi)) / (2.0 * h)
+        g_mat[:, j] = gradient(lambda c: phi_j(e0 + c @ fr.alpha_vertical), np.zeros(r), OUTER_STEP)
     asym = float(np.max(np.abs(g_mat - g_mat.T)))
     return 0.5 * (g_mat + g_mat.T), asym

@@ -335,10 +335,10 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
     checks = [_check("almost_lie", "functor.anchor_bracket_morphism", float(almost), tol=1e-6)]
     lemma = None
     if q.claims_ip:
-        from .numdiff import jacobian
+        from .numdiff import CHART_STEP, jacobian
 
         fr = ff(u0)
-        ji = jacobian(q.inverse, np.asarray(q.unit_embed(u0), dtype=float), q.fd_step)
+        ji = jacobian(q.inverse, np.asarray(q.unit_embed(u0), dtype=float), CHART_STEP)
         lemma = float(np.max(np.abs((ji @ fr.alpha_vertical.T).T + fr.beta_vertical)))
         checks.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
         checks.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
@@ -434,6 +434,7 @@ def tangent_check(spec_path, out, seed, samples, tol):
 def simulate(spec_path, steps, start_str, csv_path, report_path):
     """Run the discrete Euler-Lagrange step map; write the trajectory CSV."""
     spec = _load_spec(spec_path, "system")
+    from .loopoids import COMPOSABLE_TOL
     from .mechanics import trajectory
 
     system = build_system(spec.body)
@@ -450,7 +451,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
         Path(csv_path).write_text(csv_text, encoding="utf-8")
     checks = [
         _check("el_residuals", "mechanics.euler_lagrange", float(traj.residuals.max(initial=0.0)), tol=system.newton.tol * 10),
-        _check("composable_gaps", "mechanics.composability", float(traj.composable_gaps.max(initial=0.0)), tol=system.loopoid.composable_tol),
+        _check("composable_gaps", "mechanics.composability", float(traj.composable_gaps.max(initial=0.0)), tol=COMPOSABLE_TOL),
     ]
     report = {
         "command": "simulate",

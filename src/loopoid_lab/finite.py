@@ -173,10 +173,11 @@ def validate_latin_square(ct, *, max_exhaustive_order=EXHAUSTIVE_ORDER_CAP, rng=
 
 
 def _check_group(ct):
-    rep = validate_latin_square(ct)
-    if not (rep.is_latin_square and rep.unit is not None and rep.associative):
+    t = ct.table
+    unit = _find_unit(t)
+    if not (_is_latin(t) and unit is not None and _kernels.associative_scan(t) == 0):
         raise NotSubgroup("input table is not a group")
-    return rep.unit
+    return unit
 
 
 def transversal_loop(group, subgroup, transversal):

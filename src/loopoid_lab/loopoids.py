@@ -4,7 +4,7 @@ An instance is a chart R^dim_g with two submersions alpha, beta onto an
 M-chart R^dim_m, a unit embedding, and a multiplication formula that is
 smooth on (a slab around) the composability locus beta(g) = alpha(h).
 Numerically the partial product is total on the tolerance slab
-||beta(g) - alpha(h)|| < composable_tol; callers snap the right factor onto
+||beta(g) - alpha(h)|| < COMPOSABLE_TOL; callers snap the right factor onto
 the alpha-fiber by Newton projection before composing.
 
 Constructions: the pair groupoid, the product of a smooth loop with a pair
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptyFiber,
+    LoopoidLabError,
     MissingInverse,
     NotComposable,
     NotMonotone,
@@ -28,7 +29,10 @@ from .errors import (
 )
 from .loops import eval_mul
 from .newton import newton_solve
-from .numdiff import jacobian, null_space, smallest_singular_value
+from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
+
+COMPOSABLE_TOL = 1e-9  # (g, h) compose when ||beta(g) - alpha(h)|| is below this
+SUBMERSION_FLOOR = 1e-8  # a submersion's Jacobian keeps its singular values above this
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,10 @@ class ChartedQuasiloopoid:
     beta: Callable
     unit_embed: Callable
     mul: Callable
-    composable_tol: float = 1e-9
     inverse: Optional[Callable] = None
     inverse_side: str = "both"  # "both" for I.P., "left" for a left inverse only
     claims_loopoid: bool = False
     claims_ip: bool = False
-    fd_step: float = 1e-5
     name: str = "quasiloopoid"
     sampler: Optional[Callable] = None           # (rng, n) -> (n, dim_g)
     m_sampler: Optional[Callable] = None         # (rng, n) -> (n, dim_m)
@@ -73,7 +75,7 @@ class ChartedQuasiloopoid:
 def composable(q, g, h):
     """True when ||beta(g) - alpha(h)|| is inside the tolerance slab."""
     gap = np.linalg.norm(np.asarray(q.beta(g)) - np.asarray(q.alpha(h)))
-    return bool(gap < q.composable_tol)
+    return bool(gap < COMPOSABLE_TOL)
 
 
 def multiply(q, g, h, *, unchecked=False):
@@ -81,15 +83,15 @@ def multiply(q, g, h, *, unchecked=False):
     h = np.asarray(h, dtype=float)
     if not unchecked and not composable(q, g, h):
         gap = np.linalg.norm(np.asarray(q.beta(g)) - np.asarray(q.alpha(h)))
-        raise NotComposable(f"||beta(g) - alpha(h)|| = {gap:.3e} exceeds tol {q.composable_tol:.1e}")
+        raise NotComposable(f"||beta(g) - alpha(h)|| = {gap:.3e} exceeds tol {COMPOSABLE_TOL:.1e}")
     return np.asarray(q.mul(g, h), dtype=float)
 
 
-def snap_to_alpha_fiber(q, h, target_m, tol=1e-12):
+def snap_to_alpha_fiber(q, h, target_m):
     """Newton-project h so that alpha(h) = target_m (minimum-norm update)."""
     target_m = np.asarray(target_m, dtype=float)
     res = lambda p: np.asarray(q.alpha(p), dtype=float) - target_m
-    h2, _ = newton_solve(res, h, tol=tol, max_iter=50)
+    h2, _ = newton_solve(res, h, tol=1e-12)
     return h2
 
 
@@ -201,7 +203,6 @@ def product_loopoid(loop, n):
         inverse=inverse,
         claims_loopoid=True,
         claims_ip=loop.inverse is not None,
-        fd_step=loop.fd_step,
         name=f"product({loop.name},{n})",
         sampler=sampler,
         preferred_alpha_vertical=pav,
@@ -224,8 +225,7 @@ def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0
     odd_resid = max(abs(phi(-x) + phi(x)) for x in xs)
     if odd_resid > 1e-9:
         raise NotOdd(f"phi(-x) + phi(x) residual {odd_resid:.3e} on samples")
-    h = 1e-6
-    slopes = [(phi(x + h) - phi(x - h)) / (2 * h) for x in np.concatenate([xs, [0.0]])]
+    slopes = [directional(phi, x, 1.0) for x in np.concatenate([xs, [0.0]])]
     if min(abs(s) for s in slopes) < 1e-9:
         raise NotMonotone("phi' vanishes on samples")
 
@@ -322,7 +322,7 @@ class SplitFibration:
             return
         for p in rng.normal(scale=0.5, size=(n, self.dim_total)):
             j = jacobian(self.proj, p)
-            if smallest_singular_value(j) < 1e-8:
+            if smallest_singular_value(j) < SUBMERSION_FLOOR:
                 raise NotSubmersion("fibration Jacobian loses rank on samples")
 
 
@@ -393,7 +393,6 @@ def prolongation_loopoid(q, pi, check_rng=None):
         inverse_side=q.inverse_side,
         claims_loopoid=q.claims_loopoid,
         claims_ip=q.claims_ip,
-        fd_step=q.fd_step,
         name=f"prolongation({q.name})",
         sampler=sampler,
         preferred_alpha_vertical=pav,
@@ -420,7 +419,6 @@ def loop_as_loopoid(loop):
         inverse=loop.inverse,
         claims_loopoid=True,
         claims_ip=loop.inverse is not None,
-        fd_step=loop.fd_step,
         name=f"loop({loop.name})",
         sampler=lambda rng, k: loop.sample(rng, k),
         m_sampler=lambda rng, k: np.zeros((k, 0)),
@@ -443,7 +441,7 @@ class LocalBisection:
     validity_radius: float
 
 
-def build_local_section(q, side, through, *, tol=1e-11, predictor="unit"):
+def build_local_section(q, side, through, *, predictor="unit"):
     """A map s with s(q0) = through and side(s(q')) = q' near q0 = side(through).
 
     Newton projection onto the side fiber; the default predictor moves the
@@ -465,13 +463,13 @@ def build_local_section(q, side, through, *, tol=1e-11, predictor="unit"):
         else:
             seed = through
         res = lambda p: np.asarray(side_map(p), dtype=float) - qp
-        p, _ = newton_solve(res, seed, tol=tol, max_iter=60)
+        p, _ = newton_solve(res, seed, tol=1e-11, max_iter=60)
         return p
 
     return section
 
 
-def local_bisection(q, through, validity_radius=0.2, *, n_checks=8, rng=None, tol=1e-8):
+def local_bisection(q, through, validity_radius=0.2, *, n_checks=8, rng=None):
     """Both local sections through one point, bundled with a checked radius.
 
     tau is the alpha-section and sigma the beta-section; their residuals are
@@ -486,16 +484,16 @@ def local_bisection(q, through, validity_radius=0.2, *, n_checks=8, rng=None, to
     for _ in range(n_checks):
         da = rng.uniform(-validity_radius, validity_radius, size=q.dim_m)
         db = rng.uniform(-validity_radius, validity_radius, size=q.dim_m)
-        if np.linalg.norm(np.asarray(q.alpha(tau(qa + da))) - (qa + da)) > tol:
+        if np.linalg.norm(np.asarray(q.alpha(tau(qa + da))) - (qa + da)) > 1e-8:
             raise SectionFailure("alpha-section residual exceeds tolerance on the validity ball")
-        if np.linalg.norm(np.asarray(q.beta(sigma(qb + db))) - (qb + db)) > tol:
+        if np.linalg.norm(np.asarray(q.beta(sigma(qb + db))) - (qb + db)) > 1e-8:
             raise SectionFailure("beta-section residual exceeds tolerance on the validity ball")
     return LocalBisection(
         base_point=through, tau=tau, sigma=sigma, validity_radius=float(validity_radius)
     )
 
 
-def isotropy_samples(q, u, n, rng, *, tol=1e-11):
+def isotropy_samples(q, u, n, rng):
     """Sampled points of the double fiber alpha = beta = u with closure report."""
     if q.inverse is None:
         raise MissingInverse("isotropy sampling requires an inversion map")
@@ -513,8 +511,8 @@ def isotropy_samples(q, u, n, rng, *, tol=1e-11):
         attempts += 1
         seed = e0 + rng.normal(scale=0.2, size=q.dim_g)
         try:
-            p, _ = newton_solve(res, seed, tol=tol, max_iter=60)
-        except Exception:
+            p, _ = newton_solve(res, seed, tol=1e-11, max_iter=60)
+        except LoopoidLabError:
             continue
         pts.append(p)
     if not pts:
@@ -564,6 +562,17 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     """Sampled axiom audit: units, submersions, unities associativity, the
     anchor-morphism property, translation invertibility on fibers, and
     inversion residuals when an inversion map is present."""
+
+    def on_fiber(side_map, translate, point, product):
+        """(min sv, residual) of ``translate`` between side_map-fibers; (inf, 0) on points."""
+        fib = null_space(jacobian(side_map, point, CHART_STEP))
+        if not fib.shape[0]:
+            return np.inf, 0.0
+        img = jacobian(translate, point, CHART_STEP) @ fib.T
+        target = null_space(jacobian(side_map, product, CHART_STEP))
+        coeff, *_ = np.linalg.lstsq(target.T, img, rcond=None)
+        return smallest_singular_value(coeff), float(np.max(np.abs(target.T @ coeff - img)))
+
     rng = np.random.default_rng(seed)
     us = q.sample_m(rng, n_samples)
     unit_sec = 0.0
@@ -589,8 +598,8 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         right_unit = max(right_unit, float(np.linalg.norm(multiply(q, g, q.unit_embed(bg), unchecked=True) - g)))
         left_unit = max(left_unit, float(np.linalg.norm(multiply(q, q.unit_embed(ag), g, unchecked=True) - g)))
 
-        ja = jacobian(q.alpha, g, q.fd_step)
-        jb = jacobian(q.beta, g, q.fd_step)
+        ja = jacobian(q.alpha, g, CHART_STEP)
+        jb = jacobian(q.beta, g, CHART_STEP)
         a_min = min(a_min, smallest_singular_value(ja))
         b_min = min(b_min, smallest_singular_value(jb))
 
@@ -615,25 +624,12 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
             elif lhs_def != rhs_def:
                 ua_mismatch += 1
 
-        # translations restricted to fiber directions
-        v_fib = null_space(jacobian(q.alpha, h, q.fd_step))
-        if v_fib.shape[0]:
-            dm_h = jacobian(lambda p: multiply(q, g, p, unchecked=True), h, q.fd_step)
-            img = dm_h @ v_fib.T
-            target = null_space(jacobian(q.alpha, gh, q.fd_step))
-            coeff, res, *_ = np.linalg.lstsq(target.T, img, rcond=None)
-            recon = target.T @ coeff
-            fiber_resid = max(fiber_resid, float(np.max(np.abs(recon - img))))
-            lt_min = min(lt_min, smallest_singular_value(coeff))
-        w_fib = null_space(jacobian(q.beta, g, q.fd_step))
-        if w_fib.shape[0]:
-            dm_g = jacobian(lambda p: multiply(q, p, h, unchecked=True), g, q.fd_step)
-            img = dm_g @ w_fib.T
-            target = null_space(jacobian(q.beta, gh, q.fd_step))
-            coeff, res, *_ = np.linalg.lstsq(target.T, img, rcond=None)
-            recon = target.T @ coeff
-            fiber_resid = max(fiber_resid, float(np.max(np.abs(recon - img))))
-            rt_min = min(rt_min, smallest_singular_value(coeff))
+        # translations restricted to fiber directions: left translation by g
+        # on the alpha-fiber of h, right translation by h on the beta-fiber of g
+        sv, resid = on_fiber(q.alpha, lambda p: multiply(q, g, p, unchecked=True), h, gh)
+        lt_min, fiber_resid = min(lt_min, sv), max(fiber_resid, resid)
+        sv, resid = on_fiber(q.beta, lambda p: multiply(q, p, h, unchecked=True), g, gh)
+        rt_min, fiber_resid = min(rt_min, sv), max(fiber_resid, resid)
 
         if have_inv:
             # definedness is part of the property: a composability gap in

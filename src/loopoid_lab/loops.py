@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotAntisymmetric, NumericalNoise
 from .newton import newton_solve
-from .numdiff import mixed_bilinear
+from .numdiff import CHART_STEP, jacobian, mixed_bilinear, smallest_singular_value
 from .octonion import Octonion, oct_inverse, oct_mul
 
 
@@ -28,7 +28,6 @@ class SmoothLoopChart:
     dim: int
     mul: Callable
     unit: np.ndarray = None
-    fd_step: float = 1e-5
     domain_radius: float = np.inf
     inverse: Optional[Callable] = None
     name: str = "loop"
@@ -53,7 +52,7 @@ def eval_mul(chart, x, y):
     return np.asarray(chart.mul(x, y), dtype=float).reshape(chart.dim)
 
 
-def divide(chart, side, a, b, *, tol=1e-10, max_iter=50):
+def divide(chart, side, a, b):
     """Solve a * x = b (side="left") or y * a = b (side="right") by Newton.
 
     Starts from the additive guess b - a; near the unit the multiplication
@@ -68,7 +67,7 @@ def divide(chart, side, a, b, *, tol=1e-10, max_iter=50):
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x0 = b - a + chart.unit
-    x, _ = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
+    x, _ = newton_solve(residual, x0)
     return x
 
 
@@ -97,19 +96,19 @@ class SkewAlgebra:
         return np.einsum("kij,i,j->k", self.constants, x, y)
 
 
-def extract_structure_constants(chart, *, noise_tol=1e-4):
+def extract_structure_constants(chart):
     """Return (c tensor, SkewAlgebra) from second mixed derivatives at the unit.
 
     Re-extracts at half the step and raises NumericalNoise if the
-    antisymmetrized parts disagree beyond ``noise_tol`` (two-step Richardson
+    antisymmetrized parts disagree beyond 1e-4 (two-step Richardson
     comparison).
     """
-    c = _raw_constants(chart, chart.fd_step)
-    c2 = _raw_constants(chart, chart.fd_step / 2.0)
+    c = _raw_constants(chart, CHART_STEP)
+    c2 = _raw_constants(chart, CHART_STEP / 2.0)
     s = c - np.swapaxes(c, 1, 2)
     s2 = c2 - np.swapaxes(c2, 1, 2)
     drift = float(np.max(np.abs(s - s2))) if s.size else 0.0
-    if drift > noise_tol:
+    if drift > 1e-4:
         raise NumericalNoise(f"antisymmetrized constants drift {drift:.3e} across step sizes")
     return c, SkewAlgebra(dim=chart.dim, constants=s)
 
@@ -145,7 +144,7 @@ def cross_product_constants():
     return c
 
 
-def octonion_chart(fd_step=1e-5):
+def octonion_chart():
     """The invertible octonions as an 8-dim chart with unit e0."""
 
     def mul(x, y):
@@ -160,7 +159,6 @@ def octonion_chart(fd_step=1e-5):
         dim=8,
         mul=mul,
         unit=unit,
-        fd_step=fd_step,
         inverse=inv,
         name="octonion",
         spec={"kind": "builtin", "name": "octonion"},
@@ -194,12 +192,11 @@ def polynomial_mul(dim, terms):
     return mul
 
 
-def polynomial_chart(dim, terms, unit=None, fd_step=1e-5, name="polynomial"):
+def polynomial_chart(dim, terms, unit=None, name="polynomial"):
     return SmoothLoopChart(
         dim=dim,
         mul=polynomial_mul(dim, terms),
         unit=unit,
-        fd_step=fd_step,
         name=name,
         spec={"kind": "polynomial", "dim": dim, "terms": terms},
     )
@@ -217,7 +214,7 @@ def planar_feedback_terms():
     ]
 
 
-def planar_feedback_chart(fd_step=1e-5):
+def planar_feedback_chart():
     return polynomial_chart(2, planar_feedback_terms(), name="planar_feedback")
 
 
@@ -226,21 +223,19 @@ def cubic_line_terms():
     return [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]]
 
 
-def cubic_line_chart(fd_step=1e-5):
+def cubic_line_chart():
     return polynomial_chart(1, cubic_line_terms(), name="cubic_line")
 
 
-def validate_chart(chart, rng, n_samples=20, tol=1e-9, scale=0.2):
+def validate_chart(chart, rng, n_samples=20, scale=0.2):
     """Unit laws and local invertibility of translations on samples."""
-    from .numdiff import jacobian, smallest_singular_value
-
     pts = chart.sample(rng, n_samples, scale=scale)
     unit_resid = 0.0
     min_sv = np.inf
     for p in pts:
         unit_resid = max(unit_resid, float(np.max(np.abs(eval_mul(chart, chart.unit, p) - p))))
         unit_resid = max(unit_resid, float(np.max(np.abs(eval_mul(chart, p, chart.unit) - p))))
-        jl = jacobian(lambda y: eval_mul(chart, p, y), chart.unit, chart.fd_step)
-        jr = jacobian(lambda x: eval_mul(chart, x, chart.unit), chart.unit, chart.fd_step)
+        jl = jacobian(lambda y: eval_mul(chart, p, y), chart.unit, CHART_STEP)
+        jr = jacobian(lambda x: eval_mul(chart, x, chart.unit), chart.unit, CHART_STEP)
         min_sv = min(min_sv, smallest_singular_value(jl), smallest_singular_value(jr))
-    return {"unit_residual": unit_resid, "translation_min_sv": float(min_sv), "unit_ok": unit_resid < tol}
+    return {"unit_residual": unit_resid, "translation_min_sv": float(min_sv), "unit_ok": unit_resid < 1e-9}

@@ -21,7 +21,7 @@ free-particle step u -> 2v - u on the pair groupoid.  The orientation is a
 system-level switch so every operation stays mutually consistent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,12 +30,14 @@ from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import LoopoidLabError, NotComposable
 from .loopoids import composable
 from .newton import newton_solve
-from .numdiff import directional, gradient, jacobian, null_space, smallest_singular_value
+from .numdiff import CHART_STEP, directional, gradient, jacobian, null_space, smallest_singular_value
 from .tangent import CovectorElement, cotangent_fibration
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Keyword arguments of ``newton_solve`` for the step map."""
+
     # rcond cuts singular values below rcond * sigma_max when stepping: the
     # step Jacobian is differenced from differenced data, so directions at
     # the noise floor carry no information
@@ -51,7 +53,6 @@ class DiscreteLagrangianSystem:
     loopoid: object
     lagrangian: Callable
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    fd_step: float = 1e-5
     orientation: str = ALIGNED
     frame_field: Optional[Callable] = None
 
@@ -79,7 +80,7 @@ def _derivative_along(system, side, g):
     g = np.asarray(g, dtype=float)
     lag = lambda p: np.atleast_1d(system.lagrangian(p))
     fields = prolong(q, system.frames(), np.eye(q.rank), side, g, system.orientation)
-    return np.array([directional(lag, g, v, system.fd_step)[0] for v in fields])
+    return np.array([directional(lag, g, v, CHART_STEP)[0] for v in fields])
 
 
 def el_residual(system, g, h, *, check=True):
@@ -105,7 +106,7 @@ def legendre_vs_cotangent(system, g, rng=None):
     q = system.loopoid
     ff = system.frames()
     g = np.asarray(g, dtype=float)
-    dl = gradient(lambda p: system.lagrangian(p), g, system.fd_step)
+    dl = gradient(lambda p: system.lagrangian(p), g, CHART_STEP)
     mu = CovectorElement(g, dl)
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
@@ -139,7 +140,7 @@ def step_solve(system, g, branch_seed=None):
     # not constrain stay pinned at the unit values
     fiber_offset = g - np.asarray(q.unit_embed(q.alpha(g)), dtype=float)
     biv = null_space(
-        np.vstack([jacobian(q.alpha, seed, q.fd_step), jacobian(q.beta, seed, q.fd_step)])
+        np.vstack([jacobian(q.alpha, seed, CHART_STEP), jacobian(q.beta, seed, CHART_STEP)])
     )
     if biv.size:
         seed = seed + 0.1 * (biv.T @ (biv @ fiber_offset))
@@ -156,15 +157,7 @@ def step_solve(system, g, branch_seed=None):
             ]
         )
 
-    h, info = newton_solve(
-        residual,
-        seed,
-        tol=system.newton.tol,
-        max_iter=system.newton.max_iter,
-        damping=system.newton.damping,
-        fd_step=system.newton.fd_step,
-        rcond=system.newton.rcond,
-    )
+    h, _ = newton_solve(residual, seed, **asdict(system.newton))
     return h
 
 
@@ -194,14 +187,15 @@ def trajectory(system, g0, n_steps, branch_seed=None):
     )
 
 
-def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0, sv_threshold=1e-6):
+def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0):
     """Fiberwise regularity of F+L near the unit of ``u``.
 
     The chart map g -> (beta(g), F+L(g)) into the dual-bundle chart is
     differentiated at the embedded unit and at sampled probe points; the
     plus transform moves only along alpha-fiber directions, so the smallest
-    singular value is taken of the Jacobian restricted to those columns.
-    Also cross-checks the step map against F-L o gamma = F+L.
+    singular value is taken of the Jacobian restricted to those columns,
+    and F+L is regular when it exceeds 1e-6.  Also cross-checks the step
+    map against F-L o gamma = F+L.
     """
     q = system.loopoid
     ff = system.frames()
@@ -224,13 +218,13 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0, sv_threshol
     min_sv_minus = np.inf
     jac_unit = None
     for idx, g in enumerate(points):
-        fib = null_space(jacobian(q.alpha, g, q.fd_step))
-        j_full = jacobian(chart_map, g, 1e-6)
+        fib = null_space(jacobian(q.alpha, g, CHART_STEP))
+        j_full = jacobian(chart_map, g)
         if idx == 0:
             jac_unit = j_full
         min_sv_plus = min(min_sv_plus, smallest_singular_value(j_full @ fib.T))
-        fib_b = null_space(jacobian(q.beta, g, q.fd_step))
-        j_minus = jacobian(chart_map_minus, g, 1e-6)
+        fib_b = null_space(jacobian(q.beta, g, CHART_STEP))
+        j_minus = jacobian(chart_map_minus, g)
         min_sv_minus = min(min_sv_minus, smallest_singular_value(j_minus @ fib_b.T))
 
     p2 = 0.0
@@ -247,7 +241,7 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0, sv_threshol
         )
 
     return {
-        "regular": bool(min_sv_plus > sv_threshold),
+        "regular": bool(min_sv_plus > 1e-6),
         "min_sv_plus_fiberwise": float(min_sv_plus),
         "min_sv_minus_fiberwise": float(min_sv_minus),
         "unit_jacobian": jac_unit,

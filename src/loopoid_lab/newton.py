@@ -22,7 +22,6 @@ def newton_solve(
     max_iter=50,
     fd_step=1e-7,
     damping=True,
-    jac=None,
     rcond=None,
 ):
     """Drive ``residual`` to zero from ``x0``; returns (x, info dict).
@@ -38,8 +37,7 @@ def newton_solve(
     for it in range(max_iter):
         if best < tol:
             return x, {"iterations": it, "residual": best, "cond": cond}
-        j = jac(x) if jac is not None else jacobian(residual, x, fd_step)
-        j = np.atleast_2d(j)
+        j = np.atleast_2d(jacobian(residual, x, fd_step))
         sv = np.linalg.svd(j, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]

@@ -5,9 +5,21 @@ directional derivatives, the 4-point mixed stencil used for structure
 constants, and the two-step Lie bracket of vector fields.  Steps are
 relative: ``h = rel * max(1, |x|_inf)``, so charts centered at the origin
 get the raw relative step.
+
+Three steps, each the default of its entry points, serve the package:
+``STEP`` (``jacobian``, ``gradient``, ``directional``) for fibration maps,
+the Legendre chart maps of the regularity check and the slope probe of an
+odd map; ``CHART_STEP`` (``mixed_bilinear``) for every derivative of a chart
+map, a Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for
+differences of quantities themselves differenced at ``CHART_STEP``.
+Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
 """
 
 import numpy as np
+
+STEP = 1e-6
+CHART_STEP = 1e-5
+OUTER_STEP = 1e-4
 
 
 def step_for(x, rel):
@@ -16,7 +28,7 @@ def step_for(x, rel):
     return rel * scale
 
 
-def jacobian(f, x, rel_step=1e-6):
+def jacobian(f, x, rel_step=STEP):
     """Jacobian of f at x, one central difference per input coordinate."""
     x = np.asarray(x, dtype=float)
     h = step_for(x, rel_step)
@@ -31,12 +43,12 @@ def jacobian(f, x, rel_step=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def gradient(f, x, rel_step=1e-6):
+def gradient(f, x, rel_step=STEP):
     """Gradient of a scalar f at x."""
     return jacobian(lambda p: np.atleast_1d(f(p)), x, rel_step)[0]
 
 
-def directional(f, x, v, rel_step=1e-6):
+def directional(f, x, v, rel_step=STEP):
     """Central difference of f along the (unnormalized) direction v."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -44,7 +56,7 @@ def directional(f, x, v, rel_step=1e-6):
     return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
 
 
-def mixed_bilinear(f, x0, y0, i, j, rel_step=1e-5):
+def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):
     """d^2 f / dx_i dy_j at (x0, y0) via the 4-point stencil.
 
     ``f`` maps a pair of vectors to a vector; the stencil is
@@ -64,13 +76,8 @@ def mixed_bilinear(f, x0, y0, i, j, rel_step=1e-5):
     return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
 
 
-def lie_bracket(field_v, field_w, x, rel_step=1e-4):
-    """[V, W](x) = DW(x) V(x) - DV(x) W(x) for vector fields on a chart.
-
-    The outer Jacobians use ``rel_step``; the fields themselves may do their
-    own (finer-step) differencing internally, which keeps the nested noise
-    under control.
-    """
+def lie_bracket(field_v, field_w, x, rel_step=OUTER_STEP):
+    """[V, W](x) = DW(x) V(x) - DV(x) W(x) for vector fields on a chart."""
     x = np.asarray(x, dtype=float)
     vx = np.asarray(field_v(x), dtype=float)
     wx = np.asarray(field_w(x), dtype=float)
@@ -79,13 +86,16 @@ def lie_bracket(field_v, field_w, x, rel_step=1e-4):
     return dw @ vx - dv @ wx
 
 
-def null_space(mat, rtol=1e-8):
-    """Orthonormal rows spanning the null space of ``mat``."""
+def null_space(mat):
+    """Orthonormal rows spanning the null space of ``mat``.
+
+    Singular values at or below 1e-8 * sigma_max count as zero.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
     u, s, vt = np.linalg.svd(mat)
-    cut = s[0] * rtol if s.size else 0.0
+    cut = s[0] * 1e-8 if s.size else 0.0
     rank = int(np.sum(s > cut))
     return vt[rank:]
 

@@ -109,6 +109,18 @@ def _num(val, path):
     return float(val)
 
 
+def _numbers(val, path):
+    """A rectangular nested list of numbers, as a float array."""
+    try:
+        arr = np.asarray(val, dtype=float)
+        ok = all(type(v) in (int, float) for v in np.asarray(val, dtype=object).flat)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise SchemaError("expected a rectangular array of numbers", path)
+    return arr
+
+
 def _list(val, path):
     if not isinstance(val, list):
         raise SchemaError(f"expected a list, got {type(val).__name__}", path)
@@ -130,6 +142,8 @@ def _exponents(val, path, dim):
 def _poly_terms(val, path, dim_x, dim_y):
     """Per-coordinate term lists [[coeff, xexps, yexps], ...]."""
     coords = _list(val, path)
+    if len(coords) != dim_x:
+        raise SchemaError(f"expected {dim_x} coordinate term lists, got {len(coords)}", path)
     out = []
     for k, terms in enumerate(coords):
         tpath = f"{path}[{k}]"
@@ -209,18 +223,21 @@ def _validate_loop(body, path):
         name = _need(mul, "name", f"{path}.mul")
         if name != "octonion":
             raise SchemaError(f"unknown builtin {name!r}", f"{path}.mul.name")
+        dim = 8
     elif mkind == "bracket":
         dim = _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
-        c = _list(_need(mul, "constants", f"{path}.mul"), f"{path}.mul.constants")
-        arr = np.asarray(c, dtype=float)
+        cpath = f"{path}.mul.constants"
+        arr = _numbers(_need(mul, "constants", f"{path}.mul"), cpath)
         if arr.shape != (dim, dim, dim):
-            raise SchemaError(f"constants shape {arr.shape} != ({dim},)*3", f"{path}.mul.constants")
+            raise SchemaError(f"constants shape {arr.shape} != ({dim},)*3", cpath)
     else:
         raise SchemaError(f"unknown mul kind {mkind!r}", f"{path}.mul.kind")
     if body.get("unit") is not None:
-        _list(body["unit"], f"{path}.unit")
-    if body.get("fd_step") is not None:
-        _num(body["fd_step"], f"{path}.fd_step")
+        unit = _numbers(body["unit"], f"{path}.unit")
+        if unit.shape != (dim,):
+            raise SchemaError(f"expected {dim} numbers, got shape {unit.shape}", f"{path}.unit")
+    if "fd_step" in body:
+        raise SchemaError("the differencing steps are fixed; fd_step is not a loop field", f"{path}.fd_step")
 
 
 def _validate_loopoid(body, path):
@@ -253,10 +270,10 @@ def _validate_algebroid(body, path):
     if kind == "constant":
         rank = _int(_need(body, "rank", path), f"{path}.rank", minimum=1)
         base = _int(_need(body, "base_dim", path), f"{path}.base_dim", minimum=0)
-        c = np.asarray(_list(_need(body, "c", path), f"{path}.c"), dtype=float)
+        c = _numbers(_need(body, "c", path), f"{path}.c")
         if c.shape != (rank, rank, rank):
             raise SchemaError(f"c shape {c.shape} != ({rank},)*3", f"{path}.c")
-        rho = np.asarray(_need(body, "rho", path), dtype=float)
+        rho = _numbers(_need(body, "rho", path), f"{path}.rho")
         if rho.size != base * rank or (base > 0 and rho.shape != (base, rank)):
             raise SchemaError(f"rho shape {rho.shape} != ({base}, {rank})", f"{path}.rho")
     elif kind == "tangent":
@@ -286,6 +303,20 @@ def _validate_system(body, path):
         "normal_class",
     ):
         raise SchemaError("orientation must be 'aligned' or 'normal_class'", f"{path}.orientation")
+    newton, npath = body.get("newton", {}), f"{path}.newton"
+    if newton is not None and not isinstance(newton, dict):
+        raise SchemaError(f"expected an object, got {type(newton).__name__}", npath)
+    for key, value in (newton or {}).items():
+        fpath = f"{npath}.{key}"
+        if key == "max_iter":
+            _int(value, fpath, minimum=1)
+        elif key in ("tol", "rcond", "fd_step"):
+            if not _num(value, fpath) > 0:
+                raise SchemaError(f"expected a positive number, got {value}", fpath)
+        elif key != "damping":
+            raise SchemaError(f"unknown field {key!r}", fpath)
+        elif not isinstance(value, bool):
+            raise SchemaError(f"expected a bool, got {type(value).__name__}", fpath)
 
 
 _VALIDATORS = {
@@ -340,14 +371,12 @@ def build_loop(body):
     from .loops import SmoothLoopChart, bracket_loop, octonion_chart, polynomial_mul
 
     mul = body["mul"]
-    fd = body.get("fd_step", 1e-5)
     if mul["kind"] == "builtin":
-        return octonion_chart(fd_step=fd)
+        return octonion_chart()
     if mul["kind"] == "bracket":
         chart = bracket_loop(body["dim"], np.asarray(mul["constants"], dtype=float))
         return SmoothLoopChart(
-            dim=chart.dim, mul=chart.mul, unit=body.get("unit"), fd_step=fd,
-            name=chart.name, spec=chart.spec,
+            dim=chart.dim, mul=chart.mul, unit=body.get("unit"), name=chart.name, spec=chart.spec
         )
     dim = body["dim"]
     terms = _poly_terms(mul["terms"], "$.body.mul.terms", dim, dim)
@@ -355,7 +384,6 @@ def build_loop(body):
         dim=dim,
         mul=polynomial_mul(dim, terms),
         unit=body.get("unit"),
-        fd_step=fd,
         name="polynomial",
         spec={"kind": "polynomial", "dim": dim, "terms": mul["terms"]},
     )
@@ -439,19 +467,11 @@ def build_system(body):
     else:
         terms = _scalar_terms(lag["terms"], "$.body.lagrangian.terms", q.dim_g)
         lfun = make_scalar_polynomial(terms, q.dim_g)
-    ncfg = body.get("newton", {})
-    newton = NewtonConfig(
-        max_iter=ncfg.get("max_iter", 50),
-        tol=ncfg.get("tol", 1e-10),
-        damping=ncfg.get("damping", True),
-        rcond=ncfg.get("rcond", 1e-4),
-        fd_step=ncfg.get("fd_step", 1e-5),
-    )
     return DiscreteLagrangianSystem(
         loopoid=q,
         lagrangian=lfun,
-        newton=newton,
-        orientation=body.get("orientation", "aligned"),
+        newton=NewtonConfig(**(body.get("newton") or {})),
+        orientation=body.get("orientation") or "aligned",
     )
 
 

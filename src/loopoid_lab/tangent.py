@@ -22,8 +22,8 @@ import numpy as np
 
 from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
-from .loopoids import build_local_section, composable, multiply
-from .numdiff import directional, jacobian, smallest_singular_value
+from .loopoids import build_local_section, composable, multiply, sample_composable_pairs
+from .numdiff import CHART_STEP, OUTER_STEP, directional, jacobian, null_space, smallest_singular_value
 
 
 @dataclass(frozen=True)
@@ -68,32 +68,30 @@ class CovectorElement:
         return CovectorElement(d["base"], d["covector"])
 
 
-def tangent_multiply(q, xg, yh, *, velocity_tol=1e-7, predictor="unit", fd_step=None):
+def tangent_multiply(q, xg, yh, *, predictor="unit"):
     """Product of tangent elements via the local-section formula.
 
     The shared base velocity is taken from T beta(v_g); a mismatch with
-    T alpha(v_h) beyond ``velocity_tol`` raises, a smaller one is absorbed
-    by snapping v_h's base component.
+    T alpha(v_h) beyond 1e-7 raises, a smaller one is absorbed by snapping
+    v_h's base component.
     """
     g, vg = xg.base, xg.vector
     h, vh = yh.base, yh.vector
     if not composable(q, g, h):
         raise NotComposable("tangent factors sit over a non-composable pair")
-    step = q.fd_step if fd_step is None else fd_step
-
-    jb_g = jacobian(q.beta, g, step)
-    ja_h = jacobian(q.alpha, h, step)
+    jb_g = jacobian(q.beta, g, CHART_STEP)
+    ja_h = jacobian(q.alpha, h, CHART_STEP)
     vq = jb_g @ vg
     mismatch = float(np.linalg.norm(ja_h @ vh - vq))
-    if mismatch > velocity_tol:
+    if mismatch > 1e-7:
         raise IncompatibleVelocities(f"base velocities differ by {mismatch:.2e}")
     if mismatch > 0:
         corr, *_ = np.linalg.lstsq(ja_h, ja_h @ vh - vq, rcond=None)
         vh = vh - corr
 
     if q.dim_m == 0:
-        t1 = directional(lambda x: multiply(q, x, h, unchecked=True), g, vg, step)
-        t2 = directional(lambda y: multiply(q, g, y, unchecked=True), h, vh, step)
+        t1 = directional(lambda x: multiply(q, x, h, unchecked=True), g, vg, CHART_STEP)
+        t2 = directional(lambda y: multiply(q, g, y, unchecked=True), h, vh, CHART_STEP)
         return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2)
 
     sigma = build_local_section(q, "beta", g, predictor=predictor)
@@ -105,22 +103,20 @@ def tangent_multiply(q, xg, yh, *, velocity_tol=1e-7, predictor="unit", fd_step=
     both = lambda qq: multiply(q, sigma(qq), tau(qq), unchecked=True)
 
     try:
-        t1 = directional(r_tau, g, vg, step)
-        t2 = directional(l_sigma, h, vh, step)
-        t3 = directional(both, quni, vq, step)
+        t1 = directional(r_tau, g, vg, CHART_STEP)
+        t2 = directional(l_sigma, h, vh, CHART_STEP)
+        t3 = directional(both, quni, vq, CHART_STEP)
     except NoConvergence as exc:
         raise SectionFailure(f"section projection failed inside the product: {exc}") from exc
     return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2 - t3)
 
 
-def tangent_alpha(q, el, step=None):
-    s = q.fd_step if step is None else step
-    return TangentElement(q.alpha(el.base), jacobian(q.alpha, el.base, s) @ el.vector)
+def tangent_alpha(q, el):
+    return TangentElement(q.alpha(el.base), jacobian(q.alpha, el.base, CHART_STEP) @ el.vector)
 
 
-def tangent_beta(q, el, step=None):
-    s = q.fd_step if step is None else step
-    return TangentElement(q.beta(el.base), jacobian(q.beta, el.base, s) @ el.vector)
+def tangent_beta(q, el):
+    return TangentElement(q.beta(el.base), jacobian(q.beta, el.base, CHART_STEP) @ el.vector)
 
 
 def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
@@ -131,8 +127,6 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     fibers, agreement between the two section predictors, and the tangent
     inversion when the instance carries one.
     """
-    from .loopoids import sample_composable_pairs
-
     rng = np.random.default_rng(seed)
     pairs = sample_composable_pairs(q, rng, n_samples)
     anchor_resid = 0.0
@@ -142,8 +136,8 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     min_rank_sv = np.inf
 
     for g, h in pairs:
-        jb_g = jacobian(q.beta, g, q.fd_step)
-        ja_h = jacobian(q.alpha, h, q.fd_step)
+        jb_g = jacobian(q.beta, g, CHART_STEP)
+        ja_h = jacobian(q.alpha, h, CHART_STEP)
         vg = rng.normal(size=q.dim_g)
         # match v_h's base velocity to v_g's exactly up to lstsq
         vh = rng.normal(size=q.dim_g)
@@ -167,7 +161,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
 
         # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
         u = np.asarray(q.alpha(h), dtype=float)
-        je = jacobian(q.unit_embed, u, q.fd_step)
+        je = jacobian(q.unit_embed, u, CHART_STEP)
         w = ja_h @ vh
         unit_el = TangentElement(np.asarray(q.unit_embed(u), dtype=float), je @ w)
         lhs = tangent_multiply(q, unit_el, yh)
@@ -177,20 +171,16 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
         prod2 = tangent_multiply(q, xg, yh, predictor="hold")
         section_resid = max(section_resid, float(np.linalg.norm(prod.vector - prod2.vector)))
 
-        # injectivity of v_h -> product vector on the alpha-fiber directions
-        from .numdiff import null_space
-
+        # injectivity of v_h -> product vector on the alpha-fiber directions,
+        # differenced at c = 0, where c @ fib is exactly h * fib[i]
         fib = null_space(ja_h)
         if fib.shape[0]:
-            cols = []
-            for direction in fib:
-                plus = tangent_multiply(q, xg, TangentElement(h, vh + 1e-4 * direction))
-                minus = tangent_multiply(q, xg, TangentElement(h, vh - 1e-4 * direction))
-                cols.append((plus.vector - minus.vector) / 2e-4)
-            min_rank_sv = min(min_rank_sv, smallest_singular_value(np.stack(cols, axis=1)))
+            push = lambda c: tangent_multiply(q, xg, TangentElement(h, vh + c @ fib)).vector
+            cols = jacobian(push, np.zeros(fib.shape[0]), OUTER_STEP)
+            min_rank_sv = min(min_rank_sv, smallest_singular_value(cols))
 
         if q.inverse is not None and q.inverse_side == "both":
-            ji = jacobian(q.inverse, g, q.fd_step)
+            ji = jacobian(q.inverse, g, CHART_STEP)
             inv_el = TangentElement(np.asarray(q.inverse(g), dtype=float), ji @ vg)
             back = tangent_multiply(q, inv_el, prod)
             inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - yh.vector)))

@@ -52,7 +52,7 @@ from loopoid_lab.mechanics import (
     step_solve,
     trajectory,
 )
-from loopoid_lab.numdiff import jacobian
+from loopoid_lab.numdiff import CHART_STEP, jacobian
 from loopoid_lab.tangent import CovectorElement, TangentElement, tangent_multiply, cotangent_fibration
 
 
@@ -172,7 +172,7 @@ def test_ac4_inverse_property_sign_theorem():
         u = np.full(q.dim_m, 0.25)
         fr = ff(u)
         e = np.asarray(q.unit_embed(u), dtype=float)
-        ji = jacobian(q.inverse, e, q.fd_step)
+        ji = jacobian(q.inverse, e, CHART_STEP)
         worst_lemma = max(
             worst_lemma, float(np.max(np.abs((ji @ fr.alpha_vertical.T).T + fr.beta_vertical)))
         )

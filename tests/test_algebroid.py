@@ -249,12 +249,12 @@ def test_anchor_phi():
 
 
 def test_inversion_flips_representatives(product_oct):
-    from loopoid_lab.numdiff import jacobian
+    from loopoid_lab.numdiff import CHART_STEP, jacobian
 
     u = np.array([0.25])
     fr = algebroid_frame(product_oct, u)
     e = product_oct.unit_embed(u)
-    ji = jacobian(product_oct.inverse, e, product_oct.fd_step)
+    ji = jacobian(product_oct.inverse, e, CHART_STEP)
     resid = np.max(np.abs((ji @ fr.alpha_vertical.T).T + fr.beta_vertical))
     assert resid < 1e-7
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,17 @@ def test_isotropy_requires_inverse(rng):
     q = product_loopoid(planar_feedback_chart(), 2)
     with pytest.raises(MissingInverse):
         isotropy_samples(q, np.zeros(2), 3, rng)
+
+
+def test_isotropy_lets_a_chart_map_bug_through(rng):
+    # a seed that finds no fiber point raises a library error and is
+    # retried; any other exception is a bug and must not become EmptyFiber
+    def alpha(g):
+        raise ZeroDivisionError("chart map bug")
+
+    q = dataclasses.replace(pair_groupoid(1), alpha=alpha)
+    with pytest.raises(ZeroDivisionError, match="chart map bug"):
+        isotropy_samples(q, np.array([0.4]), 3, rng)
 
 
 def test_loop_as_loopoid_over_point(rng):

@@ -4,7 +4,7 @@ import pytest
 from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, prolong
 from loopoid_lab.errors import LoopoidLabError, NotComposable, SingularJacobian
-from loopoid_lab.loopoids import pair_groupoid, phi_quasiloopoid, product_loopoid
+from loopoid_lab.loopoids import COMPOSABLE_TOL, pair_groupoid, phi_quasiloopoid, product_loopoid
 from loopoid_lab.loops import planar_feedback_chart
 from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
@@ -235,7 +235,7 @@ def test_trajectory_invariants_hold_for_emitted_trajectories(kinetic_system, rng
     g = kinetic_system.loopoid.sample_g(rng, 1)[0]
     g[:2] = np.abs(g[:2]) + 0.2
     traj = trajectory(kinetic_system, g, 3)
-    assert traj.composable_gaps.max() < kinetic_system.loopoid.composable_tol
+    assert traj.composable_gaps.max() < COMPOSABLE_TOL
     assert traj.residuals.max() < kinetic_system.newton.tol * 10
 
 

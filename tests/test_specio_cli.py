@@ -59,6 +59,57 @@ def test_non_integer_exponent_reports_path():
     assert "exponents" in str(err.value)
 
 
+OCTONION_LOOP_BODY = {"mul": {"kind": "builtin", "name": "octonion"}}
+BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1], [-1, 0]], [[0, 1], [-1, 0]]]}}
+
+
+@pytest.mark.parametrize(
+    "kind, body, path",
+    [
+        ("loop", dict(BRACKET_LOOP_BODY, unit=[0.0]), "$.body.unit"),
+        ("loop", dict(H_LOOP_BODY, unit=["a", "b"]), "$.body.unit"),
+        ("loop", dict(OCTONION_LOOP_BODY, unit=[1.0, 0.0]), "$.body.unit"),
+        ("loopoid", dict(PRODUCT_BODY, loop=dict(H_LOOP_BODY, unit=[0.0, 0.0, 0.0])), "$.body.loop.unit"),
+        ("loop", {"dim": 2, "mul": {"kind": "polynomial", "terms": H_TERMS[:1]}}, "$.body.mul.terms"),
+        (
+            "loop",
+            {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, "x"], [-1, 0]], [[0, 1], [-1, 0]]]}},
+            "$.body.mul.constants",
+        ),
+        ("loop", dict(H_LOOP_BODY, fd_step=1e-5), "$.body.fd_step"),
+        ("system", dict(SYSTEM_BODY, newton=[1, 2]), "$.body.newton"),
+        ("system", dict(SYSTEM_BODY, newton={"tol": "tight"}), "$.body.newton.tol"),
+        ("system", dict(SYSTEM_BODY, newton={"max_iter": 0}), "$.body.newton.max_iter"),
+        ("system", dict(SYSTEM_BODY, newton={"max_iter": 5.0}), "$.body.newton.max_iter"),
+        ("system", dict(SYSTEM_BODY, newton={"rcond": -1e-4}), "$.body.newton.rcond"),
+        ("system", dict(SYSTEM_BODY, newton={"fd_step": None}), "$.body.newton.fd_step"),
+        ("system", dict(SYSTEM_BODY, newton={"damping": 1}), "$.body.newton.damping"),
+        ("system", dict(SYSTEM_BODY, newton={"max_iters": 10}), "$.body.newton.max_iters"),
+    ],
+    ids=[
+        "unit_short",
+        "unit_not_numbers",
+        "octonion_unit_short",
+        "product_loop_unit_long",
+        "terms_short",
+        "constants_not_numbers",
+        "loop_fd_step",
+        "newton_not_object",
+        "newton_tol",
+        "newton_max_iter_zero",
+        "newton_max_iter_float",
+        "newton_rcond",
+        "newton_fd_step",
+        "newton_damping",
+        "newton_unknown_field",
+    ],
+)
+def test_bad_field_is_a_schema_error_at_its_path(kind, body, path):
+    with pytest.raises(SchemaError) as err:
+        parse_spec(spec_text(kind, body))
+    assert err.value.path == path
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
         parse_spec(json.dumps({"kind": "mystery", "body": {}}))
@@ -342,6 +393,14 @@ def test_cli_schema_error_is_machine_readable(runner, tmp_path):
     err = json.loads(result.output)
     assert err["error"]["type"] == "SchemaError"
     assert "$.body.dim" in err["error"]["message"]
+
+
+def test_cli_bad_loop_unit_exits_2(runner, tmp_path):
+    path = _write(tmp_path, "loop.json", "loop", dict(BRACKET_LOOP_BODY, unit=[0.0]))
+    result = runner.invoke(main, ["loop-algebra", "--spec", path])
+    assert result.exit_code == 2
+    err = json.loads(result.output)["error"]
+    assert err == {"type": "SchemaError", "message": "$.body.unit: expected 2 numbers, got shape (1,)"}
 
 
 def test_cli_deterministic_reports(runner, tmp_path):

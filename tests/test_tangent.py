@@ -39,13 +39,13 @@ def test_tangent_product_cubic_line_closed_form(cubic_loopoid, rng):
 
 def test_tangent_units_act_trivially(rng):
     q = product_loopoid(planar_feedback_chart(), 2)
-    from loopoid_lab.numdiff import jacobian
+    from loopoid_lab.numdiff import CHART_STEP, jacobian
 
     g, h = sample_composable_pairs(q, rng, 1)[0]
     vh = rng.normal(size=6)
     u = np.asarray(q.alpha(h))
-    w = jacobian(q.alpha, h, q.fd_step) @ vh
-    unit_el = TangentElement(q.unit_embed(u), jacobian(q.unit_embed, u, q.fd_step) @ w)
+    w = jacobian(q.alpha, h, CHART_STEP) @ vh
+    unit_el = TangentElement(q.unit_embed(u), jacobian(q.unit_embed, u, CHART_STEP) @ w)
     yh = TangentElement(h, vh)
     out = tangent_multiply(q, unit_el, yh)
     assert np.allclose(out.base, h, atol=1e-10)
