@@ -136,8 +136,9 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     alpha-vertical representative of the section.  Right: difference
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector;
-    a (k, r) matrix gives the (k, dim_g) rows of its k sections, with the
-    unit, frame and embedded base resolved once for all of them.
+    a (k, r) matrix gives the (k, dim_g) rows of its k sections.  Either
+    way the unit, frame and embedded base are resolved once, and the
+    multiplication and the slab check each run once, on all stencil points.
     """
     g = np.asarray(g, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -145,27 +146,23 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
         u = np.asarray(q.beta(g), dtype=float)
         reps = frame_field(u).alpha_vertical
         slab = q.alpha
-        mul = lambda h: q.mul(g, h)
     elif side == "right":
         u = np.asarray(q.alpha(g), dtype=float)
         reps = frame_field(u).beta_reps(orientation)
         slab = q.beta
-        mul = lambda h: q.mul(h, g)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     base = np.asarray(q.unit_embed(u), dtype=float)
 
-    def along(direction):
-        probe = base + CHART_STEP * direction
-        gap = np.linalg.norm(np.asarray(slab(probe), dtype=float) - u)
+    def mul(points):
+        gap = np.max(np.linalg.norm(np.asarray(slab(points), dtype=float) - u, axis=-1), initial=0.0)
         if gap > 1e-6:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
-        return directional(mul, base, direction, CHART_STEP)
+        fixed = np.repeat(g[None, :], len(points), axis=0)
+        return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
     directions = coeffs @ reps
-    if directions.ndim == 1:
-        return along(directions)
-    return np.array([along(d) for d in directions]).reshape(directions.shape)
+    return directional(mul, base, np.atleast_2d(directions), CHART_STEP).reshape(directions.shape)
 
 
 def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):

@@ -10,6 +10,14 @@ the alpha-fiber by Newton projection before composing.
 Constructions: the pair groupoid, the product of a smooth loop with a pair
 groupoid, the odd-diffeomorphism quasiloopoid on a constrained 3-coordinate
 chart, and the prolongation over a split fibration.
+
+Row contract: the alpha, beta and mul of every construction here, and the
+proj and join of ``SplitFibration.coordinate``, take ``(..., d)`` operands
+with equal leading shapes and return ``(..., d')``, each row equal bit for
+bit to the map of that row alone.  The maps work along the last axis
+only and never broadcast one point against a stack, so a caller that pairs
+a fixed point with a stack of points repeats it first.  The other maps
+(unit_embed, inverse, the samplers) take one point.
 """
 
 from dataclasses import dataclass, field
@@ -114,17 +122,17 @@ def pair_groupoid(n):
     """M x M with (u, v)(v, w) = (u, w) and iota(u, v) = (v, u)."""
 
     def alpha(g):
-        return np.asarray(g, dtype=float)[:n]
+        return np.asarray(g, dtype=float)[..., :n]
 
     def beta(g):
-        return np.asarray(g, dtype=float)[n:]
+        return np.asarray(g, dtype=float)[..., n:]
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
         return np.concatenate([u, u])
 
     def mul(g, h):
-        return np.concatenate([np.asarray(g, dtype=float)[:n], np.asarray(h, dtype=float)[n:]])
+        return np.concatenate([np.asarray(g, dtype=float)[..., :n], np.asarray(h, dtype=float)[..., n:]], axis=-1)
 
     def inverse(g):
         g = np.asarray(g, dtype=float)
@@ -161,10 +169,10 @@ def product_loopoid(loop, n):
     d = loop.dim
 
     def alpha(g):
-        return np.asarray(g, dtype=float)[d : d + n]
+        return np.asarray(g, dtype=float)[..., d : d + n]
 
     def beta(g):
-        return np.asarray(g, dtype=float)[d + n :]
+        return np.asarray(g, dtype=float)[..., d + n :]
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
@@ -173,7 +181,7 @@ def product_loopoid(loop, n):
     def mul(g, h):
         g = np.asarray(g, dtype=float)
         h = np.asarray(h, dtype=float)
-        return np.concatenate([eval_mul(loop, g[:d], h[:d]), g[d : d + n], h[d + n :]])
+        return np.concatenate([eval_mul(loop, g[..., :d], h[..., :d]), g[..., d : d + n], h[..., d + n :]], axis=-1)
 
     inverse = None
     if loop.inverse is not None:
@@ -230,12 +238,11 @@ def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0
         raise NotMonotone("phi' vanishes on samples")
 
     def alpha(g):
-        g = np.asarray(g, dtype=float)
-        return g[:2]
+        return np.asarray(g, dtype=float)[..., :2]
 
     def beta(g):
         g = np.asarray(g, dtype=float)
-        return np.array([g[0] - phi(g[1] - g[2]), g[2]])
+        return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2]], axis=-1)
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
@@ -243,8 +250,7 @@ def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0
 
     def mul(g, h):
         g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        return np.array([g[0], g[1], h[2]])
+        return np.concatenate([g[..., :2], np.asarray(h, dtype=float)[..., 2:]], axis=-1)
 
     def inverse(g):
         g = np.asarray(g, dtype=float)
@@ -298,14 +304,14 @@ class SplitFibration:
         jf = np.vstack([np.zeros((m, nf)), np.eye(nf)])
 
         def proj(p):
-            return np.asarray(p, dtype=float)[:m]
+            return np.asarray(p, dtype=float)[..., :m]
 
         def split(p):
             p = np.asarray(p, dtype=float)
             return p[:m], p[m:]
 
         def join(base, fib):
-            return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)])
+            return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)], axis=-1)
 
         return SplitFibration(
             dim_total=dim_total,
@@ -341,7 +347,7 @@ def prolongation_loopoid(q, pi, check_rng=None):
 
     def unpack(z):
         z = np.asarray(z, dtype=float)
-        return z[:nf], z[nf : nf + ng], z[nf + ng :]
+        return z[..., :nf], z[..., nf : nf + ng], z[..., nf + ng :]
 
     def alpha(z):
         f, g, _ = unpack(z)
@@ -357,8 +363,8 @@ def prolongation_loopoid(q, pi, check_rng=None):
 
     def mul(z, w):
         f, g, _ = unpack(z)
-        fw, h, fw2 = unpack(w)
-        return np.concatenate([f, np.asarray(q.mul(g, h), dtype=float), fw2])
+        _, h, fw2 = unpack(w)
+        return np.concatenate([f, np.asarray(q.mul(g, h), dtype=float), fw2], axis=-1)
 
     inverse = None
     if q.inverse is not None:
@@ -404,7 +410,7 @@ def loop_as_loopoid(loop):
     """A smooth loop seen as a loopoid over a zero-dimensional unit chart."""
 
     def alpha(g):
-        return np.zeros(0)
+        return np.zeros(np.shape(g)[:-1] + (0,))
 
     def unit_embed(u):
         return loop.unit.copy()

@@ -8,6 +8,11 @@ c^k_ji is the skew algebra of the loop.
 
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
+
+Row contract: every multiplication built here, and ``eval_mul``, takes two
+``(..., dim)`` operands with equal leading shapes and returns ``(...,
+dim)``; each row equals, bit for bit, the product of that row alone, so a
+difference stencil can evaluate all its points in one call.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +23,7 @@ import numpy as np
 from .errors import DomainError, NotAntisymmetric, NumericalNoise
 from .newton import newton_solve
 from .numdiff import CHART_STEP, jacobian, mixed_bilinear, smallest_singular_value
-from .octonion import Octonion, oct_inverse, oct_mul
+from .octonion import Octonion, oct_inverse, oct_mul_batch
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,14 @@ class SmoothLoopChart:
 
 
 def eval_mul(chart, x, y):
-    """x * y with a validity-radius guard around the unit."""
-    x = np.asarray(x, dtype=float).reshape(chart.dim)
-    y = np.asarray(y, dtype=float).reshape(chart.dim)
+    """x * y, row by row, with a validity-radius guard around the unit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if np.isfinite(chart.domain_radius):
         r = chart.domain_radius
         if np.max(np.abs(x - chart.unit)) > r or np.max(np.abs(y - chart.unit)) > r:
             raise DomainError(f"point outside validity radius {r}")
-    return np.asarray(chart.mul(x, y), dtype=float).reshape(chart.dim)
+    return np.asarray(chart.mul(x, y), dtype=float).reshape(x.shape)
 
 
 def divide(chart, side, a, b):
@@ -125,7 +130,7 @@ def bracket_loop(dim, bracket_constants):
         raise NotAntisymmetric("constants are not antisymmetric in the lower indices")
 
     def mul(x, y):
-        return x + y + 0.5 * np.einsum("kij,i,j->k", c, x, y)
+        return x + y + 0.5 * np.einsum("kij,...i,...j->...k", c, x, y)
 
     return SmoothLoopChart(
         dim=dim,
@@ -148,7 +153,7 @@ def octonion_chart():
     """The invertible octonions as an 8-dim chart with unit e0."""
 
     def mul(x, y):
-        return oct_mul(Octonion(x), Octonion(y)).coeffs
+        return oct_mul_batch(np.reshape(x, (-1, 8)), np.reshape(y, (-1, 8))).reshape(np.shape(x))
 
     def inv(x):
         return oct_inverse(Octonion(x)).coeffs
@@ -169,24 +174,40 @@ def polynomial_mul(dim, terms):
     """Multiplication from per-coordinate term lists.
 
     ``terms[k]`` is a list of (coeff, x_exponents, y_exponents) tuples;
-    coordinate k of x * y is the sum of coeff * prod(x**xe) * prod(y**ye).
+    coordinate k of x * y is the sum of coeff * prod(x**xe) * prod(y**ye),
+    taken in term-list order from 0.0.  All terms are evaluated at once:
+    slot ``j`` of coordinate ``k`` holds its ``j``-th term, and the slots a
+    coordinate lacks hold the zero term (coefficient 0, exponents 0), which
+    adds an exact +0.0.
     """
-    parsed = []
-    for coord_terms in terms:
-        row = []
-        for coeff, xe, ye in coord_terms:
-            row.append((float(coeff), np.asarray(xe, dtype=np.int64), np.asarray(ye, dtype=np.int64)))
-        parsed.append(row)
-    if len(parsed) != dim:
-        raise ValueError(f"need {dim} coordinate term lists, got {len(parsed)}")
+    if len(terms) != dim:
+        raise ValueError(f"need {dim} coordinate term lists, got {len(terms)}")
+    slots = max((len(row) for row in terms), default=0)
+    coeff = np.zeros((slots, dim))
+    x_exp = np.zeros((slots, dim, dim))
+    y_exp = np.zeros((slots, dim, dim))
+    for k, row in enumerate(terms):
+        for j, (c, xe, ye) in enumerate(row):
+            coeff[j, k] = float(c)
+            x_exp[j, k] = xe
+            y_exp[j, k] = ye
+    x_exp = x_exp.ravel()
+    y_exp = y_exp.ravel()
+    # every slot and coordinate reads all dim coordinates of an operand
+    cols = np.tile(np.arange(dim), slots * dim)
+
+    def monomials(x, exponents):
+        # np.take gives C-ordered rows, so the power runs the contiguous loop
+        # a single point gets; on other layouts numpy may pick a loop that
+        # rounds some powers differently
+        powers = np.take(x, cols, axis=-1) ** exponents
+        return np.prod(powers.reshape(np.shape(x)[:-1] + (slots, dim, dim)), axis=-1)
 
     def mul(x, y):
-        out = np.zeros(dim)
-        for k, row in enumerate(parsed):
-            acc = 0.0
-            for coeff, xe, ye in row:
-                acc += coeff * np.prod(x**xe) * np.prod(y**ye)
-            out[k] = acc
+        terms_xy = coeff * monomials(x, x_exp) * monomials(y, y_exp)
+        out = np.zeros(np.shape(x)[:-1] + (dim,))
+        for j in range(slots):
+            out += terms_xy[..., j, :]
         return out
 
     return mul

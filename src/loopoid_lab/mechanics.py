@@ -78,9 +78,10 @@ def _derivative_along(system, side, g):
     """Directional derivatives of L along the side's frame fields at g."""
     q = system.loopoid
     g = np.asarray(g, dtype=float)
-    lag = lambda p: np.atleast_1d(system.lagrangian(p))
     fields = prolong(q, system.frames(), np.eye(q.rank), side, g, system.orientation)
-    return np.array([directional(lag, g, v, CHART_STEP)[0] for v in fields])
+    # the Lagrangian takes one point, so it runs row by row on the stencil
+    lag = lambda points: np.array([float(system.lagrangian(p)) for p in points])
+    return directional(lag, g, fields, CHART_STEP)
 
 
 def el_residual(system, g, h, *, check=True):

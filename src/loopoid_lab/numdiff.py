@@ -13,6 +13,12 @@ odd map; ``CHART_STEP`` (``mixed_bilinear``) for every derivative of a chart
 map, a Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for
 differences of quantities themselves differenced at ``CHART_STEP``.
 Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
+
+Row contract: ``directional`` with a single direction evaluates ``f`` on
+1-D points, so ``f`` may be any map of one point.  With a ``(k, n)``
+matrix of directions it calls ``f`` once on the ``(2k, n)`` stack of its
+stencil points, so ``f`` must map each row of a ``(..., n)`` array the way
+it maps that row alone; the chart maps of ``loops`` and ``loopoids`` do.
 """
 
 import numpy as np
@@ -49,11 +55,19 @@ def gradient(f, x, rel_step=STEP):
 
 
 def directional(f, x, v, rel_step=STEP):
-    """Central difference of f along the (unnormalized) direction v."""
+    """Central difference of f along the (unnormalized) direction v.
+
+    A ``(k, n)`` matrix ``v`` gives the ``(k, ...)`` derivatives along its
+    rows from one call of ``f`` on the stacked points ``x + h v`` over
+    ``x - h v``.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     h = step_for(x, rel_step)
-    return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
+    if v.ndim < 2:
+        return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
+    values = np.asarray(f(np.concatenate([x + h * v, x - h * v])), dtype=float)
+    return (values[: len(v)] - values[len(v) :]) / (2.0 * h)
 
 
 def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):

@@ -106,7 +106,10 @@ def _int(val, path, minimum=None):
 def _num(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"expected a number, got {type(val).__name__}", path)
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise SchemaError("integer beyond the float range", path) from None
 
 
 def _numbers(val, path):
@@ -333,7 +336,7 @@ def parse_spec(text):
     """Parse and validate a structure spec; SchemaError carries the path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer beyond Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object", "$")

@@ -166,6 +166,25 @@ def test_prolong_slab_guard():
         prolong(q, ff, [1.0], "left", np.array([0.2, 0.0]))
 
 
+def test_prolong_slab_guard_checks_the_stencil_points():
+    # the stencil steps by CHART_STEP * max(1, |base|) = 2e-4 at the base
+    # (20, 0), where alpha leaves the slab by 1e3 * (2e-4)^2 = 4e-5; a probe
+    # one CHART_STEP out would leave it by only 1e-7
+    scale = 1e3
+    q = ChartedQuasiloopoid(
+        dim_g=2,
+        dim_m=1,
+        alpha=lambda g: g[..., :1] + scale * g[..., 1:] ** 2,
+        beta=lambda g: g[..., :1],
+        unit_embed=lambda u: np.array([u[0], 0.0]),
+        mul=lambda g, h: g + h,
+        name="curved",
+    )
+    ff = make_frame_field(q)
+    with pytest.raises(NotOnFiber, match="4.00e-05"):
+        prolong(q, ff, [1.0], "left", np.array([20.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # brackets and anchors
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.newton import newton_solve
+from loopoid_lab.specio import build_system
 
 SQRT21 = np.sqrt(21.0)
 Z1 = (1.0 + SQRT21) / 2.0
@@ -308,6 +313,25 @@ def test_step_solve_differentiates_at_g_once(kinetic_system, monkeypatch):
     step_solve(kinetic_system, np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3]))
     assert sides.count("left") == 1
     assert sides.count("right") > 1
+
+
+def test_step_solve_multiplies_once_per_prolongation():
+    # one step on the README system: one left prolongation at g, then one
+    # right prolongation per Newton residual, each a single multiplication
+    # on its 2 * rank stencil points
+    spec = json.loads((Path(__file__).resolve().parent.parent / "examples" / "readme_system.json").read_text())
+    system = build_system(spec["body"])
+    q = system.loopoid
+    stencil_rows = []
+
+    def counted(g, h):
+        stencil_rows.append(len(h))
+        return q.mul(g, h)
+
+    system = dataclasses.replace(system, loopoid=dataclasses.replace(q, mul=counted))
+    step_solve(system, np.array(spec["body"]["start"]))
+    assert len(stencil_rows) == 68
+    assert set(stencil_rows) == {2 * q.rank}
 
 
 @pytest.mark.parametrize("side,orientation", [("left", STRICT), ("right", STRICT), ("right", ALIGNED)])

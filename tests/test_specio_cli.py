@@ -403,6 +403,25 @@ def test_cli_bad_loop_unit_exits_2(runner, tmp_path):
     assert err == {"type": "SchemaError", "message": "$.body.unit: expected 2 numbers, got shape (1,)"}
 
 
+@pytest.mark.parametrize(
+    "digits,message",
+    [
+        (401, "$.body.mul.terms[0][0][0]: integer beyond the float range"),
+        (5000, "$: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+)
+def test_cli_huge_integer_exits_2(runner, tmp_path, digits, message):
+    body = {"dim": 1, "mul": {"kind": "polynomial", "terms": [[[1.0, [1], [0]], [1.0, [0], [1]]]]}}
+    text = spec_text("loop", body).replace("[[[1.0,", "[[[" + "9" * digits + ",", 1)
+    path = tmp_path / "loop.json"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["loop-algebra", "--spec", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.output)["error"]
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith(message)
+
+
 def test_cli_deterministic_reports(runner, tmp_path):
     path = _write(tmp_path, "prod.json", "loopoid", PRODUCT_BODY)
     outs = []
