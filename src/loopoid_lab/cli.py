@@ -74,16 +74,19 @@ def _load_spec(path, expected_kind):
 def _point(text, option, spec, system):
     """The point given as ``option`` (comma-separated floats), else ``body.start``.
 
-    Either must have ``loopoid.dim_g`` coordinates; a malformed one raises
-    SchemaError naming the option or the spec path.
+    Either must have ``loopoid.dim_g`` finite coordinates; a malformed one
+    raises SchemaError naming the option or the spec path.
     """
     dim = system.loopoid.dim_g
     if text is not None:
         path = option
         try:
             coords = [float(x) for x in text.split(",")]
+            ok = bool(np.all(np.isfinite(coords)))
         except ValueError:
-            raise SchemaError(f"expected {dim} comma-separated numbers, got {text!r}", path) from None
+            ok = False
+        if not ok:
+            raise SchemaError(f"expected {dim} comma-separated numbers, got {text!r}", path)
     elif spec.body.get("start") is not None:
         path, coords = "$.body.start", spec.body["start"]
     else:

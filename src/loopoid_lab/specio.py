@@ -107,9 +107,12 @@ def _num(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"expected a number, got {type(val).__name__}", path)
     try:
-        return float(val)
-    except OverflowError:
-        raise SchemaError("integer beyond the float range", path) from None
+        out = float(val)
+    except OverflowError:  # an integer too large for a float
+        out = float("inf")
+    if not np.isfinite(out):  # JSON parsing turns 1e400 into inf
+        raise SchemaError("expected a finite number in the float range", path)
+    return out
 
 
 def _numbers(val, path):
@@ -117,10 +120,11 @@ def _numbers(val, path):
     try:
         arr = np.asarray(val, dtype=float)
         ok = all(type(v) in (int, float) for v in np.asarray(val, dtype=object).flat)
+        ok = ok and bool(np.all(np.isfinite(arr)))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise SchemaError("expected a rectangular array of numbers", path)
+        raise SchemaError("expected a rectangular array of finite numbers", path)
     return arr
 
 

@@ -367,10 +367,11 @@ def test_cli_legendre(runner, tmp_path):
     "value, start, message",
     [
         ("a,b", None, "{option}: expected 6 comma-separated numbers, got 'a,b'"),
+        ("1,2,3,inf,5,6", None, "{option}: expected 6 comma-separated numbers, got '1,2,3,inf,5,6'"),
         ("1,2", None, "{option}: expected 6 coordinates (loopoid.dim_g), got 2"),
         (None, [1.0, 2.0], "$.body.start: expected 6 coordinates (loopoid.dim_g), got 2"),
     ],
-    ids=["non_numeric", "wrong_length", "spec_wrong_length"],
+    ids=["non_numeric", "non_finite", "wrong_length", "spec_wrong_length"],
 )
 def test_cli_bad_point_is_a_schema_error(runner, tmp_path, command, option, report_flag, value, start, message):
     body = dict(SYSTEM_BODY, start=start)
@@ -404,15 +405,17 @@ def test_cli_bad_loop_unit_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "digits,message",
+    "number,message",
     [
-        (401, "$.body.mul.terms[0][0][0]: integer beyond the float range"),
-        (5000, "$: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+        ("9" * 401, "$.body.mul.terms[0][0][0]: expected a finite number in the float range"),
+        ("1e400", "$.body.mul.terms[0][0][0]: expected a finite number in the float range"),
+        ("9" * 5000, "$: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
     ],
+    ids=["401-digit-integer", "float-literal-beyond-range", "5000-digit-integer"],
 )
-def test_cli_huge_integer_exits_2(runner, tmp_path, digits, message):
+def test_cli_number_beyond_float_range_exits_2(runner, tmp_path, number, message):
     body = {"dim": 1, "mul": {"kind": "polynomial", "terms": [[[1.0, [1], [0]], [1.0, [0], [1]]]]}}
-    text = spec_text("loop", body).replace("[[[1.0,", "[[[" + "9" * digits + ",", 1)
+    text = spec_text("loop", body).replace("[[[1.0,", f"[[[{number},", 1)
     path = tmp_path / "loop.json"
     path.write_text(text, encoding="utf-8")
     result = runner.invoke(main, ["loop-algebra", "--spec", str(path)])
