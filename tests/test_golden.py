@@ -73,7 +73,8 @@ def run_case(name, workdir):
             code = 0
         except SystemExit as exc:
             code = exc.code
-    files = {a: (Path(workdir) / a).read_bytes() for a in args if (Path(workdir) / a).exists()}
+    written = [Path(workdir) / a for a in args if a in OUTPUT_NAMES]
+    files = {path.name: path.read_bytes() for path in written if path.exists()}
     return code, out.getvalue(), files
 
 
