@@ -155,6 +155,7 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     base = np.asarray(q.unit_embed(u), dtype=float)
 
     def mul(points):
+        # the stencil's map: every point it evaluates must stay on the slab
         gap = np.max(np.linalg.norm(np.asarray(slab(points), dtype=float) - u, axis=-1), initial=0.0)
         if gap > 1e-6:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
