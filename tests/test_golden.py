@@ -32,6 +32,8 @@ MANIFEST = GOLDEN / "MANIFEST.json"
 LOOPOIDS = ("readme_product_loopoid", "octonion_pair1_loopoid", "prolonged_planar_loopoid", "phi_loopoid")
 LOOPS = ("planar_loop", "octonion_loop", "bracket3_loop")
 SYSTEMS = ("readme_system", "phi_system")
+ALGEBROIDS = ("cross_product_algebroid", "prolonged_algebroid")
+FINITE = ("z4_table", "s3_transversal", "signed_basis_semidirect")
 
 
 def _cases():
@@ -52,8 +54,14 @@ def _cases():
         )
         for command in ("loopoid-check", "tangent-check"):
             cases[f"{command}-{loopoid}"] = (command, loopoid, ["--seed", "0", "--out", "report.json"])
+    for algebroid in ALGEBROIDS:
+        cases[f"lie-functor-{algebroid}"] = (
+            "lie-functor", algebroid, ["--seed", "0", "--out", "report.json", "--csv", "brackets.csv"]
+        )
     for loop in LOOPS:
         cases[f"loop-algebra-{loop}"] = ("loop-algebra", loop, ["--out", "report.json", "--csv", "skew.csv"])
+    for table in FINITE:
+        cases[f"verify-finite-{table}"] = ("verify-finite", table, ["--out", "report.json"])
     return cases
 
 
