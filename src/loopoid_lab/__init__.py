@@ -3,141 +3,18 @@ tangent/cotangent structure, and discrete Lagrangian mechanics."""
 
 __version__ = "0.1.0"
 
-from .algebroid import (
-    ALIGNED,
-    STRICT,
-    AlgebroidFrame,
-    SkewAlgebroidChart,
-    algebroid_bracket,
-    algebroid_frame,
-    anchor,
-    check_almost_lie_chart,
-    check_almost_lie_loopoid,
-    constant_chart,
-    contrast_metric,
-    leibniz_bracket,
-    make_frame_field,
-    prolong,
-    prolong_algebroid,
-    tangent_chart,
+# Import every layer module with the package: perfbench/layertrace.py finds
+# them in sys.modules when it installs its wrappers.
+from . import (  # noqa: F401
+    _kernels,
+    algebroid,
+    finite,
+    loopoids,
+    loops,
+    mechanics,
+    newton,
+    numdiff,
+    octonion,
+    specio,
+    tangent,
 )
-from .finite import CayleyTable, IdentityReport, semidirect_loop, transversal_loop, validate_latin_square
-from .loopoids import (
-    AxiomReport,
-    ChartedQuasiloopoid,
-    LocalBisection,
-    SplitFibration,
-    build_local_section,
-    check_axioms,
-    composable,
-    isotropy_samples,
-    local_bisection,
-    loop_as_loopoid,
-    multiply,
-    pair_groupoid,
-    phi_quasiloopoid,
-    product_loopoid,
-    prolongation_loopoid,
-)
-from .loops import (
-    SkewAlgebra,
-    SmoothLoopChart,
-    bracket_loop,
-    cubic_line_chart,
-    divide,
-    eval_mul,
-    extract_structure_constants,
-    octonion_chart,
-    planar_feedback_chart,
-    polynomial_chart,
-)
-from .mechanics import (
-    DiscreteLagrangianSystem,
-    NewtonConfig,
-    Trajectory,
-    el_residual,
-    legendre,
-    regularity_check,
-    step_solve,
-    trajectory,
-)
-from .octonion import Octonion, oct_associator, oct_inner, oct_inverse, oct_mul, oct_mul_batch
-from .specio import StructureSpec, canonical_json, parse_spec
-from .tangent import (
-    CovectorElement,
-    TangentElement,
-    check_tangent_loopoid,
-    cotangent_fibration,
-    tangent_multiply,
-)
-
-__all__ = [
-    "ALIGNED",
-    "STRICT",
-    "AlgebroidFrame",
-    "AxiomReport",
-    "CayleyTable",
-    "ChartedQuasiloopoid",
-    "CovectorElement",
-    "DiscreteLagrangianSystem",
-    "IdentityReport",
-    "LocalBisection",
-    "NewtonConfig",
-    "Octonion",
-    "SkewAlgebra",
-    "SkewAlgebroidChart",
-    "SmoothLoopChart",
-    "SplitFibration",
-    "StructureSpec",
-    "TangentElement",
-    "Trajectory",
-    "algebroid_bracket",
-    "algebroid_frame",
-    "anchor",
-    "bracket_loop",
-    "build_local_section",
-    "canonical_json",
-    "check_almost_lie_chart",
-    "check_almost_lie_loopoid",
-    "check_axioms",
-    "check_tangent_loopoid",
-    "composable",
-    "constant_chart",
-    "contrast_metric",
-    "cotangent_fibration",
-    "cubic_line_chart",
-    "divide",
-    "el_residual",
-    "eval_mul",
-    "extract_structure_constants",
-    "isotropy_samples",
-    "legendre",
-    "leibniz_bracket",
-    "local_bisection",
-    "loop_as_loopoid",
-    "make_frame_field",
-    "multiply",
-    "oct_associator",
-    "oct_inner",
-    "oct_inverse",
-    "oct_mul",
-    "oct_mul_batch",
-    "octonion_chart",
-    "pair_groupoid",
-    "parse_spec",
-    "phi_quasiloopoid",
-    "planar_feedback_chart",
-    "polynomial_chart",
-    "product_loopoid",
-    "prolong",
-    "prolong_algebroid",
-    "prolongation_loopoid",
-    "regularity_check",
-    "semidirect_loop",
-    "step_solve",
-    "tangent_chart",
-    "tangent_multiply",
-    "trajectory",
-    "transversal_loop",
-    "validate_latin_square",
-]

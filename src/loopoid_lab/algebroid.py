@@ -22,25 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    FrameSingular,
-    JetNotVanishing,
-    NotOnFiber,
-    NotSubmersion,
-    RankDeficient,
-    RankNotConstant,
-)
-from .loopoids import SUBMERSION_FLOOR
-from .numdiff import (
-    CHART_STEP,
-    OUTER_STEP,
-    directional,
-    gradient,
-    jacobian,
-    lie_bracket,
-    null_space,
-    smallest_singular_value,
-)
+from .errors import FrameSingular, NotOnFiber, NotSubmersion, RankDeficient
+from .numdiff import CHART_STEP, directional, jacobian, lie_bracket, null_space, smallest_singular_value
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -66,12 +49,11 @@ class AlgebroidFrame:
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def algebroid_frame(q, u, alpha_vertical=None):
+def algebroid_frame(q, u):
     """Compute the frame at the embedded unit of ``u``.
 
-    ``alpha_vertical`` overrides the basis of ker T alpha (rows); by default
-    the instance's preferred frame is used when it has one, otherwise an SVD
-    null space.
+    The basis of ker T alpha (rows) is the instance's preferred frame when it
+    has one, otherwise an SVD null space.
     """
     u = np.asarray(u, dtype=float)
     e = np.asarray(q.unit_embed(u), dtype=float)
@@ -81,12 +63,12 @@ def algebroid_frame(q, u, alpha_vertical=None):
 
     r = q.rank
     if q.dim_m > 0 and (
-        min(smallest_singular_value(ja), smallest_singular_value(jb)) < SUBMERSION_FLOOR
+        min(smallest_singular_value(ja), smallest_singular_value(jb)) < 1e-8
     ):
         raise RankDeficient(f"alpha/beta Jacobian loses submersion rank at u = {u}")
-    if alpha_vertical is None and q.preferred_alpha_vertical is not None:
+    if q.preferred_alpha_vertical is not None:
         alpha_vertical = q.preferred_alpha_vertical(u)
-    if alpha_vertical is None:
+    else:
         alpha_vertical = null_space(ja)
     a = np.atleast_2d(np.asarray(alpha_vertical, dtype=float))
     if a.shape != (r, q.dim_g):
@@ -114,7 +96,7 @@ def algebroid_frame(q, u, alpha_vertical=None):
     )
 
 
-def make_frame_field(q, alpha_vertical_fn=None):
+def make_frame_field(q):
     """Cached u -> AlgebroidFrame map for use inside field differencing."""
     cache = {}
 
@@ -122,8 +104,7 @@ def make_frame_field(q, alpha_vertical_fn=None):
         u = np.asarray(u, dtype=float)
         key = np.round(u, 12).tobytes()
         if key not in cache:
-            av = alpha_vertical_fn(u) if alpha_vertical_fn is not None else None
-            cache[key] = algebroid_frame(q, u, av)
+            cache[key] = algebroid_frame(q, u)
         return cache[key]
 
     return field
@@ -219,27 +200,6 @@ def algebroid_bracket(
     if return_tm:
         return coeffs, tm
     return coeffs
-
-
-def anchor(q, x_coeffs, u, side="left", frame_field=None):
-    """rho_l(X) = T beta(alpha-rep) or rho_r(X) = T alpha(strict beta-rep).
-
-    The opposition contract rho_r = -rho_l is re-verified on every call.
-    """
-    if frame_field is None:
-        frame_field = make_frame_field(q)
-    u = np.asarray(u, dtype=float)
-    fr = frame_field(u)
-    x = np.asarray(x_coeffs, dtype=float)
-    rho_l = x @ fr.rho_left
-    e = np.asarray(q.unit_embed(u), dtype=float)
-    ja = jacobian(q.alpha, e, CHART_STEP)
-    rho_r = ja @ (x @ fr.beta_vertical)
-    if np.linalg.norm(rho_r + rho_l) > 1e-8 * max(1.0, np.linalg.norm(rho_l)):
-        raise FrameSingular(
-            f"anchor opposition violated: |rho_r + rho_l| = {np.linalg.norm(rho_r + rho_l):.2e}"
-        )
-    return rho_l if side == "left" else rho_r
 
 
 def check_almost_lie_loopoid(q, u_samples, frame_field=None):
@@ -364,8 +324,8 @@ def check_almost_lie_chart(chart, x_samples):
     return worst
 
 
-def prolong_algebroid(chart, pi, *, probe_rng=None, n_probe=8):
-    """Prolongation over a split fibration pi: P -> M.
+def prolong_algebroid(chart, pi):
+    """Prolongation over a coordinate fibration pi: P -> M.
 
     Carrier {(X, V): rho(X) = T pi(V)} over P, rank = rank + dim_fiber.  In
     the frame (horizontal lifts of the input frame, vertical fiber
@@ -373,10 +333,10 @@ def prolong_algebroid(chart, pi, *, probe_rng=None, n_probe=8):
     stacks rho with the vertical identity.  The anchor of a bracket is the
     bracket of anchors by construction, so the output is almost Lie whenever
     its own bracket closes (in particular for almost-Lie inputs of any
-    Jacobi status, and always over a point base).
+    Jacobi status, and always over a point base).  Since T pi = [I 0] has
+    full rank, the carrier has rank + dim_fiber at every point, and the
+    first-factor projection intertwines the anchors exactly.
     """
-    rng = probe_rng if probe_rng is not None else np.random.default_rng(0)
-    pi.check_submersion(rng)
     if pi.dim_base != chart.base_dim:
         raise NotSubmersion(
             f"fibration base dim {pi.dim_base} != algebroid base dim {chart.base_dim}"
@@ -385,32 +345,16 @@ def prolong_algebroid(chart, pi, *, probe_rng=None, n_probe=8):
     r = chart.rank
     big_r = r + nf
 
-    # constant-rank probe of the pointwise fiber {(X, V) : rho(X) = T pi(V)}
-    dims = set()
-    for p in rng.normal(scale=0.5, size=(n_probe, pi.dim_total)):
-        jpi = jacobian(pi.proj, p)
-        span = np.hstack([chart.rho(pi.proj(p)), jpi])
-        srank = int(np.linalg.matrix_rank(span, tol=1e-10))
-        dims.add(r + pi.dim_total - srank)
-    if len(dims) != 1:
-        raise RankNotConstant(f"prolonged fiber dimension varies: {sorted(dims)}")
-
     def c_fn(p):
         base = pi.proj(p)
         out = np.zeros((big_r, big_r, big_r))
         out[:r, :r, :r] = chart.c(base)
         return out
 
+    jb, jf = pi.join_jacobians()  # horizontal and vertical lifts
+
     def rho_fn(p):
-        base, fib = pi.split(p)
-        if pi.join_jac_base is not None:
-            jb = np.asarray(pi.join_jac_base(base, fib), dtype=float)
-        else:
-            jb = jacobian(lambda bb: pi.join(bb, fib), base)   # horizontal lift
-        if pi.join_jac_fiber is not None:
-            jf = np.asarray(pi.join_jac_fiber(base, fib), dtype=float)
-        else:
-            jf = jacobian(lambda ff: pi.join(base, ff), fib)   # vertical lift
+        base = pi.proj(p)
         out = np.zeros((pi.dim_total, big_r))
         out[:, :r] = jb @ chart.rho(base)
         out[:, r:] = jf
@@ -428,59 +372,3 @@ def prolong_algebroid(chart, pi, *, probe_rng=None, n_probe=8):
             "fibration": {"dim_total": pi.dim_total, "dim_base": pi.dim_base},
         },
     )
-
-
-def prolongation_projection_residual(chart, prolonged, pi, p_samples):
-    """Residual of (first-factor projection, pi) intertwining the anchors."""
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(p_samples, dtype=float)):
-        base = pi.proj(p)
-        jpi = jacobian(pi.proj, p)
-        rho_p = prolonged.rho(p)
-        rho_b = chart.rho(base)
-        for i in range(chart.rank):
-            worst = max(worst, float(np.linalg.norm(jpi @ rho_p[:, i] - rho_b[:, i])))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# contrast metric
-# ---------------------------------------------------------------------------
-
-
-def contrast_metric(q, f_scalar, u, frame_field=None, *, jet_rng=None, n_jet=10):
-    """Metric g_ij = X_i(X_j(F)) at the embedded unit via left prolongations.
-
-    Requires F and its first derivatives to vanish (below 1e-7) along
-    sampled unit points; returns the symmetrized matrix and the asymmetry
-    residual.
-    """
-    if frame_field is None:
-        frame_field = make_frame_field(q)
-    rng = jet_rng if jet_rng is not None else np.random.default_rng(0)
-    for up in q.sample_m(rng, n_jet):
-        e = np.asarray(q.unit_embed(up), dtype=float)
-        if abs(float(f_scalar(e))) > 1e-7:
-            raise JetNotVanishing(f"F({up}) = {f_scalar(e):.2e}")
-        if float(np.max(np.abs(gradient(f_scalar, e, CHART_STEP)))) > 1e-7:
-            raise JetNotVanishing(f"grad F nonzero at u = {up}")
-
-    u = np.asarray(u, dtype=float)
-    fr = frame_field(u)
-    r = fr.rank
-    e0 = np.asarray(q.unit_embed(u), dtype=float)
-
-    def first_derivative(j):
-        def phi(g):
-            vj = prolong(q, frame_field, np.eye(r)[j], "left", g)
-            return directional(lambda p: np.atleast_1d(f_scalar(p)), g, vj, CHART_STEP)[0]
-
-        return phi
-
-    g_mat = np.zeros((r, r))
-    for j in range(r):
-        # differenced at c = 0, where c @ frame is exactly h * frame[i]
-        phi_j = first_derivative(j)
-        g_mat[:, j] = gradient(lambda c: phi_j(e0 + c @ fr.alpha_vertical), np.zeros(r), OUTER_STEP)
-    asym = float(np.max(np.abs(g_mat - g_mat.T)))
-    return 0.5 * (g_mat + g_mat.T), asym

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import LoopoidLabError, SchemaError
+from .errors import LoopoidLabError, NumericalNoise, SchemaError
 from .specio import (
     build_algebroid,
     build_finite,
@@ -46,6 +46,10 @@ def _emit(report, out):
 
 
 def _check(name, ref, value, tol=None, expect=None):
+    # a NaN residual says the numerics broke down, not that the claim failed;
+    # +inf stays a failed check (a solve that did not converge reports it)
+    if value != value:
+        raise NumericalNoise(f"check {name}: value is NaN")
     if tol is not None:
         ok = bool(value < tol)
     else:

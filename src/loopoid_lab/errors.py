@@ -45,7 +45,7 @@ class NotAntisymmetric(LoopoidLabError):
 
 
 class NumericalNoise(LoopoidLabError):
-    """Finite-difference extraction disagrees across step sizes."""
+    """Finite differences disagree across step sizes, or a checked value is NaN."""
 
 
 class NoConvergence(LoopoidLabError):
@@ -78,15 +78,7 @@ class NotMonotone(LoopoidLabError):
 
 
 class NotSubmersion(LoopoidLabError):
-    """Map fails the full-rank Jacobian test on samples."""
-
-
-class EmptyFiber(LoopoidLabError):
-    """Projection onto a fiber failed for every seed point."""
-
-
-class MissingInverse(LoopoidLabError):
-    """Operation requires an inversion map the instance does not carry."""
+    """Fibration base dimension differs from the algebroid's base."""
 
 
 # -- frames and brackets ------------------------------------------------------
@@ -95,20 +87,12 @@ class RankDeficient(LoopoidLabError):
     """Jacobian rank below the submersion requirement at a unit point."""
 
 
-class RankNotConstant(LoopoidLabError):
-    """Fiber-dimension probe varies across sample points."""
-
-
 class FrameSingular(LoopoidLabError):
     """Frame matrix too ill-conditioned to expand a vector in."""
 
 
 class NotOnFiber(LoopoidLabError):
     """Finite-difference step left the composability slab."""
-
-
-class JetNotVanishing(LoopoidLabError):
-    """Contrast function has nonzero value or gradient along the units."""
 
 
 # -- tangent structure --------------------------------------------------------

@@ -43,13 +43,6 @@ class CayleyTable:
     def mul(self, a, b):
         return int(self.table[a, b])
 
-    def to_dict(self):
-        return {"order": self.order, "unit": self.unit, "table": self.table.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return CayleyTable(order=int(d["order"]), table=np.asarray(d["table"]), unit=d.get("unit"))
-
     @staticmethod
     def cyclic(n):
         t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n

@@ -9,10 +9,10 @@ the alpha-fiber by Newton projection before composing.
 
 Constructions: the pair groupoid, the product of a smooth loop with a pair
 groupoid, the odd-diffeomorphism quasiloopoid on a constrained 3-coordinate
-chart, and the prolongation over a split fibration.
+chart, and the prolongation over a coordinate fibration.
 
 Row contract: the alpha, beta and mul of every construction here, and the
-proj and join of ``SplitFibration.coordinate``, take ``(..., d)`` operands
+proj and join of ``SplitFibration``, take ``(..., d)`` operands
 with equal leading shapes and return ``(..., d')``, each row equal bit for
 bit to the map of that row alone.  The maps work along the last axis
 only and never broadcast one point against a stack, so a caller that pairs
@@ -25,22 +25,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    EmptyFiber,
-    LoopoidLabError,
-    MissingInverse,
-    NotComposable,
-    NotMonotone,
-    NotOdd,
-    NotSubmersion,
-    SectionFailure,
-)
+from .errors import NotComposable, NotMonotone, NotOdd
 from .loops import eval_mul
 from .newton import newton_solve
 from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
 
 COMPOSABLE_TOL = 1e-9  # (g, h) compose when ||beta(g) - alpha(h)|| is below this
-SUBMERSION_FLOOR = 1e-8  # a submersion's Jacobian keeps its singular values above this
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,7 @@ def product_loopoid(loop, n):
     )
 
 
-def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0):
+def phi_quasiloopoid(phi, phi_name="phi"):
     """Constrained sub-pair-groupoid chart driven by an odd diffeomorphism.
 
     Points are pairs ((a1, b1), (a2, b2)) of the plane pair groupoid with
@@ -228,8 +218,7 @@ def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0
     (a1, b1, b2) and (a2, b2, b3) is (a1, b1, b3).  The stored inverse swaps
     the two pairs and is a left inverse only.
     """
-    rng = check_rng if check_rng is not None else np.random.default_rng(0)
-    xs = rng.normal(scale=scale, size=n_checks)
+    xs = np.random.default_rng(0).normal(size=25)
     odd_resid = max(abs(phi(-x) + phi(x)) for x in xs)
     if odd_resid > 1e-9:
         raise NotOdd(f"phi(-x) + phi(x) residual {odd_resid:.3e} on samples")
@@ -275,65 +264,39 @@ def phi_quasiloopoid(phi, phi_name="phi", check_rng=None, n_checks=25, scale=1.0
 
 @dataclass(frozen=True)
 class SplitFibration:
-    """A fibration P -> M with a global product splitting P ~ M x F.
+    """The coordinate fibration R^dim_total -> R^dim_base.
 
-    ``proj`` is the fibration map; ``split`` returns (m, f) and ``join``
-    rebuilds p from them.  Optional exact Jacobians of ``join`` with respect
-    to the base and fiber arguments avoid finite-difference noise in anchor
-    lifts.  The default instance is the coordinate projection onto the first
-    dim_base coordinates.
+    ``proj`` keeps the first dim_base coordinates, the fiber coordinates are
+    the rest, ``split`` returns (base, fiber) of one point and ``join``
+    concatenates them, so the Jacobians of ``join`` are the constant blocks
+    [I; 0] (base) and [0; I] (fiber).
     """
 
     dim_total: int
     dim_base: int
-    proj: Callable
-    split: Callable
-    join: Callable
-    join_jac_base: Optional[Callable] = None   # (base, fib) -> (dim_total, dim_base)
-    join_jac_fiber: Optional[Callable] = None  # (base, fib) -> (dim_total, dim_fiber)
 
     @property
     def dim_fiber(self):
         return self.dim_total - self.dim_base
 
-    @staticmethod
-    def coordinate(dim_total, dim_base):
-        m = dim_base
-        nf = dim_total - dim_base
-        jb = np.vstack([np.eye(m), np.zeros((nf, m))])
-        jf = np.vstack([np.zeros((m, nf)), np.eye(nf)])
+    def proj(self, p):
+        return np.asarray(p, dtype=float)[..., : self.dim_base]
 
-        def proj(p):
-            return np.asarray(p, dtype=float)[..., :m]
+    def split(self, p):
+        p = np.asarray(p, dtype=float)
+        return p[: self.dim_base], p[self.dim_base :]
 
-        def split(p):
-            p = np.asarray(p, dtype=float)
-            return p[:m], p[m:]
+    def join(self, base, fib):
+        return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)], axis=-1)
 
-        def join(base, fib):
-            return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)], axis=-1)
-
-        return SplitFibration(
-            dim_total=dim_total,
-            dim_base=dim_base,
-            proj=proj,
-            split=split,
-            join=join,
-            join_jac_base=lambda base, fib: jb,
-            join_jac_fiber=lambda base, fib: jf,
-        )
-
-    def check_submersion(self, rng, n=10):
-        if self.dim_base == 0:
-            return
-        for p in rng.normal(scale=0.5, size=(n, self.dim_total)):
-            j = jacobian(self.proj, p)
-            if smallest_singular_value(j) < SUBMERSION_FLOOR:
-                raise NotSubmersion("fibration Jacobian loses rank on samples")
+    def join_jacobians(self):
+        """(d join / d base, d join / d fiber): (dim_total, dim_base) and (dim_total, dim_fiber)."""
+        m, nf = self.dim_base, self.dim_fiber
+        return np.vstack([np.eye(m), np.zeros((nf, m))]), np.vstack([np.zeros((m, nf)), np.eye(nf)])
 
 
-def prolongation_loopoid(q, pi, check_rng=None):
-    """Prolongation over a split fibration pi: P -> M.
+def prolongation_loopoid(q, pi):
+    """Prolongation over a coordinate fibration pi: P -> M.
 
     Carrier {(p, g, p'): pi(p) = alpha(g), beta(g) = pi(p')}, charted by the
     free coordinates (f, g, f') with p = join(alpha(g), f) and
@@ -341,7 +304,6 @@ def prolongation_loopoid(q, pi, check_rng=None):
     (p, eps(pi(p)), p), the product keeps the outer fiber coordinates, and
     the inversion (when q has one) swaps them around g^{-1}.
     """
-    pi.check_submersion(check_rng if check_rng is not None else np.random.default_rng(0))
     nf = pi.dim_fiber
     ng = q.dim_g
 
@@ -433,18 +395,8 @@ def loop_as_loopoid(loop):
 
 
 # ---------------------------------------------------------------------------
-# sections, isotropy, axiom checking
+# sections, axiom checking
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalBisection:
-    """Local alpha- and beta-sections through a common point."""
-
-    base_point: np.ndarray
-    tau: Callable        # alpha-section: alpha(tau(q')) = q'
-    sigma: Callable      # beta-section: beta(sigma(q')) = q'
-    validity_radius: float
 
 
 def build_local_section(q, side, through, *, predictor="unit"):
@@ -473,65 +425,6 @@ def build_local_section(q, side, through, *, predictor="unit"):
         return p
 
     return section
-
-
-def local_bisection(q, through, validity_radius=0.2, *, n_checks=8, rng=None):
-    """Both local sections through one point, bundled with a checked radius.
-
-    tau is the alpha-section and sigma the beta-section; their residuals are
-    sampled on the validity ball before the bundle is returned.
-    """
-    through = np.asarray(through, dtype=float)
-    tau = build_local_section(q, "alpha", through)
-    sigma = build_local_section(q, "beta", through)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    qa = np.asarray(q.alpha(through), dtype=float)
-    qb = np.asarray(q.beta(through), dtype=float)
-    for _ in range(n_checks):
-        da = rng.uniform(-validity_radius, validity_radius, size=q.dim_m)
-        db = rng.uniform(-validity_radius, validity_radius, size=q.dim_m)
-        if np.linalg.norm(np.asarray(q.alpha(tau(qa + da))) - (qa + da)) > 1e-8:
-            raise SectionFailure("alpha-section residual exceeds tolerance on the validity ball")
-        if np.linalg.norm(np.asarray(q.beta(sigma(qb + db))) - (qb + db)) > 1e-8:
-            raise SectionFailure("beta-section residual exceeds tolerance on the validity ball")
-    return LocalBisection(
-        base_point=through, tau=tau, sigma=sigma, validity_radius=float(validity_radius)
-    )
-
-
-def isotropy_samples(q, u, n, rng):
-    """Sampled points of the double fiber alpha = beta = u with closure report."""
-    if q.inverse is None:
-        raise MissingInverse("isotropy sampling requires an inversion map")
-    u = np.asarray(u, dtype=float)
-    e0 = np.asarray(q.unit_embed(u), dtype=float)
-
-    def res(p):
-        return np.concatenate(
-            [np.asarray(q.alpha(p), dtype=float) - u, np.asarray(q.beta(p), dtype=float) - u]
-        )
-
-    pts = []
-    attempts = 0
-    while len(pts) < n and attempts < 20 * n:
-        attempts += 1
-        seed = e0 + rng.normal(scale=0.2, size=q.dim_g)
-        try:
-            p, _ = newton_solve(res, seed, tol=1e-11, max_iter=60)
-        except LoopoidLabError:
-            continue
-        pts.append(p)
-    if not pts:
-        raise EmptyFiber(f"no isotropy points found at u = {u}")
-
-    closure = 0.0
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            prod = multiply(q, pts[i], pts[j], unchecked=True)
-            closure = max(closure, float(np.linalg.norm(res(prod))))
-        inv = np.asarray(q.inverse(pts[i]), dtype=float)
-        closure = max(closure, float(np.linalg.norm(res(inv))))
-    return {"points": np.asarray(pts), "closure_residual": closure}
 
 
 @dataclass(frozen=True)

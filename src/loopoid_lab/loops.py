@@ -1,10 +1,9 @@
 """Local smooth loops on coordinate charts of R^n.
 
-A chart is evaluation-only: a multiplication map with a two-sided unit,
-division by damped Newton from the additive guess x0 = b - a, and Taylor
-structure-constant extraction c^k_ij = d^2 (x*y)^k / dx^i dy^j at the unit
-via the 4-point mixed stencil.  The antisymmetrization s^k_ij = c^k_ij -
-c^k_ji is the skew algebra of the loop.
+A chart is evaluation-only: a multiplication map with a two-sided unit and
+Taylor structure-constant extraction c^k_ij = d^2 (x*y)^k / dx^i dy^j at
+the unit via the 4-point mixed stencil.  The antisymmetrization
+s^k_ij = c^k_ij - c^k_ji is the skew algebra of the loop.
 
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
@@ -21,8 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NotAntisymmetric, NumericalNoise
-from .newton import newton_solve
-from .numdiff import CHART_STEP, jacobian, mixed_bilinear, smallest_singular_value
+from .numdiff import CHART_STEP, mixed_bilinear
 from .octonion import Octonion, oct_inverse, oct_mul_batch
 
 
@@ -42,8 +40,8 @@ class SmoothLoopChart:
         u = np.zeros(self.dim) if self.unit is None else np.asarray(self.unit, dtype=float)
         object.__setattr__(self, "unit", u.reshape(self.dim))
 
-    def sample(self, rng, n, scale=0.2):
-        return self.unit[None, :] + rng.normal(scale=scale, size=(n, self.dim))
+    def sample(self, rng, n):
+        return self.unit[None, :] + rng.normal(scale=0.2, size=(n, self.dim))
 
 
 def eval_mul(chart, x, y):
@@ -55,25 +53,6 @@ def eval_mul(chart, x, y):
         if np.max(np.abs(x - chart.unit)) > r or np.max(np.abs(y - chart.unit)) > r:
             raise DomainError(f"point outside validity radius {r}")
     return np.asarray(chart.mul(x, y), dtype=float).reshape(x.shape)
-
-
-def divide(chart, side, a, b):
-    """Solve a * x = b (side="left") or y * a = b (side="right") by Newton.
-
-    Starts from the additive guess b - a; near the unit the multiplication
-    is identity plus higher order, so this sits inside the basin.
-    """
-    a = np.asarray(a, dtype=float).reshape(chart.dim)
-    b = np.asarray(b, dtype=float).reshape(chart.dim)
-    if side == "left":
-        residual = lambda x: eval_mul(chart, a, x) - b
-    elif side == "right":
-        residual = lambda y: eval_mul(chart, y, a) - b
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x0 = b - a + chart.unit
-    x, _ = newton_solve(residual, x0)
-    return x
 
 
 def _raw_constants(chart, rel_step):
@@ -138,15 +117,6 @@ def bracket_loop(dim, bracket_constants):
         name="bracket",
         spec={"kind": "bracket", "dim": dim, "constants": c.tolist()},
     )
-
-
-def cross_product_constants():
-    """The R^3 cross product as a constants tensor."""
-    c = np.zeros((3, 3, 3))
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[k, i, j] = 1.0
-        c[k, j, i] = -1.0
-    return c
 
 
 def octonion_chart():
@@ -221,42 +191,3 @@ def polynomial_chart(dim, terms, unit=None, name="polynomial"):
         name=name,
         spec={"kind": "polynomial", "dim": dim, "terms": terms},
     )
-
-
-def planar_feedback_terms():
-    """Term list for the 2-dim loop (x1+y1+x1 y2, x2+y2+x2 y1).
-
-    Its skew algebra is [X1, X2] = X1 - X2: each coordinate feeds on the
-    other factor's opposite coordinate.
-    """
-    return [
-        [(1.0, (1, 0), (0, 0)), (1.0, (0, 0), (1, 0)), (1.0, (1, 0), (0, 1))],
-        [(1.0, (0, 1), (0, 0)), (1.0, (0, 0), (0, 1)), (1.0, (0, 1), (1, 0))],
-    ]
-
-
-def planar_feedback_chart():
-    return polynomial_chart(2, planar_feedback_terms(), name="planar_feedback")
-
-
-def cubic_line_terms():
-    """Term list for the 1-dim loop x * y = x + y + x^2 y."""
-    return [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]]
-
-
-def cubic_line_chart():
-    return polynomial_chart(1, cubic_line_terms(), name="cubic_line")
-
-
-def validate_chart(chart, rng, n_samples=20, scale=0.2):
-    """Unit laws and local invertibility of translations on samples."""
-    pts = chart.sample(rng, n_samples, scale=scale)
-    unit_resid = 0.0
-    min_sv = np.inf
-    for p in pts:
-        unit_resid = max(unit_resid, float(np.max(np.abs(eval_mul(chart, chart.unit, p) - p))))
-        unit_resid = max(unit_resid, float(np.max(np.abs(eval_mul(chart, p, chart.unit) - p))))
-        jl = jacobian(lambda y: eval_mul(chart, p, y), chart.unit, CHART_STEP)
-        jr = jacobian(lambda x: eval_mul(chart, x, chart.unit), chart.unit, CHART_STEP)
-        min_sv = min(min_sv, smallest_singular_value(jl), smallest_singular_value(jr))
-    return {"unit_residual": unit_resid, "translation_min_sv": float(min_sv), "unit_ok": unit_resid < 1e-9}

@@ -102,7 +102,7 @@ def legendre(system, side, g):
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
-def legendre_vs_cotangent(system, g, rng=None):
+def legendre_vs_cotangent(system, g):
     """Residual of F(+/-)L against the cotangent fibrations applied to dL."""
     q = system.loopoid
     ff = system.frames()
@@ -188,7 +188,7 @@ def trajectory(system, g0, n_steps, branch_seed=None):
     )
 
 
-def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0):
+def regularity_check(system, u, seed=0):
     """Fiberwise regularity of F+L near the unit of ``u``.
 
     The chart map g -> (beta(g), F+L(g)) into the dual-bundle chart is
@@ -199,7 +199,6 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0):
     map against F-L o gamma = F+L.
     """
     q = system.loopoid
-    ff = system.frames()
     rng = np.random.default_rng(seed)
     u = np.asarray(u, dtype=float)
     e0 = np.asarray(q.unit_embed(u), dtype=float)
@@ -214,7 +213,7 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0):
             [np.asarray(q.alpha(g), dtype=float), legendre(system, "minus", g)]
         )
 
-    points = [e0] + [e0 + rng.normal(scale=probe_radius, size=q.dim_g) for _ in range(n_probe)]
+    points = [e0] + [e0 + rng.normal(scale=0.1, size=q.dim_g) for _ in range(5)]
     min_sv_plus = np.inf
     min_sv_minus = np.inf
     jac_unit = None
@@ -230,7 +229,7 @@ def regularity_check(system, u, probe_radius=0.1, n_probe=5, seed=0):
 
     p2 = 0.0
     for _ in range(3):
-        g = e0 + rng.normal(scale=probe_radius, size=q.dim_g)
+        g = e0 + rng.normal(scale=0.1, size=q.dim_g)
         try:
             h = step_solve(system, g)
         except LoopoidLabError:

@@ -127,18 +127,13 @@ def oct_inverse(g):
     return Octonion(g.conj().coeffs / nsq)
 
 
-def oct_associator(a, b, c):
-    """(ab)c - a(bc); vanishes whenever two arguments coincide."""
-    return (a * b) * c - a * (b * c)
-
-
 def oct_inner(g, h):
     """Euclidean pairing of coefficients; equals the e0 part of (g h* + h g*)/2."""
     return float(g.coeffs @ h.coeffs)
 
 
-def random_octonions(rng, n, scale=1.0):
-    return rng.normal(scale=scale, size=(n, 8))
+def random_octonions(rng, n):
+    return rng.normal(size=(n, 8))
 
 
 def random_unit_octonions(rng, n):

@@ -247,6 +247,13 @@ def _validate_loop(body, path):
         raise SchemaError("the differencing steps are fixed; fd_step is not a loop field", f"{path}.fd_step")
 
 
+def _validate_fibration(fib, path):
+    nt = _int(_need(fib, "dim_total", path), f"{path}.dim_total", minimum=0)
+    nb = _int(_need(fib, "dim_base", path), f"{path}.dim_base", minimum=0)
+    if nb > nt:
+        raise SchemaError("dim_base exceeds dim_total", f"{path}.dim_base")
+
+
 def _validate_loopoid(body, path):
     kind = _need(body, "kind", path)
     if kind == "product":
@@ -263,11 +270,7 @@ def _validate_loopoid(body, path):
         _validate_loop(_need(body, "loop", path), f"{path}.loop")
     elif kind == "prolongation":
         _validate_loopoid(_need(body, "base", path), f"{path}.base")
-        fib = _need(body, "fibration", path)
-        nt = _int(_need(fib, "dim_total", f"{path}.fibration"), f"{path}.fibration.dim_total", minimum=0)
-        nb = _int(_need(fib, "dim_base", f"{path}.fibration"), f"{path}.fibration.dim_base", minimum=0)
-        if nb > nt:
-            raise SchemaError("dim_base exceeds dim_total", f"{path}.fibration.dim_base")
+        _validate_fibration(_need(body, "fibration", path), f"{path}.fibration")
     else:
         raise SchemaError(f"unknown loopoid kind {kind!r}", f"{path}.kind")
 
@@ -287,9 +290,7 @@ def _validate_algebroid(body, path):
         _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
     elif kind == "prolongation":
         _validate_algebroid(_need(body, "base", path), f"{path}.base")
-        fib = _need(body, "fibration", path)
-        _int(_need(fib, "dim_total", f"{path}.fibration"), f"{path}.fibration.dim_total", minimum=0)
-        _int(_need(fib, "dim_base", f"{path}.fibration"), f"{path}.fibration.dim_base", minimum=0)
+        _validate_fibration(_need(body, "fibration", path), f"{path}.fibration")
     else:
         raise SchemaError(f"unknown algebroid kind {kind!r}", f"{path}.kind")
 
@@ -375,7 +376,7 @@ def build_finite(body):
 
 
 def build_loop(body):
-    from .loops import SmoothLoopChart, bracket_loop, octonion_chart, polynomial_mul
+    from .loops import SmoothLoopChart, bracket_loop, octonion_chart, polynomial_chart
 
     mul = body["mul"]
     if mul["kind"] == "builtin":
@@ -387,13 +388,7 @@ def build_loop(body):
         )
     dim = body["dim"]
     terms = _poly_terms(mul["terms"], "$.body.mul.terms", dim, dim)
-    return SmoothLoopChart(
-        dim=dim,
-        mul=polynomial_mul(dim, terms),
-        unit=body.get("unit"),
-        name="polynomial",
-        spec={"kind": "polynomial", "dim": dim, "terms": mul["terms"]},
-    )
+    return polynomial_chart(dim, terms, unit=body.get("unit"))
 
 
 def make_odd_polynomial(odd_coeffs):
@@ -433,7 +428,7 @@ def build_loopoid(body):
         return phi_quasiloopoid(phi, phi_name=f"odd{coeffs}")
     base = build_loopoid(body["base"])
     fib = body["fibration"]
-    pi = SplitFibration.coordinate(fib["dim_total"], fib["dim_base"])
+    pi = SplitFibration(fib["dim_total"], fib["dim_base"])
     return prolongation_loopoid(base, pi)
 
 
@@ -450,7 +445,7 @@ def build_algebroid(body):
         return tangent_chart(body["dim"])
     base = build_algebroid(body["base"])
     fib = body["fibration"]
-    pi = SplitFibration.coordinate(fib["dim_total"], fib["dim_base"])
+    pi = SplitFibration(fib["dim_total"], fib["dim_base"])
     return prolong_algebroid(base, pi)
 
 

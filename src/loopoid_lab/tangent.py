@@ -39,13 +39,6 @@ class TangentElement:
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "vector", v)
 
-    def to_dict(self):
-        return {"base": self.base.tolist(), "vector": self.vector.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return TangentElement(d["base"], d["vector"])
-
 
 @dataclass(frozen=True)
 class CovectorElement:
@@ -59,13 +52,6 @@ class CovectorElement:
             raise ValueError(f"base shape {b.shape} != covector shape {v.shape}")
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "covector", v)
-
-    def to_dict(self):
-        return {"base": self.base.tolist(), "covector": self.covector.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return CovectorElement(d["base"], d["covector"])
 
 
 def tangent_multiply(q, xg, yh, *, predictor="unit"):

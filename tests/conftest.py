@@ -1,15 +1,65 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loopoid_lab.finite import CayleyTable
+from loopoid_lab.loops import polynomial_chart
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def example(name):
+    """The spec ``examples/<name>.json`` as a dict."""
+    return json.loads((EXAMPLES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def readme_system():
+    """The README system spec, ``examples/readme_system.json``."""
+    return example("readme_system")
+
+
+def cross_product_constants():
+    """The R^3 cross product as a constants tensor."""
+    c = np.zeros((3, 3, 3))
+    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[k, i, j] = 1.0
+        c[k, j, i] = -1.0
+    return c
+
+
+def planar_feedback_terms():
+    """Term list for the 2-dim loop (x1+y1+x1 y2, x2+y2+x2 y1).
+
+    Its skew algebra is [X1, X2] = X1 - X2: each coordinate feeds on the
+    other factor's opposite coordinate.
+    """
+    return [
+        [(1.0, (1, 0), (0, 0)), (1.0, (0, 0), (1, 0)), (1.0, (1, 0), (0, 1))],
+        [(1.0, (0, 1), (0, 0)), (1.0, (0, 0), (0, 1)), (1.0, (0, 1), (1, 0))],
+    ]
+
+
+def planar_feedback_chart():
+    return polynomial_chart(2, planar_feedback_terms(), name="planar_feedback")
+
+
+def cubic_line_terms():
+    """Term list for the 1-dim loop x * y = x + y + x^2 y."""
+    return [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]]
+
+
+def cubic_line_chart():
+    return polynomial_chart(1, cubic_line_terms(), name="cubic_line")
 
 
 def permutation_group_table(perms):

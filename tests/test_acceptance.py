@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import signed_basis_loop, line_flip_automorphism, symmetric_group_table
+from conftest import (
+    cubic_line_chart,
+    line_flip_automorphism,
+    planar_feedback_chart,
+    signed_basis_loop,
+    symmetric_group_table,
+)
 from loopoid_lab import octonion as oct
 from loopoid_lab.algebroid import (
     STRICT,
@@ -37,13 +43,7 @@ from loopoid_lab.loopoids import (
     prolongation_loopoid,
     sample_composable_pairs,
 )
-from loopoid_lab.loops import (
-    bracket_loop,
-    cubic_line_chart,
-    extract_structure_constants,
-    octonion_chart,
-    planar_feedback_chart,
-)
+from loopoid_lab.loops import bracket_loop, extract_structure_constants, octonion_chart
 from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
     el_residual,
@@ -163,7 +163,7 @@ def test_ac3_lie_functor_product_over_planar_loop():
 def test_ac4_inverse_property_sign_theorem():
     instances = [
         product_loopoid(octonion_chart(), 1),
-        prolongation_loopoid(product_loopoid(octonion_chart(), 1), SplitFibration.coordinate(2, 1)),
+        prolongation_loopoid(product_loopoid(octonion_chart(), 1), SplitFibration(2, 1)),
     ]
     worst_sign = 0.0
     worst_lemma = 0.0
@@ -210,9 +210,9 @@ def test_ac5_almost_lie():
     assert np.linalg.norm(jacobiator) > 1.0  # the seed is genuinely non-Jacobi
 
     outs = [
-        prolong_algebroid(constant_chart(c_oct, np.zeros((0, 7))), SplitFibration.coordinate(2, 0)),
+        prolong_algebroid(constant_chart(c_oct, np.zeros((0, 7))), SplitFibration(2, 0)),
         prolong_algebroid(
-            constant_chart(np.zeros((1, 1, 1)), np.eye(1)), SplitFibration.coordinate(3, 1)
+            constant_chart(np.zeros((1, 1, 1)), np.eye(1)), SplitFibration(3, 1)
         ),
     ]
     worst_chart = 0.0
@@ -262,13 +262,13 @@ def test_ac6_tangent_cotangent():
     _report("AC6", f"tangent {worst_tan:.2e}, fibrations {worst_cot:.2e}, curves {worst_curve:.2e}")
 
 
-def test_ac7_discrete_mechanics():
+def test_ac7_discrete_mechanics(readme_system):
     t0 = time.perf_counter()
     q = product_loopoid(planar_feedback_chart(), 2)
     system = DiscreteLagrangianSystem(
         loopoid=q, lagrangian=lambda g: 0.5 * float(np.asarray(g) @ np.asarray(g))
     )
-    g0 = np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])
+    g0 = np.array(readme_system["body"]["start"])
 
     h = step_solve(system, g0)
     assert abs(h[0] - 2.7912878475) < 1e-8
@@ -335,7 +335,7 @@ def test_ac8_finite_suite():
     _report("AC8", f"transversal + semidirect contracts exhaustive, {elapsed:.2f}s")
 
 
-def test_ac9_cli_determinism(tmp_path):
+def test_ac9_cli_determinism(tmp_path, readme_system):
     runner = CliRunner()
     h_terms = [
         [[1.0, [1, 0], [0, 0]], [1.0, [0, 0], [1, 0]], [1.0, [1, 0], [0, 1]]],
@@ -363,15 +363,7 @@ def test_ac9_cli_determinism(tmp_path):
             "seed": 0,
             "body": {"kind": "product", "pair_dim": 2, "loop": loop_body},
         },
-        "system.json": {
-            "kind": "system",
-            "seed": 0,
-            "body": {
-                "loopoid": {"kind": "product", "pair_dim": 2, "loop": loop_body},
-                "lagrangian": {"kind": "half_sum_squares"},
-                "start": [1.0, 2.0, 0.7, -0.4, 0.5, 1.3],
-            },
-        },
+        "system.json": readme_system,
     }
     for name, payload in specs.items():
         (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")

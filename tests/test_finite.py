@@ -271,14 +271,6 @@ def test_sampled_scan_matches_loop_oracle():
             assert got == _oracle_violations(t, which, triples), which
 
 
-def test_table_json_round_trip():
-    ct = CayleyTable.cyclic(4)
-    d = ct.to_dict()
-    back = CayleyTable.from_dict(d)
-    assert back.order == 4 and back.unit == 0
-    assert np.array_equal(back.table, ct.table)
-
-
 def test_report_text_rendering():
     text = validate_latin_square(CayleyTable.cyclic(3)).to_text()
     assert "associative" in text and "True" in text

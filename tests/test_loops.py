@@ -3,21 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cross_product_constants, cubic_line_chart, planar_feedback_chart
 from loopoid_lab.errors import DomainError, NotAntisymmetric, NumericalNoise
 from loopoid_lab.loops import (
     SmoothLoopChart,
     bracket_loop,
-    cross_product_constants,
-    cubic_line_chart,
-    divide,
     eval_mul,
     extract_structure_constants,
     octonion_chart,
-    planar_feedback_chart,
     polynomial_chart,
-    validate_chart,
 )
+from loopoid_lab.newton import newton_solve
+from loopoid_lab.numdiff import CHART_STEP, jacobian, smallest_singular_value
 from loopoid_lab.octonion import Octonion, oct_inverse, oct_mul
+
+
+def divide(chart, side, a, b):
+    """Solve a * x = b (side="left") or x * a = b (side="right") by Newton
+    from the additive guess b - a, which near the unit is inside the basin."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if side == "left":
+        residual = lambda x: eval_mul(chart, a, x) - b
+    else:
+        residual = lambda x: eval_mul(chart, x, a) - b
+    return newton_solve(residual, b - a + chart.unit)[0]
 
 
 def test_cross_product_bracket_loop_values(rng):
@@ -170,9 +180,14 @@ def test_round_trip_property(dim, seed):
 
 
 def test_validate_chart_reports(rng):
-    rep = validate_chart(octonion_chart(), rng)
-    assert rep["unit_ok"]
-    assert rep["translation_min_sv"] > 0.1
+    # unit laws and invertible translations at the unit, on samples
+    chart = octonion_chart()
+    for p in chart.sample(rng, 20):
+        assert np.max(np.abs(eval_mul(chart, chart.unit, p) - p)) < 1e-9
+        assert np.max(np.abs(eval_mul(chart, p, chart.unit) - p)) < 1e-9
+        jl = jacobian(lambda y: eval_mul(chart, p, y), chart.unit, CHART_STEP)
+        jr = jacobian(lambda x: eval_mul(chart, x, chart.unit), chart.unit, CHART_STEP)
+        assert min(smallest_singular_value(jl), smallest_singular_value(jr)) > 0.1
 
 
 def test_polynomial_chart_matches_closed_form(rng):

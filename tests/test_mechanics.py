@@ -1,15 +1,13 @@
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import example, planar_feedback_chart
 from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, prolong
 from loopoid_lab.errors import LoopoidLabError, NotComposable, SingularJacobian
 from loopoid_lab.loopoids import COMPOSABLE_TOL, pair_groupoid, phi_quasiloopoid, product_loopoid
-from loopoid_lab.loops import planar_feedback_chart
 from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
     NewtonConfig,
@@ -23,6 +21,8 @@ from loopoid_lab.mechanics import (
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.specio import build_system
 
+# the start point of the README system; its steps have closed forms below
+README_START = np.array(example("readme_system")["body"]["start"])
 SQRT21 = np.sqrt(21.0)
 Z1 = (1.0 + SQRT21) / 2.0
 W1 = (SQRT21 - 3.0) / 2.0
@@ -73,13 +73,13 @@ def test_el_residual_stationary_at_units(kinetic_system):
 
 
 def test_el_residual_root_pair(kinetic_system):
-    g = np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])
+    g = README_START
     h = np.array([Z1, W1, 0.5, 1.3, 0.5, 1.3])
     assert np.max(np.abs(el_residual(kinetic_system, g, h))) < 1e-9
 
 
 def test_step_solve_surd_branch(kinetic_system):
-    g = np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])
+    g = README_START
     h = step_solve(kinetic_system, g)
     assert abs(h[0] - Z1) < 1e-8
     assert abs(h[1] - W1) < 1e-8
@@ -105,7 +105,7 @@ def test_step_solve_closed_form_quadratic_oracle(kinetic_system, rng):
 
 
 def test_two_step_trajectory_matches_radicals(kinetic_system):
-    g = np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])
+    g = README_START
     traj = trajectory(kinetic_system, g, 2)
     assert len(traj) == 3
     assert abs(traj.points[1][0] - Z1) < 1e-8
@@ -271,7 +271,7 @@ def _free_particle():
 
 
 STEP_CASES = [
-    ("kinetic", np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3])),
+    ("kinetic", README_START),
     ("kinetic", np.array([0.3, 0.6, -0.2, 0.8, 0.1, -0.5])),
     ("free_particle", np.array([0.2, 0.9])),
 ]
@@ -310,17 +310,16 @@ def test_step_solve_differentiates_at_g_once(kinetic_system, monkeypatch):
         return inner(system, side, g)
 
     monkeypatch.setattr(mechanics, "_derivative_along", counted)
-    step_solve(kinetic_system, np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3]))
+    step_solve(kinetic_system, README_START)
     assert sides.count("left") == 1
     assert sides.count("right") > 1
 
 
-def test_step_solve_multiplies_once_per_prolongation():
+def test_step_solve_multiplies_once_per_prolongation(readme_system):
     # one step on the README system: one left prolongation at g, then one
     # right prolongation per Newton residual, each a single multiplication
     # on its 2 * rank stencil points
-    spec = json.loads((Path(__file__).resolve().parent.parent / "examples" / "readme_system.json").read_text())
-    system = build_system(spec["body"])
+    system = build_system(readme_system["body"])
     q = system.loopoid
     stencil_rows = []
 
@@ -329,7 +328,7 @@ def test_step_solve_multiplies_once_per_prolongation():
         return q.mul(g, h)
 
     system = dataclasses.replace(system, loopoid=dataclasses.replace(q, mul=counted))
-    step_solve(system, np.array(spec["body"]["start"]))
+    step_solve(system, README_START)
     assert len(stencil_rows) == 68
     assert set(stencil_rows) == {2 * q.rank}
 
@@ -373,4 +372,4 @@ def test_trajectory_lets_other_exceptions_through(kinetic_system):
 
     system = DiscreteLagrangianSystem(loopoid=kinetic_system.loopoid, lagrangian=broken)
     with pytest.raises(ZeroDivisionError, match="^lagrangian$"):
-        trajectory(system, np.array([1.0, 2.0, 0.7, -0.4, 0.5, 1.3]), 1)
+        trajectory(system, README_START, 1)

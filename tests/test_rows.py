@@ -4,30 +4,22 @@ Stencils evaluate all their points in one call, so every map a spec can
 build must give, bit for bit, the rows it gives one point at a time.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import example
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.numdiff import CHART_STEP, directional
 from loopoid_lab.specio import build_loop, build_loopoid
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-
-
-def example_body(name):
-    return json.loads((EXAMPLES / f"{name}.json").read_text(encoding="utf-8"))["body"]
-
 
 LOOPOIDS = {
-    "readme_product": example_body("readme_product_loopoid"),
-    "octonion_pair1": example_body("octonion_pair1_loopoid"),
-    "prolonged_planar": example_body("prolonged_planar_loopoid"),
-    "phi": example_body("phi_loopoid"),
+    "readme_product": example("readme_product_loopoid")["body"],
+    "octonion_pair1": example("octonion_pair1_loopoid")["body"],
+    "prolonged_planar": example("prolonged_planar_loopoid")["body"],
+    "phi": example("phi_loopoid")["body"],
     "pair2": {"kind": "pair_groupoid", "dim": 2},
-    "bracket3_as_loopoid": {"kind": "loop", "loop": example_body("bracket3_loop")},
+    "bracket3_as_loopoid": {"kind": "loop", "loop": example("bracket3_loop")["body"]},
 }
 LOOPS = ("planar_loop", "octonion_loop", "bracket3_loop")
 
@@ -59,14 +51,14 @@ def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
 @pytest.mark.parametrize("name", LOOPS)
 def test_loop_mul_on_rows_equals_single_calls(name, shape):
-    chart = build_loop(example_body(name))
+    chart = build_loop(example(name)["body"])
     x, y = stacks(np.random.default_rng(8), shape, chart.dim)
     assert chart.mul(x, y).shape == shape + (chart.dim,)
     assert np.array_equal(chart.mul(x, y), by_rows(chart.mul, x, y))
 
 
 def test_coordinate_fibration_on_rows_equals_single_calls():
-    pi = SplitFibration.coordinate(5, 2)
+    pi = SplitFibration(5, 2)
     p, fib = stacks(np.random.default_rng(9), (4,), 5)
     assert np.array_equal(pi.proj(p), by_rows(pi.proj, p))
     assert np.array_equal(pi.join(p[:, :2], fib[:, :3]), by_rows(pi.join, p[:, :2], fib[:, :3]))

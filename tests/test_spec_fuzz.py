@@ -12,27 +12,17 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import example
 from loopoid_lab.errors import LoopoidLabError
 from loopoid_lab.specio import BUILDERS, parse_spec
 
-PLANAR_TERMS = [
-    [[1.0, [1, 0], [0, 0]], [1.0, [0, 0], [1, 0]], [1.0, [1, 0], [0, 1]]],
-    [[1.0, [0, 1], [0, 0]], [1.0, [0, 0], [0, 1]], [1.0, [0, 1], [1, 0]]],
-]
-# the planar loop with its unit, and the README system spec with its Newton
-# block, spelled out at their default values so the fuzz reaches those fields
-PLANAR_LOOP = {"dim": 2, "unit": [0.0, 0.0], "mul": {"kind": "polynomial", "terms": PLANAR_TERMS}}
-LOOP_SPEC = {"kind": "loop", "seed": 0, "body": PLANAR_LOOP}
-SYSTEM_SPEC = {
-    "kind": "system",
-    "seed": 0,
-    "body": {
-        "loopoid": {"kind": "product", "pair_dim": 2, "loop": PLANAR_LOOP},
-        "lagrangian": {"kind": "half_sum_squares"},
-        "start": [1.0, 2.0, 0.7, -0.4, 0.5, 1.3],
-        "newton": {"max_iter": 50, "tol": 1e-10, "damping": True, "rcond": 1e-4, "fd_step": 1e-5},
-    },
-}
+# the planar loop and the README system spec, with the loop's unit and the
+# system's Newton block spelled out at their default values so the fuzz
+# reaches those fields
+LOOP_SPEC = example("planar_loop")
+LOOP_SPEC["body"]["unit"] = [0.0, 0.0]
+SYSTEM_SPEC = example("readme_system")
+SYSTEM_SPEC["body"]["newton"] = {"max_iter": 50, "tol": 1e-10, "damping": True, "rcond": 1e-4, "fd_step": 1e-5}
 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
 VALUES = st.recursive(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import example
 from loopoid_lab.cli import main
 from loopoid_lab.errors import SchemaError
 from loopoid_lab.specio import (
@@ -15,18 +16,11 @@ from loopoid_lab.specio import (
     write_csv,
 )
 
-H_TERMS = [
-    [[1.0, [1, 0], [0, 0]], [1.0, [0, 0], [1, 0]], [1.0, [1, 0], [0, 1]]],
-    [[1.0, [0, 1], [0, 0]], [1.0, [0, 0], [0, 1]], [1.0, [0, 1], [1, 0]]],
-]
-
-H_LOOP_BODY = {"dim": 2, "mul": {"kind": "polynomial", "terms": H_TERMS}}
-PRODUCT_BODY = {"kind": "product", "pair_dim": 2, "loop": H_LOOP_BODY}
-SYSTEM_BODY = {
-    "loopoid": PRODUCT_BODY,
-    "lagrangian": {"kind": "half_sum_squares"},
-    "start": [1.0, 2.0, 0.7, -0.4, 0.5, 1.3],
-}
+# the README system, its product loopoid and its planar loop
+SYSTEM_BODY = example("readme_system")["body"]
+PRODUCT_BODY = SYSTEM_BODY["loopoid"]
+H_LOOP_BODY = PRODUCT_BODY["loop"]
+H_TERMS = H_LOOP_BODY["mul"]["terms"]
 
 
 def spec_text(kind, body, seed=0):
@@ -85,6 +79,15 @@ BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1],
         ("system", dict(SYSTEM_BODY, newton={"fd_step": None}), "$.body.newton.fd_step"),
         ("system", dict(SYSTEM_BODY, newton={"damping": 1}), "$.body.newton.damping"),
         ("system", dict(SYSTEM_BODY, newton={"max_iters": 10}), "$.body.newton.max_iters"),
+        (
+            "algebroid",
+            {
+                "kind": "prolongation",
+                "base": {"kind": "constant", "base_dim": 2, "rank": 1, "c": [[[0.0]]], "rho": [[1.0], [0.0]]},
+                "fibration": {"dim_total": 1, "dim_base": 2},
+            },
+            "$.body.fibration.dim_base",
+        ),
     ],
     ids=[
         "unit_short",
@@ -102,6 +105,7 @@ BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1],
         "newton_fd_step",
         "newton_damping",
         "newton_unknown_field",
+        "algebroid_fibration_base_too_large",
     ],
 )
 def test_bad_field_is_a_schema_error_at_its_path(kind, body, path):
@@ -337,6 +341,16 @@ def test_cli_legendre_report_is_strict_json(runner, tmp_path):
     checks = {c["name"]: c for c in json.loads(result.output, parse_constant=_reject)["checks"]}
     assert checks["flow_matches_legendre"]["value"] == "Infinity"
     assert not checks["flow_matches_legendre"]["pass"]
+
+
+def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
+    # at |g| ~ 1e100 the Lagrangian overflows and the cotangent residual is
+    # NaN: the numerics failed (exit 2), no check was decided
+    path = _write(tmp_path, "sys.json", "system", SYSTEM_BODY)
+    result = runner.invoke(main, ["legendre", "--spec", path, "--at", "1e100,2,0.7,-0.4,0.5,1.3"])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.output)["error"]
+    assert error == {"type": "NumericalNoise", "message": "check cotangent_consistency: value is NaN"}
 
 
 def _reject(name):

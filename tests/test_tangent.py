@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import loopoid_lab.tangent as tangent_module
+from conftest import cubic_line_chart, planar_feedback_chart
 from loopoid_lab.algebroid import make_frame_field
 from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
@@ -11,7 +12,7 @@ from loopoid_lab.loopoids import (
     product_loopoid,
     sample_composable_pairs,
 )
-from loopoid_lab.loops import cubic_line_chart, octonion_chart, planar_feedback_chart
+from loopoid_lab.loops import octonion_chart
 from loopoid_lab.tangent import (
     CovectorElement,
     TangentElement,
