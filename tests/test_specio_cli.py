@@ -343,6 +343,7 @@ def test_cli_legendre_report_is_strict_json(runner, tmp_path):
     assert not checks["flow_matches_legendre"]["pass"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
     # at |g| ~ 1e100 the Lagrangian overflows and the cotangent residual is
     # NaN: the numerics failed (exit 2), no check was decided
