@@ -198,9 +198,10 @@ def test_local_bisection_bundle(rng):
     qb = np.asarray(q.beta(g))
     assert np.allclose(tau(qa), g, atol=1e-9)
     assert np.allclose(sigma(qb), g, atol=1e-9)
-    for dq in rng.uniform(-0.2, 0.2, size=(4, 2)):
-        assert np.linalg.norm(q.alpha(tau(qa + dq)) - (qa + dq)) < 1e-8
-        assert np.linalg.norm(q.beta(sigma(qb + dq)) - (qb + dq)) < 1e-8
+    # independent alpha and beta offsets on the 0.2 ball
+    for da, db in rng.uniform(-0.2, 0.2, size=(12, 2, 2)):
+        assert np.linalg.norm(q.alpha(tau(qa + da)) - (qa + da)) < 1e-8
+        assert np.linalg.norm(q.beta(sigma(qb + db)) - (qb + db)) < 1e-8
 
 
 def test_phi_alpha_section(rng):
