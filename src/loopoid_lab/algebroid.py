@@ -18,11 +18,11 @@ brackets carried by the normal bundle.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import FrameSingular, NotOnFiber, NotSubmersion, RankDeficient
+from .errors import FrameSingular, NotOnFiber, RankDeficient
 from .numdiff import CHART_STEP, directional, jacobian, lie_bracket, null_space, smallest_singular_value
 
 STRICT = "normal_class"
@@ -242,7 +242,6 @@ class SkewAlgebroidChart:
     c_fn: Callable
     rho_fn: Callable
     name: str = "skew_algebroid"
-    spec: Optional[dict] = None
 
     def c(self, x):
         t = np.asarray(self.c_fn(np.asarray(x, dtype=float)), dtype=float)
@@ -264,7 +263,6 @@ def constant_chart(c, rho, name="constant"):
         c_fn=lambda x: c,
         rho_fn=lambda x: rho,
         name=name,
-        spec={"kind": "constant", "c": c.tolist(), "rho": rho.tolist()},
     )
 
 
@@ -276,7 +274,6 @@ def tangent_chart(m):
         c_fn=lambda x: np.zeros((m, m, m)),
         rho_fn=lambda x: np.eye(m),
         name=f"tangent({m})",
-        spec={"kind": "tangent", "dim": m},
     )
 
 
@@ -335,12 +332,9 @@ def prolong_algebroid(chart, pi):
     its own bracket closes (in particular for almost-Lie inputs of any
     Jacobi status, and always over a point base).  Since T pi = [I 0] has
     full rank, the carrier has rank + dim_fiber at every point, and the
-    first-factor projection intertwines the anchors exactly.
+    first-factor projection intertwines the anchors exactly.  ``pi.dim_base``
+    must equal ``chart.base_dim``; the spec reader checks it.
     """
-    if pi.dim_base != chart.base_dim:
-        raise NotSubmersion(
-            f"fibration base dim {pi.dim_base} != algebroid base dim {chart.base_dim}"
-        )
     nf = pi.dim_fiber
     r = chart.rank
     big_r = r + nf
@@ -366,9 +360,4 @@ def prolong_algebroid(chart, pi):
         c_fn=c_fn,
         rho_fn=rho_fn,
         name=f"prolongation({chart.name})",
-        spec={
-            "kind": "prolongation",
-            "base": chart.spec,
-            "fibration": {"dim_total": pi.dim_total, "dim_base": pi.dim_base},
-        },
     )

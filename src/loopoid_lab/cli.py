@@ -5,11 +5,10 @@ simulation, writes a canonical JSON report (and CSV where tabular), and
 exits 0 exactly when all asserted residuals sit inside their tolerances.
 Reports are byte-identical across runs for a fixed (spec, seed, flags):
 all randomness flows through one seeded generator and floats print with 17
-significant digits.  The seed falls back to the LOOPOID_LAB_SEED
-environment variable, then to 0.
+significant digits.  A spec command's ``--seed`` falls back to the spec's
+``seed``; ``octonion --seed`` defaults to 0.
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -28,13 +27,6 @@ from .specio import (
     parse_spec,
     write_csv,
 )
-
-
-def _default_seed():
-    try:
-        return int(os.environ.get("LOOPOID_LAB_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _emit(report, out):
@@ -133,7 +125,7 @@ def verify_finite(spec_path, out, seed, as_text):
     spec = _load_spec(spec_path, "finite")
     from .finite import validate_latin_square
 
-    table = build_finite(spec.body)
+    table = build_finite(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
     rep = validate_latin_square(table, rng=rng)
     if as_text:
@@ -148,7 +140,7 @@ def verify_finite(spec_path, out, seed, as_text):
     elif kind == "semidirect":
         checks.append(_check("latin", "finite.semidirect_latin", rep.is_latin_square, expect=True))
         checks.append(_check("unit_exists", "finite.semidirect_unit", rep.unit, expect=table.unit))
-        inner = build_finite({**spec.body["loop"], "kind": "table"})
+        inner = build_finite({**spec.body["loop"], "kind": "table"}, "$.body.loop")
         if validate_latin_square(inner).inverse_property:
             checks.append(
                 _check("inverse_property", "finite.semidirect_ip", rep.inverse_property, expect=True)
@@ -167,7 +159,7 @@ def verify_finite(spec_path, out, seed, as_text):
 
 @main.command("octonion")
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=0, type=int)
 @click.option("--samples", default=10000, type=int)
 @click.option("--mul", "mul_expr", nargs=2, default=None, type=str)
 @_guarded
@@ -175,7 +167,6 @@ def octonion_cmd(out, seed, samples, mul_expr):
     """Verify the octonion table and loop identities on seeded samples."""
     from . import octonion as oct
 
-    seed = seed if seed is not None else _default_seed()
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -238,7 +229,7 @@ def loop_algebra(spec_path, out, csv_path):
     spec = _load_spec(spec_path, "loop")
     from .loops import extract_structure_constants
 
-    chart = build_loop(spec.body)
+    chart = build_loop(spec.body, "$.body")
     c, skew = extract_structure_constants(chart)
     rows = []
     for i in range(chart.dim):
@@ -278,7 +269,7 @@ def loopoid_check(spec_path, out, seed, samples, tol):
     spec = _load_spec(spec_path, "loopoid")
     from .loopoids import check_axioms
 
-    q = build_loopoid(spec.body)
+    q = build_loopoid(spec.body, "$.body")
     rep = check_axioms(q, n_samples=samples, seed=seed if seed is not None else spec.seed, tol=tol)
     checks = [
         _check("unit_laws", "loopoid.units", max(rep.left_unit_residual, rep.right_unit_residual), tol=tol),
@@ -318,7 +309,7 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
         raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs loopoid or algebroid")
     from .algebroid import algebroid_bracket, check_almost_lie_loopoid, make_frame_field
 
-    q = build_loopoid(spec.body)
+    q = build_loopoid(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
     ff = make_frame_field(q)
     us = q.sample_m(rng, samples)
@@ -365,7 +356,7 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
 def _lie_functor_chart(spec, out, csv_path, seed, samples):
     from .algebroid import check_almost_lie_chart, leibniz_bracket
 
-    chart = build_algebroid(spec.body)
+    chart = build_algebroid(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
     xs = rng.normal(scale=0.4, size=(samples, chart.base_dim))
     almost = check_almost_lie_chart(chart, xs)
@@ -420,7 +411,7 @@ def tangent_check(spec_path, out, seed, samples, tol):
     spec = _load_spec(spec_path, "loopoid")
     from .tangent import check_tangent_loopoid
 
-    q = build_loopoid(spec.body)
+    q = build_loopoid(spec.body, "$.body")
     rep = check_tangent_loopoid(q, n_samples=samples, seed=seed if seed is not None else spec.seed, tol=tol)
     checks = [
         _check("tangent_anchors", "tangent.anchor_compatibility", rep["anchor_residual"], tol=tol),
@@ -444,7 +435,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
     from .loopoids import COMPOSABLE_TOL
     from .mechanics import trajectory
 
-    system = build_system(spec.body)
+    system = build_system(spec.body, "$.body")
     g0 = _point(start_str, "--start", spec, system)
     traj = trajectory(system, g0, steps)
     header = ["step"] + [f"x{i+1}" for i in range(system.loopoid.dim_g)] + ["residual", "gap"]
@@ -482,7 +473,7 @@ def legendre_cmd(spec_path, at_str, out, seed):
     spec = _load_spec(spec_path, "system")
     from .mechanics import legendre, legendre_vs_cotangent, regularity_check
 
-    system = build_system(spec.body)
+    system = build_system(spec.body, "$.body")
     q = system.loopoid
     g = _point(at_str, "--at", spec, system)
     plus = legendre(system, "plus", g)

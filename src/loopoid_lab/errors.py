@@ -77,10 +77,6 @@ class NotMonotone(LoopoidLabError):
     """Scalar map has a (numerically) vanishing derivative on samples."""
 
 
-class NotSubmersion(LoopoidLabError):
-    """Fibration base dimension differs from the algebroid's base."""
-
-
 # -- frames and brackets ------------------------------------------------------
 
 class RankDeficient(LoopoidLabError):

@@ -43,11 +43,6 @@ class CayleyTable:
     def mul(self, a, b):
         return int(self.table[a, b])
 
-    @staticmethod
-    def cyclic(n):
-        t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        return CayleyTable(order=n, table=t, unit=0)
-
 
 @dataclass(frozen=True)
 class IdentityReport:

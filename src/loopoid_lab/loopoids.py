@@ -20,7 +20,7 @@ a fixed point with a stack of points repeats it first.  The other maps
 (unit_embed, inverse, the samplers) take one point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,9 +49,7 @@ class ChartedQuasiloopoid:
     claims_ip: bool = False
     name: str = "quasiloopoid"
     sampler: Optional[Callable] = None           # (rng, n) -> (n, dim_g)
-    m_sampler: Optional[Callable] = None         # (rng, n) -> (n, dim_m)
     preferred_alpha_vertical: Optional[Callable] = None  # u -> (r, dim_g)
-    spec: Optional[dict] = field(default=None, compare=False)
 
     @property
     def rank(self):
@@ -65,8 +63,6 @@ class ChartedQuasiloopoid:
         return pts + rng.normal(scale=0.15, size=pts.shape)
 
     def sample_m(self, rng, n):
-        if self.m_sampler is not None:
-            return np.asarray(self.m_sampler(rng, n), dtype=float)
         return rng.normal(scale=0.3, size=(n, self.dim_m))
 
 
@@ -146,7 +142,6 @@ def pair_groupoid(n):
         name=f"pair_groupoid({n})",
         sampler=lambda rng, k: rng.normal(scale=0.4, size=(k, 2 * n)),
         preferred_alpha_vertical=pav,
-        spec={"kind": "pair_groupoid", "dim": n},
     )
 
 
@@ -204,7 +199,6 @@ def product_loopoid(loop, n):
         name=f"product({loop.name},{n})",
         sampler=sampler,
         preferred_alpha_vertical=pav,
-        spec={"kind": "product", "loop": loop.spec, "pair_dim": n},
     )
 
 
@@ -258,7 +252,6 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         claims_ip=False,
         name=f"phi_quasiloopoid({phi_name})",
         sampler=lambda rng_, k: rng_.normal(scale=0.4, size=(k, 3)),
-        spec={"kind": "phi", "phi": phi_name},
     )
 
 
@@ -364,7 +357,6 @@ def prolongation_loopoid(q, pi):
         name=f"prolongation({q.name})",
         sampler=sampler,
         preferred_alpha_vertical=pav,
-        spec={"kind": "prolongation", "base": q.spec, "fibration": {"dim_total": pi.dim_total, "dim_base": pi.dim_base}},
     )
 
 
@@ -389,8 +381,6 @@ def loop_as_loopoid(loop):
         claims_ip=loop.inverse is not None,
         name=f"loop({loop.name})",
         sampler=lambda rng, k: loop.sample(rng, k),
-        m_sampler=lambda rng, k: np.zeros((k, 0)),
-        spec={"kind": "loop", "loop": loop.spec},
     )
 
 

@@ -14,7 +14,7 @@ dim)``; each row equals, bit for bit, the product of that row alone, so a
 difference stencil can evaluate all its points in one call.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ class SmoothLoopChart:
     domain_radius: float = np.inf
     inverse: Optional[Callable] = None
     name: str = "loop"
-    spec: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         u = np.zeros(self.dim) if self.unit is None else np.asarray(self.unit, dtype=float)
@@ -76,9 +75,6 @@ class SkewAlgebra:
         s = np.asarray(self.constants, dtype=float)
         object.__setattr__(self, "constants", s)
 
-    def bracket(self, x, y):
-        return np.einsum("kij,i,j->k", self.constants, x, y)
-
 
 def extract_structure_constants(chart):
     """Return (c tensor, SkewAlgebra) from second mixed derivatives at the unit.
@@ -115,7 +111,6 @@ def bracket_loop(dim, bracket_constants):
         dim=dim,
         mul=mul,
         name="bracket",
-        spec={"kind": "bracket", "dim": dim, "constants": c.tolist()},
     )
 
 
@@ -136,7 +131,6 @@ def octonion_chart():
         unit=unit,
         inverse=inv,
         name="octonion",
-        spec={"kind": "builtin", "name": "octonion"},
     )
 
 
@@ -189,5 +183,4 @@ def polynomial_chart(dim, terms, unit=None, name="polynomial"):
         mul=polynomial_mul(dim, terms),
         unit=unit,
         name=name,
-        spec={"kind": "polynomial", "dim": dim, "terms": terms},
     )

@@ -67,14 +67,6 @@ class Octonion:
         c[i] = 1.0
         return Octonion(c)
 
-    @staticmethod
-    def zero():
-        return Octonion(np.zeros(8))
-
-    @staticmethod
-    def one():
-        return Octonion.basis(0)
-
     def __add__(self, other):
         return Octonion(self.coeffs + other.coeffs)
 

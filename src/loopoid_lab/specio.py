@@ -1,9 +1,11 @@
 """Structure specs: JSON in, canonical reports and CSV tables out.
 
 Specs are one JSON object {"kind": ..., "seed": ..., "body": {...}} where
-``kind`` is one of finite | octonion | loop | loopoid | algebroid | system.
-Validation errors carry the JSON path of the offending field.  Output is
-deterministic: canonical JSON sorts keys and prints every float with 17
+``kind`` is one of finite | loop | loopoid | algebroid | system.
+``parse_spec`` checks this envelope; the kind's ``build_*(body, path)``
+reads each body field once, checks it, and builds from the checked value,
+so a malformed field is a SchemaError that carries its JSON path.  Output
+is deterministic: canonical JSON sorts keys and prints every float with 17
 significant digits; CSV uses '.' decimals, ',' separators, LF endings.
 """
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-KINDS = ("finite", "octonion", "loop", "loopoid", "algebroid", "system")
+KINDS = ("finite", "loop", "loopoid", "algebroid", "system")
 
 
 @dataclass(frozen=True)
@@ -23,9 +25,6 @@ class StructureSpec:
     kind: str
     seed: int
     body: dict
-
-    def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed, "body": self.body}
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def write_csv(header, rows):
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# field readers: each returns the checked value or raises at the field's path
 # ---------------------------------------------------------------------------
 
 
@@ -132,6 +131,23 @@ def _list(val, path):
     if not isinstance(val, list):
         raise SchemaError(f"expected a list, got {type(val).__name__}", path)
     return val
+
+
+def _index(val, path, order):
+    _int(val, path, minimum=0)
+    if val >= order:
+        raise SchemaError(f"expected an index below {order}, got {val}", path)
+    return val
+
+
+def _indices(val, path, order):
+    """A list of indices in range(order); entry paths are formatted only for
+    a list that holds a bad entry, which keeps large tables cheap to read."""
+    xs = _list(val, path)
+    if not all(type(v) is int and 0 <= v < order for v in xs):
+        for i, v in enumerate(xs):
+            _index(v, f"{path}[{i}]", order)
+    return xs
 
 
 def _exponents(val, path, dim):
@@ -183,162 +199,23 @@ def _scalar_terms(val, path, dim):
     return out
 
 
-# ---------------------------------------------------------------------------
-# kind validators (shape only; builders do the math checks)
-# ---------------------------------------------------------------------------
+def _fibration(body, path, base_dim):
+    """The coordinate fibration of a prolongation over a base of ``base_dim``."""
+    from .loopoids import SplitFibration
 
-
-def _validate_table(body, path):
-    order = _int(_need(body, "order", path), f"{path}.order", minimum=1)
-    table = _list(_need(body, "table", path), f"{path}.table")
-    if len(table) != order:
-        raise SchemaError(f"expected {order} rows", f"{path}.table")
-    for i, row in enumerate(table):
-        row = _list(row, f"{path}.table[{i}]")
-        if len(row) != order:
-            raise SchemaError(f"expected {order} entries", f"{path}.table[{i}]")
-        for j, v in enumerate(row):
-            _int(v, f"{path}.table[{i}][{j}]", minimum=0)
-    if body.get("unit") is not None:
-        _int(body["unit"], f"{path}.unit", minimum=0)
-
-
-def _validate_finite(body, path):
-    kind = _need(body, "kind", path)
-    if kind == "table":
-        _validate_table(body, path)
-    elif kind == "transversal":
-        _validate_table(_need(body, "group", path), f"{path}.group")
-        _list(_need(body, "subgroup", path), f"{path}.subgroup")
-        _list(_need(body, "transversal", path), f"{path}.transversal")
-    elif kind == "semidirect":
-        _validate_table(_need(body, "loop", path), f"{path}.loop")
-        autos = _list(_need(body, "autos", path), f"{path}.autos")
-        for i, p in enumerate(autos):
-            _list(p, f"{path}.autos[{i}]")
-    else:
-        raise SchemaError(f"unknown finite kind {kind!r}", f"{path}.kind")
-
-
-def _validate_loop(body, path):
-    mul = _need(body, "mul", path)
-    mkind = _need(mul, "kind", f"{path}.mul")
-    if mkind == "polynomial":
-        dim = _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
-        _poly_terms(_need(mul, "terms", f"{path}.mul"), f"{path}.mul.terms", dim, dim)
-    elif mkind == "builtin":
-        name = _need(mul, "name", f"{path}.mul")
-        if name != "octonion":
-            raise SchemaError(f"unknown builtin {name!r}", f"{path}.mul.name")
-        dim = 8
-    elif mkind == "bracket":
-        dim = _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
-        cpath = f"{path}.mul.constants"
-        arr = _numbers(_need(mul, "constants", f"{path}.mul"), cpath)
-        if arr.shape != (dim, dim, dim):
-            raise SchemaError(f"constants shape {arr.shape} != ({dim},)*3", cpath)
-    else:
-        raise SchemaError(f"unknown mul kind {mkind!r}", f"{path}.mul.kind")
-    if body.get("unit") is not None:
-        unit = _numbers(body["unit"], f"{path}.unit")
-        if unit.shape != (dim,):
-            raise SchemaError(f"expected {dim} numbers, got shape {unit.shape}", f"{path}.unit")
-    if "fd_step" in body:
-        raise SchemaError("the differencing steps are fixed; fd_step is not a loop field", f"{path}.fd_step")
-
-
-def _validate_fibration(fib, path):
-    nt = _int(_need(fib, "dim_total", path), f"{path}.dim_total", minimum=0)
-    nb = _int(_need(fib, "dim_base", path), f"{path}.dim_base", minimum=0)
-    if nb > nt:
-        raise SchemaError("dim_base exceeds dim_total", f"{path}.dim_base")
-
-
-def _validate_loopoid(body, path):
-    kind = _need(body, "kind", path)
-    if kind == "product":
-        _validate_loop(_need(body, "loop", path), f"{path}.loop")
-        _int(_need(body, "pair_dim", path), f"{path}.pair_dim", minimum=0)
-    elif kind == "phi":
-        phi = _need(body, "phi", path)
-        coeffs = _list(_need(phi, "odd_coeffs", f"{path}.phi"), f"{path}.phi.odd_coeffs")
-        for i, c in enumerate(coeffs):
-            _num(c, f"{path}.phi.odd_coeffs[{i}]")
-    elif kind == "pair_groupoid":
-        _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
-    elif kind == "loop":
-        _validate_loop(_need(body, "loop", path), f"{path}.loop")
-    elif kind == "prolongation":
-        _validate_loopoid(_need(body, "base", path), f"{path}.base")
-        _validate_fibration(_need(body, "fibration", path), f"{path}.fibration")
-    else:
-        raise SchemaError(f"unknown loopoid kind {kind!r}", f"{path}.kind")
-
-
-def _validate_algebroid(body, path):
-    kind = _need(body, "kind", path)
-    if kind == "constant":
-        rank = _int(_need(body, "rank", path), f"{path}.rank", minimum=1)
-        base = _int(_need(body, "base_dim", path), f"{path}.base_dim", minimum=0)
-        c = _numbers(_need(body, "c", path), f"{path}.c")
-        if c.shape != (rank, rank, rank):
-            raise SchemaError(f"c shape {c.shape} != ({rank},)*3", f"{path}.c")
-        rho = _numbers(_need(body, "rho", path), f"{path}.rho")
-        if rho.size != base * rank or (base > 0 and rho.shape != (base, rank)):
-            raise SchemaError(f"rho shape {rho.shape} != ({base}, {rank})", f"{path}.rho")
-    elif kind == "tangent":
-        _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
-    elif kind == "prolongation":
-        _validate_algebroid(_need(body, "base", path), f"{path}.base")
-        _validate_fibration(_need(body, "fibration", path), f"{path}.fibration")
-    else:
-        raise SchemaError(f"unknown algebroid kind {kind!r}", f"{path}.kind")
-
-
-def _validate_system(body, path):
-    _validate_loopoid(_need(body, "loopoid", path), f"{path}.loopoid")
-    lag = _need(body, "lagrangian", path)
-    lkind = _need(lag, "kind", f"{path}.lagrangian")
-    if lkind == "polynomial":
-        _list(_need(lag, "terms", f"{path}.lagrangian"), f"{path}.lagrangian.terms")
-    elif lkind != "half_sum_squares":
-        raise SchemaError(f"unknown lagrangian kind {lkind!r}", f"{path}.lagrangian.kind")
-    if body.get("start") is not None:
-        for i, v in enumerate(_list(body["start"], f"{path}.start")):
-            _num(v, f"{path}.start[{i}]")
-    if body.get("orientation") is not None and body["orientation"] not in (
-        "aligned",
-        "normal_class",
-    ):
-        raise SchemaError("orientation must be 'aligned' or 'normal_class'", f"{path}.orientation")
-    newton, npath = body.get("newton", {}), f"{path}.newton"
-    if newton is not None and not isinstance(newton, dict):
-        raise SchemaError(f"expected an object, got {type(newton).__name__}", npath)
-    for key, value in (newton or {}).items():
-        fpath = f"{npath}.{key}"
-        if key == "max_iter":
-            _int(value, fpath, minimum=1)
-        elif key in ("tol", "rcond", "fd_step"):
-            if not _num(value, fpath) > 0:
-                raise SchemaError(f"expected a positive number, got {value}", fpath)
-        elif key != "damping":
-            raise SchemaError(f"unknown field {key!r}", fpath)
-        elif not isinstance(value, bool):
-            raise SchemaError(f"expected a bool, got {type(value).__name__}", fpath)
-
-
-_VALIDATORS = {
-    "finite": _validate_finite,
-    "octonion": lambda body, path: None,
-    "loop": _validate_loop,
-    "loopoid": _validate_loopoid,
-    "algebroid": _validate_algebroid,
-    "system": _validate_system,
-}
+    fpath = f"{path}.fibration"
+    fib = _need(body, "fibration", path)
+    total = _int(_need(fib, "dim_total", fpath), f"{fpath}.dim_total", minimum=0)
+    dim_base = _int(_need(fib, "dim_base", fpath), f"{fpath}.dim_base")
+    if dim_base != base_dim:
+        raise SchemaError(f"expected the base's dimension {base_dim}, got {dim_base}", f"{fpath}.dim_base")
+    if dim_base > total:
+        raise SchemaError("dim_base exceeds dim_total", f"{fpath}.dim_base")
+    return SplitFibration(total, dim_base)
 
 
 def parse_spec(text):
-    """Parse and validate a structure spec; SchemaError carries the path."""
+    """Check a spec's envelope (the JSON, kind, seed, an object body); builders check the body."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer beyond Python's digit limit
@@ -349,55 +226,95 @@ def parse_spec(text):
     if kind not in KINDS:
         raise SchemaError(f"kind must be one of {KINDS}", "$.kind")
     seed = raw.get("seed", 0)
-    _int(seed, "$.seed")
+    _int(seed, "$.seed", minimum=0)  # numpy seeds are non-negative
     body = raw.get("body", {})
     if not isinstance(body, dict):
         raise SchemaError("expected an object", "$.body")
-    _VALIDATORS[kind](body, "$.body")
     return StructureSpec(kind=kind, seed=seed, body=body)
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: ``path`` is the JSON path of ``body``, e.g. "$.body"
 # ---------------------------------------------------------------------------
 
 
-def build_finite(body):
-    from .finite import CayleyTable, semidirect_loop, transversal_loop
+def _table(body, path):
+    from .finite import CayleyTable
 
-    kind = body["kind"]
+    order = _int(_need(body, "order", path), f"{path}.order", minimum=1)
+    rows = _list(_need(body, "table", path), f"{path}.table")
+    if len(rows) != order:
+        raise SchemaError(f"expected {order} rows", f"{path}.table")
+    for i, row in enumerate(rows):
+        if len(_indices(row, f"{path}.table[{i}]", order)) != order:
+            raise SchemaError(f"expected {order} entries", f"{path}.table[{i}]")
+    unit = body.get("unit")
+    if unit is not None:
+        _index(unit, f"{path}.unit", order)
+    return CayleyTable(order=order, table=np.asarray(rows), unit=unit)
+
+
+def build_finite(body, path):
+    from .finite import semidirect_loop, transversal_loop
+
+    kind = _need(body, "kind", path)
     if kind == "table":
-        return CayleyTable(order=body["order"], table=np.asarray(body["table"]), unit=body.get("unit"))
+        return _table(body, path)
     if kind == "transversal":
-        grp = build_finite({**body["group"], "kind": "table"})
-        return transversal_loop(grp, set(body["subgroup"]), set(body["transversal"]))
-    grp = build_finite({**body["loop"], "kind": "table"})
-    return semidirect_loop(grp, [np.asarray(p, dtype=np.int64) for p in body["autos"]])
+        grp = _table(_need(body, "group", path), f"{path}.group")
+        subgroup = _indices(_need(body, "subgroup", path), f"{path}.subgroup", grp.order)
+        transversal = _indices(_need(body, "transversal", path), f"{path}.transversal", grp.order)
+        return transversal_loop(grp, set(subgroup), set(transversal))
+    if kind == "semidirect":
+        loop = _table(_need(body, "loop", path), f"{path}.loop")
+        autos = _list(_need(body, "autos", path), f"{path}.autos")
+        perms = [np.asarray(_indices(p, f"{path}.autos[{i}]", loop.order), dtype=np.int64) for i, p in enumerate(autos)]
+        return semidirect_loop(loop, perms)
+    raise SchemaError(f"unknown finite kind {kind!r}", f"{path}.kind")
 
 
-def build_loop(body):
+def _loop_unit(body, path, dim):
+    """A loop body's optional ``unit`` of ``dim`` numbers; a loop has no ``fd_step``."""
+    unit = body.get("unit")
+    if unit is not None:
+        unit = _numbers(unit, f"{path}.unit")
+        if unit.shape != (dim,):
+            raise SchemaError(f"expected {dim} numbers, got shape {unit.shape}", f"{path}.unit")
+    if "fd_step" in body:
+        raise SchemaError("the differencing steps are fixed; fd_step is not a loop field", f"{path}.fd_step")
+    return unit
+
+
+def build_loop(body, path):
     from .loops import SmoothLoopChart, bracket_loop, octonion_chart, polynomial_chart
 
-    mul = body["mul"]
-    if mul["kind"] == "builtin":
+    mpath = f"{path}.mul"
+    mul = _need(body, "mul", path)
+    mkind = _need(mul, "kind", mpath)
+    if mkind == "builtin":
+        name = _need(mul, "name", mpath)
+        if name != "octonion":
+            raise SchemaError(f"unknown builtin {name!r}", f"{mpath}.name")
+        _loop_unit(body, path, 8)  # the octonion chart keeps its unit e0
         return octonion_chart()
-    if mul["kind"] == "bracket":
-        chart = bracket_loop(body["dim"], np.asarray(mul["constants"], dtype=float))
-        return SmoothLoopChart(
-            dim=chart.dim, mul=chart.mul, unit=body.get("unit"), name=chart.name, spec=chart.spec
-        )
-    dim = body["dim"]
-    terms = _poly_terms(mul["terms"], "$.body.mul.terms", dim, dim)
-    return polynomial_chart(dim, terms, unit=body.get("unit"))
+    if mkind not in ("polynomial", "bracket"):
+        raise SchemaError(f"unknown mul kind {mkind!r}", f"{mpath}.kind")
+    dim = _int(_need(body, "dim", path), f"{path}.dim", minimum=1)
+    if mkind == "polynomial":
+        terms = _poly_terms(_need(mul, "terms", mpath), f"{mpath}.terms", dim, dim)
+        return polynomial_chart(dim, terms, unit=_loop_unit(body, path, dim))
+    constants = _numbers(_need(mul, "constants", mpath), f"{mpath}.constants")
+    if constants.shape != (dim, dim, dim):
+        raise SchemaError(f"constants shape {constants.shape} != ({dim},)*3", f"{mpath}.constants")
+    chart = bracket_loop(dim, constants)
+    return SmoothLoopChart(dim=dim, mul=chart.mul, unit=_loop_unit(body, path, dim), name=chart.name)
 
 
 def make_odd_polynomial(odd_coeffs):
-    coeffs = [float(c) for c in odd_coeffs]
-
     def phi(x):
         acc = 0.0
         p = x
-        for c in coeffs:
+        for c in odd_coeffs:
             acc += c * p
             p = p * x * x
         return acc
@@ -405,48 +322,48 @@ def make_odd_polynomial(odd_coeffs):
     return phi
 
 
-def build_loopoid(body):
-    from .loopoids import (
-        SplitFibration,
-        loop_as_loopoid,
-        pair_groupoid,
-        phi_quasiloopoid,
-        product_loopoid,
-        prolongation_loopoid,
-    )
+def build_loopoid(body, path):
+    from .loopoids import loop_as_loopoid, pair_groupoid, phi_quasiloopoid, product_loopoid, prolongation_loopoid
 
-    kind = body["kind"]
+    kind = _need(body, "kind", path)
     if kind == "pair_groupoid":
-        return pair_groupoid(body["dim"])
+        return pair_groupoid(_int(_need(body, "dim", path), f"{path}.dim", minimum=1))
     if kind == "product":
-        return product_loopoid(build_loop(body["loop"]), body["pair_dim"])
+        loop = build_loop(_need(body, "loop", path), f"{path}.loop")
+        return product_loopoid(loop, _int(_need(body, "pair_dim", path), f"{path}.pair_dim", minimum=0))
     if kind == "loop":
-        return loop_as_loopoid(build_loop(body["loop"]))
+        return loop_as_loopoid(build_loop(_need(body, "loop", path), f"{path}.loop"))
     if kind == "phi":
-        coeffs = body["phi"]["odd_coeffs"]
-        phi = make_odd_polynomial(coeffs)
+        cpath = f"{path}.phi.odd_coeffs"
+        coeffs = _list(_need(_need(body, "phi", path), "odd_coeffs", f"{path}.phi"), cpath)
+        phi = make_odd_polynomial([_num(c, f"{cpath}[{i}]") for i, c in enumerate(coeffs)])
         return phi_quasiloopoid(phi, phi_name=f"odd{coeffs}")
-    base = build_loopoid(body["base"])
-    fib = body["fibration"]
-    pi = SplitFibration(fib["dim_total"], fib["dim_base"])
-    return prolongation_loopoid(base, pi)
+    if kind == "prolongation":
+        base = build_loopoid(_need(body, "base", path), f"{path}.base")
+        return prolongation_loopoid(base, _fibration(body, path, base.dim_m))
+    raise SchemaError(f"unknown loopoid kind {kind!r}", f"{path}.kind")
 
 
-def build_algebroid(body):
+def build_algebroid(body, path):
     from .algebroid import constant_chart, prolong_algebroid, tangent_chart
-    from .loopoids import SplitFibration
 
-    kind = body["kind"]
+    kind = _need(body, "kind", path)
     if kind == "constant":
-        rank = body["rank"]
-        rho = np.asarray(body["rho"], dtype=float).reshape(body["base_dim"], rank)
-        return constant_chart(np.asarray(body["c"], dtype=float), rho)
+        rank = _int(_need(body, "rank", path), f"{path}.rank", minimum=1)
+        base_dim = _int(_need(body, "base_dim", path), f"{path}.base_dim", minimum=0)
+        c = _numbers(_need(body, "c", path), f"{path}.c")
+        if c.shape != (rank, rank, rank):
+            raise SchemaError(f"c shape {c.shape} != ({rank},)*3", f"{path}.c")
+        rho = _numbers(_need(body, "rho", path), f"{path}.rho")
+        if rho.size != base_dim * rank or (base_dim > 0 and rho.shape != (base_dim, rank)):
+            raise SchemaError(f"rho shape {rho.shape} != ({base_dim}, {rank})", f"{path}.rho")
+        return constant_chart(c, rho.reshape(base_dim, rank))
     if kind == "tangent":
-        return tangent_chart(body["dim"])
-    base = build_algebroid(body["base"])
-    fib = body["fibration"]
-    pi = SplitFibration(fib["dim_total"], fib["dim_base"])
-    return prolong_algebroid(base, pi)
+        return tangent_chart(_int(_need(body, "dim", path), f"{path}.dim", minimum=1))
+    if kind == "prolongation":
+        base = build_algebroid(_need(body, "base", path), f"{path}.base")
+        return prolong_algebroid(base, _fibration(body, path, base.base_dim))
+    raise SchemaError(f"unknown algebroid kind {kind!r}", f"{path}.kind")
 
 
 def make_scalar_polynomial(terms, dim):
@@ -459,28 +376,45 @@ def make_scalar_polynomial(terms, dim):
     return f
 
 
-def build_system(body):
+def _newton(body, path):
+    """The optional ``newton`` block as NewtonConfig keyword arguments."""
+    npath = f"{path}.newton"
+    newton = {} if body.get("newton") is None else body["newton"]
+    if not isinstance(newton, dict):
+        raise SchemaError(f"expected an object, got {type(newton).__name__}", npath)
+    for key, value in newton.items():
+        fpath = f"{npath}.{key}"
+        if key == "max_iter":
+            _int(value, fpath, minimum=1)
+        elif key in ("tol", "rcond", "fd_step"):
+            if not _num(value, fpath) > 0:
+                raise SchemaError(f"expected a positive number, got {value}", fpath)
+        elif key != "damping":
+            raise SchemaError(f"unknown field {key!r}", fpath)
+        elif not isinstance(value, bool):
+            raise SchemaError(f"expected a bool, got {type(value).__name__}", fpath)
+    return newton
+
+
+def build_system(body, path):
     from .mechanics import DiscreteLagrangianSystem, NewtonConfig
 
-    q = build_loopoid(body["loopoid"])
-    lag = body["lagrangian"]
-    if lag["kind"] == "half_sum_squares":
+    q = build_loopoid(_need(body, "loopoid", path), f"{path}.loopoid")
+    lpath = f"{path}.lagrangian"
+    lag = _need(body, "lagrangian", path)
+    lkind = _need(lag, "kind", lpath)
+    if lkind == "half_sum_squares":
         lfun = lambda g: 0.5 * float(np.asarray(g, dtype=float) @ np.asarray(g, dtype=float))
+    elif lkind == "polynomial":
+        lfun = make_scalar_polynomial(_scalar_terms(_need(lag, "terms", lpath), f"{lpath}.terms", q.dim_g), q.dim_g)
     else:
-        terms = _scalar_terms(lag["terms"], "$.body.lagrangian.terms", q.dim_g)
-        lfun = make_scalar_polynomial(terms, q.dim_g)
+        raise SchemaError(f"unknown lagrangian kind {lkind!r}", f"{lpath}.kind")
+    if body.get("start") is not None:  # the commands read it as their default point
+        for i, v in enumerate(_list(body["start"], f"{path}.start")):
+            _num(v, f"{path}.start[{i}]")
+    orientation = "aligned" if body.get("orientation") is None else body["orientation"]
+    if orientation not in ("aligned", "normal_class"):
+        raise SchemaError("orientation must be 'aligned' or 'normal_class'", f"{path}.orientation")
     return DiscreteLagrangianSystem(
-        loopoid=q,
-        lagrangian=lfun,
-        newton=NewtonConfig(**(body.get("newton") or {})),
-        orientation=body.get("orientation") or "aligned",
+        loopoid=q, lagrangian=lfun, newton=NewtonConfig(**_newton(body, path)), orientation=orientation
     )
-
-
-BUILDERS = {
-    "finite": build_finite,
-    "loop": build_loop,
-    "loopoid": build_loopoid,
-    "algebroid": build_algebroid,
-    "system": build_system,
-}

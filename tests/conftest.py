@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loopoid_lab import specio
 from loopoid_lab.finite import CayleyTable
 from loopoid_lab.loops import polynomial_chart
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
@@ -20,6 +21,12 @@ def rng():
 def example(name):
     """The spec ``examples/<name>.json`` as a dict."""
     return json.loads((EXAMPLES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def build_spec(spec):
+    """Parse the spec dict ``spec`` and build its body with the kind's builder."""
+    parsed = specio.parse_spec(json.dumps(spec))
+    return getattr(specio, f"build_{parsed.kind}")(parsed.body, "$.body")
 
 
 @pytest.fixture
@@ -60,6 +67,12 @@ def cubic_line_terms():
 
 def cubic_line_chart():
     return polynomial_chart(1, cubic_line_terms(), name="cubic_line")
+
+
+def cyclic_table(n):
+    """The Cayley table of Z_n, unit 0."""
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    return CayleyTable(order=n, table=t, unit=0)
 
 
 def permutation_group_table(perms):

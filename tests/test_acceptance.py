@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from conftest import (
     cubic_line_chart,
+    cyclic_table,
     line_flip_automorphism,
     planar_feedback_chart,
     signed_basis_loop,
@@ -33,7 +34,7 @@ from loopoid_lab.algebroid import (
     prolong_algebroid,
 )
 from loopoid_lab.cli import main as cli_main
-from loopoid_lab.finite import CayleyTable, semidirect_loop, transversal_loop, validate_latin_square
+from loopoid_lab.finite import semidirect_loop, transversal_loop, validate_latin_square
 from loopoid_lab.loopoids import (
     SplitFibration,
     loop_as_loopoid,
@@ -310,10 +311,10 @@ def test_ac7_discrete_mechanics(readme_system):
 
 def test_ac8_finite_suite():
     # warm the identity-scan kernels before timing
-    validate_latin_square(CayleyTable.cyclic(3))
+    validate_latin_square(cyclic_table(3))
 
     t0 = time.perf_counter()
-    z4 = CayleyTable.cyclic(4)
+    z4 = cyclic_table(4)
     out = transversal_loop(z4, {0, 2}, {0, 1})
     assert out.table.tolist() == [[0, 1], [1, 0]]
 

@@ -19,7 +19,7 @@ from loopoid_lab.algebroid import (
     prolong_algebroid,
     tangent_chart,
 )
-from loopoid_lab.errors import NotOnFiber, NotSubmersion, RankDeficient
+from loopoid_lab.errors import NotOnFiber, RankDeficient
 from loopoid_lab.loopoids import (
     ChartedQuasiloopoid,
     SplitFibration,
@@ -467,12 +467,6 @@ def test_prolongation_pair_is_algebroid_morphism(rng):
         jpi = jacobian(pi.proj, p)
         resid = jpi @ out.rho(p)[:, : base.rank] - base.rho(pi.proj(p))
         assert np.linalg.norm(resid, axis=0).max() < 1e-9
-
-
-def test_prolong_algebroid_dim_mismatch():
-    base = constant_chart(np.zeros((1, 1, 1)), np.zeros((2, 1)))
-    with pytest.raises(NotSubmersion):
-        prolong_algebroid(base, SplitFibration(3, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cyclic_table,
     enumerate_loops,
     line_flip_automorphism,
     oracle_associative,
@@ -63,7 +64,7 @@ def test_no_nonassociative_ip_loop_up_to_order_five():
 
 
 def test_transversal_z4_gives_z2():
-    z4 = CayleyTable.cyclic(4)
+    z4 = cyclic_table(4)
     out = transversal_loop(z4, {0, 2}, {0, 1})
     # coset decomposition: 2 = 0 * 2 with 2 in the subgroup, so 1 o 1 = 0
     assert out.table.tolist() == [[0, 1], [1, 0]]
@@ -71,7 +72,7 @@ def test_transversal_z4_gives_z2():
 
 
 def test_transversal_trivial_subgroup_returns_group():
-    z5 = CayleyTable.cyclic(5)
+    z5 = cyclic_table(5)
     out = transversal_loop(z5, {0}, set(range(5)))
     assert np.array_equal(out.table, z5.table)
 
@@ -115,7 +116,7 @@ def test_transversal_not_inverse_closed_keeps_left_division_only():
 
 
 def test_transversal_rejects_bad_inputs():
-    z4 = CayleyTable.cyclic(4)
+    z4 = cyclic_table(4)
     with pytest.raises(NotSubgroup):
         transversal_loop(z4, {0, 1}, {0, 2})  # {0,1} not closed
     with pytest.raises(NotTransversal):
@@ -129,7 +130,7 @@ def test_transversal_rejects_bad_inputs():
 
 
 def test_semidirect_z3_with_inversion_auto():
-    z3 = CayleyTable.cyclic(3)
+    z3 = cyclic_table(3)
     doubling = (2 * np.arange(3)) % 3
     out = semidirect_loop(z3, [np.arange(3), doubling])
     assert out.order == 6
@@ -141,7 +142,7 @@ def test_semidirect_z3_with_inversion_auto():
 
 
 def test_semidirect_identity_auto_copies_loop():
-    z3 = CayleyTable.cyclic(3)
+    z3 = cyclic_table(3)
     out = semidirect_loop(z3, [np.arange(3)])
     assert np.array_equal(out.table, z3.table)
 
@@ -159,7 +160,7 @@ def test_semidirect_preserves_inverse_property():
 
 
 def test_semidirect_rejects_non_automorphisms():
-    z4 = CayleyTable.cyclic(4)
+    z4 = cyclic_table(4)
     shift = (np.arange(4) + 1) % 4  # moves the unit
     with pytest.raises(NotAutomorphism):
         semidirect_loop(z4, [np.arange(4), shift])
@@ -179,11 +180,11 @@ def test_signed_basis_loop_is_moufang_ip_nonassociative():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: CayleyTable.cyclic(6),
+        lambda: cyclic_table(6),
         lambda: symmetric_group_table(3)[0],
         signed_basis_loop,
-        lambda: transversal_loop(CayleyTable.cyclic(4), {0, 2}, {0, 1}),
-        lambda: semidirect_loop(CayleyTable.cyclic(3), [np.arange(3), (2 * np.arange(3)) % 3]),
+        lambda: transversal_loop(cyclic_table(4), {0, 2}, {0, 1}),
+        lambda: semidirect_loop(cyclic_table(3), [np.arange(3), (2 * np.arange(3)) % 3]),
     ],
 )
 def test_identity_implication_chain(make):
@@ -197,7 +198,7 @@ def test_identity_implication_chain(make):
 
 
 def test_unique_division_on_unital_latin_tables():
-    for make in (lambda: CayleyTable.cyclic(7), signed_basis_loop):
+    for make in (lambda: cyclic_table(7), signed_basis_loop):
         ct = make()
         rep = validate_latin_square(ct)
         assert rep.is_latin_square and rep.unit is not None
@@ -208,7 +209,7 @@ def test_unique_division_on_unital_latin_tables():
 
 
 def test_sampled_mode_beyond_cap(rng):
-    ct = CayleyTable.cyclic(8)
+    ct = cyclic_table(8)
     rep = validate_latin_square(ct, max_exhaustive_order=4, rng=rng)
     assert not rep.exhaustive
     assert rep.associative and rep.moufang
@@ -272,7 +273,7 @@ def test_sampled_scan_matches_loop_oracle():
 
 
 def test_report_text_rendering():
-    text = validate_latin_square(CayleyTable.cyclic(3)).to_text()
+    text = validate_latin_square(cyclic_table(3)).to_text()
     assert "associative" in text and "True" in text
 
 

@@ -110,7 +110,7 @@ def test_structure_constants_planar_feedback():
     expected_c[0, 0, 1] = 1.0
     expected_c[1, 1, 0] = 1.0
     assert np.allclose(c, expected_c, atol=1e-7)
-    br = skew.bracket(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    br = np.einsum("kij,i,j->k", skew.constants, [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(br, [1.0, -1.0], atol=1e-6)
 
 

@@ -319,7 +319,7 @@ def test_step_solve_multiplies_once_per_prolongation(readme_system):
     # one step on the README system: one left prolongation at g, then one
     # right prolongation per Newton residual, each a single multiplication
     # on its 2 * rank stencil points
-    system = build_system(readme_system["body"])
+    system = build_system(readme_system["body"], "$.body")
     q = system.loopoid
     stencil_rows = []
 

@@ -1,9 +1,11 @@
-"""Every public module-level function and class of the package is used by it.
+"""Every public function, class and method of the package is used by it.
 
 A name counts as used when some code in ``src/loopoid_lab`` other than its
 own definition refers to it, by name or as an attribute.  Imports do not
 count, and neither do tests: library code that only tests reach belongs in
 the tests.  Click commands are exempt, since the command line reaches them.
+A method is checked by its name alone, so it counts as used when any
+attribute of that name is read in the package.
 """
 
 import ast
@@ -23,6 +25,21 @@ def _is_click_command(node):
     return False
 
 
+def _definitions(tree):
+    """(qualified name, node) of each public module-level function and class
+    and of each public method of those classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") or _is_click_command(node):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreached():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     refs = {}  # name -> ids of the nodes that refer to it
@@ -33,14 +50,10 @@ def unreached():
                 refs.setdefault(name, set()).add(id(n))
     out = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or _is_click_command(node):
-                continue
+        for qualname, node in _definitions(tree):
             inside = {id(n) for n in ast.walk(node)}
             if not refs.get(node.name, set()) - inside:
-                out.append(f"{module[:-3]}.{node.name}")
+                out.append(f"{module[:-3]}.{qualname}")
     return out
 
 

@@ -40,7 +40,7 @@ def by_rows(fn, *stacks_):
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
 def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
-    q = build_loopoid(LOOPOIDS[name])
+    q = build_loopoid(LOOPOIDS[name], "$.body")
     g, h = stacks(np.random.default_rng(7), shape, q.dim_g)
     assert q.mul(g, h).shape == shape + (q.dim_g,)
     assert np.array_equal(q.mul(g, h), by_rows(q.mul, g, h))
@@ -51,7 +51,7 @@ def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
 @pytest.mark.parametrize("name", LOOPS)
 def test_loop_mul_on_rows_equals_single_calls(name, shape):
-    chart = build_loop(example(name)["body"])
+    chart = build_loop(example(name)["body"], "$.body")
     x, y = stacks(np.random.default_rng(8), shape, chart.dim)
     assert chart.mul(x, y).shape == shape + (chart.dim,)
     assert np.array_equal(chart.mul(x, y), by_rows(chart.mul, x, y))
@@ -65,7 +65,7 @@ def test_coordinate_fibration_on_rows_equals_single_calls():
 
 
 def test_directional_matrix_equals_single_directions():
-    q = build_loopoid(LOOPOIDS["readme_product"])
+    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
     rng = np.random.default_rng(10)
     g, x = rng.normal(size=(2, q.dim_g))
     directions = rng.normal(size=(4, q.dim_g))

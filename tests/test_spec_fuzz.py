@@ -2,19 +2,18 @@
 
 One field of a valid spec, at any depth, is replaced by a value of another
 type, or a list by a list of the wrong length.  ``parse_spec`` plus the
-kind's builder must then either build or raise a LoopoidLabError, never any
-other exception.
+kind's public builder must then either build or raise a LoopoidLabError,
+never any other exception.  The specs cover every spec kind: a loop, a
+system, finite tables and constructions, loopoids and algebroids.
 """
 
 import copy
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example
+from conftest import build_spec, example
 from loopoid_lab.errors import LoopoidLabError
-from loopoid_lab.specio import BUILDERS, parse_spec
 
 # the planar loop and the README system spec, with the loop's unit and the
 # system's Newton block spelled out at their default values so the fuzz
@@ -23,6 +22,22 @@ LOOP_SPEC = example("planar_loop")
 LOOP_SPEC["body"]["unit"] = [0.0, 0.0]
 SYSTEM_SPEC = example("readme_system")
 SYSTEM_SPEC["body"]["newton"] = {"max_iter": 50, "tol": 1e-10, "damping": True, "rcond": 1e-4, "fd_step": 1e-5}
+SPECS = {
+    "planar_loop": LOOP_SPEC,
+    "readme_system": SYSTEM_SPEC,
+    **{
+        name: example(name)
+        for name in (
+            "z4_table",
+            "s3_transversal",
+            "signed_basis_semidirect",
+            "phi_loopoid",
+            "prolonged_planar_loopoid",
+            "prolonged_algebroid",
+            "cross_product_algebroid",
+        )
+    },
+}
 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
 VALUES = st.recursive(
@@ -60,25 +75,24 @@ def mutated(draw, spec):
         parent = parent[key]
     old = parent[path[-1]]
     other_type = VALUES.filter(lambda v: type(v) is not type(old))
-    parent[path[-1]] = draw(_wrong_length(old) | other_type if isinstance(old, list) else other_type)
+    parent[path[-1]] = draw(_wrong_length(old) | other_type if isinstance(old, list) and old else other_type)
     return spec
 
 
-def _build(spec):
-    parsed = parse_spec(json.dumps(spec))
-    return BUILDERS[parsed.kind](parsed.body)
-
-
 def test_unmutated_specs_build():
-    assert _build(LOOP_SPEC).dim == 2
-    system = _build(SYSTEM_SPEC)
+    for spec in SPECS.values():
+        build_spec(spec)
+    assert build_spec(LOOP_SPEC).dim == 2
+    system = build_spec(SYSTEM_SPEC)
     assert system.loopoid.dim_g == 6 and system.newton.tol == 1e-10
+    assert build_spec(SPECS["signed_basis_semidirect"]).order == 32
+    assert build_spec(SPECS["prolonged_algebroid"]).base_dim == 3
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(st.sampled_from([LOOP_SPEC, SYSTEM_SPEC]).flatmap(mutated))
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.sampled_from(sorted(SPECS)).flatmap(lambda name: mutated(SPECS[name])))
 def test_mutated_spec_builds_or_raises_a_library_error(spec):
     try:
-        _build(spec)
+        build_spec(spec)
     except LoopoidLabError:
         pass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import example
+from conftest import build_spec, example
 from loopoid_lab.cli import main
 from loopoid_lab.errors import SchemaError
 from loopoid_lab.specio import (
@@ -32,29 +32,31 @@ def spec_text(kind, body, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_round_trip_canonical():
-    text = spec_text("loopoid", PRODUCT_BODY)
-    spec = parse_spec(text)
-    again = parse_spec(canonical_json(spec.to_dict()))
-    assert canonical_json(spec.to_dict()) == canonical_json(again.to_dict())
-
-
 def test_missing_dim_reports_path():
     body = {"mul": {"kind": "polynomial", "terms": [[]]}}
     with pytest.raises(SchemaError) as err:
-        parse_spec(spec_text("loop", body))
+        build_spec({"kind": "loop", "body": body})
     assert err.value.path == "$.body.dim"
 
 
 def test_non_integer_exponent_reports_path():
     body = {"dim": 1, "mul": {"kind": "polynomial", "terms": [[[1.0, [0.5], [1]]]]}}
     with pytest.raises(SchemaError) as err:
-        parse_spec(spec_text("loop", body))
+        build_spec({"kind": "loop", "body": body})
     assert "exponents" in str(err.value)
 
 
 OCTONION_LOOP_BODY = {"mul": {"kind": "builtin", "name": "octonion"}}
 BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1], [-1, 0]], [[0, 1], [-1, 0]]]}}
+S3_TRANSVERSAL_BODY = example("s3_transversal")["body"]
+SEMIDIRECT_BODY = example("signed_basis_semidirect")["body"]
+Z2_TABLE_BODY = {"kind": "table", "order": 2, "unit": 0, "table": [[0, 1], [1, 0]]}
+# a loopoid over M = R^2 prolonged over a fibration whose base is R^1
+PAIR2_OVER_3_TO_1 = {
+    "kind": "prolongation",
+    "base": {"kind": "pair_groupoid", "dim": 2},
+    "fibration": {"dim_total": 3, "dim_base": 1},
+}
 
 
 @pytest.mark.parametrize(
@@ -88,6 +90,23 @@ BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1],
             },
             "$.body.fibration.dim_base",
         ),
+        (
+            "algebroid",
+            {
+                "kind": "prolongation",
+                "base": {"kind": "constant", "base_dim": 2, "rank": 1, "c": [[[0.0]]], "rho": [[1.0], [0.0]]},
+                "fibration": {"dim_total": 3, "dim_base": 1},
+            },
+            "$.body.fibration.dim_base",
+        ),
+        ("loopoid", PAIR2_OVER_3_TO_1, "$.body.fibration.dim_base"),
+        ("finite", dict(S3_TRANSVERSAL_BODY, subgroup=[0, 99]), "$.body.subgroup[1]"),
+        ("finite", dict(S3_TRANSVERSAL_BODY, subgroup=[0, "a"]), "$.body.subgroup[1]"),
+        ("finite", dict(SEMIDIRECT_BODY, autos=[[0, "x"]]), "$.body.autos[0][1]"),
+        ("finite", dict(SEMIDIRECT_BODY, autos=[[0, 1.5]]), "$.body.autos[0][1]"),
+        ("finite", dict(Z2_TABLE_BODY, unit=5), "$.body.unit"),
+        ("finite", dict(Z2_TABLE_BODY, table=[[0, 1], [1, 2]]), "$.body.table[1][1]"),
+        ("finite", dict(Z2_TABLE_BODY, table=[[0, 1], [True, 0]]), "$.body.table[1][0]"),
     ],
     ids=[
         "unit_short",
@@ -106,11 +125,20 @@ BRACKET_LOOP_BODY = {"dim": 2, "mul": {"kind": "bracket", "constants": [[[0, 1],
         "newton_damping",
         "newton_unknown_field",
         "algebroid_fibration_base_too_large",
+        "algebroid_fibration_base_not_the_base",
+        "loopoid_fibration_base_not_the_base",
+        "subgroup_index_out_of_range",
+        "subgroup_index_not_integer",
+        "auto_entry_not_integer",
+        "auto_entry_float",
+        "table_unit_out_of_range",
+        "table_entry_out_of_range",
+        "table_entry_bool",
     ],
 )
 def test_bad_field_is_a_schema_error_at_its_path(kind, body, path):
     with pytest.raises(SchemaError) as err:
-        parse_spec(spec_text(kind, body))
+        build_spec({"kind": kind, "body": body})
     assert err.value.path == path
 
 
@@ -119,6 +147,9 @@ def test_unknown_kind_rejected():
         parse_spec(json.dumps({"kind": "mystery", "body": {}}))
     with pytest.raises(SchemaError):
         parse_spec("not json")
+    with pytest.raises(SchemaError) as err:  # the octonion command reads no spec
+        parse_spec(json.dumps({"kind": "octonion", "body": {}}))
+    assert err.value.path == "$.kind"
 
 
 def test_canonical_json_is_stable_and_17_digits():
@@ -142,7 +173,7 @@ def test_write_csv_format():
 
 
 def test_build_loop_polynomial_matches_values(rng):
-    chart = build_loop(H_LOOP_BODY)
+    chart = build_loop(H_LOOP_BODY, "$.body")
     x = rng.normal(size=2)
     y = rng.normal(size=2)
     from loopoid_lab.loops import eval_mul
@@ -154,16 +185,17 @@ def test_build_loop_polynomial_matches_values(rng):
 
 
 def test_build_loopoid_kinds():
-    assert build_loopoid(PRODUCT_BODY).dim_g == 6
-    assert build_loopoid({"kind": "pair_groupoid", "dim": 3}).dim_g == 6
-    phi = build_loopoid({"kind": "phi", "phi": {"odd_coeffs": [1.0, 1.0]}})
+    assert build_loopoid(PRODUCT_BODY, "$.body").dim_g == 6
+    assert build_loopoid({"kind": "pair_groupoid", "dim": 3}, "$.body").dim_g == 6
+    phi = build_loopoid({"kind": "phi", "phi": {"odd_coeffs": [1.0, 1.0]}}, "$.body")
     assert phi.dim_g == 3 and phi.inverse_side == "left"
     pro = build_loopoid(
         {
             "kind": "prolongation",
             "base": PRODUCT_BODY,
             "fibration": {"dim_total": 3, "dim_base": 2},
-        }
+        },
+        "$.body",
     )
     assert pro.dim_g == 6 + 2 and pro.dim_m == 3
 
@@ -171,7 +203,7 @@ def test_build_loopoid_kinds():
 def test_build_system_runs_a_step():
     from loopoid_lab.mechanics import step_solve
 
-    system = build_system(SYSTEM_BODY)
+    system = build_system(SYSTEM_BODY, "$.body")
     h = step_solve(system, np.asarray(SYSTEM_BODY["start"]))
     assert abs(h[0] - (1 + np.sqrt(21)) / 2) < 1e-8
 
@@ -411,6 +443,26 @@ def test_cli_schema_error_is_machine_readable(runner, tmp_path):
     assert "$.body.dim" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["loopoid-check", "lie-functor", "tangent-check"])
+def test_cli_fibration_over_another_base_exits_2(runner, tmp_path, command):
+    path = _write(tmp_path, "pro.json", "loopoid", PAIR2_OVER_3_TO_1)
+    result = runner.invoke(main, [command, "--spec", path])
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.output)["error"]
+    assert err == {
+        "type": "SchemaError",
+        "message": "$.body.fibration.dim_base: expected the base's dimension 2, got 1",
+    }
+
+
+def test_cli_negative_spec_seed_exits_2(runner, tmp_path):
+    path = tmp_path / "prod.json"
+    path.write_text(spec_text("loopoid", PRODUCT_BODY, seed=-1), encoding="utf-8")
+    result = runner.invoke(main, ["loopoid-check", "--spec", str(path), "--samples", "2"])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["error"] == {"type": "SchemaError", "message": "$.seed: expected >= 0, got -1"}
+
+
 def test_cli_bad_loop_unit_exits_2(runner, tmp_path):
     path = _write(tmp_path, "loop.json", "loop", dict(BRACKET_LOOP_BODY, unit=[0.0]))
     result = runner.invoke(main, ["loop-algebra", "--spec", path])
@@ -451,11 +503,3 @@ def test_cli_deterministic_reports(runner, tmp_path):
         assert result.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_cli_env_seed_fallback(runner, monkeypatch):
-    monkeypatch.setenv("LOOPOID_LAB_SEED", "7")
-    r1 = runner.invoke(main, ["octonion", "--samples", "200"])
-    r2 = runner.invoke(main, ["octonion", "--samples", "200"])
-    assert r1.exit_code == 0 and r1.output == r2.output
-    assert json.loads(r1.output)["seed"] == 7
