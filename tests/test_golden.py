@@ -37,7 +37,7 @@ FINITE = ("z4_table", "s3_transversal", "signed_basis_semidirect")
 
 
 def _cases():
-    """case name -> (command, spec name, arguments after ``--spec``).
+    """case name -> (command, spec name or None, further arguments).
 
     Output files are named relative to the run's directory.
     """
@@ -62,6 +62,9 @@ def _cases():
         cases[f"loop-algebra-{loop}"] = ("loop-algebra", loop, ["--out", "report.json", "--csv", "skew.csv"])
     for table in FINITE:
         cases[f"verify-finite-{table}"] = ("verify-finite", table, ["--out", "report.json"])
+    cases["octonion"] = (
+        "octonion", None, ["--samples", "2000", "--seed", "0", "--mul", "e1+2e3", "e4", "--out", "report.json"]
+    )
     return cases
 
 
@@ -72,7 +75,7 @@ OUTPUT_NAMES = {"report.json", "traj.csv", "brackets.csv", "skew.csv"}
 def run_case(name, workdir):
     """Run one case in ``workdir``; returns (exit code, stdout, {file written: bytes})."""
     command, spec, args = CASES[name]
-    argv = [command, "--spec", str(EXAMPLES / f"{spec}.json")]
+    argv = [command] + (["--spec", str(EXAMPLES / f"{spec}.json")] if spec else [])
     argv += [str(Path(workdir) / a) if a in OUTPUT_NAMES else a for a in args]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
