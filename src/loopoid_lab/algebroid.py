@@ -56,7 +56,7 @@ def algebroid_frame(q, u):
     has one, otherwise an SVD null space.
     """
     u = np.asarray(u, dtype=float)
-    e = np.asarray(q.unit_embed(u), dtype=float)
+    e = q.unit_embed(u)
     ja = jacobian(q.alpha, e, CHART_STEP)
     jb = jacobian(q.beta, e, CHART_STEP)
     je = jacobian(q.unit_embed, u, CHART_STEP)
@@ -124,20 +124,20 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     g = np.asarray(g, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if side == "left":
-        u = np.asarray(q.beta(g), dtype=float)
+        u = q.beta(g)
         reps = frame_field(u).alpha_vertical
         slab = q.alpha
     elif side == "right":
-        u = np.asarray(q.alpha(g), dtype=float)
+        u = q.alpha(g)
         reps = frame_field(u).beta_reps(orientation)
         slab = q.beta
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    base = np.asarray(q.unit_embed(u), dtype=float)
+    base = q.unit_embed(u)
 
     def mul(points):
         # the stencil's map: every point it evaluates must stay on the slab
-        gap = np.max(np.linalg.norm(np.asarray(slab(points), dtype=float) - u, axis=-1), initial=0.0)
+        gap = np.max(np.linalg.norm(slab(points) - u, axis=-1), initial=0.0)
         if gap > 1e-6:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
         fixed = np.repeat(g[None, :], len(points), axis=0)
@@ -193,7 +193,7 @@ def algebroid_bracket(
     u = np.asarray(u, dtype=float)
     fx = fundamental_field(q, frame_field, x_coeffs, side, orientation)
     fy = fundamental_field(q, frame_field, y_coeffs, side, orientation)
-    e = np.asarray(q.unit_embed(u), dtype=float)
+    e = q.unit_embed(u)
     value = lie_bracket(fx, fy, e)
     fr = frame_field(u)
     coeffs, tm = expand_in_frame(fr, side, value, orientation)

@@ -29,6 +29,10 @@ from .specio import (
 )
 
 
+# sample and step counts: a value below 1 is a usage error (exit 2) naming the option
+COUNT = click.IntRange(min=1)
+
+
 def _emit(report, out):
     text = canonical_json(report)
     if out:
@@ -118,9 +122,8 @@ def main():
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--text", "as_text", is_flag=True, help="also print the human-readable report")
 @_guarded
-def verify_finite(spec_path, out, seed, as_text):
+def verify_finite(spec_path, out, seed):
     """Classify a finite table (or construction) and verify its contract."""
     spec = _load_spec(spec_path, "finite")
     from .finite import validate_latin_square
@@ -128,8 +131,6 @@ def verify_finite(spec_path, out, seed, as_text):
     table = build_finite(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
     rep = validate_latin_square(table, rng=rng)
-    if as_text:
-        click.echo(rep.to_text())
     checks = []
     kind = spec.body["kind"]
     if kind == "transversal":
@@ -160,7 +161,7 @@ def verify_finite(spec_path, out, seed, as_text):
 @main.command("octonion")
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=0, type=int)
-@click.option("--samples", default=10000, type=int)
+@click.option("--samples", default=10000, type=COUNT)
 @click.option("--mul", "mul_expr", nargs=2, default=None, type=str)
 @_guarded
 def octonion_cmd(out, seed, samples, mul_expr):
@@ -186,19 +187,16 @@ def octonion_cmd(out, seed, samples, mul_expr):
     rhs = oct.oct_mul_batch(u1, oct.oct_mul_batch(u2, oct.oct_mul_batch(u1, u3)))
     checks.append(_check("moufang", "octonion.moufang_identity", float(np.abs(lhs - rhs).max()), tol=1e-9))
 
-    g = oct.Octonion(rng.normal(size=8))
-    h = oct.Octonion(rng.normal(size=8))
-    conj_resid = float(np.max(np.abs(((g * h).conj() - h.conj() * g.conj()).coeffs)))
+    g = rng.normal(size=8)
+    h = rng.normal(size=8)
+    gh = oct.oct_mul_batch(g, h)
+    conj_resid = float(np.max(np.abs(oct.oct_conj(gh) - oct.oct_mul_batch(oct.oct_conj(h), oct.oct_conj(g)))))
     checks.append(_check("conjugation_antihom", "octonion.conjugation", conj_resid, tol=1e-12))
 
-    ip_resid = float(
-        np.max(np.abs((oct.oct_inverse(g) * (g * h)).coeffs - h.coeffs))
-    )
+    ip_resid = float(np.max(np.abs(oct.oct_mul_batch(oct.oct_inverse(g), gh) - h)))
     checks.append(_check("inverse_property", "octonion.inverse_property", ip_resid, tol=1e-11))
 
-    inner_resid = abs(
-        oct.oct_inner(g * h, g * h) - g.norm_sq() * oct.oct_inner(h, h)
-    ) / max(1.0, abs(g.norm_sq() * oct.oct_inner(h, h)))
+    inner_resid = abs(gh @ gh - (g @ g) * (h @ h)) / max(1.0, abs((g @ g) * (h @ h)))
     checks.append(_check("inner_scaling", "octonion.inner_invariance", float(inner_resid), tol=1e-12))
 
     report = {
@@ -210,11 +208,12 @@ def octonion_cmd(out, seed, samples, mul_expr):
     if mul_expr:
         x = oct.parse_expression(mul_expr[0])
         y = oct.parse_expression(mul_expr[1])
+        xy = oct.oct_mul_batch(x, y)
         report["product"] = {
-            "lhs": x.coeffs.tolist(),
-            "rhs": y.coeffs.tolist(),
-            "result": (x * y).coeffs.tolist(),
-            "result_expression": oct.format_expression(x * y),
+            "lhs": x.tolist(),
+            "rhs": y.tolist(),
+            "result": xy.tolist(),
+            "result_expression": oct.format_expression(xy),
         }
     return _finish(report, out)
 
@@ -261,7 +260,7 @@ def loop_algebra(spec_path, out, csv_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--samples", default=20, type=int)
+@click.option("--samples", default=20, type=COUNT)
 @click.option("--tol", default=1e-8, type=float)
 @_guarded
 def loopoid_check(spec_path, out, seed, samples, tol):
@@ -294,7 +293,7 @@ def loopoid_check(spec_path, out, seed, samples, tol):
 @click.option("--out", default=None, type=click.Path())
 @click.option("--csv", "csv_path", default=None, type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--samples", default=3, type=int)
+@click.option("--samples", default=3, type=COUNT)
 @_guarded
 def lie_functor(spec_path, out, csv_path, seed, samples):
     """Brackets, anchors, almost-Lie and sign-theorem residuals.
@@ -336,7 +335,7 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
         from .numdiff import CHART_STEP, jacobian
 
         fr = ff(u0)
-        ji = jacobian(q.inverse, np.asarray(q.unit_embed(u0), dtype=float), CHART_STEP)
+        ji = jacobian(q.inverse, q.unit_embed(u0), CHART_STEP)
         lemma = float(np.max(np.abs((ji @ fr.alpha_vertical.T).T + fr.beta_vertical)))
         checks.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
         checks.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
@@ -403,7 +402,7 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--samples", default=5, type=int)
+@click.option("--samples", default=5, type=COUNT)
 @click.option("--tol", default=1e-6, type=float)
 @_guarded
 def tangent_check(spec_path, out, seed, samples, tol):
@@ -424,7 +423,7 @@ def tangent_check(spec_path, out, seed, samples, tol):
 
 @main.command("simulate")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--steps", default=1, type=int)
+@click.option("--steps", default=1, type=COUNT)
 @click.option("--start", "start_str", default=None, type=str)
 @click.option("--out", "csv_path", default=None, type=click.Path())
 @click.option("--report", "report_path", default=None, type=click.Path())
@@ -479,7 +478,7 @@ def legendre_cmd(spec_path, at_str, out, seed):
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
     consistency = legendre_vs_cotangent(system, g)
-    reg = regularity_check(system, np.asarray(q.beta(g), dtype=float), seed=seed if seed is not None else spec.seed)
+    reg = regularity_check(system, q.beta(g), seed=seed if seed is not None else spec.seed)
     checks = [
         _check("cotangent_consistency", "mechanics.legendre_fibration", float(consistency), tol=1e-7),
         _check("flow_matches_legendre", "mechanics.flow_intertwines", float(reg["flow_matches_legendre_residual"]), tol=1e-7),

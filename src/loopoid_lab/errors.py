@@ -36,10 +36,6 @@ class DivisionByZero(LoopoidLabError):
 
 # -- smooth charts ------------------------------------------------------------
 
-class DomainError(LoopoidLabError):
-    """Chart evaluated outside its declared validity radius."""
-
-
 class NotAntisymmetric(LoopoidLabError):
     """Structure constants are not antisymmetric in their lower indices."""
 

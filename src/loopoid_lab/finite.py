@@ -78,14 +78,6 @@ class IdentityReport:
         }
         return d
 
-    def to_text(self):
-        lines = ["identity report" + ("" if self.exhaustive else " (sampled)")]
-        for k, v in self.to_dict().items():
-            if k == "exhaustive":
-                continue
-            lines.append(f"  {k:<24} {v}")
-        return "\n".join(lines)
-
 
 def _find_unit(t):
     n = t.shape[0]

@@ -11,13 +11,13 @@ Constructions: the pair groupoid, the product of a smooth loop with a pair
 groupoid, the odd-diffeomorphism quasiloopoid on a constrained 3-coordinate
 chart, and the prolongation over a coordinate fibration.
 
-Row contract: the alpha, beta and mul of every construction here, and the
-proj and join of ``SplitFibration``, take ``(..., d)`` operands
-with equal leading shapes and return ``(..., d')``, each row equal bit for
-bit to the map of that row alone.  The maps work along the last axis
-only and never broadcast one point against a stack, so a caller that pairs
-a fixed point with a stack of points repeats it first.  The other maps
-(unit_embed, inverse, the samplers) take one point.
+Row contract: the alpha, beta, unit_embed, mul and inverse of every
+construction here, and the proj, split and join of ``SplitFibration``,
+take ``(..., d)`` operands with equal leading shapes and return ``(...,
+d')``, each row equal bit for bit to the map of that row alone.  The maps
+work along the last axis only and never broadcast one point against a
+stack, so a caller that pairs a fixed point with a stack of points repeats
+it first.
 """
 
 from dataclasses import dataclass
@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotComposable, NotMonotone, NotOdd
-from .loops import eval_mul
+from .errors import NotMonotone, NotOdd
 from .newton import newton_solve
 from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
 
@@ -43,12 +42,12 @@ class ChartedQuasiloopoid:
     beta: Callable
     unit_embed: Callable
     mul: Callable
+    sampler: Callable  # (rng, n) -> (n, dim_g)
     inverse: Optional[Callable] = None
     inverse_side: str = "both"  # "both" for I.P., "left" for a left inverse only
     claims_loopoid: bool = False
     claims_ip: bool = False
     name: str = "quasiloopoid"
-    sampler: Optional[Callable] = None           # (rng, n) -> (n, dim_g)
     preferred_alpha_vertical: Optional[Callable] = None  # u -> (r, dim_g)
 
     @property
@@ -56,11 +55,7 @@ class ChartedQuasiloopoid:
         return self.dim_g - self.dim_m
 
     def sample_g(self, rng, n):
-        if self.sampler is not None:
-            return np.asarray(self.sampler(rng, n), dtype=float)
-        us = self.sample_m(rng, n)
-        pts = np.stack([np.asarray(self.unit_embed(u), dtype=float) for u in us])
-        return pts + rng.normal(scale=0.15, size=pts.shape)
+        return self.sampler(rng, n)
 
     def sample_m(self, rng, n):
         return rng.normal(scale=0.3, size=(n, self.dim_m))
@@ -68,23 +63,14 @@ class ChartedQuasiloopoid:
 
 def composable(q, g, h):
     """True when ||beta(g) - alpha(h)|| is inside the tolerance slab."""
-    gap = np.linalg.norm(np.asarray(q.beta(g)) - np.asarray(q.alpha(h)))
+    gap = np.linalg.norm(q.beta(g) - q.alpha(h))
     return bool(gap < COMPOSABLE_TOL)
-
-
-def multiply(q, g, h, *, unchecked=False):
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if not unchecked and not composable(q, g, h):
-        gap = np.linalg.norm(np.asarray(q.beta(g)) - np.asarray(q.alpha(h)))
-        raise NotComposable(f"||beta(g) - alpha(h)|| = {gap:.3e} exceeds tol {COMPOSABLE_TOL:.1e}")
-    return np.asarray(q.mul(g, h), dtype=float)
 
 
 def snap_to_alpha_fiber(q, h, target_m):
     """Newton-project h so that alpha(h) = target_m (minimum-norm update)."""
     target_m = np.asarray(target_m, dtype=float)
-    res = lambda p: np.asarray(q.alpha(p), dtype=float) - target_m
+    res = lambda p: q.alpha(p) - target_m
     h2, _ = newton_solve(res, h, tol=1e-12)
     return h2
 
@@ -115,14 +101,14 @@ def pair_groupoid(n):
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
-        return np.concatenate([u, u])
+        return np.concatenate([u, u], axis=-1)
 
     def mul(g, h):
         return np.concatenate([np.asarray(g, dtype=float)[..., :n], np.asarray(h, dtype=float)[..., n:]], axis=-1)
 
     def inverse(g):
         g = np.asarray(g, dtype=float)
-        return np.concatenate([g[n:], g[:n]])
+        return np.concatenate([g[..., n:], g[..., :n]], axis=-1)
 
     def pav(u):
         basis = np.zeros((n, 2 * n))
@@ -136,11 +122,11 @@ def pair_groupoid(n):
         beta=beta,
         unit_embed=unit_embed,
         mul=mul,
+        sampler=lambda rng, k: rng.normal(scale=0.4, size=(k, 2 * n)),
         inverse=inverse,
         claims_loopoid=True,
         claims_ip=True,
         name=f"pair_groupoid({n})",
-        sampler=lambda rng, k: rng.normal(scale=0.4, size=(k, 2 * n)),
         preferred_alpha_vertical=pav,
     )
 
@@ -161,18 +147,18 @@ def product_loopoid(loop, n):
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
-        return np.concatenate([loop.unit, u, u])
+        return np.concatenate([np.broadcast_to(loop.unit, u.shape[:-1] + (d,)), u, u], axis=-1)
 
     def mul(g, h):
         g = np.asarray(g, dtype=float)
         h = np.asarray(h, dtype=float)
-        return np.concatenate([eval_mul(loop, g[..., :d], h[..., :d]), g[..., d : d + n], h[..., d + n :]], axis=-1)
+        return np.concatenate([loop.mul(g[..., :d], h[..., :d]), g[..., d : d + n], h[..., d + n :]], axis=-1)
 
     inverse = None
     if loop.inverse is not None:
         def inverse(g):
             g = np.asarray(g, dtype=float)
-            return np.concatenate([loop.inverse(g[:d]), g[d + n :], g[d : d + n]])
+            return np.concatenate([loop.inverse(g[..., :d]), g[..., d + n :], g[..., d : d + n]], axis=-1)
 
     def sampler(rng, k):
         xs = loop.sample(rng, k)
@@ -193,11 +179,11 @@ def product_loopoid(loop, n):
         beta=beta,
         unit_embed=unit_embed,
         mul=mul,
+        sampler=sampler,
         inverse=inverse,
         claims_loopoid=True,
         claims_ip=loop.inverse is not None,
         name=f"product({loop.name},{n})",
-        sampler=sampler,
         preferred_alpha_vertical=pav,
     )
 
@@ -228,8 +214,7 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2]], axis=-1)
 
     def unit_embed(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([u[0], u[1], u[1]])
+        return np.asarray(u, dtype=float)[..., [0, 1, 1]]
 
     def mul(g, h):
         g = np.asarray(g, dtype=float)
@@ -237,7 +222,7 @@ def phi_quasiloopoid(phi, phi_name="phi"):
 
     def inverse(g):
         g = np.asarray(g, dtype=float)
-        return np.array([g[0] - phi(g[1] - g[2]), g[2], g[1]])
+        return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2], g[..., 1]], axis=-1)
 
     return ChartedQuasiloopoid(
         dim_g=3,
@@ -246,12 +231,12 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         beta=beta,
         unit_embed=unit_embed,
         mul=mul,
+        sampler=lambda rng_, k: rng_.normal(scale=0.4, size=(k, 3)),
         inverse=inverse,
         inverse_side="left",
         claims_loopoid=False,
         claims_ip=False,
         name=f"phi_quasiloopoid({phi_name})",
-        sampler=lambda rng_, k: rng_.normal(scale=0.4, size=(k, 3)),
     )
 
 
@@ -260,9 +245,9 @@ class SplitFibration:
     """The coordinate fibration R^dim_total -> R^dim_base.
 
     ``proj`` keeps the first dim_base coordinates, the fiber coordinates are
-    the rest, ``split`` returns (base, fiber) of one point and ``join``
-    concatenates them, so the Jacobians of ``join`` are the constant blocks
-    [I; 0] (base) and [0; I] (fiber).
+    the rest, ``split`` returns (base, fiber) and ``join`` concatenates
+    them, so the Jacobians of ``join`` are the constant blocks [I; 0] (base)
+    and [0; I] (fiber).
     """
 
     dim_total: int
@@ -277,7 +262,7 @@ class SplitFibration:
 
     def split(self, p):
         p = np.asarray(p, dtype=float)
-        return p[: self.dim_base], p[self.dim_base :]
+        return p[..., : self.dim_base], p[..., self.dim_base :]
 
     def join(self, base, fib):
         return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)], axis=-1)
@@ -314,18 +299,18 @@ def prolongation_loopoid(q, pi):
 
     def unit_embed(p):
         base, fib = pi.split(p)
-        return np.concatenate([fib, np.asarray(q.unit_embed(base), dtype=float), fib])
+        return np.concatenate([fib, q.unit_embed(base), fib], axis=-1)
 
     def mul(z, w):
         f, g, _ = unpack(z)
         _, h, fw2 = unpack(w)
-        return np.concatenate([f, np.asarray(q.mul(g, h), dtype=float), fw2], axis=-1)
+        return np.concatenate([f, q.mul(g, h), fw2], axis=-1)
 
     inverse = None
     if q.inverse is not None:
         def inverse(z):
             f, g, f2 = unpack(z)
-            return np.concatenate([f2, np.asarray(q.inverse(g), dtype=float), f])
+            return np.concatenate([f2, q.inverse(g), f], axis=-1)
 
     def sampler(rng, k):
         gs = q.sample_g(rng, k)
@@ -350,12 +335,12 @@ def prolongation_loopoid(q, pi):
         beta=beta,
         unit_embed=unit_embed,
         mul=mul,
+        sampler=sampler,
         inverse=inverse,
         inverse_side=q.inverse_side,
         claims_loopoid=q.claims_loopoid,
         claims_ip=q.claims_ip,
         name=f"prolongation({q.name})",
-        sampler=sampler,
         preferred_alpha_vertical=pav,
     )
 
@@ -367,7 +352,7 @@ def loop_as_loopoid(loop):
         return np.zeros(np.shape(g)[:-1] + (0,))
 
     def unit_embed(u):
-        return loop.unit.copy()
+        return np.broadcast_to(loop.unit, np.shape(u)[:-1] + (loop.dim,)).copy()
 
     return ChartedQuasiloopoid(
         dim_g=loop.dim,
@@ -375,12 +360,12 @@ def loop_as_loopoid(loop):
         alpha=alpha,
         beta=alpha,
         unit_embed=unit_embed,
-        mul=lambda g, h: eval_mul(loop, g, h),
+        mul=loop.mul,
+        sampler=loop.sample,
         inverse=loop.inverse,
         claims_loopoid=True,
         claims_ip=loop.inverse is not None,
         name=f"loop({loop.name})",
-        sampler=lambda rng, k: loop.sample(rng, k),
     )
 
 
@@ -401,16 +386,16 @@ def build_local_section(q, side, through, *, predictor="unit"):
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     side_map = q.alpha if side == "alpha" else q.beta
-    q0 = np.asarray(side_map(through), dtype=float)
-    e0 = np.asarray(q.unit_embed(q0), dtype=float)
+    q0 = side_map(through)
+    e0 = q.unit_embed(q0)
 
     def section(qp):
         qp = np.asarray(qp, dtype=float)
         if predictor == "unit":
-            seed = through + (np.asarray(q.unit_embed(qp), dtype=float) - e0)
+            seed = through + (q.unit_embed(qp) - e0)
         else:
             seed = through
-        res = lambda p: np.asarray(side_map(p), dtype=float) - qp
+        res = lambda p: side_map(p) - qp
         p, _ = newton_solve(res, seed, tol=1e-11, max_iter=60)
         return p
 
@@ -466,9 +451,9 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     us = q.sample_m(rng, n_samples)
     unit_sec = 0.0
     for u in us:
-        e = np.asarray(q.unit_embed(u), dtype=float)
-        unit_sec = max(unit_sec, float(np.linalg.norm(np.asarray(q.alpha(e)) - u)))
-        unit_sec = max(unit_sec, float(np.linalg.norm(np.asarray(q.beta(e)) - u)))
+        e = q.unit_embed(u)
+        unit_sec = max(unit_sec, float(np.linalg.norm(q.alpha(e) - u)))
+        unit_sec = max(unit_sec, float(np.linalg.norm(q.beta(e) - u)))
 
     pairs = sample_composable_pairs(q, rng, n_samples)
     left_unit = right_unit = 0.0
@@ -482,56 +467,56 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     have_inv = q.inverse is not None
 
     for g, h in pairs:
-        ag = np.asarray(q.alpha(g), dtype=float)
-        bg = np.asarray(q.beta(g), dtype=float)
-        right_unit = max(right_unit, float(np.linalg.norm(multiply(q, g, q.unit_embed(bg), unchecked=True) - g)))
-        left_unit = max(left_unit, float(np.linalg.norm(multiply(q, q.unit_embed(ag), g, unchecked=True) - g)))
+        ag = q.alpha(g)
+        bg = q.beta(g)
+        right_unit = max(right_unit, float(np.linalg.norm(q.mul(g, q.unit_embed(bg)) - g)))
+        left_unit = max(left_unit, float(np.linalg.norm(q.mul(q.unit_embed(ag), g) - g)))
 
         ja = jacobian(q.alpha, g, CHART_STEP)
         jb = jacobian(q.beta, g, CHART_STEP)
         a_min = min(a_min, smallest_singular_value(ja))
         b_min = min(b_min, smallest_singular_value(jb))
 
-        gh = multiply(q, g, h, unchecked=True)
-        a_anchor = max(a_anchor, float(np.linalg.norm(np.asarray(q.alpha(gh)) - ag)))
-        b_anchor = max(b_anchor, float(np.linalg.norm(np.asarray(q.beta(gh)) - np.asarray(q.beta(h)))))
+        gh = q.mul(g, h)
+        a_anchor = max(a_anchor, float(np.linalg.norm(q.alpha(gh) - ag)))
+        b_anchor = max(b_anchor, float(np.linalg.norm(q.beta(gh) - q.beta(h))))
 
         # unities associativity with definedness bookkeeping, unit in each slot
         for which in ("left", "middle", "right"):
             if which == "left":
-                x, y, z = np.asarray(q.unit_embed(ag)), g, h
+                x, y, z = q.unit_embed(ag), g, h
             elif which == "middle":
-                x, y, z = g, np.asarray(q.unit_embed(bg)), h
+                x, y, z = g, q.unit_embed(bg), h
             else:
-                x, y, z = g, h, np.asarray(q.unit_embed(q.beta(h)))
-            lhs_def = composable(q, x, y) and composable(q, multiply(q, x, y, unchecked=True), z)
-            rhs_def = composable(q, y, z) and composable(q, x, multiply(q, y, z, unchecked=True))
+                x, y, z = g, h, q.unit_embed(q.beta(h))
+            lhs_def = composable(q, x, y) and composable(q, q.mul(x, y), z)
+            rhs_def = composable(q, y, z) and composable(q, x, q.mul(y, z))
             if lhs_def and rhs_def:
-                lhs = multiply(q, multiply(q, x, y, unchecked=True), z, unchecked=True)
-                rhs = multiply(q, x, multiply(q, y, z, unchecked=True), unchecked=True)
+                lhs = q.mul(q.mul(x, y), z)
+                rhs = q.mul(x, q.mul(y, z))
                 ua_resid = max(ua_resid, float(np.linalg.norm(lhs - rhs)))
             elif lhs_def != rhs_def:
                 ua_mismatch += 1
 
         # translations restricted to fiber directions: left translation by g
         # on the alpha-fiber of h, right translation by h on the beta-fiber of g
-        sv, resid = on_fiber(q.alpha, lambda p: multiply(q, g, p, unchecked=True), h, gh)
+        sv, resid = on_fiber(q.alpha, lambda p: q.mul(g, p), h, gh)
         lt_min, fiber_resid = min(lt_min, sv), max(fiber_resid, resid)
-        sv, resid = on_fiber(q.beta, lambda p: multiply(q, p, h, unchecked=True), g, gh)
+        sv, resid = on_fiber(q.beta, lambda p: q.mul(p, h), g, gh)
         rt_min, fiber_resid = min(rt_min, sv), max(fiber_resid, resid)
 
         if have_inv:
             # definedness is part of the property: a composability gap in
             # g^{-1}(gh) or (gh)h^{-1} counts against the residual
-            gi = np.asarray(q.inverse(g), dtype=float)
-            lgap = float(np.linalg.norm(np.asarray(q.beta(gi)) - np.asarray(q.alpha(gh))))
-            lip = max(lip, lgap, float(np.linalg.norm(multiply(q, gi, gh, unchecked=True) - h)))
-            hi = np.asarray(q.inverse(h), dtype=float)
-            rgap = float(np.linalg.norm(np.asarray(q.beta(gh)) - np.asarray(q.alpha(hi))))
-            rip = max(rip, rgap, float(np.linalg.norm(multiply(q, gh, hi, unchecked=True) - g)))
-            ipid = max(ipid, float(np.linalg.norm(multiply(q, g, gi, unchecked=True) - q.unit_embed(ag))))
-            ipid = max(ipid, float(np.linalg.norm(multiply(q, gi, g, unchecked=True) - q.unit_embed(bg))))
-            ipid = max(ipid, float(np.linalg.norm(np.asarray(q.inverse(gi), dtype=float) - g)))
+            gi = q.inverse(g)
+            lgap = float(np.linalg.norm(q.beta(gi) - q.alpha(gh)))
+            lip = max(lip, lgap, float(np.linalg.norm(q.mul(gi, gh) - h)))
+            hi = q.inverse(h)
+            rgap = float(np.linalg.norm(q.beta(gh) - q.alpha(hi)))
+            rip = max(rip, rgap, float(np.linalg.norm(q.mul(gh, hi) - g)))
+            ipid = max(ipid, float(np.linalg.norm(q.mul(g, gi) - q.unit_embed(ag))))
+            ipid = max(ipid, float(np.linalg.norm(q.mul(gi, g) - q.unit_embed(bg))))
+            ipid = max(ipid, float(np.linalg.norm(q.inverse(gi) - g)))
 
     submersions_ok = q.dim_m == 0 or (a_min > 1e-7 and b_min > 1e-7)
     translations_ok = (

@@ -8,10 +8,11 @@ s^k_ij = c^k_ij - c^k_ji is the skew algebra of the loop.
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
 
-Row contract: every multiplication built here, and ``eval_mul``, takes two
-``(..., dim)`` operands with equal leading shapes and returns ``(...,
-dim)``; each row equals, bit for bit, the product of that row alone, so a
-difference stencil can evaluate all its points in one call.
+Row contract: every multiplication built here takes two ``(..., dim)``
+operands with equal leading shapes and returns ``(..., dim)``, and the
+octonion inverse takes ``(..., 8)``; each row equals, bit for bit, the map
+of that row alone, so a difference stencil can evaluate all its points in
+one call.
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotAntisymmetric, NumericalNoise
+from .errors import NotAntisymmetric, NumericalNoise
 from .numdiff import CHART_STEP, mixed_bilinear
-from .octonion import Octonion, oct_inverse, oct_mul_batch
+from .octonion import oct_inverse, oct_mul_batch
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class SmoothLoopChart:
     dim: int
     mul: Callable
     unit: np.ndarray = None
-    domain_radius: float = np.inf
     inverse: Optional[Callable] = None
     name: str = "loop"
 
@@ -43,24 +43,12 @@ class SmoothLoopChart:
         return self.unit[None, :] + rng.normal(scale=0.2, size=(n, self.dim))
 
 
-def eval_mul(chart, x, y):
-    """x * y, row by row, with a validity-radius guard around the unit."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.isfinite(chart.domain_radius):
-        r = chart.domain_radius
-        if np.max(np.abs(x - chart.unit)) > r or np.max(np.abs(y - chart.unit)) > r:
-            raise DomainError(f"point outside validity radius {r}")
-    return np.asarray(chart.mul(x, y), dtype=float).reshape(x.shape)
-
-
 def _raw_constants(chart, rel_step):
     n = chart.dim
     c = np.zeros((n, n, n))
-    f = lambda x, y: eval_mul(chart, x, y)
     for i in range(n):
         for j in range(n):
-            c[:, i, j] = mixed_bilinear(f, chart.unit, chart.unit, i, j, rel_step)
+            c[:, i, j] = mixed_bilinear(chart.mul, chart.unit, chart.unit, i, j, rel_step)
     return c
 
 
@@ -116,20 +104,13 @@ def bracket_loop(dim, bracket_constants):
 
 def octonion_chart():
     """The invertible octonions as an 8-dim chart with unit e0."""
-
-    def mul(x, y):
-        return oct_mul_batch(np.reshape(x, (-1, 8)), np.reshape(y, (-1, 8))).reshape(np.shape(x))
-
-    def inv(x):
-        return oct_inverse(Octonion(x)).coeffs
-
     unit = np.zeros(8)
     unit[0] = 1.0
     return SmoothLoopChart(
         dim=8,
-        mul=mul,
+        mul=oct_mul_batch,
         unit=unit,
-        inverse=inv,
+        inverse=oct_inverse,
         name="octonion",
     )
 

@@ -19,10 +19,15 @@ the pair-groupoid leg equations coincide with the composability
 constraints; the strict "normal_class" orientation instead reproduces the
 free-particle step u -> 2v - u on the pair groupoid.  The orientation is a
 system-level switch so every operation stays mutually consistent.
+
+Row contract: a system's Lagrangian maps ``(..., dim_g)`` points to
+``(...)`` values, each equal bit for bit to its value at that point alone,
+so a difference stencil evaluates it once on all its points.
 """
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -54,14 +59,10 @@ class DiscreteLagrangianSystem:
     lagrangian: Callable
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     orientation: str = ALIGNED
-    frame_field: Optional[Callable] = None
 
+    @cached_property
     def frames(self):
-        if self.frame_field is not None:
-            return self.frame_field
-        ff = make_frame_field(self.loopoid)
-        object.__setattr__(self, "frame_field", ff)
-        return ff
+        return make_frame_field(self.loopoid)
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,15 @@ def _derivative_along(system, side, g):
     """Directional derivatives of L along the side's frame fields at g."""
     q = system.loopoid
     g = np.asarray(g, dtype=float)
-    fields = prolong(q, system.frames(), np.eye(q.rank), side, g, system.orientation)
-    # the Lagrangian takes one point, so it runs row by row on the stencil
-    lag = lambda points: np.array([float(system.lagrangian(p)) for p in points])
-    return directional(lag, g, fields, CHART_STEP)
+    fields = prolong(q, system.frames, np.eye(q.rank), side, g, system.orientation)
+    return directional(system.lagrangian, g, fields, CHART_STEP)
 
 
 def el_residual(system, g, h, *, check=True):
     """DL(g, h) in the dual frame at beta(g)."""
     q = system.loopoid
     if check and not composable(q, g, h):
-        gap = np.linalg.norm(np.asarray(q.beta(g)) - np.asarray(q.alpha(h)))
+        gap = np.linalg.norm(q.beta(g) - q.alpha(h))
         raise NotComposable(f"pair gap {gap:.3e}")
     return _derivative_along(system, "left", g) - _derivative_along(system, "right", h)
 
@@ -105,9 +104,9 @@ def legendre(system, side, g):
 def legendre_vs_cotangent(system, g):
     """Residual of F(+/-)L against the cotangent fibrations applied to dL."""
     q = system.loopoid
-    ff = system.frames()
+    ff = system.frames
     g = np.asarray(g, dtype=float)
-    dl = gradient(lambda p: system.lagrangian(p), g, CHART_STEP)
+    dl = gradient(system.lagrangian, g, CHART_STEP)
     mu = CovectorElement(g, dl)
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
@@ -119,7 +118,7 @@ def legendre_vs_cotangent(system, g):
     )
 
 
-def step_solve(system, g, branch_seed=None):
+def step_solve(system, g):
     """Solve alpha(h) = beta(g) stacked with DL(g, h) = 0 for h.
 
     g is fixed, so the g-side term of DL (the derivative along the left
@@ -127,33 +126,30 @@ def step_solve(system, g, branch_seed=None):
     differentiates only along the right fields at h.
 
     The Newton seed is the embedded unit of beta(g) nudged toward g's fiber
-    offset, which picks the solution branch continuous from the unit;
-    ``branch_seed`` adds a caller-chosen offset on top.  Steps go through
-    lstsq, so leg equations that repeat the composability constraint leave
-    their free coordinates pinned to the seed.
+    offset, which picks the solution branch continuous from the unit.
+    Steps go through lstsq, so leg equations that repeat the composability
+    constraint leave their free coordinates pinned to the seed.
     """
     q = system.loopoid
     g = np.asarray(g, dtype=float)
-    bg = np.asarray(q.beta(g), dtype=float)
-    seed = np.asarray(q.unit_embed(bg), dtype=float)
+    bg = q.beta(g)
+    seed = q.unit_embed(bg)
     # nudge only along the doubly-vertical directions: enough to leave the
     # unit saddle of the fiber equations, while coordinates the system does
     # not constrain stay pinned at the unit values
-    fiber_offset = g - np.asarray(q.unit_embed(q.alpha(g)), dtype=float)
+    fiber_offset = g - q.unit_embed(q.alpha(g))
     biv = null_space(
         np.vstack([jacobian(q.alpha, seed, CHART_STEP), jacobian(q.beta, seed, CHART_STEP)])
     )
     if biv.size:
         seed = seed + 0.1 * (biv.T @ (biv @ fiber_offset))
-    if branch_seed is not None:
-        seed = seed + np.asarray(branch_seed, dtype=float)
 
     left = _derivative_along(system, "left", g)
 
     def residual(h):
         return np.concatenate(
             [
-                np.asarray(q.alpha(h), dtype=float) - bg,
+                q.alpha(h) - bg,
                 left - _derivative_along(system, "right", h),
             ]
         )
@@ -162,7 +158,7 @@ def step_solve(system, g, branch_seed=None):
     return h
 
 
-def trajectory(system, g0, n_steps, branch_seed=None):
+def trajectory(system, g0, n_steps):
     """Iterate the step map; records EL residuals and composability gaps."""
     q = system.loopoid
     pts = [np.asarray(g0, dtype=float)]
@@ -170,7 +166,7 @@ def trajectory(system, g0, n_steps, branch_seed=None):
     gaps = []
     for k in range(n_steps):
         try:
-            h = step_solve(system, pts[-1], branch_seed)
+            h = step_solve(system, pts[-1])
         except LoopoidLabError as exc:
             # prefix the step in place, so the type and fields such as
             # SingularJacobian.cond survive
@@ -178,7 +174,7 @@ def trajectory(system, g0, n_steps, branch_seed=None):
             raise
         residuals.append(float(np.linalg.norm(el_residual(system, pts[-1], h, check=False))))
         gaps.append(
-            float(np.linalg.norm(np.asarray(q.beta(pts[-1])) - np.asarray(q.alpha(h))))
+            float(np.linalg.norm(q.beta(pts[-1]) - q.alpha(h)))
         )
         pts.append(h)
     return Trajectory(
@@ -201,17 +197,13 @@ def regularity_check(system, u, seed=0):
     q = system.loopoid
     rng = np.random.default_rng(seed)
     u = np.asarray(u, dtype=float)
-    e0 = np.asarray(q.unit_embed(u), dtype=float)
+    e0 = q.unit_embed(u)
 
     def chart_map(g):
-        return np.concatenate(
-            [np.asarray(q.beta(g), dtype=float), legendre(system, "plus", g)]
-        )
+        return np.concatenate([q.beta(g), legendre(system, "plus", g)])
 
     def chart_map_minus(g):
-        return np.concatenate(
-            [np.asarray(q.alpha(g), dtype=float), legendre(system, "minus", g)]
-        )
+        return np.concatenate([q.alpha(g), legendre(system, "minus", g)])
 
     points = [e0] + [e0 + rng.normal(scale=0.1, size=q.dim_g) for _ in range(5)]
     min_sv_plus = np.inf

@@ -18,9 +18,8 @@ Row contract: ``directional`` with a single direction evaluates ``f`` on
 1-D points, so ``f`` may be any map of one point.  With a ``(k, n)``
 matrix of directions it calls ``f`` once on the ``(2k, n)`` stack of its
 stencil points, so ``f`` must map each row of a ``(..., n)`` array the way
-it maps that row alone; the chart maps of ``loops`` and ``loopoids`` do,
-given operands with equal leading shapes.  A system's Lagrangian takes one
-point, so ``mechanics`` hands ``directional`` a map that runs it row by row.
+it maps that row alone; the chart maps of ``loops`` and ``loopoids`` and
+the Lagrangians ``specio`` builds do.
 """
 
 import numpy as np

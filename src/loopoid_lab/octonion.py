@@ -9,9 +9,10 @@ triples
 meaning e.g. e1 e2 = e3, e2 e3 = e1, e3 e1 = e2, together with e_i^2 = -1
 and e0 = 1.  The induced bilinear product is norm multiplicative, which the
 test suite checks on seeded random batches.
-"""
 
-from dataclasses import dataclass
+An octonion is an array of its 8 coefficients over e0..e7; the product,
+conjugation and inverse take ``(..., 8)`` stacks and act row by row.
+"""
 
 import numpy as np
 
@@ -51,77 +52,28 @@ for _i in range(8):
 INVERT_EPS = 1e-300
 
 
-@dataclass(frozen=True)
-class Octonion:
-    """8 real coefficients over the basis e0..e7, with e0 the identity."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(8)
-        object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def basis(i):
-        c = np.zeros(8)
-        c[i] = 1.0
-        return Octonion(c)
-
-    def __add__(self, other):
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Octonion(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Octonion(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return oct_mul(self, other)
-        return Octonion(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        c = self.coeffs.copy()
-        c[1:] = -c[1:]
-        return Octonion(c)
-
-    def norm_sq(self):
-        return float(self.coeffs @ self.coeffs)
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def __repr__(self):
-        return f"Octonion({self.coeffs.tolist()})"
-
-
-def oct_mul(a, b):
-    """Bilinear table-driven product."""
-    out = _kernels.oct_mul_many(a.coeffs[None, :], b.coeffs[None, :], MUL_TENSOR)[0]
-    return Octonion(out)
-
-
 def oct_mul_batch(a, b):
-    """Product of (N, 8) coefficient batches; hot path of the random checks."""
+    """Product of ``(..., 8)`` coefficient stacks with equal shapes, row by row."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _kernels.oct_mul_many(a, b, MUL_TENSOR)
+    return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), MUL_TENSOR).reshape(a.shape)
 
 
-def oct_inverse(g):
-    """g^{-1} = conj(g) / |g|^2; refuses numerically zero inputs."""
-    nsq = g.norm_sq()
-    if g.norm() < INVERT_EPS:
+def oct_conj(x):
+    """Conjugates of a ``(..., 8)`` stack: the e1..e7 parts negated."""
+    out = np.array(x, dtype=float)
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def oct_inverse(x):
+    """x^{-1} = conj(x) / |x|^2 row by row; refuses numerically zero rows."""
+    x = np.asarray(x, dtype=float)
+    # a row's |x|^2 as a stacked matmul rounds as x @ x does on that row alone
+    nsq = (x[..., None, :] @ x[..., :, None])[..., 0]
+    if np.any(np.sqrt(nsq) < INVERT_EPS):
         raise DivisionByZero("octonion norm below inversion threshold")
-    return Octonion(g.conj().coeffs / nsq)
-
-
-def oct_inner(g, h):
-    """Euclidean pairing of coefficients; equals the e0 part of (g h* + h g*)/2."""
-    return float(g.coeffs @ h.coeffs)
+    return oct_conj(x) / nsq
 
 
 def random_octonions(rng, n):
@@ -134,7 +86,7 @@ def random_unit_octonions(rng, n):
 
 
 def parse_expression(text):
-    """Parse "e1 + 2e3 - 0.5" style basis expressions into an Octonion."""
+    """Parse "e1 + 2e3 - 0.5" style basis expressions into 8 coefficients."""
     import re
 
     cleaned = text.replace(" ", "")
@@ -159,14 +111,15 @@ def parse_expression(text):
         matched = True
     if not matched:
         raise ValueError(f"cannot parse octonion expression: {text!r}")
-    return Octonion(coeffs)
+    return coeffs
 
 
-def format_expression(g, digits=12):
+def format_expression(coeffs):
+    """The basis expression of 8 coefficients, each to 12 significant digits."""
     parts = []
-    for i, c in enumerate(g.coeffs):
-        if abs(c) < 10 ** (-digits):
+    for i, c in enumerate(coeffs):
+        if abs(c) < 1e-12:
             continue
-        coef = f"{c:.{digits}g}"
+        coef = f"{c:.12g}"
         parts.append(f"{coef}e{i}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"

@@ -367,11 +367,21 @@ def build_algebroid(body, path):
 
 
 def make_scalar_polynomial(terms, dim):
-    parsed = [(float(c), np.asarray(e, dtype=np.int64)) for c, e in terms]
+    """The scalar polynomial sum of c * prod(x**e) on ``(..., dim)`` points,
+    taken in term order from 0.0, as ``polynomial_mul`` takes its terms."""
+    coeffs = [float(c) for c, _ in terms]
+    exponents = np.ravel([e for _, e in terms]).astype(np.int64)
+    cols = np.tile(np.arange(dim), len(terms))
 
     def f(x):
-        x = np.asarray(x, dtype=float).reshape(dim)
-        return float(sum(c * np.prod(x**e) for c, e in parsed))
+        # np.take gives C-ordered rows, so each power and product runs the
+        # contiguous loop a single point gets
+        powers = np.take(x, cols, axis=-1) ** exponents
+        monomials = np.prod(powers.reshape(np.shape(x)[:-1] + (len(terms), dim)), axis=-1)
+        out = np.zeros(np.shape(x)[:-1])
+        for j, c in enumerate(coeffs):
+            out += c * monomials[..., j]
+        return out
 
     return f
 
@@ -404,7 +414,8 @@ def build_system(body, path):
     lag = _need(body, "lagrangian", path)
     lkind = _need(lag, "kind", lpath)
     if lkind == "half_sum_squares":
-        lfun = lambda g: 0.5 * float(np.asarray(g, dtype=float) @ np.asarray(g, dtype=float))
+        # the stacked matmul rounds each row's |g|^2 as g @ g rounds that row alone
+        lfun = lambda g: 0.5 * (g[..., None, :] @ g[..., :, None])[..., 0, 0]
     elif lkind == "polynomial":
         lfun = make_scalar_polynomial(_scalar_terms(_need(lag, "terms", lpath), f"{lpath}.terms", q.dim_g), q.dim_g)
     else:

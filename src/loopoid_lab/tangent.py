@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
-from .loopoids import build_local_section, composable, multiply, sample_composable_pairs
+from .loopoids import build_local_section, composable, sample_composable_pairs
 from .numdiff import CHART_STEP, OUTER_STEP, directional, jacobian, null_space, smallest_singular_value
 
 
@@ -76,17 +76,17 @@ def tangent_multiply(q, xg, yh, *, predictor="unit"):
         vh = vh - corr
 
     if q.dim_m == 0:
-        t1 = directional(lambda x: multiply(q, x, h, unchecked=True), g, vg, CHART_STEP)
-        t2 = directional(lambda y: multiply(q, g, y, unchecked=True), h, vh, CHART_STEP)
-        return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2)
+        t1 = directional(lambda x: q.mul(x, h), g, vg, CHART_STEP)
+        t2 = directional(lambda y: q.mul(g, y), h, vh, CHART_STEP)
+        return TangentElement(q.mul(g, h), t1 + t2)
 
     sigma = build_local_section(q, "beta", g, predictor=predictor)
     tau = build_local_section(q, "alpha", h, predictor=predictor)
-    quni = np.asarray(q.beta(g), dtype=float)
+    quni = q.beta(g)
 
-    r_tau = lambda x: multiply(q, x, tau(q.beta(x)), unchecked=True)
-    l_sigma = lambda y: multiply(q, sigma(q.alpha(y)), y, unchecked=True)
-    both = lambda qq: multiply(q, sigma(qq), tau(qq), unchecked=True)
+    r_tau = lambda x: q.mul(x, tau(q.beta(x)))
+    l_sigma = lambda y: q.mul(sigma(q.alpha(y)), y)
+    both = lambda qq: q.mul(sigma(qq), tau(qq))
 
     try:
         t1 = directional(r_tau, g, vg, CHART_STEP)
@@ -94,7 +94,7 @@ def tangent_multiply(q, xg, yh, *, predictor="unit"):
         t3 = directional(both, quni, vq, CHART_STEP)
     except NoConvergence as exc:
         raise SectionFailure(f"section projection failed inside the product: {exc}") from exc
-    return TangentElement(multiply(q, g, h, unchecked=True), t1 + t2 - t3)
+    return TangentElement(q.mul(g, h), t1 + t2 - t3)
 
 
 def tangent_alpha(q, el):
@@ -146,10 +146,10 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
         )
 
         # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
-        u = np.asarray(q.alpha(h), dtype=float)
+        u = q.alpha(h)
         je = jacobian(q.unit_embed, u, CHART_STEP)
         w = ja_h @ vh
-        unit_el = TangentElement(np.asarray(q.unit_embed(u), dtype=float), je @ w)
+        unit_el = TangentElement(q.unit_embed(u), je @ w)
         lhs = tangent_multiply(q, unit_el, yh)
         unit_resid = max(unit_resid, float(np.linalg.norm(lhs.vector - yh.vector)))
 
@@ -167,7 +167,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
 
         if q.inverse is not None and q.inverse_side == "both":
             ji = jacobian(q.inverse, g, CHART_STEP)
-            inv_el = TangentElement(np.asarray(q.inverse(g), dtype=float), ji @ vg)
+            inv_el = TangentElement(q.inverse(g), ji @ vg)
             back = tangent_multiply(q, inv_el, prod)
             inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - yh.vector)))
 

@@ -38,7 +38,6 @@ from loopoid_lab.finite import semidirect_loop, transversal_loop, validate_latin
 from loopoid_lab.loopoids import (
     SplitFibration,
     loop_as_loopoid,
-    multiply,
     pair_groupoid,
     product_loopoid,
     prolongation_loopoid,
@@ -72,13 +71,13 @@ def test_ac1_octonion_suite():
     oct.oct_mul_batch(np.zeros((2, 8)), np.zeros((2, 8)))
 
     t0 = time.perf_counter()
-    e = [oct.Octonion.basis(i) for i in range(8)]
+    e = np.eye(8)
     for i in range(8):
         for j in range(8):
             signed = BASIS_TABLE[i][j]
             expected = np.zeros(8)
             expected[abs(signed) - 1] = 1.0 if signed > 0 else -1.0
-            assert np.array_equal((e[i] * e[j]).coeffs, expected)
+            assert np.array_equal(oct.oct_mul_batch(e[i], e[j]), expected)
 
     rng = np.random.default_rng(0)
     a = oct.random_octonions(rng, 10_000)
@@ -255,7 +254,7 @@ def test_ac6_tangent_cotangent():
             gc = g + t * vg
             hc = (h + t * vh).copy()
             hc[2:4] = gc[4:6]
-            return multiply(q, gc, hc, unchecked=True)
+            return q.mul(gc, hc)
 
         oracle = (curve(1e-6) - curve(-1e-6)) / 2e-6
         worst_curve = max(worst_curve, float(np.abs(prod.vector - oracle).max()))
@@ -267,7 +266,7 @@ def test_ac7_discrete_mechanics(readme_system):
     t0 = time.perf_counter()
     q = product_loopoid(planar_feedback_chart(), 2)
     system = DiscreteLagrangianSystem(
-        loopoid=q, lagrangian=lambda g: 0.5 * float(np.asarray(g) @ np.asarray(g))
+        loopoid=q, lagrangian=lambda g: 0.5 * (g[..., None, :] @ g[..., :, None])[..., 0, 0]
     )
     g0 = np.array(readme_system["body"]["start"])
 

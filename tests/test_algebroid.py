@@ -156,6 +156,7 @@ def test_prolong_slab_guard():
         beta=lambda g: np.array([g[0]]),
         unit_embed=lambda u: np.array([u[0], 0.0]),
         mul=lambda g, h: np.array([g[0] + h[0], g[1] + h[1]]),
+        sampler=lambda rng, k: rng.normal(size=(k, 2)),
         name="curved",
     )
     ff = make_frame_field(q)
@@ -175,6 +176,7 @@ def test_prolong_slab_guard_checks_the_stencil_points():
         beta=lambda g: g[..., :1],
         unit_embed=lambda u: np.array([u[0], 0.0]),
         mul=lambda g, h: g + h,
+        sampler=lambda rng, k: rng.normal(size=(k, 2)),
         name="curved",
     )
     ff = make_frame_field(q)

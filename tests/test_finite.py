@@ -272,11 +272,6 @@ def test_sampled_scan_matches_loop_oracle():
             assert got == _oracle_violations(t, which, triples), which
 
 
-def test_report_text_rendering():
-    text = validate_latin_square(cyclic_table(3)).to_text()
-    assert "associative" in text and "True" in text
-
-
 def _is_commutative(t):
     return np.array_equal(t, t.T)
 

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cross_product_constants, cubic_line_chart, planar_feedback_chart
-from loopoid_lab.errors import DomainError, NotAntisymmetric, NumericalNoise
+from loopoid_lab.errors import NotAntisymmetric, NumericalNoise
 from loopoid_lab.loops import (
     SmoothLoopChart,
     bracket_loop,
-    eval_mul,
     extract_structure_constants,
     octonion_chart,
     polynomial_chart,
 )
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import CHART_STEP, jacobian, smallest_singular_value
-from loopoid_lab.octonion import Octonion, oct_inverse, oct_mul
+from loopoid_lab.octonion import oct_inverse, oct_mul_batch
 
 
 def divide(chart, side, a, b):
@@ -24,9 +23,9 @@ def divide(chart, side, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if side == "left":
-        residual = lambda x: eval_mul(chart, a, x) - b
+        residual = lambda x: chart.mul(a, x) - b
     else:
-        residual = lambda x: eval_mul(chart, x, a) - b
+        residual = lambda x: chart.mul(x, a) - b
     return newton_solve(residual, b - a + chart.unit)[0]
 
 
@@ -34,11 +33,11 @@ def test_cross_product_bracket_loop_values(rng):
     chart = bracket_loop(3, cross_product_constants())
     a = rng.normal(size=3)
     b = rng.normal(size=3)
-    assert np.allclose(eval_mul(chart, a, b), a + b + 0.5 * np.cross(a, b))
+    assert np.allclose(chart.mul(a, b), a + b + 0.5 * np.cross(a, b))
     # mixed split arguments reduce to the same formula
     a0 = np.array([a[0], a[1], 0.0])
     b0 = np.array([0.0, 0.0, b[2]])
-    assert np.allclose(eval_mul(chart, a0, b0), a0 + b0 + 0.5 * np.cross(a0, b0))
+    assert np.allclose(chart.mul(a0, b0), a0 + b0 + 0.5 * np.cross(a0, b0))
 
 
 def test_bracket_loop_left_inverse_defect(rng):
@@ -46,7 +45,7 @@ def test_bracket_loop_left_inverse_defect(rng):
     chart = bracket_loop(3, cross_product_constants())
     x = rng.normal(size=3)
     y = rng.normal(size=3)
-    lhs = eval_mul(chart, -x, eval_mul(chart, x, y))
+    lhs = chart.mul(-x, chart.mul(x, y))
     rhs = y - 0.25 * np.cross(x, np.cross(x, y))
     assert np.allclose(lhs, rhs, atol=1e-13)
 
@@ -54,19 +53,13 @@ def test_bracket_loop_left_inverse_defect(rng):
 def test_unit_laws(rng):
     for chart in (cubic_line_chart(), planar_feedback_chart(), octonion_chart()):
         p = chart.sample(rng, 1)[0]
-        assert np.allclose(eval_mul(chart, chart.unit, p), p, atol=1e-12)
-        assert np.allclose(eval_mul(chart, p, chart.unit), p, atol=1e-12)
+        assert np.allclose(chart.mul(chart.unit, p), p, atol=1e-12)
+        assert np.allclose(chart.mul(p, chart.unit), p, atol=1e-12)
 
 
 def test_cubic_line_evaluation():
     chart = cubic_line_chart()
-    assert abs(eval_mul(chart, [2.0], [1.0])[0] - 7.0) < 1e-14
-
-
-def test_domain_radius_guard():
-    chart = SmoothLoopChart(dim=1, mul=lambda x, y: x + y, domain_radius=1.0)
-    with pytest.raises(DomainError):
-        eval_mul(chart, [2.0], [0.0])
+    assert abs(chart.mul(np.array([2.0]), np.array([1.0]))[0] - 7.0) < 1e-14
 
 
 def test_divide_closed_form():
@@ -88,9 +81,9 @@ def test_divide_octonion_matches_inverse_oracle(rng):
     chart = octonion_chart()
     g = chart.sample(rng, 1)[0]
     h = chart.sample(rng, 1)[0]
-    gh = eval_mul(chart, g, h)
+    gh = chart.mul(g, h)
     x = divide(chart, "left", g, gh)
-    oracle = oct_mul(oct_inverse(Octonion(g)), Octonion(gh)).coeffs
+    oracle = oct_mul_batch(oct_inverse(g), gh)
     assert np.allclose(x, h, atol=1e-9)
     assert np.allclose(x, oracle, atol=1e-9)
 
@@ -100,7 +93,7 @@ def test_divide_inverts_multiplication(rng):
     for _ in range(20):
         a = chart.sample(rng, 1)[0]
         x = chart.sample(rng, 1)[0]
-        b = eval_mul(chart, a, x)
+        b = chart.mul(a, x)
         assert np.allclose(divide(chart, "left", a, b), x, atol=1e-8)
 
 
@@ -183,10 +176,10 @@ def test_validate_chart_reports(rng):
     # unit laws and invertible translations at the unit, on samples
     chart = octonion_chart()
     for p in chart.sample(rng, 20):
-        assert np.max(np.abs(eval_mul(chart, chart.unit, p) - p)) < 1e-9
-        assert np.max(np.abs(eval_mul(chart, p, chart.unit) - p)) < 1e-9
-        jl = jacobian(lambda y: eval_mul(chart, p, y), chart.unit, CHART_STEP)
-        jr = jacobian(lambda x: eval_mul(chart, x, chart.unit), chart.unit, CHART_STEP)
+        assert np.max(np.abs(chart.mul(chart.unit, p) - p)) < 1e-9
+        assert np.max(np.abs(chart.mul(p, chart.unit) - p)) < 1e-9
+        jl = jacobian(lambda y: chart.mul(p, y), chart.unit, CHART_STEP)
+        jr = jacobian(lambda x: chart.mul(x, chart.unit), chart.unit, CHART_STEP)
         assert min(smallest_singular_value(jl), smallest_singular_value(jr)) > 0.1
 
 
@@ -195,4 +188,4 @@ def test_polynomial_chart_matches_closed_form(rng):
         1, [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]], name="cubic"
     )
     x, y = rng.normal(size=2)
-    assert abs(eval_mul(chart, [x], [y])[0] - (x + y + x * x * y)) < 1e-14
+    assert abs(chart.mul(np.array([x]), np.array([y]))[0] - (x + y + x * x * y)) < 1e-14

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import build_spec, example
+from conftest import EXAMPLES, build_spec, example
 from loopoid_lab.cli import main
 from loopoid_lab.errors import SchemaError
 from loopoid_lab.specio import (
@@ -176,12 +176,10 @@ def test_build_loop_polynomial_matches_values(rng):
     chart = build_loop(H_LOOP_BODY, "$.body")
     x = rng.normal(size=2)
     y = rng.normal(size=2)
-    from loopoid_lab.loops import eval_mul
-
     expected = np.array(
         [x[0] + y[0] + x[0] * y[1], x[1] + y[1] + x[1] * y[0]]
     )
-    assert np.allclose(eval_mul(chart, x, y), expected, atol=1e-14)
+    assert np.allclose(chart.mul(x, y), expected, atol=1e-14)
 
 
 def test_build_loopoid_kinds():
@@ -503,3 +501,23 @@ def test_cli_deterministic_reports(runner, tmp_path):
         assert result.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, spec, option, value",
+    [
+        ("lie-functor", "readme_product_loopoid", "--samples", "0"),
+        ("lie-functor", "cross_product_algebroid", "--samples", "0"),
+        ("octonion", None, "--samples", "0"),
+        ("loopoid-check", "readme_product_loopoid", "--samples", "0"),
+        ("tangent-check", "readme_product_loopoid", "--samples", "0"),
+        ("simulate", "readme_system", "--steps", "0"),
+        ("simulate", "readme_system", "--steps", "-1"),
+    ],
+    ids=["lie-functor", "lie-functor-algebroid", "octonion", "loopoid-check", "tangent-check", "steps-0", "steps-neg"],
+)
+def test_cli_count_below_one_is_a_usage_error(runner, command, spec, option, value):
+    args = [command] + (["--spec", str(EXAMPLES / f"{spec}.json")] if spec else []) + [option, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output

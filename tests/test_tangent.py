@@ -7,7 +7,6 @@ from loopoid_lab.algebroid import make_frame_field
 from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
     loop_as_loopoid,
-    multiply,
     pair_groupoid,
     product_loopoid,
     sample_composable_pairs,
@@ -123,7 +122,7 @@ def test_curve_oracle_agreement(rng):
             hc = h + t * vh
             hc = hc.copy()
             hc[2:4] = gc[4:6]  # glue the middle legs exactly
-            return multiply(q, gc, hc, unchecked=True)
+            return q.mul(gc, hc)
 
         step = 1e-6
         oracle = (curve(step) - curve(-step)) / (2.0 * step)
