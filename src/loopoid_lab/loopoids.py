@@ -147,7 +147,11 @@ def product_loopoid(loop, n):
 
     def unit_embed(u):
         u = np.asarray(u, dtype=float)
-        return np.concatenate([np.broadcast_to(loop.unit, u.shape[:-1] + (d,)), u, u], axis=-1)
+        out = np.empty(u.shape[:-1] + (d + 2 * n,))
+        out[..., :d] = loop.unit
+        out[..., d : d + n] = u
+        out[..., d + n :] = u
+        return out
 
     def mul(g, h):
         g = np.asarray(g, dtype=float)
@@ -214,7 +218,8 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2]], axis=-1)
 
     def unit_embed(u):
-        return np.asarray(u, dtype=float)[..., [0, 1, 1]]
+        u = np.asarray(u, dtype=float)
+        return np.concatenate([u, u[..., 1:]], axis=-1)
 
     def mul(g, h):
         g = np.asarray(g, dtype=float)
@@ -352,7 +357,9 @@ def loop_as_loopoid(loop):
         return np.zeros(np.shape(g)[:-1] + (0,))
 
     def unit_embed(u):
-        return np.broadcast_to(loop.unit, np.shape(u)[:-1] + (loop.dim,)).copy()
+        out = np.empty(np.shape(u)[:-1] + (loop.dim,))
+        out[...] = loop.unit
+        return out
 
     return ChartedQuasiloopoid(
         dim_g=loop.dim,

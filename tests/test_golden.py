@@ -224,7 +224,8 @@ if __name__ == "__main__":
         write_goldens()
     elif sys.argv[1:] == ["--diff"]:
         changes = diff_goldens()
-        print("\n".join(changes), end="\n" if changes else "")
+        for line in changes:
+            print(line)
         sys.exit(1 if changes else 0)
     else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --diff")
