@@ -111,40 +111,49 @@ def make_frame_field(q):
 
 
 def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
-    """Fundamental vector field value at g.
+    """Fundamental vector field values at g, a point or a ``(N, dim_g)`` stack.
 
     Left: difference h -> m(g, h) at the unit of beta(g) along the
     alpha-vertical representative of the section.  Right: difference
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
-    the requested orientation.  ``coeffs`` of shape (r,) gives one vector;
-    a (k, r) matrix gives the (k, dim_g) rows of its k sections.  Either
-    way the unit, frame and embedded base are resolved once, and the
-    multiplication and the slab check each run once, on all stencil points.
+    the requested orientation.  ``coeffs`` of shape (r,) gives one vector
+    per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
+    Each point's unit, frame and embedded base are resolved once (one
+    cached ``frame_field`` request per point), and the multiplication and
+    the slab check each run once, on all ``2 N k`` stencil points.
+
+    Row contract: each point's values equal, bit for bit, those of the
+    point alone, so a fundamental field can be differenced on a stencil
+    stack in one call.
     """
     g = np.asarray(g, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
+    rows = g.reshape(-1, q.dim_g)
     if side == "left":
-        u = q.beta(g)
-        reps = frame_field(u).alpha_vertical
+        u = q.beta(rows)
+        reps = np.stack([frame_field(p).alpha_vertical for p in u])
         slab = q.alpha
     elif side == "right":
-        u = q.alpha(g)
-        reps = frame_field(u).beta_reps(orientation)
+        u = q.alpha(rows)
+        reps = np.stack([frame_field(p).beta_reps(orientation) for p in u])
         slab = q.beta
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    base = q.unit_embed(u)
+    directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
+    n, k = directions.shape[:2]
+    # directional orders its stencil points by sign, then point, then direction
+    fixed = np.repeat(np.concatenate([rows, rows]), k, axis=0)
 
     def mul(points):
         # the stencil's map: every point it evaluates must stay on the slab
-        gap = np.max(np.linalg.norm(slab(points) - u, axis=-1), initial=0.0)
+        off = slab(points).reshape(2, n, k, q.dim_m) - u[:, None, :]
+        gap = np.max(np.linalg.norm(off, axis=-1), initial=0.0)
         if gap > 1e-6:
             raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
-        fixed = np.repeat(g[None, :], len(points), axis=0)
         return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
-    directions = coeffs @ reps
-    return directional(mul, base, np.atleast_2d(directions), CHART_STEP).reshape(directions.shape)
+    values = directional(mul, q.unit_embed(u), directions, CHART_STEP)
+    return values.reshape(g.shape[:-1] + coeffs.shape[:-1] + (q.dim_g,))
 
 
 def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):
@@ -207,6 +216,16 @@ def check_almost_lie_loopoid(q, u_samples, frame_field=None):
     if frame_field is None:
         frame_field = make_frame_field(q)
     r = q.rank
+
+    def anchor(k):
+        """u -> the anchor of frame section k, on a unit point or a stack."""
+
+        def field(us):
+            us = np.asarray(us, dtype=float)
+            return np.reshape([frame_field(p).rho_left[k] for p in np.atleast_2d(us)], us.shape)
+
+        return field
+
     worst = 0.0
     for u in np.atleast_2d(np.asarray(u_samples, dtype=float)):
         fr = frame_field(u)
@@ -216,9 +235,7 @@ def check_almost_lie_loopoid(q, u_samples, frame_field=None):
                 ej = np.eye(r)[j]
                 br = algebroid_bracket(q, "left", ei, ej, u, frame_field)
                 rho_br = br @ fr.rho_left
-                fi = lambda up, k=i: frame_field(up).rho_left[k]
-                fj = lambda up, k=j: frame_field(up).rho_left[k]
-                vf = lie_bracket(fi, fj, u)
+                vf = lie_bracket(anchor(i), anchor(j), u)
                 worst = max(worst, float(np.linalg.norm(rho_br - vf)))
     return worst
 
@@ -234,7 +251,10 @@ class SkewAlgebroidChart:
 
     ``c_fn(x)`` returns the (rank, rank, rank) structure tensor c[k, i, j],
     antisymmetric in (i, j); ``rho_fn(x)`` the (base_dim, rank) anchor
-    matrix whose columns are the anchors of the frame sections.
+    matrix whose columns are the anchors of the frame sections.  Both keep
+    the row contract: on a ``(..., base_dim)`` stack they return the
+    ``(..., rank, rank, rank)`` and ``(..., base_dim, rank)`` stacks of the
+    rows' values.
     """
 
     base_dim: int
@@ -244,12 +264,14 @@ class SkewAlgebroidChart:
     name: str = "skew_algebroid"
 
     def c(self, x):
-        t = np.asarray(self.c_fn(np.asarray(x, dtype=float)), dtype=float)
-        return t.reshape(self.rank, self.rank, self.rank)
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(self.c_fn(x), dtype=float)
+        return t.reshape(x.shape[:-1] + (self.rank, self.rank, self.rank))
 
     def rho(self, x):
-        m = np.asarray(self.rho_fn(np.asarray(x, dtype=float)), dtype=float)
-        return m.reshape(self.base_dim, self.rank)
+        x = np.asarray(x, dtype=float)
+        m = np.asarray(self.rho_fn(x), dtype=float)
+        return m.reshape(x.shape[:-1] + (self.base_dim, self.rank))
 
 
 def constant_chart(c, rho, name="constant"):
@@ -260,8 +282,8 @@ def constant_chart(c, rho, name="constant"):
     return SkewAlgebroidChart(
         base_dim=m,
         rank=r,
-        c_fn=lambda x: c,
-        rho_fn=lambda x: rho,
+        c_fn=lambda x: np.broadcast_to(c, x.shape[:-1] + c.shape),
+        rho_fn=lambda x: np.broadcast_to(rho, x.shape[:-1] + rho.shape),
         name=name,
     )
 
@@ -271,17 +293,17 @@ def tangent_chart(m):
     return SkewAlgebroidChart(
         base_dim=m,
         rank=m,
-        c_fn=lambda x: np.zeros((m, m, m)),
-        rho_fn=lambda x: np.eye(m),
+        c_fn=lambda x: np.zeros(x.shape[:-1] + (m, m, m)),
+        rho_fn=lambda x: np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m)),
         name=f"tangent({m})",
     )
 
 
 def _as_section(section, rank):
     if callable(section):
-        return lambda x: np.asarray(section(x), dtype=float).reshape(rank)
+        return lambda x: np.asarray(section(x), dtype=float).reshape(np.shape(x)[:-1] + (rank,))
     arr = np.asarray(section, dtype=float).reshape(rank)
-    return lambda x: arr
+    return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + (rank,))
 
 
 def leibniz_bracket(chart, x_section, y_section, x):
@@ -314,8 +336,8 @@ def check_almost_lie_chart(chart, x_samples):
         for i in range(chart.rank):
             for j in range(i + 1, chart.rank):
                 lhs = rho @ c[:, i, j]
-                fi = lambda p, k=i: chart.rho(p)[:, k]
-                fj = lambda p, k=j: chart.rho(p)[:, k]
+                fi = lambda p, k=i: chart.rho(p)[..., k]
+                fj = lambda p, k=j: chart.rho(p)[..., k]
                 rhs = lie_bracket(fi, fj, x, CHART_STEP)
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
@@ -341,17 +363,17 @@ def prolong_algebroid(chart, pi):
 
     def c_fn(p):
         base = pi.proj(p)
-        out = np.zeros((big_r, big_r, big_r))
-        out[:r, :r, :r] = chart.c(base)
+        out = np.zeros(base.shape[:-1] + (big_r, big_r, big_r))
+        out[..., :r, :r, :r] = chart.c(base)
         return out
 
     jb, jf = pi.join_jacobians()  # horizontal and vertical lifts
 
     def rho_fn(p):
         base = pi.proj(p)
-        out = np.zeros((pi.dim_total, big_r))
-        out[:, :r] = jb @ chart.rho(base)
-        out[:, r:] = jf
+        out = np.zeros(base.shape[:-1] + (pi.dim_total, big_r))
+        out[..., :r] = jb @ chart.rho(base)
+        out[..., r:] = jf
         return out
 
     return SkewAlgebroidChart(

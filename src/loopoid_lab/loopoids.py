@@ -444,8 +444,14 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     anchor-morphism property, translation invertibility on fibers, and
     inversion residuals when an inversion map is present."""
 
+    def repeat(fixed, points):
+        """``fixed`` once per row of the stencil stack ``points``."""
+        return np.repeat(fixed[None], len(points), axis=0)
+
     def on_fiber(side_map, translate, point, product):
-        """(min sv, residual) of ``translate`` between side_map-fibers; (inf, 0) on points."""
+        """(min sv, residual) of ``translate`` between side_map-fibers; (inf, 0) on points.
+
+        ``translate`` is differenced on a stencil stack, so it takes one."""
         fib = null_space(jacobian(side_map, point, CHART_STEP))
         if not fib.shape[0]:
             return np.inf, 0.0
@@ -507,9 +513,9 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
 
         # translations restricted to fiber directions: left translation by g
         # on the alpha-fiber of h, right translation by h on the beta-fiber of g
-        sv, resid = on_fiber(q.alpha, lambda p: q.mul(g, p), h, gh)
+        sv, resid = on_fiber(q.alpha, lambda p: q.mul(repeat(g, p), p), h, gh)
         lt_min, fiber_resid = min(lt_min, sv), max(fiber_resid, resid)
-        sv, resid = on_fiber(q.beta, lambda p: q.mul(p, h), g, gh)
+        sv, resid = on_fiber(q.beta, lambda p: q.mul(p, repeat(h, p)), g, gh)
         rt_min, fiber_resid = min(rt_min, sv), max(fiber_resid, resid)
 
         if have_inv:

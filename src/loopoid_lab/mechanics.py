@@ -22,7 +22,11 @@ system-level switch so every operation stays mutually consistent.
 
 Row contract: a system's Lagrangian maps ``(..., dim_g)`` points to
 ``(...)`` values, each equal bit for bit to its value at that point alone,
-so a difference stencil evaluates it once on all its points.
+so a difference stencil evaluates it once on all its points.  The
+derivatives along the frame fields, the Legendre transforms and the step
+map's residual keep the same contract on ``(N, dim_g)`` stacks, so Newton's
+step Jacobian and the regularity check's chart maps are differenced in one
+call each.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -76,7 +80,8 @@ class Trajectory:
 
 
 def _derivative_along(system, side, g):
-    """Directional derivatives of L along the side's frame fields at g."""
+    """Directional derivatives of L along the side's frame fields at g, a
+    point or an ``(N, dim_g)`` stack."""
     q = system.loopoid
     g = np.asarray(g, dtype=float)
     fields = prolong(q, system.frames, np.eye(q.rank), side, g, system.orientation)
@@ -123,7 +128,9 @@ def step_solve(system, g):
 
     g is fixed, so the g-side term of DL (the derivative along the left
     fields at g) is computed once per solve; each residual evaluation
-    differentiates only along the right fields at h.
+    differentiates only along the right fields at h.  The residual takes a
+    point or a stack of them, so Newton's step Jacobian is one residual call
+    on its stencil stack.
 
     The Newton seed is the embedded unit of beta(g) nudged toward g's fiber
     offset, which picks the solution branch continuous from the unit.
@@ -151,7 +158,8 @@ def step_solve(system, g):
             [
                 q.alpha(h) - bg,
                 left - _derivative_along(system, "right", h),
-            ]
+            ],
+            axis=-1,
         )
 
     h, _ = newton_solve(residual, seed, **asdict(system.newton))
@@ -200,10 +208,10 @@ def regularity_check(system, u, seed=0):
     e0 = q.unit_embed(u)
 
     def chart_map(g):
-        return np.concatenate([q.beta(g), legendre(system, "plus", g)])
+        return np.concatenate([q.beta(g), legendre(system, "plus", g)], axis=-1)
 
     def chart_map_minus(g):
-        return np.concatenate([q.alpha(g), legendre(system, "minus", g)])
+        return np.concatenate([q.alpha(g), legendre(system, "minus", g)], axis=-1)
 
     points = [e0] + [e0 + rng.normal(scale=0.1, size=q.dim_g) for _ in range(5)]
     min_sv_plus = np.inf

@@ -5,12 +5,17 @@ fiber projections: steps are computed with ``lstsq``, so a consistent
 rank-deficient system converges to the minimum-norm-step solution nearest
 the seed (this is what keeps free fiber coordinates pinned to the seed).
 ``SingularJacobian`` is raised only when the linearization is both
-ill-conditioned and unable to reduce the residual.
+ill-conditioned and unable to reduce the residual, and ``NumericalNoise``
+when the differenced Jacobian holds a non-finite entry.
+
+Row contract: the residual is evaluated at single points and, once per
+iteration, by ``numdiff.jacobian`` on the ``(2n, n)`` stack of its stencil
+points, so it must map each row of a stack as it maps that row alone.
 """
 
 import numpy as np
 
-from .errors import NoConvergence, SingularJacobian
+from .errors import NoConvergence, NumericalNoise, SingularJacobian
 from .numdiff import jacobian
 
 
@@ -38,6 +43,8 @@ def newton_solve(
         if best < tol:
             return x, {"iterations": it, "residual": best, "cond": cond}
         j = np.atleast_2d(jacobian(residual, x, fd_step))
+        if not np.all(np.isfinite(j)):
+            raise NumericalNoise(f"non-finite Jacobian entry at iteration {it + 1}, residual {best:.3e}")
         sv = np.linalg.svd(j, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]

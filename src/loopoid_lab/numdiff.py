@@ -14,13 +14,20 @@ map, a Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for
 differences of quantities themselves differenced at ``CHART_STEP``.
 Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
 
-Row contract: ``directional`` with a single direction evaluates ``f`` on
-1-D points, so ``f`` may be any map of one point.  With a ``(k, n)``
-matrix of directions it calls ``f`` once on the ``(2k, n)`` stack of its
-stencil points, so ``f`` must map each row of a ``(..., n)`` array the way
-it maps that row alone; the chart maps of ``loops`` and ``loopoids`` and
-the Lagrangians ``specio`` builds do.
+Row contract: every map these routines difference is called once, on the
+stack of all its stencil points, and must map each row of a ``(..., n)``
+array the way it maps that row alone.  That holds for every ``f`` given to
+``jacobian``, ``gradient``, ``mixed_bilinear``, ``lie_bracket`` (whose
+fields are also called at the bare point) and ``newton_solve`` (whose
+residual is differenced by ``jacobian``), and for ``directional`` with a
+matrix or stack of directions; the chart maps of ``loops`` and
+``loopoids``, the Lagrangians ``specio`` builds and the fundamental fields
+of ``algebroid`` keep it.  A map that is one-point by nature loops over the
+rows itself.  Only ``directional`` with a single direction evaluates ``f``
+on 1-D points, so there ``f`` may be any map of one point.
 """
+
+import math
 
 import numpy as np
 
@@ -30,52 +37,52 @@ OUTER_STEP = 1e-4
 
 
 def step_for(x, rel):
-    x = np.asarray(x, dtype=float)
-    scale = 1.0 if x.size == 0 else max(1.0, float(np.max(np.abs(x))))
-    return rel * scale
+    """``rel * max(1, |x|_inf)`` of a point, or of each row of a stack."""
+    return rel * np.maximum(1.0, np.abs(x).max(axis=-1, initial=0.0))
 
 
 def jacobian(f, x, rel_step=STEP):
-    """Jacobian of f at x, one central difference per input coordinate."""
+    """Jacobian of f at x from one call of f on the ``(2n, n)`` stencil stack."""
     x = np.asarray(x, dtype=float)
-    h = step_for(x, rel_step)
-    n = x.size
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
-    if not cols:
-        return np.zeros((np.asarray(f(x)).size, 0))
-    return np.stack(cols, axis=-1)
+    d = directional(f, x, np.eye(x.size), rel_step)
+    # the input axis goes last, as np.moveaxis(d, 0, -1) puts it
+    return d.transpose(tuple(range(1, d.ndim)) + (0,))
 
 
 def gradient(f, x, rel_step=STEP):
     """Gradient of a scalar f at x."""
-    return jacobian(lambda p: np.atleast_1d(f(p)), x, rel_step)[0]
+    x = np.asarray(x, dtype=float)
+    return directional(f, x, np.eye(x.size), rel_step)
 
 
 def directional(f, x, v, rel_step=STEP):
     """Central difference of f along the (unnormalized) direction v.
 
     A ``(k, n)`` matrix ``v`` gives the ``(k, ...)`` derivatives along its
-    rows from one call of ``f`` on the stacked points ``x + h v`` over
-    ``x - h v``.
+    rows; an ``(N, n)`` stack of bases ``x`` with ``(N, k, n)`` directions
+    gives the ``(N, k, ...)`` derivatives, each base with its own step.
+    Either way ``f`` is called once, on the stack of stencil points: the
+    steps ``x + h v`` over ``x - h v``, each half ordered by base, then
+    direction, so ``2 N k`` rows of length ``n`` (``N = 1`` for one base).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     h = step_for(x, rel_step)
     if v.ndim < 2:
         return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
-    values = np.asarray(f(np.concatenate([x + h * v, x - h * v])), dtype=float)
-    return (values[: len(v)] - values[len(v) :]) / (2.0 * h)
+    steps = h[..., None, None] * v
+    points = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps])
+    values = np.asarray(f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1])), dtype=float)
+    values = values.reshape((2,) + v.shape[:-1] + values.shape[1:])
+    return (values[0] - values[1]) / (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
 
 
 def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):
     """d^2 f / dx_i dy_j at (x0, y0) via the 4-point stencil.
 
     ``f`` maps a pair of vectors to a vector; the stencil is
-    (f(+h,+h) - f(+h,-h) - f(-h,+h) + f(-h,-h)) / (4 h^2).
+    (f(+h,+h) - f(+h,-h) - f(-h,+h) + f(-h,-h)) / (4 h^2), from one call
+    of ``f`` on the four stacked ``(x, y)`` rows.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -84,15 +91,17 @@ def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):
     ei[i] = h
     ej = np.zeros(y0.size)
     ej[j] = h
-    fpp = np.asarray(f(x0 + ei, y0 + ej), dtype=float)
-    fpm = np.asarray(f(x0 + ei, y0 - ej), dtype=float)
-    fmp = np.asarray(f(x0 - ei, y0 + ej), dtype=float)
-    fmm = np.asarray(f(x0 - ei, y0 - ej), dtype=float)
+    xs = np.stack([x0 + ei, x0 + ei, x0 - ei, x0 - ei])
+    ys = np.stack([y0 + ej, y0 - ej, y0 + ej, y0 - ej])
+    fpp, fpm, fmp, fmm = np.asarray(f(xs, ys), dtype=float)
     return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
 
 
 def lie_bracket(field_v, field_w, x, rel_step=OUTER_STEP):
-    """[V, W](x) = DW(x) V(x) - DV(x) W(x) for vector fields on a chart."""
+    """[V, W](x) = DW(x) V(x) - DV(x) W(x) for vector fields on a chart.
+
+    Each field is called twice: at x, and on its Jacobian's stencil stack.
+    """
     x = np.asarray(x, dtype=float)
     vx = np.asarray(field_v(x), dtype=float)
     wx = np.asarray(field_w(x), dtype=float)

@@ -158,10 +158,14 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
         section_resid = max(section_resid, float(np.linalg.norm(prod.vector - prod2.vector)))
 
         # injectivity of v_h -> product vector on the alpha-fiber directions,
-        # differenced at c = 0, where c @ fib is exactly h * fib[i]
+        # differenced at c = 0, where c @ fib is exactly h * fib[i]; each
+        # product is Newton-sectioned, so the map takes its stencil rows one
+        # at a time
         fib = null_space(ja_h)
         if fib.shape[0]:
-            push = lambda c: tangent_multiply(q, xg, TangentElement(h, vh + c @ fib)).vector
+            push = lambda cs: np.stack(
+                [tangent_multiply(q, xg, TangentElement(h, vh + c @ fib)).vector for c in cs]
+            )
             cols = jacobian(push, np.zeros(fib.shape[0]), OUTER_STEP)
             min_rank_sv = min(min_rank_sv, smallest_singular_value(cols))
 

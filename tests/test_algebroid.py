@@ -147,15 +147,15 @@ def test_prolong_slab_guard():
     scale = 1e7
 
     def alpha(g):
-        return np.array([g[0] + scale * g[1] ** 2])
+        return g[..., :1] + scale * g[..., 1:] ** 2
 
     q = ChartedQuasiloopoid(
         dim_g=2,
         dim_m=1,
         alpha=alpha,
-        beta=lambda g: np.array([g[0]]),
-        unit_embed=lambda u: np.array([u[0], 0.0]),
-        mul=lambda g, h: np.array([g[0] + h[0], g[1] + h[1]]),
+        beta=lambda g: g[..., :1],
+        unit_embed=lambda u: np.concatenate([u, np.zeros_like(u)], axis=-1),
+        mul=lambda g, h: g + h,
         sampler=lambda rng, k: rng.normal(size=(k, 2)),
         name="curved",
     )
@@ -174,7 +174,7 @@ def test_prolong_slab_guard_checks_the_stencil_points():
         dim_m=1,
         alpha=lambda g: g[..., :1] + scale * g[..., 1:] ** 2,
         beta=lambda g: g[..., :1],
-        unit_embed=lambda u: np.array([u[0], 0.0]),
+        unit_embed=lambda u: np.concatenate([u, np.zeros_like(u)], axis=-1),
         mul=lambda g, h: g + h,
         sampler=lambda rng, k: rng.normal(size=(k, 2)),
         name="curved",
@@ -323,11 +323,11 @@ def test_almost_lie_chart_good_and_broken():
     c[0, 0, 1] = 1.0
     c[0, 1, 0] = -1.0  # [e1, e2] = e1
     good = SkewAlgebroidChart(
-        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.array([[1.0, x[0]]])
+        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), x], axis=-1)
     )
     assert check_almost_lie_chart(good, np.array([[0.3], [-0.6]])) < 1e-6
     broken = SkewAlgebroidChart(
-        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.array([[1.0, 2.0 * x[0]]])
+        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), 2.0 * x], axis=-1)
     )
     assert check_almost_lie_chart(broken, np.array([[0.4]])) > 0.1
 
@@ -368,8 +368,8 @@ def test_leibniz_rank_one_rho_derivative():
 
 def test_leibniz_tangent_chart_is_vector_field_bracket(rng):
     chart = tangent_chart(2)
-    X = lambda x: np.array([x[0] ** 2, 1.0 + x[1]])
-    Y = lambda x: np.array([np.sin(x[1]), x[0]])
+    X = lambda x: np.stack([x[..., 0] ** 2, 1.0 + x[..., 1]], axis=-1)
+    Y = lambda x: np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1)
     x0 = rng.normal(size=2)
     got = leibniz_bracket(chart, X, Y, x0)
     oracle = lie_bracket(X, Y, x0, 1e-6)
@@ -478,7 +478,9 @@ def test_prolongation_pair_is_algebroid_morphism(rng):
 
 def contrast_metric(q, f, u):
     """g_ij = X_i(X_j(F)) at the embedded unit of u along the left
-    prolongations, symmetrized, and the asymmetry of the unsymmetrized one."""
+    prolongations, symmetrized, and the asymmetry of the unsymmetrized one.
+
+    ``f`` maps a ``(..., dim_g)`` stack to its ``(...)`` values."""
     ff = make_frame_field(q)
     fr = ff(u)
     r = fr.rank
@@ -486,8 +488,9 @@ def contrast_metric(q, f, u):
 
     def first_derivative(j):
         def phi(g):
+            # g is the gradient's (2r, dim_g) stencil stack
             vj = prolong(q, ff, np.eye(r)[j], "left", g)
-            return directional(lambda p: np.atleast_1d(f(p)), g, vj, CHART_STEP)[0]
+            return directional(f, g, vj[:, None, :], CHART_STEP)[:, 0]
 
         return phi
 
@@ -499,16 +502,16 @@ def contrast_metric(q, f, u):
 
 def test_contrast_metric_quadratic_distance_gives_identity():
     q = loop_as_loopoid(bracket_loop(3, cross_product_constants()))
-    g, asym = contrast_metric(q, lambda p: 0.5 * float(p @ p), np.zeros(0))
+    g, asym = contrast_metric(q, lambda p: 0.5 * np.sum(p * p, axis=-1), np.zeros(0))
     assert np.allclose(g, np.eye(3), atol=1e-5)
     assert asym < 1e-5
 
 
 def test_contrast_metric_zero_and_scaling():
     q = loop_as_loopoid(planar_feedback_chart())
-    g0, _ = contrast_metric(q, lambda p: 0.0, np.zeros(0))
+    g0, _ = contrast_metric(q, lambda p: np.zeros(p.shape[:-1]), np.zeros(0))
     assert np.allclose(g0, 0.0)
-    f = lambda p: 0.5 * float(p @ p)
+    f = lambda p: 0.5 * np.sum(p * p, axis=-1)
     g1, _ = contrast_metric(q, f, np.zeros(0))
     g3, _ = contrast_metric(q, lambda p: 3.0 * f(p), np.zeros(0))
     assert np.allclose(g3, 3.0 * g1, atol=1e-4)
@@ -518,7 +521,7 @@ def test_contrast_metric_on_loopoid_distance_from_units(product_h):
     # squared distance to the embedded unit over beta: vanishing first jets
     def f(p):
         u = product_h.unit_embed(product_h.beta(p))
-        return 0.5 * float((p - u) @ (p - u))
+        return 0.5 * np.sum((p - u) ** 2, axis=-1)
 
     g, asym = contrast_metric(product_h, f, np.array([0.2, -0.1]))
     assert asym < 1e-4

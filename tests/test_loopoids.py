@@ -122,7 +122,7 @@ def test_product_over_octonions_has_inverse_property():
 
 
 def test_product_with_zero_dim_loop_is_pair_groupoid(rng):
-    trivial = SmoothLoopChart(dim=0, mul=lambda x, y: np.zeros(0))
+    trivial = SmoothLoopChart(dim=0, mul=lambda x, y: np.zeros(np.shape(x)[:-1] + (0,)))
     q = product_loopoid(trivial, 2)
     p = pair_groupoid(2)
     g = rng.normal(size=4)
@@ -214,7 +214,7 @@ def isotropy(q, u, n, rng):
     """n points of the double fiber alpha = beta = u, by Newton from seeds
     near the unit, and the largest distance of their products and inverses
     from that fiber."""
-    fiber = lambda p: np.concatenate([q.alpha(p) - u, q.beta(p) - u])
+    fiber = lambda p: np.concatenate([q.alpha(p) - u, q.beta(p) - u], axis=-1)
     e0 = q.unit_embed(u)
     seeds = [e0 + rng.normal(scale=0.2, size=q.dim_g) for _ in range(n)]
     pts = [newton_solve(fiber, seed, tol=1e-11, max_iter=60)[0] for seed in seeds]

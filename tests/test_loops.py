@@ -22,10 +22,12 @@ def divide(chart, side, a, b):
     from the additive guess b - a, which near the unit is inside the basin."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    # the residual takes single points and the Jacobian's stencil stacks
+    fixed = lambda x: np.broadcast_to(a, np.shape(x)).copy()
     if side == "left":
-        residual = lambda x: chart.mul(a, x) - b
+        residual = lambda x: chart.mul(fixed(x), x) - b
     else:
-        residual = lambda x: chart.mul(x, a) - b
+        residual = lambda x: chart.mul(x, fixed(x)) - b
     return newton_solve(residual, b - a + chart.unit)[0]
 
 
@@ -140,9 +142,8 @@ def test_bracket_loop_rejects_symmetric_part():
 def test_extraction_flags_nonsmooth_products():
     # y |y|^{1/2} coupling has a step-size-dependent mixed second derivative
     def mul(x, y):
-        out = x + y
-        out = out + 50.0 * np.array([x[0] * y[1] * np.abs(y[1]) ** 0.5, 0.0])
-        return out
+        coupling = x[..., 0] * y[..., 1] * np.abs(y[..., 1]) ** 0.5
+        return x + y + 50.0 * np.stack([coupling, np.zeros_like(coupling)], axis=-1)
 
     with pytest.raises(NumericalNoise):
         extract_structure_constants(SmoothLoopChart(dim=2, mul=mul))
@@ -178,8 +179,9 @@ def test_validate_chart_reports(rng):
     for p in chart.sample(rng, 20):
         assert np.max(np.abs(chart.mul(chart.unit, p) - p)) < 1e-9
         assert np.max(np.abs(chart.mul(p, chart.unit) - p)) < 1e-9
-        jl = jacobian(lambda y: chart.mul(p, y), chart.unit, CHART_STEP)
-        jr = jacobian(lambda x: chart.mul(x, chart.unit), chart.unit, CHART_STEP)
+        # the Jacobian's stencil stack pairs with the fixed factor repeated
+        jl = jacobian(lambda y: chart.mul(np.broadcast_to(p, y.shape).copy(), y), chart.unit, CHART_STEP)
+        jr = jacobian(lambda x: chart.mul(x, np.broadcast_to(chart.unit, x.shape).copy()), chart.unit, CHART_STEP)
         assert min(smallest_singular_value(jl), smallest_singular_value(jr)) > 0.1
 
 

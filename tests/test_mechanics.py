@@ -228,7 +228,7 @@ def test_flow_matches_legendre_both_directions(kinetic_system, rng):
 
     def match(hh):
         return np.concatenate(
-            [np.asarray(q.alpha(hh)) - bg, legendre(kinetic_system, "minus", hh) - target]
+            [np.asarray(q.alpha(hh)) - bg, legendre(kinetic_system, "minus", hh) - target], axis=-1
         )
 
     seed = q.unit_embed(bg) + 0.1 * np.concatenate([g[:2], np.zeros(4)])
@@ -294,7 +294,7 @@ def test_step_solve_equals_newton_on_el_residual(kinetic_system, monkeypatch, na
 
     def full_residual(x):
         return np.concatenate(
-            [np.asarray(q.alpha(x), dtype=float) - bg, el_residual(system, g, x, check=False)]
+            [np.asarray(q.alpha(x), dtype=float) - bg, el_residual(system, g, x, check=False)], axis=-1
         )
 
     want, _ = newton_solve(full_residual, seed, **kwargs)
@@ -317,8 +317,9 @@ def test_step_solve_differentiates_at_g_once(kinetic_system, monkeypatch):
 
 def test_step_solve_multiplies_once_per_prolongation(readme_system):
     # one step on the README system: one left prolongation at g, then one
-    # right prolongation per Newton residual, each a single multiplication
-    # on its 2 * rank stencil points
+    # right prolongation per Newton residual call, each a single
+    # multiplication on the 2 * rank stencil points of each of its points:
+    # one point, or the 2 * dim_g points of the step Jacobian's stencil
     system = build_system(readme_system["body"], "$.body")
     q = system.loopoid
     stencil_rows = []
@@ -329,8 +330,9 @@ def test_step_solve_multiplies_once_per_prolongation(readme_system):
 
     system = dataclasses.replace(system, loopoid=dataclasses.replace(q, mul=counted))
     step_solve(system, README_START)
-    assert len(stencil_rows) == 68
-    assert set(stencil_rows) == {2 * q.rank}
+    assert len(stencil_rows) == 13
+    assert stencil_rows.count(2 * 2 * q.dim_g * q.rank) == 5
+    assert set(stencil_rows) == {2 * q.rank, 2 * 2 * q.dim_g * q.rank}
 
 
 @pytest.mark.parametrize("side,orientation", [("left", STRICT), ("right", STRICT), ("right", ALIGNED)])

@@ -2,8 +2,10 @@
 
 Stencils evaluate all their points in one call, so every map a spec can
 build must give, bit for bit, the rows it gives one point at a time.  The
-cases are every loop, loopoid and system spec in ``examples/``, plus the
-constructions no example reaches.
+cases are every loop, loopoid, algebroid and system spec in ``examples/``,
+plus the constructions no example reaches.  The maps built on them keep
+the contract too: prolongations, derivatives along stacked bases and the
+step map's residual; and each differencing routine calls its map once.
 """
 
 import json
@@ -12,10 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLES, example
+from loopoid_lab import mechanics
+from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
-from loopoid_lab.numdiff import CHART_STEP, directional
+from loopoid_lab.newton import newton_solve
+from loopoid_lab.numdiff import CHART_STEP, directional, gradient, jacobian, lie_bracket, mixed_bilinear
 from loopoid_lab.octonion import oct_conj, oct_inverse
-from loopoid_lab.specio import build_loop, build_loopoid, build_system
+from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
 
 SPECS = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted(EXAMPLES.glob("*.json"))}
 
@@ -38,6 +43,7 @@ LOOPOIDS = {
         "fibration": {"dim_total": 2, "dim_base": 1},
     },
 }
+ALGEBROIDS = {**bodies("algebroid"), "tangent2": {"kind": "tangent", "dim": 2}}
 SHAPES = [(5,), (2, 3)]
 
 
@@ -98,6 +104,17 @@ def test_lagrangian_on_rows_equals_single_calls(name, shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_algebroid_chart_on_rows_equals_single_calls(name, shape):
+    chart = build_algebroid(ALGEBROIDS[name], "$.body")
+    for x in stacks(np.random.default_rng(16), shape, chart.base_dim):
+        assert chart.c(x).shape == shape + (chart.rank,) * 3
+        assert chart.rho(x).shape == shape + (chart.base_dim, chart.rank)
+        assert_rows(chart.c, x)
+        assert_rows(chart.rho, x)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_octonion_maps_on_rows_equal_single_calls(shape):
     for x in stacks(np.random.default_rng(12), shape, 8):
         assert_rows(oct_inverse, x)
@@ -125,3 +142,94 @@ def test_directional_matrix_equals_single_directions():
     assert rows.shape == (4, q.dim_g)
     for row, v in zip(rows, directions):
         assert np.array_equal(row, directional(f, x, v, CHART_STEP))
+
+
+# ---------------------------------------------------------------------------
+# differencing on stacks: each routine calls its map once per stencil
+# ---------------------------------------------------------------------------
+
+PROLONG_CASES = [("left", STRICT), ("right", STRICT), ("right", ALIGNED)]
+
+
+@pytest.mark.parametrize("side,orientation", PROLONG_CASES)
+@pytest.mark.parametrize("name", ["readme_product", "prolonged_planar", "phi", "bracket3_as_loopoid"])
+def test_prolong_on_rows_equals_single_calls(name, side, orientation):
+    q = build_loopoid(LOOPOIDS[name], "$.body")
+    ff = make_frame_field(q)
+    rng = np.random.default_rng(13)
+    units = rng.normal(scale=0.3, size=(4, q.dim_m))
+    g = q.unit_embed(units) + rng.normal(scale=0.05, size=(4, q.dim_g))
+    for coeffs in (np.eye(q.rank)[-1], np.eye(q.rank), rng.normal(size=(2, q.rank))):
+        rows = prolong(q, ff, coeffs, side, g, orientation)
+        assert rows.shape == (4,) + coeffs.shape[:-1] + (q.dim_g,)
+        assert np.array_equal(rows, by_rows(lambda p: prolong(q, ff, coeffs, side, p, orientation), g))
+
+
+def test_directional_stacked_bases_equal_single_bases():
+    system = build_system(SYSTEMS["readme_system"], "$.body")
+    rng = np.random.default_rng(14)
+    # bases of different sizes, so each row takes its own step
+    x = rng.normal(size=(3, system.loopoid.dim_g)) * np.array([[1.0], [0.1], [30.0]])
+    v = rng.normal(size=(3, 4, system.loopoid.dim_g))
+    rows = directional(system.lagrangian, x, v, CHART_STEP)
+    assert rows.shape == (3, 4)
+    for row, base, directions in zip(rows, x, v):
+        assert np.array_equal(row, directional(system.lagrangian, base, directions, CHART_STEP))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_step_solve_residual_on_rows_equals_single_calls(name, monkeypatch):
+    system = build_system(SYSTEMS[name], "$.body")
+    q = system.loopoid
+    residuals = []
+
+    def spy(residual, seed, **kwargs):
+        residuals.append((residual, seed))
+        return newton_solve(residual, seed, **kwargs)
+
+    monkeypatch.setattr(mechanics, "newton_solve", spy)
+    mechanics.step_solve(system, np.array(SPECS[name]["body"]["start"]))
+    (residual, seed), = residuals
+    h = seed + np.random.default_rng(15).normal(scale=0.05, size=(5, q.dim_g))
+    assert residual(h).shape == (5, q.dim_m + q.rank)
+    assert np.array_equal(residual(h), by_rows(residual, h))
+
+
+def counting(f, shapes):
+    """f, recording in ``shapes`` the leading shape of each stack it is called on."""
+
+    def counted(*args):
+        shapes.append(np.shape(args[0])[:-1])
+        return f(*args)
+
+    return counted
+
+
+def test_differencing_calls_its_map_once_per_stencil():
+    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
+    system = build_system(SYSTEMS["readme_system"], "$.body")
+    chart = build_loop(LOOPS["planar_loop"], "$.body")
+    ff = make_frame_field(q)
+    x = q.unit_embed(np.array([0.2, -0.1])) + 0.05
+    n = q.dim_g
+
+    shapes = []
+    assert jacobian(counting(q.alpha, shapes), x).shape == (q.dim_m, n)
+    assert gradient(counting(system.lagrangian, shapes), x).shape == (n,)
+    assert shapes == [(2 * n,), (2 * n,)]
+
+    shapes = []
+    mixed_bilinear(counting(chart.mul, shapes), chart.unit, chart.unit, 0, 1)
+    assert shapes == [(4,)]
+
+    shapes = []
+    fields = [counting(lambda g, i=i: prolong(q, ff, np.eye(q.rank)[i], "left", g), shapes) for i in (0, 1)]
+    lie_bracket(*fields, x)
+    assert sorted(shapes) == [(), (), (2 * n,), (2 * n,)]
+
+    shapes = []
+    target = q.alpha(x) + 0.01
+    _, info = newton_solve(counting(lambda p: q.alpha(p) - target, shapes), x)
+    assert info["iterations"] >= 1
+    assert shapes.count((2 * n,)) == info["iterations"]
+    assert set(shapes) == {(), (2 * n,)}
