@@ -55,7 +55,6 @@ def algebroid_frame(q, u):
     The basis of ker T alpha (rows) is the instance's preferred frame when it
     has one, otherwise an SVD null space.
     """
-    u = np.asarray(u, dtype=float)
     e = q.unit_embed(u)
     ja = jacobian(q.alpha, e, CHART_STEP)
     jb = jacobian(q.beta, e, CHART_STEP)
@@ -70,7 +69,7 @@ def algebroid_frame(q, u):
         alpha_vertical = q.preferred_alpha_vertical(u)
     else:
         alpha_vertical = null_space(ja)
-    a = np.atleast_2d(np.asarray(alpha_vertical, dtype=float))
+    a = np.atleast_2d(alpha_vertical)
     if a.shape != (r, q.dim_g):
         raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({r}, {q.dim_g})")
     if q.dim_m > 0 and float(np.max(np.abs(ja @ a.T))) > 1e-7:
@@ -101,7 +100,6 @@ def make_frame_field(q):
     cache = {}
 
     def field(u):
-        u = np.asarray(u, dtype=float)
         key = np.round(u, 12).tobytes()
         if key not in cache:
             cache[key] = algebroid_frame(q, u)
@@ -126,8 +124,6 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     point alone, so a fundamental field can be differenced on a stencil
     stack in one call.
     """
-    g = np.asarray(g, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
     rows = g.reshape(-1, q.dim_g)
     if side == "left":
         u = q.beta(rows)
@@ -153,7 +149,7 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
         return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
     values = directional(mul, q.unit_embed(u), directions, CHART_STEP)
-    return values.reshape(g.shape[:-1] + coeffs.shape[:-1] + (q.dim_g,))
+    return values.reshape(g.shape[:-1] + np.shape(coeffs)[:-1] + (q.dim_g,))
 
 
 def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):
@@ -176,7 +172,7 @@ def expand_in_frame(fr, side, value, orientation=STRICT):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise FrameSingular(f"frame condition {sv[0] / sv[-1]:.2e}")
-    coeffs, *_ = np.linalg.lstsq(mat, np.asarray(value, dtype=float), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(mat, value, rcond=None)
     return coeffs[: fr.rank], coeffs[fr.rank :]
 
 
@@ -199,7 +195,6 @@ def algebroid_bracket(
     """
     if frame_field is None:
         frame_field = make_frame_field(q)
-    u = np.asarray(u, dtype=float)
     fx = fundamental_field(q, frame_field, x_coeffs, side, orientation)
     fy = fundamental_field(q, frame_field, y_coeffs, side, orientation)
     e = q.unit_embed(u)
@@ -211,30 +206,40 @@ def algebroid_bracket(
     return coeffs
 
 
-def check_almost_lie_loopoid(q, u_samples, frame_field=None):
-    """max |rho([X,Y]) - [rho X, rho Y]| over frame pairs at sampled units."""
-    if frame_field is None:
-        frame_field = make_frame_field(q)
+def bracket_table(q, side, u, frame_field):
+    """The side's brackets of the frame sections at u as skew constants:
+    ``table[k, i, j]`` is coefficient k of [e_i, e_j], one
+    ``algebroid_bracket`` per pair i < j."""
+    r = q.rank
+    table = np.zeros((r, r, r))
+    for i in range(r):
+        for j in range(i + 1, r):
+            table[:, i, j] = algebroid_bracket(q, side, np.eye(r)[i], np.eye(r)[j], u, frame_field)
+            table[:, j, i] = -table[:, i, j]
+    return table
+
+
+def check_almost_lie_loopoid(q, u_samples, left_tables, frame_field):
+    """max |rho([X,Y]) - [rho X, rho Y]| over frame pairs at sampled units.
+
+    ``left_tables[s]`` is the left ``bracket_table`` at ``u_samples[s]``.
+    """
     r = q.rank
 
     def anchor(k):
         """u -> the anchor of frame section k, on a unit point or a stack."""
 
         def field(us):
-            us = np.asarray(us, dtype=float)
             return np.reshape([frame_field(p).rho_left[k] for p in np.atleast_2d(us)], us.shape)
 
         return field
 
     worst = 0.0
-    for u in np.atleast_2d(np.asarray(u_samples, dtype=float)):
+    for u, table in zip(np.atleast_2d(u_samples), left_tables):
         fr = frame_field(u)
         for i in range(r):
             for j in range(i + 1, r):
-                ei = np.eye(r)[i]
-                ej = np.eye(r)[j]
-                br = algebroid_bracket(q, "left", ei, ej, u, frame_field)
-                rho_br = br @ fr.rho_left
+                rho_br = table[:, i, j] @ fr.rho_left
                 vf = lie_bracket(anchor(i), anchor(j), u)
                 worst = max(worst, float(np.linalg.norm(rho_br - vf)))
     return worst
@@ -264,14 +269,10 @@ class SkewAlgebroidChart:
     name: str = "skew_algebroid"
 
     def c(self, x):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(self.c_fn(x), dtype=float)
-        return t.reshape(x.shape[:-1] + (self.rank, self.rank, self.rank))
+        return np.reshape(self.c_fn(x), x.shape[:-1] + (self.rank, self.rank, self.rank))
 
     def rho(self, x):
-        x = np.asarray(x, dtype=float)
-        m = np.asarray(self.rho_fn(x), dtype=float)
-        return m.reshape(x.shape[:-1] + (self.base_dim, self.rank))
+        return np.reshape(self.rho_fn(x), x.shape[:-1] + (self.base_dim, self.rank))
 
 
 def constant_chart(c, rho, name="constant"):
@@ -301,7 +302,7 @@ def tangent_chart(m):
 
 def _as_section(section, rank):
     if callable(section):
-        return lambda x: np.asarray(section(x), dtype=float).reshape(np.shape(x)[:-1] + (rank,))
+        return lambda x: np.reshape(section(x), np.shape(x)[:-1] + (rank,))
     arr = np.asarray(section, dtype=float).reshape(rank)
     return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + (rank,))
 
@@ -313,7 +314,6 @@ def leibniz_bracket(chart, x_section, y_section, x):
     the derivative terms being central differences of the coefficient
     functions along the anchored base directions.
     """
-    x = np.asarray(x, dtype=float)
     fx = _as_section(x_section, chart.rank)
     gy = _as_section(y_section, chart.rank)
     f0 = fx(x)
@@ -330,7 +330,7 @@ def leibniz_bracket(chart, x_section, y_section, x):
 def check_almost_lie_chart(chart, x_samples):
     """max |c^k_ij rho_k - [rho_i, rho_j]| over frame pairs at samples."""
     worst = 0.0
-    for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
+    for x in np.atleast_2d(x_samples):
         c = chart.c(x)
         rho = chart.rho(x)
         for i in range(chart.rank):

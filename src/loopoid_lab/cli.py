@@ -96,6 +96,18 @@ def _point(text, option, spec, system):
     return np.asarray(coords, dtype=float)
 
 
+def _bracket_csv(constants, csv_path):
+    """The ``i,j,k,value`` CSV of skew constants ``constants[k, i, j]`` over
+    i < j, indices from 1: written to ``csv_path`` and None, or the text."""
+    r = constants.shape[0]
+    rows = [(i + 1, j + 1, k + 1, constants[k, i, j]) for i in range(r) for j in range(i + 1, r) for k in range(r)]
+    csv_text = write_csv(("i", "j", "k", "value"), rows)
+    if not csv_path:
+        return csv_text
+    Path(csv_path).write_text(csv_text, encoding="utf-8")
+    return None
+
+
 def _guarded(fn):
     """Run a subcommand body; emit machine-readable error JSON on failure."""
 
@@ -230,14 +242,7 @@ def loop_algebra(spec_path, out, csv_path):
 
     chart = build_loop(spec.body, "$.body")
     c, skew = extract_structure_constants(chart)
-    rows = []
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            for k in range(chart.dim):
-                rows.append((i + 1, j + 1, k + 1, skew.constants[k, i, j]))
-    csv_text = write_csv(("i", "j", "k", "value"), rows)
-    if csv_path:
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
+    csv = _bracket_csv(skew.constants, csv_path)
     checks = [
         _check(
             "antisymmetry",
@@ -250,7 +255,7 @@ def loop_algebra(spec_path, out, csv_path):
         "command": "loop-algebra",
         "dim": chart.dim,
         "skew_constants": skew.constants.tolist(),
-        "csv": None if csv_path else csv_text,
+        "csv": csv,
         "checks": checks,
     }
     return _finish(report, out)
@@ -306,7 +311,7 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
         return _lie_functor_chart(spec, out, csv_path, seed, samples)
     if spec.kind != "loopoid":
         raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs loopoid or algebroid")
-    from .algebroid import algebroid_bracket, check_almost_lie_loopoid, make_frame_field
+    from .algebroid import bracket_table, check_almost_lie_loopoid, make_frame_field
 
     q = build_loopoid(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
@@ -315,20 +320,14 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
     u0 = us[0]
     r = q.rank
 
-    rows = []
-    sign_resid = 0.0
-    for i in range(r):
-        for j in range(i + 1, r):
-            bl = algebroid_bracket(q, "left", np.eye(r)[i], np.eye(r)[j], u0, ff)
-            br = algebroid_bracket(q, "right", np.eye(r)[i], np.eye(r)[j], u0, ff)
-            sign_resid = max(sign_resid, float(np.max(np.abs(bl + br))))
-            for k in range(r):
-                rows.append((i + 1, j + 1, k + 1, bl[k]))
-    csv_text = write_csv(("i", "j", "k", "value"), rows)
-    if csv_path:
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
+    # each sample's left brackets once: the first sample's feed the CSV and
+    # the sign check, all of them the almost-Lie check
+    left = [bracket_table(q, "left", u, ff) for u in us]
+    right = bracket_table(q, "right", u0, ff)
+    sign_resid = float(np.max(np.abs(left[0] + right), initial=0.0))
+    csv = _bracket_csv(left[0], csv_path)
 
-    almost = check_almost_lie_loopoid(q, us, ff)
+    almost = check_almost_lie_loopoid(q, us, left, ff)
     checks = [_check("almost_lie", "functor.anchor_bracket_morphism", float(almost), tol=1e-6)]
     lemma = None
     if q.claims_ip:
@@ -346,7 +345,7 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
         "left_right_sum_residual": sign_resid,
         "almost_lie_residual": float(almost),
         "inversion_residual": lemma,
-        "csv": None if csv_path else csv_text,
+        "csv": csv,
         "checks": checks,
     }
     return _finish(report, out)
@@ -372,15 +371,7 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
     rho_term = float(coeffs[1:] @ (chart.rho(x0) @ np.eye(r)[i]))
     leibniz_resid = float(np.max(np.abs(lhs - base - rho_term * np.eye(r)[j])))
 
-    rows = []
-    c0 = chart.c(x0)
-    for a in range(r):
-        for b in range(a + 1, r):
-            for k in range(r):
-                rows.append((a + 1, b + 1, k + 1, c0[k, a, b]))
-    csv_text = write_csv(("i", "j", "k", "value"), rows)
-    if csv_path:
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
+    csv = _bracket_csv(chart.c(x0), csv_path)
     checks = [
         _check("almost_lie", "algebroid.anchor_bracket_morphism", float(almost), tol=1e-6),
         _check("leibniz_rule", "algebroid.leibniz_rule", leibniz_resid, tol=1e-6),
@@ -392,7 +383,7 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
         "base_dim": chart.base_dim,
         "almost_lie_residual": float(almost),
         "leibniz_residual": leibniz_resid,
-        "csv": None if csv_path else csv_text,
+        "csv": csv,
         "checks": checks,
     }
     return _finish(report, out)

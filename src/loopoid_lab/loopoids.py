@@ -17,7 +17,10 @@ take ``(..., d)`` operands with equal leading shapes and return ``(...,
 d')``, each row equal bit for bit to the map of that row alone.  The maps
 work along the last axis only and never broadcast one point against a
 stack, so a caller that pairs a fixed point with a stack of points repeats
-it first.
+it first.  Operands are ndarrays of any float or complex dtype and the maps
+never cast them: a complex input gives a complex output, so a ``1e-30j``
+step carries a derivative.  Data is cast to float once, where it enters the
+program: ``specio`` reads spec numbers and ``cli`` command-line points.
 """
 
 from dataclasses import dataclass
@@ -69,7 +72,6 @@ def composable(q, g, h):
 
 def snap_to_alpha_fiber(q, h, target_m):
     """Newton-project h so that alpha(h) = target_m (minimum-norm update)."""
-    target_m = np.asarray(target_m, dtype=float)
     res = lambda p: q.alpha(p) - target_m
     h2, _ = newton_solve(res, h, tol=1e-12)
     return h2
@@ -94,20 +96,18 @@ def pair_groupoid(n):
     """M x M with (u, v)(v, w) = (u, w) and iota(u, v) = (v, u)."""
 
     def alpha(g):
-        return np.asarray(g, dtype=float)[..., :n]
+        return g[..., :n]
 
     def beta(g):
-        return np.asarray(g, dtype=float)[..., n:]
+        return g[..., n:]
 
     def unit_embed(u):
-        u = np.asarray(u, dtype=float)
         return np.concatenate([u, u], axis=-1)
 
     def mul(g, h):
-        return np.concatenate([np.asarray(g, dtype=float)[..., :n], np.asarray(h, dtype=float)[..., n:]], axis=-1)
+        return np.concatenate([g[..., :n], h[..., n:]], axis=-1)
 
     def inverse(g):
-        g = np.asarray(g, dtype=float)
         return np.concatenate([g[..., n:], g[..., :n]], axis=-1)
 
     def pav(u):
@@ -140,28 +140,24 @@ def product_loopoid(loop, n):
     d = loop.dim
 
     def alpha(g):
-        return np.asarray(g, dtype=float)[..., d : d + n]
+        return g[..., d : d + n]
 
     def beta(g):
-        return np.asarray(g, dtype=float)[..., d + n :]
+        return g[..., d + n :]
 
     def unit_embed(u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape[:-1] + (d + 2 * n,))
+        out = np.empty(u.shape[:-1] + (d + 2 * n,), dtype=np.result_type(u, float))
         out[..., :d] = loop.unit
         out[..., d : d + n] = u
         out[..., d + n :] = u
         return out
 
     def mul(g, h):
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
         return np.concatenate([loop.mul(g[..., :d], h[..., :d]), g[..., d : d + n], h[..., d + n :]], axis=-1)
 
     inverse = None
     if loop.inverse is not None:
         def inverse(g):
-            g = np.asarray(g, dtype=float)
             return np.concatenate([loop.inverse(g[..., :d]), g[..., d + n :], g[..., d : d + n]], axis=-1)
 
     def sampler(rng, k):
@@ -211,22 +207,18 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         raise NotMonotone("phi' vanishes on samples")
 
     def alpha(g):
-        return np.asarray(g, dtype=float)[..., :2]
+        return g[..., :2]
 
     def beta(g):
-        g = np.asarray(g, dtype=float)
         return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2]], axis=-1)
 
     def unit_embed(u):
-        u = np.asarray(u, dtype=float)
         return np.concatenate([u, u[..., 1:]], axis=-1)
 
     def mul(g, h):
-        g = np.asarray(g, dtype=float)
-        return np.concatenate([g[..., :2], np.asarray(h, dtype=float)[..., 2:]], axis=-1)
+        return np.concatenate([g[..., :2], h[..., 2:]], axis=-1)
 
     def inverse(g):
-        g = np.asarray(g, dtype=float)
         return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2], g[..., 1]], axis=-1)
 
     return ChartedQuasiloopoid(
@@ -263,14 +255,13 @@ class SplitFibration:
         return self.dim_total - self.dim_base
 
     def proj(self, p):
-        return np.asarray(p, dtype=float)[..., : self.dim_base]
+        return p[..., : self.dim_base]
 
     def split(self, p):
-        p = np.asarray(p, dtype=float)
         return p[..., : self.dim_base], p[..., self.dim_base :]
 
     def join(self, base, fib):
-        return np.concatenate([np.asarray(base, dtype=float), np.asarray(fib, dtype=float)], axis=-1)
+        return np.concatenate([base, fib], axis=-1)
 
     def join_jacobians(self):
         """(d join / d base, d join / d fiber): (dim_total, dim_base) and (dim_total, dim_fiber)."""
@@ -291,7 +282,6 @@ def prolongation_loopoid(q, pi):
     ng = q.dim_g
 
     def unpack(z):
-        z = np.asarray(z, dtype=float)
         return z[..., :nf], z[..., nf : nf + ng], z[..., nf + ng :]
 
     def alpha(z):
@@ -354,10 +344,10 @@ def loop_as_loopoid(loop):
     """A smooth loop seen as a loopoid over a zero-dimensional unit chart."""
 
     def alpha(g):
-        return np.zeros(np.shape(g)[:-1] + (0,))
+        return g[..., :0]
 
     def unit_embed(u):
-        out = np.empty(np.shape(u)[:-1] + (loop.dim,))
+        out = np.empty(u.shape[:-1] + (loop.dim,), dtype=np.result_type(u, float))
         out[...] = loop.unit
         return out
 
@@ -389,7 +379,6 @@ def build_local_section(q, side, through, *, predictor="unit"):
     fixed point instead (useful to certify section-choice independence).
     Raises NoConvergence when the projection stalls.
     """
-    through = np.asarray(through, dtype=float)
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     side_map = q.alpha if side == "alpha" else q.beta
@@ -397,7 +386,6 @@ def build_local_section(q, side, through, *, predictor="unit"):
     e0 = q.unit_embed(q0)
 
     def section(qp):
-        qp = np.asarray(qp, dtype=float)
         if predictor == "unit":
             seed = through + (q.unit_embed(qp) - e0)
         else:

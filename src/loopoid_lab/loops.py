@@ -12,7 +12,10 @@ Row contract: every multiplication built here takes two ``(..., dim)``
 operands with equal leading shapes and returns ``(..., dim)``, and the
 octonion inverse takes ``(..., 8)``; each row equals, bit for bit, the map
 of that row alone, so a difference stencil can evaluate all its points in
-one call.
+one call.  Operands are ndarrays of any float or complex dtype and are
+never cast, so complex operands give a complex product.  Only the
+constructors cast what a caller builds: a chart's unit, the bracket
+constants and ``SkewAlgebra``'s constants.
 """
 
 from dataclasses import dataclass
@@ -150,7 +153,7 @@ def polynomial_mul(dim, terms):
 
     def mul(x, y):
         terms_xy = coeff * monomials(x, x_exp) * monomials(y, y_exp)
-        out = np.zeros(np.shape(x)[:-1] + (dim,))
+        out = np.zeros(np.shape(x)[:-1] + (dim,), dtype=np.result_type(x, y, float))
         for j in range(slots):
             out += terms_xy[..., j, :]
         return out

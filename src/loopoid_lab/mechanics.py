@@ -26,7 +26,9 @@ so a difference stencil evaluates it once on all its points.  The
 derivatives along the frame fields, the Legendre transforms and the step
 map's residual keep the same contract on ``(N, dim_g)`` stacks, so Newton's
 step Jacobian and the regularity check's chart maps are differenced in one
-call each.
+call each.  A Lagrangian takes ndarrays of any float or complex dtype and
+never casts them; the spec Lagrangians return complex values for complex
+points.  Points are cast to float only where a trajectory starts.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -39,8 +41,8 @@ from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import LoopoidLabError, NotComposable
 from .loopoids import composable
 from .newton import newton_solve
-from .numdiff import CHART_STEP, directional, gradient, jacobian, null_space, smallest_singular_value
-from .tangent import CovectorElement, cotangent_fibration
+from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
+from .tangent import cotangent_fibration
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ def _derivative_along(system, side, g):
     """Directional derivatives of L along the side's frame fields at g, a
     point or an ``(N, dim_g)`` stack."""
     q = system.loopoid
-    g = np.asarray(g, dtype=float)
     fields = prolong(q, system.frames, np.eye(q.rank), side, g, system.orientation)
     return directional(system.lagrangian, g, fields, CHART_STEP)
 
@@ -110,13 +111,11 @@ def legendre_vs_cotangent(system, g):
     """Residual of F(+/-)L against the cotangent fibrations applied to dL."""
     q = system.loopoid
     ff = system.frames
-    g = np.asarray(g, dtype=float)
-    dl = gradient(system.lagrangian, g, CHART_STEP)
-    mu = CovectorElement(g, dl)
+    dl = jacobian(system.lagrangian, g, CHART_STEP)
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
-    via_beta = cotangent_fibration(q, "beta", mu, ff)
-    via_alpha = cotangent_fibration(q, "alpha", mu, ff, orientation=system.orientation)
+    via_beta = cotangent_fibration(q, "beta", g, dl, ff)
+    via_alpha = cotangent_fibration(q, "alpha", g, dl, ff, orientation=system.orientation)
     return max(
         float(np.max(np.abs(plus - via_beta))),
         float(np.max(np.abs(minus - via_alpha))),
@@ -138,7 +137,6 @@ def step_solve(system, g):
     constraint leave their free coordinates pinned to the seed.
     """
     q = system.loopoid
-    g = np.asarray(g, dtype=float)
     bg = q.beta(g)
     seed = q.unit_embed(bg)
     # nudge only along the doubly-vertical directions: enough to leave the
@@ -204,7 +202,6 @@ def regularity_check(system, u, seed=0):
     """
     q = system.loopoid
     rng = np.random.default_rng(seed)
-    u = np.asarray(u, dtype=float)
     e0 = q.unit_embed(u)
 
     def chart_map(g):

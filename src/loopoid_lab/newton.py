@@ -6,11 +6,14 @@ rank-deficient system converges to the minimum-norm-step solution nearest
 the seed (this is what keeps free fiber coordinates pinned to the seed).
 ``SingularJacobian`` is raised only when the linearization is both
 ill-conditioned and unable to reduce the residual, and ``NumericalNoise``
-when the differenced Jacobian holds a non-finite entry.
+when the residual at the seed or the differenced Jacobian holds a
+non-finite entry.
 
 Row contract: the residual is evaluated at single points and, once per
 iteration, by ``numdiff.jacobian`` on the ``(2n, n)`` stack of its stencil
-points, so it must map each row of a stack as it maps that row alone.
+points, so it must map each row of a stack as it maps that row alone.  The
+seed is the one value cast to float, into the iterate's own copy; the
+residual's values are used as it returns them.
 """
 
 import numpy as np
@@ -35,9 +38,11 @@ def newton_solve(
     computation; use it when the residual itself is finite-difference data,
     so noise-level directions do not blow up the step.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(x), dtype=float)
+    x = np.array(x0, dtype=float)
+    r = residual(x)
     best = float(np.linalg.norm(r))
+    if not np.all(np.isfinite(r)):
+        raise NumericalNoise(f"non-finite residual {best:.3e} at the seed")
     cond = None
     for it in range(max_iter):
         if best < tol:
@@ -53,7 +58,7 @@ def newton_solve(
         if damping:
             for _ in range(30):
                 cand = x + step * delta
-                rc = np.asarray(residual(cand), dtype=float)
+                rc = residual(cand)
                 nc = float(np.linalg.norm(rc))
                 if nc < best or nc < tol:
                     x, r, best = cand, rc, nc
@@ -62,7 +67,7 @@ def newton_solve(
                 step *= 0.5
         else:
             x = x + delta
-            r = np.asarray(residual(x), dtype=float)
+            r = residual(x)
             best = float(np.linalg.norm(r))
             improved = True
         if not improved:

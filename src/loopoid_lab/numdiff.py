@@ -1,30 +1,34 @@
 """Central finite differences for chart maps.
 
-All derivatives in the package come through here: Jacobians, gradients,
-directional derivatives, the 4-point mixed stencil used for structure
-constants, and the two-step Lie bracket of vector fields.  Steps are
-relative: ``h = rel * max(1, |x|_inf)``, so charts centered at the origin
-get the raw relative step.
+All derivatives in the package come through here: Jacobians (the gradient
+of a scalar map), directional derivatives, the 4-point mixed stencil used
+for structure constants, and the two-step Lie bracket of vector fields.
+Steps are relative: ``h = rel * max(1, |x|_inf)``, so charts centered at
+the origin get the raw relative step.
 
 Three steps, each the default of its entry points, serve the package:
-``STEP`` (``jacobian``, ``gradient``, ``directional``) for fibration maps,
-the Legendre chart maps of the regularity check and the slope probe of an
-odd map; ``CHART_STEP`` (``mixed_bilinear``) for every derivative of a chart
-map, a Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for
-differences of quantities themselves differenced at ``CHART_STEP``.
+``STEP`` (``jacobian``, ``directional``) for fibration maps, the Legendre
+chart maps of the regularity check and the slope probe of an odd map;
+``CHART_STEP`` (``mixed_bilinear``) for every derivative of a chart map, a
+Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for differences
+of quantities themselves differenced at ``CHART_STEP``.
 Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``
 array the way it maps that row alone.  That holds for every ``f`` given to
-``jacobian``, ``gradient``, ``mixed_bilinear``, ``lie_bracket`` (whose
-fields are also called at the bare point) and ``newton_solve`` (whose
-residual is differenced by ``jacobian``), and for ``directional`` with a
-matrix or stack of directions; the chart maps of ``loops`` and
+``jacobian``, ``mixed_bilinear``, ``lie_bracket`` (whose fields are also
+called at the bare point) and ``newton_solve`` (whose residual is
+differenced by ``jacobian``), and for ``directional`` with a matrix or
+stack of directions; the chart maps of ``loops`` and
 ``loopoids``, the Lagrangians ``specio`` builds and the fundamental fields
 of ``algebroid`` keep it.  A map that is one-point by nature loops over the
 rows itself.  Only ``directional`` with a single direction evaluates ``f``
 on 1-D points, so there ``f`` may be any map of one point.
+
+Nothing here casts what ``f`` returns.  ``directional`` casts its base
+point and direction to float, because the slope probe of an odd map passes
+Python scalars; the other routines take ndarrays as they come.
 """
 
 import math
@@ -43,16 +47,9 @@ def step_for(x, rel):
 
 def jacobian(f, x, rel_step=STEP):
     """Jacobian of f at x from one call of f on the ``(2n, n)`` stencil stack."""
-    x = np.asarray(x, dtype=float)
-    d = directional(f, x, np.eye(x.size), rel_step)
+    d = directional(f, x, np.eye(np.size(x)), rel_step)
     # the input axis goes last, as np.moveaxis(d, 0, -1) puts it
     return d.transpose(tuple(range(1, d.ndim)) + (0,))
-
-
-def gradient(f, x, rel_step=STEP):
-    """Gradient of a scalar f at x."""
-    x = np.asarray(x, dtype=float)
-    return directional(f, x, np.eye(x.size), rel_step)
 
 
 def directional(f, x, v, rel_step=STEP):
@@ -69,10 +66,10 @@ def directional(f, x, v, rel_step=STEP):
     v = np.asarray(v, dtype=float)
     h = step_for(x, rel_step)
     if v.ndim < 2:
-        return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
+        return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
     steps = h[..., None, None] * v
     points = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps])
-    values = np.asarray(f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1])), dtype=float)
+    values = f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1]))
     values = values.reshape((2,) + v.shape[:-1] + values.shape[1:])
     return (values[0] - values[1]) / (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
 
@@ -84,8 +81,6 @@ def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):
     (f(+h,+h) - f(+h,-h) - f(-h,+h) + f(-h,-h)) / (4 h^2), from one call
     of ``f`` on the four stacked ``(x, y)`` rows.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     h = max(step_for(x0, rel_step), step_for(y0, rel_step))
     ei = np.zeros(x0.size)
     ei[i] = h
@@ -93,7 +88,7 @@ def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):
     ej[j] = h
     xs = np.stack([x0 + ei, x0 + ei, x0 - ei, x0 - ei])
     ys = np.stack([y0 + ej, y0 - ej, y0 + ej, y0 - ej])
-    fpp, fpm, fmp, fmm = np.asarray(f(xs, ys), dtype=float)
+    fpp, fpm, fmp, fmm = f(xs, ys)
     return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
 
 
@@ -102,9 +97,8 @@ def lie_bracket(field_v, field_w, x, rel_step=OUTER_STEP):
 
     Each field is called twice: at x, and on its Jacobian's stencil stack.
     """
-    x = np.asarray(x, dtype=float)
-    vx = np.asarray(field_v(x), dtype=float)
-    wx = np.asarray(field_w(x), dtype=float)
+    vx = field_v(x)
+    wx = field_w(x)
     dw = jacobian(field_w, x, rel_step)
     dv = jacobian(field_v, x, rel_step)
     return dw @ vx - dv @ wx
@@ -115,7 +109,7 @@ def null_space(mat):
 
     Singular values at or below 1e-8 * sigma_max count as zero.
     """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    mat = np.atleast_2d(mat)
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
     u, s, vt = np.linalg.svd(mat)
@@ -125,7 +119,7 @@ def null_space(mat):
 
 
 def smallest_singular_value(mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    mat = np.atleast_2d(mat)
     if mat.size == 0:
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[-1])

@@ -54,21 +54,18 @@ INVERT_EPS = 1e-300
 
 def oct_mul_batch(a, b):
     """Product of ``(..., 8)`` coefficient stacks with equal shapes, row by row."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), MUL_TENSOR).reshape(a.shape)
 
 
 def oct_conj(x):
     """Conjugates of a ``(..., 8)`` stack: the e1..e7 parts negated."""
-    out = np.array(x, dtype=float)
+    out = x.copy()
     out[..., 1:] = -out[..., 1:]
     return out
 
 
 def oct_inverse(x):
     """x^{-1} = conj(x) / |x|^2 row by row; refuses numerically zero rows."""
-    x = np.asarray(x, dtype=float)
     # a row's |x|^2 as a stacked matmul rounds as x @ x does on that row alone
     nsq = (x[..., None, :] @ x[..., :, None])[..., 0]
     if np.any(np.sqrt(nsq) < INVERT_EPS):

@@ -378,7 +378,7 @@ def make_scalar_polynomial(terms, dim):
         # contiguous loop a single point gets
         powers = np.take(x, cols, axis=-1) ** exponents
         monomials = np.prod(powers.reshape(np.shape(x)[:-1] + (len(terms), dim)), axis=-1)
-        out = np.zeros(np.shape(x)[:-1])
+        out = np.zeros(np.shape(x)[:-1], dtype=np.result_type(x, float))
         for j, c in enumerate(coeffs):
             out += c * monomials[..., j]
         return out

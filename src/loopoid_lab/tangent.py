@@ -40,20 +40,6 @@ class TangentElement:
         object.__setattr__(self, "vector", v)
 
 
-@dataclass(frozen=True)
-class CovectorElement:
-    base: np.ndarray
-    covector: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.base, dtype=float)
-        v = np.asarray(self.covector, dtype=float)
-        if b.shape != v.shape:
-            raise ValueError(f"base shape {b.shape} != covector shape {v.shape}")
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "covector", v)
-
-
 def tangent_multiply(q, xg, yh, *, predictor="unit"):
     """Product of tangent elements via the local-section formula.
 
@@ -191,8 +177,8 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     }
 
 
-def cotangent_fibration(q, side, mu, frame_field=None, orientation=ALIGNED):
-    """Components of beta~(mu) or alpha~(mu) in the dual frame.
+def cotangent_fibration(q, side, g, covector, frame_field=None, orientation=ALIGNED):
+    """Components of beta~ or alpha~ of the covector at g in the dual frame.
 
     beta~ pairs the covector with the left fundamental fields and lives over
     beta(g); alpha~ pairs with the right fields over alpha(g).  The right
@@ -201,11 +187,9 @@ def cotangent_fibration(q, side, mu, frame_field=None, orientation=ALIGNED):
     """
     if frame_field is None:
         frame_field = make_frame_field(q)
-    g = mu.base
-    cov = mu.covector
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     fields = prolong(
         q, frame_field, np.eye(q.rank), "left" if side == "beta" else "right", g, orientation
     )
-    return np.array([cov @ v for v in fields])
+    return np.array([covector @ v for v in fields])

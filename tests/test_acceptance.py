@@ -26,6 +26,7 @@ from loopoid_lab.algebroid import (
     STRICT,
     algebroid_bracket,
     algebroid_frame,
+    bracket_table,
     check_almost_lie_chart,
     check_almost_lie_loopoid,
     constant_chart,
@@ -53,7 +54,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.numdiff import CHART_STEP, jacobian
-from loopoid_lab.tangent import CovectorElement, TangentElement, tangent_multiply, cotangent_fibration
+from loopoid_lab.tangent import TangentElement, tangent_multiply, cotangent_fibration
 
 
 def _report(name, detail):
@@ -192,10 +193,13 @@ def test_ac5_almost_lie():
     rng = np.random.default_rng(4)
     worst = 0.0
     # loopoid instances
-    q1 = product_loopoid(planar_feedback_chart(), 2)
-    worst = max(worst, check_almost_lie_loopoid(q1, rng.normal(scale=0.4, size=(2, 2))))
-    q2 = product_loopoid(cubic_line_chart(), 1)
-    worst = max(worst, check_almost_lie_loopoid(q2, rng.normal(scale=0.4, size=(2, 1))))
+    for q, us in (
+        (product_loopoid(planar_feedback_chart(), 2), rng.normal(scale=0.4, size=(2, 2))),
+        (product_loopoid(cubic_line_chart(), 1), rng.normal(scale=0.4, size=(2, 1))),
+    ):
+        ff = make_frame_field(q)
+        tables = [bracket_table(q, "left", u, ff) for u in us]
+        worst = max(worst, check_almost_lie_loopoid(q, us, tables, ff))
     assert worst < 1e-6
 
     # every algebroid prolongation output, including a non-Jacobi seed
@@ -235,8 +239,8 @@ def test_ac6_tangent_cotangent():
         expected = vx * (1 + 2 * x * y) + vy * (1 + x * x)
         worst_tan = max(worst_tan, abs(out.vector[0] - expected))
         p = rng.normal()
-        bt = cotangent_fibration(ql, "beta", CovectorElement([x], [p]), ff)
-        at = cotangent_fibration(ql, "alpha", CovectorElement([x], [p]), ff)
+        bt = cotangent_fibration(ql, "beta", np.array([x]), np.array([p]), ff)
+        at = cotangent_fibration(ql, "alpha", np.array([x]), np.array([p]), ff)
         worst_cot = max(worst_cot, abs(bt[0] - p * (1 + x * x)), abs(at[0] - p))
     assert worst_tan < 1e-8
     assert worst_cot < 1e-7

@@ -6,7 +6,7 @@ import pytest
 from conftest import example, planar_feedback_chart
 from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, prolong
-from loopoid_lab.errors import LoopoidLabError, NotComposable, SingularJacobian
+from loopoid_lab.errors import LoopoidLabError, NotComposable, NumericalNoise, SingularJacobian
 from loopoid_lab.loopoids import COMPOSABLE_TOL, pair_groupoid, phi_quasiloopoid, product_loopoid
 from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
@@ -255,6 +255,28 @@ def test_newton_config_round_trip():
     )
     h = step_solve(system, np.array([0.0, 0.5]))
     assert np.allclose(h, [0.5, 1.0], atol=1e-7)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_newton_refuses_a_non_finite_residual_at_the_seed():
+    # the residual is checked before any Jacobian is differenced from it
+    shapes = []
+
+    def residual(x):
+        shapes.append(np.shape(x))
+        return np.log(x - 1.0)
+
+    with pytest.raises(NumericalNoise, match=r"^non-finite residual nan at the seed$"):
+        newton_solve(residual, np.array([0.5]))
+    assert shapes == [(1,)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_newton_refuses_a_non_finite_jacobian():
+    # log(x - 1) is finite at the seed 1 + 1e-9, but the Jacobian's stencil
+    # steps 1e-7 below it, where the log is NaN
+    with pytest.raises(NumericalNoise, match=r"^non-finite Jacobian entry at iteration 1, residual 2\.072e\+01$"):
+        newton_solve(lambda x: np.log(x - 1.0), np.array([1.0 + 1e-9]))
 
 
 # ---------------------------------------------------------------------------

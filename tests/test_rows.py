@@ -6,6 +6,9 @@ cases are every loop, loopoid, algebroid and system spec in ``examples/``,
 plus the constructions no example reaches.  The maps built on them keep
 the contract too: prolongations, derivatives along stacked bases and the
 step map's residual; and each differencing routine calls its map once.
+The chart maps and Lagrangians also keep a complex input complex, so a
+``1e-30j`` step along a direction carries their derivative in its imaginary
+part.
 """
 
 import json
@@ -18,7 +21,7 @@ from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import CHART_STEP, directional, gradient, jacobian, lie_bracket, mixed_bilinear
+from loopoid_lab.numdiff import CHART_STEP, directional, jacobian, lie_bracket, mixed_bilinear
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
 
@@ -121,6 +124,55 @@ def test_octonion_maps_on_rows_equal_single_calls(shape):
         assert_rows(oct_conj, x)
 
 
+# ---------------------------------------------------------------------------
+# complex steps: the maps keep their caller's dtype
+# ---------------------------------------------------------------------------
+
+COMPLEX_STEP = 1e-30
+
+
+def assert_complex_step(fn, points, directions):
+    """``fn`` at ``points + 1e-30j * directions`` is complex, and its
+    imaginary part over 1e-30 is the derivative along ``directions``: a
+    1e-6 central difference within 1e-8."""
+    got = fn(*(p + 1j * COMPLEX_STEP * v for p, v in zip(points, directions)))
+    assert np.iscomplexobj(got)
+    plus = fn(*(p + 1e-6 * v for p, v in zip(points, directions)))
+    minus = fn(*(p - 1e-6 * v for p, v in zip(points, directions)))
+    assert np.max(np.abs(got.imag / COMPLEX_STEP - (plus - minus) / 2e-6), initial=0.0) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_loopoid_maps_carry_a_complex_step(name):
+    q = build_loopoid(LOOPOIDS[name], "$.body")
+    rng = np.random.default_rng(17)
+    g, h = stacks(rng, (5,), q.dim_g)
+    vg, vh = rng.normal(size=(2, 5, q.dim_g))
+    assert_complex_step(q.mul, (g, h), (vg, vh))
+    for fn in (q.alpha, q.beta) + ((q.inverse,) if q.inverse is not None else ()):
+        assert_complex_step(fn, (g,), (vg,))
+    assert_complex_step(q.unit_embed, (rng.normal(scale=0.3, size=(5, q.dim_m)),), (rng.normal(size=(5, q.dim_m)),))
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_loop_maps_carry_a_complex_step(name):
+    chart = build_loop(LOOPS[name], "$.body")
+    rng = np.random.default_rng(18)
+    x, y = stacks(rng, (5,), chart.dim)
+    vx, vy = rng.normal(size=(2, 5, chart.dim))
+    assert_complex_step(chart.mul, (x, y), (vx, vy))
+    if chart.inverse is not None:
+        assert_complex_step(chart.inverse, (x,), (vx,))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_lagrangian_carries_a_complex_step(name):
+    system = build_system(SYSTEMS[name], "$.body")
+    rng = np.random.default_rng(19)
+    g, _ = stacks(rng, (5,), system.loopoid.dim_g)
+    assert_complex_step(system.lagrangian, (g,), (rng.normal(size=g.shape),))
+
+
 def test_coordinate_fibration_on_rows_equals_single_calls():
     pi = SplitFibration(5, 2)
     rng = np.random.default_rng(9)
@@ -215,7 +267,7 @@ def test_differencing_calls_its_map_once_per_stencil():
 
     shapes = []
     assert jacobian(counting(q.alpha, shapes), x).shape == (q.dim_m, n)
-    assert gradient(counting(system.lagrangian, shapes), x).shape == (n,)
+    assert jacobian(counting(system.lagrangian, shapes), x).shape == (n,)
     assert shapes == [(2 * n,), (2 * n,)]
 
     shapes = []

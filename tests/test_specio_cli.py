@@ -387,7 +387,7 @@ def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
     # at |g| ~ 1e150 the Lagrangian overflows, so the step residual is NaN
-    # and its Jacobian non-finite: Newton stops before the SVD
+    # at Newton's seed: Newton stops before differencing a Jacobian
     report = tmp_path / "r.json"
     start = "1e150,2,0.7,-0.4,0.5,1.3"
     args = ["simulate", "--spec", str(EXAMPLES / "readme_system.json"), "--steps", "2", "--start", start]
@@ -395,7 +395,7 @@ def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert json.loads(report.read_text())["error"] == {
         "type": "NumericalNoise",
-        "message": "step 0: non-finite Jacobian entry at iteration 1, residual nan",
+        "message": "step 0: non-finite residual nan at the seed",
     }
 
 

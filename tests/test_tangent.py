@@ -13,7 +13,6 @@ from loopoid_lab.loopoids import (
 )
 from loopoid_lab.loops import octonion_chart
 from loopoid_lab.tangent import (
-    CovectorElement,
     TangentElement,
     check_tangent_loopoid,
     cotangent_fibration,
@@ -134,8 +133,8 @@ def test_cotangent_fibrations_cubic_line(cubic_loopoid, rng):
     ff = make_frame_field(cubic_loopoid)
     for _ in range(15):
         x, p = rng.normal(scale=0.6, size=2)
-        beta_val = cotangent_fibration(cubic_loopoid, "beta", CovectorElement([x], [p]), ff)
-        alpha_val = cotangent_fibration(cubic_loopoid, "alpha", CovectorElement([x], [p]), ff)
+        beta_val = cotangent_fibration(cubic_loopoid, "beta", np.array([x]), np.array([p]), ff)
+        alpha_val = cotangent_fibration(cubic_loopoid, "alpha", np.array([x]), np.array([p]), ff)
         assert abs(beta_val[0] - p * (1 + x * x)) < 1e-7
         assert abs(alpha_val[0] - p) < 1e-7
 
@@ -146,7 +145,7 @@ def test_cotangent_at_unit_restricts_to_vertical_basis(rng):
     u = rng.normal(size=2)
     e = q.unit_embed(u)
     mu = rng.normal(size=6)
-    got = cotangent_fibration(q, "beta", CovectorElement(e, mu), ff)
+    got = cotangent_fibration(q, "beta", e, mu, ff)
     fr = ff(u)
     assert np.allclose(got, fr.alpha_vertical @ mu, atol=1e-8)
 
@@ -159,8 +158,8 @@ def test_cotangent_componentwise_on_product(rng):
     ffl = make_frame_field(ql)
     g = q.sample_g(rng, 1)[0]
     mu = rng.normal(size=3)
-    got = cotangent_fibration(q, "beta", CovectorElement(g, mu), ff)
-    loop_part = cotangent_fibration(ql, "beta", CovectorElement(g[:1], mu[:1]), ffl)
+    got = cotangent_fibration(q, "beta", g, mu, ff)
+    loop_part = cotangent_fibration(ql, "beta", g[:1], mu[:1], ffl)
     assert abs(got[0] - loop_part[0]) < 1e-7
     assert abs(got[1] - mu[2]) < 1e-8  # beta-leg slot of the covector
 
