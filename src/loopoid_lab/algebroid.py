@@ -12,9 +12,9 @@ two Legendre transforms agree on the unit manifold); brackets, anchors and
 the inversion identities use the strict one.
 
 Left/right prolongations are fundamental vector fields obtained by
-differencing the partial multiplication along fiber directions; their Lie
-brackets at unit points, expanded back in the frame, are the two skew
-brackets carried by the normal bundle.
+complex-step derivatives of the partial multiplication along fiber
+directions; their Lie brackets at unit points, expanded back in the frame,
+are the two skew brackets carried by the normal bundle.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import FrameSingular, NotOnFiber, RankDeficient
-from .numdiff import CHART_STEP, directional, jacobian, lie_bracket, null_space, smallest_singular_value
+from .numdiff import (
+    CHART_STEP,
+    COMPLEX_STEP,
+    complex_step,
+    directional,
+    jacobian,
+    lie_bracket,
+    null_space,
+    smallest_singular_value,
+)
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -111,14 +120,16 @@ def make_frame_field(q):
 def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     """Fundamental vector field values at g, a point or a ``(N, dim_g)`` stack.
 
-    Left: difference h -> m(g, h) at the unit of beta(g) along the
-    alpha-vertical representative of the section.  Right: difference
+    Left: the derivative of h -> m(g, h) at the unit of beta(g) along the
+    alpha-vertical representative of the section.  Right: that of
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector
     per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
     Each point's unit, frame and embedded base are resolved once (one
     cached ``frame_field`` request per point), and the multiplication and
-    the slab check each run once, on all ``2 N k`` stencil points.
+    the slab check each run once, on all ``N k`` complex-step points.  The
+    slab check raises ``NotOnFiber`` when a direction's rate off the slab,
+    ``|T slab . v|``, exceeds ``1e-6 |v|``.
 
     Row contract: each point's values equal, bit for bit, those of the
     point alone, so a fundamental field can be differenced on a stencil
@@ -137,18 +148,19 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
     n, k = directions.shape[:2]
-    # directional orders its stencil points by sign, then point, then direction
-    fixed = np.repeat(np.concatenate([rows, rows]), k, axis=0)
+    # complex_step orders its points by point, then direction
+    fixed = np.repeat(rows, k, axis=0)
+    bound = 1e-6 * np.linalg.norm(directions, axis=-1)
 
     def mul(points):
-        # the stencil's map: every point it evaluates must stay on the slab
-        off = slab(points).reshape(2, n, k, q.dim_m) - u[:, None, :]
-        gap = np.max(np.linalg.norm(off, axis=-1), initial=0.0)
-        if gap > 1e-6:
-            raise NotOnFiber(f"difference step leaves the slab by {gap:.2e}")
+        # every point's real part is its unit, so the slab is left only at
+        # first order: Im slab / h is T slab . v, which must vanish
+        rate = np.linalg.norm(slab(points).imag.reshape(n, k, q.dim_m), axis=-1) / COMPLEX_STEP
+        if np.any(rate > bound):
+            raise NotOnFiber(f"fiber direction leaves the slab at rate {np.max(rate):.2e}")
         return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
-    values = directional(mul, q.unit_embed(u), directions, CHART_STEP)
+    values = complex_step(mul, q.unit_embed(u), directions)
     return values.reshape(g.shape[:-1] + np.shape(coeffs)[:-1] + (q.dim_g,))
 
 
@@ -189,9 +201,10 @@ def algebroid_bracket(
     """Skew bracket of two constant-in-frame sections, in frame coefficients.
 
     The Lie bracket of the prolonged fields is evaluated at the embedded
-    unit by nested central differences and expanded back in the frame; the
-    TM component of the expansion is reported when ``return_tm`` is set and
-    should vanish, since brackets of vertical fields stay vertical.
+    unit by central differences of the complex-step fields and expanded
+    back in the frame; the TM component of the expansion is reported when
+    ``return_tm`` is set and should vanish, since brackets of vertical
+    fields stay vertical.
     """
     if frame_field is None:
         frame_field = make_frame_field(q)

@@ -12,6 +12,12 @@ F+L pairs dL with the left fields (valued at beta(g)), F-L with the right
 fields (valued at alpha(g)), so a step map gamma satisfies
 F-L(gamma(g)) = F+L(g) identically.
 
+The fundamental fields and the derivatives of L along them are complex
+steps (``numdiff.complex_step``), so the Legendre transforms and the step
+map's residual are exact to rounding in their inner derivative; only their
+outer derivatives, Newton's step Jacobian and the regularity check's, are
+central differences.
+
 The right fields depend on the beta-representative orientation (see
 ``algebroid``).  The default here is "aligned", under which the two
 Legendre transforms agree on unit points for leg-symmetric Lagrangians and
@@ -22,7 +28,7 @@ system-level switch so every operation stays mutually consistent.
 
 Row contract: a system's Lagrangian maps ``(..., dim_g)`` points to
 ``(...)`` values, each equal bit for bit to its value at that point alone,
-so a difference stencil evaluates it once on all its points.  The
+so a stencil or a complex step evaluates it once on all its points.  The
 derivatives along the frame fields, the Legendre transforms and the step
 map's residual keep the same contract on ``(N, dim_g)`` stacks, so Newton's
 step Jacobian and the regularity check's chart maps are differenced in one
@@ -41,7 +47,7 @@ from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import LoopoidLabError, NotComposable
 from .loopoids import composable
 from .newton import newton_solve
-from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
+from .numdiff import CHART_STEP, complex_step, jacobian, null_space, smallest_singular_value
 from .tangent import cotangent_fibration
 
 
@@ -50,8 +56,8 @@ class NewtonConfig:
     """Keyword arguments of ``newton_solve`` for the step map."""
 
     # rcond cuts singular values below rcond * sigma_max when stepping: the
-    # step Jacobian is differenced from differenced data, so directions at
-    # the noise floor carry no information
+    # step Jacobian is a central difference, so directions at its noise
+    # floor carry no information
     max_iter: int = 50
     tol: float = 1e-10
     damping: bool = True
@@ -86,7 +92,7 @@ def _derivative_along(system, side, g):
     point or an ``(N, dim_g)`` stack."""
     q = system.loopoid
     fields = prolong(q, system.frames, np.eye(q.rank), side, g, system.orientation)
-    return directional(system.lagrangian, g, fields, CHART_STEP)
+    return complex_step(system.lagrangian, g, fields)
 
 
 def el_residual(system, g, h, *, check=True):
@@ -111,7 +117,7 @@ def legendre_vs_cotangent(system, g):
     """Residual of F(+/-)L against the cotangent fibrations applied to dL."""
     q = system.loopoid
     ff = system.frames
-    dl = jacobian(system.lagrangian, g, CHART_STEP)
+    dl = complex_step(system.lagrangian, g, np.eye(q.dim_g))
     plus = legendre(system, "plus", g)
     minus = legendre(system, "minus", g)
     via_beta = cotangent_fibration(q, "beta", g, dl, ff)

@@ -6,8 +6,8 @@ rank-deficient system converges to the minimum-norm-step solution nearest
 the seed (this is what keeps free fiber coordinates pinned to the seed).
 ``SingularJacobian`` is raised only when the linearization is both
 ill-conditioned and unable to reduce the residual, and ``NumericalNoise``
-when the residual at the seed or the differenced Jacobian holds a
-non-finite entry.
+when the residual at the seed is not finite (a non-finite entry, or a norm
+that overflows) or the differenced Jacobian holds a non-finite entry.
 
 Row contract: the residual is evaluated at single points and, once per
 iteration, by ``numdiff.jacobian`` on the ``(2n, n)`` stack of its stencil
@@ -35,13 +35,13 @@ def newton_solve(
     """Drive ``residual`` to zero from ``x0``; returns (x, info dict).
 
     ``rcond`` truncates singular values below rcond * sigma_max in the step
-    computation; use it when the residual itself is finite-difference data,
-    so noise-level directions do not blow up the step.
+    computation; use it when the differenced Jacobian has a noise floor, so
+    noise-level directions do not blow up the step.
     """
     x = np.array(x0, dtype=float)
     r = residual(x)
     best = float(np.linalg.norm(r))
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(best):
         raise NumericalNoise(f"non-finite residual {best:.3e} at the seed")
     cond = None
     for it in range(max_iter):

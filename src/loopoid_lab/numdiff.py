@@ -1,34 +1,45 @@
-"""Central finite differences for chart maps.
+"""Finite differences and complex steps for chart maps.
 
 All derivatives in the package come through here: Jacobians (the gradient
-of a scalar map), directional derivatives, the 4-point mixed stencil used
-for structure constants, and the two-step Lie bracket of vector fields.
-Steps are relative: ``h = rel * max(1, |x|_inf)``, so charts centered at
-the origin get the raw relative step.
+of a scalar map), directional derivatives, complex-step derivatives, the
+4-point mixed stencil used for structure constants, and the two-step Lie
+bracket of vector fields.  Difference steps are relative:
+``h = rel * max(1, |x|_inf)``, so charts centered at the origin get the raw
+relative step.
 
-Three steps, each the default of its entry points, serve the package:
-``STEP`` (``jacobian``, ``directional``) for fibration maps, the Legendre
-chart maps of the regularity check and the slope probe of an odd map;
-``CHART_STEP`` (``mixed_bilinear``) for every derivative of a chart map, a
-Lagrangian or an anchor; ``OUTER_STEP`` (``lie_bracket``) for differences
-of quantities themselves differenced at ``CHART_STEP``.
-Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
+``complex_step`` takes the first derivative of an analytic map from
+``Im f(x + i h v) / h`` at ``COMPLEX_STEP = 1e-30``: one evaluation per
+direction and no cancellation, so it is exact to rounding.  It serves the
+inner derivatives: the fundamental fields (``algebroid.prolong``, whose slab
+guard divides by the same step), the Legendre transforms, the step map's
+residual and the Lagrangian's gradient.
+
+Three difference steps, each the default of its entry points, serve the
+rest: ``STEP`` (``jacobian``, ``directional``) for fibration maps, the
+Legendre chart maps of the regularity check and the slope probe of an odd
+map; ``CHART_STEP`` (``mixed_bilinear``) for every other derivative of a
+chart map or an anchor: the frames' and fibrations' Jacobians, the tangent
+maps, the axiom audits and the structure constants; ``OUTER_STEP``
+(``lie_bracket``) for differences of quantities that are themselves
+derivatives, such as the fundamental fields.  Newton's step Jacobian takes
+its step from ``mechanics.NewtonConfig``.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``
 array the way it maps that row alone.  That holds for every ``f`` given to
-``jacobian``, ``mixed_bilinear``, ``lie_bracket`` (whose fields are also
-called at the bare point) and ``newton_solve`` (whose residual is
-differenced by ``jacobian``), and for ``directional`` with a matrix or
-stack of directions; the chart maps of ``loops`` and
+``jacobian``, ``complex_step``, ``mixed_bilinear``, ``lie_bracket`` (whose
+fields are also called at the bare point) and ``newton_solve`` (whose
+residual is differenced by ``jacobian``), and for ``directional`` with a
+matrix or stack of directions; the chart maps of ``loops`` and
 ``loopoids``, the Lagrangians ``specio`` builds and the fundamental fields
 of ``algebroid`` keep it.  A map that is one-point by nature loops over the
 rows itself.  Only ``directional`` with a single direction evaluates ``f``
 on 1-D points, so there ``f`` may be any map of one point.
 
-Nothing here casts what ``f`` returns.  ``directional`` casts its base
-point and direction to float, because the slope probe of an odd map passes
-Python scalars; the other routines take ndarrays as they come.
+Nothing here casts what ``f`` returns.  ``directional`` and
+``complex_step`` cast their base point and direction to float, because the
+slope probe of an odd map passes Python scalars and a complex step needs a
+real base; the other routines take ndarrays as they come.
 """
 
 import math
@@ -38,6 +49,7 @@ import numpy as np
 STEP = 1e-6
 CHART_STEP = 1e-5
 OUTER_STEP = 1e-4
+COMPLEX_STEP = 1e-30
 
 
 def step_for(x, rel):
@@ -72,6 +84,23 @@ def directional(f, x, v, rel_step=STEP):
     values = f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1]))
     values = values.reshape((2,) + v.shape[:-1] + values.shape[1:])
     return (values[0] - values[1]) / (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
+
+
+def complex_step(f, x, v):
+    """Complex-step derivative ``Im f(x + i h v) / h`` of f along v.
+
+    Stacked like ``directional``: a ``(k, n)`` matrix ``v`` at one base, or
+    ``(N, k, n)`` directions at an ``(N, n)`` stack of bases, give the
+    ``(k, ...)`` or ``(N, k, ...)`` derivatives from one call of ``f`` on the
+    ``N k`` points ``x + i h v``.  No difference is taken, so the result is
+    exact to rounding for any step; ``f`` must be real-analytic and keep
+    its caller's complex dtype.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    points = x[..., None, :] + (1j * COMPLEX_STEP) * v
+    values = f(points.reshape(-1, v.shape[-1]))
+    return values.imag.reshape(v.shape[:-1] + values.shape[1:]) / COMPLEX_STEP
 
 
 def mixed_bilinear(f, x0, y0, i, j, rel_step=CHART_STEP):

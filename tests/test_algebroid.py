@@ -143,46 +143,54 @@ def test_prolong_bracket_loop_formula(rng):
         assert np.allclose(right, np.eye(3)[i] + correction, atol=1e-7)
 
 
-def test_prolong_slab_guard():
-    # alpha curved hard enough that a vertical step drifts out of the slab
-    scale = 1e7
-
-    def alpha(g):
-        return g[..., :1] + scale * g[..., 1:] ** 2
-
-    q = ChartedQuasiloopoid(
+def curved_loopoid():
+    # alpha curves out of its slab only at second order: at a unit,
+    # T alpha = [1, 2 * 1e7 * g1] = [1, 0]
+    return ChartedQuasiloopoid(
         dim_g=2,
         dim_m=1,
-        alpha=alpha,
+        alpha=lambda g: g[..., :1] + 1e7 * g[..., 1:] ** 2,
         beta=lambda g: g[..., :1],
         unit_embed=lambda u: np.concatenate([u, np.zeros_like(u)], axis=-1),
         mul=lambda g, h: g + h,
         sampler=lambda rng, k: rng.normal(size=(k, 2)),
         name="curved",
     )
+
+
+TILTED = np.array([[1e-3, 1.0]])  # 1e-3 off ker T alpha = ker T beta = span (0, 1)
+
+
+def test_prolong_slab_guard():
+    # a complex step's real part stays at the unit, so a chart curving out
+    # of the slab at second order prolongs exactly; a frame row off
+    # ker T alpha leaves it at first order, which the guard names
+    q = curved_loopoid()
     ff = make_frame_field(q)
-    with pytest.raises(NotOnFiber):
-        prolong(q, ff, [1.0], "left", np.array([0.2, 0.0]))
+    assert np.array_equal(prolong(q, ff, [1.0], "left", np.array([0.2, 0.0])), [0.0, 1.0])
+
+    def tilted(u):
+        return dataclasses.replace(ff(u), alpha_vertical=TILTED)
+
+    with pytest.raises(NotOnFiber, match="rate 1.00e-03"):
+        prolong(q, tilted, [1.0], "left", np.array([0.2, 0.0]))
 
 
 def test_prolong_slab_guard_checks_the_stencil_points():
-    # the stencil steps by CHART_STEP * max(1, |base|) = 2e-4 at the base
-    # (20, 0), where alpha leaves the slab by 1e3 * (2e-4)^2 = 4e-5; a probe
-    # one CHART_STEP out would leave it by only 1e-7
-    scale = 1e3
-    q = ChartedQuasiloopoid(
-        dim_g=2,
-        dim_m=1,
-        alpha=lambda g: g[..., :1] + scale * g[..., 1:] ** 2,
-        beta=lambda g: g[..., :1],
-        unit_embed=lambda u: np.concatenate([u, np.zeros_like(u)], axis=-1),
-        mul=lambda g, h: g + h,
-        sampler=lambda rng, k: rng.normal(size=(k, 2)),
-        name="curved",
-    )
+    # one tilted representative, at one point of a stack: the guard checks
+    # every direction at every point, on the side's own slab
+    q = curved_loopoid()
     ff = make_frame_field(q)
-    with pytest.raises(NotOnFiber, match="4.00e-05"):
-        prolong(q, ff, [1.0], "left", np.array([20.0, 0.0]))
+    g = np.array([[0.2, 0.0], [20.0, 0.0], [-3.0, 0.0]])
+    for side, field in [("left", "alpha_vertical"), ("right", "beta_vertical")]:
+
+        def tilted(u, field=field):
+            fr = ff(u)
+            return dataclasses.replace(fr, **{field: TILTED}) if u[0] == 20.0 else fr
+
+        assert np.array_equal(prolong(q, tilted, np.eye(1), side, g[[0, 2]]), [[[0.0, 1.0]]] * 2)
+        with pytest.raises(NotOnFiber, match="rate 1.00e-03"):
+            prolong(q, tilted, np.eye(1), side, g)
 
 
 # ---------------------------------------------------------------------------

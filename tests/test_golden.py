@@ -53,7 +53,7 @@ def _cases():
     for system in SYSTEMS:
         cases[f"simulate-{system}"] = ("simulate", system, ["--steps", "2"] + sim)
         cases[f"legendre-{system}"] = ("legendre", system, ["--seed", "0", "--out", "report.json"])
-    # a kept failure: Newton stalls at step 3 and the error report goes to --report
+    # a kept failure: Newton stalls at step 4 and the error report goes to --report
     cases["simulate-readme_system-5-steps"] = ("simulate", "readme_system", ["--steps", "5"] + sim)
     for loopoid in LOOPOIDS:
         cases[f"lie-functor-{loopoid}"] = (

@@ -28,11 +28,35 @@ Z1 = (1.0 + SQRT21) / 2.0
 W1 = (SQRT21 - 3.0) / 2.0
 Z2 = 1.5 - SQRT21 + 0.5 * np.sqrt(125.0 - 16.0 * SQRT21)
 W2 = -2.5 + SQRT21 + 0.5 * np.sqrt(125.0 - 16.0 * SQRT21)
+# a start whose third step stalled at the noise floor of differenced
+# inner derivatives
+STALL_START = np.array(
+    [
+        0.5772927981769481,
+        -1.6267712624608635,
+        0.02502155161638754,
+        -0.9704804997142129,
+        0.6657827995491138,
+        0.10086352147669461,
+    ]
+)
 
 
 def half_sum_squares(g):
     # each row's |g|^2 rounds as g @ g does on that row alone
     return 0.5 * (g[..., None, :] @ g[..., :, None])[..., 0, 0]
+
+
+def closed_form_step_residual(g, h):
+    """The kinetic system's DL(g, h), component by component, in closed form."""
+    return np.array(
+        [
+            g[0] + g[1] ** 2 - (1 + h[1]) * h[0],
+            g[0] ** 2 + g[1] - (1 + h[0]) * h[1],
+            g[4] - h[2],
+            g[5] - h[3],
+        ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +72,7 @@ def test_el_residual_component_formulas(kinetic_system, rng):
         h = q.sample_g(rng, 1)[0]
         h[2:4] = g[4:6]
         got = el_residual(kinetic_system, g, h)
-        expected = np.array(
-            [
-                g[0] + g[1] ** 2 - (1 + h[1]) * h[0],
-                g[0] ** 2 + g[1] - (1 + h[0]) * h[1],
-                g[4] - h[2],
-                g[5] - h[3],
-            ]
-        )
-        assert np.allclose(got, expected, atol=1e-7)
+        assert np.allclose(got, closed_form_step_residual(g, h), atol=1e-7)
 
 
 def test_el_residual_requires_composability(kinetic_system, rng):
@@ -113,6 +129,18 @@ def test_two_step_trajectory_matches_radicals(kinetic_system):
     assert abs(traj.points[2][1] - W2) < 1e-7
     assert traj.residuals.max() < 1e-9
     assert traj.composable_gaps.max() < 1e-9
+
+
+@pytest.mark.parametrize("start,steps", [("readme", 4), ("stall", 3)])
+def test_trajectory_meets_the_closed_form(kinetic_system, start, steps):
+    # exact inner derivatives: every step solves its closed form, and the
+    # coordinates the equations leave free stay at their start values
+    g0 = README_START if start == "readme" else STALL_START
+    traj = trajectory(kinetic_system, g0, steps)
+    assert len(traj) == steps + 1
+    for g, h in zip(traj.points[:-1], traj.points[1:]):
+        assert np.max(np.abs(closed_form_step_residual(g, h))) < 1e-8
+    assert np.array_equal(traj.points[:, 4:6], np.broadcast_to(g0[4:6], (steps + 1, 2)))
 
 
 def test_trajectory_constant_at_units(kinetic_system):
@@ -271,6 +299,13 @@ def test_newton_refuses_a_non_finite_residual_at_the_seed():
     assert shapes == [(1,)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_newton_refuses_an_overflowing_residual_norm_at_the_seed():
+    # every entry is finite, but the norm overflows: no stall is reported
+    with pytest.raises(NumericalNoise, match=r"^non-finite residual inf at the seed$"):
+        newton_solve(lambda x: np.full(2, 1e300) + x, np.zeros(2))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_newton_refuses_a_non_finite_jacobian():
     # log(x - 1) is finite at the seed 1 + 1e-9, but the Jacobian's stencil
@@ -340,7 +375,7 @@ def test_step_solve_differentiates_at_g_once(kinetic_system, monkeypatch):
 def test_step_solve_multiplies_once_per_prolongation(readme_system):
     # one step on the README system: one left prolongation at g, then one
     # right prolongation per Newton residual call, each a single
-    # multiplication on the 2 * rank stencil points of each of its points:
+    # multiplication on the rank complex-step points of each of its points:
     # one point, or the 2 * dim_g points of the step Jacobian's stencil
     system = build_system(readme_system["body"], "$.body")
     q = system.loopoid
@@ -353,8 +388,8 @@ def test_step_solve_multiplies_once_per_prolongation(readme_system):
     system = dataclasses.replace(system, loopoid=dataclasses.replace(q, mul=counted))
     step_solve(system, README_START)
     assert len(stencil_rows) == 13
-    assert stencil_rows.count(2 * 2 * q.dim_g * q.rank) == 5
-    assert set(stencil_rows) == {2 * q.rank, 2 * 2 * q.dim_g * q.rank}
+    assert stencil_rows.count(2 * q.dim_g * q.rank) == 5
+    assert set(stencil_rows) == {q.rank, 2 * q.dim_g * q.rank}
 
 
 @pytest.mark.parametrize("side,orientation", [("left", STRICT), ("right", STRICT), ("right", ALIGNED)])
@@ -370,23 +405,12 @@ def test_prolong_matrix_rows_equal_single_calls(kinetic_system, rng, side, orien
         assert np.array_equal(prolong(q, ff, np.eye(r)[1:3], side, g, orientation), rows[1:3])
 
 
-STALL_START = np.array(
-    [
-        0.5772927981769481,
-        -1.6267712624608635,
-        0.02502155161638754,
-        -0.9704804997142129,
-        0.6657827995491138,
-        0.10086352147669461,
-    ]
-)
-
-
 def test_trajectory_keeps_error_type_and_fields(kinetic_system):
-    # this start stalls at the differencing noise floor in the third step
+    # the README system's fifth step stalls where its free coordinates make
+    # the step Jacobian exactly singular
     with pytest.raises(SingularJacobian) as err:
-        trajectory(kinetic_system, STALL_START, 3)
-    assert str(err.value) == "step 2: stalled at residual 4.411e-10 with condition inf"
+        trajectory(kinetic_system, README_START, 5)
+    assert str(err.value) == "step 4: stalled at residual 3.432e+05 with condition inf"
     assert err.value.cond == np.inf
 
 

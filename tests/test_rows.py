@@ -5,10 +5,10 @@ build must give, bit for bit, the rows it gives one point at a time.  The
 cases are every loop, loopoid, algebroid and system spec in ``examples/``,
 plus the constructions no example reaches.  The maps built on them keep
 the contract too: prolongations, derivatives along stacked bases and the
-step map's residual; and each differencing routine calls its map once.
-The chart maps and Lagrangians also keep a complex input complex, so a
-``1e-30j`` step along a direction carries their derivative in its imaginary
-part.
+step map's residual; and each differencing routine, ``complex_step``
+included, calls its map once.  The chart maps and Lagrangians also keep a
+complex input complex, so a ``COMPLEX_STEP * 1j`` step along a direction
+carries their derivative in its imaginary part.
 """
 
 import json
@@ -21,7 +21,15 @@ from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import CHART_STEP, directional, jacobian, lie_bracket, mixed_bilinear
+from loopoid_lab.numdiff import (
+    CHART_STEP,
+    COMPLEX_STEP,
+    complex_step,
+    directional,
+    jacobian,
+    lie_bracket,
+    mixed_bilinear,
+)
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
 
@@ -128,13 +136,10 @@ def test_octonion_maps_on_rows_equal_single_calls(shape):
 # complex steps: the maps keep their caller's dtype
 # ---------------------------------------------------------------------------
 
-COMPLEX_STEP = 1e-30
-
-
 def assert_complex_step(fn, points, directions):
-    """``fn`` at ``points + 1e-30j * directions`` is complex, and its
-    imaginary part over 1e-30 is the derivative along ``directions``: a
-    1e-6 central difference within 1e-8."""
+    """``fn`` at ``points + COMPLEX_STEP * 1j * directions`` is complex,
+    and its imaginary part over ``COMPLEX_STEP`` is the derivative along
+    ``directions``: a 1e-6 central difference within 1e-8."""
     got = fn(*(p + 1j * COMPLEX_STEP * v for p, v in zip(points, directions)))
     assert np.iscomplexobj(got)
     plus = fn(*(p + 1e-6 * v for p, v in zip(points, directions)))
@@ -227,6 +232,10 @@ def test_directional_stacked_bases_equal_single_bases():
     assert rows.shape == (3, 4)
     for row, base, directions in zip(rows, x, v):
         assert np.array_equal(row, directional(system.lagrangian, base, directions, CHART_STEP))
+    rows = complex_step(system.lagrangian, x, v)
+    assert rows.shape == (3, 4)
+    for row, base, directions in zip(rows, x, v):
+        assert np.array_equal(row, complex_step(system.lagrangian, base, directions))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -269,6 +278,12 @@ def test_differencing_calls_its_map_once_per_stencil():
     assert jacobian(counting(q.alpha, shapes), x).shape == (q.dim_m, n)
     assert jacobian(counting(system.lagrangian, shapes), x).shape == (n,)
     assert shapes == [(2 * n,), (2 * n,)]
+
+    shapes = []
+    bases = x + np.array([[0.0], [0.1], [-0.2]])
+    assert complex_step(counting(system.lagrangian, shapes), x, np.eye(n)).shape == (n,)
+    assert complex_step(counting(q.alpha, shapes), bases, np.ones((3, 2, n))).shape == (3, 2, q.dim_m)
+    assert shapes == [(n,), (3 * 2,)]
 
     shapes = []
     mixed_bilinear(counting(chart.mul, shapes), chart.unit, chart.unit, 0, 1)

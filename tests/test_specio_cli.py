@@ -354,8 +354,8 @@ def test_cli_simulate_error_goes_to_report(runner, tmp_path):
     assert result.output == ""
     err = json.loads(report.read_text())["error"]
     assert err == {
-        "type": "NoConvergence",
-        "message": "step 3: residual 1.265e-07 > tol 1.0e-10 after 50 iterations",
+        "type": "SingularJacobian",
+        "message": "step 4: stalled at residual 3.432e+05 with condition inf",
     }
 
 
@@ -373,12 +373,24 @@ def test_cli_legendre_report_is_strict_json(runner, tmp_path):
     assert not checks["flow_matches_legendre"]["pass"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
-    # at |g| ~ 1e100 the Lagrangian overflows and the cotangent residual is
-    # NaN: the numerics failed (exit 2), no check was decided
+def test_cli_legendre_at_a_huge_point_meets_the_closed_form(runner, tmp_path):
+    # at |g| ~ 1e100 the Lagrangian's square is still finite, and exact
+    # inner derivatives give the closed forms of the transforms there
     path = _write(tmp_path, "sys.json", "system", SYSTEM_BODY)
     result = runner.invoke(main, ["legendre", "--spec", path, "--at", "1e100,2,0.7,-0.4,0.5,1.3"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["plus"] == [1e100, 1e200, 0.5, 1.3]
+    want = np.array([3e100, 2e100, 0.7, -0.4])
+    assert np.all(np.abs(np.array(report["minus"]) - want) <= 6.4e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
+    # at |g| ~ 1e155 the Lagrangian overflows and the cotangent residual is
+    # NaN: the numerics failed (exit 2), no check was decided
+    path = _write(tmp_path, "sys.json", "system", SYSTEM_BODY)
+    result = runner.invoke(main, ["legendre", "--spec", path, "--at", "1e155,2,0.7,-0.4,0.5,1.3"])
     assert result.exit_code == 2, result.output
     error = json.loads(result.output)["error"]
     assert error == {"type": "NumericalNoise", "message": "check cotangent_consistency: value is NaN"}
@@ -386,8 +398,9 @@ def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
-    # at |g| ~ 1e150 the Lagrangian overflows, so the step residual is NaN
-    # at Newton's seed: Newton stops before differencing a Jacobian
+    # at |g| ~ 1e150 the step residual's entries are finite (about 1e300)
+    # but its norm overflows at Newton's seed: Newton stops before
+    # differencing a Jacobian
     report = tmp_path / "r.json"
     start = "1e150,2,0.7,-0.4,0.5,1.3"
     args = ["simulate", "--spec", str(EXAMPLES / "readme_system.json"), "--steps", "2", "--start", start]
@@ -395,7 +408,7 @@ def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert json.loads(report.read_text())["error"] == {
         "type": "NumericalNoise",
-        "message": "step 0: non-finite residual nan at the seed",
+        "message": "step 0: non-finite residual inf at the seed",
     }
 
 
