@@ -22,10 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FrameSingular, NotOnFiber, RankDeficient
+from .errors import FrameSingular, RankDeficient
 from .numdiff import (
     CHART_STEP,
-    COMPLEX_STEP,
     complex_step,
     directional,
     jacobian,
@@ -81,13 +80,17 @@ def algebroid_frame(q, u):
     a = np.atleast_2d(alpha_vertical)
     if a.shape != (r, q.dim_g):
         raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({r}, {q.dim_g})")
-    if q.dim_m > 0 and float(np.max(np.abs(ja @ a.T))) > 1e-7:
-        raise RankDeficient("alpha-vertical basis is not in ker T alpha")
+    # The frame's rows are checked once, here, against the Jacobians they
+    # were built from; prolong trusts them.
+    off = float(np.max(np.abs(ja @ a.T), initial=0.0))
+    if off > 1e-7:
+        raise RankDeficient(f"alpha-vertical basis leaves ker T alpha at rate {off:.2e}")
 
     rho = (jb @ a.T).T                       # (r, m)
     b = a - rho @ je.T                       # strict: subtract T eps . rho
-    if q.dim_m > 0 and float(np.max(np.abs(jb @ b.T))) > 1e-7:
-        raise RankDeficient("beta-vertical representatives left ker T beta")
+    off = float(np.max(np.abs(jb @ b.T), initial=0.0))
+    if off > 1e-7:
+        raise RankDeficient(f"beta-vertical representatives leave ker T beta at rate {off:.2e}")
 
     biv = null_space(np.vstack([ja, jb]))    # orthonormal rows
     proj = biv.T @ biv if biv.size else np.zeros((q.dim_g, q.dim_g))
@@ -126,10 +129,11 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector
     per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
     Each point's unit, frame and embedded base are resolved once (one
-    cached ``frame_field`` request per point), and the multiplication and
-    the slab check each run once, on all ``N k`` complex-step points.  The
-    slab check raises ``NotOnFiber`` when a direction's rate off the slab,
-    ``|T slab . v|``, exceeds ``1e-6 |v|``.
+    cached ``frame_field`` request per point), and the multiplication runs
+    once, on all ``N k`` complex-step points.  A complex-step point's real
+    part is its unit, so it cannot leave the slab; that its direction is
+    tangent to the slab is a property of the frame, which
+    ``algebroid_frame`` checks once when it builds it.
 
     Row contract: each point's values equal, bit for bit, those of the
     point alone, so a fundamental field can be differenced on a stencil
@@ -139,25 +143,16 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     if side == "left":
         u = q.beta(rows)
         reps = np.stack([frame_field(p).alpha_vertical for p in u])
-        slab = q.alpha
     elif side == "right":
         u = q.alpha(rows)
         reps = np.stack([frame_field(p).beta_reps(orientation) for p in u])
-        slab = q.beta
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
-    n, k = directions.shape[:2]
     # complex_step orders its points by point, then direction
-    fixed = np.repeat(rows, k, axis=0)
-    bound = 1e-6 * np.linalg.norm(directions, axis=-1)
+    fixed = np.repeat(rows, directions.shape[1], axis=0)
 
     def mul(points):
-        # every point's real part is its unit, so the slab is left only at
-        # first order: Im slab / h is T slab . v, which must vanish
-        rate = np.linalg.norm(slab(points).imag.reshape(n, k, q.dim_m), axis=-1) / COMPLEX_STEP
-        if np.any(rate > bound):
-            raise NotOnFiber(f"fiber direction leaves the slab at rate {np.max(rate):.2e}")
         return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
     values = complex_step(mul, q.unit_embed(u), directions)

@@ -83,10 +83,6 @@ class FrameSingular(LoopoidLabError):
     """Frame matrix too ill-conditioned to expand a vector in."""
 
 
-class NotOnFiber(LoopoidLabError):
-    """Finite-difference step left the composability slab."""
-
-
 # -- tangent structure --------------------------------------------------------
 
 class IncompatibleVelocities(LoopoidLabError):

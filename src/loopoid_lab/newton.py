@@ -6,8 +6,9 @@ rank-deficient system converges to the minimum-norm-step solution nearest
 the seed (this is what keeps free fiber coordinates pinned to the seed).
 ``SingularJacobian`` is raised only when the linearization is both
 ill-conditioned and unable to reduce the residual, and ``NumericalNoise``
-when the residual at the seed is not finite (a non-finite entry, or a norm
-that overflows) or the differenced Jacobian holds a non-finite entry.
+when the residual's norm at the seed is not finite (a non-finite entry, or
+finite entries whose norm overflows) or the differenced Jacobian holds a
+non-finite entry.
 
 Row contract: the residual is evaluated at single points and, once per
 iteration, by ``numdiff.jacobian`` on the ``(2n, n)`` stack of its stencil
@@ -42,7 +43,7 @@ def newton_solve(
     r = residual(x)
     best = float(np.linalg.norm(r))
     if not np.isfinite(best):
-        raise NumericalNoise(f"non-finite residual {best:.3e} at the seed")
+        raise NumericalNoise(f"non-finite residual norm {best:.3e} at the seed")
     cond = None
     for it in range(max_iter):
         if best < tol:

@@ -10,9 +10,8 @@ relative step.
 ``complex_step`` takes the first derivative of an analytic map from
 ``Im f(x + i h v) / h`` at ``COMPLEX_STEP = 1e-30``: one evaluation per
 direction and no cancellation, so it is exact to rounding.  It serves the
-inner derivatives: the fundamental fields (``algebroid.prolong``, whose slab
-guard divides by the same step), the Legendre transforms, the step map's
-residual and the Lagrangian's gradient.
+inner derivatives: the fundamental fields (``algebroid.prolong``), the
+Legendre transforms, the step map's residual and the Lagrangian's gradient.
 
 Three difference steps, each the default of its entry points, serve the
 rest: ``STEP`` (``jacobian``, ``directional``) for fibration maps, the

@@ -20,7 +20,7 @@ from loopoid_lab.algebroid import (
     prolong_algebroid,
     tangent_chart,
 )
-from loopoid_lab.errors import NotOnFiber, RankDeficient
+from loopoid_lab.errors import RankDeficient
 from loopoid_lab.loopoids import (
     ChartedQuasiloopoid,
     SplitFibration,
@@ -164,33 +164,50 @@ TILTED = np.array([[1e-3, 1.0]])  # 1e-3 off ker T alpha = ker T beta = span (0,
 def test_prolong_slab_guard():
     # a complex step's real part stays at the unit, so a chart curving out
     # of the slab at second order prolongs exactly; a frame row off
-    # ker T alpha leaves it at first order, which the guard names
+    # ker T alpha leaves it at first order, which the frame's check names
     q = curved_loopoid()
-    ff = make_frame_field(q)
-    assert np.array_equal(prolong(q, ff, [1.0], "left", np.array([0.2, 0.0])), [0.0, 1.0])
-
-    def tilted(u):
-        return dataclasses.replace(ff(u), alpha_vertical=TILTED)
-
-    with pytest.raises(NotOnFiber, match="rate 1.00e-03"):
-        prolong(q, tilted, [1.0], "left", np.array([0.2, 0.0]))
+    g = np.array([0.2, 0.0])
+    assert np.array_equal(prolong(q, make_frame_field(q), [1.0], "left", g), [0.0, 1.0])
+    tilted = dataclasses.replace(q, preferred_alpha_vertical=lambda u: TILTED)
+    with pytest.raises(RankDeficient, match="ker T alpha at rate 1.00e-03"):
+        prolong(tilted, make_frame_field(tilted), [1.0], "left", g)
 
 
 def test_prolong_slab_guard_checks_the_stencil_points():
-    # one tilted representative, at one point of a stack: the guard checks
-    # every direction at every point, on the side's own slab
+    # each point of a stack prolongs along its own checked frame, on either
+    # side: one unit past 10 whose alpha row is tilted, or at which eps is
+    # not a first-order section of beta (T beta . T eps = 1.001), stops it
     q = curved_loopoid()
-    ff = make_frame_field(q)
+    tilted = dataclasses.replace(
+        q, preferred_alpha_vertical=lambda u: TILTED if u[0] > 10 else np.array([[0.0, 1.0]])
+    )
+    off_section = dataclasses.replace(
+        q, beta=lambda g: g[..., :1] * (1.0 + 1e-3 * (g[..., :1] > 10)) + g[..., 1:]
+    )
     g = np.array([[0.2, 0.0], [20.0, 0.0], [-3.0, 0.0]])
-    for side, field in [("left", "alpha_vertical"), ("right", "beta_vertical")]:
+    for chart, right, message in [
+        (tilted, [0.0, 1.0], "ker T alpha at rate 1.00e-03"),
+        (off_section, [-1.0, 1.0], "ker T beta at rate 1.00e-03"),
+    ]:
+        ff = make_frame_field(chart)
+        for side, want in [("left", [0.0, 1.0]), ("right", right)]:
+            assert np.allclose(prolong(chart, ff, np.eye(1), side, g[[0, 2]]), [[want]] * 2, rtol=0, atol=1e-9)
+            with pytest.raises(RankDeficient, match=message):
+                prolong(chart, ff, np.eye(1), side, g)
 
-        def tilted(u, field=field):
-            fr = ff(u)
-            return dataclasses.replace(fr, **{field: TILTED}) if u[0] == 20.0 else fr
 
-        assert np.array_equal(prolong(q, tilted, np.eye(1), side, g[[0, 2]]), [[[0.0, 1.0]]] * 2)
-        with pytest.raises(NotOnFiber, match="rate 1.00e-03"):
-            prolong(q, tilted, np.eye(1), side, g)
+def test_prolong_far_out_on_phi_follows_its_frame():
+    # at |u| = 200 the frame's differenced Jacobians are off by about
+    # h^2 = 4e-6 (h = 2e-3): the exact fundamental fields follow the frame's
+    # rows anyway.  m(g, h) keeps h's last coordinate and m(h, g) h's first
+    # two, so off the unit too each side's field is its frame's row.
+    q = phi_quasiloopoid(PHI)
+    ff = make_frame_field(q)
+    for g in [q.unit_embed(np.array([200.0, 0.2])), np.array([200.0, 0.2, 0.1])]:
+        left = ff(q.beta(g)).alpha_vertical[0]
+        right = ff(q.alpha(g)).beta_vertical[0]
+        assert np.allclose(prolong(q, ff, [1.0], "left", g), [0.0, 0.0, left[2]], rtol=0, atol=1e-12)
+        assert np.allclose(prolong(q, ff, [1.0], "right", g), [right[0], right[1], 0.0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

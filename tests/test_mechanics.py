@@ -294,7 +294,7 @@ def test_newton_refuses_a_non_finite_residual_at_the_seed():
         shapes.append(np.shape(x))
         return np.log(x - 1.0)
 
-    with pytest.raises(NumericalNoise, match=r"^non-finite residual nan at the seed$"):
+    with pytest.raises(NumericalNoise, match=r"^non-finite residual norm nan at the seed$"):
         newton_solve(residual, np.array([0.5]))
     assert shapes == [(1,)]
 
@@ -302,7 +302,7 @@ def test_newton_refuses_a_non_finite_residual_at_the_seed():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_newton_refuses_an_overflowing_residual_norm_at_the_seed():
     # every entry is finite, but the norm overflows: no stall is reported
-    with pytest.raises(NumericalNoise, match=r"^non-finite residual inf at the seed$"):
+    with pytest.raises(NumericalNoise, match=r"^non-finite residual norm inf at the seed$"):
         newton_solve(lambda x: np.full(2, 1e300) + x, np.zeros(2))
 
 

@@ -385,6 +385,15 @@ def test_cli_legendre_at_a_huge_point_meets_the_closed_form(runner, tmp_path):
     assert np.all(np.abs(np.array(report["minus"]) - want) <= 6.4e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def test_cli_legendre_far_out_on_phi_passes(runner):
+    # at |u| = 200 the frames' differenced Jacobians are off by about 4e-6;
+    # the fundamental fields are taken along them and both checks pass
+    args = ["legendre", "--spec", str(EXAMPLES / "phi_system.json"), "--at", "200,0.2,0.1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["ok"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
     # at |g| ~ 1e155 the Lagrangian overflows and the cotangent residual is
@@ -408,7 +417,7 @@ def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert json.loads(report.read_text())["error"] == {
         "type": "NumericalNoise",
-        "message": "step 0: non-finite residual inf at the seed",
+        "message": "step 0: non-finite residual norm inf at the seed",
     }
 
 
