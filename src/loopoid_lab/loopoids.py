@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NotMonotone, NotOdd
 from .newton import newton_solve
-from .numdiff import CHART_STEP, directional, jacobian, null_space, smallest_singular_value
+from .numdiff import complex_jacobian, complex_step, null_space, smallest_singular_value
 
 COMPOSABLE_TOL = 1e-9  # (g, h) compose when ||beta(g) - alpha(h)|| is below this
 
@@ -202,8 +202,10 @@ def phi_quasiloopoid(phi, phi_name="phi"):
     odd_resid = max(abs(phi(-x) + phi(x)) for x in xs)
     if odd_resid > 1e-9:
         raise NotOdd(f"phi(-x) + phi(x) residual {odd_resid:.3e} on samples")
-    slopes = [directional(phi, x, 1.0) for x in np.concatenate([xs, [0.0]])]
-    if min(abs(s) for s in slopes) < 1e-9:
+    # phi acts elementwise, so its derivative along the all-ones direction
+    # holds the slope at each sample
+    points = np.concatenate([xs, [0.0]])
+    if np.min(np.abs(complex_step(phi, points, np.ones_like(points)))) < 1e-9:
         raise NotMonotone("phi' vanishes on samples")
 
     def alpha(g):
@@ -439,12 +441,13 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     def on_fiber(side_map, translate, point, product):
         """(min sv, residual) of ``translate`` between side_map-fibers; (inf, 0) on points.
 
-        ``translate`` is differenced on a stencil stack, so it takes one."""
-        fib = null_space(jacobian(side_map, point, CHART_STEP))
+        ``translate`` takes the stack of complex-step points, one per fiber
+        direction."""
+        fib = null_space(complex_jacobian(side_map, point))
         if not fib.shape[0]:
             return np.inf, 0.0
-        img = jacobian(translate, point, CHART_STEP) @ fib.T
-        target = null_space(jacobian(side_map, product, CHART_STEP))
+        img = complex_step(translate, point, fib).T
+        target = null_space(complex_jacobian(side_map, product))
         coeff, *_ = np.linalg.lstsq(target.T, img, rcond=None)
         return smallest_singular_value(coeff), float(np.max(np.abs(target.T @ coeff - img)))
 
@@ -473,8 +476,8 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         right_unit = max(right_unit, float(np.linalg.norm(q.mul(g, q.unit_embed(bg)) - g)))
         left_unit = max(left_unit, float(np.linalg.norm(q.mul(q.unit_embed(ag), g) - g)))
 
-        ja = jacobian(q.alpha, g, CHART_STEP)
-        jb = jacobian(q.beta, g, CHART_STEP)
+        ja = complex_jacobian(q.alpha, g)
+        jb = complex_jacobian(q.beta, g)
         a_min = min(a_min, smallest_singular_value(ja))
         b_min = min(b_min, smallest_singular_value(jb))
 

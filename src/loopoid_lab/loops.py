@@ -2,8 +2,8 @@
 
 A chart is evaluation-only: a multiplication map with a two-sided unit and
 Taylor structure-constant extraction c^k_ij = d^2 (x*y)^k / dx^i dy^j at
-the unit via the 4-point mixed stencil.  The antisymmetrization
-s^k_ij = c^k_ij - c^k_ji is the skew algebra of the loop.
+the unit, a complex step in x differenced centrally in y.  The
+antisymmetrization s^k_ij = c^k_ij - c^k_ji is the skew algebra of the loop.
 
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotAntisymmetric, NumericalNoise
-from .numdiff import CHART_STEP, mixed_bilinear
+from .numdiff import OUTER_STEP, mixed_bilinear
 from .octonion import oct_inverse, oct_mul_batch
 
 
@@ -74,8 +74,8 @@ def extract_structure_constants(chart):
     antisymmetrized parts disagree beyond 1e-4 (two-step Richardson
     comparison).
     """
-    c = _raw_constants(chart, CHART_STEP)
-    c2 = _raw_constants(chart, CHART_STEP / 2.0)
+    c = _raw_constants(chart, OUTER_STEP)
+    c2 = _raw_constants(chart, OUTER_STEP / 2.0)
     s = c - np.swapaxes(c, 1, 2)
     s2 = c2 - np.swapaxes(c2, 1, 2)
     drift = float(np.max(np.abs(s - s2))) if s.size else 0.0

@@ -47,7 +47,7 @@ from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import LoopoidLabError, NotComposable
 from .loopoids import composable
 from .newton import newton_solve
-from .numdiff import CHART_STEP, complex_step, jacobian, null_space, smallest_singular_value
+from .numdiff import complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
 from .tangent import cotangent_fibration
 
 
@@ -149,9 +149,7 @@ def step_solve(system, g):
     # unit saddle of the fiber equations, while coordinates the system does
     # not constrain stay pinned at the unit values
     fiber_offset = g - q.unit_embed(q.alpha(g))
-    biv = null_space(
-        np.vstack([jacobian(q.alpha, seed, CHART_STEP), jacobian(q.beta, seed, CHART_STEP)])
-    )
+    biv = null_space(np.vstack([complex_jacobian(q.alpha, seed), complex_jacobian(q.beta, seed)]))
     if biv.size:
         seed = seed + 0.1 * (biv.T @ (biv @ fiber_offset))
 
@@ -221,12 +219,12 @@ def regularity_check(system, u, seed=0):
     min_sv_minus = np.inf
     jac_unit = None
     for idx, g in enumerate(points):
-        fib = null_space(jacobian(q.alpha, g, CHART_STEP))
+        fib = null_space(complex_jacobian(q.alpha, g))
         j_full = jacobian(chart_map, g)
         if idx == 0:
             jac_unit = j_full
         min_sv_plus = min(min_sv_plus, smallest_singular_value(j_full @ fib.T))
-        fib_b = null_space(jacobian(q.beta, g, CHART_STEP))
+        fib_b = null_space(complex_jacobian(q.beta, g))
         j_minus = jacobian(chart_map_minus, g)
         min_sv_minus = min(min_sv_minus, smallest_singular_value(j_minus @ fib_b.T))
 

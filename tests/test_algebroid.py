@@ -30,7 +30,7 @@ from loopoid_lab.loopoids import (
     product_loopoid,
 )
 from loopoid_lab.loops import bracket_loop, extract_structure_constants, octonion_chart
-from loopoid_lab.numdiff import CHART_STEP, OUTER_STEP, directional, jacobian, lie_bracket
+from loopoid_lab.numdiff import OUTER_STEP, complex_step, directional, jacobian, lie_bracket
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
 
 PHI = lambda x: x**3 + x
@@ -196,11 +196,25 @@ def test_prolong_slab_guard_checks_the_stencil_points():
                 prolong(chart, ff, np.eye(1), side, g)
 
 
+def test_frame_rows_are_exact_far_out_on_phi():
+    # the frames' Jacobians are complex steps, so their rows lie in ker T
+    # alpha and ker T beta to rounding, also at |u| = 200 where a central
+    # difference at 1e-5 relative is off by h^2 = 4e-6 (h = 2e-3)
+    q = phi_quasiloopoid(PHI)
+    for g in (np.array([200.0, 0.2, 0.1]), np.array([1.5, 0.2, 0.1])):
+        for u in (q.alpha(g), q.beta(g)):
+            fr = algebroid_frame(q, u)
+            e = q.unit_embed(u)
+            ja = complex_step(q.alpha, e, np.eye(3)).T
+            jb = complex_step(q.beta, e, np.eye(3)).T
+            assert np.max(np.abs(ja @ fr.alpha_vertical.T)) <= 1e-12
+            assert np.max(np.abs(jb @ fr.beta_vertical.T)) <= 1e-12
+
+
 def test_prolong_far_out_on_phi_follows_its_frame():
-    # at |u| = 200 the frame's differenced Jacobians are off by about
-    # h^2 = 4e-6 (h = 2e-3): the exact fundamental fields follow the frame's
-    # rows anyway.  m(g, h) keeps h's last coordinate and m(h, g) h's first
-    # two, so off the unit too each side's field is its frame's row.
+    # at |u| = 200 the exact fundamental fields follow the frame's rows.
+    # m(g, h) keeps h's last coordinate and m(h, g) h's first two, so off
+    # the unit too each side's field is its frame's row.
     q = phi_quasiloopoid(PHI)
     ff = make_frame_field(q)
     for g in [q.unit_embed(np.array([200.0, 0.2])), np.array([200.0, 0.2, 0.1])]:
@@ -270,14 +284,14 @@ def test_left_and_right_fields_commute_at_loop_unit():
 
     fx = fundamental_field(q, ff, [1.0, 0.0], "left")
     fy = fundamental_field(q, ff, [0.0, 1.0], "right")
-    assert np.max(np.abs(lie_bracket(fx, fy, loop.unit, 1e-4))) < 1e-6
+    assert np.max(np.abs(lie_bracket(fx, fy, loop.unit))) < 1e-6
 
 
 def test_anchor_values(product_h):
     # left anchors T beta(X^alpha) and right anchors T alpha(X^beta) are opposite
     u = np.array([0.1, 0.2])
     fr = algebroid_frame(product_h, u)
-    rho_right = fr.beta_vertical @ jacobian(product_h.alpha, product_h.unit_embed(u), CHART_STEP).T
+    rho_right = fr.beta_vertical @ jacobian(product_h.alpha, product_h.unit_embed(u), 1e-5).T
     assert np.allclose(fr.rho_left[2], [1, 0], atol=1e-8)
     assert np.allclose(rho_right[2], [-1, 0], atol=1e-8)
     assert np.allclose(fr.rho_left[0], [0, 0], atol=1e-8)
@@ -298,12 +312,10 @@ def test_anchor_phi():
 
 
 def test_inversion_flips_representatives(product_oct):
-    from loopoid_lab.numdiff import CHART_STEP, jacobian
-
     u = np.array([0.25])
     fr = algebroid_frame(product_oct, u)
     e = product_oct.unit_embed(u)
-    ji = jacobian(product_oct.inverse, e, CHART_STEP)
+    ji = jacobian(product_oct.inverse, e, 1e-5)
     resid = np.max(np.abs((ji @ fr.alpha_vertical.T).T + fr.beta_vertical))
     assert resid < 1e-7
 
@@ -371,6 +383,9 @@ def test_almost_lie_chart_good_and_broken():
         base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), x], axis=-1)
     )
     assert check_almost_lie_chart(good, np.array([[0.3], [-0.6]])) < 1e-6
+    # the prolonged anchor keeps a complex point complex, so its derivative
+    # is read from the complex step too
+    assert check_almost_lie_chart(prolong_algebroid(good, SplitFibration(2, 1)), np.array([[0.3, 0.1]])) < 1e-6
     broken = SkewAlgebroidChart(
         base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), 2.0 * x], axis=-1)
     )
@@ -417,7 +432,7 @@ def test_leibniz_tangent_chart_is_vector_field_bracket(rng):
     Y = lambda x: np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1)
     x0 = rng.normal(size=2)
     got = leibniz_bracket(chart, X, Y, x0)
-    oracle = lie_bracket(X, Y, x0, 1e-6)
+    oracle = jacobian(Y, x0, 1e-6) @ X(x0) - jacobian(X, x0, 1e-6) @ Y(x0)
     assert np.allclose(got, oracle, atol=1e-7)
 
 
@@ -535,7 +550,7 @@ def contrast_metric(q, f, u):
         def phi(g):
             # g is the Jacobian's (2r, dim_g) stencil stack
             vj = prolong(q, ff, np.eye(r)[j], "left", g)
-            return directional(f, g, vj[:, None, :], CHART_STEP)[:, 0]
+            return directional(f, g, vj[:, None, :], 1e-5)[:, 0]
 
         return phi
 

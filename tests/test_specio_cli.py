@@ -386,38 +386,55 @@ def test_cli_legendre_at_a_huge_point_meets_the_closed_form(runner, tmp_path):
 
 
 def test_cli_legendre_far_out_on_phi_passes(runner):
-    # at |u| = 200 the frames' differenced Jacobians are off by about 4e-6;
-    # the fundamental fields are taken along them and both checks pass
+    # at |u| = 200 the frames' Jacobians are complex steps, exact to
+    # rounding; the fundamental fields are taken along them and both checks
+    # pass
     args = ["legendre", "--spec", str(EXAMPLES / "phi_system.json"), "--at", "200,0.2,0.1"]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["ok"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
     # at |g| ~ 1e155 the Lagrangian overflows and the cotangent residual is
-    # NaN: the numerics failed (exit 2), no check was decided
+    # NaN: the numerics failed (exit 2), no check was decided, and numpy's
+    # overflow warnings do not reach stderr
     path = _write(tmp_path, "sys.json", "system", SYSTEM_BODY)
     result = runner.invoke(main, ["legendre", "--spec", path, "--at", "1e155,2,0.7,-0.4,0.5,1.3"])
     assert result.exit_code == 2, result.output
+    assert result.stderr == ""
     error = json.loads(result.output)["error"]
     assert error == {"type": "NumericalNoise", "message": "check cotangent_consistency: value is NaN"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_cli_non_finite_step_jacobian_is_a_numerical_failure(runner, tmp_path):
     # at |g| ~ 1e150 the step residual's entries are finite (about 1e300)
     # but its norm overflows at Newton's seed: Newton stops before
-    # differencing a Jacobian
+    # differencing a Jacobian, with no numpy warning on stderr
     report = tmp_path / "r.json"
     start = "1e150,2,0.7,-0.4,0.5,1.3"
     args = ["simulate", "--spec", str(EXAMPLES / "readme_system.json"), "--steps", "2", "--start", start]
     result = runner.invoke(main, args + ["--report", str(report)])
     assert result.exit_code == 2, result.output
+    assert result.stderr == ""
     assert json.loads(report.read_text())["error"] == {
         "type": "NumericalNoise",
         "message": "step 0: non-finite residual norm inf at the seed",
+    }
+
+
+def test_cli_overflowing_lagrangian_at_the_seed_is_a_numerical_failure(runner, tmp_path):
+    # at |g| ~ 1e155 the Lagrangian itself overflows before Newton starts;
+    # the NaN it leaves is reported at the seed, with no warning on stderr
+    report = tmp_path / "r.json"
+    start = "1e155,2,0.7,-0.4,0.5,1.3"
+    args = ["simulate", "--spec", str(EXAMPLES / "readme_system.json"), "--steps", "1", "--start", start]
+    result = runner.invoke(main, args + ["--report", str(report)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ""
+    assert json.loads(report.read_text())["error"] == {
+        "type": "NumericalNoise",
+        "message": "step 0: non-finite residual norm nan at the seed",
     }
 
 
