@@ -36,7 +36,13 @@ EXAMPLES = ROOT / "examples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "MANIFEST.json"
 
-LOOPOIDS = ("readme_product_loopoid", "octonion_pair1_loopoid", "prolonged_planar_loopoid", "phi_loopoid")
+LOOPOIDS = (
+    "readme_product_loopoid",
+    "octonion_pair1_loopoid",
+    "prolonged_planar_loopoid",
+    "phi_loopoid",
+    "bracket3_point_loopoid",
+)
 LOOPS = ("planar_loop", "octonion_loop", "bracket3_loop")
 SYSTEMS = ("readme_system", "phi_system")
 ALGEBROIDS = ("cross_product_algebroid", "prolonged_algebroid")
