@@ -14,7 +14,10 @@ the inversion identities use the strict one.
 Left/right prolongations are fundamental vector fields obtained by
 complex-step derivatives of the partial multiplication along fiber
 directions; their Lie brackets at unit points, expanded back in the frame,
-are the two skew brackets carried by the normal bundle.
+are the two skew brackets carried by the normal bundle.  A bracket table
+takes every pair of frame sections from one central Jacobian of the r
+stacked fields, and the almost-Lie check every pair of anchors from one
+Jacobian of the stacked anchors per unit.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FrameSingular, RankDeficient
-from .numdiff import complex_jacobian, complex_step, lie_bracket, null_space, smallest_singular_value
+from .numdiff import complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -100,14 +103,22 @@ def algebroid_frame(q, u):
 
 
 def make_frame_field(q):
-    """Cached u -> AlgebroidFrame map for use inside field differencing."""
+    """Cached map from a unit point to its AlgebroidFrame, and from a
+    ``(N, dim_m)`` stack of units to the list of their frames.
+
+    Units that agree to 12 decimals share one frame; a stack is rounded in
+    one call and each row looked up by its bytes.
+    """
     cache = {}
 
     def field(u):
-        key = np.round(u, 12).tobytes()
-        if key not in cache:
-            cache[key] = algebroid_frame(q, u)
-        return cache[key]
+        frames = []
+        for key, p in zip(np.atleast_2d(np.round(u, 12)), np.atleast_2d(u)):
+            key = key.tobytes()
+            if key not in cache:
+                cache[key] = algebroid_frame(q, p)
+            frames.append(cache[key])
+        return frames if np.ndim(u) > 1 else frames[0]
 
     return field
 
@@ -120,12 +131,12 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector
     per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
-    Each point's unit, frame and embedded base are resolved once (one
-    cached ``frame_field`` request per point), and the multiplication runs
-    once, on all ``N k`` complex-step points.  A complex-step point's real
-    part is its unit, so it cannot leave the slab; that its direction is
-    tangent to the slab is a property of the frame, which
-    ``algebroid_frame`` checks once when it builds it.
+    Each point's unit, frame and embedded base are resolved once (the
+    frames by one ``frame_field`` request for the stack of units), and the
+    multiplication runs once, on all ``N k`` complex-step points.  A
+    complex-step point's real part is its unit, so it cannot leave the
+    slab; that its direction is tangent to the slab is a property of the
+    frame, which ``algebroid_frame`` checks once when it builds it.
 
     Row contract: each point's values equal, bit for bit, those of the
     point alone, so a fundamental field can be differenced on a stencil
@@ -134,10 +145,10 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     rows = g.reshape(-1, q.dim_g)
     if side == "left":
         u = q.beta(rows)
-        reps = np.stack([frame_field(p).alpha_vertical for p in u])
+        reps = np.stack([fr.alpha_vertical for fr in frame_field(u)])
     elif side == "right":
         u = q.alpha(rows)
-        reps = np.stack([frame_field(p).beta_reps(orientation) for p in u])
+        reps = np.stack([fr.beta_reps(orientation) for fr in frame_field(u)])
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
@@ -161,7 +172,8 @@ def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):
 
 
 def expand_in_frame(fr, side, value, orientation=STRICT):
-    """Coefficients of a vertical vector in [side basis | TM basis].
+    """Coefficients of a vertical vector, or of the columns of a
+    ``(dim_g, P)`` matrix of them, in [side basis | TM basis].
 
     Returns (side_coeffs, tm_coeffs); raises FrameSingular on an
     ill-conditioned frame matrix.
@@ -175,47 +187,30 @@ def expand_in_frame(fr, side, value, orientation=STRICT):
     return coeffs[: fr.rank], coeffs[fr.rank :]
 
 
-def algebroid_bracket(
-    q,
-    side,
-    x_coeffs,
-    y_coeffs,
-    u,
-    frame_field=None,
-    orientation=STRICT,
-    return_tm=False,
-):
-    """Skew bracket of two constant-in-frame sections, in frame coefficients.
-
-    The Lie bracket of the prolonged fields is evaluated at the embedded
-    unit by central differences of the complex-step fields and expanded
-    back in the frame; the TM component of the expansion is reported when
-    ``return_tm`` is set and should vanish, since brackets of vertical
-    fields stay vertical.
-    """
-    if frame_field is None:
-        frame_field = make_frame_field(q)
-    fx = fundamental_field(q, frame_field, x_coeffs, side, orientation)
-    fy = fundamental_field(q, frame_field, y_coeffs, side, orientation)
-    e = q.unit_embed(u)
-    value = lie_bracket(fx, fy, e)
-    fr = frame_field(u)
-    coeffs, tm = expand_in_frame(fr, side, value, orientation)
-    if return_tm:
-        return coeffs, tm
-    return coeffs
-
-
 def bracket_table(q, side, u, frame_field):
     """The side's brackets of the frame sections at u as skew constants:
-    ``table[k, i, j]`` is coefficient k of [e_i, e_j], one
-    ``algebroid_bracket`` per pair i < j."""
+    ``table[k, i, j]`` is coefficient k of [e_i, e_j].
+
+    The r fundamental fields X_i are one stacked field, evaluated at the
+    embedded unit e and differenced by one central ``jacobian`` there, so
+    [X_i, X_j](e) = DX_j(e) X_i(e) - DX_i(e) X_j(e) for every pair i < j
+    from two calls of the multiplication.  The pairs' brackets are expanded
+    in the frame together, by one ``expand_in_frame``.  A rank below 2 has
+    no pairs and gives the zero table.
+    """
     r = q.rank
     table = np.zeros((r, r, r))
-    for i in range(r):
-        for j in range(i + 1, r):
-            table[:, i, j] = algebroid_bracket(q, side, np.eye(r)[i], np.eye(r)[j], u, frame_field)
-            table[:, j, i] = -table[:, i, j]
+    if r < 2:
+        return table
+    fields = fundamental_field(q, frame_field, np.eye(r), side)
+    e = q.unit_embed(u)
+    values = fields(e)  # (r, dim_g)
+    d = jacobian(fields, e)  # d[i] = DX_i(e)
+    i, j = np.triu_indices(r, 1)
+    brackets = np.stack([d[b] @ values[a] - d[a] @ values[b] for a, b in zip(i, j)], axis=-1)
+    coeffs, _ = expand_in_frame(frame_field(u), side, brackets)
+    table[:, i, j] = coeffs
+    table[:, j, i] = -coeffs
     return table
 
 
@@ -223,25 +218,27 @@ def check_almost_lie_loopoid(q, u_samples, left_tables, frame_field):
     """max |rho([X,Y]) - [rho X, rho Y]| over frame pairs at sampled units.
 
     ``left_tables[s]`` is the left ``bracket_table`` at ``u_samples[s]``.
+    The anchors of the r frame sections are one field u -> ``rho_left``,
+    differenced by one central ``jacobian`` per sample; a rank below 2 has
+    no pairs and gives 0.
     """
     r = q.rank
+    if r < 2:
+        return 0.0
 
-    def anchor(k):
-        """u -> the anchor of frame section k, on a unit point or a stack."""
+    def anchors(us):
+        """The (N, r, dim_m) anchors of the frame sections on a stack of units."""
+        return np.reshape([fr.rho_left for fr in frame_field(us)], (len(us), r, q.dim_m))
 
-        def field(us):
-            return np.reshape([frame_field(p).rho_left[k] for p in np.atleast_2d(us)], us.shape)
-
-        return field
-
+    i, j = np.triu_indices(r, 1)
     worst = 0.0
     for u, table in zip(np.atleast_2d(u_samples), left_tables):
-        fr = frame_field(u)
-        for i in range(r):
-            for j in range(i + 1, r):
-                rho_br = table[:, i, j] @ fr.rho_left
-                vf = lie_bracket(anchor(i), anchor(j), u)
-                worst = max(worst, float(np.linalg.norm(rho_br - vf)))
+        rho = frame_field(u).rho_left
+        d = jacobian(anchors, u)  # d[k] = D rho_k(u)
+        for a, b in zip(i, j):
+            rho_br = table[:, a, b] @ rho
+            vf = d[b] @ rho[a] - d[a] @ rho[b]
+            worst = max(worst, float(np.linalg.norm(rho_br - vf)))
     return worst
 
 

@@ -9,19 +9,20 @@ All derivatives in the package come through here, by one of two rules:
   cancellation, so it is exact to rounding;
 - a map that itself takes a complex step or runs a Newton solve (the
   fundamental fields and anchors of a loopoid, the Legendre chart maps, the
-  sectioned tangent translations) is differenced centrally by ``jacobian``,
-  ``directional`` or ``lie_bracket`` at the relative step ``OUTER_STEP``,
-  ``h = rel * max(1, |x|_inf)``.  Newton's step Jacobian takes its step
-  from ``mechanics.NewtonConfig``, and ``mixed_bilinear`` is a complex step
-  in ``x`` differenced centrally in ``y``.
+  sectioned tangent translations) is differenced centrally by ``jacobian``
+  or ``directional`` at the relative step ``OUTER_STEP``,
+  ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
+  table, and the r anchors at a unit, are one stacked field differenced by
+  one ``jacobian``.  Newton's step Jacobian takes its step from
+  ``mechanics.NewtonConfig``, and ``mixed_bilinear`` is a complex step in
+  ``x`` differenced centrally in ``y``.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``
 array the way it maps that row alone.  That holds for every ``f`` given to
-``jacobian``, ``complex_step``, ``mixed_bilinear``, ``lie_bracket`` (whose
-fields are also called at the bare point) and ``newton_solve`` (whose
-residual is differenced by ``jacobian``), and for ``directional`` with a
-matrix or stack of directions; the chart maps of ``loops`` and
+``jacobian``, ``complex_step``, ``mixed_bilinear`` and ``newton_solve``
+(whose residual is differenced by ``jacobian``), and for ``directional``
+with a matrix or stack of directions; the chart maps of ``loops`` and
 ``loopoids``, the Lagrangians ``specio`` builds and the fundamental fields
 of ``algebroid`` keep it.  A map that is one-point by nature loops over the
 rows itself.  Only ``directional`` and ``complex_step`` with a single
@@ -112,18 +113,6 @@ def mixed_bilinear(f, x0, y0, i, j, rel_step=OUTER_STEP):
     ys = np.stack([y0 + ej, y0 - ej])
     fp, fm = complex_step(lambda xs: f(xs, ys), np.stack([x0, x0]), np.eye(x0.size)[i])
     return (fp - fm) / (2.0 * h)
-
-
-def lie_bracket(field_v, field_w, x):
-    """[V, W](x) = DW(x) V(x) - DV(x) W(x) for vector fields on a chart.
-
-    Each field is called twice: at x, and on its Jacobian's stencil stack.
-    """
-    vx = field_v(x)
-    wx = field_w(x)
-    dw = jacobian(field_w, x)
-    dv = jacobian(field_v, x)
-    return dw @ vx - dv @ wx
 
 
 def null_space(mat):

@@ -8,6 +8,7 @@ import pytest
 from loopoid_lab import specio
 from loopoid_lab.finite import CayleyTable
 from loopoid_lab.loops import polynomial_chart
+from loopoid_lab.numdiff import OUTER_STEP, jacobian
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -58,6 +59,15 @@ def planar_feedback_terms():
 
 def planar_feedback_chart():
     return polynomial_chart(2, planar_feedback_terms(), name="planar_feedback")
+
+
+def lie_bracket(field_v, field_w, x):
+    """[V, W](x) = DW(x) V(x) - DV(x) W(x) of two vector fields on a chart,
+    each field differenced by its own central ``jacobian`` at ``OUTER_STEP``:
+    the one-pair oracle of the stacked bracket tables."""
+    vx = field_v(x)
+    wx = field_w(x)
+    return jacobian(field_w, x, OUTER_STEP) @ vx - jacobian(field_v, x, OUTER_STEP) @ wx
 
 
 def cubic_line_terms():

@@ -24,7 +24,6 @@ from conftest import (
 from loopoid_lab import octonion as oct
 from loopoid_lab.algebroid import (
     STRICT,
-    algebroid_bracket,
     algebroid_frame,
     bracket_table,
     check_almost_lie_chart,
@@ -144,19 +143,16 @@ def test_ac3_lie_functor_product_over_planar_loop():
     assert worst_prolong < 1e-7
 
     u = np.array([0.2, -0.4])
-    bl = algebroid_bracket(q, "left", np.eye(4)[0], np.eye(4)[1], u, ff)
-    br = algebroid_bracket(q, "right", np.eye(4)[0], np.eye(4)[1], u, ff)
-    assert np.abs(bl - np.array([1, -1, 0, 0])).max() < 1e-6
-    assert np.abs(br + np.array([1, -1, 0, 0])).max() < 1e-6
+    left = bracket_table(q, "left", u, ff)
+    right = bracket_table(q, "right", u, ff)
+    assert np.abs(left[:, 0, 1] - np.array([1, -1, 0, 0])).max() < 1e-6
+    assert np.abs(right[:, 0, 1] + np.array([1, -1, 0, 0])).max() < 1e-6
     worst_other = 0.0
     for i in range(4):
         for j in range(i + 1, 4):
             if (i, j) == (0, 1):
                 continue
-            worst_other = max(
-                worst_other,
-                float(np.abs(algebroid_bracket(q, "left", np.eye(4)[i], np.eye(4)[j], u, ff)).max()),
-            )
+            worst_other = max(worst_other, float(np.abs(left[:, i, j]).max()))
     assert worst_other < 1e-6
     _report("AC3", f"prolongations {worst_prolong:.2e}, brackets exact, others {worst_other:.2e}")
 
@@ -180,10 +176,10 @@ def test_ac4_inverse_property_sign_theorem():
         r = q.rank
         rng = np.random.default_rng(3)
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, r, size=(6, 2)) if a != b]
+        left = bracket_table(q, "left", u, ff)
+        right = bracket_table(q, "right", u, ff)
         for i, j in pairs:
-            bl = algebroid_bracket(q, "left", np.eye(r)[i], np.eye(r)[j], u, ff)
-            br = algebroid_bracket(q, "right", np.eye(r)[i], np.eye(r)[j], u, ff)
-            worst_sign = max(worst_sign, float(np.max(np.abs(bl + br))))
+            worst_sign = max(worst_sign, float(np.max(np.abs(left[:, i, j] + right[:, i, j]))))
     assert worst_sign < 1e-6
     assert worst_lemma < 1e-7
     _report("AC4", f"sign theorem {worst_sign:.2e}, inversion action {worst_lemma:.2e}")

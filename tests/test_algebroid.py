@@ -3,17 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cross_product_constants, planar_feedback_chart
+from conftest import cross_product_constants, lie_bracket, planar_feedback_chart
+from loopoid_lab import algebroid
 from loopoid_lab.algebroid import (
     ALIGNED,
     STRICT,
     SkewAlgebroidChart,
-    algebroid_bracket,
     algebroid_frame,
     bracket_table,
     check_almost_lie_chart,
     check_almost_lie_loopoid,
     constant_chart,
+    expand_in_frame,
+    fundamental_field,
     leibniz_bracket,
     make_frame_field,
     prolong,
@@ -30,7 +32,7 @@ from loopoid_lab.loopoids import (
     product_loopoid,
 )
 from loopoid_lab.loops import bracket_loop, extract_structure_constants, octonion_chart
-from loopoid_lab.numdiff import OUTER_STEP, complex_step, directional, jacobian, lie_bracket
+from loopoid_lab.numdiff import OUTER_STEP, complex_step, directional, jacobian
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
 
 PHI = lambda x: x**3 + x
@@ -229,23 +231,36 @@ def test_prolong_far_out_on_phi_follows_its_frame():
 # ---------------------------------------------------------------------------
 
 
+def pair_bracket(q, side, x, y, u, ff):
+    """One-pair oracle of the bracket tables: the Lie bracket of the fields
+    of the sections ``x`` and ``y`` at the unit of u, each differenced by its
+    own Jacobian, expanded in the frame as (side coefficients, TM
+    coefficients)."""
+    fx = fundamental_field(q, ff, x, side)
+    fy = fundamental_field(q, ff, y, side)
+    return expand_in_frame(ff(u), side, lie_bracket(fx, fy, q.unit_embed(u)))
+
+
 def test_bracket_product_h(product_h):
     ff = make_frame_field(product_h)
     u = np.array([0.2, -0.4])
-    bl, tm = algebroid_bracket(product_h, "left", [1, 0, 0, 0], [0, 1, 0, 0], u, ff, return_tm=True)
-    br = algebroid_bracket(product_h, "right", [1, 0, 0, 0], [0, 1, 0, 0], u, ff)
-    assert np.allclose(bl, [1, -1, 0, 0], atol=1e-6)
-    assert np.allclose(br, [-1, 1, 0, 0], atol=1e-6)
+    left = bracket_table(product_h, "left", u, ff)
+    right = bracket_table(product_h, "right", u, ff)
+    assert np.allclose(left[:, 0, 1], [1, -1, 0, 0], atol=1e-6)
+    assert np.allclose(right[:, 0, 1], [-1, 1, 0, 0], atol=1e-6)
+    # brackets of vertical fields stay vertical
+    _, tm = pair_bracket(product_h, "left", [1, 0, 0, 0], [0, 1, 0, 0], u, ff)
     assert np.max(np.abs(tm)) < 1e-6
     for i, j in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-        assert np.max(np.abs(algebroid_bracket(product_h, "left", np.eye(4)[i], np.eye(4)[j], u, ff))) < 1e-6
+        assert np.max(np.abs(left[:, i, j])) < 1e-6
 
 
 def test_bracket_antisymmetric_diagonal(product_h, rng):
     ff = make_frame_field(product_h)
     u = rng.normal(size=2)
     x = rng.normal(size=4)
-    assert np.max(np.abs(algebroid_bracket(product_h, "left", x, x, u, ff))) < 1e-6
+    table = bracket_table(product_h, "left", u, ff)
+    assert np.max(np.abs(np.einsum("kij,i,j->k", table, x, x))) < 1e-6
 
 
 def test_bracket_product_componentwise_oracle(rng):
@@ -255,33 +270,29 @@ def test_bracket_product_componentwise_oracle(rng):
     loop = bracket_loop(3, C)
     q = product_loopoid(loop, 1)
     _, skew = extract_structure_constants(loop)
-    ff = make_frame_field(q)
-    u = np.array([0.3])
+    table = bracket_table(q, "left", np.array([0.3]), make_frame_field(q))
     for i in range(3):
         for j in range(3):
-            got = algebroid_bracket(q, "left", np.eye(4)[i], np.eye(4)[j], u, ff)
+            got = table[:, i, j]
             assert np.allclose(got[:3], skew.constants[:, i, j], atol=1e-5)
             assert abs(got[3]) < 1e-6
-    assert np.max(np.abs(algebroid_bracket(q, "left", np.eye(4)[0], np.eye(4)[3], u, ff))) < 1e-6
+    assert np.max(np.abs(table[:, 0, 3])) < 1e-6
 
 
 def test_loop_bracket_matches_structure_constants(rng):
     loop = planar_feedback_chart()
     q = loop_as_loopoid(loop)
     _, skew = extract_structure_constants(loop)
-    ff = make_frame_field(q)
+    table = bracket_table(q, "left", np.zeros(0), make_frame_field(q))
     for i in range(2):
         for j in range(2):
-            got = algebroid_bracket(q, "left", np.eye(2)[i], np.eye(2)[j], np.zeros(0), ff)
-            assert np.allclose(got, skew.constants[:, i, j], atol=1e-5)
+            assert np.allclose(table[:, i, j], skew.constants[:, i, j], atol=1e-5)
 
 
 def test_left_and_right_fields_commute_at_loop_unit():
     loop = planar_feedback_chart()
     q = loop_as_loopoid(loop)
     ff = make_frame_field(q)
-    from loopoid_lab.algebroid import fundamental_field
-
     fx = fundamental_field(q, ff, [1.0, 0.0], "left")
     fy = fundamental_field(q, ff, [0.0, 1.0], "right")
     assert np.max(np.abs(lie_bracket(fx, fy, loop.unit))) < 1e-6
@@ -323,11 +334,10 @@ def test_inversion_flips_representatives(product_oct):
 def test_sign_theorem_on_ip_instances(product_oct):
     ff = make_frame_field(product_oct)
     u = np.array([0.25])
-    r = product_oct.rank
+    left = bracket_table(product_oct, "left", u, ff)
+    right = bracket_table(product_oct, "right", u, ff)
     for i, j in [(0, 1), (1, 2), (3, 7), (0, 8), (4, 8), (2, 5)]:
-        bl = algebroid_bracket(product_oct, "left", np.eye(r)[i], np.eye(r)[j], u, ff)
-        br = algebroid_bracket(product_oct, "right", np.eye(r)[i], np.eye(r)[j], u, ff)
-        assert np.max(np.abs(bl + br)) < 1e-6
+        assert np.max(np.abs(left[:, i, j] + right[:, i, j])) < 1e-6
 
 
 def test_sign_residual_reported_not_asserted_for_non_ip(product_h):
@@ -335,8 +345,8 @@ def test_sign_residual_reported_not_asserted_for_non_ip(product_h):
     # left/right opposition is recorded as data, never asserted
     ff = make_frame_field(product_h)
     u = np.zeros(2)
-    bl = algebroid_bracket(product_h, "left", [1, 0, 0, 0], [0, 1, 0, 0], u, ff)
-    br = algebroid_bracket(product_h, "right", [1, 0, 0, 0], [0, 1, 0, 0], u, ff)
+    bl = bracket_table(product_h, "left", u, ff)[:, 0, 1]
+    br = bracket_table(product_h, "right", u, ff)[:, 0, 1]
     residual = float(np.max(np.abs(bl + br)))
     assert np.isfinite(residual)
 
@@ -356,7 +366,54 @@ def test_bracket_table_holds_each_pairs_bracket(product_h):
         assert np.array_equal(table, -np.swapaxes(table, 1, 2))
         for i in range(r):
             for j in range(i + 1, r):
-                assert np.array_equal(table[:, i, j], algebroid_bracket(product_h, side, np.eye(r)[i], np.eye(r)[j], u, ff))
+                coeffs, _ = pair_bracket(product_h, side, np.eye(r)[i], np.eye(r)[j], u, ff)
+                assert np.array_equal(table[:, i, j], coeffs)
+
+
+def counted_muls(q):
+    """A copy of q whose multiplication records the number of rows of each call."""
+    rows = []
+
+    def mul(g, h):
+        rows.append(len(h))
+        return q.mul(g, h)
+
+    return dataclasses.replace(q, mul=mul), rows
+
+
+def counted_jacobians(monkeypatch):
+    """Record the number of ``jacobian`` calls the algebroid module makes."""
+    calls = []
+
+    def counted(f, x, *args):
+        calls.append(x)
+        return jacobian(f, x, *args)
+
+    monkeypatch.setattr(algebroid, "jacobian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["product_h", "product_oct"])
+def test_bracket_table_multiplies_twice(name, request, monkeypatch):
+    # the r fields' values at the unit, then one Jacobian stencil of all of
+    # them: 2 multiplications at any rank, against O(r^2) one pair at a time
+    q, rows = counted_muls(request.getfixturevalue(name))
+    jacobians = counted_jacobians(monkeypatch)
+    u = np.full(q.dim_m, 0.2)
+    table = bracket_table(q, "left", u, make_frame_field(q))
+    assert table.shape == (q.rank,) * 3
+    assert rows == [q.rank, 2 * q.dim_g * q.rank]
+    assert len(jacobians) == 1
+
+
+def test_rank_one_bracket_table_is_zero_without_pair_work():
+    q, rows = counted_muls(phi_quasiloopoid(PHI, "cubic"))
+    assert q.rank == 1
+    for side in ("left", "right"):
+        table = bracket_table(q, side, np.array([0.4, 0.1]), make_frame_field(q))
+        assert table.shape == (1, 1, 1)
+        assert np.array_equal(table, np.zeros((1, 1, 1)))
+    assert rows == []
 
 
 def almost_lie(q, us):
@@ -368,6 +425,22 @@ def almost_lie(q, us):
 def test_almost_lie_loopoid_instances(product_h):
     us = np.array([[0.1, 0.2], [-0.3, 0.5]])
     assert almost_lie(product_h, us) < 1e-6
+
+
+def test_almost_lie_loopoid_one_jacobian_per_sample(product_h, monkeypatch):
+    us = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.4]])
+    ff = make_frame_field(product_h)
+    tables = [bracket_table(product_h, "left", u, ff) for u in us]
+    jacobians = counted_jacobians(monkeypatch)
+    assert check_almost_lie_loopoid(product_h, us, tables, ff) < 1e-6
+    assert len(jacobians) == len(us)
+
+
+def test_almost_lie_loopoid_over_a_point():
+    # dim_m = 0: the anchors' Jacobian has an empty axis and every anchor bracket is 0
+    q = loop_as_loopoid(bracket_loop(3, cross_product_constants()))
+    assert (q.dim_m, q.rank) == (0, 3)
+    assert almost_lie(q, np.zeros((2, 0))) == 0.0
     pro = prolong_algebroid(
         constant_chart(octonion_commutator_constants(), np.zeros((0, 7))),
         SplitFibration(2, 0),

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import EXAMPLES, example
+from conftest import EXAMPLES, example, lie_bracket
 from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
@@ -26,7 +26,6 @@ from loopoid_lab.numdiff import (
     complex_step,
     directional,
     jacobian,
-    lie_bracket,
     mixed_bilinear,
 )
 from loopoid_lab.octonion import oct_conj, oct_inverse
@@ -300,6 +299,11 @@ def test_differencing_calls_its_map_once_per_stencil():
     fields = [counting(lambda g, i=i: prolong(q, ff, np.eye(q.rank)[i], "left", g), shapes) for i in (0, 1)]
     lie_bracket(*fields, x)
     assert sorted(shapes) == [(), (), (2 * n,), (2 * n,)]
+
+    shapes = []
+    stacked = counting(lambda g: prolong(q, ff, np.eye(q.rank), "left", g), shapes)
+    assert jacobian(stacked, x).shape == (q.rank, n, n)
+    assert shapes == [(2 * n,)]
 
     shapes = []
     target = q.alpha(x) + 0.01
