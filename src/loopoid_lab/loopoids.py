@@ -78,13 +78,12 @@ def snap_to_alpha_fiber(q, h, target_m):
 
 
 def sample_composable_pairs(q, rng, n):
-    """Seeded (g, h) samples snapped onto the composability locus."""
+    """Seeded (g, h) samples snapped onto the composability locus, as an
+    ``(n, 2, dim_g)`` stack; each h is snapped by its own Newton solve."""
     gs = q.sample_g(rng, n)
     hs = q.sample_g(rng, n)
-    out = []
-    for g, h in zip(gs, hs):
-        out.append((g, snap_to_alpha_fiber(q, h, q.beta(g))))
-    return out
+    snapped = [snap_to_alpha_fiber(q, h, q.beta(g)) for g, h in zip(gs, hs)]
+    return np.stack([gs, np.reshape(snapped, gs.shape)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,95 +431,87 @@ class AxiomReport:
 def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     """Sampled axiom audit: units, submersions, unities associativity, the
     anchor-morphism property, translation invertibility on fibers, and
-    inversion residuals when an inversion map is present."""
+    inversion residuals when an inversion map is present.
 
-    def repeat(fixed, points):
-        """``fixed`` once per row of the stencil stack ``points``."""
-        return np.repeat(fixed[None], len(points), axis=0)
+    The samples are the rows of one stack: each chart map runs once per
+    quantity, the side-map Jacobians are one stacked complex step, and only
+    the small SVD and lstsq solves run per sample.  A residual is the 1-D
+    norm of one row: an ``axis=`` norm can round differently.
+    """
 
-    def on_fiber(side_map, translate, point, product):
-        """(min sv, residual) of ``translate`` between side_map-fibers; (inf, 0) on points.
+    def norms(rows):
+        return [float(np.linalg.norm(row)) for row in rows]
 
-        ``translate`` takes the stack of complex-step points, one per fiber
-        direction."""
-        fib = null_space(complex_jacobian(side_map, point))
-        if not fib.shape[0]:
+    def worst(*stacks):
+        """Largest row norm of the stacks; ``max`` skips a NaN row."""
+        return max([0.0] + [v for rows in stacks for v in norms(rows)])
+
+    def defined(x, y):
+        return np.array(norms(q.beta(x) - q.alpha(y))) < COMPOSABLE_TOL
+
+    def on_fibers(point_jacs, product_jacs, points, translate):
+        """(min sv, residual) of ``translate`` between side-map fibers; (inf,
+        0) where they are points.  One complex step covers all (sample, fiber
+        direction) rows, so fiber dimensions may differ between samples."""
+        fibs = [null_space(j) for j in point_jacs]
+        rows = [i for i, fib in enumerate(fibs) for _ in fib]
+        if not rows:
             return np.inf, 0.0
-        img = complex_step(translate, point, fib).T
-        target = null_space(complex_jacobian(side_map, product))
-        coeff, *_ = np.linalg.lstsq(target.T, img, rcond=None)
-        return smallest_singular_value(coeff), float(np.max(np.abs(target.T @ coeff - img)))
+        imgs = complex_step(lambda p: translate(rows, p), points[rows], np.concatenate(fibs)[:, None])[:, 0]
+        svs, resids = [np.inf], [0.0]
+        for jac, img in zip(product_jacs, np.split(imgs, np.cumsum([len(fib) for fib in fibs])[:-1])):
+            if len(img):
+                target = null_space(jac)
+                coeff, *_ = np.linalg.lstsq(target.T, img.T, rcond=None)
+                svs.append(smallest_singular_value(coeff))
+                resids.append(float(np.max(np.abs(target.T @ coeff - img.T))))
+        return min(svs), max(resids)
 
     rng = np.random.default_rng(seed)
     us = q.sample_m(rng, n_samples)
-    unit_sec = 0.0
-    for u in us:
-        e = q.unit_embed(u)
-        unit_sec = max(unit_sec, float(np.linalg.norm(q.alpha(e) - u)))
-        unit_sec = max(unit_sec, float(np.linalg.norm(q.beta(e) - u)))
+    es = q.unit_embed(us)
+    unit_sec = worst(q.alpha(es) - us, q.beta(es) - us)
 
     pairs = sample_composable_pairs(q, rng, n_samples)
-    left_unit = right_unit = 0.0
-    a_min = b_min = np.inf
-    ua_resid = 0.0
-    ua_mismatch = 0
-    a_anchor = b_anchor = 0.0
-    lt_min = rt_min = np.inf
-    fiber_resid = 0.0
+    gs, hs = pairs[:, 0], pairs[:, 1]
+    ags, bgs, bhs = q.alpha(gs), q.beta(gs), q.beta(hs)
+    eas, ebs = q.unit_embed(ags), q.unit_embed(bgs)
+    ghs = q.mul(gs, hs)
+    right_unit = worst(q.mul(gs, ebs) - gs)
+    left_unit = worst(q.mul(eas, gs) - gs)
+
+    ja_g, ja_h, ja_gh = np.split(complex_jacobian(q.alpha, np.concatenate([gs, hs, ghs])), 3)
+    jb_g, jb_gh = np.split(complex_jacobian(q.beta, np.concatenate([gs, ghs])), 2)
+    a_min = min([np.inf] + [smallest_singular_value(j) for j in ja_g])
+    b_min = min([np.inf] + [smallest_singular_value(j) for j in jb_g])
+
+    a_anchor = worst(q.alpha(ghs) - ags)
+    b_anchor = worst(q.beta(ghs) - bhs)
+
+    # unities associativity with definedness bookkeeping, unit in each slot
+    ua_resid, ua_mismatch = 0.0, 0
+    for x, y, z in ((eas, gs, hs), (gs, ebs, hs), (gs, hs, q.unit_embed(bhs))):
+        xy, yz = q.mul(x, y), q.mul(y, z)
+        lhs_def = defined(x, y) & defined(xy, z)
+        rhs_def = defined(y, z) & defined(x, yz)
+        ua_resid = max(ua_resid, worst((q.mul(xy, z) - q.mul(x, yz))[lhs_def & rhs_def]))
+        ua_mismatch += int(np.sum(lhs_def != rhs_def))
+
+    # translations restricted to fiber directions: left translation by g
+    # on the alpha-fiber of h, right translation by h on the beta-fiber of g
+    lt_min, lt_resid = on_fibers(ja_h, ja_gh, hs, lambda rows, p: q.mul(gs[rows], p))
+    rt_min, rt_resid = on_fibers(jb_g, jb_gh, gs, lambda rows, p: q.mul(p, hs[rows]))
+    fiber_resid = max(lt_resid, rt_resid)
+
     lip = rip = ipid = 0.0
     have_inv = q.inverse is not None
-
-    for g, h in pairs:
-        ag = q.alpha(g)
-        bg = q.beta(g)
-        right_unit = max(right_unit, float(np.linalg.norm(q.mul(g, q.unit_embed(bg)) - g)))
-        left_unit = max(left_unit, float(np.linalg.norm(q.mul(q.unit_embed(ag), g) - g)))
-
-        ja = complex_jacobian(q.alpha, g)
-        jb = complex_jacobian(q.beta, g)
-        a_min = min(a_min, smallest_singular_value(ja))
-        b_min = min(b_min, smallest_singular_value(jb))
-
-        gh = q.mul(g, h)
-        a_anchor = max(a_anchor, float(np.linalg.norm(q.alpha(gh) - ag)))
-        b_anchor = max(b_anchor, float(np.linalg.norm(q.beta(gh) - q.beta(h))))
-
-        # unities associativity with definedness bookkeeping, unit in each slot
-        for which in ("left", "middle", "right"):
-            if which == "left":
-                x, y, z = q.unit_embed(ag), g, h
-            elif which == "middle":
-                x, y, z = g, q.unit_embed(bg), h
-            else:
-                x, y, z = g, h, q.unit_embed(q.beta(h))
-            lhs_def = composable(q, x, y) and composable(q, q.mul(x, y), z)
-            rhs_def = composable(q, y, z) and composable(q, x, q.mul(y, z))
-            if lhs_def and rhs_def:
-                lhs = q.mul(q.mul(x, y), z)
-                rhs = q.mul(x, q.mul(y, z))
-                ua_resid = max(ua_resid, float(np.linalg.norm(lhs - rhs)))
-            elif lhs_def != rhs_def:
-                ua_mismatch += 1
-
-        # translations restricted to fiber directions: left translation by g
-        # on the alpha-fiber of h, right translation by h on the beta-fiber of g
-        sv, resid = on_fiber(q.alpha, lambda p: q.mul(repeat(g, p), p), h, gh)
-        lt_min, fiber_resid = min(lt_min, sv), max(fiber_resid, resid)
-        sv, resid = on_fiber(q.beta, lambda p: q.mul(p, repeat(h, p)), g, gh)
-        rt_min, fiber_resid = min(rt_min, sv), max(fiber_resid, resid)
-
-        if have_inv:
-            # definedness is part of the property: a composability gap in
-            # g^{-1}(gh) or (gh)h^{-1} counts against the residual
-            gi = q.inverse(g)
-            lgap = float(np.linalg.norm(q.beta(gi) - q.alpha(gh)))
-            lip = max(lip, lgap, float(np.linalg.norm(q.mul(gi, gh) - h)))
-            hi = q.inverse(h)
-            rgap = float(np.linalg.norm(q.beta(gh) - q.alpha(hi)))
-            rip = max(rip, rgap, float(np.linalg.norm(q.mul(gh, hi) - g)))
-            ipid = max(ipid, float(np.linalg.norm(q.mul(g, gi) - q.unit_embed(ag))))
-            ipid = max(ipid, float(np.linalg.norm(q.mul(gi, g) - q.unit_embed(bg))))
-            ipid = max(ipid, float(np.linalg.norm(q.inverse(gi) - g)))
+    if have_inv:
+        # definedness is part of the property: a composability gap in
+        # g^{-1}(gh) or (gh)h^{-1} counts against the residual
+        gis, his = q.inverse(gs), q.inverse(hs)
+        lip = worst(q.beta(gis) - q.alpha(ghs), q.mul(gis, ghs) - hs)
+        rip = worst(q.beta(ghs) - q.alpha(his), q.mul(ghs, his) - gs)
+        ipid = worst(q.mul(gs, gis) - eas, q.mul(gis, gs) - ebs, q.inverse(gis) - gs)
 
     submersions_ok = q.dim_m == 0 or (a_min > 1e-7 and b_min > 1e-7)
     translations_ok = (

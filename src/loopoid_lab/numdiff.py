@@ -68,8 +68,11 @@ def complex_step(f, x, v):
 
 
 def complex_jacobian(f, x):
-    """Jacobian of f at x from one ``complex_step`` along the coordinate axes."""
-    return np.moveaxis(complex_step(f, x, np.eye(np.size(x))), 0, -1)
+    """Jacobian of f at x, or at each row of an ``(N, n)`` stack, from one
+    ``complex_step`` along the coordinate axes."""
+    n = np.shape(x)[-1]
+    axes = np.broadcast_to(np.eye(n), np.shape(x)[:-1] + (n, n))
+    return np.moveaxis(complex_step(f, x, axes), np.ndim(x) - 1, -1)
 
 
 def jacobian(f, x, rel_step=OUTER_STEP):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import planar_feedback_chart
 from loopoid_lab.errors import NotMonotone, NotOdd
 from loopoid_lab.loopoids import (
+    ChartedQuasiloopoid,
     SplitFibration,
     build_local_section,
     check_axioms,
@@ -18,6 +21,7 @@ from loopoid_lab.loopoids import (
 )
 from loopoid_lab.loops import SmoothLoopChart, octonion_chart
 from loopoid_lab.newton import newton_solve
+from loopoid_lab.numdiff import complex_jacobian, complex_step, null_space, smallest_singular_value
 
 PHI = lambda x: x**3 + x
 
@@ -250,3 +254,62 @@ def test_loop_as_loopoid_over_point(rng):
     assert q.dim_m == 0 and q.rank == 8
     rep = check_axioms(q, n_samples=6, seed=7)
     assert rep.is_loopoid and rep.is_ip
+
+
+def ragged_beta_quasiloopoid():
+    """A chart whose beta has an analytic component 1e-9 g1 exp(4 g2): its
+    Jacobian crosses the null-space rank cut inside the sampled region, so
+    the beta-fibers are lines on some samples and planes on others."""
+
+    def beta(g):
+        return np.stack([g[..., 0], 1e-9 * g[..., 1] * np.exp(4 * g[..., 2])], axis=-1)
+
+    return ChartedQuasiloopoid(
+        dim_g=3,
+        dim_m=2,
+        alpha=lambda g: g[..., :2],
+        beta=beta,
+        unit_embed=lambda u: np.concatenate([u, np.zeros_like(u[..., :1])], axis=-1),
+        mul=lambda g, h: np.concatenate([g[..., :2], h[..., 2:]], axis=-1),
+        sampler=lambda rng, k: rng.normal(scale=0.6, size=(k, 3)),
+        name="ragged_beta",
+    )
+
+
+def test_axioms_with_fiber_dimension_varying_between_samples():
+    q = ragged_beta_quasiloopoid()
+    n, seed = 12, 0
+    rep = check_axioms(q, n_samples=n, seed=seed)
+
+    # per-sample oracle: right translation by h on the beta-fiber of g,
+    # one sample at a time, drawn as the audit draws them
+    rng = np.random.default_rng(seed)
+    q.sample_m(rng, n)
+    dims, svs, resids = set(), [], []
+    for g, h in sample_composable_pairs(q, rng, n):
+        fib = null_space(complex_jacobian(q.beta, g))
+        dims.add(fib.shape[0])
+        img = complex_step(lambda p: q.mul(p, np.repeat(h[None], len(p), axis=0)), g, fib).T
+        target = null_space(complex_jacobian(q.beta, q.mul(g, h)))
+        coeff, *_ = np.linalg.lstsq(target.T, img, rcond=None)
+        svs.append(smallest_singular_value(coeff))
+        resids.append(float(np.max(np.abs(target.T @ coeff - img))))
+    assert dims == {1, 2}
+    assert rep.right_translation_min_sv == min(svs)
+    assert rep.translation_fiber_residual == max(resids)  # the alpha side is exact
+    assert not rep.translations_ok
+
+
+def test_axioms_mul_calls_do_not_grow_with_samples():
+    q = product_loopoid(planar_feedback_chart(), 2)
+    counts = []
+    for n in (5, 40):
+        calls = []
+
+        def counting_mul(g, h):
+            calls.append(len(g))
+            return q.mul(g, h)
+
+        check_axioms(dataclasses.replace(q, mul=counting_mul), n_samples=n, seed=3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

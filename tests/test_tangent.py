@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loopoid_lab.loopoids as loopoids_module
 import loopoid_lab.tangent as tangent_module
 from conftest import cubic_line_chart, planar_feedback_chart
 from loopoid_lab.algebroid import make_frame_field
@@ -170,3 +171,42 @@ def test_no_cotangent_multiplication_is_exposed():
     exported = [name for name in dir(tangent_module) if "mul" in name.lower()]
     assert "tangent_multiply" in exported
     assert not any("cotangent" in name.lower() and "mul" in name.lower() for name in exported)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` in the returned list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "q, n_samples, seed, per_sample",
+    [
+        # no inversion: the product, the unit action and the "hold" product
+        (product_loopoid(planar_feedback_chart(), 2), 5, 1, 6),
+        # with an I.P. inversion, its tangent product adds one pair
+        (product_loopoid(octonion_chart(), 1), 3, 3, 8),
+    ],
+    ids=["product_h", "octonion_pair1"],
+)
+def test_tangent_audit_section_builds_do_not_grow_with_fiber(monkeypatch, q, n_samples, seed, per_sample):
+    # the injectivity push shares its sample's product set-up; built once per
+    # stencil row it took 4k more per sample at fiber dimension k (110 and 132)
+    builds = count_calls(monkeypatch, tangent_module, "build_local_section")
+    assert check_tangent_loopoid(q, n_samples=n_samples, seed=seed)["ok"]
+    assert len(builds) == per_sample * n_samples
+
+
+def test_velocity_mismatch_raises_before_section_work(rng, monkeypatch):
+    q = product_loopoid(planar_feedback_chart(), 2)
+    g, h = sample_composable_pairs(q, rng, 1)[0]
+    vg = rng.normal(size=6)
+    vh = rng.normal(size=6)
+    vh[2:4] = vg[4:6] + 5.0
+    builds = count_calls(monkeypatch, tangent_module, "build_local_section")
+    solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
+    with pytest.raises(IncompatibleVelocities):
+        tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
+    assert builds == [] and solves == []
