@@ -1,9 +1,10 @@
 """Hot kernels: Cayley-table identity scans and batched octonion products.
 
-The scans are numpy broadcasts over a fancy-indexed table and the octonion
-product is one ``einsum``.  Scans take an ``(n, n)`` int64 table whose entries index into ``range(n)`` and either the
-full triple range or explicit sample-index vectors.  They return the number
-of violated instances, so 0 means the identity holds.
+The scans are numpy broadcasts over an ``(n, n)`` int32 table whose entries
+index into ``range(n)``, on the full triple range or on sample-index vectors
+(through the raveled table at ``x * n + y``).  They return the number of
+violated instances, so 0 means the identity holds.  The octonion product is
+a gather through the signed basis-product table.
 """
 
 import numpy as np
@@ -67,22 +68,45 @@ def sampled_identity_scan(t, which, aa, bb, cc):
 
     0 associativity, 1..3 the Moufang forms, 4 left Bol, 5 right Bol.
     """
+    n = t.shape[0]
+    flat = t.ravel()
+
+    def m(x, y):
+        return flat[x * n + y]
+
     a, b, c = aa, bb, cc
     if which == 0:
-        lhs, rhs = t[t[a, b], c], t[a, t[b, c]]
+        lhs, rhs = m(m(a, b), c), m(a, m(b, c))
     elif which == 1:
-        lhs, rhs = t[t[t[a, b], a], c], t[a, t[b, t[a, c]]]
+        lhs, rhs = m(m(m(a, b), a), c), m(a, m(b, m(a, c)))
     elif which == 2:
-        lhs, rhs = t[t[t[b, a], c], a], t[b, t[a, t[c, a]]]
+        lhs, rhs = m(m(m(b, a), c), a), m(b, m(a, m(c, a)))
     elif which == 3:
-        lhs, rhs = t[t[a, b], t[c, a]], t[t[a, t[b, c]], a]
+        lhs, rhs = m(m(a, b), m(c, a)), m(m(a, m(b, c)), a)
     elif which == 4:
-        lhs, rhs = t[a, t[b, t[a, c]]], t[t[a, t[b, a]], c]
+        lhs, rhs = m(a, m(b, m(a, c))), m(m(a, m(b, a)), c)
     else:
-        lhs, rhs = t[t[t[c, a], b], a], t[c, t[t[a, b], a]]
+        lhs, rhs = m(m(m(c, a), b), a), m(c, m(m(a, b), a))
     return int(np.count_nonzero(lhs != rhs))
 
 
-def oct_mul_many(a, b, tensor):
-    """Batched octonion product of ``(N, 8)`` coefficient arrays."""
-    return np.einsum("si,sj,ijk->sk", a, b, tensor)
+def oct_mul_many(a, b, index, sign):
+    """Batched octonion product of ``(N, 8)`` coefficient arrays.
+
+    ``index[i, k]`` is the j with e_i e_j = ``sign[i, k]`` e_k.  Each output
+    sums its terms over i in order and ``+ 0.0`` makes a zero sum +0, as the
+    einsum this replaced did; two complex factors multiply without fused
+    multiply-adds.  Chunks of 2048 rows keep the temporaries near 1-2 MB.
+    """
+    out = np.empty(a.shape, dtype=np.result_type(a, b, sign))
+    both_complex = a.dtype.kind == b.dtype.kind == "c"
+    for lo in range(0, len(a), 2048):
+        x = a[lo:lo + 2048, :, None]
+        y = b[lo:lo + 2048].take(index, axis=1) * sign
+        o = out[lo:lo + 2048]
+        if both_complex:
+            o.real = (x.real * y.real - x.imag * y.imag).sum(axis=1) + 0.0
+            o.imag = (x.real * y.imag + x.imag * y.real).sum(axis=1) + 0.0
+        else:
+            o[...] = (x * y).sum(axis=1) + 0.0
+    return out

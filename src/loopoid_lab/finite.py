@@ -19,6 +19,8 @@ from .errors import MalformedTable, NotAutomorphism, NotSubgroup, NotTransversal
 
 EXHAUSTIVE_ORDER_CAP = 64
 SAMPLED_TRIPLES = 200_000
+# tables are int32; the sampled scan's flat index x * order + y must fit
+MAX_ORDER = 46_340
 
 
 @dataclass(frozen=True)
@@ -30,11 +32,14 @@ class CayleyTable:
     unit: Optional[int] = None
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
+        if self.order > MAX_ORDER:
+            raise MalformedTable(f"order {self.order} exceeds {MAX_ORDER}, the largest whose int32 flat index fits")
+        t = np.asarray(self.table)
         if t.shape != (self.order, self.order):
             raise MalformedTable(f"table shape {t.shape} != ({self.order}, {self.order})")
         if t.size and (t.min() < 0 or t.max() >= self.order):
             raise MalformedTable("table entries out of range")
+        t = t.astype(np.int32)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         if self.unit is not None and not (0 <= self.unit < self.order):
@@ -80,20 +85,15 @@ class IdentityReport:
 
 
 def _find_unit(t):
-    n = t.shape[0]
-    ar = np.arange(n)
-    for u in range(n):
-        if np.array_equal(t[u], ar) and np.array_equal(t[:, u], ar):
-            return u
-    return None
+    """The first two-sided unit: the first u whose row and column are both ``arange``."""
+    ar = np.arange(t.shape[0])
+    hits = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+    return int(hits[0]) if hits.size else None
 
 
 def _is_latin(t):
-    n = t.shape[0]
-    ar = np.arange(n)
-    rows_ok = all(np.array_equal(np.sort(t[i]), ar) for i in range(n))
-    cols_ok = all(np.array_equal(np.sort(t[:, i]), ar) for i in range(n))
-    return rows_ok and cols_ok
+    ar = np.arange(t.shape[0])
+    return bool((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all())
 
 
 def validate_latin_square(ct, *, max_exhaustive_order=EXHAUSTIVE_ORDER_CAP, rng=None):
@@ -107,22 +107,18 @@ def validate_latin_square(ct, *, max_exhaustive_order=EXHAUSTIVE_ORDER_CAP, rng=
     latin = _is_latin(t)
     unit = _find_unit(t)
 
+    # violation counts of associativity, the three Moufang forms, left and right Bol
     exhaustive = n <= max_exhaustive_order
     if exhaustive:
-        associative = _kernels.associative_scan(t) == 0
-        forms = tuple(_kernels.moufang_scan(t, f) == 0 for f in range(3))
-        left_bol = _kernels.left_bol_scan(t) == 0
-        right_bol = _kernels.right_bol_scan(t) == 0
+        moufang = (_kernels.moufang_scan(t, f) for f in range(3))
+        counts = (_kernels.associative_scan(t), *moufang, _kernels.left_bol_scan(t), _kernels.right_bol_scan(t))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        aa = rng.integers(0, n, size=SAMPLED_TRIPLES)
-        bb = rng.integers(0, n, size=SAMPLED_TRIPLES)
-        cc = rng.integers(0, n, size=SAMPLED_TRIPLES)
-        associative = _kernels.sampled_identity_scan(t, 0, aa, bb, cc) == 0
-        forms = tuple(_kernels.sampled_identity_scan(t, w, aa, bb, cc) == 0 for w in (1, 2, 3))
-        left_bol = _kernels.sampled_identity_scan(t, 4, aa, bb, cc) == 0
-        right_bol = _kernels.sampled_identity_scan(t, 5, aa, bb, cc) == 0
+        aa, bb, cc = (rng.integers(0, n, size=SAMPLED_TRIPLES) for _ in range(3))
+        counts = tuple(_kernels.sampled_identity_scan(t, w, aa, bb, cc) for w in range(6))
+    associative, *forms, left_bol, right_bol = (c == 0 for c in counts)
+    forms = tuple(forms)
 
     has_two_sided = False
     lip = rip = ip = False
@@ -177,37 +173,25 @@ def transversal_loop(group, subgroup, transversal):
     h_mask[h_set] = True
     if e not in h_set:
         raise NotSubgroup("subgroup does not contain the unit")
-    for a in h_set:
-        for b in h_set:
-            if not h_mask[t[a, b]]:
-                raise NotSubgroup(f"closure fails at ({a}, {b})")
+    bad = np.argwhere(~h_mask[t[np.ix_(h_set, h_set)]])
+    if bad.size:
+        raise NotSubgroup(f"closure fails at ({h_set[bad[0, 0]]}, {h_set[bad[0, 1]]})")
     if e not in s_list:
         raise NotTransversal("transversal must contain the unit")
 
-    # coset of g: the sorted tuple of gH
-    def coset(g):
-        return tuple(sorted(int(t[g, h]) for h in h_set))
-
+    cosets = [tuple(c) for c in np.sort(t[:, h_set], axis=1).tolist()]  # coset of g: the sorted gH
     seen = {}
     for s in s_list:
-        c = coset(s)
-        if c in seen:
-            raise NotTransversal(f"elements {seen[c]} and {s} lie in the same coset")
-        seen[c] = s
-    all_cosets = {coset(g) for g in range(group.order)}
-    if len(seen) != len(all_cosets):
+        if cosets[s] in seen:
+            raise NotTransversal(f"elements {seen[cosets[s]]} and {s} lie in the same coset")
+        seen[cosets[s]] = s
+    if len(seen) != len(set(cosets)):
         raise NotTransversal("transversal misses a coset")
 
-    def project(g):
-        return seen[coset(g)]
-
     index = {s: i for i, s in enumerate(s_list)}
-    m = len(s_list)
-    out = np.zeros((m, m), dtype=np.int64)
-    for i, s in enumerate(s_list):
-        for j, s2 in enumerate(s_list):
-            out[i, j] = index[project(t[s, s2])]
-    return CayleyTable(order=m, table=out, unit=index[e])
+    projected = np.array([index[seen[c]] for c in cosets])  # g -> index of p_S(g)
+    out = projected[t[np.ix_(s_list, s_list)]]
+    return CayleyTable(order=len(s_list), table=out, unit=index[e])
 
 
 def _is_table_automorphism(ct, perm):
@@ -242,23 +226,13 @@ def semidirect_loop(loop, autos):
             raise NotAutomorphism(f"map #{k} fails the homomorphism test")
         if p[loop.unit] != loop.unit:
             raise NotAutomorphism(f"map #{k} moves the unit")
-    comp = np.zeros((len(perms), len(perms)), dtype=np.int64)
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            c = tuple(a[b].tolist())  # (A o B)(x) = A(B(x))
-            if c not in key:
-                raise NotAutomorphism("automorphism list is not composition-closed")
-            comp[i, j] = key[c]
-
     na = len(perms)
+    products = [tuple(a[b].tolist()) for a in perms for b in perms]  # (A o B)(x) = A(B(x))
+    if any(c not in key for c in products):
+        raise NotAutomorphism("automorphism list is not composition-closed")
+    comp = np.array([key[c] for c in products]).reshape(na, na)
     order = n * na
-    t = loop.table
-    out = np.zeros((order, order), dtype=np.int64)
-    for g in range(n):
-        for i in range(na):
-            row = g * na + i
-            a = perms[i]
-            for h in range(n):
-                for j in range(na):
-                    out[row, h * na + j] = t[g, a[h]] * na + comp[i, j]
-    return CayleyTable(order=order, table=out, unit=loop.unit * na + key[ident])
+    # [g, i, h, j] -> (g A_i(h), A_i o A_j) at row g * na + i, column h * na + j
+    first = loop.table[np.arange(n)[:, None, None], np.stack(perms)[None, :, :]]
+    out = first[:, :, :, None] * na + comp[None, :, None, :]
+    return CayleyTable(order=order, table=out.reshape(order, order), unit=loop.unit * na + key[ident])

@@ -7,8 +7,10 @@ triples
     (1,2,3) (1,4,5) (1,7,6) (2,4,6) (2,5,7) (3,4,7) (3,6,5)
 
 meaning e.g. e1 e2 = e3, e2 e3 = e1, e3 e1 = e2, together with e_i^2 = -1
-and e0 = 1.  The induced bilinear product is norm multiplicative, which the
-test suite checks on seeded random batches.
+and e0 = 1.  The batched product reads the table in gather form:
+GATHER_INDEX[i, k] = j and GATHER_SIGN[i, k] = s where e_i e_j = s e_k.
+The induced bilinear product is norm multiplicative, which the test suite
+checks on seeded random batches.
 
 An octonion is an array of its 8 coefficients over e0..e7; the product,
 conjugation and inverse take ``(..., 8)`` stacks and act row by row.
@@ -43,18 +45,16 @@ def _build_tables():
 
 MUL_INDEX, MUL_SIGN = _build_tables()
 
-# structure tensor: (e_i e_j)_k, used by the numpy product lane
-MUL_TENSOR = np.zeros((8, 8, 8))
-for _i in range(8):
-    for _j in range(8):
-        MUL_TENSOR[_i, _j, MUL_INDEX[_i, _j]] = MUL_SIGN[_i, _j]
+# (ab)_k = sum_i a_i b_{GATHER_INDEX[i, k]} GATHER_SIGN[i, k]
+GATHER_INDEX = np.argsort(MUL_INDEX, axis=1)
+GATHER_SIGN = np.take_along_axis(MUL_SIGN, GATHER_INDEX, axis=1)
 
 INVERT_EPS = 1e-300
 
 
 def oct_mul_batch(a, b):
     """Product of ``(..., 8)`` coefficient stacks with equal shapes, row by row."""
-    return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), MUL_TENSOR).reshape(a.shape)
+    return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), GATHER_INDEX, GATHER_SIGN).reshape(a.shape)
 
 
 def oct_conj(x):

@@ -15,7 +15,10 @@ from conftest import (
 from loopoid_lab import _kernels
 from loopoid_lab.errors import MalformedTable, NotAutomorphism, NotSubgroup, NotTransversal
 from loopoid_lab.finite import (
+    MAX_ORDER,
     CayleyTable,
+    _find_unit,
+    _is_latin,
     semidirect_loop,
     transversal_loop,
     validate_latin_square,
@@ -40,6 +43,23 @@ def test_malformed_tables_rejected():
         CayleyTable(2, [[0, 5], [1, 0]])
     with pytest.raises(MalformedTable):
         CayleyTable(3, [[0, 1], [1, 0]])
+
+
+def test_order_limit_keeps_flat_index_in_int32():
+    # the largest flat index x * n + y is n^2 - 1
+    assert MAX_ORDER**2 - 1 <= np.iinfo(np.int32).max < (MAX_ORDER + 1) ** 2 - 1
+    # an overstated order is refused before the table is looked at
+    with pytest.raises(MalformedTable, match=str(MAX_ORDER)):
+        CayleyTable(MAX_ORDER + 1, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(MalformedTable, match="shape"):
+        CayleyTable(MAX_ORDER, np.zeros((2, 2), dtype=np.int64))
+
+
+def test_table_is_a_read_only_int32_copy():
+    src = cyclic_table(5).table.astype(np.int64)
+    ct = CayleyTable(5, src)
+    assert ct.table.dtype == np.int32 and not ct.table.flags.writeable
+    assert src.flags.writeable and np.array_equal(ct.table, src)
 
 
 def test_no_nonassociative_ip_loop_up_to_order_five():
@@ -117,10 +137,12 @@ def test_transversal_not_inverse_closed_keeps_left_division_only():
 
 def test_transversal_rejects_bad_inputs():
     z4 = cyclic_table(4)
-    with pytest.raises(NotSubgroup):
+    with pytest.raises(NotSubgroup, match=r"closure fails at \(1, 1\)"):
         transversal_loop(z4, {0, 1}, {0, 2})  # {0,1} not closed
-    with pytest.raises(NotTransversal):
+    with pytest.raises(NotTransversal, match="elements 0 and 2 lie in the same coset"):
         transversal_loop(z4, {0, 2}, {0, 2})  # 0 and 2 share a coset
+    with pytest.raises(NotTransversal, match="misses a coset"):
+        transversal_loop(z4, {0, 2}, {0})
     with pytest.raises(NotTransversal):
         transversal_loop(z4, {0, 2}, {1, 3})  # missing the unit
     nonassoc = enumerate_loops(5)
@@ -166,6 +188,9 @@ def test_semidirect_rejects_non_automorphisms():
         semidirect_loop(z4, [np.arange(4), shift])
     with pytest.raises(NotAutomorphism):
         semidirect_loop(z4, [(3 * np.arange(4)) % 4])  # lacks the identity
+    z5 = cyclic_table(5)
+    with pytest.raises(NotAutomorphism, match="composition-closed"):
+        semidirect_loop(z5, [np.arange(5), (2 * np.arange(5)) % 5])  # x -> 4x is missing
 
 
 def test_signed_basis_loop_is_moufang_ip_nonassociative():
@@ -270,6 +295,71 @@ def test_sampled_scan_matches_loop_oracle():
         for which in range(len(IDENTITIES)):
             got = _kernels.sampled_identity_scan(t, which, aa, bb, cc)
             assert got == _oracle_violations(t, which, triples), which
+
+
+def _isotope(rng, t):
+    """Rows, columns and symbols permuted independently: a Latin square if t is."""
+    n = t.shape[0]
+    rows, cols, syms = rng.permutation(n), rng.permutation(n), rng.permutation(n)
+    return syms[t[rows][:, cols]]
+
+
+@pytest.mark.parametrize("order", [16, 70])
+def test_int32_tables_scan_like_int64_copies(order):
+    rng = np.random.default_rng(order)
+    base = signed_basis_loop() if order == 16 else cyclic_table(order)
+    ct = CayleyTable(order, _isotope(rng, base.table))
+    t64 = ct.table.astype(np.int64)
+    assert ct.table.dtype == np.int32
+    full = _full_scans(ct.table)
+    assert full == _full_scans(t64) and max(full) > 0
+    aa, bb, cc = rng.integers(0, order, size=(3, 20_000))
+    for which in range(len(IDENTITIES)):
+        got = _kernels.sampled_identity_scan(ct.table, which, aa, bb, cc)
+        assert got == _kernels.sampled_identity_scan(t64, which, aa, bb, cc), which
+
+
+def _latin_by_rows(t):
+    ar = np.arange(t.shape[0])
+    return all(np.array_equal(np.sort(r), ar) for r in t) and all(np.array_equal(np.sort(c), ar) for c in t.T)
+
+
+def _unit_by_rows(t):
+    ar = np.arange(t.shape[0])
+    return next((u for u in range(len(t)) if np.array_equal(t[u], ar) and np.array_equal(t[:, u], ar)), None)
+
+
+def test_latin_and_unit_checks_match_row_loops():
+    rng = np.random.default_rng(3)
+    z6 = cyclic_table(6).table
+    relabeled = np.empty_like(z6)
+    perm = rng.permutation(6)
+    relabeled[perm[:, None], perm] = perm[z6]  # unit at perm[0]
+    left_unit_only = z6.copy()
+    left_unit_only[1, 0] = 0  # column 0 no longer the identity; not Latin
+    tables = [z6, relabeled, _isotope(rng, z6), left_unit_only, rng.integers(0, 6, size=(6, 6)), signed_basis_loop().table]
+    for t in tables:
+        t = CayleyTable(len(t), t).table
+        assert _is_latin(t) == _latin_by_rows(t)
+        assert _find_unit(t) == _unit_by_rows(t)
+    assert _find_unit(relabeled) == perm[0]
+    assert _find_unit(left_unit_only) is None
+
+
+def test_semidirect_table_matches_pair_formula():
+    loop = signed_basis_loop()
+    flip = line_flip_automorphism()
+    autos = [np.arange(16), flip]
+    out = semidirect_loop(loop, autos)
+    na = len(autos)
+    comp = [[0, 1], [1, 0]]  # A o B for A, B in {id, flip}
+    expect = np.zeros((32, 32), dtype=np.int64)
+    for g in range(16):
+        for i in range(na):
+            for h in range(16):
+                for j in range(na):
+                    expect[g * na + i, h * na + j] = loop.table[g, autos[i][h]] * na + comp[i][j]
+    assert np.array_equal(out.table, expect)
 
 
 def _is_commutative(t):

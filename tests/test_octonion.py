@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopoid_lab import _kernels
+from loopoid_lab.cli import main
 from loopoid_lab.errors import DivisionByZero
 from loopoid_lab.octonion import (
     MUL_INDEX,
@@ -31,6 +34,19 @@ BASIS_TABLE = [
 
 # the basis e0..e7 as coefficient rows
 E = np.eye(8)
+
+# structure tensor (e_i e_j)_k for the einsum oracle of the gather kernel
+MUL_TENSOR = np.zeros((8, 8, 8))
+MUL_TENSOR[np.arange(8)[:, None], np.arange(8), MUL_INDEX] = MUL_SIGN
+
+
+def einsum_product(a, b, *gather_tables):
+    """``oct_mul_many`` as one three-operand einsum; ignores the gather tables."""
+    return np.einsum("si,sj,ijk->sk", a, b, MUL_TENSOR)
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
 
 
 def test_all_64_basis_products_match_frozen_table():
@@ -75,8 +91,59 @@ def test_batch_matches_table_loop(rng):
         for i in range(8):
             for j in range(8):
                 expect[s, MUL_INDEX[i, j]] += a[s, i] * b[s, j] * MUL_SIGN[i, j]
-    # einsum sums the same products in another order
-    assert np.allclose(oct_mul_batch(a, b), expect, rtol=0, atol=1e-13)
+    # the product sums each coefficient's terms over i in order, as this loop does
+    assert np.array_equal(oct_mul_batch(a, b), expect)
+
+
+def test_gather_product_matches_einsum_on_basis_products():
+    i, j = np.divmod(np.arange(64), 8)
+    assert _bits(oct_mul_batch(E[i], E[j])) == _bits(einsum_product(E[i], E[j]))
+    for i in range(8):
+        for j in range(8):
+            assert _bits(oct_mul_batch(E[i], E[j])) == _bits(einsum_product(E[i : i + 1], E[j : j + 1])[0]), (i, j)
+
+
+def _stack(rng, n, complex_part):
+    """Seeded coefficients with exact zeros of both signs among them."""
+    x = rng.normal(size=(n, 8))
+    x[rng.random((n, 8)) < 0.2] = 0.0
+    x[rng.random((n, 8)) < 0.1] = -0.0
+    if complex_part:
+        y = rng.normal(size=(n, 8)) * 1e-20  # a complex step's scale
+        y[rng.random((n, 8)) < 0.3] = -0.0
+        x = x + 1j * y
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 5000])
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)], ids=["float", "complex", "float_complex", "complex_float"])
+def test_gather_product_matches_einsum_bit_for_bit(n, kinds):
+    rng = np.random.default_rng(1000 + n)
+    a = _stack(rng, n, kinds[0])
+    b = _stack(rng, n, kinds[1])
+    assert _bits(oct_mul_batch(a, b)) == _bits(einsum_product(a, b))
+
+
+def test_zero_sums_are_positive_zeros():
+    # (ab)_0 = a_0 b_0 - sum_{i>0} a_i b_i: here every term is -0, and the
+    # einsum's accumulator, which starts at +0, gives +0
+    a = np.zeros((1, 8))
+    a[0, 0] = -0.0
+    b = np.ones((1, 8))
+    for x, y in ((a, b), (a + 0j, b + 0j)):
+        prod = oct_mul_batch(x, y)
+        assert _bits(prod) == _bits(einsum_product(x, y))
+        assert not np.signbit(prod.view(np.float64)).any()
+
+
+def test_octonion_report_unchanged_under_einsum_product(monkeypatch, tmp_path):
+    args = ["octonion", "--samples", "5000", "--seed", "0", "--mul", "e1+2e3", "e4", "--out"]
+    runner = CliRunner()
+    gather = runner.invoke(main, args + [str(tmp_path / "gather.json")])
+    monkeypatch.setattr(_kernels, "oct_mul_many", einsum_product)
+    oracle = runner.invoke(main, args + [str(tmp_path / "einsum.json")])
+    assert gather.exit_code == oracle.exit_code == 0
+    assert (tmp_path / "gather.json").read_bytes() == (tmp_path / "einsum.json").read_bytes()
 
 
 def test_moufang_identity_on_unit_octonions():
