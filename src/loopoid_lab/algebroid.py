@@ -17,7 +17,9 @@ directions; their Lie brackets at unit points, expanded back in the frame,
 are the two skew brackets carried by the normal bundle.  A bracket table
 takes every pair of frame sections from one central Jacobian of the r
 stacked fields, and the almost-Lie check every pair of anchors from one
-Jacobian of the stacked anchors per unit.
+Jacobian of the stacked anchors per unit.  A smooth loop is a loopoid over
+a point, and its skew algebra is the bracket table there
+(``loop_skew_constants``).
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FrameSingular, RankDeficient
-from .numdiff import complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
+from .errors import FrameSingular, NumericalNoise, RankDeficient
+from .loopoids import loop_as_loopoid
+from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -187,12 +190,13 @@ def expand_in_frame(fr, side, value, orientation=STRICT):
     return coeffs[: fr.rank], coeffs[fr.rank :]
 
 
-def bracket_table(q, side, u, frame_field):
+def bracket_table(q, side, u, frame_field, rel_step=OUTER_STEP):
     """The side's brackets of the frame sections at u as skew constants:
     ``table[k, i, j]`` is coefficient k of [e_i, e_j].
 
     The r fundamental fields X_i are one stacked field, evaluated at the
-    embedded unit e and differenced by one central ``jacobian`` there, so
+    embedded unit e and differenced there by one central ``jacobian`` at
+    the relative step ``rel_step``, so
     [X_i, X_j](e) = DX_j(e) X_i(e) - DX_i(e) X_j(e) for every pair i < j
     from two calls of the multiplication.  The pairs' brackets are expanded
     in the frame together, by one ``expand_in_frame``.  A rank below 2 has
@@ -205,13 +209,36 @@ def bracket_table(q, side, u, frame_field):
     fields = fundamental_field(q, frame_field, np.eye(r), side)
     e = q.unit_embed(u)
     values = fields(e)  # (r, dim_g)
-    d = jacobian(fields, e)  # d[i] = DX_i(e)
+    d = jacobian(fields, e, rel_step)  # d[i] = DX_i(e)
     i, j = np.triu_indices(r, 1)
     brackets = np.stack([d[b] @ values[a] - d[a] @ values[b] for a, b in zip(i, j)], axis=-1)
     coeffs, _ = expand_in_frame(frame_field(u), side, brackets)
     table[:, i, j] = coeffs
     table[:, j, i] = -coeffs
     return table
+
+
+def loop_skew_constants(loop):
+    """The skew algebra of a smooth loop: ``constants[k, i, j]`` is
+    coefficient k of [e_i, e_j].
+
+    A loop is a loopoid over a point, so its bracket is the Lie functor's
+    there: minus the right ``bracket_table`` of ``loop_as_loopoid(loop)``
+    (the left table agrees up to rounding).  The table is taken at
+    ``OUTER_STEP`` and again at half of it, and a drift above 1e-4 between
+    the two raises NumericalNoise: the multiplication is not smooth enough
+    at the unit for its bracket to be differenced.  Adding 0.0 turns the
+    negated zeros into +0.0, so reports print no ``-0``.
+    """
+    q = loop_as_loopoid(loop)
+    ff = make_frame_field(q)
+    u = np.zeros(0)
+    table = bracket_table(q, "right", u, ff)
+    half = bracket_table(q, "right", u, ff, OUTER_STEP / 2.0)
+    drift = float(np.max(np.abs(table - half), initial=0.0))
+    if drift > 1e-4:
+        raise NumericalNoise(f"skew constants drift {drift:.3e} between steps {OUTER_STEP:g} and {OUTER_STEP / 2:g}")
+    return -table + 0.0
 
 
 def check_almost_lie_loopoid(q, u_samples, left_tables, frame_field):

@@ -31,6 +31,8 @@ from .specio import (
 
 # sample and step counts: a value below 1 is a usage error (exit 2) naming the option
 COUNT = click.IntRange(min=1)
+# seeds, like a spec's seed: a negative value is a usage error (exit 2)
+SEED = click.IntRange(min=0)
 
 
 def _emit(report, out):
@@ -133,7 +135,7 @@ def main():
 @main.command("verify-finite")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @_guarded
 def verify_finite(spec_path, out, seed):
     """Classify a finite table (or construction) and verify its contract."""
@@ -172,7 +174,7 @@ def verify_finite(spec_path, out, seed):
 
 @main.command("octonion")
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=SEED)
 @click.option("--samples", default=10000, type=COUNT)
 @click.option("--mul", "mul_expr", nargs=2, default=None, type=str)
 @_guarded
@@ -180,6 +182,11 @@ def octonion_cmd(out, seed, samples, mul_expr):
     """Verify the octonion table and loop identities on seeded samples."""
     from . import octonion as oct
 
+    if mul_expr:
+        try:
+            x, y = (oct.parse_expression(text) for text in mul_expr)
+        except ValueError as exc:
+            raise SchemaError(str(exc), "--mul") from None
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -217,8 +224,6 @@ def octonion_cmd(out, seed, samples, mul_expr):
         "checks": checks,
     }
     if mul_expr:
-        x = oct.parse_expression(mul_expr[0])
-        y = oct.parse_expression(mul_expr[1])
         xy = oct.oct_mul_batch(x, y)
         report["product"] = {
             "lhs": x.tolist(),
@@ -235,25 +240,25 @@ def octonion_cmd(out, seed, samples, mul_expr):
 @click.option("--csv", "csv_path", default=None, type=click.Path())
 @_guarded
 def loop_algebra(spec_path, out, csv_path):
-    """Extract loop structure constants; emit the skew bracket as CSV."""
+    """The loop's skew bracket, its Lie functor over a point; emit it as CSV."""
     spec = _load_spec(spec_path, "loop")
-    from .loops import extract_structure_constants
+    from .algebroid import loop_skew_constants
 
     chart = build_loop(spec.body, "$.body")
-    c, skew = extract_structure_constants(chart)
-    csv = _bracket_csv(skew.constants, csv_path)
+    skew = loop_skew_constants(chart)
+    csv = _bracket_csv(skew, csv_path)
     checks = [
         _check(
             "antisymmetry",
             "loop.skew_constants_antisymmetric",
-            float(np.max(np.abs(skew.constants + np.swapaxes(skew.constants, 1, 2)))),
+            float(np.max(np.abs(skew + np.swapaxes(skew, 1, 2)))),
             tol=1e-12,
         )
     ]
     report = {
         "command": "loop-algebra",
         "dim": chart.dim,
-        "skew_constants": skew.constants.tolist(),
+        "skew_constants": skew.tolist(),
         "csv": csv,
         "checks": checks,
     }
@@ -263,7 +268,7 @@ def loop_algebra(spec_path, out, csv_path):
 @main.command("loopoid-check")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--samples", default=20, type=COUNT)
 @click.option("--tol", default=1e-8, type=float)
 @_guarded
@@ -296,7 +301,7 @@ def loopoid_check(spec_path, out, seed, samples, tol):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--csv", "csv_path", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--samples", default=3, type=COUNT)
 @_guarded
 def lie_functor(spec_path, out, csv_path, seed, samples):
@@ -391,7 +396,7 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
 @main.command("tangent-check")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--samples", default=5, type=COUNT)
 @click.option("--tol", default=1e-6, type=float)
 @_guarded
@@ -458,7 +463,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--at", "at_str", default=None, type=str)
 @click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @_guarded
 def legendre_cmd(spec_path, at_str, out, seed):
     """Evaluate both Legendre transforms and the regularity report."""

@@ -1,9 +1,8 @@
 """Local smooth loops on coordinate charts of R^n.
 
-A chart is evaluation-only: a multiplication map with a two-sided unit and
-Taylor structure-constant extraction c^k_ij = d^2 (x*y)^k / dx^i dy^j at
-the unit, a complex step in x differenced centrally in y.  The
-antisymmetrization s^k_ij = c^k_ij - c^k_ji is the skew algebra of the loop.
+A chart is evaluation-only: a multiplication map with a two-sided unit.
+Its skew algebra is the Lie functor of the loop seen as a loopoid over a
+point (``loopoids.loop_as_loopoid``, ``algebroid.loop_skew_constants``).
 
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
@@ -14,8 +13,8 @@ octonion inverse takes ``(..., 8)``; each row equals, bit for bit, the map
 of that row alone, so a difference stencil can evaluate all its points in
 one call.  Operands are ndarrays of any float or complex dtype and are
 never cast, so complex operands give a complex product.  Only the
-constructors cast what a caller builds: a chart's unit, the bracket
-constants and ``SkewAlgebra``'s constants.
+constructors cast what a caller builds: a chart's unit and the bracket
+constants.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotAntisymmetric, NumericalNoise
-from .numdiff import OUTER_STEP, mixed_bilinear
+from .errors import NotAntisymmetric
 from .octonion import oct_inverse, oct_mul_batch
 
 
@@ -46,48 +44,10 @@ class SmoothLoopChart:
         return self.unit[None, :] + rng.normal(scale=0.2, size=(n, self.dim))
 
 
-def _raw_constants(chart, rel_step):
-    n = chart.dim
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            c[:, i, j] = mixed_bilinear(chart.mul, chart.unit, chart.unit, i, j, rel_step)
-    return c
-
-
-@dataclass(frozen=True)
-class SkewAlgebra:
-    """Antisymmetric structure constants s^k_ij stored as constants[k, i, j]."""
-
-    dim: int
-    constants: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.constants, dtype=float)
-        object.__setattr__(self, "constants", s)
-
-
-def extract_structure_constants(chart):
-    """Return (c tensor, SkewAlgebra) from second mixed derivatives at the unit.
-
-    Re-extracts at half the step and raises NumericalNoise if the
-    antisymmetrized parts disagree beyond 1e-4 (two-step Richardson
-    comparison).
-    """
-    c = _raw_constants(chart, OUTER_STEP)
-    c2 = _raw_constants(chart, OUTER_STEP / 2.0)
-    s = c - np.swapaxes(c, 1, 2)
-    s2 = c2 - np.swapaxes(c2, 1, 2)
-    drift = float(np.max(np.abs(s - s2))) if s.size else 0.0
-    if drift > 1e-4:
-        raise NumericalNoise(f"antisymmetrized constants drift {drift:.3e} across step sizes")
-    return c, SkewAlgebra(dim=chart.dim, constants=s)
-
-
 def bracket_loop(dim, bracket_constants):
     """Chart with mul = x + y + [x, y]/2 for antisymmetric constants C[k, i, j].
 
-    Structure-constant extraction round-trips C.
+    Its skew algebra (``algebroid.loop_skew_constants``) round-trips C.
     """
     c = np.asarray(bracket_constants, dtype=float)
     if c.shape != (dim, dim, dim):

@@ -13,16 +13,16 @@ All derivatives in the package come through here, by one of two rules:
   or ``directional`` at the relative step ``OUTER_STEP``,
   ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
   table, and the r anchors at a unit, are one stacked field differenced by
-  one ``jacobian``.  Newton's step Jacobian takes its step from
-  ``mechanics.NewtonConfig``, and ``mixed_bilinear`` is a complex step in
-  ``x`` differenced centrally in ``y``.
+  one ``jacobian``.  A loop's skew algebra is the bracket table over a
+  point, taken at ``OUTER_STEP`` and at half of it to bound its drift.
+  Newton's step Jacobian takes its step from ``mechanics.NewtonConfig``.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``
 array the way it maps that row alone.  That holds for every ``f`` given to
-``jacobian``, ``complex_step``, ``mixed_bilinear`` and ``newton_solve``
-(whose residual is differenced by ``jacobian``), and for ``directional``
-with a matrix or stack of directions; the chart maps of ``loops`` and
+``jacobian``, ``complex_step`` and ``newton_solve`` (whose residual is
+differenced by ``jacobian``), and for ``directional`` with a matrix or
+stack of directions; the chart maps of ``loops`` and
 ``loopoids``, the Lagrangians ``specio`` builds and the fundamental fields
 of ``algebroid`` keep it.  A map that is one-point by nature loops over the
 rows itself.  Only ``directional`` and ``complex_step`` with a single
@@ -99,23 +99,6 @@ def directional(f, x, v, rel_step=OUTER_STEP):
     values = f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1]))
     values = values.reshape((2,) + v.shape[:-1] + values.shape[1:])
     return (values[0] - values[1]) / (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
-
-
-def mixed_bilinear(f, x0, y0, i, j, rel_step=OUTER_STEP):
-    """d^2 f / dx_i dy_j at (x0, y0): a complex step in x_i, differenced
-    centrally in y_j.
-
-    ``f`` maps a pair of vectors to a vector; the result is
-    (Im f(x0 + i c e_i, y0 + h e_j) - Im f(x0 + i c e_i, y0 - h e_j)) / (2 c h)
-    with c = ``COMPLEX_STEP``, from one call of ``f`` on two stacked
-    ``(x, y)`` rows.
-    """
-    h = max(step_for(x0, rel_step), step_for(y0, rel_step))
-    ej = np.zeros(y0.size)
-    ej[j] = h
-    ys = np.stack([y0 + ej, y0 - ej])
-    fp, fm = complex_step(lambda xs: f(xs, ys), np.stack([x0, x0]), np.eye(x0.size)[i])
-    return (fp - fm) / (2.0 * h)
 
 
 def null_space(mat):

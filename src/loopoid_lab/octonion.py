@@ -101,6 +101,8 @@ def parse_expression(text):
         if num == "" and idx is None:
             raise ValueError(f"cannot parse octonion expression at: {cleaned[pos:]!r}")
         value = float(num) if num else 1.0
+        if not np.isfinite(value):
+            raise ValueError(f"octonion coefficient beyond the float range at: {cleaned[pos:]!r}")
         if sgn == "-":
             value = -value
         coeffs[int(idx) if idx is not None else 0] += value

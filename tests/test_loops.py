@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cross_product_constants, cubic_line_chart, planar_feedback_chart
+from loopoid_lab.algebroid import loop_skew_constants
 from loopoid_lab.errors import NotAntisymmetric, NumericalNoise
-from loopoid_lab.loops import (
-    SmoothLoopChart,
-    bracket_loop,
-    extract_structure_constants,
-    octonion_chart,
-    polynomial_chart,
-)
+from loopoid_lab.loops import SmoothLoopChart, bracket_loop, octonion_chart, polynomial_chart
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import jacobian, smallest_singular_value
 from loopoid_lab.octonion import oct_inverse, oct_mul_batch
@@ -100,34 +95,26 @@ def test_divide_inverts_multiplication(rng):
 
 
 def test_structure_constants_planar_feedback():
-    c, skew = extract_structure_constants(planar_feedback_chart())
-    expected_c = np.zeros((2, 2, 2))
-    expected_c[0, 0, 1] = 1.0
-    expected_c[1, 1, 0] = 1.0
-    assert np.allclose(c, expected_c, atol=1e-7)
-    br = np.einsum("kij,i,j->k", skew.constants, [1.0, 0.0], [0.0, 1.0])
+    skew = loop_skew_constants(planar_feedback_chart())
+    br = np.einsum("kij,i,j->k", skew, [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(br, [1.0, -1.0], atol=1e-6)
 
 
 def test_structure_constants_abelian_zero():
     chart = SmoothLoopChart(dim=3, mul=lambda x, y: x + y)
-    c, skew = extract_structure_constants(chart)
-    assert np.allclose(c, 0.0, atol=1e-9)
-    assert np.allclose(skew.constants, 0.0)
+    assert np.allclose(loop_skew_constants(chart), 0.0)
 
 
 def test_structure_constants_bracket_loop_doubling():
-    # mul = x + y + [x, y]/2 means c = C/2 and the antisymmetrization
-    # restores C exactly
+    # mul = x + y + [x, y]/2: the half bracket in x * y and its opposite in
+    # y * x make up the whole bracket C
     C = cross_product_constants()
-    c, skew = extract_structure_constants(bracket_loop(3, C))
-    assert np.allclose(c, 0.5 * C, atol=1e-7)
-    assert np.allclose(skew.constants, C, atol=1e-6)
+    assert np.allclose(loop_skew_constants(bracket_loop(3, C)), C, atol=1e-6)
 
 
 def test_skew_constants_exactly_antisymmetric(rng):
-    _, skew = extract_structure_constants(octonion_chart())
-    assert np.array_equal(skew.constants, -np.swapaxes(skew.constants, 1, 2))
+    skew = loop_skew_constants(octonion_chart())
+    assert np.array_equal(skew, -np.swapaxes(skew, 1, 2))
 
 
 def test_bracket_loop_rejects_symmetric_part():
@@ -146,7 +133,7 @@ def test_extraction_flags_nonsmooth_products():
         return x + y + 50.0 * np.stack([coupling, np.zeros_like(coupling)], axis=-1)
 
     with pytest.raises(NumericalNoise):
-        extract_structure_constants(SmoothLoopChart(dim=2, mul=mul))
+        loop_skew_constants(SmoothLoopChart(dim=2, mul=mul))
 
 
 def _random_antisymmetric(rng, dim):
@@ -158,8 +145,7 @@ def test_round_trip_random_tensors(rng):
     for dim in (2, 3, 4, 5):
         for _ in range(5):
             C = _random_antisymmetric(rng, dim)
-            _, skew = extract_structure_constants(bracket_loop(dim, C))
-            assert np.abs(skew.constants - C).max() < 1e-6
+            assert np.abs(loop_skew_constants(bracket_loop(dim, C)) - C).max() < 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -169,8 +155,7 @@ def test_round_trip_random_tensors(rng):
 )
 def test_round_trip_property(dim, seed):
     C = _random_antisymmetric(np.random.default_rng(seed), dim)
-    _, skew = extract_structure_constants(bracket_loop(dim, C))
-    assert np.abs(skew.constants - C).max() < 1e-6
+    assert np.abs(loop_skew_constants(bracket_loop(dim, C)) - C).max() < 1e-6
 
 
 def test_validate_chart_reports(rng):

@@ -21,13 +21,7 @@ from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import (
-    COMPLEX_STEP,
-    complex_step,
-    directional,
-    jacobian,
-    mixed_bilinear,
-)
+from loopoid_lab.numdiff import COMPLEX_STEP, complex_step, directional, jacobian
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
 
@@ -275,7 +269,6 @@ def counting(f, shapes):
 def test_differencing_calls_its_map_once_per_stencil():
     q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
     system = build_system(SYSTEMS["readme_system"], "$.body")
-    chart = build_loop(LOOPS["planar_loop"], "$.body")
     ff = make_frame_field(q)
     x = q.unit_embed(np.array([0.2, -0.1])) + 0.05
     n = q.dim_g
@@ -290,10 +283,6 @@ def test_differencing_calls_its_map_once_per_stencil():
     assert complex_step(counting(system.lagrangian, shapes), x, np.eye(n)).shape == (n,)
     assert complex_step(counting(q.alpha, shapes), bases, np.ones((3, 2, n))).shape == (3, 2, q.dim_m)
     assert shapes == [(n,), (3 * 2,)]
-
-    shapes = []
-    mixed_bilinear(counting(chart.mul, shapes), chart.unit, chart.unit, 0, 1)
-    assert shapes == [(2,)]
 
     shapes = []
     fields = [counting(lambda g, i=i: prolong(q, ff, np.eye(q.rank)[i], "left", g), shapes) for i in (0, 1)]

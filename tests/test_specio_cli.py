@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import EXAMPLES, build_spec, example
+from loopoid_lab import cli
 from loopoid_lab.cli import main
 from loopoid_lab.errors import SchemaError
 from loopoid_lab.specio import (
@@ -575,3 +577,60 @@ def test_cli_count_below_one_is_a_usage_error(runner, command, spec, option, val
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("verify-finite", "z4_table"),
+        ("octonion", None),
+        ("loopoid-check", "readme_product_loopoid"),
+        ("lie-functor", "readme_product_loopoid"),
+        ("tangent-check", "phi_loopoid"),
+        ("legendre", "readme_system"),
+    ],
+)
+def test_cli_negative_seed_is_a_usage_error(runner, command, spec):
+    args = [command] + (["--spec", str(EXAMPLES / f"{spec}.json")] if spec else []) + ["--seed", "-1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--seed'" in result.output
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("e9", "cannot parse octonion expression at: 'e9'"),
+        ("9" * 400 + "e1", "octonion coefficient beyond the float range at: '" + "9" * 400 + "e1'"),
+    ],
+    ids=["unknown-unit", "coefficient-beyond-float-range"],
+)
+def test_cli_octonion_bad_mul_expression_exits_2(runner, expression, message):
+    result = runner.invoke(main, ["octonion", "--samples", "10", "--mul", expression, "e1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert json.loads(result.output)["error"] == {"type": "SchemaError", "message": f"--mul: {message}"}
+
+
+@pytest.mark.parametrize("name", ["planar_loop", "bracket3_loop", "octonion_loop"])
+def test_cli_loop_algebra_multiplies_four_times(runner, monkeypatch, name):
+    # two bracket tables over the point, at OUTER_STEP and at half of it, of
+    # two multiplications each (the fields at the unit, then one Jacobian
+    # stencil of all of them), whatever the dimension
+    rows = []
+
+    def counted_loop(body, path):
+        chart = build_loop(body, path)
+
+        def mul(x, y):
+            rows.append(len(x))
+            return chart.mul(x, y)
+
+        return dataclasses.replace(chart, mul=mul)
+
+    monkeypatch.setattr(cli, "build_loop", counted_loop)
+    result = runner.invoke(main, ["loop-algebra", "--spec", str(EXAMPLES / f"{name}.json")])
+    assert result.exit_code == 0, result.output
+    n = json.loads(result.output)["dim"]
+    assert rows == [n, 2 * n * n] * 2
