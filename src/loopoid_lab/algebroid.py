@@ -165,23 +165,15 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     return values.reshape(g.shape[:-1] + np.shape(coeffs)[:-1] + (q.dim_g,))
 
 
-def fundamental_field(q, frame_field, coeffs, side, orientation=STRICT):
-    """The prolonged field as a plain chart vector field g -> vector."""
-
-    def field(g):
-        return prolong(q, frame_field, coeffs, side, g, orientation)
-
-    return field
-
-
-def expand_in_frame(fr, side, value, orientation=STRICT):
+def expand_in_frame(fr, side, value):
     """Coefficients of a vertical vector, or of the columns of a
-    ``(dim_g, P)`` matrix of them, in [side basis | TM basis].
+    ``(dim_g, P)`` matrix of them, in [side basis | TM basis]; the right
+    side's basis is the strict beta representatives.
 
     Returns (side_coeffs, tm_coeffs); raises FrameSingular on an
     ill-conditioned frame matrix.
     """
-    rows = fr.alpha_vertical if side == "left" else fr.beta_reps(orientation)
+    rows = fr.alpha_vertical if side == "left" else fr.beta_vertical
     mat = np.vstack([rows, fr.tm_basis]).T
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
@@ -206,8 +198,11 @@ def bracket_table(q, side, u, frame_field, rel_step=OUTER_STEP):
     table = np.zeros((r, r, r))
     if r < 2:
         return table
-    fields = fundamental_field(q, frame_field, np.eye(r), side)
     e = q.unit_embed(u)
+
+    def fields(g):
+        return prolong(q, frame_field, np.eye(r), side, g)
+
     values = fields(e)  # (r, dim_g)
     d = jacobian(fields, e, rel_step)  # d[i] = DX_i(e)
     i, j = np.triu_indices(r, 1)
@@ -299,7 +294,7 @@ class SkewAlgebroidChart:
         return np.reshape(self.rho_fn(x), x.shape[:-1] + (self.base_dim, self.rank))
 
 
-def constant_chart(c, rho, name="constant"):
+def constant_chart(c, rho):
     c = np.asarray(c, dtype=float)
     rho = np.asarray(rho, dtype=float)
     r = c.shape[0]
@@ -309,7 +304,7 @@ def constant_chart(c, rho, name="constant"):
         rank=r,
         c_fn=lambda x: np.broadcast_to(c, x.shape[:-1] + c.shape),
         rho_fn=lambda x: np.broadcast_to(rho, x.shape[:-1] + rho.shape),
-        name=name,
+        name="constant",
     )
 
 

@@ -9,6 +9,7 @@ significant digits.  A spec command's ``--seed`` falls back to the spec's
 ``seed``; ``octonion --seed`` defaults to 0.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,26 @@ from .specio import (
 COUNT = click.IntRange(min=1)
 # seeds, like a spec's seed: a negative value is a usage error (exit 2)
 SEED = click.IntRange(min=0)
+
+
+class _Tolerance(click.ParamType):
+    """A residual tolerance: finite and positive, else a usage error (exit 2).
+
+    No residual is below a bound of 0, a negative one or NaN, and every
+    finite residual is below inf, so such a bound decides every check
+    whatever the structure.
+    """
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        tol = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(tol) and tol > 0):
+            self.fail(f"{value!r} is not a finite positive number", param, ctx)
+        return tol
+
+
+TOL = _Tolerance()
 
 
 def _emit(report, out):
@@ -270,7 +291,7 @@ def loop_algebra(spec_path, out, csv_path):
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=None, type=SEED)
 @click.option("--samples", default=20, type=COUNT)
-@click.option("--tol", default=1e-8, type=float)
+@click.option("--tol", default=1e-8, type=TOL)
 @_guarded
 def loopoid_check(spec_path, out, seed, samples, tol):
     """Audit the quasiloopoid axioms on seeded samples."""
@@ -398,7 +419,7 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
 @click.option("--out", default=None, type=click.Path())
 @click.option("--seed", default=None, type=SEED)
 @click.option("--samples", default=5, type=COUNT)
-@click.option("--tol", default=1e-6, type=float)
+@click.option("--tol", default=1e-6, type=TOL)
 @_guarded
 def tangent_check(spec_path, out, seed, samples, tol):
     """Tangent-structure audit: anchors, units, section independence."""
@@ -427,7 +448,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
     """Run the discrete Euler-Lagrange step map; write the trajectory CSV."""
     spec = _load_spec(spec_path, "system")
     from .loopoids import COMPOSABLE_TOL
-    from .mechanics import trajectory
+    from .mechanics import STEP_TOL, trajectory
 
     system = build_system(spec.body, "$.body")
     g0 = _point(start_str, "--start", spec, system)
@@ -445,7 +466,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
     if csv_path:
         Path(csv_path).write_text(csv_text, encoding="utf-8")
     checks = [
-        _check("el_residuals", "mechanics.euler_lagrange", float(traj.residuals.max(initial=0.0)), tol=system.newton.tol * 10),
+        _check("el_residuals", "mechanics.euler_lagrange", float(traj.residuals.max(initial=0.0)), tol=STEP_TOL * 10),
         _check("composable_gaps", "mechanics.composability", float(traj.composable_gaps.max(initial=0.0)), tol=COMPOSABLE_TOL),
     ]
     report = {

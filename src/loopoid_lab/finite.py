@@ -96,11 +96,11 @@ def _is_latin(t):
     return bool((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all())
 
 
-def validate_latin_square(ct, *, max_exhaustive_order=EXHAUSTIVE_ORDER_CAP, rng=None):
+def validate_latin_square(ct, *, rng=None):
     """Classify a Cayley table: Latin-ness, unit, inverse and Bol/Moufang flags.
 
-    Beyond ``max_exhaustive_order`` the O(n^3) identities are sampled with the
-    caller's seeded generator instead of enumerated.
+    Beyond ``EXHAUSTIVE_ORDER_CAP`` the O(n^3) identities are sampled with
+    the caller's seeded generator instead of enumerated.
     """
     t = ct.table
     n = ct.order
@@ -108,7 +108,7 @@ def validate_latin_square(ct, *, max_exhaustive_order=EXHAUSTIVE_ORDER_CAP, rng=
     unit = _find_unit(t)
 
     # violation counts of associativity, the three Moufang forms, left and right Bol
-    exhaustive = n <= max_exhaustive_order
+    exhaustive = n <= EXHAUSTIVE_ORDER_CAP
     if exhaustive:
         moufang = (_kernels.moufang_scan(t, f) for f in range(3))
         counts = (_kernels.associative_scan(t), *moufang, _kernels.left_bol_scan(t), _kernels.right_bol_scan(t))

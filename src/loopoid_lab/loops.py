@@ -121,10 +121,5 @@ def polynomial_mul(dim, terms):
     return mul
 
 
-def polynomial_chart(dim, terms, unit=None, name="polynomial"):
-    return SmoothLoopChart(
-        dim=dim,
-        mul=polynomial_mul(dim, terms),
-        unit=unit,
-        name=name,
-    )
+def polynomial_chart(dim, terms, unit=None):
+    return SmoothLoopChart(dim=dim, mul=polynomial_mul(dim, terms), unit=unit, name="polynomial")

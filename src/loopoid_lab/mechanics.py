@@ -37,7 +37,7 @@ never casts them; the spec Lagrangians return complex values for complex
 points.  Points are cast to float only where a trajectory starts.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -51,25 +51,15 @@ from .numdiff import complex_jacobian, complex_step, jacobian, null_space, small
 from .tangent import cotangent_fibration
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Keyword arguments of ``newton_solve`` for the step map."""
-
-    # rcond cuts singular values below rcond * sigma_max when stepping: the
-    # step Jacobian is a central difference, so directions at its noise
-    # floor carry no information
-    max_iter: int = 50
-    tol: float = 1e-10
-    damping: bool = True
-    rcond: float = 1e-4
-    fd_step: float = 1e-5
+# the step map's Newton tolerance on the residual norm; simulate's
+# Euler-Lagrange check allows ten times it
+STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DiscreteLagrangianSystem:
     loopoid: object
     lagrangian: Callable
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
     orientation: str = ALIGNED
 
     @cached_property
@@ -164,7 +154,10 @@ def step_solve(system, g):
             axis=-1,
         )
 
-    h, _ = newton_solve(residual, seed, **asdict(system.newton))
+    # rcond cuts singular values below rcond * sigma_max when stepping: the
+    # step Jacobian is a central difference at fd_step, so directions at its
+    # noise floor carry no information
+    h, _ = newton_solve(residual, seed, tol=STEP_TOL, rcond=1e-4, fd_step=1e-5)
     return h
 
 

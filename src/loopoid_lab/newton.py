@@ -23,16 +23,7 @@ from .errors import NoConvergence, NumericalNoise, SingularJacobian
 from .numdiff import jacobian
 
 
-def newton_solve(
-    residual,
-    x0,
-    *,
-    tol=1e-10,
-    max_iter=50,
-    fd_step=1e-7,
-    damping=True,
-    rcond=None,
-):
+def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=None):
     """Drive ``residual`` to zero from ``x0``; returns (x, info dict).
 
     ``rcond`` truncates singular values below rcond * sigma_max in the step
@@ -55,28 +46,17 @@ def newton_solve(
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]
         step = 1.0
-        improved = False
-        if damping:
-            for _ in range(30):
-                cand = x + step * delta
-                rc = residual(cand)
-                nc = float(np.linalg.norm(rc))
-                if nc < best or nc < tol:
-                    x, r, best = cand, rc, nc
-                    improved = True
-                    break
-                step *= 0.5
+        for _ in range(30):  # damping: halve the step until the residual drops
+            cand = x + step * delta
+            rc = residual(cand)
+            nc = float(np.linalg.norm(rc))
+            if nc < best or nc < tol:
+                x, r, best = cand, rc, nc
+                break
+            step *= 0.5
         else:
-            x = x + delta
-            r = residual(x)
-            best = float(np.linalg.norm(r))
-            improved = True
-        if not improved:
-            if cond is not None and cond > 1e12:
-                raise SingularJacobian(
-                    f"stalled at residual {best:.3e} with condition {cond:.3e}",
-                    cond=cond,
-                )
+            if cond > 1e12:
+                raise SingularJacobian(f"stalled at residual {best:.3e} with condition {cond:.3e}", cond=cond)
             raise NoConvergence(f"no descent at residual {best:.3e} after {it + 1} iterations")
     if best < tol:
         return x, {"iterations": max_iter, "residual": best, "cond": cond}

@@ -386,29 +386,11 @@ def make_scalar_polynomial(terms, dim):
     return f
 
 
-def _newton(body, path):
-    """The optional ``newton`` block as NewtonConfig keyword arguments."""
-    npath = f"{path}.newton"
-    newton = {} if body.get("newton") is None else body["newton"]
-    if not isinstance(newton, dict):
-        raise SchemaError(f"expected an object, got {type(newton).__name__}", npath)
-    for key, value in newton.items():
-        fpath = f"{npath}.{key}"
-        if key == "max_iter":
-            _int(value, fpath, minimum=1)
-        elif key in ("tol", "rcond", "fd_step"):
-            if not _num(value, fpath) > 0:
-                raise SchemaError(f"expected a positive number, got {value}", fpath)
-        elif key != "damping":
-            raise SchemaError(f"unknown field {key!r}", fpath)
-        elif not isinstance(value, bool):
-            raise SchemaError(f"expected a bool, got {type(value).__name__}", fpath)
-    return newton
-
-
 def build_system(body, path):
-    from .mechanics import DiscreteLagrangianSystem, NewtonConfig
+    from .mechanics import DiscreteLagrangianSystem
 
+    if "newton" in body:
+        raise SchemaError("the step solver's settings are fixed; newton is not a system field", f"{path}.newton")
     q = build_loopoid(_need(body, "loopoid", path), f"{path}.loopoid")
     lpath = f"{path}.lagrangian"
     lag = _need(body, "lagrangian", path)
@@ -426,6 +408,4 @@ def build_system(body, path):
     orientation = "aligned" if body.get("orientation") is None else body["orientation"]
     if orientation not in ("aligned", "normal_class"):
         raise SchemaError("orientation must be 'aligned' or 'normal_class'", f"{path}.orientation")
-    return DiscreteLagrangianSystem(
-        loopoid=q, lagrangian=lfun, newton=NewtonConfig(**_newton(body, path)), orientation=orientation
-    )
+    return DiscreteLagrangianSystem(loopoid=q, lagrangian=lfun, orientation=orientation)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import ALIGNED, make_frame_field, prolong
+from .algebroid import ALIGNED, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
 from .loopoids import build_local_section, composable, sample_composable_pairs
 from .numdiff import complex_jacobian, complex_step, directional, jacobian, null_space, smallest_singular_value
@@ -187,7 +187,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     }
 
 
-def cotangent_fibration(q, side, g, covector, frame_field=None, orientation=ALIGNED):
+def cotangent_fibration(q, side, g, covector, frame_field, orientation=ALIGNED):
     """Components of beta~ or alpha~ of the covector at g in the dual frame.
 
     beta~ pairs the covector with the left fundamental fields and lives over
@@ -195,8 +195,6 @@ def cotangent_fibration(q, side, g, covector, frame_field=None, orientation=ALIG
     orientation defaults to the anchor-aligned representatives so the minus
     Legendre transform of mechanics is exactly alpha~ composed with dL.
     """
-    if frame_field is None:
-        frame_field = make_frame_field(q)
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     fields = prolong(

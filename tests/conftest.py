@@ -58,7 +58,7 @@ def planar_feedback_terms():
 
 
 def planar_feedback_chart():
-    return polynomial_chart(2, planar_feedback_terms(), name="planar_feedback")
+    return polynomial_chart(2, planar_feedback_terms())
 
 
 def lie_bracket(field_v, field_w, x):
@@ -76,7 +76,7 @@ def cubic_line_terms():
 
 
 def cubic_line_chart():
-    return polynomial_chart(1, cubic_line_terms(), name="cubic_line")
+    return polynomial_chart(1, cubic_line_terms())
 
 
 def cyclic_table(n):

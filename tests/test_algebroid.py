@@ -15,7 +15,6 @@ from loopoid_lab.algebroid import (
     check_almost_lie_loopoid,
     constant_chart,
     expand_in_frame,
-    fundamental_field,
     leibniz_bracket,
     loop_skew_constants,
     make_frame_field,
@@ -237,8 +236,8 @@ def pair_bracket(q, side, x, y, u, ff):
     of the sections ``x`` and ``y`` at the unit of u, each differenced by its
     own Jacobian, expanded in the frame as (side coefficients, TM
     coefficients)."""
-    fx = fundamental_field(q, ff, x, side)
-    fy = fundamental_field(q, ff, y, side)
+    fx = lambda g: prolong(q, ff, x, side, g)
+    fy = lambda g: prolong(q, ff, y, side, g)
     return expand_in_frame(ff(u), side, lie_bracket(fx, fy, q.unit_embed(u)))
 
 
@@ -294,8 +293,8 @@ def test_left_and_right_fields_commute_at_loop_unit():
     loop = planar_feedback_chart()
     q = loop_as_loopoid(loop)
     ff = make_frame_field(q)
-    fx = fundamental_field(q, ff, [1.0, 0.0], "left")
-    fy = fundamental_field(q, ff, [0.0, 1.0], "right")
+    fx = lambda g: prolong(q, ff, [1.0, 0.0], "left", g)
+    fy = lambda g: prolong(q, ff, [0.0, 1.0], "right", g)
     assert np.max(np.abs(lie_bracket(fx, fy, loop.unit))) < 1e-6
 
 

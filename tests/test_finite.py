@@ -15,6 +15,7 @@ from conftest import (
 from loopoid_lab import _kernels
 from loopoid_lab.errors import MalformedTable, NotAutomorphism, NotSubgroup, NotTransversal
 from loopoid_lab.finite import (
+    EXHAUSTIVE_ORDER_CAP,
     MAX_ORDER,
     CayleyTable,
     _find_unit,
@@ -234,10 +235,12 @@ def test_unique_division_on_unital_latin_tables():
 
 
 def test_sampled_mode_beyond_cap(rng):
-    ct = cyclic_table(8)
-    rep = validate_latin_square(ct, max_exhaustive_order=4, rng=rng)
-    assert not rep.exhaustive
-    assert rep.associative and rep.moufang
+    # the cyclic group at the cap (order 64) is scanned exhaustively, one
+    # order past it is sampled; both keep the group's verdicts
+    for order, exhaustive in ((EXHAUSTIVE_ORDER_CAP, True), (EXHAUSTIVE_ORDER_CAP + 1, False)):
+        rep = validate_latin_square(cyclic_table(order), rng=rng)
+        assert rep.exhaustive is exhaustive
+        assert rep.associative and rep.moufang and rep.left_bol and rep.right_bol
 
 
 # Loop oracles for the kernel scans, indexed like ``sampled_identity_scan``'s

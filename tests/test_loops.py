@@ -171,8 +171,6 @@ def test_validate_chart_reports(rng):
 
 
 def test_polynomial_chart_matches_closed_form(rng):
-    chart = polynomial_chart(
-        1, [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]], name="cubic"
-    )
+    chart = polynomial_chart(1, [[(1.0, (1,), (0,)), (1.0, (0,), (1,)), (1.0, (2,), (1,))]])
     x, y = rng.normal(size=2)
     assert abs(chart.mul(np.array([x]), np.array([y]))[0] - (x + y + x * x * y)) < 1e-14

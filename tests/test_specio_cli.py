@@ -60,6 +60,19 @@ PAIR2_OVER_3_TO_1 = {
     "fibration": {"dim_total": 3, "dim_base": 1},
 }
 
+# system bodies' former newton blocks, by test id
+NEWTON_BLOCKS = {
+    "newton_not_object": [1, 2],
+    "newton_tol": {"tol": "tight"},
+    "newton_max_iter_zero": {"max_iter": 0},
+    "newton_max_iter_float": {"max_iter": 5.0},
+    "newton_rcond": {"rcond": -1e-4},
+    "newton_fd_step": {"fd_step": None},
+    "newton_damping": {"damping": 1},
+    "newton_unknown_field": {"max_iters": 10},
+    "newton_former_defaults": {"max_iter": 50, "tol": 1e-10, "damping": True, "rcond": 1e-4, "fd_step": 1e-5},
+}
+
 
 @pytest.mark.parametrize(
     "kind, body, path",
@@ -75,14 +88,9 @@ PAIR2_OVER_3_TO_1 = {
             "$.body.mul.constants",
         ),
         ("loop", dict(H_LOOP_BODY, fd_step=1e-5), "$.body.fd_step"),
-        ("system", dict(SYSTEM_BODY, newton=[1, 2]), "$.body.newton"),
-        ("system", dict(SYSTEM_BODY, newton={"tol": "tight"}), "$.body.newton.tol"),
-        ("system", dict(SYSTEM_BODY, newton={"max_iter": 0}), "$.body.newton.max_iter"),
-        ("system", dict(SYSTEM_BODY, newton={"max_iter": 5.0}), "$.body.newton.max_iter"),
-        ("system", dict(SYSTEM_BODY, newton={"rcond": -1e-4}), "$.body.newton.rcond"),
-        ("system", dict(SYSTEM_BODY, newton={"fd_step": None}), "$.body.newton.fd_step"),
-        ("system", dict(SYSTEM_BODY, newton={"damping": 1}), "$.body.newton.damping"),
-        ("system", dict(SYSTEM_BODY, newton={"max_iters": 10}), "$.body.newton.max_iters"),
+        # the step solver's settings are fixed: any newton block, even the
+        # former defaults, fails at the block
+        *(("system", dict(SYSTEM_BODY, newton=block), "$.body.newton") for block in NEWTON_BLOCKS.values()),
         (
             "algebroid",
             {
@@ -118,14 +126,7 @@ PAIR2_OVER_3_TO_1 = {
         "terms_short",
         "constants_not_numbers",
         "loop_fd_step",
-        "newton_not_object",
-        "newton_tol",
-        "newton_max_iter_zero",
-        "newton_max_iter_float",
-        "newton_rcond",
-        "newton_fd_step",
-        "newton_damping",
-        "newton_unknown_field",
+        *NEWTON_BLOCKS,
         "algebroid_fibration_base_too_large",
         "algebroid_fibration_base_not_the_base",
         "loopoid_fibration_base_not_the_base",
@@ -634,3 +635,26 @@ def test_cli_loop_algebra_multiplies_four_times(runner, monkeypatch, name):
     assert result.exit_code == 0, result.output
     n = json.loads(result.output)["dim"]
     assert rows == [n, 2 * n * n] * 2
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["loopoid-check", "tangent-check"])
+def test_cli_tol_outside_the_positive_floats_is_a_usage_error(runner, command, value):
+    # before, nan, -1 and 0 failed every check (exit 1) and inf passed every one (exit 0)
+    spec = str(EXAMPLES / "readme_product_loopoid.json")
+    result = runner.invoke(main, [command, "--spec", spec, "--tol", value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '--tol': {value!r} is not a finite positive number" in result.output
+
+
+@pytest.mark.parametrize("command", ["simulate", "legendre"])
+def test_cli_system_with_a_newton_block_exits_2(runner, tmp_path, command):
+    path = _write(tmp_path, "sys.json", "system", dict(SYSTEM_BODY, newton={"tol": 1e-10}))
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, [command, "--spec", path, "--report" if command == "simulate" else "--out", str(report)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(report.read_text())["error"] == {
+        "type": "SchemaError",
+        "message": "$.body.newton: the step solver's settings are fixed; newton is not a system field",
+    }
