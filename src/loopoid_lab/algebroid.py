@@ -1,15 +1,16 @@
 """Infinitesimal structure of charted quasiloopoids.
 
-The normal bundle of the unit manifold is realized by per-point frames: an
-alpha-vertical basis (null space of T alpha at the embedded unit), the
-beta-vertical representatives of the same normal classes
-(X^beta_i = X^alpha_i - T eps . rho_i, which forces opposite left/right
-anchors), and a basis of the embedded tangent directions.  Frames also carry
-an "anchor-aligned" beta basis: the strict representatives reflected across
-the bi-vertical subspace, so their T alpha images equal +rho instead of
--rho.  Discrete mechanics defaults to the aligned orientation (it makes the
-two Legendre transforms agree on the unit manifold); brackets, anchors and
-the inversion identities use the strict one.
+The normal bundle of the unit manifold is realized by frames, built a stack
+of unit points at a time: an alpha-vertical basis (null space of T alpha at
+the embedded unit), the beta-vertical representatives of the same normal
+classes (X^beta_i = X^alpha_i - T eps . rho_i, which forces opposite
+left/right anchors), and a basis of the embedded tangent directions.  Frames
+also carry an "anchor-aligned" beta basis: the strict representatives
+reflected across the bi-vertical subspace, so their T alpha images equal
++rho instead of -rho.  Discrete mechanics defaults to the aligned
+orientation (it makes the two Legendre transforms agree on the unit
+manifold); brackets, anchors and the inversion identities use the strict
+one.
 
 Left/right prolongations are fundamental vector fields obtained by
 complex-step derivatives of the partial multiplication along fiber
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import FrameSingular, NumericalNoise, RankDeficient
 from .loopoids import loop_as_loopoid
-from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
+from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -56,53 +57,62 @@ class AlgebroidFrame:
 
 
 def algebroid_frame(q, u):
-    """Compute the frame at the embedded unit of ``u``.
+    """The frame at the embedded unit of ``u``, or the list of frames of an
+    ``(N, dim_m)`` stack of units.
 
     The basis of ker T alpha (rows) is the instance's preferred frame when it
-    has one, otherwise an SVD null space.
+    has one, otherwise an SVD null space.  A stack takes one
+    ``complex_jacobian`` each of alpha, beta and unit_embed, one SVD call per
+    rank test and per null space, and stacked products, which run the same
+    LAPACK/BLAS call on each matrix: a frame equals its unit's alone, bit for
+    bit.  A failed check names the first failing unit and its rate.
     """
-    e = q.unit_embed(u)
-    ja = complex_jacobian(q.alpha, e)
+    units = np.atleast_2d(u)
+    if not len(units):
+        return []
+    e = q.unit_embed(units)
+    ja = complex_jacobian(q.alpha, e)        # (N, m, g)
     jb = complex_jacobian(q.beta, e)
-    je = complex_jacobian(q.unit_embed, u)
+    tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
 
-    r = q.rank
-    if q.dim_m > 0 and (
-        min(smallest_singular_value(ja), smallest_singular_value(jb)) < 1e-8
-    ):
-        raise RankDeficient(f"alpha/beta Jacobian loses submersion rank at u = {u}")
+    def first_failing(failing, rate, message):
+        if failing.any():
+            raise RankDeficient(message.format(u=units[np.argmax(failing)], rate=rate[np.argmax(failing)]))
+
+    if q.dim_m > 0:
+        sv = np.minimum(*(np.linalg.svd(j, compute_uv=False)[:, -1] for j in (ja, jb)))
+        first_failing(sv < 1e-8, sv, "alpha/beta Jacobian loses submersion rank at u = {u}: sigma_min {rate:.2e}")
     if q.preferred_alpha_vertical is not None:
-        alpha_vertical = q.preferred_alpha_vertical(u)
+        bases = [np.atleast_2d(q.preferred_alpha_vertical(p)) for p in units]
     else:
-        alpha_vertical = null_space(ja)
-    a = np.atleast_2d(alpha_vertical)
-    if a.shape != (r, q.dim_g):
-        raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({r}, {q.dim_g})")
+        bases = _null_spaces(ja)
+    for p, a in zip(units, bases):
+        if a.shape != (q.rank, q.dim_g):
+            raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({q.rank}, {q.dim_g}) at u = {p}")
+    a = np.stack(bases)
     # The frame's rows are checked once, here, against the Jacobians they
     # were built from; prolong trusts them.
-    off = float(np.max(np.abs(ja @ a.T), initial=0.0))
-    if off > 1e-7:
-        raise RankDeficient(f"alpha-vertical basis leaves ker T alpha at rate {off:.2e}")
+    off = np.max(np.abs(ja @ np.swapaxes(a, 1, 2)), axis=(1, 2), initial=0.0)
+    first_failing(off > 1e-7, off, "alpha-vertical basis leaves ker T alpha at rate {rate:.2e} at u = {u}")
 
-    rho = (jb @ a.T).T                       # (r, m)
-    b = a - rho @ je.T                       # strict: subtract T eps . rho
-    off = float(np.max(np.abs(jb @ b.T), initial=0.0))
-    if off > 1e-7:
-        raise RankDeficient(f"beta-vertical representatives leave ker T beta at rate {off:.2e}")
+    rho = np.swapaxes(jb @ np.swapaxes(a, 1, 2), 1, 2)  # (N, r, m)
+    b = a - rho @ tm                         # strict: subtract T eps . rho
+    bt = np.swapaxes(b, 1, 2)
+    off = np.max(np.abs(jb @ bt), axis=(1, 2), initial=0.0)
+    first_failing(off > 1e-7, off, "beta-vertical representatives leave ker T beta at rate {rate:.2e} at u = {u}")
 
-    biv = null_space(np.vstack([ja, jb]))    # orthonormal rows
-    proj = biv.T @ biv if biv.size else np.zeros((q.dim_g, q.dim_g))
-    b_aligned = (2.0 * proj @ b.T - b.T).T
+    # projectors onto the bi-vertical subspaces, spanned by orthonormal rows
+    proj = np.stack([biv.T @ biv for biv in _null_spaces(np.concatenate([ja, jb], axis=1))])
+    b_aligned = np.swapaxes(2.0 * proj @ bt - bt, 1, 2)
+    frames = [AlgebroidFrame(p, q.rank, *arrays) for p, *arrays in zip(units, a, b, b_aligned, tm, rho)]
+    return frames if np.ndim(u) > 1 else frames[0]
 
-    return AlgebroidFrame(
-        unit_point=u,
-        rank=r,
-        alpha_vertical=a,
-        beta_vertical=b,
-        beta_vertical_aligned=b_aligned,
-        tm_basis=je.T,
-        rho_left=rho,
-    )
+
+def _null_spaces(mats):
+    """Orthonormal rows spanning the null space of each matrix of a stack,
+    from one SVD call, cut per matrix as ``numdiff.null_space`` cuts it."""
+    _, s, vt = np.linalg.svd(mats)
+    return [v[k:] for v, k in zip(vt, np.sum(s > 1e-8 * s[:, :1], axis=1))]
 
 
 def make_frame_field(q):
@@ -110,17 +120,19 @@ def make_frame_field(q):
     ``(N, dim_m)`` stack of units to the list of their frames.
 
     Units that agree to 12 decimals share one frame; a stack is rounded in
-    one call and each row looked up by its bytes.
+    one call and each row looked up by its bytes.  The rows the cache lacks
+    (a repeated key by its first row) are built by one ``algebroid_frame``
+    call and only then stored, so a failed request caches nothing.
     """
     cache = {}
 
     def field(u):
-        frames = []
-        for key, p in zip(np.atleast_2d(np.round(u, 12)), np.atleast_2d(u)):
-            key = key.tobytes()
-            if key not in cache:
-                cache[key] = algebroid_frame(q, p)
-            frames.append(cache[key])
+        keys = [key.tobytes() for key in np.atleast_2d(np.round(u, 12))]
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missing:
+            first_rows = np.atleast_2d(u)[[keys.index(key) for key in missing]]
+            cache.update(zip(missing, algebroid_frame(q, first_rows)))
+        frames = [cache[key] for key in keys]
         return frames if np.ndim(u) > 1 else frames[0]
 
     return field
@@ -135,7 +147,7 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector
     per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
     Each point's unit, frame and embedded base are resolved once (the
-    frames by one ``frame_field`` request for the stack of units), and the
+    frames the stack lacks by one ``algebroid_frame`` build), and the
     multiplication runs once, on all ``N k`` complex-step points.  A
     complex-step point's real part is its unit, so it cannot leave the
     slab; that its direction is tangent to the slab is a property of the

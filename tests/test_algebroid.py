@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ def test_prolong_slab_guard_checks_the_stencil_points():
             assert np.allclose(prolong(chart, ff, np.eye(1), side, g[[0, 2]]), [[want]] * 2, rtol=0, atol=1e-9)
             with pytest.raises(RankDeficient, match=message):
                 prolong(chart, ff, np.eye(1), side, g)
+
+
+def test_frame_errors_name_the_first_failing_unit_of_a_stack():
+    # T alpha = [2 g0 - 2, 0] loses rank at the unit 1; past 10 the alpha
+    # row is tilted.  A failed request caches nothing, so it fails again
+    # with the same message, and its good units are built afresh.
+    q = curved_loopoid()
+    singular = dataclasses.replace(q, alpha=lambda g: g[..., :1] * (g[..., :1] - 2.0))
+    tilted = dataclasses.replace(
+        q, preferred_alpha_vertical=lambda u: TILTED if u[0] > 10 else np.array([[0.0, 1.0]])
+    )
+    for chart, units, message in [
+        (singular, [[0.5], [1.0], [3.0], [1.0]], "submersion rank at u = [1.]: sigma_min 0.00e+00"),
+        (tilted, [[0.5], [20.0], [30.0]], "ker T alpha at rate 1.00e-03 at u = [20.]"),
+    ]:
+        rows = []
+        counted = dataclasses.replace(chart, alpha=lambda g, f=chart.alpha: rows.append(len(g)) or f(g))
+        ff = make_frame_field(counted)
+        for _ in range(2):
+            with pytest.raises(RankDeficient, match=re.escape(message)):
+                ff(np.array(units))
+        ff(np.array([0.5]))
+        # each of the three distinct units is differenced along both axes
+        assert rows == [3 * 2, 3 * 2, 2]
 
 
 def test_frame_rows_are_exact_far_out_on_phi():

@@ -19,6 +19,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.newton import newton_solve
+from loopoid_lab.numdiff import directional
 from loopoid_lab.specio import build_system
 
 # the start point of the README system; its steps have closed forms below
@@ -205,6 +206,22 @@ def test_regularity_directional_derivatives(kinetic_system):
     assert np.allclose(dual[:, 4], [0, 0, 1, 0], atol=1e-6)
     assert np.allclose(dual[:, 5], [0, 0, 0, 1], atol=1e-6)
     assert rep["flow_matches_legendre_residual"] < 1e-7
+
+
+def test_regularity_differences_each_chart_map_once(readme_system, monkeypatch):
+    # the six probe points are one stack of bases: one directional call for
+    # g -> (beta, F+L) and one for g -> (alpha, F-L)
+    system = build_system(readme_system["body"], "$.body")
+    bases = []
+
+    def counted(f, x, v, *args):
+        bases.append((np.shape(x), np.shape(v)))
+        return directional(f, x, v, *args)
+
+    monkeypatch.setattr(mechanics, "directional", counted)
+    regularity_check(system, np.array([0.2, -0.5]))
+    n = system.loopoid.dim_g
+    assert bases == [((6, n), (6, n, n))] * 2
 
 
 def test_regularity_zero_lagrangian_singular(kinetic_system):

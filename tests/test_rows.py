@@ -4,13 +4,15 @@ Stencils evaluate all their points in one call, so every map a spec can
 build must give, bit for bit, the rows it gives one point at a time.  The
 cases are every loop, loopoid, algebroid and system spec in ``examples/``,
 plus the constructions no example reaches.  The maps built on them keep
-the contract too: prolongations, derivatives along stacked bases and the
-step map's residual; and each differencing routine, ``complex_step``
-included, calls its map once.  The chart maps and Lagrangians also keep a
+the contract too: prolongations, the frames of a stack of units,
+derivatives along stacked bases and the step map's residual; and each
+differencing routine, ``complex_step`` included, calls its map once, as
+the frame field does for each request.  The chart maps and Lagrangians also keep a
 complex input complex, so a ``COMPLEX_STEP * 1j`` step along a direction
 carries their derivative in its imaginary part.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 
 from conftest import EXAMPLES, example, lie_bracket
 from loopoid_lab import mechanics
-from loopoid_lab.algebroid import ALIGNED, STRICT, make_frame_field, prolong
+from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import COMPLEX_STEP, complex_step, directional, jacobian
@@ -300,3 +302,70 @@ def test_differencing_calls_its_map_once_per_stencil():
     assert info["iterations"] >= 1
     assert shapes.count((2 * n,)) == info["iterations"]
     assert set(shapes) == {(), (2 * n,)}
+
+
+# ---------------------------------------------------------------------------
+# frames on stacks: one build per request, each frame as its unit's alone
+# ---------------------------------------------------------------------------
+
+FRAME_ARRAYS = [f.name for f in dataclasses.fields(AlgebroidFrame) if f.name != "rank"]
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_frames_of_a_stack_equal_single_builds(name):
+    # a loop seen as a loopoid gives an (N, 0) stack of units
+    q = build_loopoid(LOOPOIDS[name], "$.body")
+    units = np.random.default_rng(20).normal(scale=0.3, size=(5, q.dim_m))
+    if name == "phi":
+        units[0] = [200.0, 0.2]
+    frames = algebroid_frame(q, units)
+    assert len(frames) == len(units) and len(FRAME_ARRAYS) == 6
+    for frame, u in zip(frames, units):
+        alone = algebroid_frame(q, u)
+        for field in FRAME_ARRAYS:
+            assert np.array_equal(getattr(frame, field), getattr(alone, field))
+
+
+def counted_frame_maps(q):
+    """A copy of q whose alpha, beta and unit_embed record the leading shape
+    of each call, by map."""
+    calls = {"alpha": [], "beta": [], "unit_embed": []}
+    return dataclasses.replace(q, **{m: counting(getattr(q, m), shapes) for m, shapes in calls.items()}), calls
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,)])
+def test_frame_field_builds_a_request_in_one_call(shape):
+    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    ff = make_frame_field(q)
+    units = np.random.default_rng(21).normal(scale=0.3, size=shape + (q.dim_m,))
+    n = int(np.prod(shape))
+    frames = ff(units) if shape else [ff(units)]
+    assert len(frames) == n and all(isinstance(frame, AlgebroidFrame) for frame in frames)
+    # unit_embed embeds the units, then is differenced along them
+    assert calls == {
+        "alpha": [(n * q.dim_g,)],
+        "beta": [(n * q.dim_g,)],
+        "unit_embed": [(n,), (n * q.dim_m,)],
+    }
+    for shapes in calls.values():
+        shapes.clear()
+    again = ff(units) if shape else [ff(units)]
+    assert calls == {"alpha": [], "beta": [], "unit_embed": []}
+    assert all(a is b for a, b in zip(again, frames))
+
+
+def test_frame_field_builds_a_repeated_unit_once():
+    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    ff = make_frame_field(q)
+    units = np.array([[0.1, 0.2], [0.3, -0.1], [0.1, 0.2]])
+    frames = ff(units)
+    assert calls["alpha"] == [(2 * q.dim_g,)]
+    assert frames[0] is frames[2] and frames[0] is not frames[1]
+
+
+def test_empty_frame_request_calls_no_chart_map():
+    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    units = np.zeros((0, q.dim_m))
+    assert make_frame_field(q)(units) == []
+    assert algebroid_frame(q, units) == []
+    assert calls == {"alpha": [], "beta": [], "unit_embed": []}
