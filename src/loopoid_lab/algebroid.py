@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import FrameSingular, NumericalNoise, RankDeficient
 from .loopoids import loop_as_loopoid
-from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian
+from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -62,10 +62,11 @@ def algebroid_frame(q, u):
 
     The basis of ker T alpha (rows) is the instance's preferred frame when it
     has one, otherwise an SVD null space.  A stack takes one
-    ``complex_jacobian`` each of alpha, beta and unit_embed, one SVD call per
-    rank test and per null space, and stacked products, which run the same
-    LAPACK/BLAS call on each matrix: a frame equals its unit's alone, bit for
-    bit.  A failed check names the first failing unit and its rate.
+    ``complex_jacobian`` each of alpha, beta and unit_embed, one stacked
+    ``smallest_singular_value`` per rank test and ``null_space`` per null
+    space, and stacked products, which run the same LAPACK/BLAS call on each
+    matrix: a frame equals its unit's alone, bit for bit.  A failed check
+    names the first failing unit and its rate.
     """
     units = np.atleast_2d(u)
     if not len(units):
@@ -80,12 +81,12 @@ def algebroid_frame(q, u):
             raise RankDeficient(message.format(u=units[np.argmax(failing)], rate=rate[np.argmax(failing)]))
 
     if q.dim_m > 0:
-        sv = np.minimum(*(np.linalg.svd(j, compute_uv=False)[:, -1] for j in (ja, jb)))
+        sv = np.minimum(smallest_singular_value(ja), smallest_singular_value(jb))
         first_failing(sv < 1e-8, sv, "alpha/beta Jacobian loses submersion rank at u = {u}: sigma_min {rate:.2e}")
     if q.preferred_alpha_vertical is not None:
         bases = [np.atleast_2d(q.preferred_alpha_vertical(p)) for p in units]
     else:
-        bases = _null_spaces(ja)
+        bases = null_space(ja)
     for p, a in zip(units, bases):
         if a.shape != (q.rank, q.dim_g):
             raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({q.rank}, {q.dim_g}) at u = {p}")
@@ -102,17 +103,10 @@ def algebroid_frame(q, u):
     first_failing(off > 1e-7, off, "beta-vertical representatives leave ker T beta at rate {rate:.2e} at u = {u}")
 
     # projectors onto the bi-vertical subspaces, spanned by orthonormal rows
-    proj = np.stack([biv.T @ biv for biv in _null_spaces(np.concatenate([ja, jb], axis=1))])
+    proj = np.stack([biv.T @ biv for biv in null_space(np.concatenate([ja, jb], axis=1))])
     b_aligned = np.swapaxes(2.0 * proj @ bt - bt, 1, 2)
     frames = [AlgebroidFrame(p, q.rank, *arrays) for p, *arrays in zip(units, a, b, b_aligned, tm, rho)]
     return frames if np.ndim(u) > 1 else frames[0]
-
-
-def _null_spaces(mats):
-    """Orthonormal rows spanning the null space of each matrix of a stack,
-    from one SVD call, cut per matrix as ``numdiff.null_space`` cuts it."""
-    _, s, vt = np.linalg.svd(mats)
-    return [v[k:] for v, k in zip(vt, np.sum(s > 1e-8 * s[:, :1], axis=1))]
 
 
 def make_frame_field(q):

@@ -194,8 +194,10 @@ def regularity_check(system, u, seed=0):
     differentiated at the embedded unit and at five probe points near it,
     all by one ``directional`` call on their stack; F+L moves only along
     alpha-fiber directions, so the smallest singular value is taken of the
-    Jacobian restricted to those columns, and F+L is regular when it
-    exceeds 1e-6.  Also cross-checks the step map against F-L o gamma = F+L.
+    Jacobian restricted to those columns (the fibers of all six points from
+    one stacked ``null_space``, their values from one stacked
+    ``smallest_singular_value``), and F+L is regular when it exceeds 1e-6.
+    Also cross-checks the step map against F-L o gamma = F+L.
     """
     q = system.loopoid
     rng = np.random.default_rng(seed)
@@ -208,13 +210,13 @@ def regularity_check(system, u, seed=0):
         return np.concatenate([q.alpha(g), legendre(system, "minus", g)], axis=-1)
 
     points = np.stack([e0] + [e0 + rng.normal(scale=0.1, size=q.dim_g) for _ in range(5)])
-    bases = np.broadcast_to(np.eye(q.dim_g), points.shape + (q.dim_g,))
+    axes = np.broadcast_to(np.eye(q.dim_g), points.shape + (q.dim_g,))
 
     def fiberwise(chart, fibration):
         """The chart's Jacobians at the points, and their least singular value on the fibers."""
-        jacs = np.swapaxes(directional(chart, points, bases), 1, 2)
-        fibs = [null_space(j) for j in complex_jacobian(fibration, points)]
-        return jacs, min(smallest_singular_value(j @ fib.T) for j, fib in zip(jacs, fibs))
+        jacs = np.swapaxes(directional(chart, points, axes), 1, 2)
+        fibs = np.stack(null_space(complex_jacobian(fibration, points)))
+        return jacs, smallest_singular_value(jacs @ np.swapaxes(fibs, 1, 2)).min()
 
     jacs, min_sv_plus = fiberwise(chart_map, q.alpha)
     _, min_sv_minus = fiberwise(chart_map_minus, q.beta)

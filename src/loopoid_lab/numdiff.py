@@ -104,21 +104,23 @@ def directional(f, x, v, rel_step=OUTER_STEP):
 
 
 def null_space(mat):
-    """Orthonormal rows spanning the null space of ``mat``.
+    """Orthonormal rows spanning the null space of ``mat``, or the list of
+    those of each matrix of an ``(N, m, n)`` stack, from one SVD call.
 
-    Singular values at or below 1e-8 * sigma_max count as zero.
+    Singular values at or below 1e-8 * sigma_max of their matrix count as
+    zero.  numpy runs the same LAPACK call on each matrix of a stack, so each
+    space equals its matrix's alone, bit for bit.
     """
     mat = np.atleast_2d(mat)
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1])
-    u, s, vt = np.linalg.svd(mat)
-    cut = s[0] * 1e-8 if s.size else 0.0
-    rank = int(np.sum(s > cut))
-    return vt[rank:]
+    _, s, vt = np.linalg.svd(mat)
+    ranks = np.sum(s > 1e-8 * s[..., :1], axis=-1)
+    return vt[ranks:] if mat.ndim == 2 else [v[k:] for v, k in zip(vt, ranks)]
 
 
 def smallest_singular_value(mat):
+    """Least singular value of ``mat`` (0.0 when it is empty), or the
+    ``(N,)`` array of those of an ``(N, m, n)`` stack, from one SVD call."""
     mat = np.atleast_2d(mat)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+    s = np.linalg.svd(mat, compute_uv=False)
+    least = s[..., -1] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return least if mat.ndim > 2 else float(least)

@@ -209,19 +209,19 @@ def test_regularity_directional_derivatives(kinetic_system):
 
 
 def test_regularity_differences_each_chart_map_once(readme_system, monkeypatch):
-    # the six probe points are one stack of bases: one directional call for
+    # the six probe points are one stack of bases x: one directional call for
     # g -> (beta, F+L) and one for g -> (alpha, F-L)
     system = build_system(readme_system["body"], "$.body")
-    bases = []
+    shapes = []
 
     def counted(f, x, v, *args):
-        bases.append((np.shape(x), np.shape(v)))
+        shapes.append((np.shape(x), np.shape(v)))
         return directional(f, x, v, *args)
 
     monkeypatch.setattr(mechanics, "directional", counted)
     regularity_check(system, np.array([0.2, -0.5]))
     n = system.loopoid.dim_g
-    assert bases == [((6, n), (6, n, n))] * 2
+    assert shapes == [((6, n), (6, n, n))] * 2
 
 
 def test_regularity_zero_lagrangian_singular(kinetic_system):

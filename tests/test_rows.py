@@ -23,7 +23,7 @@ from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
 from loopoid_lab.loopoids import SplitFibration
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import COMPLEX_STEP, complex_step, directional, jacobian
+from loopoid_lab.numdiff import COMPLEX_STEP, complex_step, directional, jacobian, null_space, smallest_singular_value
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
 
@@ -230,6 +230,24 @@ def test_directional_stacked_bases_equal_single_bases():
     assert rows.shape == (3, 4)
     for row, base, directions in zip(rows, x, v):
         assert np.array_equal(row, complex_step(system.lagrangian, base, directions))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (0, 4), (2, 0)])
+def test_null_space_and_least_singular_value_of_a_stack_equal_single_matrices(shape):
+    # the second matrix has a zero row and the third a repeated one, so the
+    # ranks, and the null-space sizes, differ along the stack
+    mats = np.random.default_rng(15).normal(size=(4,) + shape)
+    if shape[0] > 1:
+        mats[1, 0] = 0.0
+        mats[2, 1] = mats[2, 0]
+    spaces = null_space(mats)
+    least = smallest_singular_value(mats)
+    assert len(spaces) == 4 and least.shape == (4,)
+    for mat, space, value in zip(mats, spaces, least):
+        assert np.array_equal(space, null_space(mat))
+        assert value == smallest_singular_value(mat)
+    if shape[0] == 0:
+        assert np.array_equal(spaces[0], np.eye(shape[1])) and not least.any()
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
