@@ -1,112 +1,100 @@
 """Hot kernels: Cayley-table identity scans and batched octonion products.
 
-The scans are numpy broadcasts over an ``(n, n)`` int32 table whose entries
+The scans are numpy gathers through an ``(n, n)`` integer table whose entries
 index into ``range(n)``, on the full triple range or on sample-index vectors
 (through the raveled table at ``x * n + y``).  They return the number of
-violated instances, so 0 means the identity holds.  The octonion product is
-a gather through the signed basis-product table.
+violated instances, so 0 means the identity holds.  The six identities share
+their subproducts: ``(ab)c`` and ``a(bc)`` are associativity's two sides, and
+with ``a(b(ac))`` and ``((ab)c)b`` they serve the Moufang forms and both Bol
+identities too, so the exhaustive scan builds ten ``n^3`` gathers and the
+sampled scan 22 flat-index gathers.
+
+The octonion product is a gather through the signed basis-product table,
+laid out ``[i, k, row]`` so that each output coefficient sums its 8 terms
+over the leading axis, one whole-chunk addition per term.
 """
 
 import numpy as np
 
+# rows per octonion chunk: keeps the [i, k, row] temporaries near 0.5-1 MB
+OCT_CHUNK = 1024
+
 
 def associative_scan(t):
     """Count of triples violating (ab)c = a(bc); 0 means associative."""
-    n = t.shape[0]
-    lhs = t[t]                      # [a, b, c] -> (ab)c
-    rhs = t[np.arange(n)[:, None, None], t[None, :, :]]
-    return int(np.count_nonzero(lhs != rhs))
+    return int(np.count_nonzero(t.take(t, axis=0) != t[:, t]))
 
 
-def moufang_scan(t, form):
-    """Count of violations of the Moufang identity ``form`` (0, 1 or 2)."""
-    n = t.shape[0]
-    ar = np.arange(n)
-    p = t
-    if form == 0:
-        q = t[p, ar[:, None]]       # q[a, x] = (ax)a
-        lhs = t[q]
-        s = t[:, p]                 # s[x, a, y] = x(ay)
-        rhs = t[ar[:, None, None], np.transpose(s, (1, 0, 2))]
-        return int(np.count_nonzero(lhs != rhs))
-    if form == 1:
-        m2 = t[p]                   # [x, a, y] = (xa)y
-        lhs = t[m2, ar[None, :, None]]
-        v = t[ar[:, None], p.T]     # v[a, y] = a(ya)
-        rhs = t[:, v]               # [x, a, y]
-        return int(np.count_nonzero(lhs != rhs))
-    lhs = t[p[:, :, None], p.T[:, None, :]]      # [a, x, y] = (ax)(ya)
-    w = t[:, p]                                  # w[a, x, y] = a(xy)
-    rhs = t[w, ar[:, None, None]]
-    return int(np.count_nonzero(lhs != rhs))
+def identity_scans(t):
+    """Violation counts over all triples of associativity, the three Moufang
+    forms, left Bol and right Bol, in that order.
 
-
-def left_bol_scan(t):
-    """Count of violations of a(b(ac)) = (a(ba))c."""
-    n = t.shape[0]
-    ar = np.arange(n)
-    i2 = t[:, t]                                 # i2[b, a, c] = b(ac)
-    lhs = t[ar[:, None, None], np.transpose(i2, (1, 0, 2))]
-    j2 = t[ar[:, None], t.T]                     # j2[a, b] = a(ba)
-    rhs = t[j2]
-    return int(np.count_nonzero(lhs != rhs))
-
-
-def right_bol_scan(t):
-    """Count of violations of ((ca)b)a = c((ab)a)."""
-    n = t.shape[0]
-    ar = np.arange(n)
-    k2 = t[t]                                    # k2[c, a, b] = (ca)b
-    lhs = t[k2, ar[None, :, None]]
-    q = t[t, ar[:, None]]                        # q[a, b] = (ab)a
-    rhs = t[:, q]                                # [c, a, b]
-    return int(np.count_nonzero(lhs != rhs))
-
-
-def sampled_identity_scan(t, which, aa, bb, cc):
-    """Sampled violation count for identity ``which``.
-
-    0 associativity, 1..3 the Moufang forms, 4 left Bol, 5 right Bol.
+    The forms are ((ab)a)c = a(b(ac)), ((ab)c)b = a(b(cb)) and
+    (ab)(ca) = (a(bc))a; left Bol is a(b(ac)) = (a(ba))c and right Bol
+    ((ab)c)b = a((bc)b).  Each ``n^3`` array is dropped once its last
+    comparison is made, so at most four are alive.
     """
+    n = t.shape[0]
+    ar = np.arange(n)
+    left = t.take(t, axis=0)                     # [a, b, c] = (ab)c
+    right = t[:, t]                              # [a, b, c] = a(bc)
+    assoc = np.count_nonzero(left != right)
+    aba = t[t, ar[:, None]]                      # [a, b] = (ab)a
+    aba_r = t[ar[:, None], t.T]                  # [a, b] = a(ba)
+    form2 = np.count_nonzero(t[t[:, :, None], t.T[:, None, :]] != t[right, ar[:, None, None]])
+    a_b_ac = t[ar[:, None, None], right.transpose(1, 0, 2)]  # [a, b, c] = a(b(ac))
+    del right
+    form0 = np.count_nonzero(t.take(aba, axis=0) != a_b_ac)
+    left_bol = np.count_nonzero(a_b_ac != t.take(aba_r, axis=0))
+    del a_b_ac
+    ab_c_b = t[left, ar[None, :, None]]          # [a, b, c] = ((ab)c)b
+    del left
+    form1 = np.count_nonzero(ab_c_b != t[:, aba_r])
+    right_bol = np.count_nonzero(ab_c_b != t[:, aba])
+    return tuple(int(c) for c in (assoc, form0, form1, form2, left_bol, right_bol))
+
+
+def sampled_scans(t, a, b, c):
+    """``identity_scans``' six counts over the triples ``(a[s], b[s], c[s])``."""
     n = t.shape[0]
     flat = t.ravel()
 
     def m(x, y):
         return flat[x * n + y]
 
-    a, b, c = aa, bb, cc
-    if which == 0:
-        lhs, rhs = m(m(a, b), c), m(a, m(b, c))
-    elif which == 1:
-        lhs, rhs = m(m(m(a, b), a), c), m(a, m(b, m(a, c)))
-    elif which == 2:
-        lhs, rhs = m(m(m(b, a), c), a), m(b, m(a, m(c, a)))
-    elif which == 3:
-        lhs, rhs = m(m(a, b), m(c, a)), m(m(a, m(b, c)), a)
-    elif which == 4:
-        lhs, rhs = m(a, m(b, m(a, c))), m(m(a, m(b, a)), c)
-    else:
-        lhs, rhs = m(m(m(c, a), b), a), m(c, m(m(a, b), a))
-    return int(np.count_nonzero(lhs != rhs))
+    def violations(lhs, rhs):
+        return int(np.count_nonzero(lhs != rhs))
+
+    ab, bc, ac, ca, ba = m(a, b), m(b, c), m(a, c), m(c, a), m(b, a)
+    a_bc, ab_a, a_b_ac = m(a, bc), m(ab, a), m(a, m(b, ac))
+    return (
+        violations(m(ab, c), a_bc),
+        violations(m(ab_a, c), a_b_ac),
+        violations(m(m(ba, c), a), m(b, m(a, ca))),
+        violations(m(ab, ca), m(a_bc, a)),
+        violations(a_b_ac, m(m(a, ba), c)),
+        violations(m(m(ca, b), a), m(c, ab_a)),
+    )
 
 
 def oct_mul_many(a, b, index, sign):
     """Batched octonion product of ``(N, 8)`` coefficient arrays.
 
-    ``index[i, k]`` is the j with e_i e_j = ``sign[i, k]`` e_k.  Each output
-    sums its terms over i in order and ``+ 0.0`` makes a zero sum +0, as the
-    einsum this replaced did; two complex factors multiply without fused
-    multiply-adds.  Chunks of 2048 rows keep the temporaries near 1-2 MB.
+    ``index[i, k]`` is the j with e_i e_j = ``sign[i, k]`` e_k.  The terms
+    are laid out ``[i, k, row]`` and each output sums them over i in order;
+    ``+ 0.0`` makes a zero sum +0, as the einsum this replaced did; two
+    complex factors multiply without fused multiply-adds.
     """
     out = np.empty(a.shape, dtype=np.result_type(a, b, sign))
     both_complex = a.dtype.kind == b.dtype.kind == "c"
-    for lo in range(0, len(a), 2048):
-        x = a[lo:lo + 2048, :, None]
-        y = b[lo:lo + 2048].take(index, axis=1) * sign
-        o = out[lo:lo + 2048]
+    sign = sign[:, :, None]
+    for lo in range(0, len(a), OCT_CHUNK):
+        x = a[lo:lo + OCT_CHUNK, None].T
+        y = b[lo:lo + OCT_CHUNK].T.take(index, axis=0) * sign
+        o = out[lo:lo + OCT_CHUNK].T
         if both_complex:
-            o.real = (x.real * y.real - x.imag * y.imag).sum(axis=1) + 0.0
-            o.imag = (x.real * y.imag + x.imag * y.real).sum(axis=1) + 0.0
+            o.real = (x.real * y.real - x.imag * y.imag).sum(axis=0) + 0.0
+            o.imag = (x.real * y.imag + x.imag * y.real).sum(axis=0) + 0.0
         else:
-            o[...] = (x * y).sum(axis=1) + 0.0
+            o[...] = (x * y).sum(axis=0) + 0.0
     return out

@@ -1,12 +1,12 @@
 """Finite quasigroups and loops as Cayley tables.
 
 Elements are dense indices 0..order-1; external names belong to the I/O
-layer.  Identity classification is exhaustive up to a configurable order cap
-(default 64, O(n^3) triples) and switches to seeded random sampling beyond
-it.  The two loop constructions here are the coset-transversal product
-s o s' = p_S(s s') on a left transversal of a subgroup, and the semidirect
-product (g, A)(h, B) = (g A(h), A B) of a loop with a set of its
-automorphisms.
+layer.  Identity classification is exhaustive up to the fixed order cap
+``EXHAUSTIVE_ORDER_CAP`` = 64 (O(n^3) triples) and switches to seeded random
+sampling beyond it.  The two loop constructions here are the
+coset-transversal product s o s' = p_S(s s') on a left transversal of a
+subgroup, and the semidirect product (g, A)(h, B) = (g A(h), A B) of a loop
+with a set of its automorphisms.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +35,8 @@ class CayleyTable:
         if self.order > MAX_ORDER:
             raise MalformedTable(f"order {self.order} exceeds {MAX_ORDER}, the largest whose int32 flat index fits")
         t = np.asarray(self.table)
+        if t.dtype.kind not in "iu":
+            raise MalformedTable(f"table entries must be integers, got dtype {t.dtype}")
         if t.shape != (self.order, self.order):
             raise MalformedTable(f"table shape {t.shape} != ({self.order}, {self.order})")
         if t.size and (t.min() < 0 or t.max() >= self.order):
@@ -110,13 +112,12 @@ def validate_latin_square(ct, *, rng=None):
     # violation counts of associativity, the three Moufang forms, left and right Bol
     exhaustive = n <= EXHAUSTIVE_ORDER_CAP
     if exhaustive:
-        moufang = (_kernels.moufang_scan(t, f) for f in range(3))
-        counts = (_kernels.associative_scan(t), *moufang, _kernels.left_bol_scan(t), _kernels.right_bol_scan(t))
+        counts = _kernels.identity_scans(t)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
         aa, bb, cc = (rng.integers(0, n, size=SAMPLED_TRIPLES) for _ in range(3))
-        counts = tuple(_kernels.sampled_identity_scan(t, w, aa, bb, cc) for w in range(6))
+        counts = _kernels.sampled_scans(t, aa, bb, cc)
     associative, *forms, left_bol, right_bol = (c == 0 for c in counts)
     forms = tuple(forms)
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cyclic_table,
@@ -44,6 +46,15 @@ def test_malformed_tables_rejected():
         CayleyTable(2, [[0, 5], [1, 0]])
     with pytest.raises(MalformedTable):
         CayleyTable(3, [[0, 1], [1, 0]])
+
+
+def test_non_integer_tables_rejected():
+    # a float table would be truncated to Z2 and a bool table read as indices
+    for table in (np.array([[0, 1.7], [1, 0.2]]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[False, True], [True, False]])):
+        with pytest.raises(MalformedTable, match="integers"):
+            CayleyTable(2, table)
+    for dtype in (np.int8, np.uint8, np.int64, np.uint64):
+        assert validate_latin_square(CayleyTable(2, np.array([[0, 1], [1, 0]], dtype=dtype))).associative
 
 
 def test_order_limit_keeps_flat_index_in_int32():
@@ -243,8 +254,8 @@ def test_sampled_mode_beyond_cap(rng):
         assert rep.associative and rep.moufang and rep.left_bol and rep.right_bol
 
 
-# Loop oracles for the kernel scans, indexed like ``sampled_identity_scan``'s
-# ``which``: associativity, the three Moufang forms, left Bol, right Bol.
+# Loop oracles for the kernel scans, in the order of ``identity_scans``'
+# counts: associativity, the three Moufang forms, left Bol, right Bol.
 IDENTITIES = (
     lambda m, a, b, c: m(m(a, b), c) == m(a, m(b, c)),
     lambda m, a, b, c: m(m(m(a, b), a), c) == m(a, m(b, m(a, c))),
@@ -260,15 +271,9 @@ def _oracle_violations(t, which, triples):
     return sum(not IDENTITIES[which](m, a, b, c) for a, b, c in triples)
 
 
-def _full_scans(t):
-    return (
-        _kernels.associative_scan(t),
-        _kernels.moufang_scan(t, 0),
-        _kernels.moufang_scan(t, 1),
-        _kernels.moufang_scan(t, 2),
-        _kernels.left_bol_scan(t),
-        _kernels.right_bol_scan(t),
-    )
+def _oracle_counts(t, triples):
+    triples = list(triples)
+    return tuple(_oracle_violations(t, w, triples) for w in range(len(IDENTITIES)))
 
 
 def _oracle_tables():
@@ -281,9 +286,8 @@ def _oracle_tables():
 def test_scans_match_loop_oracle():
     counts = []
     for t in _oracle_tables():
-        triples = list(itertools.product(range(t.shape[0]), repeat=3))
-        counts.append(tuple(_oracle_violations(t, w, triples) for w in range(len(IDENTITIES))))
-        assert _full_scans(t) == counts[-1]
+        counts.append(_oracle_counts(t, itertools.product(range(t.shape[0]), repeat=3)))
+        assert _kernels.identity_scans(t) == counts[-1]
     basis, noise = counts
     # the octonion basis loop is Moufang and Bol but not associative
     assert basis[0] > 0 and basis[1:] == (0,) * 5
@@ -295,9 +299,7 @@ def test_sampled_scan_matches_loop_oracle():
     for t in _oracle_tables():
         aa, bb, cc = rng.integers(0, t.shape[0], size=(3, 400))
         triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
-        for which in range(len(IDENTITIES)):
-            got = _kernels.sampled_identity_scan(t, which, aa, bb, cc)
-            assert got == _oracle_violations(t, which, triples), which
+        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_counts(t, triples)
 
 
 def _isotope(rng, t):
@@ -307,6 +309,51 @@ def _isotope(rng, t):
     return syms[t[rows][:, cols]]
 
 
+@st.composite
+def _scan_tables(draw):
+    """A table of order 1-9, int32 or int64: a random isotope of Z_n (a Latin
+    square), or a Latin square with some cells overwritten, or any table."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["latin", "perturbed", "random"]))
+    if kind == "random":
+        t = rng.integers(0, n, size=(n, n))
+    else:
+        t = _isotope(rng, cyclic_table(n).table)
+        if kind == "perturbed":
+            cells = rng.integers(0, n, size=(draw(st.integers(1, 3)), 2))
+            t[cells[:, 0], cells[:, 1]] = rng.integers(0, n, size=len(cells))
+    return t.astype(draw(st.sampled_from([np.int32, np.int64]))), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_tables())
+def test_scans_match_loop_oracle_on_random_tables(drawn):
+    t, rng = drawn
+    n = t.shape[0]
+    assert _kernels.identity_scans(t) == _oracle_counts(t, itertools.product(range(n), repeat=3))
+    aa, bb, cc = rng.integers(0, n, size=(3, 50))
+    triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
+    assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_counts(t, triples)
+
+
+@pytest.mark.parametrize("order", [EXHAUSTIVE_ORDER_CAP, EXHAUSTIVE_ORDER_CAP + 1])
+def test_validate_makes_one_scan_call(monkeypatch, order):
+    calls = []
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("identity_scans", "sampled_scans", "associative_scan"):
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+    validate_latin_square(cyclic_table(order))
+    assert calls == ["identity_scans" if order <= EXHAUSTIVE_ORDER_CAP else "sampled_scans"]
+
+
 @pytest.mark.parametrize("order", [16, 70])
 def test_int32_tables_scan_like_int64_copies(order):
     rng = np.random.default_rng(order)
@@ -314,12 +361,10 @@ def test_int32_tables_scan_like_int64_copies(order):
     ct = CayleyTable(order, _isotope(rng, base.table))
     t64 = ct.table.astype(np.int64)
     assert ct.table.dtype == np.int32
-    full = _full_scans(ct.table)
-    assert full == _full_scans(t64) and max(full) > 0
+    full = _kernels.identity_scans(ct.table)
+    assert full == _kernels.identity_scans(t64) and max(full) > 0
     aa, bb, cc = rng.integers(0, order, size=(3, 20_000))
-    for which in range(len(IDENTITIES)):
-        got = _kernels.sampled_identity_scan(ct.table, which, aa, bb, cc)
-        assert got == _kernels.sampled_identity_scan(t64, which, aa, bb, cc), which
+    assert _kernels.sampled_scans(ct.table, aa, bb, cc) == _kernels.sampled_scans(t64, aa, bb, cc)
 
 
 def _latin_by_rows(t):

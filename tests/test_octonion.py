@@ -115,7 +115,12 @@ def _stack(rng, n, complex_part):
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 5000])
+CHUNK = _kernels.OCT_CHUNK
+
+
+# one and two rows, as chart maps send them, and stacks on either side of
+# one, two and several whole chunks
+@pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 5000])
 @pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)], ids=["float", "complex", "float_complex", "complex_float"])
 def test_gather_product_matches_einsum_bit_for_bit(n, kinds):
     rng = np.random.default_rng(1000 + n)
