@@ -17,9 +17,10 @@ complex-step derivatives of the partial multiplication along fiber
 directions; their Lie brackets at unit points, expanded back in the frame,
 are the two skew brackets carried by the normal bundle.  A bracket table
 takes every pair of frame sections from one central Jacobian of the r
-stacked fields, and the almost-Lie check every pair of anchors from one
-Jacobian of the stacked anchors per unit.  A smooth loop is a loopoid over
-a point, and its skew algebra is the bracket table there
+stacked fields.  The almost-Lie residual is array arithmetic on stacks of
+structure tensors, anchors and anchor derivatives, so a loopoid's functor
+output and an algebroid chart go through the same check.  A smooth loop is
+a loopoid over a point, and its skew algebra is the bracket table there
 (``loop_skew_constants``).
 """
 
@@ -30,7 +31,15 @@ import numpy as np
 
 from .errors import FrameSingular, NumericalNoise, RankDeficient
 from .loopoids import loop_as_loopoid
-from .numdiff import OUTER_STEP, complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
+from .numdiff import (
+    OUTER_STEP,
+    complex_jacobian,
+    complex_step,
+    directional,
+    jacobian,
+    null_space,
+    smallest_singular_value,
+)
 
 STRICT = "normal_class"
 ALIGNED = "aligned"
@@ -47,6 +56,7 @@ class AlgebroidFrame:
     beta_vertical_aligned: np.ndarray  # (r, dim_g) reflected reps, T alpha image = +rho
     tm_basis: np.ndarray              # (dim_m, dim_g) image of T eps
     rho_left: np.ndarray              # (r, dim_m) anchors T beta(alpha-vertical)
+    bivertical: np.ndarray            # (k, dim_g) orthonormal rows, ker [T alpha; T beta]
 
     def beta_reps(self, orientation):
         if orientation == STRICT:
@@ -103,9 +113,10 @@ def algebroid_frame(q, u):
     first_failing(off > 1e-7, off, "beta-vertical representatives leave ker T beta at rate {rate:.2e} at u = {u}")
 
     # projectors onto the bi-vertical subspaces, spanned by orthonormal rows
-    proj = np.stack([biv.T @ biv for biv in null_space(np.concatenate([ja, jb], axis=1))])
+    bivertical = null_space(np.concatenate([ja, jb], axis=1))
+    proj = np.stack([biv.T @ biv for biv in bivertical])
     b_aligned = np.swapaxes(2.0 * proj @ bt - bt, 1, 2)
-    frames = [AlgebroidFrame(p, q.rank, *arrays) for p, *arrays in zip(units, a, b, b_aligned, tm, rho)]
+    frames = [AlgebroidFrame(p, q.rank, *arrays) for p, *arrays in zip(units, a, b, b_aligned, tm, rho, bivertical)]
     return frames if np.ndim(u) > 1 else frames[0]
 
 
@@ -242,32 +253,41 @@ def loop_skew_constants(loop):
     return -table + 0.0
 
 
-def check_almost_lie_loopoid(q, u_samples, left_tables, frame_field):
-    """max |rho([X,Y]) - [rho X, rho Y]| over frame pairs at sampled units.
+def frame_anchors(q, frame_field, us):
+    """The ``(N, dim_m, r)`` anchor columns of the frames at an
+    ``(N, dim_m)`` stack of units, and their ``(N, dim_m, r, dim_m)``
+    derivatives: the ``rho`` and ``drho`` of ``almost_lie_residual``.
 
-    ``left_tables[s]`` is the left ``bracket_table`` at ``u_samples[s]``.
-    The anchors of the r frame sections are one field u -> ``rho_left``,
-    differenced by one central ``jacobian`` per sample; a rank below 2 has
-    no pairs and gives 0.
+    The anchors come from complex steps, so they are differenced centrally,
+    by one ``directional`` at ``OUTER_STEP`` over all N units; the frames
+    of its stencil units are built by one ``algebroid_frame`` call.
     """
-    r = q.rank
+
+    def anchors(units):
+        return np.reshape([fr.rho_left.T for fr in frame_field(units)], (len(units), q.dim_m, q.rank))
+
+    axes = np.broadcast_to(np.eye(q.dim_m), us.shape + (q.dim_m,))
+    return anchors(us), np.moveaxis(directional(anchors, us, axes), 1, -1)
+
+
+def almost_lie_residual(c, rho, drho):
+    """max |rho([e_i, e_j]) - [rho e_i, rho e_j]| over the pairs i < j of
+    frame sections at each of N samples.
+
+    ``c`` is the ``(N, r, r, r)`` stack of structure tensors c[k, i, j],
+    ``rho`` the ``(N, m, r)`` anchor columns and ``drho[s, a, i, l]`` the
+    ``(N, m, r, m)`` derivative of ``rho[s, a, i]`` along base coordinate l,
+    so [rho e_i, rho e_j] = D rho_j . rho_i - D rho_i . rho_j.  The caller
+    takes ``drho`` by the rule ``numdiff`` states for its anchors; a rank
+    below 2 has no pairs and gives 0.
+    """
+    r = c.shape[-1]
     if r < 2:
         return 0.0
-
-    def anchors(us):
-        """The (N, r, dim_m) anchors of the frame sections on a stack of units."""
-        return np.reshape([fr.rho_left for fr in frame_field(us)], (len(us), r, q.dim_m))
-
+    along = np.einsum("sajl,sli->saij", drho, rho)  # (D rho_j . rho_i)_a
+    gap = np.einsum("sak,skij->saij", rho, c) - (along - np.swapaxes(along, 2, 3))
     i, j = np.triu_indices(r, 1)
-    worst = 0.0
-    for u, table in zip(np.atleast_2d(u_samples), left_tables):
-        rho = frame_field(u).rho_left
-        d = jacobian(anchors, u)  # d[k] = D rho_k(u)
-        for a, b in zip(i, j):
-            rho_br = table[:, a, b] @ rho
-            vf = d[b] @ rho[a] - d[a] @ rho[b]
-            worst = max(worst, float(np.linalg.norm(rho_br - vf)))
-    return worst
+    return float(np.max(np.linalg.norm(gap, axis=1)[:, i, j], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -323,47 +343,6 @@ def tangent_chart(m):
         rho_fn=lambda x: np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m)),
         name=f"tangent({m})",
     )
-
-
-def _as_section(section, rank):
-    if callable(section):
-        return lambda x: np.reshape(section(x), np.shape(x)[:-1] + (rank,))
-    arr = np.asarray(section, dtype=float).reshape(rank)
-    return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + (rank,))
-
-
-def leibniz_bracket(chart, x_section, y_section, x):
-    """[f_i e_i, g_j e_j](x) by the Leibniz rule.
-
-    = f_i g_j c_{ij}(x) + (rho(f)(x) . grad) g - (rho(g)(x) . grad) f,
-    the derivative terms being complex steps of the coefficient functions
-    along the anchored base directions.
-    """
-    fx = _as_section(x_section, chart.rank)
-    gy = _as_section(y_section, chart.rank)
-    f0 = fx(x)
-    g0 = gy(x)
-    c = chart.c(x)
-    rho = chart.rho(x)
-    out = np.einsum("kij,i,j->k", c, f0, g0)
-    vf = rho @ f0
-    vg = rho @ g0
-    return out + complex_step(gy, x, vf) - complex_step(fx, x, vg)
-
-
-def check_almost_lie_chart(chart, x_samples):
-    """max |c^k_ij rho_k - [rho_i, rho_j]| over frame pairs at samples, with
-    [rho_i, rho_j] = D rho_j . rho_i - D rho_i . rho_j from one complex step
-    of ``rho`` per sample."""
-    worst = 0.0
-    for x in np.atleast_2d(x_samples):
-        rho = chart.rho(x)
-        drho = complex_step(chart.rho, x, np.eye(chart.base_dim))  # drho[l] = d rho / d x_l
-        along = np.einsum("laj,li->aij", drho, rho)  # [a, i, j]: (D rho_j . rho_i)_a
-        gap = np.einsum("ak,kij->aij", rho, chart.c(x)) - (along - np.swapaxes(along, 1, 2))
-        norms = np.linalg.norm(gap, axis=0)[np.triu_indices(chart.rank, 1)]
-        worst = max(worst, float(np.max(norms, initial=0.0)))
-    return worst
 
 
 def prolong_algebroid(chart, pi):

@@ -326,91 +326,53 @@ def loopoid_check(spec_path, out, seed, samples, tol):
 @click.option("--samples", default=3, type=COUNT)
 @_guarded
 def lie_functor(spec_path, out, csv_path, seed, samples):
-    """Brackets, anchors, almost-Lie and sign-theorem residuals.
+    """Skew algebroid of a loopoid or algebroid spec: brackets, almost-Lie
+    residual, and for loopoids the sign theorem.
 
-    Accepts loopoid specs (frames and fundamental-field brackets) or
-    algebroid specs (structure/anchor function checks).
+    A loopoid's structure tensors are its left bracket tables at sampled
+    units and its anchors the frames' (``frame_anchors``); an algebroid
+    chart's come from its structure and anchor functions at sampled base
+    points, whose anchors are plain arithmetic and so complex-stepped.  Both
+    kinds then go through one almost-Lie check.
     """
     spec = parse_spec(Path(spec_path).read_text(encoding="utf-8"))
-    if spec.kind == "algebroid":
-        return _lie_functor_chart(spec, out, csv_path, seed, samples)
-    if spec.kind != "loopoid":
+    from .algebroid import almost_lie_residual, bracket_table, frame_anchors, make_frame_field
+    from .numdiff import complex_jacobian, complex_step
+
+    rng = np.random.default_rng(seed if seed is not None else spec.seed)
+    extra = []  # the spec kind's own checks
+    if spec.kind == "loopoid":
+        q = build_loopoid(spec.body, "$.body")
+        ff = make_frame_field(q)
+        us = q.sample_m(rng, samples)
+        u0 = us[0]
+        # each sample's left brackets once: the first sample's feed the CSV and
+        # the sign check, all of them the almost-Lie check
+        c = np.stack([bracket_table(q, "left", u, ff) for u in us])
+        rho, drho = frame_anchors(q, ff, us)
+        sign_resid = float(np.max(np.abs(c[0] + bracket_table(q, "right", u0, ff)), initial=0.0))
+        report = {"name": q.name, "rank": q.rank, "left_right_sum_residual": sign_resid, "inversion_residual": None}
+        ref = "functor"
+        if q.claims_ip:
+            fr = ff(u0)
+            # T inverse along each alpha-vertical row should give minus its beta representative
+            flipped = complex_step(q.inverse, q.unit_embed(u0), fr.alpha_vertical)
+            lemma = float(np.max(np.abs(flipped + fr.beta_vertical)))
+            report["inversion_residual"] = lemma
+            extra.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
+            extra.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
+    elif spec.kind == "algebroid":
+        chart = build_algebroid(spec.body, "$.body")
+        xs = rng.normal(scale=0.4, size=(samples, chart.base_dim))
+        c, rho, drho = chart.c(xs), chart.rho(xs), complex_jacobian(chart.rho, xs)
+        report = {"name": chart.name, "rank": chart.rank, "base_dim": chart.base_dim}
+        ref = "algebroid"
+    else:
         raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs loopoid or algebroid")
-    from .algebroid import bracket_table, check_almost_lie_loopoid, make_frame_field
-
-    q = build_loopoid(spec.body, "$.body")
-    rng = np.random.default_rng(seed if seed is not None else spec.seed)
-    ff = make_frame_field(q)
-    us = q.sample_m(rng, samples)
-    u0 = us[0]
-    r = q.rank
-
-    # each sample's left brackets once: the first sample's feed the CSV and
-    # the sign check, all of them the almost-Lie check
-    left = [bracket_table(q, "left", u, ff) for u in us]
-    right = bracket_table(q, "right", u0, ff)
-    sign_resid = float(np.max(np.abs(left[0] + right), initial=0.0))
-    csv = _bracket_csv(left[0], csv_path)
-
-    almost = check_almost_lie_loopoid(q, us, left, ff)
-    checks = [_check("almost_lie", "functor.anchor_bracket_morphism", float(almost), tol=1e-6)]
-    lemma = None
-    if q.claims_ip:
-        from .numdiff import complex_step
-
-        fr = ff(u0)
-        # T inverse along each alpha-vertical row should give minus its beta representative
-        lemma = float(np.max(np.abs(complex_step(q.inverse, q.unit_embed(u0), fr.alpha_vertical) + fr.beta_vertical)))
-        checks.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
-        checks.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
-    report = {
-        "command": "lie-functor",
-        "name": q.name,
-        "rank": r,
-        "left_right_sum_residual": sign_resid,
-        "almost_lie_residual": float(almost),
-        "inversion_residual": lemma,
-        "csv": csv,
-        "checks": checks,
-    }
-    return _finish(report, out)
-
-
-def _lie_functor_chart(spec, out, csv_path, seed, samples):
-    from .algebroid import check_almost_lie_chart, leibniz_bracket
-
-    chart = build_algebroid(spec.body, "$.body")
-    rng = np.random.default_rng(seed if seed is not None else spec.seed)
-    xs = rng.normal(scale=0.4, size=(samples, chart.base_dim))
-    almost = check_almost_lie_chart(chart, xs)
-
-    # numeric re-check of the Leibniz rule on a random coefficient function
-    x0 = xs[0]
-    r = chart.rank
-    i, j = (0, 1 % r)
-    coeffs = rng.normal(size=chart.base_dim + 1)
-    f = lambda x: coeffs[0] + coeffs[1:] @ x
-    fy = lambda x: f(x) * np.eye(r)[j]
-    lhs = leibniz_bracket(chart, np.eye(r)[i], fy, x0)
-    base = f(x0) * leibniz_bracket(chart, np.eye(r)[i], np.eye(r)[j], x0)
-    rho_term = float(coeffs[1:] @ (chart.rho(x0) @ np.eye(r)[i]))
-    leibniz_resid = float(np.max(np.abs(lhs - base - rho_term * np.eye(r)[j])))
-
-    csv = _bracket_csv(chart.c(x0), csv_path)
-    checks = [
-        _check("almost_lie", "algebroid.anchor_bracket_morphism", float(almost), tol=1e-6),
-        _check("leibniz_rule", "algebroid.leibniz_rule", leibniz_resid, tol=1e-6),
-    ]
-    report = {
-        "command": "lie-functor",
-        "name": chart.name,
-        "rank": chart.rank,
-        "base_dim": chart.base_dim,
-        "almost_lie_residual": float(almost),
-        "leibniz_residual": leibniz_resid,
-        "csv": csv,
-        "checks": checks,
-    }
+    csv = _bracket_csv(c[0], csv_path)
+    almost = almost_lie_residual(c, rho, drho)
+    checks = [_check("almost_lie", f"{ref}.anchor_bracket_morphism", almost, tol=1e-6)] + extra
+    report.update(command="lie-functor", almost_lie_residual=almost, csv=csv, checks=checks)
     return _finish(report, out)
 
 
@@ -422,9 +384,10 @@ def _lie_functor_chart(spec, out, csv_path, seed, samples):
 @click.option("--tol", default=1e-6, type=TOL)
 @_guarded
 def tangent_check(spec_path, out, seed, samples, tol):
-    """Tangent-structure audit: anchors, units, section independence."""
+    """Tangent-structure audit: anchors, units, section independence,
+    injectivity of tangent translations and the tangent inverse property."""
     spec = _load_spec(spec_path, "loopoid")
-    from .tangent import check_tangent_loopoid
+    from .tangent import INJECTIVE_SV, check_tangent_loopoid
 
     q = build_loopoid(spec.body, "$.body")
     rep = check_tangent_loopoid(q, n_samples=samples, seed=seed if seed is not None else spec.seed, tol=tol)
@@ -432,7 +395,15 @@ def tangent_check(spec_path, out, seed, samples, tol):
         _check("tangent_anchors", "tangent.anchor_compatibility", rep["anchor_residual"], tol=tol),
         _check("tangent_units", "tangent.unit_action", rep["unit_residual"], tol=tol),
         _check("section_independence", "tangent.section_choice", rep["section_choice_residual"], tol=tol),
+        _check(
+            "tangent_injectivity",
+            "tangent.translation_injective",
+            rep["tangent_translation_min_sv"] > INJECTIVE_SV,
+            expect=True,
+        ),
     ]
+    if rep["tangent_inverse_residual"] is not None:
+        checks.append(_check("tangent_inverse", "tangent.inverse_property", rep["tangent_inverse_residual"], tol=tol))
     report = {"command": "tangent-check", "name": q.name, "report": rep, "checks": checks}
     return _finish(report, out)
 

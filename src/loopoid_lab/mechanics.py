@@ -135,11 +135,12 @@ def step_solve(system, g):
     q = system.loopoid
     bg = q.beta(g)
     seed = q.unit_embed(bg)
-    # nudge only along the doubly-vertical directions: enough to leave the
-    # unit saddle of the fiber equations, while coordinates the system does
-    # not constrain stay pinned at the unit values
+    # nudge only along the doubly-vertical directions, the bi-vertical rows
+    # of the frame at beta(g): enough to leave the unit saddle of the fiber
+    # equations, while coordinates the system does not constrain stay pinned
+    # at the unit values
     fiber_offset = g - q.unit_embed(q.alpha(g))
-    biv = null_space(np.vstack([complex_jacobian(q.alpha, seed), complex_jacobian(q.beta, seed)]))
+    biv = system.frames(bg).bivertical
     if biv.size:
         seed = seed + 0.1 * (biv.T @ (biv @ fiber_offset))
 

@@ -12,8 +12,9 @@ All derivatives in the package come through here, by one of two rules:
   sectioned tangent translations) is differenced centrally by ``jacobian``
   or ``directional`` at the relative step ``OUTER_STEP``,
   ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
-  table, and the r anchors at a unit, are one stacked field differenced by
-  one ``jacobian``.  A loop's skew algebra is the bracket table over a
+  table are one stacked field differenced by one ``jacobian``, and the
+  frame anchors at N sampled units one field differenced by one stacked
+  ``directional``.  A loop's skew algebra is the bracket table over a
   point, taken at ``OUTER_STEP`` and at half of it to bound its drift.
   ``newton_solve`` differences its residual at the relative step
   ``fd_step``: ``mechanics.step_solve`` passes 1e-5, and the snaps and

@@ -141,10 +141,11 @@ def _index(val, path, order):
 
 
 def _indices(val, path, order):
-    """A list of indices in range(order); entry paths are formatted only for
-    a list that holds a bad entry, which keeps large tables cheap to read."""
+    """A list of indices in range(order), checked by builtins over the whole
+    list; entry paths are formatted only for a list that holds a bad entry,
+    which keeps large tables cheap to read."""
     xs = _list(val, path)
-    if not all(type(v) is int and 0 <= v < order for v in xs):
+    if not (set(map(type, xs)) <= {int} and (not xs or (min(xs) >= 0 and max(xs) < order))):
         for i, v in enumerate(xs):
             _index(v, f"{path}[{i}]", order)
     return xs

@@ -25,6 +25,10 @@ from .errors import IncompatibleVelocities, NoConvergence, NotComposable, Sectio
 from .loopoids import build_local_section, composable, sample_composable_pairs
 from .numdiff import complex_jacobian, complex_step, directional, jacobian, null_space, smallest_singular_value
 
+# tangent translations count as injective while their least singular value
+# on the alpha-fiber directions exceeds this; tangent-check gates it too
+INJECTIVE_SV = 1e-7
+
 
 @dataclass(frozen=True)
 class TangentElement:
@@ -111,16 +115,17 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     Checks T alpha(X * Y) = T alpha(X), T beta(X * Y) = T beta(Y), the unit
     action of T eps vectors, injectivity of v_h -> X * Y_h on tangent
     fibers, agreement between the two section predictors, and the tangent
-    inversion when the instance carries one.  The injectivity push shares
-    the sample's ``tangent_translation``, so its stencil rows difference
-    only the ``l_sigma`` term.
+    inversion when the instance's inverse is two-sided (else its residual is
+    None: a one-sided inverse has no tangent inverse property to audit).
+    The injectivity push shares the sample's ``tangent_translation``, so its
+    stencil rows difference only the ``l_sigma`` term.
     """
     rng = np.random.default_rng(seed)
     pairs = sample_composable_pairs(q, rng, n_samples)
     anchor_resid = 0.0
     unit_resid = 0.0
     section_resid = 0.0
-    inv_resid = None if q.inverse is None else 0.0
+    inv_resid = 0.0 if q.inverse is not None and q.inverse_side == "both" else None
     min_rank_sv = np.inf
 
     for g, h in pairs:
@@ -166,7 +171,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
             cols = jacobian(lambda cs: times(vh + cs @ fib), np.zeros(fib.shape[0]))
             min_rank_sv = min(min_rank_sv, smallest_singular_value(cols))
 
-        if q.inverse is not None and q.inverse_side == "both":
+        if inv_resid is not None:
             inv_el = TangentElement(q.inverse(g), complex_step(q.inverse, g, vg))
             back = tangent_multiply(q, inv_el, prod)
             inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - yh.vector)))
@@ -181,7 +186,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
             anchor_resid < tol
             and unit_resid < tol
             and section_resid < tol
-            and min_rank_sv > 1e-7
+            and min_rank_sv > INJECTIVE_SV
             and (inv_resid is None or inv_resid < tol)
         ),
     }

@@ -11,17 +11,15 @@ from loopoid_lab.algebroid import (
     STRICT,
     SkewAlgebroidChart,
     algebroid_frame,
+    almost_lie_residual,
     bracket_table,
-    check_almost_lie_chart,
-    check_almost_lie_loopoid,
     constant_chart,
     expand_in_frame,
-    leibniz_bracket,
+    frame_anchors,
     loop_skew_constants,
     make_frame_field,
     prolong,
     prolong_algebroid,
-    tangent_chart,
 )
 from loopoid_lab.errors import RankDeficient
 from loopoid_lab.loopoids import (
@@ -33,7 +31,7 @@ from loopoid_lab.loopoids import (
     product_loopoid,
 )
 from loopoid_lab.loops import bracket_loop, octonion_chart
-from loopoid_lab.numdiff import OUTER_STEP, complex_step, directional, jacobian
+from loopoid_lab.numdiff import OUTER_STEP, complex_jacobian, complex_step, directional, jacobian
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
 
 PHI = lambda x: x**3 + x
@@ -442,9 +440,19 @@ def test_rank_one_bracket_table_is_zero_without_pair_work():
 
 
 def almost_lie(q, us):
-    """check_almost_lie_loopoid on the left bracket tables at ``us``."""
+    """almost_lie_residual on the left bracket tables and frame anchors at ``us``."""
     ff = make_frame_field(q)
-    return check_almost_lie_loopoid(q, us, [bracket_table(q, "left", u, ff) for u in us], ff)
+    return almost_lie_residual(np.stack([bracket_table(q, "left", u, ff) for u in us]), *frame_anchors(q, ff, us))
+
+
+def chart_almost_lie(chart, xs):
+    """almost_lie_residual of a chart at ``xs``, its anchors complex-stepped."""
+    return almost_lie_residual(chart.c(xs), chart.rho(xs), complex_jacobian(chart.rho, xs))
+
+
+def stacked(c):
+    """A constant structure tensor as a ``c_fn`` that keeps the row contract."""
+    return lambda x: np.broadcast_to(c, x.shape[:-1] + c.shape)
 
 
 def test_almost_lie_loopoid_instances(product_h):
@@ -454,16 +462,33 @@ def test_almost_lie_loopoid_instances(product_h):
         constant_chart(octonion_commutator_constants(), np.zeros((0, 7))),
         SplitFibration(2, 0),
     )
-    assert check_almost_lie_chart(pro, np.array([[0.2, -0.1]])) < 1e-9
+    assert chart_almost_lie(pro, np.array([[0.2, -0.1]])) < 1e-9
 
 
-def test_almost_lie_loopoid_one_jacobian_per_sample(product_h, monkeypatch):
+def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
     us = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.4]])
     ff = make_frame_field(product_h)
-    tables = [bracket_table(product_h, "left", u, ff) for u in us]
-    jacobians = counted_jacobians(monkeypatch)
-    assert check_almost_lie_loopoid(product_h, us, tables, ff) < 1e-6
-    assert len(jacobians) == len(us)
+    tables = np.stack([bracket_table(product_h, "left", u, ff) for u in us])
+    calls = []
+
+    def counted(f, x, *args):
+        calls.append(x)
+        return directional(f, x, *args)
+
+    builds = []
+
+    def counted_frames(q, u):
+        builds.append(len(u))
+        return algebroid_frame(q, u)
+
+    monkeypatch.setattr(algebroid, "directional", counted)
+    monkeypatch.setattr(algebroid, "algebroid_frame", counted_frames)
+    rho, drho = frame_anchors(product_h, make_frame_field(product_h), us)
+    assert (rho.shape, drho.shape) == ((3, 2, 4), (3, 2, 4, 2))
+    assert almost_lie_residual(tables, rho, drho) < 1e-6
+    assert len(calls) == 1 and np.array_equal(calls[0], us)
+    # on an empty cache: the N samples' frames, then the 2 N dim_m stencil units' at once
+    assert builds == [len(us), 2 * len(us) * product_h.dim_m]
 
 
 def test_almost_lie_loopoid_over_a_point():
@@ -478,81 +503,26 @@ def test_almost_lie_chart_good_and_broken():
     c[0, 0, 1] = 1.0
     c[0, 1, 0] = -1.0  # [e1, e2] = e1
     good = SkewAlgebroidChart(
-        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), x], axis=-1)
+        base_dim=1, rank=2, c_fn=stacked(c), rho_fn=lambda x: np.stack([np.ones_like(x), x], axis=-1)
     )
-    assert check_almost_lie_chart(good, np.array([[0.3], [-0.6]])) < 1e-6
+    assert chart_almost_lie(good, np.array([[0.3], [-0.6]])) < 1e-6
     # the prolonged anchor keeps a complex point complex, so its derivative
     # is read from the complex step too
-    assert check_almost_lie_chart(prolong_algebroid(good, SplitFibration(2, 1)), np.array([[0.3, 0.1]])) < 1e-6
+    assert chart_almost_lie(prolong_algebroid(good, SplitFibration(2, 1)), np.array([[0.3, 0.1]])) < 1e-6
     broken = SkewAlgebroidChart(
-        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.stack([np.ones_like(x), 2.0 * x], axis=-1)
+        base_dim=1, rank=2, c_fn=stacked(c), rho_fn=lambda x: np.stack([np.ones_like(x), 2.0 * x], axis=-1)
     )
-    assert check_almost_lie_chart(broken, np.array([[0.4]])) > 0.1
+    assert chart_almost_lie(broken, np.array([[0.4]])) > 0.1
+
+
+def test_almost_lie_residual_rank_below_two_is_zero():
+    assert almost_lie_residual(np.zeros((2, 1, 1, 1)), np.ones((2, 3, 1)), np.ones((2, 3, 1, 3))) == 0.0
 
 
 def test_phi_rank_one_algebroid_is_almost_lie():
     q = phi_quasiloopoid(PHI, "cubic")
     us = np.array([[0.1, -0.2], [0.3, 0.4]])
     assert almost_lie(q, us) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Leibniz-rule charts
-# ---------------------------------------------------------------------------
-
-
-def test_leibniz_constant_sections_contract_structure_functions(rng):
-    c = np.zeros((3, 3, 3))
-    c[2, 0, 1] = 1.0
-    c[2, 1, 0] = -1.0
-    chart = constant_chart(c, np.zeros((2, 3)))
-    x = rng.normal(size=2)
-    got = leibniz_bracket(chart, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), x)
-    assert np.allclose(got, [0, 0, 1.0], atol=1e-12)
-
-
-def test_leibniz_rank_one_rho_derivative():
-    chart = SkewAlgebroidChart(
-        base_dim=2,
-        rank=1,
-        c_fn=lambda x: np.zeros((1, 1, 1)),
-        rho_fn=lambda x: np.array([[1.0], [1.0]]),
-    )
-    f = lambda x: np.array([x[0] * x[1]])
-    x0 = np.array([0.3, -0.2])
-    got = leibniz_bracket(chart, np.array([1.0]), f, x0)
-    assert np.allclose(got, [(x0[1] + x0[0])], atol=1e-8)
-
-
-def test_leibniz_tangent_chart_is_vector_field_bracket(rng):
-    chart = tangent_chart(2)
-    X = lambda x: np.stack([x[..., 0] ** 2, 1.0 + x[..., 1]], axis=-1)
-    Y = lambda x: np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1)
-    x0 = rng.normal(size=2)
-    got = leibniz_bracket(chart, X, Y, x0)
-    oracle = jacobian(Y, x0, 1e-6) @ X(x0) - jacobian(X, x0, 1e-6) @ Y(x0)
-    assert np.allclose(got, oracle, atol=1e-7)
-
-
-def test_leibniz_rule_reverified(rng):
-    c = octonion_commutator_constants()
-    chart = SkewAlgebroidChart(
-        base_dim=2,
-        rank=7,
-        c_fn=lambda x: c,
-        rho_fn=lambda x: np.vstack([np.eye(2), np.zeros((5, 2))]).T,
-    )
-    x0 = rng.normal(size=2)
-    X = np.eye(7)[0]
-    Y = np.eye(7)[3]
-    f = lambda x: x[0] ** 2 - 0.5 * x[1]
-    fY = lambda x: f(x) * Y
-    lhs = leibniz_bracket(chart, X, fY, x0)
-    rhs = f(x0) * leibniz_bracket(chart, X, Y, x0)
-    rho_x_f = chart.rho(x0) @ X  # base vector of X
-    grad_f = np.array([2 * x0[0], -0.5])
-    rhs = rhs + float(grad_f @ rho_x_f) * Y
-    assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +535,7 @@ def test_prolong_algebroid_identity_fibration():
     c[0, 0, 1] = 1.0
     c[0, 1, 0] = -1.0
     base = SkewAlgebroidChart(
-        base_dim=1, rank=2, c_fn=lambda x: c, rho_fn=lambda x: np.array([[1.0, x[0]]])
+        base_dim=1, rank=2, c_fn=stacked(c), rho_fn=lambda x: np.stack([np.ones_like(x), x], axis=-1)
     )
     out = prolong_algebroid(base, SplitFibration(1, 1))
     x = np.array([0.4])
@@ -601,7 +571,7 @@ def test_prolong_algebroid_non_jacobi_input_stays_almost_lie(rng):
     )
     assert np.linalg.norm(jacobiator) > 1.0  # genuinely non-Jacobi input
     out = prolong_algebroid(base, SplitFibration(2, 0))
-    assert check_almost_lie_chart(out, rng.normal(size=(3, 2))) < 1e-9
+    assert chart_almost_lie(out, rng.normal(size=(3, 2))) < 1e-9
     # non-Jacobi survives prolongation
     E = np.eye(out.rank)
     x = np.array([0.1, -0.2])
@@ -617,8 +587,8 @@ def test_prolongation_pair_is_algebroid_morphism(rng):
     base = SkewAlgebroidChart(
         base_dim=1,
         rank=2,
-        c_fn=lambda x: np.zeros((2, 2, 2)),
-        rho_fn=lambda x: np.array([[1.0, np.cos(x[0])]]),
+        c_fn=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
+        rho_fn=lambda x: np.stack([np.ones_like(x), np.cos(x)], axis=-1),
     )
     pi = SplitFibration(3, 1)
     out = prolong_algebroid(base, pi)

@@ -167,12 +167,20 @@ def _is_number(value):
 def field_changes(fname, old, new):
     """Lines naming each field of the file ``fname`` whose values differ
     between the bytes ``old`` and ``new``: the largest absolute and relative
-    change of a numeric field, the first old and new value of any other."""
+    change of a numeric field, the first old and new value of any other,
+    and the first value of a field only one side has."""
     parse = _csv_leaves if fname.endswith(".csv") else lambda text: _leaves(json.loads(text))
     old, new = list(parse(old.decode("utf-8"))), list(parse(new.decode("utf-8")))
+    changes = {}  # path -> line
+    gone = {path for path, _ in old} - {path for path, _ in new}
+    came = {path for path, _ in new} - {path for path, _ in old}
+    for path, value in old + new:
+        if path in gone | came and path not in changes:
+            changes[path] = f"{path}: {'removed' if path in gone else 'added'} {value!r}"
+    old = [(path, value) for path, value in old if path not in gone]
+    new = [(path, value) for path, value in new if path not in came]
     if [path for path, _ in old] != [path for path, _ in new]:
         return ["fields differ"]
-    changes = {}  # path -> line
     largest = {}  # path of a numeric field -> (largest absolute change, largest relative change)
     for (path, a), (_, b) in zip(old, new):
         if a == b or (path in changes and path not in largest):
@@ -222,6 +230,18 @@ def test_diff_names_a_float_one_ulp_off(tmp_path):
     ulp = float(np.spacing(value))
     assert diff_goldens(tmp_path) == [
         f"{name}: report.json skew_constants[][][]: largest change {ulp:.3e} absolute, {ulp / value:.3e} relative"
+    ]
+
+
+def test_diff_names_added_and_removed_fields():
+    old = json.dumps({"a": 1.0, "b": {"c": "x"}, "checks": [{"name": "p", "value": 2}]}).encode()
+    new = json.dumps({"a": 1.0, "d": None, "checks": [{"name": "p", "value": 3}, {"name": "q", "pass": True}]}).encode()
+    assert field_changes("report.json", old, new) == [
+        "b.c: removed 'x'",
+        "checks[p].value: largest change 1.000e+00 absolute, 5.000e-01 relative",
+        "checks[q].name: added 'q'",
+        "checks[q].pass: added True",
+        "d: added None",
     ]
 
 

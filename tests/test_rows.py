@@ -337,7 +337,7 @@ def test_frames_of_a_stack_equal_single_builds(name):
     if name == "phi":
         units[0] = [200.0, 0.2]
     frames = algebroid_frame(q, units)
-    assert len(frames) == len(units) and len(FRAME_ARRAYS) == 6
+    assert len(frames) == len(units) and len(FRAME_ARRAYS) == 7
     for frame, u in zip(frames, units):
         alone = algebroid_frame(q, u)
         for field in FRAME_ARRAYS:

@@ -114,9 +114,13 @@ NEWTON_BLOCKS = {
         ("finite", dict(S3_TRANSVERSAL_BODY, subgroup=[0, "a"]), "$.body.subgroup[1]"),
         ("finite", dict(SEMIDIRECT_BODY, autos=[[0, "x"]]), "$.body.autos[0][1]"),
         ("finite", dict(SEMIDIRECT_BODY, autos=[[0, 1.5]]), "$.body.autos[0][1]"),
+        ("finite", dict(SEMIDIRECT_BODY, autos=[[0, 1.0]]), "$.body.autos[0][1]"),
+        ("finite", dict(SEMIDIRECT_BODY, autos=[[-1, 0]]), "$.body.autos[0][0]"),
         ("finite", dict(Z2_TABLE_BODY, unit=5), "$.body.unit"),
         ("finite", dict(Z2_TABLE_BODY, table=[[0, 1], [1, 2]]), "$.body.table[1][1]"),
         ("finite", dict(Z2_TABLE_BODY, table=[[0, 1], [True, 0]]), "$.body.table[1][0]"),
+        ("finite", dict(Z2_TABLE_BODY, table=[[0, 1], [1.0, 0]]), "$.body.table[1][0]"),
+        ("finite", dict(Z2_TABLE_BODY, table=[[0, -1], [1, 0]]), "$.body.table[0][1]"),
     ],
     ids=[
         "unit_short",
@@ -134,9 +138,13 @@ NEWTON_BLOCKS = {
         "subgroup_index_not_integer",
         "auto_entry_not_integer",
         "auto_entry_float",
+        "auto_entry_integral_float",
+        "auto_entry_negative",
         "table_unit_out_of_range",
         "table_entry_out_of_range",
         "table_entry_bool",
+        "table_entry_integral_float",
+        "table_entry_negative",
     ],
 )
 def test_bad_field_is_a_schema_error_at_its_path(kind, body, path):
@@ -323,7 +331,43 @@ def test_cli_lie_functor_algebroid_chart(runner, tmp_path):
     report = json.loads(result.output)
     assert report["ok"]
     assert report["almost_lie_residual"] < 1e-9
-    assert report["leibniz_residual"] < 1e-6
+
+
+def test_cli_lie_functor_fails_on_anchors_that_vary_with_the_unit(runner, monkeypatch):
+    # anchors scaled by 1 + u_1 no longer carry the left brackets, which the
+    # scaling leaves alone, to the brackets of their vector fields
+    from loopoid_lab import algebroid
+
+    frames = algebroid.algebroid_frame
+
+    def scaled(q, u):
+        return [dataclasses.replace(fr, rho_left=(1.0 + fr.unit_point[0]) * fr.rho_left) for fr in frames(q, u)]
+
+    spec = str(EXAMPLES / "readme_product_loopoid.json")
+    assert runner.invoke(main, ["lie-functor", "--spec", spec]).exit_code == 0
+    monkeypatch.setattr(algebroid, "algebroid_frame", scaled)
+    result = runner.invoke(main, ["lie-functor", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    failed = [c["ref"] for c in json.loads(result.output)["checks"] if not c["pass"]]
+    assert failed == ["functor.anchor_bracket_morphism"]
+
+
+@pytest.mark.parametrize(
+    "spec, field, value, check",
+    [
+        ("readme_product_loopoid", "tangent_translation_min_sv", 0.0, "tangent_injectivity"),
+        ("octonion_pair1_loopoid", "tangent_inverse_residual", 1.0, "tangent_inverse"),
+    ],
+)
+def test_cli_tangent_check_gates_injectivity_and_inverse(runner, monkeypatch, spec, field, value, check):
+    # each term of the audit's own ok is a gated check, so the two verdicts agree
+    from loopoid_lab import tangent
+
+    audit = tangent.check_tangent_loopoid
+    monkeypatch.setattr(tangent, "check_tangent_loopoid", lambda *a, **k: {**audit(*a, **k), field: value})
+    result = runner.invoke(main, ["tangent-check", "--spec", str(EXAMPLES / f"{spec}.json"), "--samples", "2"])
+    assert result.exit_code == 1, result.output
+    assert [c["name"] for c in json.loads(result.output)["checks"] if not c["pass"]] == [check]
 
 
 def test_cli_tangent_check(runner, tmp_path):

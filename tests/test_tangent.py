@@ -9,6 +9,7 @@ from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
     loop_as_loopoid,
     pair_groupoid,
+    phi_quasiloopoid,
     product_loopoid,
     sample_composable_pairs,
 )
@@ -103,6 +104,13 @@ def test_tangent_inverse_on_ip_instance():
     rep = check_tangent_loopoid(q, n_samples=3, seed=3)
     assert rep["ok"]
     assert rep["tangent_inverse_residual"] < 1e-6
+
+
+def test_tangent_inverse_residual_is_none_for_a_left_inverse():
+    # phi carries a left inverse only: no tangent inverse property to audit
+    q = phi_quasiloopoid(lambda x: x**3 + x, "cubic")
+    assert q.inverse is not None and q.inverse_side == "left"
+    assert check_tangent_loopoid(q, n_samples=2, seed=0)["tangent_inverse_residual"] is None
 
 
 def test_curve_oracle_agreement(rng):
