@@ -349,7 +349,8 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
         # each sample's left brackets once: the first sample's feed the CSV and
         # the sign check, all of them the almost-Lie check
         c = np.stack([bracket_table(q, "left", u, ff) for u in us])
-        rho, drho = frame_anchors(q, ff, us)
+        # below rank 2 almost_lie_residual reads no anchors, so build none of their frames
+        rho, drho = frame_anchors(q, ff, us) if q.rank > 1 else (None, None)
         sign_resid = float(np.max(np.abs(c[0] + bracket_table(q, "right", u0, ff)), initial=0.0))
         report = {"name": q.name, "rank": q.rank, "left_right_sum_residual": sign_resid, "inversion_residual": None}
         ref = "functor"

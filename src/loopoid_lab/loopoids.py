@@ -372,13 +372,11 @@ def loop_as_loopoid(loop):
 # ---------------------------------------------------------------------------
 
 
-def build_local_section(q, side, through, *, predictor="unit"):
+def build_local_section(q, side, through):
     """A map s with s(q0) = through and side(s(q')) = q' near q0 = side(through).
 
-    Newton projection onto the side fiber; the default predictor moves the
-    seed along the unit embedding, ``predictor="hold"`` projects from the
-    fixed point instead (useful to certify section-choice independence).
-    Raises NoConvergence when the projection stalls.
+    Newton projection onto the side fiber from a seed moved along the unit
+    embedding.  Raises NoConvergence when the projection stalls.
     """
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
@@ -387,12 +385,8 @@ def build_local_section(q, side, through, *, predictor="unit"):
     e0 = q.unit_embed(q0)
 
     def section(qp):
-        if predictor == "unit":
-            seed = through + (q.unit_embed(qp) - e0)
-        else:
-            seed = through
         res = lambda p: side_map(p) - qp
-        p, _ = newton_solve(res, seed, tol=1e-11, max_iter=60)
+        p, _ = newton_solve(res, through + (q.unit_embed(qp) - e0), tol=1e-11, max_iter=60)
         return p
 
     return section

@@ -1,15 +1,17 @@
 """Tangent multiplication and the two cotangent fibrations.
 
 The tangent product of (g, v_g) and (h, v_h) with matching base velocity
-v_q = T beta(v_g) = T alpha(v_h) is assembled from local sections through
-the factors:
+v_q = T beta(v_g) = T alpha(v_h) is the derivative of the chart
+multiplication along the composable pair, T m(v_g, v_h): one complex step
+of ``mul``.  The paper assembles it from local sections through the
+factors,
 
     T r_tau(v_g) + T l_sigma(v_h) - T (l_sigma o r_tau)(v_q),
 
-sigma a beta-section through g and tau an alpha-section through h.  Over a
-point base this collapses to T r_h(v_g) + T l_g(v_h).  The result does not
-depend on the choice of sections, which the checker certifies by building
-them twice with different predictors.
+sigma a beta-section through g and tau an alpha-section through h; by the
+chain rule the section terms cancel and leave T m(v_g, v_h) for any choice
+of sections.  ``section_product`` keeps that formula as the witness: the
+checker compares it with the chain-rule product, which uses no section.
 
 There is no tangent product on covectors; the module only exposes the two
 fibrations of T*G over the dual of the normal bundle, obtained by pairing a
@@ -23,7 +25,7 @@ import numpy as np
 from .algebroid import ALIGNED, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
 from .loopoids import build_local_section, composable, sample_composable_pairs
-from .numdiff import complex_jacobian, complex_step, directional, jacobian, null_space, smallest_singular_value
+from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
 
 # tangent translations count as injective while their least singular value
 # on the alpha-fiber directions exceeds this; tangent-check gates it too
@@ -44,23 +46,21 @@ class TangentElement:
         object.__setattr__(self, "vector", v)
 
 
-def tangent_translation(q, xg, h, *, predictor="unit"):
+def tangent_translation(q, xg, h):
     """The product X_g * (h, v_h) as a map of v_h: ``(g h, times)``.
 
-    ``times`` maps a ``(k, dim_g)`` stack of v_h to the product vectors.
-    The sections, ``T r_tau(v_g)`` and ``T (l_sigma o r_tau)(v_q)`` are
-    built once, on the first call, so each v_h costs only ``T l_sigma(v_h)``.
-    The base velocity is T beta(v_g); a mismatch with T alpha(v_h) beyond
-    1e-7 raises before any section is built, a smaller one is absorbed by
+    ``times`` maps a ``(k, dim_g)`` stack of v_h to the product vectors
+    T m(v_g, v_h), by one complex step of ``mul`` at (g, h) along the k
+    directions (v_g, v_h).  The base velocity is T beta(v_g); a mismatch
+    with T alpha(v_h) beyond 1e-7 raises, a smaller one is absorbed by
     snapping v_h's base component.
     """
     g, vg = xg.base, xg.vector
     if not composable(q, g, h):
         raise NotComposable("tangent factors sit over a non-composable pair")
-    jb_g = complex_jacobian(q.beta, g)
     ja_h = complex_jacobian(q.alpha, h)
-    vq = jb_g @ vg
-    fixed = []  # l_sigma, T r_tau(v_g), T (l_sigma o r_tau)(v_q)
+    vq = complex_step(q.beta, g, vg)
+    n = q.dim_g
 
     def snap(vh):
         mismatch = float(np.linalg.norm(ja_h @ vh - vq))
@@ -72,41 +72,37 @@ def tangent_translation(q, xg, h, *, predictor="unit"):
         return vh
 
     def times(vhs):
-        vhs = [snap(vh) for vh in vhs]
-        if q.dim_m == 0:
-            # T r_h(v_g) + T l_g(v_h) is the derivative of mul along (v_g, v_h)
-            n = q.dim_g
-            mul = lambda gh: q.mul(gh[:n], gh[n:])
-            return np.array([complex_step(mul, np.concatenate([g, h]), np.concatenate([vg, vh])) for vh in vhs])
-        try:
-            if not fixed:
-                sigma = build_local_section(q, "beta", g, predictor=predictor)
-                tau = build_local_section(q, "alpha", h, predictor=predictor)
-                r_tau = lambda x: q.mul(x, tau(q.beta(x)))
-                l_sigma = lambda y: q.mul(sigma(q.alpha(y)), y)
-                both = lambda qq: q.mul(sigma(qq), tau(qq))
-                fixed.extend([l_sigma, directional(r_tau, g, vg), directional(both, q.beta(g), vq)])
-            l_sigma, t1, t3 = fixed
-            return np.array([t1 + directional(l_sigma, h, vh) - t3 for vh in vhs])
-        except NoConvergence as exc:
-            raise SectionFailure(f"section projection failed inside the product: {exc}") from exc
+        dirs = np.array([np.concatenate([vg, snap(vh)]) for vh in vhs])
+        return complex_step(lambda gh: q.mul(gh[..., :n], gh[..., n:]), np.concatenate([g, h]), dirs)
 
     return q.mul(g, h), times
 
 
-def tangent_multiply(q, xg, yh, *, predictor="unit"):
-    """Product of tangent elements via the local-section formula: one row of
-    ``tangent_translation``."""
-    base, times = tangent_translation(q, xg, yh.base, predictor=predictor)
+def tangent_multiply(q, xg, yh):
+    """Product of tangent elements: one row of ``tangent_translation``."""
+    base, times = tangent_translation(q, xg, yh.base)
     return TangentElement(base, times(yh.vector[None])[0])
 
 
-def tangent_alpha(q, el):
-    return TangentElement(q.alpha(el.base), complex_step(q.alpha, el.base, el.vector))
+def section_product(q, g, vg, h, vh):
+    """The product vector by the paper's local-section formula, the witness
+    of ``tangent_translation``'s chain rule.
 
-
-def tangent_beta(q, el):
-    return TangentElement(q.beta(el.base), complex_step(q.beta, el.base, el.vector))
+    sigma and tau are Newton-projected sections through g and h seeded
+    along the unit embedding, so each term is differenced centrally
+    (``directional`` at ``OUTER_STEP``).  A stalled projection raises
+    ``SectionFailure``.
+    """
+    sigma = build_local_section(q, "beta", g)
+    tau = build_local_section(q, "alpha", h)
+    r_tau = lambda x: q.mul(x, tau(q.beta(x)))
+    l_sigma = lambda y: q.mul(sigma(q.alpha(y)), y)
+    both = lambda qq: q.mul(sigma(qq), tau(qq))
+    vq = complex_step(q.beta, g, vg)
+    try:
+        return directional(r_tau, g, vg) + directional(l_sigma, h, vh) - directional(both, q.beta(g), vq)
+    except NoConvergence as exc:
+        raise SectionFailure(f"section projection failed inside the product: {exc}") from exc
 
 
 def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
@@ -114,11 +110,11 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
 
     Checks T alpha(X * Y) = T alpha(X), T beta(X * Y) = T beta(Y), the unit
     action of T eps vectors, injectivity of v_h -> X * Y_h on tangent
-    fibers, agreement between the two section predictors, and the tangent
-    inversion when the instance's inverse is two-sided (else its residual is
-    None: a one-sided inverse has no tangent inverse property to audit).
-    The injectivity push shares the sample's ``tangent_translation``, so its
-    stencil rows difference only the ``l_sigma`` term.
+    fibers, agreement of the product with the local-section formula
+    (``section_product``, whose sections the product does not use), and the
+    tangent inversion when the instance's inverse is two-sided (else its
+    residual is None: a one-sided inverse has no tangent inverse property to
+    audit).
     """
     rng = np.random.default_rng(seed)
     pairs = sample_composable_pairs(q, rng, n_samples)
@@ -129,52 +125,42 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     min_rank_sv = np.inf
 
     for g, h in pairs:
-        jb_g = complex_jacobian(q.beta, g)
         ja_h = complex_jacobian(q.alpha, h)
         vg = rng.normal(size=q.dim_g)
         # match v_h's base velocity to v_g's exactly up to lstsq
         vh = rng.normal(size=q.dim_g)
-        corr, *_ = np.linalg.lstsq(ja_h, ja_h @ vh - jb_g @ vg, rcond=None)
+        corr, *_ = np.linalg.lstsq(ja_h, ja_h @ vh - complex_step(q.beta, g, vg), rcond=None)
         vh = vh - corr
-        xg = TangentElement(g, vg)
-        yh = TangentElement(h, vh)
-        base, times = tangent_translation(q, xg, h)
-        prod = TangentElement(base, times(vh[None])[0])
+        base, times = tangent_translation(q, TangentElement(g, vg), h)
+        pv = times(vh[None])[0]
 
-        ta_p = tangent_alpha(q, prod)
-        ta_x = tangent_alpha(q, xg)
-        tb_p = tangent_beta(q, prod)
-        tb_y = tangent_beta(q, yh)
         anchor_resid = max(
             anchor_resid,
-            float(np.linalg.norm(ta_p.vector - ta_x.vector)),
-            float(np.linalg.norm(tb_p.vector - tb_y.vector)),
-            float(np.linalg.norm(ta_p.base - ta_x.base)),
-            float(np.linalg.norm(tb_p.base - tb_y.base)),
+            float(np.linalg.norm(complex_step(q.alpha, base, pv) - complex_step(q.alpha, g, vg))),
+            float(np.linalg.norm(complex_step(q.beta, base, pv) - complex_step(q.beta, h, vh))),
+            float(np.linalg.norm(q.alpha(base) - q.alpha(g))),
+            float(np.linalg.norm(q.beta(base) - q.beta(h))),
         )
 
         # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
         u = q.alpha(h)
         unit_el = TangentElement(q.unit_embed(u), complex_step(q.unit_embed, u, ja_h @ vh))
-        lhs = tangent_multiply(q, unit_el, yh)
-        unit_resid = max(unit_resid, float(np.linalg.norm(lhs.vector - yh.vector)))
+        lhs = tangent_multiply(q, unit_el, TangentElement(h, vh))
+        unit_resid = max(unit_resid, float(np.linalg.norm(lhs.vector - vh)))
 
-        # section-choice independence
-        prod2 = tangent_multiply(q, xg, yh, predictor="hold")
-        section_resid = max(section_resid, float(np.linalg.norm(prod.vector - prod2.vector)))
+        # section-choice independence: the section formula against the chain rule
+        section_resid = max(section_resid, float(np.linalg.norm(section_product(q, g, vg, h, vh) - pv)))
 
-        # injectivity of v_h -> product vector on the alpha-fiber directions,
-        # differenced at c = 0, where c @ fib is exactly h * fib[i]; the rows
-        # share the sample's product set-up, so only T l_sigma(v_h) is redone
+        # injectivity of v_h -> product vector on the alpha-fiber directions;
+        # the product is linear in v_h, so each column is one stacked row less pv
         fib = null_space(ja_h)
         if fib.shape[0]:
-            cols = jacobian(lambda cs: times(vh + cs @ fib), np.zeros(fib.shape[0]))
-            min_rank_sv = min(min_rank_sv, smallest_singular_value(cols))
+            min_rank_sv = min(min_rank_sv, smallest_singular_value(times(vh + fib) - pv))
 
         if inv_resid is not None:
             inv_el = TangentElement(q.inverse(g), complex_step(q.inverse, g, vg))
-            back = tangent_multiply(q, inv_el, prod)
-            inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - yh.vector)))
+            back = tangent_multiply(q, inv_el, TangentElement(base, pv))
+            inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - vh)))
 
     return {
         "anchor_residual": anchor_resid,

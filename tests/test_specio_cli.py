@@ -370,6 +370,52 @@ def test_cli_tangent_check_gates_injectivity_and_inverse(runner, monkeypatch, sp
     assert [c["name"] for c in json.loads(result.output)["checks"] if not c["pass"]] == [check]
 
 
+def test_cli_tangent_check_witness_catches_a_product_that_is_not_complex_analytic(runner, monkeypatch):
+    # dropping the imaginary part of the second factor's loop coordinates
+    # leaves mul right at every real point, so only the complex step of the
+    # product goes wrong; the centrally differenced section formula does not
+    build = cli.build_loopoid
+
+    def mutant(body, path):
+        q = build(body, path)
+
+        def mul(g, h):
+            h = h.copy()
+            h[..., :2] = h[..., :2].real
+            return q.mul(g, h)
+
+        return dataclasses.replace(q, mul=mul)
+
+    monkeypatch.setattr(cli, "build_loopoid", mutant)
+    result = runner.invoke(main, ["tangent-check", "--spec", str(EXAMPLES / "readme_product_loopoid.json")])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
+    assert not checks["section_independence"]["pass"]
+    assert checks["section_independence"]["value"] > 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, builds",
+    [
+        # rank 1: almost_lie_residual reads no anchors and bracket_table needs
+        # no frame, so no frame is built
+        ("phi_loopoid", []),
+        # rank 4: each sampled unit's frame and its bracket stencil's 4
+        # units, where the anchor stencil then finds all of its frames
+        ("readme_product_loopoid", [1, 4] * 3),
+    ],
+)
+def test_cli_lie_functor_builds_anchor_frames_from_rank_two(runner, monkeypatch, spec, builds):
+    from loopoid_lab import algebroid
+
+    frames = algebroid.algebroid_frame
+    sizes = []
+    monkeypatch.setattr(algebroid, "algebroid_frame", lambda q, u: sizes.append(len(u)) or frames(q, u))
+    result = runner.invoke(main, ["lie-functor", "--spec", str(EXAMPLES / f"{spec}.json"), "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    assert sizes == builds
+
+
 def test_cli_tangent_check(runner, tmp_path):
     path = _write(tmp_path, "prod.json", "loopoid", PRODUCT_BODY)
     result = runner.invoke(main, ["tangent-check", "--spec", path, "--samples", "3"])

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import loopoid_lab.loopoids as loopoids_module
 import loopoid_lab.tangent as tangent_module
-from conftest import cubic_line_chart, planar_feedback_chart
+from conftest import build_spec, cubic_line_chart, example, planar_feedback_chart
 from loopoid_lab.algebroid import make_frame_field
 from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
@@ -190,21 +192,59 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    "q, n_samples, seed, per_sample",
+    "q, n_samples, seed",
     [
-        # no inversion: the product, the unit action and the "hold" product
-        (product_loopoid(planar_feedback_chart(), 2), 5, 1, 6),
-        # with an I.P. inversion, its tangent product adds one pair
-        (product_loopoid(octonion_chart(), 1), 3, 3, 8),
+        (product_loopoid(planar_feedback_chart(), 2), 5, 1),
+        (product_loopoid(octonion_chart(), 1), 3, 3),
     ],
     ids=["product_h", "octonion_pair1"],
 )
-def test_tangent_audit_section_builds_do_not_grow_with_fiber(monkeypatch, q, n_samples, seed, per_sample):
-    # the injectivity push shares its sample's product set-up; built once per
-    # stencil row it took 4k more per sample at fiber dimension k (110 and 132)
+def test_tangent_audit_builds_sections_only_for_the_witness(monkeypatch, q, n_samples, seed):
+    # the product is a complex step of mul; only section_product, once per
+    # sample, builds a beta-section through g and an alpha-section through h
     builds = count_calls(monkeypatch, tangent_module, "build_local_section")
     assert check_tangent_loopoid(q, n_samples=n_samples, seed=seed)["ok"]
-    assert len(builds) == per_sample * n_samples
+    assert [side for _, side, _ in builds] == ["beta", "alpha"] * n_samples
+
+
+def test_tangent_multiply_solves_nothing(rng, monkeypatch):
+    q = product_loopoid(planar_feedback_chart(), 2)
+    g, h = sample_composable_pairs(q, rng, 1)[0]
+    vg = rng.normal(size=6)
+    vh = rng.normal(size=6)
+    vh[2:4] = vg[4:6]
+    solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
+    out = tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
+    assert np.all(np.isfinite(out.vector))
+    assert solves == []
+
+
+def dilate(q, lam, mu):
+    """q conjugated by g -> lam g on G and u -> mu u on M: an isomorphic
+    quasiloopoid whose samples are lam times q's."""
+    inverse = None if q.inverse is None else (lambda g: lam * q.inverse(g / lam))
+    return dataclasses.replace(
+        q,
+        alpha=lambda g: mu * q.alpha(g / lam),
+        beta=lambda g: mu * q.beta(g / lam),
+        unit_embed=lambda u: lam * q.unit_embed(u / mu),
+        mul=lambda g, h: lam * q.mul(g / lam, h / lam),
+        sampler=lambda rng, k: lam * q.sampler(rng, k),
+        inverse=inverse,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["phi_loopoid", "readme_product_loopoid", "octonion_pair1_loopoid", "prolonged_planar_loopoid"]
+)
+@pytest.mark.parametrize("lam, mu", [(1e-3, 1.0), (1e3, 1.0), (1.0, 1e-3), (1.0, 1e3)])
+def test_tangent_verdict_survives_dilations(name, lam, mu):
+    # a dilation is an isomorphism of quasiloopoids, so neither the verdict
+    # nor the agreement of the section formula with the product may move
+    q = build_spec(example(name))
+    rep = check_tangent_loopoid(dilate(q, lam, mu), n_samples=5, seed=0)
+    assert rep["ok"] == check_tangent_loopoid(q, n_samples=5, seed=0)["ok"]
+    assert rep["section_choice_residual"] < 1e-8
 
 
 def test_velocity_mismatch_raises_before_section_work(rng, monkeypatch):
