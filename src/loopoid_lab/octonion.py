@@ -57,6 +57,24 @@ def oct_mul_batch(a, b):
     return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), GATHER_INDEX, GATHER_SIGN).reshape(a.shape)
 
 
+def norm_defect(a, b):
+    """The largest ``| |ab| - |a||b| | / (|a||b|)`` over the rows of two
+    ``(N, 8)`` stacks, in blocks of ``_kernels.OCT_CHUNK`` rows.
+
+    A norm is ``sqrt(add.reduce(x * x, axis=1))``, as ``np.linalg.norm``
+    computes it, so the value equals the whole-array formula bit for bit.
+    """
+    def norm(x):
+        return np.sqrt(np.add.reduce(x * x, axis=1))
+
+    worst = []
+    for lo in range(0, len(a), _kernels.OCT_CHUNK):
+        x, y = a[lo:lo + _kernels.OCT_CHUNK], b[lo:lo + _kernels.OCT_CHUNK]
+        norm_xy = norm(x) * norm(y)
+        worst.append((np.abs(norm(oct_mul_batch(x, y)) - norm_xy) / norm_xy).max())
+    return float(np.max(worst))
+
+
 def oct_conj(x):
     """Conjugates of a ``(..., 8)`` stack: the e1..e7 parts negated."""
     out = x.copy()

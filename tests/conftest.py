@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ def rng():
 def example(name):
     """The spec ``examples/<name>.json`` as a dict."""
     return json.loads((EXAMPLES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def peak_traced_bytes(f, *args):
+    """The peak of the memory ``tracemalloc`` sees allocated during ``f(*args)``."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def build_spec(spec):

@@ -11,6 +11,7 @@ from conftest import (
     line_flip_automorphism,
     oracle_associative,
     oracle_inverse_property,
+    peak_traced_bytes,
     signed_basis_loop,
     symmetric_group_table,
 )
@@ -294,12 +295,56 @@ def test_scans_match_loop_oracle():
     assert min(noise) > 0
 
 
+def _whole_array_counts(t, a, b, c):
+    """The sampled counts as one pass over all triples: the formula the
+    blocked scan replaced, kept as its reference."""
+    n = t.shape[0]
+    flat = t.ravel()
+
+    def m(x, y):
+        return flat[x * n + y]
+
+    def violations(lhs, rhs):
+        return int(np.count_nonzero(lhs != rhs))
+
+    ab, bc, ac, ca, ba = m(a, b), m(b, c), m(a, c), m(c, a), m(b, a)
+    a_bc, ab_a, a_b_ac = m(a, bc), m(ab, a), m(a, m(b, ac))
+    return (
+        violations(m(ab, c), a_bc),
+        violations(m(ab_a, c), a_b_ac),
+        violations(m(m(ba, c), a), m(b, m(a, ca))),
+        violations(m(ab, ca), m(a_bc, a)),
+        violations(a_b_ac, m(m(a, ba), c)),
+        violations(m(m(ca, b), a), m(c, ab_a)),
+    )
+
+
 def test_sampled_scan_matches_loop_oracle():
     rng = np.random.default_rng(11)
     for t in _oracle_tables():
         aa, bb, cc = rng.integers(0, t.shape[0], size=(3, 400))
         triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
         assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_counts(t, triples)
+        assert _whole_array_counts(t, aa, bb, cc) == _oracle_counts(t, triples)
+    # one triple, and triple counts on either side of one and two whole
+    # blocks, against the whole-array formula checked above
+    block = _kernels.SCAN_BLOCK
+    latin = CayleyTable(66, _isotope(rng, cyclic_table(66).table)).table
+    noise = CayleyTable(100, rng.integers(0, 100, size=(100, 100))).table
+    for size in (1, block - 1, block, block + 1, 2 * block + 1):
+        for t in (latin, noise):
+            aa, bb, cc = rng.integers(0, t.shape[0], size=(3, size))
+            assert _kernels.sampled_scans(t, aa, bb, cc) == _whole_array_counts(t, aa, bb, cc)
+            # every identity fails on the last triple, so a lost last block shows
+            assert _whole_array_counts(t, aa[-1:], bb[-1:], cc[-1:]) == (1,) * 6
+
+
+def test_sampled_scan_memory_is_bounded_by_its_blocks():
+    # the whole-array formula's temporaries peak at 10.4 MB here
+    rng = np.random.default_rng(3)
+    t = CayleyTable(100, rng.integers(0, 100, size=(100, 100))).table
+    aa, bb, cc = rng.integers(0, 100, size=(3, 200_000))
+    assert peak_traced_bytes(_kernels.sampled_scans, t, aa, bb, cc) < 3_000_000
 
 
 def _isotope(rng, t):
