@@ -422,6 +422,11 @@ class AxiomReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def _worst(*stacks):
+    """Largest row norm of the stacks; ``max`` skips a NaN row."""
+    return max([0.0] + [float(np.linalg.norm(row)) for rows in stacks for row in rows])
+
+
 def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     """Sampled axiom audit: units, submersions, unities associativity, the
     anchor-morphism property, translation invertibility on fibers, and
@@ -433,15 +438,8 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     norm of one row: an ``axis=`` norm can round differently.
     """
 
-    def norms(rows):
-        return [float(np.linalg.norm(row)) for row in rows]
-
-    def worst(*stacks):
-        """Largest row norm of the stacks; ``max`` skips a NaN row."""
-        return max([0.0] + [v for rows in stacks for v in norms(rows)])
-
     def defined(x, y):
-        return np.array(norms(q.beta(x) - q.alpha(y))) < COMPOSABLE_TOL
+        return np.array([np.linalg.norm(row) for row in q.beta(x) - q.alpha(y)]) < COMPOSABLE_TOL
 
     def on_fibers(point_jacs, product_jacs, points, translate):
         """(min sv, residual) of ``translate`` between side-map fibers; (inf,
@@ -464,23 +462,23 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     rng = np.random.default_rng(seed)
     us = q.sample_m(rng, n_samples)
     es = q.unit_embed(us)
-    unit_sec = worst(q.alpha(es) - us, q.beta(es) - us)
+    unit_sec = _worst(q.alpha(es) - us, q.beta(es) - us)
 
     pairs = sample_composable_pairs(q, rng, n_samples)
     gs, hs = pairs[:, 0], pairs[:, 1]
     ags, bgs, bhs = q.alpha(gs), q.beta(gs), q.beta(hs)
     eas, ebs = q.unit_embed(ags), q.unit_embed(bgs)
     ghs = q.mul(gs, hs)
-    right_unit = worst(q.mul(gs, ebs) - gs)
-    left_unit = worst(q.mul(eas, gs) - gs)
+    right_unit = _worst(q.mul(gs, ebs) - gs)
+    left_unit = _worst(q.mul(eas, gs) - gs)
 
     ja_g, ja_h, ja_gh = np.split(complex_jacobian(q.alpha, np.concatenate([gs, hs, ghs])), 3)
     jb_g, jb_gh = np.split(complex_jacobian(q.beta, np.concatenate([gs, ghs])), 2)
     a_min = min([np.inf] + [smallest_singular_value(j) for j in ja_g])
     b_min = min([np.inf] + [smallest_singular_value(j) for j in jb_g])
 
-    a_anchor = worst(q.alpha(ghs) - ags)
-    b_anchor = worst(q.beta(ghs) - bhs)
+    a_anchor = _worst(q.alpha(ghs) - ags)
+    b_anchor = _worst(q.beta(ghs) - bhs)
 
     # unities associativity with definedness bookkeeping, unit in each slot
     ua_resid, ua_mismatch = 0.0, 0
@@ -488,7 +486,7 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         xy, yz = q.mul(x, y), q.mul(y, z)
         lhs_def = defined(x, y) & defined(xy, z)
         rhs_def = defined(y, z) & defined(x, yz)
-        ua_resid = max(ua_resid, worst((q.mul(xy, z) - q.mul(x, yz))[lhs_def & rhs_def]))
+        ua_resid = max(ua_resid, _worst((q.mul(xy, z) - q.mul(x, yz))[lhs_def & rhs_def]))
         ua_mismatch += int(np.sum(lhs_def != rhs_def))
 
     # translations restricted to fiber directions: left translation by g
@@ -503,9 +501,9 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         # definedness is part of the property: a composability gap in
         # g^{-1}(gh) or (gh)h^{-1} counts against the residual
         gis, his = q.inverse(gs), q.inverse(hs)
-        lip = worst(q.beta(gis) - q.alpha(ghs), q.mul(gis, ghs) - hs)
-        rip = worst(q.beta(ghs) - q.alpha(his), q.mul(ghs, his) - gs)
-        ipid = worst(q.mul(gs, gis) - eas, q.mul(gis, gs) - ebs, q.inverse(gis) - gs)
+        lip = _worst(q.beta(gis) - q.alpha(ghs), q.mul(gis, ghs) - hs)
+        rip = _worst(q.beta(ghs) - q.alpha(his), q.mul(ghs, his) - gs)
+        ipid = _worst(q.mul(gs, gis) - eas, q.mul(gis, gs) - ebs, q.inverse(gis) - gs)
 
     submersions_ok = q.dim_m == 0 or (a_min > 1e-7 and b_min > 1e-7)
     translations_ok = (

@@ -57,6 +57,12 @@ def oct_mul_batch(a, b):
     return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), GATHER_INDEX, GATHER_SIGN).reshape(a.shape)
 
 
+def _blocks_max(defect, *stacks):
+    """The largest ``defect`` of ``_kernels.OCT_CHUNK``-row blocks: the whole-array max, bit for bit."""
+    chunk = _kernels.OCT_CHUNK
+    return float(np.max([defect(*(s[lo:lo + chunk] for s in stacks)) for lo in range(0, len(stacks[0]), chunk)]))
+
+
 def norm_defect(a, b):
     """The largest ``| |ab| - |a||b| | / (|a||b|)`` over the rows of two
     ``(N, 8)`` stacks, in blocks of ``_kernels.OCT_CHUNK`` rows.
@@ -67,12 +73,19 @@ def norm_defect(a, b):
     def norm(x):
         return np.sqrt(np.add.reduce(x * x, axis=1))
 
-    worst = []
-    for lo in range(0, len(a), _kernels.OCT_CHUNK):
-        x, y = a[lo:lo + _kernels.OCT_CHUNK], b[lo:lo + _kernels.OCT_CHUNK]
+    def defect(x, y):
         norm_xy = norm(x) * norm(y)
-        worst.append((np.abs(norm(oct_mul_batch(x, y)) - norm_xy) / norm_xy).max())
-    return float(np.max(worst))
+        return (np.abs(norm(oct_mul_batch(x, y)) - norm_xy) / norm_xy).max()
+
+    return _blocks_max(defect, a, b)
+
+
+def moufang_defect(u1, u2, u3):
+    """The largest ``|((u1 u2) u1) u3 - u1 (u2 (u1 u3))|`` entry over the rows
+    of three ``(N, 8)`` stacks, in blocks of ``_kernels.OCT_CHUNK`` rows."""
+    lhs = lambda a, x, y: oct_mul_batch(oct_mul_batch(oct_mul_batch(a, x), a), y)
+    rhs = lambda a, x, y: oct_mul_batch(a, oct_mul_batch(x, oct_mul_batch(a, y)))
+    return _blocks_max(lambda *block: np.abs(lhs(*block) - rhs(*block)).max(), u1, u2, u3)
 
 
 def oct_conj(x):

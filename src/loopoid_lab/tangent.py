@@ -1,10 +1,12 @@
 """Tangent multiplication and the two cotangent fibrations.
 
 The tangent product of (g, v_g) and (h, v_h) with matching base velocity
-v_q = T beta(v_g) = T alpha(v_h) is the derivative of the chart
-multiplication along the composable pair, T m(v_g, v_h): one complex step
-of ``mul``.  The paper assembles it from local sections through the
-factors,
+v_q = T beta(v_g) = T alpha(v_h) sits over g h, and its vector is the
+derivative of the chart multiplication along the composable pair,
+T m(v_g, v_h).  ``tangent_product`` takes it by one complex step of ``mul``,
+on one point or on the rows of ``(N, dim_g)`` stacks, so the audit runs on
+the stack of its samples.  The paper assembles the vector from local
+sections through the factors,
 
     T r_tau(v_g) + T l_sigma(v_h) - T (l_sigma o r_tau)(v_q),
 
@@ -18,13 +20,11 @@ fibrations of T*G over the dual of the normal bundle, obtained by pairing a
 covector with the left (respectively right) fundamental fields.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebroid import ALIGNED, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
-from .loopoids import build_local_section, composable, sample_composable_pairs
+from .loopoids import COMPOSABLE_TOL, _worst, build_local_section, sample_composable_pairs
 from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
 
 # tangent translations count as injective while their least singular value
@@ -32,61 +32,38 @@ from .numdiff import complex_jacobian, complex_step, directional, null_space, sm
 INJECTIVE_SV = 1e-7
 
 
-@dataclass(frozen=True)
-class TangentElement:
-    base: np.ndarray
-    vector: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.base, dtype=float)
-        v = np.asarray(self.vector, dtype=float)
-        if b.shape != v.shape:
-            raise ValueError(f"base shape {b.shape} != vector shape {v.shape}")
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "vector", v)
+def _along(f, x, v):
+    """Complex step of f at x along v, or at each row of a stack along its row of v."""
+    return complex_step(f, x, v[..., None, :])[..., 0, :]
 
 
-def tangent_translation(q, xg, h):
-    """The product X_g * (h, v_h) as a map of v_h: ``(g h, times)``.
+def _refuse(bad, value, error, message):
+    """Raise ``error`` with the ``value`` of the first bad row, naming the row of a stack."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(message.format(row=f" at row {i}" if np.ndim(bad) else "", value=np.ravel(value)[i]))
 
-    ``times`` maps a ``(k, dim_g)`` stack of v_h to the product vectors
-    T m(v_g, v_h), by one complex step of ``mul`` at (g, h) along the k
-    directions (v_g, v_h).  The base velocity is T beta(v_g); a mismatch
-    with T alpha(v_h) beyond 1e-7 raises, a smaller one is absorbed by
-    snapping v_h's base component.
+
+def tangent_product(q, g, vg, h, vh):
+    """The vector T m(v_g, v_h) of the tangent product of (g, v_g) and
+    (h, v_h) over ``q.mul(g, h)``, for one point or the rows of ``(N, dim_g)``
+    stacks: one complex step of ``mul`` at (g, h) along (v_g, v_h).
+
+    A pair off the composability slab raises ``NotComposable``, a base
+    velocity mismatch |T alpha(v_h) - T beta(v_g)| above 1e-7 raises
+    ``IncompatibleVelocities``; on a stack both name the first failing row.
     """
-    g, vg = xg.base, xg.vector
-    if not composable(q, g, h):
-        raise NotComposable("tangent factors sit over a non-composable pair")
-    ja_h = complex_jacobian(q.alpha, h)
-    vq = complex_step(q.beta, g, vg)
-    n = q.dim_g
-
-    def snap(vh):
-        mismatch = float(np.linalg.norm(ja_h @ vh - vq))
-        if mismatch > 1e-7:
-            raise IncompatibleVelocities(f"base velocities differ by {mismatch:.2e}")
-        if mismatch > 0:
-            corr, *_ = np.linalg.lstsq(ja_h, ja_h @ vh - vq, rcond=None)
-            vh = vh - corr
-        return vh
-
-    def times(vhs):
-        dirs = np.array([np.concatenate([vg, snap(vh)]) for vh in vhs])
-        return complex_step(lambda gh: q.mul(gh[..., :n], gh[..., n:]), np.concatenate([g, h]), dirs)
-
-    return q.mul(g, h), times
-
-
-def tangent_multiply(q, xg, yh):
-    """Product of tangent elements: one row of ``tangent_translation``."""
-    base, times = tangent_translation(q, xg, yh.base)
-    return TangentElement(base, times(yh.vector[None])[0])
+    gap = np.linalg.norm(q.beta(g) - q.alpha(h), axis=-1)
+    _refuse(~(gap < COMPOSABLE_TOL), gap, NotComposable, "tangent factors not composable{row}: gap {value:.2e}")
+    mismatch = np.linalg.norm(_along(q.alpha, h, vh) - _along(q.beta, g, vg), axis=-1)
+    _refuse(mismatch > 1e-7, mismatch, IncompatibleVelocities, "base velocities differ{row} by {value:.2e}")
+    mul = lambda gh: q.mul(*np.split(gh, 2, axis=-1))
+    return _along(mul, np.concatenate([g, h], axis=-1), np.concatenate([vg, vh], axis=-1))
 
 
 def section_product(q, g, vg, h, vh):
     """The product vector by the paper's local-section formula, the witness
-    of ``tangent_translation``'s chain rule.
+    of ``tangent_product``'s chain rule.
 
     sigma and tau are Newton-projected sections through g and h seeded
     along the unit embedding, so each term is differenced centrally
@@ -106,7 +83,9 @@ def section_product(q, g, vg, h, vh):
 
 
 def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
-    """Sampled audit of the tangent structure.
+    """Sampled audit of the tangent structure on the stack of samples, as in
+    ``loopoids.check_axioms``; only the velocity-matching lstsq and the
+    witness run per sample.
 
     Checks T alpha(X * Y) = T alpha(X), T beta(X * Y) = T beta(Y), the unit
     action of T eps vectors, injectivity of v_h -> X * Y_h on tangent
@@ -117,50 +96,39 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     audit).
     """
     rng = np.random.default_rng(seed)
-    pairs = sample_composable_pairs(q, rng, n_samples)
-    anchor_resid = 0.0
-    unit_resid = 0.0
-    section_resid = 0.0
-    inv_resid = 0.0 if q.inverse is not None and q.inverse_side == "both" else None
-    min_rank_sv = np.inf
+    gs, hs = np.moveaxis(sample_composable_pairs(q, rng, n_samples), 1, 0)
+    vgs, vhs = np.moveaxis(rng.normal(size=(n_samples, 2, q.dim_g)), 1, 0)
+    ja_h = complex_jacobian(q.alpha, hs)
+    # match v_h's base velocity to v_g's exactly up to lstsq
+    for jac, vh, vq in zip(ja_h, vhs, _along(q.beta, gs, vgs)):
+        vh -= np.linalg.lstsq(jac, jac @ vh - vq, rcond=None)[0]
+    base, pv = q.mul(gs, hs), tangent_product(q, gs, vgs, hs, vhs)
 
-    for g, h in pairs:
-        ja_h = complex_jacobian(q.alpha, h)
-        vg = rng.normal(size=q.dim_g)
-        # match v_h's base velocity to v_g's exactly up to lstsq
-        vh = rng.normal(size=q.dim_g)
-        corr, *_ = np.linalg.lstsq(ja_h, ja_h @ vh - complex_step(q.beta, g, vg), rcond=None)
-        vh = vh - corr
-        base, times = tangent_translation(q, TangentElement(g, vg), h)
-        pv = times(vh[None])[0]
+    anchor_resid = _worst(
+        _along(q.alpha, base, pv) - _along(q.alpha, gs, vgs),
+        _along(q.beta, base, pv) - _along(q.beta, hs, vhs),
+        q.alpha(base) - q.alpha(gs),
+        q.beta(base) - q.beta(hs),
+    )
 
-        anchor_resid = max(
-            anchor_resid,
-            float(np.linalg.norm(complex_step(q.alpha, base, pv) - complex_step(q.alpha, g, vg))),
-            float(np.linalg.norm(complex_step(q.beta, base, pv) - complex_step(q.beta, h, vh))),
-            float(np.linalg.norm(q.alpha(base) - q.alpha(g))),
-            float(np.linalg.norm(q.beta(base) - q.beta(h))),
-        )
+    # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
+    us, ws = q.alpha(hs), _along(q.alpha, hs, vhs)
+    unit_resid = _worst(tangent_product(q, q.unit_embed(us), _along(q.unit_embed, us, ws), hs, vhs) - vhs)
 
-        # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
-        u = q.alpha(h)
-        unit_el = TangentElement(q.unit_embed(u), complex_step(q.unit_embed, u, ja_h @ vh))
-        lhs = tangent_multiply(q, unit_el, TangentElement(h, vh))
-        unit_resid = max(unit_resid, float(np.linalg.norm(lhs.vector - vh)))
+    # section-choice independence: the section formula against the chain rule
+    section_resid = _worst([section_product(q, *sample) for sample in zip(gs, vgs, hs, vhs)] - pv)
 
-        # section-choice independence: the section formula against the chain rule
-        section_resid = max(section_resid, float(np.linalg.norm(section_product(q, g, vg, h, vh) - pv)))
+    # injectivity of v_h -> product vector on the alpha-fiber directions; the
+    # product is linear in v_h, so each column is one stacked row less pv
+    fibs = null_space(ja_h)
+    rows = [i for i, fib in enumerate(fibs) for _ in fib]
+    cols = tangent_product(q, gs[rows], vgs[rows], hs[rows], vhs[rows] + np.concatenate(fibs))
+    blocks = np.split(cols - pv[rows], np.cumsum([len(fib) for fib in fibs])[:-1])
+    min_rank_sv = min([np.inf] + [smallest_singular_value(block) for block in blocks])
 
-        # injectivity of v_h -> product vector on the alpha-fiber directions;
-        # the product is linear in v_h, so each column is one stacked row less pv
-        fib = null_space(ja_h)
-        if fib.shape[0]:
-            min_rank_sv = min(min_rank_sv, smallest_singular_value(times(vh + fib) - pv))
-
-        if inv_resid is not None:
-            inv_el = TangentElement(q.inverse(g), complex_step(q.inverse, g, vg))
-            back = tangent_multiply(q, inv_el, TangentElement(base, pv))
-            inv_resid = max(inv_resid, float(np.linalg.norm(back.vector - vh)))
+    inv_resid = None
+    if q.inverse is not None and q.inverse_side == "both":
+        inv_resid = _worst(tangent_product(q, q.inverse(gs), _along(q.inverse, gs, vgs), base, pv) - vhs)
 
     return {
         "anchor_residual": anchor_resid,
@@ -168,13 +136,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
         "section_choice_residual": section_resid,
         "tangent_translation_min_sv": float(min_rank_sv),
         "tangent_inverse_residual": inv_resid,
-        "ok": bool(
-            anchor_resid < tol
-            and unit_resid < tol
-            and section_resid < tol
-            and min_rank_sv > INJECTIVE_SV
-            and (inv_resid is None or inv_resid < tol)
-        ),
+        "ok": bool(max(anchor_resid, unit_resid, section_resid, inv_resid or 0.0) < tol and min_rank_sv > INJECTIVE_SV),
     }
 
 

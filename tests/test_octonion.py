@@ -12,6 +12,7 @@ from loopoid_lab.octonion import (
     MUL_INDEX,
     MUL_SIGN,
     format_expression,
+    moufang_defect,
     norm_defect,
     oct_conj,
     oct_inverse,
@@ -181,6 +182,27 @@ def test_moufang_identity_on_unit_octonions():
     lhs = oct_mul_batch(oct_mul_batch(oct_mul_batch(a, x), a), y)
     rhs = oct_mul_batch(a, oct_mul_batch(x, oct_mul_batch(a, y)))
     assert float(np.abs(lhs - rhs).max()) < 1e-9
+
+
+def _whole_array_moufang_defect(u1, u2, u3):
+    """``moufang_defect`` as six whole-length products, its reference."""
+    lhs = oct_mul_batch(oct_mul_batch(oct_mul_batch(u1, u2), u1), u3)
+    rhs = oct_mul_batch(u1, oct_mul_batch(u2, oct_mul_batch(u1, u3)))
+    return float(np.abs(lhs - rhs).max())
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
+def test_moufang_defect_matches_whole_array_products_bit_for_bit(n):
+    rng = np.random.default_rng(3000 + n)
+    units = [random_unit_octonions(rng, n) for _ in range(3)]
+    assert moufang_defect(*units).hex() == _whole_array_moufang_defect(*units).hex()
+
+
+def test_moufang_defect_memory_is_bounded_by_its_blocks():
+    # the six whole-length products peak at 5.1 MB here, the blocks at 0.9 MB
+    rng = np.random.default_rng(6)
+    units = [random_unit_octonions(rng, 20_000) for _ in range(3)]
+    assert peak_traced_bytes(moufang_defect, *units) < 1_500_000
 
 
 def test_inverse_values():

@@ -4,7 +4,7 @@ Stencils evaluate all their points in one call, so every map a spec can
 build must give, bit for bit, the rows it gives one point at a time.  The
 cases are every loop, loopoid, algebroid and system spec in ``examples/``,
 plus the constructions no example reaches.  The maps built on them keep
-the contract too: prolongations, the frames of a stack of units,
+the contract too: prolongations, tangent products, the frames of a stack of units,
 derivatives along stacked bases and the step map's residual; and each
 differencing routine, ``complex_step`` included, calls its map once, as
 the frame field does for each request.  The chart maps and Lagrangians also keep a
@@ -21,11 +21,20 @@ import pytest
 from conftest import EXAMPLES, example, lie_bracket
 from loopoid_lab import mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
-from loopoid_lab.loopoids import SplitFibration
+from loopoid_lab.loopoids import SplitFibration, sample_composable_pairs
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import COMPLEX_STEP, complex_step, directional, jacobian, null_space, smallest_singular_value
+from loopoid_lab.numdiff import (
+    COMPLEX_STEP,
+    complex_jacobian,
+    complex_step,
+    directional,
+    jacobian,
+    null_space,
+    smallest_singular_value,
+)
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
+from loopoid_lab.tangent import tangent_product
 
 SPECS = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted(EXAMPLES.glob("*.json"))}
 
@@ -214,6 +223,21 @@ def test_prolong_on_rows_equals_single_calls(name, side, orientation):
         rows = prolong(q, ff, coeffs, side, g, orientation)
         assert rows.shape == (4,) + coeffs.shape[:-1] + (q.dim_g,)
         assert np.array_equal(rows, by_rows(lambda p: prolong(q, ff, coeffs, side, p, orientation), g))
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_tangent_product_on_rows_equals_single_calls(name):
+    q = build_loopoid(LOOPOIDS[name], "$.body")
+    rng = np.random.default_rng(15)
+    pairs = sample_composable_pairs(q, rng, 3)
+    g, h = pairs[:, 0], pairs[:, 1]
+    vg, vh = rng.normal(size=(2, 3, q.dim_g))
+    # match each v_h's base velocity to its v_g's
+    for jac, v, target in zip(complex_jacobian(q.alpha, h), vh, complex_step(q.beta, g, vg[:, None])[:, 0]):
+        v -= np.linalg.lstsq(jac, jac @ v - target, rcond=None)[0]
+    vector = tangent_product(q, g, vg, h, vh)
+    assert vector.shape == (3, q.dim_g)
+    assert np.array_equal(vector, by_rows(lambda *row: tangent_product(q, *row), g, vg, h, vh))
 
 
 def test_directional_stacked_bases_equal_single_bases():

@@ -16,12 +16,7 @@ from loopoid_lab.loopoids import (
     sample_composable_pairs,
 )
 from loopoid_lab.loops import octonion_chart
-from loopoid_lab.tangent import (
-    TangentElement,
-    check_tangent_loopoid,
-    cotangent_fibration,
-    tangent_multiply,
-)
+from loopoid_lab.tangent import check_tangent_loopoid, cotangent_fibration, tangent_product
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +28,9 @@ def test_tangent_product_cubic_line_closed_form(cubic_loopoid, rng):
     for _ in range(30):
         x, y = rng.normal(scale=0.5, size=2)
         vx, vy = rng.normal(size=2)
-        out = tangent_multiply(
-            cubic_loopoid, TangentElement([x], [vx]), TangentElement([y], [vy])
-        )
-        assert abs(out.base[0] - (x + y + x * x * y)) < 1e-12
-        assert abs(out.vector[0] - (vx * (1 + 2 * x * y) + vy * (1 + x * x))) < 1e-8
+        vector = tangent_product(cubic_loopoid, np.array([x]), np.array([vx]), np.array([y]), np.array([vy]))
+        assert abs(cubic_loopoid.mul(np.array([x]), np.array([y]))[0] - (x + y + x * x * y)) < 1e-12
+        assert abs(vector[0] - (vx * (1 + 2 * x * y) + vy * (1 + x * x))) < 1e-8
 
 
 def test_tangent_units_act_trivially(rng):
@@ -48,11 +41,9 @@ def test_tangent_units_act_trivially(rng):
     vh = rng.normal(size=6)
     u = np.asarray(q.alpha(h))
     w = jacobian(q.alpha, h, 1e-5) @ vh
-    unit_el = TangentElement(q.unit_embed(u), jacobian(q.unit_embed, u, 1e-5) @ w)
-    yh = TangentElement(h, vh)
-    out = tangent_multiply(q, unit_el, yh)
-    assert np.allclose(out.base, h, atol=1e-10)
-    assert np.allclose(out.vector, vh, atol=1e-8)
+    vector = tangent_product(q, q.unit_embed(u), jacobian(q.unit_embed, u, 1e-5) @ w, h, vh)
+    assert np.allclose(q.mul(q.unit_embed(u), h), h, atol=1e-10)
+    assert np.allclose(vector, vh, atol=1e-8)
 
 
 def test_tangent_product_componentwise_on_product_instance(rng):
@@ -64,13 +55,11 @@ def test_tangent_product_componentwise_on_product_instance(rng):
         vg = rng.normal(size=6)
         vh = rng.normal(size=6)
         vh[2:4] = vg[4:6]  # matching base velocity
-        out = tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
-        loop_part = tangent_multiply(
-            ql, TangentElement(g[:2], vg[:2]), TangentElement(h[:2], vh[:2])
-        )
-        assert np.allclose(out.vector[:2], loop_part.vector, atol=1e-6)
-        assert np.allclose(out.vector[2:4], vg[2:4], atol=1e-8)
-        assert np.allclose(out.vector[4:6], vh[4:6], atol=1e-8)
+        vector = tangent_product(q, g, vg, h, vh)
+        loop_part = tangent_product(ql, g[:2], vg[:2], h[:2], vh[:2])
+        assert np.allclose(vector[:2], loop_part, atol=1e-6)
+        assert np.allclose(vector[2:4], vg[2:4], atol=1e-8)
+        assert np.allclose(vector[4:6], vh[4:6], atol=1e-8)
 
 
 def test_tangent_rejects_bad_pairs(rng):
@@ -78,13 +67,31 @@ def test_tangent_rejects_bad_pairs(rng):
     g = q.sample_g(rng, 1)[0]
     h = q.sample_g(rng, 1)[0]  # generically not composable
     with pytest.raises(NotComposable):
-        tangent_multiply(q, TangentElement(g, np.zeros(6)), TangentElement(h, np.zeros(6)))
+        tangent_product(q, g, np.zeros(6), h, np.zeros(6))
     g2, h2 = sample_composable_pairs(q, rng, 1)[0]
     vg = rng.normal(size=6)
     vh = rng.normal(size=6)
     vh[2:4] = vg[4:6] + 5.0  # incompatible base velocities
     with pytest.raises(IncompatibleVelocities):
-        tangent_multiply(q, TangentElement(g2, vg), TangentElement(h2, vh))
+        tangent_product(q, g2, vg, h2, vh)
+
+
+@pytest.mark.parametrize("error", [NotComposable, IncompatibleVelocities])
+def test_a_bad_row_of_a_stack_is_named(rng, error):
+    q = product_loopoid(planar_feedback_chart(), 2)
+    pairs = sample_composable_pairs(q, rng, 3)
+    g, h = pairs[:, 0], pairs[:, 1].copy()
+    vg, vh = rng.normal(size=(2, 3, 6))
+    vh[:, 2:4] = vg[:, 4:6]  # matching base velocities
+    if error is NotComposable:
+        h[1, 2:4] += 0.5  # alpha(h) is the middle leg: the gap is |(0.5, 0.5)|
+        message = "tangent factors not composable at row 1: gap 7.07e-01"
+    else:
+        vh[1, 2:4] += 5.0
+        message = "base velocities differ at row 1 by 7.07e+00"
+    with pytest.raises(error) as caught:
+        tangent_product(q, g, vg, h, vh)
+    assert str(caught.value) == message
 
 
 def test_check_tangent_loopoid_product_h():
@@ -125,7 +132,7 @@ def test_curve_oracle_agreement(rng):
         vg = rng.normal(size=6)
         vh = rng.normal(size=6)
         vh[2:4] = vg[4:6]
-        prod = tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
+        prod = tangent_product(q, g, vg, h, vh)
 
         def curve(t):
             gc = g + t * vg
@@ -136,7 +143,7 @@ def test_curve_oracle_agreement(rng):
 
         step = 1e-6
         oracle = (curve(step) - curve(-step)) / (2.0 * step)
-        worst = max(worst, float(np.abs(prod.vector - oracle).max()))
+        worst = max(worst, float(np.abs(prod - oracle).max()))
     assert worst < 1e-6
 
 
@@ -178,9 +185,9 @@ def test_cotangent_componentwise_on_product(rng):
 def test_no_cotangent_multiplication_is_exposed():
     # the double fibration is the whole cotangent interface: there is no
     # well-defined covector product to offer
-    exported = [name for name in dir(tangent_module) if "mul" in name.lower()]
-    assert "tangent_multiply" in exported
-    assert not any("cotangent" in name.lower() and "mul" in name.lower() for name in exported)
+    exported = [name.lower() for name in dir(tangent_module) if "mul" in name.lower() or "product" in name.lower()]
+    assert "tangent_product" in exported
+    assert not any("cotangent" in name for name in exported)
 
 
 def count_calls(monkeypatch, module, name):
@@ -207,15 +214,14 @@ def test_tangent_audit_builds_sections_only_for_the_witness(monkeypatch, q, n_sa
     assert [side for _, side, _ in builds] == ["beta", "alpha"] * n_samples
 
 
-def test_tangent_multiply_solves_nothing(rng, monkeypatch):
+def test_tangent_product_solves_nothing(rng, monkeypatch):
     q = product_loopoid(planar_feedback_chart(), 2)
     g, h = sample_composable_pairs(q, rng, 1)[0]
     vg = rng.normal(size=6)
     vh = rng.normal(size=6)
     vh[2:4] = vg[4:6]
     solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
-    out = tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
-    assert np.all(np.isfinite(out.vector))
+    assert np.all(np.isfinite(tangent_product(q, g, vg, h, vh)))
     assert solves == []
 
 
@@ -256,5 +262,5 @@ def test_velocity_mismatch_raises_before_section_work(rng, monkeypatch):
     builds = count_calls(monkeypatch, tangent_module, "build_local_section")
     solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
     with pytest.raises(IncompatibleVelocities):
-        tangent_multiply(q, TangentElement(g, vg), TangentElement(h, vh))
+        tangent_product(q, g, vg, h, vh)
     assert builds == [] and solves == []
