@@ -10,7 +10,10 @@ both frames taken at the shared unit beta(g) = alpha(h).  The two discrete
 Legendre transforms are the same directional derivatives taken one-sided:
 F+L pairs dL with the left fields (valued at beta(g)), F-L with the right
 fields (valued at alpha(g)), so a step map gamma satisfies
-F-L(gamma(g)) = F+L(g) identically.
+F-L(gamma(g)) = F+L(g) identically.  They are the two cotangent fibrations
+of T*G over the dual of the normal bundle, beta~ and alpha~, applied to dL;
+the package has no fibration apart from them, and no product of covectors,
+which is not well defined on a loopoid.
 
 The fundamental fields and the derivatives of L along them are complex
 steps (``numdiff.complex_step``), so the Legendre transforms and the step
@@ -44,15 +47,13 @@ from typing import Callable
 import numpy as np
 
 from .algebroid import ALIGNED, make_frame_field, prolong
-from .errors import LoopoidLabError, NotComposable
+from .errors import LoopoidLabError, NotComposable, NumericalNoise
 from .loopoids import composable
 from .newton import newton_solve
 from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
-from .tangent import cotangent_fibration
 
 
-# the step map's Newton tolerance on the residual norm; simulate's
-# Euler-Lagrange check allows ten times it
+# the step map's Newton tolerance on the residual norm
 STEP_TOL = 1e-10
 
 
@@ -95,27 +96,20 @@ def el_residual(system, g, h, *, check=True):
 
 
 def legendre(system, side, g):
-    """F+L(g) ("plus") or F-L(g) ("minus") as dual-frame components."""
-    if side == "plus":
-        return _derivative_along(system, "left", g)
-    if side == "minus":
-        return _derivative_along(system, "right", g)
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    """F+L(g) ("plus") or F-L(g) ("minus") as dual-frame components, at a
+    point or at each row of an ``(N, dim_g)`` stack.
 
-
-def legendre_vs_cotangent(system, g):
-    """Residual of F(+/-)L against the cotangent fibrations applied to dL."""
-    q = system.loopoid
-    ff = system.frames
-    dl = complex_step(system.lagrangian, g, np.eye(q.dim_g))
-    plus = legendre(system, "plus", g)
-    minus = legendre(system, "minus", g)
-    via_beta = cotangent_fibration(q, "beta", g, dl, ff)
-    via_alpha = cotangent_fibration(q, "alpha", g, dl, ff, orientation=system.orientation)
-    return max(
-        float(np.max(np.abs(plus - via_beta))),
-        float(np.max(np.abs(minus - via_alpha))),
-    )
+    A transform that is not finite, as where the Lagrangian overflows,
+    raises ``NumericalNoise`` naming the side and the first such point.
+    """
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    value = _derivative_along(system, "left" if side == "plus" else "right", g)
+    bad = ~np.all(np.isfinite(value), axis=-1)
+    if np.any(bad):
+        point = g[np.argmax(bad)] if bad.ndim else g
+        raise NumericalNoise(f"the {side} Legendre transform is not finite at {np.asarray(point).tolist()}")
+    return value
 
 
 def step_solve(system, g):

@@ -1,4 +1,4 @@
-"""Tangent multiplication and the two cotangent fibrations.
+"""Tangent multiplication.
 
 The tangent product of (g, v_g) and (h, v_h) with matching base velocity
 v_q = T beta(v_g) = T alpha(v_h) sits over g h, and its vector is the
@@ -14,15 +14,10 @@ sigma a beta-section through g and tau an alpha-section through h; by the
 chain rule the section terms cancel and leave T m(v_g, v_h) for any choice
 of sections.  ``section_product`` keeps that formula as the witness: the
 checker compares it with the chain-rule product, which uses no section.
-
-There is no tangent product on covectors; the module only exposes the two
-fibrations of T*G over the dual of the normal bundle, obtained by pairing a
-covector with the left (respectively right) fundamental fields.
 """
 
 import numpy as np
 
-from .algebroid import ALIGNED, prolong
 from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
 from .loopoids import COMPOSABLE_TOL, _worst, build_local_section, sample_composable_pairs
 from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
@@ -138,19 +133,3 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
         "tangent_inverse_residual": inv_resid,
         "ok": bool(max(anchor_resid, unit_resid, section_resid, inv_resid or 0.0) < tol and min_rank_sv > INJECTIVE_SV),
     }
-
-
-def cotangent_fibration(q, side, g, covector, frame_field, orientation=ALIGNED):
-    """Components of beta~ or alpha~ of the covector at g in the dual frame.
-
-    beta~ pairs the covector with the left fundamental fields and lives over
-    beta(g); alpha~ pairs with the right fields over alpha(g).  The right
-    orientation defaults to the anchor-aligned representatives so the minus
-    Legendre transform of mechanics is exactly alpha~ composed with dL.
-    """
-    if side not in ("alpha", "beta"):
-        raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
-    fields = prolong(
-        q, frame_field, np.eye(q.rank), "left" if side == "beta" else "right", g, orientation
-    )
-    return np.array([covector @ v for v in fields])

@@ -47,6 +47,14 @@ def readme_system():
     return example("readme_system")
 
 
+def linear_system(q, mu):
+    """The system on ``q`` with the linear Lagrangian L(g) = mu . g: its
+    Legendre transforms are the two cotangent fibrations applied to mu."""
+    from loopoid_lab.mechanics import DiscreteLagrangianSystem
+
+    return DiscreteLagrangianSystem(loopoid=q, lagrangian=lambda g: g @ mu)
+
+
 def cross_product_constants():
     """The R^3 cross product as a constants tensor."""
     c = np.zeros((3, 3, 3))

@@ -17,6 +17,7 @@ from conftest import (
     cubic_line_chart,
     cyclic_table,
     line_flip_automorphism,
+    linear_system,
     planar_feedback_chart,
     signed_basis_loop,
     symmetric_group_table,
@@ -54,7 +55,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.numdiff import complex_jacobian, jacobian
-from loopoid_lab.tangent import cotangent_fibration, tangent_product
+from loopoid_lab.tangent import tangent_product
 
 
 def _report(name, detail):
@@ -225,7 +226,6 @@ def test_ac5_almost_lie():
 
 def test_ac6_tangent_cotangent():
     ql = loop_as_loopoid(cubic_line_chart())
-    ff = make_frame_field(ql)
     rng = np.random.default_rng(5)
     worst_tan = 0.0
     worst_cot = 0.0
@@ -236,8 +236,10 @@ def test_ac6_tangent_cotangent():
         expected = vx * (1 + 2 * x * y) + vy * (1 + x * x)
         worst_tan = max(worst_tan, abs(vector[0] - expected))
         p = rng.normal()
-        bt = cotangent_fibration(ql, "beta", np.array([x]), np.array([p]), ff)
-        at = cotangent_fibration(ql, "alpha", np.array([x]), np.array([p]), ff)
+        # the cotangent fibrations of p dx are the Legendre transforms of p x
+        system = linear_system(ql, np.array([p]))
+        bt = legendre(system, "plus", np.array([x]))
+        at = legendre(system, "minus", np.array([x]))
         worst_cot = max(worst_cot, abs(bt[0] - p * (1 + x * x)), abs(at[0] - p))
     assert worst_tan < 1e-8
     assert worst_cot < 1e-7

@@ -13,7 +13,6 @@ from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
     el_residual,
     legendre,
-    legendre_vs_cotangent,
     regularity_check,
     step_solve,
     trajectory,
@@ -187,11 +186,6 @@ def test_legendre_transforms_agree_at_units(kinetic_system):
     minus = legendre(kinetic_system, "minus", e)
     assert np.allclose(plus, minus, atol=1e-8)
     assert np.allclose(plus, [0.0, 0.0, 0.7, -0.2], atol=1e-8)
-
-
-def test_legendre_is_cotangent_fibration_of_dl(kinetic_system, rng):
-    g = kinetic_system.loopoid.sample_g(rng, 1)[0]
-    assert legendre_vs_cotangent(kinetic_system, g) < 1e-7
 
 
 def test_regularity_directional_derivatives(kinetic_system):

@@ -5,8 +5,7 @@ import pytest
 
 import loopoid_lab.loopoids as loopoids_module
 import loopoid_lab.tangent as tangent_module
-from conftest import build_spec, cubic_line_chart, example, planar_feedback_chart
-from loopoid_lab.algebroid import make_frame_field
+from conftest import build_spec, cubic_line_chart, example, linear_system, planar_feedback_chart
 from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
     loop_as_loopoid,
@@ -16,7 +15,8 @@ from loopoid_lab.loopoids import (
     sample_composable_pairs,
 )
 from loopoid_lab.loops import octonion_chart
-from loopoid_lab.tangent import check_tangent_loopoid, cotangent_fibration, tangent_product
+from loopoid_lab.mechanics import legendre
+from loopoid_lab.tangent import check_tangent_loopoid, tangent_product
 
 
 @pytest.fixture(scope="module")
@@ -147,37 +147,38 @@ def test_curve_oracle_agreement(rng):
     assert worst < 1e-6
 
 
+# the cotangent fibrations beta~ and alpha~ of a covector mu are the plus and
+# minus Legendre transforms of the linear Lagrangian mu . g
+
+
 def test_cotangent_fibrations_cubic_line(cubic_loopoid, rng):
-    ff = make_frame_field(cubic_loopoid)
     for _ in range(15):
         x, p = rng.normal(scale=0.6, size=2)
-        beta_val = cotangent_fibration(cubic_loopoid, "beta", np.array([x]), np.array([p]), ff)
-        alpha_val = cotangent_fibration(cubic_loopoid, "alpha", np.array([x]), np.array([p]), ff)
+        system = linear_system(cubic_loopoid, np.array([p]))
+        beta_val = legendre(system, "plus", np.array([x]))
+        alpha_val = legendre(system, "minus", np.array([x]))
         assert abs(beta_val[0] - p * (1 + x * x)) < 1e-7
         assert abs(alpha_val[0] - p) < 1e-7
 
 
 def test_cotangent_at_unit_restricts_to_vertical_basis(rng):
     q = product_loopoid(planar_feedback_chart(), 2)
-    ff = make_frame_field(q)
     u = rng.normal(size=2)
     e = q.unit_embed(u)
     mu = rng.normal(size=6)
-    got = cotangent_fibration(q, "beta", e, mu, ff)
-    fr = ff(u)
-    assert np.allclose(got, fr.alpha_vertical @ mu, atol=1e-8)
+    system = linear_system(q, mu)
+    got = legendre(system, "plus", e)
+    assert np.allclose(got, system.frames(u).alpha_vertical @ mu, atol=1e-8)
 
 
 def test_cotangent_componentwise_on_product(rng):
     loop = cubic_line_chart()
     q = product_loopoid(loop, 1)
     ql = loop_as_loopoid(loop)
-    ff = make_frame_field(q)
-    ffl = make_frame_field(ql)
     g = q.sample_g(rng, 1)[0]
     mu = rng.normal(size=3)
-    got = cotangent_fibration(q, "beta", g, mu, ff)
-    loop_part = cotangent_fibration(ql, "beta", g[:1], mu[:1], ffl)
+    got = legendre(linear_system(q, mu), "plus", g)
+    loop_part = legendre(linear_system(ql, mu[:1]), "plus", g[:1])
     assert abs(got[0] - loop_part[0]) < 1e-7
     assert abs(got[1] - mu[2]) < 1e-8  # beta-leg slot of the covector
 
