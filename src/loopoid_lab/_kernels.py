@@ -1,16 +1,19 @@
-"""Hot kernels: Cayley-table identity scans and batched octonion products.
+"""Hot kernels: Cayley-table identity verdicts and batched octonion products.
 
-The scans are numpy gathers through an ``(n, n)`` integer table whose entries
-index into ``range(n)``, on the full triple range or on sample-index vectors
-(through the raveled table at ``x * n + y``).  They return the number of
-violated instances, so 0 means the identity holds.  The six identities share
-their subproducts: ``(ab)c`` and ``a(bc)`` are associativity's two sides, and
-with ``a(b(ac))`` and ``((ab)c)b`` they serve the Moufang forms and both Bol
-identities too, so the exhaustive scan builds ten ``n^3`` gathers and the
-sampled scan 22 flat-index gathers.  The sampled scan runs in blocks of
-``SCAN_BLOCK`` triples, so its temporaries stay cache-sized, and gathers a
-product that is a left factor from the premultiplied table ``t * n``: that
-product arrives as its row offset, and its flat index costs one addition.
+The table kernels gather through an ``(n, n)`` integer table whose entries
+index into ``range(n)``.  ``light_associative`` decides associativity
+exactly from a generating set, at O(n^2 log n) on a Latin table.  The scans
+decide the three Moufang forms and both Bol identities on all triples, or
+those five and associativity on sample-index vectors (through the raveled
+table at ``x * n + y``).  A scan runs in chunks of about ``SCAN_BLOCK``
+triples, so its temporaries stay cache-sized; each identity is dropped at
+its first violation, and the scan stops once every identity is decided.
+The identities share subproducts such as ``a(b(ac))`` and ``((ab)c)b``,
+so a chunk of the exhaustive scan makes ten gathers of its triples and a
+block of the sampled scan 22 flat-index gathers while every identity is
+open; a subproduct is built only when an open identity needs it.  The sampled scan gathers a product
+that is a left factor from the premultiplied table ``t * n``: that product
+arrives as its row offset, and its flat index costs one addition.
 
 The octonion product is a gather through the signed basis-product table,
 laid out ``[i, k, row]`` so that each output coefficient sums its 8 terms
@@ -18,78 +21,139 @@ over the leading axis, one whole-chunk addition per term.  Each chunk's
 factors are copied contiguously and the terms multiplied in place.
 """
 
+from functools import cache, partial
+
 import numpy as np
 
 # rows per octonion chunk: keeps the [i, k, row] terms near 0.5 MB
 OCT_CHUNK = 1024
-# triples per sampled-scan block: each int64 temporary is 128 KB
+# triples per scan chunk or block: each int64 temporary is 128 KB
 SCAN_BLOCK = 16_384
 
 
-def associative_scan(t):
-    """Count of triples violating (ab)c = a(bc); 0 means associative."""
-    return int(np.count_nonzero(t.take(t, axis=0) != t[:, t]))
+def light_associative(t):
+    """Whether (xy)z = x(yz) on all triples, by Light's associativity test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, 1.2).
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under the
+    product: for two of them, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
+    = x((ab)y).  So the test on a generating set decides the table.  The
+    set is built greedily, each new generator the first element outside
+    the closure of the earlier ones, and the test stops at the first
+    generator that fails.  On a Latin table a proper closed subset holds at
+    most half the elements, so there are at most log2(n) + 1 generators and
+    the cost is O(n^2 log n); on any table it is at most a direct scan's n^3.
+    """
+    n = t.shape[0]
+    closed = np.zeros(n, dtype=bool)
+    members = np.empty(0, dtype=np.intp)
+    while not closed.all():
+        g = int(np.argmin(closed))
+        if not np.array_equal(t[t[:, g]], t[:, t[g]]):  # [x, y] = (xg)y and x(gy)
+            return False
+        new = np.array([g])
+        while new.size:
+            closed[new] = True
+            members = np.concatenate([members, new])
+            reached = np.zeros(n, dtype=bool)
+            reached[t[np.ix_(new, members)]] = True
+            reached[t[np.ix_(members, new)]] = True
+            new = np.flatnonzero(reached & ~closed)
+    return True
 
 
 def identity_scans(t):
-    """Violation counts over all triples of associativity, the three Moufang
-    forms, left Bol and right Bol, in that order.
+    """Verdicts over all triples of the three Moufang forms, left Bol and
+    right Bol, in that order: the five identities that associativity
+    implies but its failure does not decide.
 
     The forms are ((ab)a)c = a(b(ac)), ((ab)c)b = a(b(cb)) and
     (ab)(ca) = (a(bc))a; left Bol is a(b(ac)) = (a(ba))c and right Bol
-    ((ab)c)b = a((bc)b).  Each ``n^3`` array is dropped once its last
-    comparison is made, so at most four are alive.
+    ((ab)c)b = a((bc)b).  The triples run in chunks of about
+    ``SCAN_BLOCK`` by first array index, and each identity is dropped at
+    its first violation.
     """
     n = t.shape[0]
     ar = np.arange(n)
-    left = t.take(t, axis=0)                     # [a, b, c] = (ab)c
-    right = t[:, t]                              # [a, b, c] = a(bc)
-    assoc = np.count_nonzero(left != right)
-    aba = t[t, ar[:, None]]                      # [a, b] = (ab)a
-    aba_r = t[ar[:, None], t.T]                  # [a, b] = a(ba)
-    form2 = np.count_nonzero(t[t[:, :, None], t.T[:, None, :]] != t[right, ar[:, None, None]])
-    a_b_ac = t[ar[:, None, None], right.transpose(1, 0, 2)]  # [a, b, c] = a(b(ac))
-    del right
-    form0 = np.count_nonzero(t.take(aba, axis=0) != a_b_ac)
-    left_bol = np.count_nonzero(a_b_ac != t.take(aba_r, axis=0))
-    del a_b_ac
-    ab_c_b = t[left, ar[None, :, None]]          # [a, b, c] = ((ab)c)b
-    del left
-    form1 = np.count_nonzero(ab_c_b != t[:, aba_r])
-    right_bol = np.count_nonzero(ab_c_b != t[:, aba])
-    return tuple(int(c) for c in (assoc, form0, form1, form2, left_bol, right_bol))
+    aba = t[t, ar[:, None]]          # [a, b] = (ab)a
+    aba_r = t[ar[:, None], t.T]      # [a, b] = a(ba)
+    step = max(1, SCAN_BLOCK // max(1, n * n))
+    chunks = (partial(_scan_chunk, t, aba, aba_r, ar[lo:lo + step]) for lo in range(0, n, step))
+    return _first_violations(5, chunks)
+
+
+def _scan_chunk(t, aba, aba_r, s, open_):
+    """``identity_scans``' verdicts on the triples whose first array index
+    lies in ``s``, for the identities ``open_`` marks (True for the rest).
+    That index is b in form 0 and left Bol and a in the other three, so
+    either way the chunks cover every triple once."""
+    ar = np.arange(t.shape[0])
+    ts = t[s]                                            # [i, y] = s_i y
+    s_yz = cache(lambda: ts[:, t])                       # [i, y, z] = s_i (yz)
+    a_s_ac = cache(lambda: t[ar[None, :, None], s_yz()])  # [i, a, c] = a(s_i(ac))
+    sb_c_b = cache(lambda: t[t.take(ts, axis=0), ar[None, :, None]])  # [i, b, c] = ((s_i b)c)b
+    sides = (
+        lambda: (t.take(aba[:, s].T, axis=0), a_s_ac()),
+        lambda: (sb_c_b(), ts[:, aba_r]),
+        lambda: (t[ts[:, :, None], t.T[s][:, None, :]], t[s_yz(), s[:, None, None]]),
+        lambda: (a_s_ac(), t.take(aba_r[:, s].T, axis=0)),
+        lambda: (sb_c_b(), ts[:, aba]),
+    )
+    return _verdicts(sides, open_)
 
 
 def sampled_scans(t, a, b, c):
-    """``identity_scans``' six counts over the triples ``(a[s], b[s], c[s])``."""
+    """Verdicts of associativity and ``identity_scans``' five identities
+    over the triples ``(a[s], b[s], c[s])``, run in blocks of
+    ``SCAN_BLOCK`` triples; each identity is dropped at its first violation."""
     n = t.shape[0]
     flat = t.ravel()
     rows = flat * n
-    counts = np.zeros(6, dtype=np.int64)
-    for lo in range(0, len(a), SCAN_BLOCK):
-        hi = lo + SCAN_BLOCK
-        counts += _scan_block(flat, rows, n, a[lo:hi], b[lo:hi], c[lo:hi])
-    return tuple(int(k) for k in counts)
-
-
-def _scan_block(flat, rows, n, a, b, c):
-    """The six counts on one block.  With ``xn = x * n``, ``flat[xn + y]`` is
-    xy and ``rows[xn + y]`` is ``(xy) * n``; a name ending in ``_n`` holds
-    such a multiple, and two sides compared as multiples agree as products."""
-    an, bn, cn = a * n, b * n, c * n
-    ab_n = rows[an + b]
-    ba, ca = flat[bn + a], flat[cn + a]
-    ab_a = flat[ab_n + a]
-    a_bc_n = rows[an + flat[bn + c]]
-    a_b_ac = flat[an + flat[bn + flat[an + c]]]
-    return (
-        np.count_nonzero(rows[ab_n + c] != a_bc_n),
-        np.count_nonzero(flat[ab_a * n + c] != a_b_ac),
-        np.count_nonzero(flat[rows[ba * n + c] + a] != flat[bn + flat[an + ca]]),
-        np.count_nonzero(flat[ab_n + ca] != flat[a_bc_n + a]),
-        np.count_nonzero(a_b_ac != flat[rows[an + ba] + c]),
-        np.count_nonzero(flat[rows[ca * n + b] + a] != flat[cn + ab_a]),
+    blocks = (
+        partial(_scan_block, flat, rows, n, a[lo:lo + SCAN_BLOCK], b[lo:lo + SCAN_BLOCK], c[lo:lo + SCAN_BLOCK])
+        for lo in range(0, len(a), SCAN_BLOCK)
     )
+    return _first_violations(6, blocks)
+
+
+def _scan_block(flat, rows, n, a, b, c, open_):
+    """The six verdicts on one block, for the identities ``open_`` marks.
+    With ``xn = x * n``, ``flat[xn + y]`` is xy and ``rows[xn + y]`` is
+    ``(xy) * n``; a name ending in ``_n`` holds such a multiple, and two
+    sides compared as multiples agree as products."""
+    an, bn, cn = a * n, b * n, c * n
+    ab_n = cache(lambda: rows[an + b])
+    ba = cache(lambda: flat[bn + a])
+    ca = cache(lambda: flat[cn + a])
+    ab_a = cache(lambda: flat[ab_n() + a])
+    a_bc_n = cache(lambda: rows[an + flat[bn + c]])
+    a_b_ac = cache(lambda: flat[an + flat[bn + flat[an + c]]])
+    sides = (
+        lambda: (rows[ab_n() + c], a_bc_n()),
+        lambda: (flat[ab_a() * n + c], a_b_ac()),
+        lambda: (flat[rows[ba() * n + c] + a], flat[bn + flat[an + ca()]]),
+        lambda: (flat[ab_n() + ca()], flat[a_bc_n() + a]),
+        lambda: (a_b_ac(), flat[rows[an + ba()] + c]),
+        lambda: (flat[rows[ca() * n + b] + a], flat[cn + ab_a()]),
+    )
+    return _verdicts(sides, open_)
+
+
+def _verdicts(sides, open_):
+    """Whether each open identity's two sides agree; a closed one reads True."""
+    return [not is_open or np.array_equal(*side()) for is_open, side in zip(open_, sides)]
+
+
+def _first_violations(count, chunks):
+    """The verdicts of ``count`` identities over the chunks, each a callable
+    taking the mask of identities still open.  An identity closes at its
+    first violation, and the scan stops once all are closed."""
+    holds = [True] * count
+    for chunk in chunks:
+        holds = [h and ok for h, ok in zip(holds, chunk(holds))]
+        if not any(holds):
+            break
+    return tuple(holds)
 
 
 def oct_mul_many(a, b, index, sign):

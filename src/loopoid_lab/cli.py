@@ -170,7 +170,7 @@ def main():
 def verify_finite(spec_path, out, seed):
     """Classify a finite table (or construction) and verify its contract."""
     spec = _load_spec(spec_path, "finite")
-    from .finite import validate_latin_square
+    from .finite import inverse_property, validate_latin_square
 
     table = build_finite(spec.body, "$.body")
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
@@ -186,7 +186,7 @@ def verify_finite(spec_path, out, seed):
         checks.append(_check("latin", "finite.semidirect_latin", rep.is_latin_square, expect=True))
         checks.append(_check("unit_exists", "finite.semidirect_unit", rep.unit, expect=table.unit))
         inner = build_finite({**spec.body["loop"], "kind": "table"}, "$.body.loop")
-        if validate_latin_square(inner).inverse_property:
+        if inverse_property(inner):
             checks.append(
                 _check("inverse_property", "finite.semidirect_ip", rep.inverse_property, expect=True)
             )
@@ -474,6 +474,8 @@ def legendre_cmd(spec_path, at_str, out, seed):
         "min_sv_minus_fiberwise": reg["min_sv_minus_fiberwise"],
         "checks": checks,
     }
+    if reg["probe_failure"] is not None:
+        report["probe_failure"] = reg["probe_failure"]
     return _finish(report, out)
 
 

@@ -1,12 +1,15 @@
 """Finite quasigroups and loops as Cayley tables.
 
 Elements are dense indices 0..order-1; external names belong to the I/O
-layer.  Identity classification is exhaustive up to the fixed order cap
-``EXHAUSTIVE_ORDER_CAP`` = 64 (O(n^3) triples) and switches to seeded random
-sampling beyond it.  The two loop constructions here are the
-coset-transversal product s o s' = p_S(s s') on a left transversal of a
-subgroup, and the semidirect product (g, A)(h, B) = (g A(h), A B) of a loop
-with a set of its automorphisms.
+layer.  Associativity is decided exactly by Light's test, and an
+associative table satisfies every identity classified here.  The other
+identities of a nonassociative table are scanned over all triples up to the
+fixed order cap ``EXHAUSTIVE_ORDER_CAP`` = 64, and on seeded random triples
+beyond it; a scan stops once each identity has a violation.  The two
+loop constructions here are the coset-transversal product
+s o s' = p_S(s s') on a left transversal of a subgroup, and the semidirect
+product (g, A)(h, B) = (g A(h), A B) of a loop with a set of its
+automorphisms.
 """
 
 from dataclasses import dataclass, field
@@ -98,46 +101,64 @@ def _is_latin(t):
     return bool((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all())
 
 
+def _inverse_flags(t, latin, unit):
+    """Two-sided inverses, the left and the right inverse property; all
+    False unless the table is Latin with a unit."""
+    if not (latin and unit is not None):
+        return False, False, False
+    n = t.shape[0]
+    ar = np.arange(n)
+    # left inverse a_l of a solves x a = e; right inverse solves a x = e
+    alam = np.argmax(t == unit, axis=0)  # per column a: row index with t[x, a] = e
+    arho = np.argmax(t == unit, axis=1)  # per row a: column index with t[a, x] = e
+    has_two_sided = bool(np.array_equal(alam, arho))
+    lip = bool(np.array_equal(t[alam[:, None], t], ar[None, :].repeat(n, axis=0)))
+    rip = bool(np.array_equal(t[t, arho[None, :].repeat(n, axis=0)], ar[:, None].repeat(n, axis=1)))
+    return has_two_sided, lip, rip
+
+
+def inverse_property(ct):
+    """``validate_latin_square(ct).inverse_property``, without the identity scans."""
+    t = ct.table
+    return all(_inverse_flags(t, _is_latin(t), _find_unit(t)))
+
+
 def validate_latin_square(ct, *, rng=None):
     """Classify a Cayley table: Latin-ness, unit, inverse and Bol/Moufang flags.
 
-    Beyond ``EXHAUSTIVE_ORDER_CAP`` the O(n^3) identities are sampled with
-    the caller's seeded generator instead of enumerated.
+    Light's test decides associativity exactly, and both sides of each of
+    the six identities bracket one word, so an associative table satisfies
+    all six and nothing is scanned.  Otherwise the five other identities
+    are scanned up to ``EXHAUSTIVE_ORDER_CAP`` and, beyond it, all six are
+    sampled with the caller's seeded generator; each scan stops at the
+    first violation of the last identity still open.  Beyond the cap Light's
+    test runs on Latin tables only, where it costs O(n^2 log n): on other
+    tables it may cost n^3.
     """
     t = ct.table
     n = ct.order
     latin = _is_latin(t)
     unit = _find_unit(t)
 
-    # violation counts of associativity, the three Moufang forms, left and right Bol
     exhaustive = n <= EXHAUSTIVE_ORDER_CAP
-    if exhaustive:
-        counts = _kernels.identity_scans(t)
+    if (latin or exhaustive) and _kernels.light_associative(t):
+        verdicts = (True,) * 6
+    elif exhaustive:
+        verdicts = (False, *_kernels.identity_scans(t))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
         aa, bb, cc = (rng.integers(0, n, size=SAMPLED_TRIPLES) for _ in range(3))
-        counts = _kernels.sampled_scans(t, aa, bb, cc)
-    associative, *forms, left_bol, right_bol = (c == 0 for c in counts)
+        verdicts = _kernels.sampled_scans(t, aa, bb, cc)
+    associative, *forms, left_bol, right_bol = verdicts
     forms = tuple(forms)
-
-    has_two_sided = False
-    lip = rip = ip = False
-    if latin and unit is not None:
-        ar = np.arange(n)
-        # left inverse a_l of a solves x a = e; right inverse solves a x = e
-        alam = np.argmax(t == unit, axis=0)  # per column a: row index with t[x, a] = e
-        arho = np.argmax(t == unit, axis=1)  # per row a: column index with t[a, x] = e
-        has_two_sided = bool(np.array_equal(alam, arho))
-        lip = bool(np.array_equal(t[alam[:, None], t], ar[None, :].repeat(n, axis=0)))
-        rip = bool(np.array_equal(t[t, arho[None, :].repeat(n, axis=0)], ar[:, None].repeat(n, axis=1)))
-        ip = has_two_sided and lip and rip
+    has_two_sided, lip, rip = _inverse_flags(t, latin, unit)
 
     return IdentityReport(
         is_latin_square=latin,
         unit=unit,
         has_two_sided_inverses=has_two_sided,
-        inverse_property=ip,
+        inverse_property=has_two_sided and lip and rip,
         left_inverse_property=lip,
         right_inverse_property=rip,
         moufang=all(forms),
@@ -152,7 +173,7 @@ def validate_latin_square(ct, *, rng=None):
 def _check_group(ct):
     t = ct.table
     unit = _find_unit(t)
-    if not (_is_latin(t) and unit is not None and _kernels.associative_scan(t) == 0):
+    if not (_is_latin(t) and unit is not None and _kernels.light_associative(t)):
         raise NotSubgroup("input table is not a group")
     return unit
 

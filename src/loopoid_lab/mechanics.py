@@ -113,7 +113,9 @@ def legendre(system, side, g):
 
 
 def step_solve(system, g):
-    """Solve alpha(h) = beta(g) stacked with DL(g, h) = 0 for h.
+    """Solve alpha(h) = beta(g) stacked with DL(g, h) = 0 for h; returns h
+    and the norm of DL(g, h), the Euler-Lagrange block of Newton's final
+    residual.
 
     g is fixed, so the g-side term of DL (the derivative along the left
     fields at g) is computed once per solve; each residual evaluation
@@ -152,8 +154,8 @@ def step_solve(system, g):
     # rcond cuts singular values below rcond * sigma_max when stepping: the
     # step Jacobian is a central difference at fd_step, so directions at its
     # noise floor carry no information
-    h, _ = newton_solve(residual, seed, tol=STEP_TOL, rcond=1e-4, fd_step=1e-5)
-    return h
+    h, info = newton_solve(residual, seed, tol=STEP_TOL, rcond=1e-4, fd_step=1e-5)
+    return h, float(np.linalg.norm(info["residual_vector"][len(bg):]))
 
 
 def trajectory(system, g0, n_steps):
@@ -164,13 +166,13 @@ def trajectory(system, g0, n_steps):
     gaps = []
     for k in range(n_steps):
         try:
-            h = step_solve(system, pts[-1])
+            h, residual = step_solve(system, pts[-1])
         except LoopoidLabError as exc:
             # prefix the step in place, so the type and fields such as
             # SingularJacobian.cond survive
             exc.args = (f"step {k}: {exc}",)
             raise
-        residuals.append(float(np.linalg.norm(el_residual(system, pts[-1], h, check=False))))
+        residuals.append(residual)
         gaps.append(
             float(np.linalg.norm(q.beta(pts[-1]) - q.alpha(h)))
         )
@@ -192,7 +194,10 @@ def regularity_check(system, u, seed=0):
     Jacobian restricted to those columns (the fibers of all six points from
     one stacked ``null_space``, their values from one stacked
     ``smallest_singular_value``), and F+L is regular when it exceeds 1e-6.
-    Also cross-checks the step map against F-L o gamma = F+L.
+    Also cross-checks the step map against F-L o gamma = F+L on three
+    probe points; a probe whose step solve fails makes the residual
+    infinite, and ``probe_failure`` holds its error's type and message
+    (None when every probe solves).
     """
     q = system.loopoid
     rng = np.random.default_rng(seed)
@@ -217,17 +222,17 @@ def regularity_check(system, u, seed=0):
     _, min_sv_minus = fiberwise(chart_map_minus, q.beta)
 
     p2 = 0.0
+    failure = None
     for _ in range(3):
         g = e0 + rng.normal(scale=0.1, size=q.dim_g)
         try:
-            h = step_solve(system, g)
-        except LoopoidLabError:
+            h, _ = step_solve(system, g)
+        except LoopoidLabError as exc:
             p2 = np.inf
+            failure = {"type": type(exc).__name__, "message": str(exc)}
             break
-        p2 = max(
-            p2,
-            float(np.max(np.abs(legendre(system, "minus", h) - legendre(system, "plus", g)))),
-        )
+        # DL(g, h) = F+L(g) - F-L(h), finite since the solve converged
+        p2 = max(p2, float(np.max(np.abs(el_residual(system, g, h, check=False)))))
 
     return {
         "regular": bool(min_sv_plus > 1e-6),
@@ -235,4 +240,5 @@ def regularity_check(system, u, seed=0):
         "min_sv_minus_fiberwise": float(min_sv_minus),
         "unit_jacobian": jacs[0],
         "flow_matches_legendre_residual": p2,
+        "probe_failure": failure,
     }

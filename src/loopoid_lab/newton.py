@@ -26,6 +26,10 @@ from .numdiff import jacobian
 def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=None):
     """Drive ``residual`` to zero from ``x0``; returns (x, info dict).
 
+    ``info`` holds the iteration count, the final residual norm
+    (``residual``), its vector at x (``residual_vector``) and the last
+    step Jacobian's condition number (``cond``).
+
     ``rcond`` truncates singular values below rcond * sigma_max in the step
     computation; use it when the differenced Jacobian has a noise floor, so
     noise-level directions do not blow up the step.
@@ -38,7 +42,7 @@ def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=No
     cond = None
     for it in range(max_iter):
         if best < tol:
-            return x, {"iterations": it, "residual": best, "cond": cond}
+            return x, {"iterations": it, "residual": best, "residual_vector": r, "cond": cond}
         j = np.atleast_2d(jacobian(residual, x, fd_step))
         if not np.all(np.isfinite(j)):
             raise NumericalNoise(f"non-finite Jacobian entry at iteration {it + 1}, residual {best:.3e}")
@@ -59,5 +63,5 @@ def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=No
                 raise SingularJacobian(f"stalled at residual {best:.3e} with condition {cond:.3e}", cond=cond)
             raise NoConvergence(f"no descent at residual {best:.3e} after {it + 1} iterations")
     if best < tol:
-        return x, {"iterations": max_iter, "residual": best, "cond": cond}
+        return x, {"iterations": max_iter, "residual": best, "residual_vector": r, "cond": cond}
     raise NoConvergence(f"residual {best:.3e} > tol {tol:.1e} after {max_iter} iterations")

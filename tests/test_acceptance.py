@@ -273,7 +273,7 @@ def test_ac7_discrete_mechanics(readme_system):
     )
     g0 = np.array(readme_system["body"]["start"])
 
-    h = step_solve(system, g0)
+    h, _ = step_solve(system, g0)
     assert abs(h[0] - 2.7912878475) < 1e-8
     assert abs(h[1] - 0.7912878475) < 1e-8
 

@@ -15,7 +15,7 @@ from conftest import (
     signed_basis_loop,
     symmetric_group_table,
 )
-from loopoid_lab import _kernels
+from loopoid_lab import _kernels, finite
 from loopoid_lab.errors import MalformedTable, NotAutomorphism, NotSubgroup, NotTransversal
 from loopoid_lab.finite import (
     EXHAUSTIVE_ORDER_CAP,
@@ -23,6 +23,7 @@ from loopoid_lab.finite import (
     CayleyTable,
     _find_unit,
     _is_latin,
+    inverse_property,
     semidirect_loop,
     transversal_loop,
     validate_latin_square,
@@ -194,6 +195,20 @@ def test_semidirect_preserves_inverse_property():
     assert oracle_inverse_property(out.table, out.unit)
 
 
+def test_inverse_property_alone_matches_the_report():
+    rng = np.random.default_rng(5)
+    tables = [
+        signed_basis_loop(),
+        cyclic_table(6),
+        transversal_loop(symmetric_group_table(3)[0], {0, 1}, {0, 2, 4}),
+        CayleyTable(6, _isotope(rng, cyclic_table(6).table)),
+        CayleyTable(4, rng.integers(0, 4, size=(4, 4))),
+    ]
+    flags = [validate_latin_square(ct).inverse_property for ct in tables]
+    assert [inverse_property(ct) for ct in tables] == flags
+    assert flags[:2] == [True, True] and not all(flags)
+
+
 def test_semidirect_rejects_non_automorphisms():
     z4 = cyclic_table(4)
     shift = (np.arange(4) + 1) % 4  # moves the unit
@@ -255,8 +270,8 @@ def test_sampled_mode_beyond_cap(rng):
         assert rep.associative and rep.moufang and rep.left_bol and rep.right_bol
 
 
-# Loop oracles for the kernel scans, in the order of ``identity_scans``'
-# counts: associativity, the three Moufang forms, left Bol, right Bol.
+# Loop oracles for the kernel scans, in the order of ``sampled_scans``'
+# verdicts: associativity, the three Moufang forms, left Bol, right Bol.
 IDENTITIES = (
     lambda m, a, b, c: m(m(a, b), c) == m(a, m(b, c)),
     lambda m, a, b, c: m(m(m(a, b), a), c) == m(a, m(b, m(a, c))),
@@ -277,6 +292,13 @@ def _oracle_counts(t, triples):
     return tuple(_oracle_violations(t, w, triples) for w in range(len(IDENTITIES)))
 
 
+def _oracle_verdicts(t, triples=None):
+    """Whether each identity holds on ``triples``, by default on all of them."""
+    if triples is None:
+        triples = itertools.product(range(t.shape[0]), repeat=3)
+    return tuple(c == 0 for c in _oracle_counts(t, triples))
+
+
 def _oracle_tables():
     # the signed basis loop and a seeded non-Latin table on which every
     # identity has violations
@@ -285,38 +307,60 @@ def _oracle_tables():
 
 
 def test_scans_match_loop_oracle():
-    counts = []
+    verdicts = []
     for t in _oracle_tables():
-        counts.append(_oracle_counts(t, itertools.product(range(t.shape[0]), repeat=3)))
-        assert _kernels.identity_scans(t) == counts[-1]
-    basis, noise = counts
+        verdicts.append(_oracle_verdicts(t))
+        assert _kernels.light_associative(t) == verdicts[-1][0]
+        assert _kernels.identity_scans(t) == verdicts[-1][1:]
+    basis, noise = verdicts
     # the octonion basis loop is Moufang and Bol but not associative
-    assert basis[0] > 0 and basis[1:] == (0,) * 5
-    assert min(noise) > 0
+    assert basis == (False,) + (True,) * 5
+    assert noise == (False,) * 6
 
 
-def _whole_array_counts(t, a, b, c):
-    """The sampled counts as one pass over all triples: the formula the
-    blocked scan replaced, kept as its reference."""
+def _left_zero_table(n, last_row=None):
+    """x y = x, but row n - 1 is ``last_row`` if given."""
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    if last_row is not None:
+        t[n - 1] = last_row
+    return t
+
+
+def test_light_matches_oracle_on_semigroups_and_a_changed_cell():
+    # left-zero semigroup: every subset is closed, so every element becomes
+    # a generator, and the test passes through all of them
+    t = _left_zero_table(7)
+    assert _kernels.light_associative(t) and _oracle_verdicts(t)[0]
+    # Z_n with one cell changed is neither a group nor associative
+    for n, (x, y, v) in ((5, (0, 0, 1)), (8, (7, 3, 0)), (9, (4, 4, 4))):
+        t = cyclic_table(n).table.copy()
+        t[x, y] = v
+        assert _kernels.light_associative(t) == _oracle_verdicts(t)[0] is False
+    # groups that need two and three greedy generators: S_3 and Z_2^3
+    for t in (symmetric_group_table(3)[0].table, np.arange(8)[:, None] ^ np.arange(8)[None, :]):
+        assert _kernels.light_associative(t) and _oracle_verdicts(t)[0]
+
+
+def _whole_array_holds(t, a, b, c):
+    """The sampled identities per triple as one pass over all triples: the
+    formula the blocked scan replaced, kept as its reference.  Row k holds
+    identity k's verdict on each triple."""
     n = t.shape[0]
     flat = t.ravel()
 
     def m(x, y):
         return flat[x * n + y]
 
-    def violations(lhs, rhs):
-        return int(np.count_nonzero(lhs != rhs))
-
     ab, bc, ac, ca, ba = m(a, b), m(b, c), m(a, c), m(c, a), m(b, a)
     a_bc, ab_a, a_b_ac = m(a, bc), m(ab, a), m(a, m(b, ac))
-    return (
-        violations(m(ab, c), a_bc),
-        violations(m(ab_a, c), a_b_ac),
-        violations(m(m(ba, c), a), m(b, m(a, ca))),
-        violations(m(ab, ca), m(a_bc, a)),
-        violations(a_b_ac, m(m(a, ba), c)),
-        violations(m(m(ca, b), a), m(c, ab_a)),
-    )
+    return np.array([
+        m(ab, c) == a_bc,
+        m(ab_a, c) == a_b_ac,
+        m(m(ba, c), a) == m(b, m(a, ca)),
+        m(ab, ca) == m(a_bc, a),
+        a_b_ac == m(m(a, ba), c),
+        m(m(ca, b), a) == m(c, ab_a),
+    ])
 
 
 def test_sampled_scan_matches_loop_oracle():
@@ -324,8 +368,8 @@ def test_sampled_scan_matches_loop_oracle():
     for t in _oracle_tables():
         aa, bb, cc = rng.integers(0, t.shape[0], size=(3, 400))
         triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
-        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_counts(t, triples)
-        assert _whole_array_counts(t, aa, bb, cc) == _oracle_counts(t, triples)
+        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_verdicts(t, triples)
+        assert tuple(_whole_array_holds(t, aa, bb, cc).all(axis=1)) == _oracle_verdicts(t, triples)
     # one triple, and triple counts on either side of one and two whole
     # blocks, against the whole-array formula checked above
     block = _kernels.SCAN_BLOCK
@@ -334,17 +378,64 @@ def test_sampled_scan_matches_loop_oracle():
     for size in (1, block - 1, block, block + 1, 2 * block + 1):
         for t in (latin, noise):
             aa, bb, cc = rng.integers(0, t.shape[0], size=(3, size))
-            assert _kernels.sampled_scans(t, aa, bb, cc) == _whole_array_counts(t, aa, bb, cc)
-            # every identity fails on the last triple, so a lost last block shows
-            assert _whole_array_counts(t, aa[-1:], bb[-1:], cc[-1:]) == (1,) * 6
+            assert _kernels.sampled_scans(t, aa, bb, cc) == tuple(_whole_array_holds(t, aa, bb, cc).all(axis=1))
+
+
+def test_violation_only_in_the_last_chunk_or_block_reads_false(monkeypatch):
+    """A side's value in this magma is its leftmost variable unless that is
+    z = n - 1, so every violation has a = z, and the ones of form 0 and left
+    Bol b = z too: they all lie in the last chunk of first indices.  Every
+    identity fails at (z, z, z) and none at (0, 0, 0), so in a sample of
+    those the violations lie in the last triple alone."""
+    n = 8
+    z = n - 1
+    t = _left_zero_table(n, (np.arange(n) + 1) % z)
+    assert _oracle_verdicts(t) == (False,) * 6
+    # one first index per chunk
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK", n * n)
+    verdicts = []
+    chunk = _kernels._scan_chunk
+
+    def recorded(*args):
+        verdicts.append(chunk(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_kernels, "_scan_chunk", recorded)
+    assert _kernels.identity_scans(t) == (False,) * 5
+    assert verdicts == [[True] * 5] * z + [[False] * 5]
+    monkeypatch.undo()
+    block = _kernels.SCAN_BLOCK
+    for size in (1, block, block + 1, 2 * block + 1):
+        aa, bb, cc = np.zeros((3, size), dtype=np.int64)
+        aa[-1] = bb[-1] = cc[-1] = z
+        assert _kernels.sampled_scans(t, aa, bb, cc) == (False,) * 6
+        assert _kernels.sampled_scans(t, aa[:-1], bb[:-1], cc[:-1]) == (True,) * 6
 
 
 def test_sampled_scan_memory_is_bounded_by_its_blocks():
-    # the whole-array formula's temporaries peak at 10.4 MB here
+    # the whole-array formula's temporaries peak at 10.4 MB here; a Moufang
+    # loop has no violation to stop at, so every block is scanned
     rng = np.random.default_rng(3)
-    t = CayleyTable(100, rng.integers(0, 100, size=(100, 100))).table
-    aa, bb, cc = rng.integers(0, 100, size=(3, 200_000))
+    t = _moufang_loop_64()
+    aa, bb, cc = rng.integers(0, 64, size=(3, 200_000))
+    assert _kernels.sampled_scans(t, aa, bb, cc) == (False,) + (True,) * 5
     assert peak_traced_bytes(_kernels.sampled_scans, t, aa, bb, cc) < 3_000_000
+
+
+def _moufang_loop_64():
+    """The signed basis loop times Z_4: a Moufang loop of order 64 that is
+    not associative, on which the exhaustive scan runs every chunk."""
+    basis = signed_basis_loop().table
+    z4 = cyclic_table(4).table
+    return CayleyTable(64, (basis[:, None, :, None] * 4 + z4[None, :, None, :]).reshape(64, 64)).table
+
+
+def test_verdicts_need_memory_of_one_chunk():
+    # identity_scans' whole-table gathers peaked at 4.5 MB on order 64
+    assert peak_traced_bytes(validate_latin_square, cyclic_table(64)) < 500_000
+    t = _moufang_loop_64()
+    assert _kernels.identity_scans(t) == (True,) * 5
+    assert peak_traced_bytes(_kernels.identity_scans, t) < 1_500_000
 
 
 def _isotope(rng, t):
@@ -372,18 +463,45 @@ def _scan_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_scan_tables())
-def test_scans_match_loop_oracle_on_random_tables(drawn):
+@given(_scan_tables(), st.integers(1, 40))
+def test_scans_match_loop_oracle_on_random_tables(drawn, block):
+    # blocks of a few triples, so that the scans cross chunk and block
+    # boundaries on these small tables
     t, rng = drawn
     n = t.shape[0]
-    assert _kernels.identity_scans(t) == _oracle_counts(t, itertools.product(range(n), repeat=3))
     aa, bb, cc = rng.integers(0, n, size=(3, 50))
     triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
-    assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_counts(t, triples)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "SCAN_BLOCK", block)
+        verdicts = _oracle_verdicts(t)
+        assert _kernels.light_associative(t) == verdicts[0]
+        assert _kernels.identity_scans(t) == verdicts[1:]
+        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_verdicts(t, triples)
 
 
-@pytest.mark.parametrize("order", [EXHAUSTIVE_ORDER_CAP, EXHAUSTIVE_ORDER_CAP + 1])
-def test_validate_makes_one_scan_call(monkeypatch, order):
+@settings(max_examples=40, deadline=None)
+@given(_scan_tables(), st.integers(0, 2**32 - 1))
+def test_validate_matches_oracle_in_both_lanes(drawn, seed):
+    t, _ = drawn
+    n = t.shape[0]
+    verdicts = _oracle_verdicts(t)
+    rep = validate_latin_square(CayleyTable(n, t))
+    assert rep.exhaustive
+    assert (rep.associative, *rep.moufang_forms, rep.left_bol, rep.right_bol) == verdicts
+    # the sampled lane, on 30 triples drawn as validate_latin_square draws them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "EXHAUSTIVE_ORDER_CAP", 0)
+        mp.setattr(finite, "SAMPLED_TRIPLES", 30)
+        rep = validate_latin_square(CayleyTable(n, t), rng=np.random.default_rng(seed))
+    draw = np.random.default_rng(seed)
+    aa, bb, cc = (draw.integers(0, n, size=30) for _ in range(3))
+    sampled = _oracle_verdicts(t, zip(aa.tolist(), bb.tolist(), cc.tolist()))
+    assert not rep.exhaustive
+    assert (rep.associative, *rep.moufang_forms, rep.left_bol, rep.right_bol) == sampled
+
+
+@pytest.mark.parametrize("order", [EXHAUSTIVE_ORDER_CAP, EXHAUSTIVE_ORDER_CAP + 2])
+def test_validate_scans_until_decided(monkeypatch, order):
     calls = []
 
     def counted(name, kernel):
@@ -393,10 +511,19 @@ def test_validate_makes_one_scan_call(monkeypatch, order):
 
         return wrapper
 
-    for name in ("identity_scans", "sampled_scans", "associative_scan"):
+    for name in ("identity_scans", "sampled_scans", "_scan_chunk", "_scan_block"):
         monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
-    validate_latin_square(cyclic_table(order))
-    assert calls == ["identity_scans" if order <= EXHAUSTIVE_ORDER_CAP else "sampled_scans"]
+    # associativity decides all six identities, so a group is not scanned
+    rep = validate_latin_square(cyclic_table(order))
+    assert calls == [] and rep.associative and rep.moufang and rep.left_bol and rep.right_bol
+    # an isotope of Z_n violates every identity in its first chunk or block
+    t = _isotope(np.random.default_rng(order), cyclic_table(order).table)
+    rep = validate_latin_square(CayleyTable(order, t))
+    assert not (rep.associative or any(rep.moufang_forms) or rep.left_bol or rep.right_bol)
+    if order <= EXHAUSTIVE_ORDER_CAP:
+        assert calls == ["identity_scans", "_scan_chunk"]
+    else:
+        assert calls == ["sampled_scans", "_scan_block"]
 
 
 @pytest.mark.parametrize("order", [16, 70])
@@ -406,8 +533,9 @@ def test_int32_tables_scan_like_int64_copies(order):
     ct = CayleyTable(order, _isotope(rng, base.table))
     t64 = ct.table.astype(np.int64)
     assert ct.table.dtype == np.int32
+    assert _kernels.light_associative(ct.table) == _kernels.light_associative(t64)
     full = _kernels.identity_scans(ct.table)
-    assert full == _kernels.identity_scans(t64) and max(full) > 0
+    assert full == _kernels.identity_scans(t64) and not all(full)
     aa, bb, cc = rng.integers(0, order, size=(3, 20_000))
     assert _kernels.sampled_scans(ct.table, aa, bb, cc) == _kernels.sampled_scans(t64, aa, bb, cc)
 

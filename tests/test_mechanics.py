@@ -96,7 +96,7 @@ def test_el_residual_root_pair(kinetic_system):
 
 def test_step_solve_surd_branch(kinetic_system):
     g = README_START
-    h = step_solve(kinetic_system, g)
+    h, _ = step_solve(kinetic_system, g)
     assert abs(h[0] - Z1) < 1e-8
     assert abs(h[1] - W1) < 1e-8
     # ten printed digits
@@ -113,7 +113,7 @@ def test_step_solve_closed_form_quadratic_oracle(kinetic_system, rng):
     for _ in range(5):
         x, y = rng.uniform(0.3, 1.5, size=2)
         g = np.concatenate([[x, y], rng.normal(size=4)])
-        h = step_solve(kinetic_system, g)
+        h, _ = step_solve(kinetic_system, g)
         bterm = 1 + x * x + y - x - y * y
         disc = bterm * bterm + 4 * (x + y * y)
         z = (-bterm + np.sqrt(disc)) / 2.0
@@ -158,6 +158,13 @@ def test_phi_trajectory_gaps(rng):
     traj = trajectory(system, np.array([0.3, 0.2, 0.1]), 3)
     assert traj.composable_gaps.max() < 1e-9
     assert traj.residuals.max() < 1e-9
+
+
+def test_step_residual_is_the_el_residual_at_the_step(kinetic_system, rng):
+    # the trajectory's residual column is read off Newton's final residual
+    for g in kinetic_system.loopoid.sample_g(rng, 3):
+        h, residual = step_solve(kinetic_system, g)
+        assert residual == np.linalg.norm(el_residual(kinetic_system, g, h, check=False))
 
 
 def test_phi_degenerate_lagrangian_has_no_flow():
@@ -233,7 +240,7 @@ def test_pair_groupoid_free_particle_normal_class_orientation():
         lagrangian=lambda g: 0.5 * (g[..., 1] - g[..., 0]) ** 2,
         orientation=STRICT,
     )
-    h = step_solve(system, np.array([0.2, 0.9]))
+    h, _ = step_solve(system, np.array([0.2, 0.9]))
     assert np.allclose(h, [0.9, 1.6], atol=1e-8)
     traj = trajectory(system, np.array([0.0, 1.0]), 4)
     assert np.allclose(traj.points[-1], [4.0, 5.0], atol=1e-6)
@@ -250,14 +257,14 @@ def test_pair_groupoid_aligned_orientation_reflects():
         lagrangian=lambda g: 0.5 * (g[..., 1] - g[..., 0]) ** 2,
         orientation=ALIGNED,
     )
-    h = step_solve(system, np.array([0.2, 0.9]))
+    h, _ = step_solve(system, np.array([0.2, 0.9]))
     assert np.allclose(h, [0.9, 0.2], atol=1e-8)
 
 
 def test_flow_matches_legendre_both_directions(kinetic_system, rng):
     q = kinetic_system.loopoid
     g = q.sample_g(rng, 1)[0]
-    h = step_solve(kinetic_system, g)
+    h, _ = step_solve(kinetic_system, g)
     assert np.max(np.abs(legendre(kinetic_system, "minus", h) - legendre(kinetic_system, "plus", g))) < 1e-7
 
     # converse: solve the Legendre matching system directly (independent of
@@ -343,7 +350,7 @@ def test_step_solve_equals_newton_on_el_residual(kinetic_system, monkeypatch, na
         return newton_solve(residual, seed, **kwargs)
 
     monkeypatch.setattr(mechanics, "newton_solve", spy)
-    h = step_solve(system, g)
+    h, _ = step_solve(system, g)
     (seed, kwargs), = calls
     bg = np.asarray(q.beta(g), dtype=float)
 

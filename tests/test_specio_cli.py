@@ -213,7 +213,7 @@ def test_build_system_runs_a_step():
     from loopoid_lab.mechanics import step_solve
 
     system = build_system(SYSTEM_BODY, "$.body")
-    h = step_solve(system, np.asarray(SYSTEM_BODY["start"]))
+    h, _ = step_solve(system, np.asarray(SYSTEM_BODY["start"]))
     assert abs(h[0] - (1 + np.sqrt(21)) / 2) < 1e-8
 
 
@@ -443,6 +443,27 @@ def test_cli_legendre_far_out_on_phi_passes(runner):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["ok"]
+
+
+def test_cli_legendre_names_the_failing_probe(runner, tmp_path):
+    # half_sum_squares on phi is regular at the unit, yet every probe step
+    # solve stalls: the check reads Infinity and the report says why
+    body = {
+        "loopoid": {"kind": "phi", "phi": {"odd_coeffs": [1.0, 0.5]}},
+        "lagrangian": {"kind": "half_sum_squares"},
+        "start": [0.1, 0.2, 0.3],
+    }
+    path = _write(tmp_path, "sys.json", "system", body)
+    result = runner.invoke(main, ["legendre", "--spec", path])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["regular"] and report["checks"][0]["value"] == "Infinity"
+    failure = report["probe_failure"]
+    assert failure["type"] == "SingularJacobian"
+    assert failure["message"].startswith("stalled at residual")
+    # a run whose probes all solve has no such field
+    result = runner.invoke(main, ["legendre", "--spec", str(EXAMPLES / "phi_system.json")])
+    assert result.exit_code == 0 and "probe_failure" not in json.loads(result.output)
 
 
 def test_cli_nan_check_is_a_numerical_failure(runner, tmp_path):
