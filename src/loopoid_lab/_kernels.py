@@ -4,10 +4,11 @@ The table kernels gather through an ``(n, n)`` integer table whose entries
 index into ``range(n)``.  ``light_associative`` decides associativity
 exactly from a generating set, at O(n^2 log n) on a Latin table.  The scans
 decide the three Moufang forms and both Bol identities on all triples, or
-those five and associativity on sample-index vectors (through the raveled
-table at ``x * n + y``).  A scan runs in chunks of about ``SCAN_BLOCK``
-triples, so its temporaries stay cache-sized; each identity is dropped at
-its first violation, and the scan stops once every identity is decided.
+those five and associativity on sampled index vectors, drawn block by block
+(through the raveled table at ``x * n + y``).  A scan runs in chunks of
+about ``SCAN_BLOCK`` triples, so its temporaries stay cache-sized; each
+identity is dropped at its first violation, and the scan stops once every
+identity is decided, before the next block is drawn.
 The identities share subproducts such as ``a(b(ac))`` and ``((ab)c)b``,
 so a chunk of the exhaustive scan makes ten gathers of its triples and a
 block of the sampled scan 22 flat-index gathers while every identity is
@@ -102,16 +103,18 @@ def _scan_chunk(t, aba, aba_r, s, open_):
     return _verdicts(sides, open_)
 
 
-def sampled_scans(t, a, b, c):
+def sampled_scans(t, draw, count):
     """Verdicts of associativity and ``identity_scans``' five identities
-    over the triples ``(a[s], b[s], c[s])``, run in blocks of
-    ``SCAN_BLOCK`` triples; each identity is dropped at its first violation."""
+    over ``count`` sampled triples, run in blocks of ``SCAN_BLOCK``; each
+    identity is dropped at its first violation.  ``draw(m)`` gives the next
+    block's ``a, b, c`` index vectors of length m, and is called only when
+    that block is scanned."""
     n = t.shape[0]
     flat = t.ravel()
     rows = flat * n
     blocks = (
-        partial(_scan_block, flat, rows, n, a[lo:lo + SCAN_BLOCK], b[lo:lo + SCAN_BLOCK], c[lo:lo + SCAN_BLOCK])
-        for lo in range(0, len(a), SCAN_BLOCK)
+        partial(_scan_block, flat, rows, n, *draw(min(SCAN_BLOCK, count - lo)))
+        for lo in range(0, count, SCAN_BLOCK)
     )
     return _first_violations(6, blocks)
 

@@ -209,7 +209,7 @@ def verify_finite(spec_path, out, seed):
 @click.option("--mul", "mul_expr", nargs=2, default=None, type=str)
 @_guarded
 def octonion_cmd(out, seed, samples, mul_expr):
-    """Verify the octonion table and loop identities on seeded samples."""
+    """Decide the octonion identities on the basis table; check the product kernel on seeded pairs."""
     from . import octonion as oct
 
     if mul_expr:
@@ -217,28 +217,15 @@ def octonion_cmd(out, seed, samples, mul_expr):
             x, y = (oct.parse_expression(text) for text in mul_expr)
         except ValueError as exc:
             raise SchemaError(str(exc), "--mul") from None
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    a = oct.random_octonions(rng, samples)
-    b = oct.random_octonions(rng, samples)
-    checks.append(_check("norm_multiplicative", "octonion.norm_product", oct.norm_defect(a, b), tol=1e-12))
-
-    n3 = max(1, samples // 10)
-    units = [oct.random_unit_octonions(rng, n3) for _ in range(3)]
-    checks.append(_check("moufang", "octonion.moufang_identity", oct.moufang_defect(*units), tol=1e-9))
-
-    g = rng.normal(size=8)
-    h = rng.normal(size=8)
-    gh = oct.oct_mul_batch(g, h)
-    conj_resid = float(np.max(np.abs(oct.oct_conj(gh) - oct.oct_mul_batch(oct.oct_conj(h), oct.oct_conj(g)))))
-    checks.append(_check("conjugation_antihom", "octonion.conjugation", conj_resid, tol=1e-12))
-
-    ip_resid = float(np.max(np.abs(oct.oct_mul_batch(oct.oct_inverse(g), gh) - h)))
-    checks.append(_check("inverse_property", "octonion.inverse_property", ip_resid, tol=1e-11))
-
-    inner_resid = abs(gh @ gh - (g @ g) * (h @ h)) / max(1.0, abs((g @ g) * (h @ h)))
-    checks.append(_check("inner_scaling", "octonion.inner_invariance", float(inner_resid), tol=1e-12))
+    identities = (
+        ("norm_multiplicative", "octonion.norm_product"),
+        ("moufang", "octonion.moufang_identity"),
+        ("conjugation_antihom", "octonion.conjugation"),
+        ("inverse_property", "octonion.inverse_property"),
+    )
+    checks = [_check(name, ref, value, expect=0) for (name, ref), value in zip(identities, oct.identity_residuals())]
+    defect = oct.kernel_batch_defect(np.random.default_rng(seed), samples)
+    checks.append(_check("kernel_batch", "octonion.kernel_batch", defect, expect=0))
 
     report = {
         "command": "octonion",

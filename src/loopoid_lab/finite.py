@@ -148,8 +148,7 @@ def validate_latin_square(ct, *, rng=None):
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        aa, bb, cc = (rng.integers(0, n, size=SAMPLED_TRIPLES) for _ in range(3))
-        verdicts = _kernels.sampled_scans(t, aa, bb, cc)
+        verdicts = _kernels.sampled_scans(t, lambda m: rng.integers(0, n, size=(3, m)), SAMPLED_TRIPLES)
     associative, *forms, left_bol, right_bol = verdicts
     forms = tuple(forms)
     has_two_sided, lip, rip = _inverse_flags(t, latin, unit)

@@ -9,8 +9,9 @@ triples
 meaning e.g. e1 e2 = e3, e2 e3 = e1, e3 e1 = e2, together with e_i^2 = -1
 and e0 = 1.  The batched product reads the table in gather form:
 GATHER_INDEX[i, k] = j and GATHER_SIGN[i, k] = s where e_i e_j = s e_k.
-The induced bilinear product is norm multiplicative, which the test suite
-checks on seeded random batches.
+The norm, Moufang, conjugation and inverse-property identities are decided
+exactly, in integers, on the table's structure tensor; the product kernel
+is checked on seeded pairs whose norms float64 computes without rounding.
 
 An octonion is an array of its 8 coefficients over e0..e7; the product,
 conjugation and inverse take ``(..., 8)`` stacks and act row by row.
@@ -57,35 +58,51 @@ def oct_mul_batch(a, b):
     return _kernels.oct_mul_many(a.reshape(-1, 8), b.reshape(-1, 8), GATHER_INDEX, GATHER_SIGN).reshape(a.shape)
 
 
-def _blocks_max(defect, *stacks):
-    """The largest ``defect`` of ``_kernels.OCT_CHUNK``-row blocks: the whole-array max, bit for bit."""
-    chunk = _kernels.OCT_CHUNK
-    return float(np.max([defect(*(s[lo:lo + chunk] for s in stacks)) for lo in range(0, len(stacks[0]), chunk)]))
+def identity_residuals():
+    """The largest integer residuals of the norm, Moufang, conjugation and
+    inverse-property identities on basis tuples, in that order.
+
+    Each identity has bounded degree, so it holds for all octonions exactly
+    when its polarization vanishes on basis tuples: a residual is 0 exactly
+    then.  In N(xy) = N(x)N(y), ((xy)x)z = x(y(xz)) and conj(x)(xy) = N(x)y
+    the repeated argument is symmetrised over its two slots;
+    conj(xy) = conj(y)conj(x) is bilinear.  The structure tensor is built
+    from ``MUL_INDEX`` and ``MUL_SIGN`` as they stand at the call.
+    """
+    g = np.zeros((8, 8, 8), dtype=np.int64)  # gamma[i, j, k], the e_k coefficient of e_i e_j
+    g[np.arange(8)[:, None], np.arange(8), MUL_INDEX] = MUL_SIGN
+    c = np.where(np.arange(8) == 0, 1, -1)  # conj(e_a) = c_a e_a
+    eye = np.eye(8, dtype=np.int64)
+    delta2 = 2 * eye[:, :, None, None] * eye  # [a, a', b, b'] = 2 delta_aa' delta_bb'
+    s = np.einsum("ijk,abk->iajb", g, g)  # [i, i', j, j'] = sum over k of gamma_ijk gamma_i'j'k
+    norm = s + s.swapaxes(2, 3) - delta2
+    lhs = np.einsum("acp,pbq,qdr->abcdr", g, g, g, optimize=True)  # ((e_a e_c) e_b) e_d
+    rhs = np.einsum("bdp,cpq,aqr->abcdr", g, g, g, optimize=True)  # e_a (e_c (e_b e_d))
+    moufang = (lhs - rhs) + (lhs - rhs).swapaxes(0, 1)
+    conj = c * g - (c[:, None] * c)[:, :, None] * g.swapaxes(0, 1)
+    inverse = c[:, None, None, None] * np.einsum("bdp,apr->abdr", g, g)  # conj(e_a)(e_b e_d)
+    inverse = inverse + inverse.swapaxes(0, 1) - delta2
+    return tuple(int(np.abs(r).max()) for r in (norm, moufang, conj, inverse))
 
 
-def norm_defect(a, b):
-    """The largest ``| |ab| - |a||b| | / (|a||b|)`` over the rows of two
-    ``(N, 8)`` stacks, in blocks of ``_kernels.OCT_CHUNK`` rows.
+def kernel_batch_defect(rng, n):
+    """The largest ``|N(ab) - N(a)N(b)|`` over ``n`` seeded pairs, drawn and
+    multiplied by ``oct_mul_batch`` one ``_kernels.OCT_CHUNK``-row chunk at a time.
 
-    A norm is ``sqrt(add.reduce(x * x, axis=1))``, as ``np.linalg.norm``
-    computes it, so the value equals the whole-array formula bit for bit.
+    The coefficients are integers in [-1024, 1024) times 2^-5, so every
+    product and partial sum of a norm is a multiple of 2^-20 with at most
+    49 significant bits: float64 rounds nothing, and the value is exactly 0
+    when the kernel multiplies by the table.
     """
     def norm(x):
-        return np.sqrt(np.add.reduce(x * x, axis=1))
+        return np.einsum("ij,ij->i", x, x)
 
-    def defect(x, y):
-        norm_xy = norm(x) * norm(y)
-        return (np.abs(norm(oct_mul_batch(x, y)) - norm_xy) / norm_xy).max()
-
-    return _blocks_max(defect, a, b)
-
-
-def moufang_defect(u1, u2, u3):
-    """The largest ``|((u1 u2) u1) u3 - u1 (u2 (u1 u3))|`` entry over the rows
-    of three ``(N, 8)`` stacks, in blocks of ``_kernels.OCT_CHUNK`` rows."""
-    lhs = lambda a, x, y: oct_mul_batch(oct_mul_batch(oct_mul_batch(a, x), a), y)
-    rhs = lambda a, x, y: oct_mul_batch(a, oct_mul_batch(x, oct_mul_batch(a, y)))
-    return _blocks_max(lambda *block: np.abs(lhs(*block) - rhs(*block)).max(), u1, u2, u3)
+    worst = 0.0
+    for lo in range(0, n, _kernels.OCT_CHUNK):
+        size = (2, min(_kernels.OCT_CHUNK, n - lo), 8)
+        a, b = rng.integers(-1024, 1024, size=size, dtype=np.int16) * 2.0**-5
+        worst = max(worst, float(np.abs(norm(oct_mul_batch(a, b)) - norm(a) * norm(b)).max()))
+    return worst
 
 
 def oct_conj(x):
@@ -102,15 +119,6 @@ def oct_inverse(x):
     if np.any(np.sqrt(nsq) < INVERT_EPS):
         raise DivisionByZero("octonion norm below inversion threshold")
     return oct_conj(x) / nsq
-
-
-def random_octonions(rng, n):
-    return rng.normal(size=(n, 8))
-
-
-def random_unit_octonions(rng, n):
-    g = rng.normal(size=(n, 8))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def parse_expression(text):

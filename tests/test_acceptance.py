@@ -67,7 +67,7 @@ def _report(name, detail):
 
 def test_ac1_octonion_suite():
     # reproduce all 64 basis products against the frozen signed table
-    from test_octonion import BASIS_TABLE
+    from test_octonion import BASIS_TABLE, random_octonions
 
     # warmup (jit) outside the timed region
     oct.oct_mul_batch(np.zeros((2, 8)), np.zeros((2, 8)))
@@ -82,17 +82,15 @@ def test_ac1_octonion_suite():
             assert np.array_equal(oct.oct_mul_batch(e[i], e[j]), expected)
 
     rng = np.random.default_rng(0)
-    a = oct.random_octonions(rng, 10_000)
-    b = oct.random_octonions(rng, 10_000)
+    a = random_octonions(rng, 10_000)
+    b = random_octonions(rng, 10_000)
     prod = oct.oct_mul_batch(a, b)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     rel = np.abs(np.linalg.norm(prod, axis=1) - na * nb) / (na * nb)
     assert float(rel.max()) < 1e-12
 
-    u1 = oct.random_unit_octonions(rng, 1000)
-    u2 = oct.random_unit_octonions(rng, 1000)
-    u3 = oct.random_unit_octonions(rng, 1000)
+    u1, u2, u3 = (g / np.linalg.norm(g, axis=1, keepdims=True) for g in random_octonions(rng, 3000).reshape(3, 1000, 8))
     lhs = oct.oct_mul_batch(oct.oct_mul_batch(oct.oct_mul_batch(u1, u2), u1), u3)
     rhs = oct.oct_mul_batch(u1, oct.oct_mul_batch(u2, oct.oct_mul_batch(u1, u3)))
     moufang = float(np.abs(lhs - rhs).max())

@@ -91,11 +91,21 @@ def _keeps_left_automorphism(monkeypatch):
     monkeypatch.setattr(finite, "semidirect_loop", mutant)
 
 
-def _flipped_octonion_sign(monkeypatch):
+def _flipped_sign():
     # e1 e2 = -e3 while e2 e1 = -e3 still: the product loses its norm
     sign = octonion.MUL_SIGN.copy()
     sign[1, 2] = -sign[1, 2]
-    monkeypatch.setattr(octonion, "GATHER_SIGN", np.take_along_axis(sign, octonion.GATHER_INDEX, axis=1))
+    return sign
+
+
+def _flipped_table_sign(monkeypatch):
+    # the basis table the identities are decided on; the kernel's gather table stays
+    monkeypatch.setattr(octonion, "MUL_SIGN", _flipped_sign())
+
+
+def _flipped_kernel_sign(monkeypatch):
+    # the kernel's gather table; the basis table stays
+    monkeypatch.setattr(octonion, "GATHER_SIGN", np.take_along_axis(_flipped_sign(), octonion.GATHER_INDEX, axis=1))
 
 
 def _conjugate_as_inverse(monkeypatch):
@@ -185,11 +195,11 @@ CHECK_MUTANTS = {
     "finite.semidirect_latin": Row(SEMIDIRECT, patch=_keeps_left_automorphism),
     "finite.semidirect_unit": Row(SEMIDIRECT, patch=_claims_unit_one("semidirect_loop")),
     "finite.semidirect_ip": Row(SEMIDIRECT, spec=_swap_one_and_two, patch=_skips_automorphism_test),
-    "octonion.norm_product": Row(OCTONION, patch=_flipped_octonion_sign),
-    "octonion.moufang_identity": Row(OCTONION, patch=_flipped_octonion_sign),
-    "octonion.conjugation": Row(OCTONION, patch=_flipped_octonion_sign),
-    "octonion.inverse_property": Row(OCTONION, patch=_flipped_octonion_sign),
-    "octonion.inner_invariance": Row(OCTONION, patch=_flipped_octonion_sign),
+    "octonion.norm_product": Row(OCTONION, patch=_flipped_table_sign),
+    "octonion.moufang_identity": Row(OCTONION, patch=_flipped_table_sign),
+    "octonion.conjugation": Row(OCTONION, patch=_flipped_table_sign),
+    "octonion.inverse_property": Row(OCTONION, patch=_flipped_table_sign),
+    "octonion.kernel_batch": Row(OCTONION, patch=_flipped_kernel_sign),
     "loopoid.units": Row(LOOPOID_CHECK, spec=_wrong_loop_unit),
     "loopoid.unit_section": Row(
         LOOPOID_CHECK, patch=_loopoid_with(unit_embed=lambda q: lambda u: q.unit_embed(1.5 * u))
@@ -276,3 +286,20 @@ def test_every_emitted_check_has_a_mutant_and_a_schema_row():
     documented = set(re.findall(r"^\| `(\w+\.\w+)` \|", SCHEMAS.read_text(encoding="utf-8"), re.M))
     assert emitted == set(CHECK_MUTANTS) | set(NO_MUTANT) == documented
     assert not set(CHECK_MUTANTS) & set(NO_MUTANT)
+
+
+@pytest.mark.parametrize(
+    "patch, failing",
+    [
+        (_flipped_kernel_sign, {"octonion.kernel_batch"}),
+        (_flipped_table_sign, {"octonion.norm_product", "octonion.moufang_identity", "octonion.conjugation", "octonion.inverse_property"}),
+    ],
+    ids=["kernel", "table"],
+)
+def test_octonion_mutants_fail_only_their_own_checks(patch, failing, monkeypatch):
+    # the identities are decided on the basis table and the batch on the
+    # kernel, so a flip in one leaves the other's checks passing
+    patch(monkeypatch)
+    code, checks = _invoke(OCTONION)
+    assert code == 1
+    assert {ref for ref, check in checks.items() if not check["pass"]} == failing

@@ -363,12 +363,24 @@ def _whole_array_holds(t, a, b, c):
     ])
 
 
+def _sampled(t, aa, bb, cc):
+    """``sampled_scans`` on the given triples, handed out block by block in order."""
+    taken = [0]
+
+    def draw(m):
+        lo = taken[0]
+        taken[0] += m
+        return aa[lo:lo + m], bb[lo:lo + m], cc[lo:lo + m]
+
+    return _kernels.sampled_scans(t, draw, len(aa))
+
+
 def test_sampled_scan_matches_loop_oracle():
     rng = np.random.default_rng(11)
     for t in _oracle_tables():
         aa, bb, cc = rng.integers(0, t.shape[0], size=(3, 400))
         triples = list(zip(aa.tolist(), bb.tolist(), cc.tolist()))
-        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_verdicts(t, triples)
+        assert _sampled(t, aa, bb, cc) == _oracle_verdicts(t, triples)
         assert tuple(_whole_array_holds(t, aa, bb, cc).all(axis=1)) == _oracle_verdicts(t, triples)
     # one triple, and triple counts on either side of one and two whole
     # blocks, against the whole-array formula checked above
@@ -378,7 +390,7 @@ def test_sampled_scan_matches_loop_oracle():
     for size in (1, block - 1, block, block + 1, 2 * block + 1):
         for t in (latin, noise):
             aa, bb, cc = rng.integers(0, t.shape[0], size=(3, size))
-            assert _kernels.sampled_scans(t, aa, bb, cc) == tuple(_whole_array_holds(t, aa, bb, cc).all(axis=1))
+            assert _sampled(t, aa, bb, cc) == tuple(_whole_array_holds(t, aa, bb, cc).all(axis=1))
 
 
 def test_violation_only_in_the_last_chunk_or_block_reads_false(monkeypatch):
@@ -408,18 +420,19 @@ def test_violation_only_in_the_last_chunk_or_block_reads_false(monkeypatch):
     for size in (1, block, block + 1, 2 * block + 1):
         aa, bb, cc = np.zeros((3, size), dtype=np.int64)
         aa[-1] = bb[-1] = cc[-1] = z
-        assert _kernels.sampled_scans(t, aa, bb, cc) == (False,) * 6
-        assert _kernels.sampled_scans(t, aa[:-1], bb[:-1], cc[:-1]) == (True,) * 6
+        assert _sampled(t, aa, bb, cc) == (False,) * 6
+        assert _sampled(t, aa[:-1], bb[:-1], cc[:-1]) == (True,) * 6
 
 
 def test_sampled_scan_memory_is_bounded_by_its_blocks():
-    # the whole-array formula's temporaries peak at 10.4 MB here; a Moufang
-    # loop has no violation to stop at, so every block is scanned
-    rng = np.random.default_rng(3)
+    # the whole-array formula's temporaries peak at 10.4 MB here, and the
+    # 200,000 triples drawn at once took 4.8 MB; a Moufang loop has no
+    # violation to stop at, so every block is drawn and scanned
     t = _moufang_loop_64()
-    aa, bb, cc = rng.integers(0, 64, size=(3, 200_000))
-    assert _kernels.sampled_scans(t, aa, bb, cc) == (False,) + (True,) * 5
-    assert peak_traced_bytes(_kernels.sampled_scans, t, aa, bb, cc) < 3_000_000
+    rng = np.random.default_rng(3)
+    draw = lambda m: rng.integers(0, 64, size=(3, m))
+    assert _kernels.sampled_scans(t, draw, 200_000) == (False,) + (True,) * 5
+    assert peak_traced_bytes(_kernels.sampled_scans, t, draw, 200_000) < 3_000_000
 
 
 def _moufang_loop_64():
@@ -476,7 +489,7 @@ def test_scans_match_loop_oracle_on_random_tables(drawn, block):
         verdicts = _oracle_verdicts(t)
         assert _kernels.light_associative(t) == verdicts[0]
         assert _kernels.identity_scans(t) == verdicts[1:]
-        assert _kernels.sampled_scans(t, aa, bb, cc) == _oracle_verdicts(t, triples)
+        assert _sampled(t, aa, bb, cc) == _oracle_verdicts(t, triples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,8 +506,7 @@ def test_validate_matches_oracle_in_both_lanes(drawn, seed):
         mp.setattr(finite, "EXHAUSTIVE_ORDER_CAP", 0)
         mp.setattr(finite, "SAMPLED_TRIPLES", 30)
         rep = validate_latin_square(CayleyTable(n, t), rng=np.random.default_rng(seed))
-    draw = np.random.default_rng(seed)
-    aa, bb, cc = (draw.integers(0, n, size=30) for _ in range(3))
+    aa, bb, cc = np.random.default_rng(seed).integers(0, n, size=(3, 30))
     sampled = _oracle_verdicts(t, zip(aa.tolist(), bb.tolist(), cc.tolist()))
     assert not rep.exhaustive
     assert (rep.associative, *rep.moufang_forms, rep.left_bol, rep.right_bol) == sampled
@@ -526,6 +538,37 @@ def test_validate_scans_until_decided(monkeypatch, order):
         assert calls == ["sampled_scans", "_scan_block"]
 
 
+class _RecordedDraws:
+    """A generator that records the shape of each ``integers`` draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+def test_sampled_lane_draws_only_the_blocks_it_scans():
+    block = _kernels.SCAN_BLOCK
+    # an isotope of Z_66 violates every identity in its first block
+    t = _isotope(np.random.default_rng(66), cyclic_table(66).table)
+    rng = _RecordedDraws(0)
+    rep = validate_latin_square(CayleyTable(66, t), rng=rng)
+    assert not (rep.exhaustive or rep.associative or rep.moufang or rep.left_bol or rep.right_bol)
+    assert rng.sizes == [(3, block)]
+    # a Moufang loop of order 80 violates only associativity, so every
+    # block is drawn, the last one short
+    basis, z5 = signed_basis_loop().table, cyclic_table(5).table
+    t = (basis[:, None, :, None] * 5 + z5[None, :, None, :]).reshape(80, 80)
+    rng = _RecordedDraws(0)
+    rep = validate_latin_square(CayleyTable(80, t), rng=rng)
+    assert rep.moufang and rep.left_bol and rep.right_bol and not rep.associative
+    full, last = divmod(finite.SAMPLED_TRIPLES, block)
+    assert rng.sizes == [(3, block)] * full + [(3, last)]
+
+
 @pytest.mark.parametrize("order", [16, 70])
 def test_int32_tables_scan_like_int64_copies(order):
     rng = np.random.default_rng(order)
@@ -537,7 +580,7 @@ def test_int32_tables_scan_like_int64_copies(order):
     full = _kernels.identity_scans(ct.table)
     assert full == _kernels.identity_scans(t64) and not all(full)
     aa, bb, cc = rng.integers(0, order, size=(3, 20_000))
-    assert _kernels.sampled_scans(ct.table, aa, bb, cc) == _kernels.sampled_scans(t64, aa, bb, cc)
+    assert _sampled(ct.table, aa, bb, cc) == _sampled(t64, aa, bb, cc)
 
 
 def _latin_by_rows(t):

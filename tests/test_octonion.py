@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -5,21 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
-from loopoid_lab import _kernels
+from loopoid_lab import _kernels, octonion
 from loopoid_lab.cli import main
 from loopoid_lab.errors import DivisionByZero
 from loopoid_lab.octonion import (
     MUL_INDEX,
     MUL_SIGN,
+    ORIENTED_TRIPLES,
     format_expression,
-    moufang_defect,
-    norm_defect,
+    identity_residuals,
+    kernel_batch_defect,
     oct_conj,
     oct_inverse,
     oct_mul_batch,
     parse_expression,
-    random_octonions,
-    random_unit_octonions,
 )
 
 # frozen basis products: BASIS_TABLE[i][j] = signed index s*(k+1) meaning
@@ -50,6 +51,10 @@ def einsum_product(a, b, *gather_tables):
 
 def _bits(x):
     return x.dtype, x.shape, x.tobytes()
+
+
+def random_octonions(rng, n):
+    return rng.normal(size=(n, 8))
 
 
 def test_all_64_basis_products_match_frozen_table():
@@ -154,55 +159,116 @@ def test_octonion_report_unchanged_under_einsum_product(monkeypatch, tmp_path):
     assert (tmp_path / "gather.json").read_bytes() == (tmp_path / "einsum.json").read_bytes()
 
 
-def _whole_array_norm_defect(a, b):
-    """``norm_defect`` as whole-array ``np.linalg.norm`` calls, its reference."""
-    norm_ab = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    return float((np.abs(np.linalg.norm(oct_mul_batch(a, b), axis=1) - norm_ab) / norm_ab).max())
+def _flip_gather_sign(monkeypatch):
+    """The kernel's gather table with the sign of e1 e2 flipped; the basis table stays."""
+    sign = MUL_SIGN.copy()
+    sign[1, 2] = -sign[1, 2]
+    monkeypatch.setattr(octonion, "GATHER_SIGN", np.take_along_axis(sign, octonion.GATHER_INDEX, axis=1))
+
+
+def _whole_array_kernel_defect(seed, n):
+    """``kernel_batch_defect`` as one product and whole-array norms over
+    the same chunk-by-chunk draws, its reference."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(-1024, 1024, size=(2, min(CHUNK, n - lo), 8), dtype=np.int16) for lo in range(0, n, CHUNK)]
+    a, b = np.concatenate(draws, axis=1) * 2.0**-5
+    norm = lambda x: np.einsum("ij,ij->i", x, x)
+    return float(np.abs(norm(oct_mul_batch(a, b)) - norm(a) * norm(b)).max())
+
+
+def test_kernel_batch_is_exactly_zero():
+    assert kernel_batch_defect(np.random.default_rng(0), 20_000) == 0.0
+    assert _whole_array_kernel_defect(0, 20_000) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
-def test_norm_defect_matches_whole_array_norms_bit_for_bit(n):
-    rng = np.random.default_rng(2000 + n)
-    a, b = random_octonions(rng, n), random_octonions(rng, n)
-    assert norm_defect(a, b).hex() == _whole_array_norm_defect(a, b).hex()
+def test_kernel_batch_matches_whole_array_bit_for_bit(n, monkeypatch):
+    # under a flipped kernel sign the defect is large and rounds, so the
+    # chunked maximum must still equal the whole-array one bit for bit
+    _flip_gather_sign(monkeypatch)
+    got = kernel_batch_defect(np.random.default_rng(2000 + n), n)
+    assert got > 0.0
+    assert got.hex() == _whole_array_kernel_defect(2000 + n, n).hex()
 
 
-def test_norm_defect_memory_is_bounded_by_its_blocks():
-    # the whole-array formula peaks at 3.0 MB here, and at 30 MB on 2e5 rows
-    rng = np.random.default_rng(5)
-    a, b = random_octonions(rng, 20_000), random_octonions(rng, 20_000)
-    assert peak_traced_bytes(norm_defect, a, b) < 1_500_000
+def test_kernel_batch_fails_a_kernel_that_drops_its_last_partial_chunk(monkeypatch):
+    kernel = _kernels.oct_mul_many
+
+    def drops_partial(a, b, index, sign):
+        out = np.zeros(a.shape)
+        whole = len(a) - len(a) % CHUNK
+        out[:whole] = kernel(a[:whole], b[:whole], index, sign)
+        return out
+
+    n = 3 * CHUNK + 17
+    assert kernel_batch_defect(np.random.default_rng(4), n) == 0.0
+    monkeypatch.setattr(_kernels, "oct_mul_many", drops_partial)
+    assert kernel_batch_defect(np.random.default_rng(4), n) > 0.0
+
+
+def test_kernel_batch_memory_is_bounded_by_its_chunks():
+    # drawn chunk by chunk, so the peak (0.86 MB measured) does not grow
+    # with the count; 2e5 Gaussian pairs drawn at once took 25.6 MB
+    assert peak_traced_bytes(kernel_batch_defect, np.random.default_rng(5), 20_000) < 1_500_000
+
+
+def test_identity_residuals_are_exact_zeros():
+    assert identity_residuals() == (0, 0, 0, 0)
+    assert all(type(r) is int for r in identity_residuals())
+
+
+def _table_mutants():
+    """The 64 single sign flips of the basis table, by cell, and the 7
+    reversals of one oriented triple, by triple: each a new MUL_SIGN."""
+    for i in range(8):
+        for j in range(8):
+            sign = MUL_SIGN.copy()
+            sign[i, j] = -sign[i, j]
+            yield (i, j), sign
+    for triple in ORIENTED_TRIPLES:
+        sign = MUL_SIGN.copy()
+        for a, b in zip(triple, triple[1:] + triple[:1]):
+            sign[a, b], sign[b, a] = -sign[a, b], -sign[b, a]
+        yield triple, sign
+
+
+def test_every_table_mutant_fails_norm_moufang_and_inverse(monkeypatch):
+    conjugation_fails = set()
+    for name, sign in _table_mutants():
+        monkeypatch.setattr(octonion, "MUL_SIGN", sign)
+        norm, moufang, conj, inverse = identity_residuals()
+        assert norm and moufang and inverse, name
+        if conj:
+            conjugation_fails.add(name)
+    # a flipped square e_i e_i stays its own conjugate's square, and a
+    # reversed triple is still an anti-homomorphic table; every other flip
+    # breaks conj(xy) = y-bar x-bar
+    assert conjugation_fails == {(i, j) for i in range(8) for j in range(8) if i != j}
+    assert len(conjugation_fails) == 56
+
+
+def test_octonion_identity_checks_ignore_seed_and_samples():
+    runner = CliRunner()
+    values = set()
+    for seed, samples in (("0", "100"), ("7", "100"), ("0", "2000"), ("7", "2000")):
+        result = runner.invoke(main, ["octonion", "--seed", seed, "--samples", samples])
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        values.add(tuple((c["ref"], c["value"]) for c in checks if c["ref"] != "octonion.kernel_batch"))
+    assert values == {(
+        ("octonion.norm_product", 0),
+        ("octonion.moufang_identity", 0),
+        ("octonion.conjugation", 0),
+        ("octonion.inverse_property", 0),
+    )}
 
 
 def test_moufang_identity_on_unit_octonions():
     rng = np.random.default_rng(1)
-    a = random_unit_octonions(rng, 1000)
-    x = random_unit_octonions(rng, 1000)
-    y = random_unit_octonions(rng, 1000)
+    a, x, y = (g / np.linalg.norm(g, axis=1, keepdims=True) for g in random_octonions(rng, 3000).reshape(3, 1000, 8))
     lhs = oct_mul_batch(oct_mul_batch(oct_mul_batch(a, x), a), y)
     rhs = oct_mul_batch(a, oct_mul_batch(x, oct_mul_batch(a, y)))
     assert float(np.abs(lhs - rhs).max()) < 1e-9
-
-
-def _whole_array_moufang_defect(u1, u2, u3):
-    """``moufang_defect`` as six whole-length products, its reference."""
-    lhs = oct_mul_batch(oct_mul_batch(oct_mul_batch(u1, u2), u1), u3)
-    rhs = oct_mul_batch(u1, oct_mul_batch(u2, oct_mul_batch(u1, u3)))
-    return float(np.abs(lhs - rhs).max())
-
-
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 5000])
-def test_moufang_defect_matches_whole_array_products_bit_for_bit(n):
-    rng = np.random.default_rng(3000 + n)
-    units = [random_unit_octonions(rng, n) for _ in range(3)]
-    assert moufang_defect(*units).hex() == _whole_array_moufang_defect(*units).hex()
-
-
-def test_moufang_defect_memory_is_bounded_by_its_blocks():
-    # the six whole-length products peak at 5.1 MB here, the blocks at 0.9 MB
-    rng = np.random.default_rng(6)
-    units = [random_unit_octonions(rng, 20_000) for _ in range(3)]
-    assert peak_traced_bytes(moufang_defect, *units) < 1_500_000
 
 
 def test_inverse_values():
