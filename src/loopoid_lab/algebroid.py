@@ -66,25 +66,8 @@ class AlgebroidFrame:
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def algebroid_frame(q, u):
-    """The frame at the embedded unit of ``u``, or the list of frames of an
-    ``(N, dim_m)`` stack of units.
-
-    The basis of ker T alpha (rows) is the instance's preferred frame when it
-    has one, otherwise an SVD null space.  A stack takes one
-    ``complex_jacobian`` each of alpha, beta and unit_embed, one stacked
-    ``smallest_singular_value`` per rank test and ``null_space`` per null
-    space, and stacked products, which run the same LAPACK/BLAS call on each
-    matrix: a frame equals its unit's alone, bit for bit.  A failed check
-    names the first failing unit and its rate.
-    """
-    units = np.atleast_2d(u)
-    if not len(units):
-        return []
-    e = q.unit_embed(units)
-    ja = complex_jacobian(q.alpha, e)        # (N, m, g)
-    jb = complex_jacobian(q.beta, e)
-    tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
+def _derive_frames(q, units, ja, jb, tm, bases):
+    """Frame arrays from stacked side Jacobians and bases (None: null spaces); ``units`` name errors only."""
 
     def first_failing(failing, rate, message):
         if failing.any():
@@ -93,9 +76,7 @@ def algebroid_frame(q, u):
     if q.dim_m > 0:
         sv = np.minimum(smallest_singular_value(ja), smallest_singular_value(jb))
         first_failing(sv < 1e-8, sv, "alpha/beta Jacobian loses submersion rank at u = {u}: sigma_min {rate:.2e}")
-    if q.preferred_alpha_vertical is not None:
-        bases = [np.atleast_2d(q.preferred_alpha_vertical(p)) for p in units]
-    else:
+    if bases is None:
         bases = null_space(ja)
     for p, a in zip(units, bases):
         if a.shape != (q.rank, q.dim_g):
@@ -116,7 +97,44 @@ def algebroid_frame(q, u):
     bivertical = null_space(np.concatenate([ja, jb], axis=1))
     proj = np.stack([biv.T @ biv for biv in bivertical])
     b_aligned = np.swapaxes(2.0 * proj @ bt - bt, 1, 2)
-    frames = [AlgebroidFrame(p, q.rank, *arrays) for p, *arrays in zip(units, a, b, b_aligned, tm, rho, bivertical)]
+    return list(zip(a, b, b_aligned, tm, rho, bivertical))
+
+
+def algebroid_frame(q, u, derived=None):
+    """The frame at the embedded unit of ``u``, or the list of frames of an
+    ``(N, dim_m)`` stack of units.
+
+    The basis of ker T alpha (rows) is the instance's preferred frame when it
+    has one, otherwise an SVD null space.  A stack takes one
+    ``complex_jacobian`` each of alpha, beta and unit_embed.  The rest of a
+    frame is a function of the bytes of its unit's three Jacobians and
+    preferred basis: ``derived`` (a frame field's memo) maps them to the
+    arrays, and the keys it lacks are derived by one ``_derive_frames`` call
+    in first-occurrence order, then stored.  That call takes one stacked
+    ``smallest_singular_value`` per rank test and ``null_space`` per null
+    space, and stacked products, which run the same LAPACK/BLAS call on each
+    matrix: a frame equals its unit's alone, bit for bit.  A failed check
+    names the first failing unit and its rate, and stores nothing.
+    """
+    units = np.atleast_2d(u)
+    if not len(units):
+        return []
+    e = q.unit_embed(units)
+    ja = complex_jacobian(q.alpha, e)        # (N, m, g)
+    jb = complex_jacobian(q.beta, e)
+    tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
+    bases = None
+    if q.preferred_alpha_vertical is not None:
+        bases = [np.atleast_2d(q.preferred_alpha_vertical(p)) for p in units]
+    flat = np.concatenate([ja, jb, tm], axis=1).reshape(len(units), -1)
+    keys = [row.tobytes() if bases is None else (row.tobytes(), a.shape, a.tobytes()) for row, a in zip(flat, bases or flat)]
+    derived = {} if derived is None else derived
+    new = [key for key in dict.fromkeys(keys) if key not in derived]
+    if new:
+        rows = [keys.index(key) for key in new]
+        stacks = (units[rows], ja[rows], jb[rows], tm[rows], bases and [bases[i] for i in rows])
+        derived.update(zip(new, _derive_frames(q, *stacks)))
+    frames = [AlgebroidFrame(p, q.rank, *derived[key]) for p, key in zip(units, keys)]
     return frames if np.ndim(u) > 1 else frames[0]
 
 
@@ -127,16 +145,19 @@ def make_frame_field(q):
     Units that agree to 12 decimals share one frame; a stack is rounded in
     one call and each row looked up by its bytes.  The rows the cache lacks
     (a repeated key by its first row) are built by one ``algebroid_frame``
-    call and only then stored, so a failed request caches nothing.
+    call and only then stored, so a failed request caches nothing.  Units
+    whose Jacobians and bases agree, as all units of a linear chart do, share
+    one derivation from the field's memo (see ``algebroid_frame``).
     """
     cache = {}
+    derived = {}
 
     def field(u):
         keys = [key.tobytes() for key in np.atleast_2d(np.round(u, 12))]
         missing = [key for key in dict.fromkeys(keys) if key not in cache]
         if missing:
             first_rows = np.atleast_2d(u)[[keys.index(key) for key in missing]]
-            cache.update(zip(missing, algebroid_frame(q, first_rows)))
+            cache.update(zip(missing, algebroid_frame(q, first_rows, derived)))
         frames = [cache[key] for key in keys]
         return frames if np.ndim(u) > 1 else frames[0]
 

@@ -477,9 +477,9 @@ def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
 
     builds = []
 
-    def counted_frames(q, u):
+    def counted_frames(q, u, derived=None):
         builds.append(len(u))
-        return algebroid_frame(q, u)
+        return algebroid_frame(q, u, derived)
 
     monkeypatch.setattr(algebroid, "directional", counted)
     monkeypatch.setattr(algebroid, "algebroid_frame", counted_frames)

@@ -60,8 +60,9 @@ def _frames_with(**fields):
     def patch(monkeypatch):
         build = algebroid.algebroid_frame
 
-        def mutant(q, u):
-            return [dataclasses.replace(fr, **{name: make(fr) for name, make in fields.items()}) for fr in build(q, u)]
+        def mutant(q, u, derived=None):
+            frames = build(q, u, derived)
+            return [dataclasses.replace(fr, **{name: make(fr) for name, make in fields.items()}) for fr in frames]
 
         monkeypatch.setattr(algebroid, "algebroid_frame", mutant)
 

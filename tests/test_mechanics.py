@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import example, planar_feedback_chart
-from loopoid_lab import mechanics
+from click.testing import CliRunner
+from conftest import EXAMPLES, example, planar_feedback_chart
+from loopoid_lab import algebroid, mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, prolong
-from loopoid_lab.errors import LoopoidLabError, NotComposable, NumericalNoise, SingularJacobian
+from loopoid_lab.cli import main
+from loopoid_lab.errors import LoopoidLabError, NoConvergence, NotComposable, NumericalNoise, SingularJacobian
 from loopoid_lab.loopoids import COMPOSABLE_TOL, pair_groupoid, phi_quasiloopoid, product_loopoid
 from loopoid_lab.mechanics import (
     STEP_TOL,
@@ -18,7 +20,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import directional
+from loopoid_lab.numdiff import directional, jacobian
 from loopoid_lab.specio import build_system
 
 # the start point of the README system; its steps have closed forms below
@@ -426,3 +428,196 @@ def test_trajectory_lets_other_exceptions_through(kinetic_system):
     system = DiscreteLagrangianSystem(loopoid=kinetic_system.loopoid, lagrangian=broken)
     with pytest.raises(ZeroDivisionError, match="^lagrangian$"):
         trajectory(system, README_START, 1)
+
+
+# ---------------------------------------------------------------------------
+# the damped line search in blocks accepts what halving step by step accepts
+# ---------------------------------------------------------------------------
+
+
+def sequential_newton(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=None):
+    """``newton_solve`` with the damping loop that halves the step one
+    residual call at a time: the reference the block search must match."""
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    best = float(np.linalg.norm(r))
+    if not np.isfinite(best):
+        raise NumericalNoise(f"non-finite residual norm {best:.3e} at the seed")
+    cond = None
+    for it in range(max_iter):
+        if best < tol:
+            return x, {"iterations": it, "residual": best, "residual_vector": r, "cond": cond}
+        j = np.atleast_2d(jacobian(residual, x, fd_step))
+        if not np.all(np.isfinite(j)):
+            raise NumericalNoise(f"non-finite Jacobian entry at iteration {it + 1}, residual {best:.3e}")
+        sv = np.linalg.svd(j, compute_uv=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]
+        step = 1.0
+        for _ in range(30):
+            cand = x + step * delta
+            rc = residual(cand)
+            nc = float(np.linalg.norm(rc))
+            if nc < best or nc < tol:
+                x, r, best = cand, rc, nc
+                break
+            step *= 0.5
+        else:
+            if cond > 1e12:
+                raise SingularJacobian(f"stalled at residual {best:.3e} with condition {cond:.3e}", cond=cond)
+            raise NoConvergence(f"no descent at residual {best:.3e} after {it + 1} iterations")
+    if best < tol:
+        return x, {"iterations": max_iter, "residual": best, "residual_vector": r, "cond": cond}
+    raise NoConvergence(f"residual {best:.3e} > tol {tol:.1e} after {max_iter} iterations")
+
+
+def outcome(solve, *args, **kwargs):
+    """The bytes of what ``solve`` returns, or the type and message of what it raises."""
+    try:
+        x, info = solve(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.tobytes(), {key: np.asarray(value).tobytes() for key, value in info.items()}
+
+
+def halving_residual(k, fails=None):
+    """r(x) = x - 1 on R, plus 1e6 past |x| = 1.5 2^-k, so that Newton's
+    step from 0 (about 1) is accepted after exactly k halvings; a step whose
+    length lies in the interval ``fails`` raises.  Records the leading shape
+    of each call."""
+    shapes = []
+
+    def residual(x):
+        shapes.append(np.shape(x)[:-1])
+        if fails is not None and np.any((np.abs(x) > fails[0]) & (np.abs(x) < fails[1])):
+            raise NotComposable(f"step {np.abs(x).max():.3f}")
+        return x - 1.0 + 1e6 * (np.abs(x) > 1.5 * 2.0**-k)
+
+    return residual, shapes
+
+
+# tol 1 ends the solve at its first accepted step; fd_step 1e-12 keeps the
+# Jacobian's stencil inside every reach
+LINE_SEARCH = {"tol": 1.0, "fd_step": 1e-12}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 29])
+def test_block_line_search_accepts_the_sequential_step(k):
+    residual, shapes = halving_residual(k)
+    want = outcome(sequential_newton, residual, np.zeros(1), **LINE_SEARCH)
+    assert abs(np.frombuffer(want[0])[0] * 2.0**k - 1.0) < 1e-3
+    shapes.clear()
+    assert outcome(newton_solve, residual, np.zeros(1), **LINE_SEARCH) == want
+    # the seed, the stencil and the full step are single points
+    assert shapes[:3] == [(), (2,), ()]
+
+
+def test_block_line_search_without_descent_raises_as_the_sequential_one():
+    residual, _ = halving_residual(31)
+    want = outcome(sequential_newton, residual, np.zeros(1), **LINE_SEARCH)
+    assert want == (NoConvergence, "no descent at residual 1.000e+00 after 1 iterations")
+    assert outcome(newton_solve, residual, np.zeros(1), **LINE_SEARCH) == want
+
+
+@pytest.mark.parametrize(
+    "k, fails, raises",
+    [
+        # the block (1/4, 1/8) raises at 1/8, beyond the accepted 1/4
+        (2, (0.1, 0.15), False),
+        # the step 1/4 raises before 1/8 is accepted
+        (3, (0.2, 0.3), True),
+    ],
+)
+def test_block_line_search_raises_only_where_the_sequential_one_does(k, fails, raises):
+    residual, shapes = halving_residual(k, fails)
+    want = outcome(sequential_newton, residual, np.zeros(1), **LINE_SEARCH)
+    assert want[0] is NotComposable if raises else abs(np.frombuffer(want[0])[0] * 2.0**k - 1.0) < 1e-3
+    shapes.clear()
+    assert outcome(newton_solve, residual, np.zeros(1), **LINE_SEARCH) == want
+    # the block's call raised, and its candidates ran again one at a time
+    assert (2,) in shapes[3:] and shapes[-1] == ()
+
+
+@pytest.mark.parametrize("start,steps", [("readme", 5), ("stall", 3)])
+def test_trajectory_with_block_line_search_equals_sequential(readme_system, monkeypatch, start, steps):
+    g0 = README_START if start == "readme" else STALL_START
+
+    def run(n_steps):
+        system = build_system(readme_system["body"], "$.body")
+        try:
+            return trajectory(system, g0, n_steps).points.tobytes()
+        except LoopoidLabError as exc:
+            return type(exc), str(exc)
+
+    got = [run(steps - 1), run(steps)]
+    monkeypatch.setattr(mechanics, "newton_solve", sequential_newton)
+    assert got == [run(steps - 1), run(steps)]
+    if start == "readme":
+        assert got[1] == (SingularJacobian, "step 4: stalled at residual 3.432e+05 with condition inf")
+
+
+# ---------------------------------------------------------------------------
+# counts of the step map's work: deterministic, so pinned exactly
+# ---------------------------------------------------------------------------
+
+
+def counted_step_map(monkeypatch):
+    """Counts of residual calls per Newton solve of the step map, of
+    ``algebroid_frame`` calls and of frames derived, filled as CLI runs go."""
+    counts = {"residual_calls": [], "frame_builds": 0, "derived": 0}
+    solve = mechanics.newton_solve
+
+    def spy(residual, seed, **kwargs):
+        counts["residual_calls"].append(0)
+
+        def counted(x):
+            counts["residual_calls"][-1] += 1
+            return residual(x)
+
+        return solve(counted, seed, **kwargs)
+
+    build, derive = algebroid.algebroid_frame, algebroid._derive_frames
+
+    def counted_build(q, u, derived=None):
+        counts["frame_builds"] += 1
+        return build(q, u, derived)
+
+    def counted_derive(q, units, *rest):
+        counts["derived"] += len(units)
+        return derive(q, units, *rest)
+
+    monkeypatch.setattr(mechanics, "newton_solve", spy)
+    monkeypatch.setattr(algebroid, "algebroid_frame", counted_build)
+    monkeypatch.setattr(algebroid, "_derive_frames", counted_derive)
+    return counts
+
+
+README_SPEC = str(EXAMPLES / "readme_system.json")
+
+
+# Each solve of a 2-step simulate and of legendre's three probes takes only
+# full steps, one residual call each besides its stencils.  Frames are built
+# once per request with a missing unit, and the product's frames share one
+# derivation: building every frame from scratch derived 37 and 71.
+@pytest.mark.parametrize(
+    "args, residual_calls, frame_builds, derived",
+    [
+        (["simulate", "--spec", README_SPEC, "--steps", "2"], [12, 12], 10, 1),
+        (["legendre", "--spec", README_SPEC, "--at", "0.3,-0.8,0.2,1.1,-0.4,0.9"], [7, 7, 9], 10, 1),
+    ],
+)
+def test_step_map_counts(monkeypatch, args, residual_calls, frame_builds, derived):
+    counts = counted_step_map(monkeypatch)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert counts == {"residual_calls": residual_calls, "frame_builds": frame_builds, "derived": derived}
+
+
+def test_stalled_step_counts(monkeypatch):
+    # the README system's step 4 halves its ten steps 13, 16, 17, 17, 16,
+    # 11, 6, 0 and 0 times, and its last step tries all 30 lengths: 57
+    # residual calls in blocks, where halving one at a time made 146
+    counts = counted_step_map(monkeypatch)
+    result = CliRunner().invoke(main, ["simulate", "--spec", README_SPEC, "--steps", "5"])
+    assert result.exit_code == 2
+    assert counts["residual_calls"] == [12, 12, 19, 29, 57]

@@ -7,21 +7,24 @@ plus the constructions no example reaches.  The maps built on them keep
 the contract too: prolongations, tangent products, the frames of a stack of units,
 derivatives along stacked bases and the step map's residual; and each
 differencing routine, ``complex_step`` included, calls its map once, as
-the frame field does for each request.  The chart maps and Lagrangians also keep a
+the frame field does for each request, deriving the arrays of a frame once
+per distinct triple of side Jacobians.  The chart maps and Lagrangians also keep a
 complex input complex, so a ``COMPLEX_STEP * 1j`` step along a direction
 carries their derivative in its imaginary part.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import EXAMPLES, example, lie_bracket
-from loopoid_lab import mechanics
+from loopoid_lab import algebroid, mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
-from loopoid_lab.loopoids import SplitFibration, sample_composable_pairs
+from loopoid_lab.errors import RankDeficient
+from loopoid_lab.loopoids import SplitFibration, pair_groupoid, sample_composable_pairs
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import (
     COMPLEX_STEP,
@@ -411,3 +414,73 @@ def test_empty_frame_request_calls_no_chart_map():
     assert make_frame_field(q)(units) == []
     assert algebroid_frame(q, units) == []
     assert calls == {"alpha": [], "beta": [], "unit_embed": []}
+
+
+def counted_derivations(monkeypatch):
+    """The number of frames each ``_derive_frames`` call derives, in call order."""
+    rows = []
+    derive = algebroid._derive_frames
+    monkeypatch.setattr(algebroid, "_derive_frames", lambda q, units, *rest: rows.append(len(units)) or derive(q, units, *rest))
+    return rows
+
+
+def skewed_pair1():
+    """The pair groupoid of R in the coordinates (s, w) with t = s + w (1 + s):
+    T beta = [1, 1 + s] at the unit (s, 0), so each unit has its own triple
+    of side Jacobians."""
+    beta = lambda g: g[..., :1] + g[..., 1:] * (1.0 + g[..., :1])
+    return dataclasses.replace(
+        pair_groupoid(1),
+        beta=beta,
+        unit_embed=lambda u: np.concatenate([u, 0.0 * u], axis=-1),
+        mul=lambda g, h: np.concatenate([g[..., :1], (beta(h) - g[..., :1]) / (1.0 + g[..., :1])], axis=-1),
+        inverse=None,
+        preferred_alpha_vertical=None,
+    )
+
+
+# every spec chart's side Jacobians at its units are constant (linear maps,
+# or phi's constraint through phi'(0) alone), so one derivation serves all
+# its units; the skewed chart derives each of its eight distinct units
+DERIVED = {"skewed_pair1": [4, 3, 1]}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS) + ["skewed_pair1"])
+def test_frame_field_serves_each_unit_its_own_frame(name, monkeypatch):
+    # the memo hands a unit the arrays derived for an earlier unit with the
+    # same side Jacobians and basis, in the same request or a later one: they
+    # are the unit's own frame, bit for bit
+    q = skewed_pair1() if name == "skewed_pair1" else build_loopoid(LOOPOIDS[name], "$.body")
+    rng = np.random.default_rng(22)
+    first = rng.normal(scale=0.3, size=(4, q.dim_m))
+    second = np.concatenate([first[[2, 0]], rng.normal(scale=0.3, size=(3, q.dim_m))])
+    last = second[-1] + 0.25
+    ff = make_frame_field(q)
+    rows = counted_derivations(monkeypatch)
+    served = ff(first) + ff(second) + [ff(last)]
+    derived = list(rows)
+    assert derived == DERIVED.get(name, [1])
+    for frame, u in zip(served, [*first, *second, last]):
+        alone = algebroid_frame(q, u)
+        for field in FRAME_ARRAYS:
+            assert np.array_equal(getattr(frame, field), getattr(alone, field))
+
+
+def test_a_failed_frame_derivation_stores_nothing(monkeypatch):
+    # past u_1 = 10 the product's preferred alpha-vertical rows tilt 1e-3 out
+    # of ker T alpha: the units 20 and 30 share a triple and a basis, and the
+    # error names the first of them.  A failed request stores no derivation,
+    # so it fails again, and its good unit is derived afresh, once.
+    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
+    tilt = np.zeros((q.rank, q.dim_g))
+    tilt[0, q.dim_g - 2 * q.dim_m] = 1e-3
+    tilted = dataclasses.replace(q, preferred_alpha_vertical=lambda u: q.preferred_alpha_vertical(u) + tilt * (u[0] > 10))
+    ff = make_frame_field(tilted)
+    rows = counted_derivations(monkeypatch)
+    message = f"alpha-vertical basis leaves ker T alpha at rate 1.00e-03 at u = {np.array([20.0, 0.0])}"
+    for _ in range(2):
+        with pytest.raises(RankDeficient, match=re.escape(message)):
+            ff(np.array([[0.5, 0.0], [20.0, 0.0], [30.0, 0.0]]))
+    ff(np.array([[0.5, 0.0], [0.7, -0.1]]))
+    ff(np.array([0.2, 0.3]))
+    assert rows == [2, 2, 1]

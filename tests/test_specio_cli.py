@@ -367,7 +367,7 @@ def test_cli_lie_functor_builds_anchor_frames_from_rank_two(runner, monkeypatch,
 
     frames = algebroid.algebroid_frame
     sizes = []
-    monkeypatch.setattr(algebroid, "algebroid_frame", lambda q, u: sizes.append(len(u)) or frames(q, u))
+    monkeypatch.setattr(algebroid, "algebroid_frame", lambda q, u, derived=None: sizes.append(len(u)) or frames(q, u, derived))
     result = runner.invoke(main, ["lie-functor", "--spec", str(EXAMPLES / f"{spec}.json"), "--seed", "0"])
     assert result.exit_code == 0, result.output
     assert sizes == builds
