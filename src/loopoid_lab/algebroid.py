@@ -66,8 +66,9 @@ class AlgebroidFrame:
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def _derive_frames(q, units, ja, jb, tm, bases):
-    """Frame arrays from stacked side Jacobians and bases (None: null spaces); ``units`` name errors only."""
+def _derive_frames(q, units, ja, jb, tm):
+    """Frame arrays from stacked side Jacobians and the instance's preferred
+    basis (without one, null spaces); ``units`` name errors only."""
 
     def first_failing(failing, rate, message):
         if failing.any():
@@ -76,8 +77,10 @@ def _derive_frames(q, units, ja, jb, tm, bases):
     if q.dim_m > 0:
         sv = np.minimum(smallest_singular_value(ja), smallest_singular_value(jb))
         first_failing(sv < 1e-8, sv, "alpha/beta Jacobian loses submersion rank at u = {u}: sigma_min {rate:.2e}")
-    if bases is None:
+    if q.preferred_alpha_vertical is None:
         bases = null_space(ja)
+    else:
+        bases = [q.preferred_alpha_vertical] * len(units)
     for p, a in zip(units, bases):
         if a.shape != (q.rank, q.dim_g):
             raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({q.rank}, {q.dim_g}) at u = {p}")
@@ -105,10 +108,10 @@ def algebroid_frame(q, u, derived=None):
     ``(N, dim_m)`` stack of units.
 
     The basis of ker T alpha (rows) is the instance's preferred frame when it
-    has one, otherwise an SVD null space.  A stack takes one
-    ``complex_jacobian`` each of alpha, beta and unit_embed.  The rest of a
-    frame is a function of the bytes of its unit's three Jacobians and
-    preferred basis: ``derived`` (a frame field's memo) maps them to the
+    has one, the same at every unit, otherwise an SVD null space.  A stack
+    takes one ``complex_jacobian`` each of alpha, beta and unit_embed.  The
+    rest of a frame is a function of the bytes of its unit's three
+    Jacobians: ``derived`` (a frame field's memo) maps them to the
     arrays, and the keys it lacks are derived by one ``_derive_frames`` call
     in first-occurrence order, then stored.  That call takes one stacked
     ``smallest_singular_value`` per rank test and ``null_space`` per null
@@ -123,17 +126,12 @@ def algebroid_frame(q, u, derived=None):
     ja = complex_jacobian(q.alpha, e)        # (N, m, g)
     jb = complex_jacobian(q.beta, e)
     tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
-    bases = None
-    if q.preferred_alpha_vertical is not None:
-        bases = [np.atleast_2d(q.preferred_alpha_vertical(p)) for p in units]
-    flat = np.concatenate([ja, jb, tm], axis=1).reshape(len(units), -1)
-    keys = [row.tobytes() if bases is None else (row.tobytes(), a.shape, a.tobytes()) for row, a in zip(flat, bases or flat)]
+    keys = [row.tobytes() for row in np.concatenate([ja, jb, tm], axis=1).reshape(len(units), -1)]
     derived = {} if derived is None else derived
     new = [key for key in dict.fromkeys(keys) if key not in derived]
     if new:
         rows = [keys.index(key) for key in new]
-        stacks = (units[rows], ja[rows], jb[rows], tm[rows], bases and [bases[i] for i in rows])
-        derived.update(zip(new, _derive_frames(q, *stacks)))
+        derived.update(zip(new, _derive_frames(q, units[rows], ja[rows], jb[rows], tm[rows])))
     frames = [AlgebroidFrame(p, q.rank, *derived[key]) for p, key in zip(units, keys)]
     return frames if np.ndim(u) > 1 else frames[0]
 

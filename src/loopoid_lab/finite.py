@@ -12,7 +12,7 @@ product (g, A)(h, B) = (g A(h), A B) of a loop with a set of its
 automorphisms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,25 +68,11 @@ class IdentityReport:
     associative: bool
     # the three Moufang forms individually; they provably agree only for
     # quasigroups, so a disagreement on a non-Latin table is surfaced here
-    moufang_forms: tuple = field(default=(False, False, False))
+    moufang_forms: tuple = (False, False, False)
     exhaustive: bool = True
 
     def to_dict(self):
-        d = {
-            "is_latin_square": self.is_latin_square,
-            "unit": self.unit,
-            "has_two_sided_inverses": self.has_two_sided_inverses,
-            "inverse_property": self.inverse_property,
-            "left_inverse_property": self.left_inverse_property,
-            "right_inverse_property": self.right_inverse_property,
-            "moufang": self.moufang,
-            "left_bol": self.left_bol,
-            "right_bol": self.right_bol,
-            "associative": self.associative,
-            "moufang_forms": list(self.moufang_forms),
-            "exhaustive": self.exhaustive,
-        }
-        return d
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _find_unit(t):

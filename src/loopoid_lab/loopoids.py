@@ -4,8 +4,9 @@ An instance is a chart R^dim_g with two submersions alpha, beta onto an
 M-chart R^dim_m, a unit embedding, and a multiplication formula that is
 smooth on (a slab around) the composability locus beta(g) = alpha(h).
 Numerically the partial product is total on the tolerance slab
-||beta(g) - alpha(h)|| < COMPOSABLE_TOL; callers snap the right factor onto
-the alpha-fiber by Newton projection before composing.
+||beta(g) - alpha(h)|| < COMPOSABLE_TOL; callers move the right factor onto
+the alpha-fiber with the local section through it (``build_local_section``,
+the one fiber projection here) before composing.
 
 Constructions: the pair groupoid, the product of a smooth loop with a pair
 groupoid, the odd-diffeomorphism quasiloopoid on a constrained 3-coordinate
@@ -51,7 +52,7 @@ class ChartedQuasiloopoid:
     claims_loopoid: bool = False
     claims_ip: bool = False
     name: str = "quasiloopoid"
-    preferred_alpha_vertical: Optional[Callable] = None  # u -> (r, dim_g)
+    preferred_alpha_vertical: Optional[np.ndarray] = None  # (r, dim_g), the same at every unit
 
     @property
     def rank(self):
@@ -70,20 +71,15 @@ def composable(q, g, h):
     return bool(gap < COMPOSABLE_TOL)
 
 
-def snap_to_alpha_fiber(q, h, target_m):
-    """Newton-project h so that alpha(h) = target_m (minimum-norm update)."""
-    res = lambda p: q.alpha(p) - target_m
-    h2, _ = newton_solve(res, h, tol=1e-12)
-    return h2
-
-
 def sample_composable_pairs(q, rng, n):
-    """Seeded (g, h) samples snapped onto the composability locus, as an
-    ``(n, 2, dim_g)`` stack; each h is snapped by its own Newton solve."""
+    """Seeded (g, h) samples on the composability locus, as an ``(n, 2,
+    dim_g)`` stack: the local section through each h moves it onto the
+    alpha-fiber over beta(g).  Its seed is on that fiber, and its solve
+    returns there, wherever alpha is linear and alpha o eps = id."""
     gs = q.sample_g(rng, n)
     hs = q.sample_g(rng, n)
-    snapped = [snap_to_alpha_fiber(q, h, q.beta(g)) for g, h in zip(gs, hs)]
-    return np.stack([gs, np.reshape(snapped, gs.shape)], axis=1)
+    moved = [build_local_section(q, "alpha", h)(b) for b, h in zip(q.beta(gs), hs)]
+    return np.stack([gs, np.reshape(moved, gs.shape)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +105,8 @@ def pair_groupoid(n):
     def inverse(g):
         return np.concatenate([g[..., n:], g[..., :n]], axis=-1)
 
-    def pav(u):
-        basis = np.zeros((n, 2 * n))
-        basis[:, n:] = np.eye(n)
-        return basis
+    pav = np.zeros((n, 2 * n))
+    pav[:, n:] = np.eye(n)
 
     return ChartedQuasiloopoid(
         dim_g=2 * n,
@@ -164,12 +158,10 @@ def product_loopoid(loop, n):
         legs = rng.normal(scale=0.4, size=(k, 2 * n))
         return np.concatenate([xs, legs], axis=1)
 
-    def pav(u):
-        # loop directions first, then the beta-leg directions
-        basis = np.zeros((d + n, d + 2 * n))
-        basis[:d, :d] = np.eye(d)
-        basis[d:, d + n :] = np.eye(n)
-        return basis
+    # loop directions first, then the beta-leg directions
+    pav = np.zeros((d + n, d + 2 * n))
+    pav[:d, :d] = np.eye(d)
+    pav[d:, d + n :] = np.eye(n)
 
     return ChartedQuasiloopoid(
         dim_g=d + 2 * n,
@@ -314,15 +306,11 @@ def prolongation_loopoid(q, pi):
         return np.concatenate([fs[:, :nf], gs, fs[:, nf:]], axis=1)
 
     pav = None
-    if q.preferred_alpha_vertical is not None:
-        def pav(p):
-            base, _ = pi.split(p)
-            inner = q.preferred_alpha_vertical(base)
-            r_in = inner.shape[0]
-            basis = np.zeros((r_in + nf, nf + ng + nf))
-            basis[:r_in, nf : nf + ng] = inner
-            basis[r_in:, nf + ng :] = np.eye(nf)
-            return basis
+    inner = q.preferred_alpha_vertical
+    if inner is not None:
+        pav = np.zeros((len(inner) + nf, nf + ng + nf))
+        pav[: len(inner), nf : nf + ng] = inner
+        pav[len(inner) :, nf + ng :] = np.eye(nf)
 
     return ChartedQuasiloopoid(
         dim_g=nf + ng + nf,
@@ -433,9 +421,11 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     inversion residuals when an inversion map is present.
 
     The samples are the rows of one stack: each chart map runs once per
-    quantity, the side-map Jacobians are one stacked complex step, and only
-    the small SVD and lstsq solves run per sample.  A residual is the 1-D
-    norm of one row: an ``axis=`` norm can round differently.
+    quantity, the side-map Jacobians are one stacked complex step, their
+    null spaces and least singular values one SVD per stack, and only each
+    sample's fiber images, expanded in its target fiber, are solved alone.
+    A residual is the 1-D norm of one row: an ``axis=`` norm can round
+    differently.
     """
 
     def defined(x, y):
@@ -445,15 +435,14 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         """(min sv, residual) of ``translate`` between side-map fibers; (inf,
         0) where they are points.  One complex step covers all (sample, fiber
         direction) rows, so fiber dimensions may differ between samples."""
-        fibs = [null_space(j) for j in point_jacs]
+        fibs = null_space(point_jacs)
         rows = [i for i, fib in enumerate(fibs) for _ in fib]
         if not rows:
             return np.inf, 0.0
         imgs = complex_step(lambda p: translate(rows, p), points[rows], np.concatenate(fibs)[:, None])[:, 0]
         svs, resids = [np.inf], [0.0]
-        for jac, img in zip(product_jacs, np.split(imgs, np.cumsum([len(fib) for fib in fibs])[:-1])):
+        for target, img in zip(null_space(product_jacs), np.split(imgs, np.cumsum([len(fib) for fib in fibs])[:-1])):
             if len(img):
-                target = null_space(jac)
                 coeff, *_ = np.linalg.lstsq(target.T, img.T, rcond=None)
                 svs.append(smallest_singular_value(coeff))
                 resids.append(float(np.max(np.abs(target.T @ coeff - img.T))))
@@ -474,8 +463,8 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
 
     ja_g, ja_h, ja_gh = np.split(complex_jacobian(q.alpha, np.concatenate([gs, hs, ghs])), 3)
     jb_g, jb_gh = np.split(complex_jacobian(q.beta, np.concatenate([gs, ghs])), 2)
-    a_min = min([np.inf] + [smallest_singular_value(j) for j in ja_g])
-    b_min = min([np.inf] + [smallest_singular_value(j) for j in jb_g])
+    a_min = smallest_singular_value(ja_g).min(initial=np.inf)
+    b_min = smallest_singular_value(jb_g).min(initial=np.inf)
 
     a_anchor = _worst(q.alpha(ghs) - ags)
     b_anchor = _worst(q.beta(ghs) - bhs)

@@ -19,7 +19,7 @@ All derivatives in the package come through here, by one of two rules:
   the bracket table over a point, taken at ``OUTER_STEP`` and at half of
   it to bound its drift.  ``newton_solve`` differences its residual at the
   relative step ``fd_step``: ``mechanics.step_solve`` passes 1e-5, and the
-  snaps and sections of ``loopoids`` keep the default 1e-7.
+  sections of ``loopoids`` keep the default 1e-7.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``

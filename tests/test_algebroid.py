@@ -97,7 +97,7 @@ def test_frame_pair_groupoid():
 def test_frame_rejects_bad_basis(product_h):
     # a preferred basis of the wrong shape, and one that leaves ker T alpha
     for basis in (np.eye(6)[:3], np.eye(6)[:4]):
-        bad = dataclasses.replace(product_h, preferred_alpha_vertical=lambda u, b=basis: b)
+        bad = dataclasses.replace(product_h, preferred_alpha_vertical=basis)
         with pytest.raises(RankDeficient):
             algebroid_frame(bad, np.zeros(2))
 
@@ -162,6 +162,14 @@ def curved_loopoid():
 TILTED = np.array([[1e-3, 1.0]])  # 1e-3 off ker T alpha = ker T beta = span (0, 1)
 
 
+def tilted_past_10(q):
+    """q with the preferred alpha-vertical row (0, 1) and T alpha tilted to
+    [1, 1e-3] at the units past 10, so that row leaves ker T alpha there."""
+    return dataclasses.replace(
+        q, alpha=lambda g: q.alpha(g) + 1e-3 * (g[..., :1] > 10) * g[..., 1:], preferred_alpha_vertical=np.eye(2)[1:]
+    )
+
+
 def test_prolong_slab_guard():
     # a complex step's real part stays at the unit, so a chart curving out
     # of the slab at second order prolongs exactly; a frame row off
@@ -169,19 +177,18 @@ def test_prolong_slab_guard():
     q = curved_loopoid()
     g = np.array([0.2, 0.0])
     assert np.array_equal(prolong(q, make_frame_field(q), [1.0], "left", g), [0.0, 1.0])
-    tilted = dataclasses.replace(q, preferred_alpha_vertical=lambda u: TILTED)
+    tilted = dataclasses.replace(q, preferred_alpha_vertical=TILTED)
     with pytest.raises(RankDeficient, match="ker T alpha at rate 1.00e-03"):
         prolong(tilted, make_frame_field(tilted), [1.0], "left", g)
 
 
 def test_prolong_slab_guard_checks_the_stencil_points():
     # each point of a stack prolongs along its own checked frame, on either
-    # side: one unit past 10 whose alpha row is tilted, or at which eps is
-    # not a first-order section of beta (T beta . T eps = 1.001), stops it
+    # side: one unit past 10 at which T alpha is tilted off the alpha row,
+    # or at which eps is not a first-order section of beta
+    # (T beta . T eps = 1.001), stops it
     q = curved_loopoid()
-    tilted = dataclasses.replace(
-        q, preferred_alpha_vertical=lambda u: TILTED if u[0] > 10 else np.array([[0.0, 1.0]])
-    )
+    tilted = tilted_past_10(q)
     off_section = dataclasses.replace(
         q, beta=lambda g: g[..., :1] * (1.0 + 1e-3 * (g[..., :1] > 10)) + g[..., 1:]
     )
@@ -198,14 +205,12 @@ def test_prolong_slab_guard_checks_the_stencil_points():
 
 
 def test_frame_errors_name_the_first_failing_unit_of_a_stack():
-    # T alpha = [2 g0 - 2, 0] loses rank at the unit 1; past 10 the alpha
-    # row is tilted.  A failed request caches nothing, so it fails again
-    # with the same message, and its good units are built afresh.
+    # T alpha = [2 g0 - 2, 0] loses rank at the unit 1; past 10 T alpha is
+    # tilted off the alpha row.  A failed request caches nothing, so it
+    # fails again with the same message, and its good units are built afresh.
     q = curved_loopoid()
     singular = dataclasses.replace(q, alpha=lambda g: g[..., :1] * (g[..., :1] - 2.0))
-    tilted = dataclasses.replace(
-        q, preferred_alpha_vertical=lambda u: TILTED if u[0] > 10 else np.array([[0.0, 1.0]])
-    )
+    tilted = tilted_past_10(q)
     for chart, units, message in [
         (singular, [[0.5], [1.0], [3.0], [1.0]], "submersion rank at u = [1.]: sigma_min 0.00e+00"),
         (tilted, [[0.5], [20.0], [30.0]], "ker T alpha at rate 1.00e-03 at u = [20.]"),

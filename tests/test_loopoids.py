@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import loopoid_lab.loopoids as loopoids_module
 from conftest import planar_feedback_chart
 from loopoid_lab.errors import NotMonotone, NotOdd
 from loopoid_lab.loopoids import (
@@ -17,7 +18,6 @@ from loopoid_lab.loopoids import (
     product_loopoid,
     prolongation_loopoid,
     sample_composable_pairs,
-    snap_to_alpha_fiber,
 )
 from loopoid_lab.loops import SmoothLoopChart, octonion_chart
 from loopoid_lab.newton import newton_solve
@@ -54,7 +54,7 @@ def test_product_loopoid_multiplication_componentwise(rng):
     q = product_loopoid(loop, 1)
     g = q.sample_g(rng, 1)[0]
     h0 = q.sample_g(rng, 1)[0]
-    h = snap_to_alpha_fiber(q, h0, q.beta(g))
+    h = build_local_section(q, "alpha", h0)(q.beta(g))
     prod = q.mul(g, h)
     assert np.allclose(prod[:8], loop.mul(g[:8], h[:8]), atol=1e-12)
     assert prod[8] == g[8] and prod[9] == h[9]
@@ -298,6 +298,51 @@ def test_axioms_with_fiber_dimension_varying_between_samples():
     assert rep.right_translation_min_sv == min(svs)
     assert rep.translation_fiber_residual == max(resids)  # the alpha side is exact
     assert not rep.translations_ok
+
+
+
+@pytest.mark.parametrize(
+    "q", [product_loopoid(planar_feedback_chart(), 2), ragged_beta_quasiloopoid()], ids=["product_h", "ragged_beta"]
+)
+def test_axioms_take_fiber_algebra_on_stacks(q, monkeypatch):
+    # one null_space call on each fiber stack (T alpha at h and gh, T beta at
+    # g and gh) and one smallest_singular_value call on each submersion stack
+    # (T alpha and T beta at g); only the coefficient matrices of the
+    # translations, one per sample, take theirs alone
+    n = 7
+    shapes = {"null_space": [], "smallest_singular_value": []}
+    for name, seen in shapes.items():
+        fn = getattr(loopoids_module, name)
+        monkeypatch.setattr(loopoids_module, name, lambda m, fn=fn, seen=seen: seen.append(np.shape(m)) or fn(m))
+    check_axioms(q, n_samples=n, seed=3)
+    assert shapes["null_space"] == [(n, q.dim_m, q.dim_g)] * 4
+    svs = shapes["smallest_singular_value"]
+    assert svs[:2] == [(n, q.dim_m, q.dim_g)] * 2
+    assert len(svs) > 2 and all(len(shape) == 2 for shape in svs[2:])
+
+
+def sheared_pair1():
+    """pair(1) with alpha(s, t) = s (1 + 0.3 (s - t)), still the identity on
+    units; the section seed h + eps(q') - eps(alpha(h)) keeps s - t, so it
+    lies on the alpha-fiber over q' only where s = t."""
+    alpha = lambda g: g[..., :1] * (1.0 + 0.3 * (g[..., :1] - g[..., 1:]))
+    return dataclasses.replace(pair_groupoid(1), alpha=alpha, inverse=None, preferred_alpha_vertical=None)
+
+
+def test_composable_samples_on_a_nonlinear_alpha(monkeypatch):
+    # the seed is off the fiber, so each section solve steps onto it
+    q = sheared_pair1()
+    iterations = []
+
+    def recorded(*args, **kwargs):
+        x, info = newton_solve(*args, **kwargs)
+        iterations.append(info["iterations"])
+        return x, info
+
+    monkeypatch.setattr(loopoids_module, "newton_solve", recorded)
+    pairs = sample_composable_pairs(q, np.random.default_rng(4), 8)
+    assert len(iterations) == 8 and min(iterations) >= 1
+    assert all(composable(q, g, h) for g, h in pairs)
 
 
 def test_axioms_mul_calls_do_not_grow_with_samples():

@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLES, example, lie_bracket
-from loopoid_lab import algebroid, mechanics
+from loopoid_lab import algebroid, loopoids, mechanics
 from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
 from loopoid_lab.errors import RankDeficient
-from loopoid_lab.loopoids import SplitFibration, pair_groupoid, sample_composable_pairs
+from loopoid_lab.loopoids import COMPOSABLE_TOL, SplitFibration, pair_groupoid, sample_composable_pairs
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import (
     COMPLEX_STEP,
@@ -241,6 +241,27 @@ def test_tangent_product_on_rows_equals_single_calls(name):
     vector = tangent_product(q, g, vg, h, vh)
     assert vector.shape == (3, q.dim_g)
     assert np.array_equal(vector, by_rows(lambda *row: tangent_product(q, *row), g, vg, h, vh))
+
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_composable_samples_start_on_their_fibers(name, monkeypatch):
+    # alpha is linear with alpha o eps = id on every spec chart, so the
+    # section through each h is seeded on the alpha-fiber over beta(g) and
+    # its solve returns at the seed: no Jacobian, no step
+    q = build_loopoid(LOOPOIDS[name], "$.body")
+    iterations = []
+    solve = loopoids.newton_solve
+
+    def recorded(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        iterations.append(info["iterations"])
+        return x, info
+
+    monkeypatch.setattr(loopoids, "newton_solve", recorded)
+    pairs = sample_composable_pairs(q, np.random.default_rng(23), 6)
+    assert iterations == [0] * 6
+    assert np.all(np.linalg.norm(q.beta(pairs[:, 0]) - q.alpha(pairs[:, 1]), axis=-1) < COMPOSABLE_TOL)
 
 
 def test_directional_stacked_bases_equal_single_bases():
@@ -467,14 +488,15 @@ def test_frame_field_serves_each_unit_its_own_frame(name, monkeypatch):
 
 
 def test_a_failed_frame_derivation_stores_nothing(monkeypatch):
-    # past u_1 = 10 the product's preferred alpha-vertical rows tilt 1e-3 out
-    # of ker T alpha: the units 20 and 30 share a triple and a basis, and the
+    # past u_1 = 10 alpha_1 takes up 1e-3 of the first loop coordinate, so the
+    # product's preferred alpha-vertical rows (loop directions first) leave
+    # ker T alpha at rate 1e-3: the units 20 and 30 share a triple, and the
     # error names the first of them.  A failed request stores no derivation,
     # so it fails again, and its good unit is derived afresh, once.
     q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
-    tilt = np.zeros((q.rank, q.dim_g))
-    tilt[0, q.dim_g - 2 * q.dim_m] = 1e-3
-    tilted = dataclasses.replace(q, preferred_alpha_vertical=lambda u: q.preferred_alpha_vertical(u) + tilt * (u[0] > 10))
+    s = q.dim_g - 2 * q.dim_m  # the first alpha-leg coordinate
+    tilt = 1e-3 * np.eye(q.dim_m)[0]
+    tilted = dataclasses.replace(q, alpha=lambda g: q.alpha(g) + tilt * g[..., :1] * (g[..., s : s + 1] > 10))
     ff = make_frame_field(tilted)
     rows = counted_derivations(monkeypatch)
     message = f"alpha-vertical basis leaves ker T alpha at rate 1.00e-03 at u = {np.array([20.0, 0.0])}"

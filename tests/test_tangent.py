@@ -16,6 +16,7 @@ from loopoid_lab.loopoids import (
 )
 from loopoid_lab.loops import octonion_chart
 from loopoid_lab.mechanics import legendre
+from loopoid_lab.numdiff import complex_jacobian
 from loopoid_lab.tangent import check_tangent_loopoid, tangent_product
 
 
@@ -213,6 +214,29 @@ def test_tangent_audit_builds_sections_only_for_the_witness(monkeypatch, q, n_sa
     builds = count_calls(monkeypatch, tangent_module, "build_local_section")
     assert check_tangent_loopoid(q, n_samples=n_samples, seed=seed)["ok"]
     assert [side for _, side, _ in builds] == ["beta", "alpha"] * n_samples
+
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "readme_product_loopoid",
+        "octonion_pair1_loopoid",
+        "prolonged_planar_loopoid",
+        "phi_loopoid",
+        "bracket3_point_loopoid",
+    ],
+)
+def test_tangent_audit_matches_base_velocities(name, monkeypatch):
+    # after the stacked pinv correction each v_h's base velocity equals its
+    # v_g's to rounding, also over a point (dim_m = 0)
+    q = build_spec(example(name))
+    calls = count_calls(monkeypatch, tangent_module, "tangent_product")
+    check_tangent_loopoid(q, n_samples=6, seed=2)
+    _, gs, vgs, hs, vhs = calls[0]
+    gap = complex_jacobian(q.alpha, hs) @ vhs[..., None] - complex_jacobian(q.beta, gs) @ vgs[..., None]
+    scale = np.maximum(1.0, np.linalg.norm(np.concatenate([vgs, vhs], axis=-1), axis=-1))
+    assert np.all(np.linalg.norm(gap[..., 0], axis=-1) <= 1e-12 * scale)
 
 
 def test_tangent_product_solves_nothing(rng, monkeypatch):
