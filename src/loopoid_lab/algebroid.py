@@ -24,7 +24,7 @@ a loopoid over a point, and its skew algebra is the bracket table there
 (``loop_skew_constants``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -354,14 +354,9 @@ def constant_chart(c, rho):
 
 
 def tangent_chart(m):
-    """TM as a skew algebroid: zero bracket constants, identity anchor."""
-    return SkewAlgebroidChart(
-        base_dim=m,
-        rank=m,
-        c_fn=lambda x: np.zeros(x.shape[:-1] + (m, m, m)),
-        rho_fn=lambda x: np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m)),
-        name=f"tangent({m})",
-    )
+    """TM as a skew algebroid: the constant chart with zero bracket constants
+    and identity anchor."""
+    return replace(constant_chart(np.zeros((m, m, m)), np.eye(m)), name=f"tangent({m})")
 
 
 def prolong_algebroid(chart, pi):

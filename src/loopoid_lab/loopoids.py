@@ -8,9 +8,11 @@ Numerically the partial product is total on the tolerance slab
 the alpha-fiber with the local section through it (``build_local_section``,
 the one fiber projection here) before composing.
 
-Constructions: the pair groupoid, the product of a smooth loop with a pair
-groupoid, the odd-diffeomorphism quasiloopoid on a constrained 3-coordinate
-chart, and the prolongation over a coordinate fibration.
+Constructions: the product of a smooth loop with a pair groupoid, the
+odd-diffeomorphism quasiloopoid on a constrained 3-coordinate chart, and
+the prolongation over a coordinate fibration.  The pair groupoid M x M is
+the product of the one-point loop ``loops.POINT`` with pair(n), and a loop
+seen as a loopoid over a point is its product with pair(0).
 
 Row contract: the alpha, beta, unit_embed, mul and inverse of every
 construction here, and the proj, split and join of ``SplitFibration``,
@@ -24,12 +26,13 @@ step carries a derivative.  Data is cast to float once, where it enters the
 program: ``specio`` reads spec numbers and ``cli`` command-line points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NotMonotone, NotOdd
+from .loops import POINT
 from .newton import newton_solve
 from .numdiff import complex_jacobian, complex_step, null_space, smallest_singular_value
 
@@ -48,15 +51,19 @@ class ChartedQuasiloopoid:
     mul: Callable
     sampler: Callable  # (rng, n) -> (n, dim_g)
     inverse: Optional[Callable] = None
-    inverse_side: str = "both"  # "both" for I.P., "left" for a left inverse only
+    inverse_side: str = "both"  # "both" for I.P. (see claims_ip), "left" for a left inverse only
     claims_loopoid: bool = False
-    claims_ip: bool = False
     name: str = "quasiloopoid"
     preferred_alpha_vertical: Optional[np.ndarray] = None  # (r, dim_g), the same at every unit
 
     @property
     def rank(self):
         return self.dim_g - self.dim_m
+
+    @property
+    def claims_ip(self):
+        """The inverse property is claimed exactly when the inversion is two-sided."""
+        return self.inverse is not None and self.inverse_side == "both"
 
     def sample_g(self, rng, n):
         return self.sampler(rng, n)
@@ -88,40 +95,9 @@ def sample_composable_pairs(q, rng, n):
 
 
 def pair_groupoid(n):
-    """M x M with (u, v)(v, w) = (u, w) and iota(u, v) = (v, u)."""
-
-    def alpha(g):
-        return g[..., :n]
-
-    def beta(g):
-        return g[..., n:]
-
-    def unit_embed(u):
-        return np.concatenate([u, u], axis=-1)
-
-    def mul(g, h):
-        return np.concatenate([g[..., :n], h[..., n:]], axis=-1)
-
-    def inverse(g):
-        return np.concatenate([g[..., n:], g[..., :n]], axis=-1)
-
-    pav = np.zeros((n, 2 * n))
-    pav[:, n:] = np.eye(n)
-
-    return ChartedQuasiloopoid(
-        dim_g=2 * n,
-        dim_m=n,
-        alpha=alpha,
-        beta=beta,
-        unit_embed=unit_embed,
-        mul=mul,
-        sampler=lambda rng, k: rng.normal(scale=0.4, size=(k, 2 * n)),
-        inverse=inverse,
-        claims_loopoid=True,
-        claims_ip=True,
-        name=f"pair_groupoid({n})",
-        preferred_alpha_vertical=pav,
-    )
+    """M x M with (u, v)(v, w) = (u, w) and iota(u, v) = (v, u): the
+    product of the one-point loop with pair(n)."""
+    return replace(product_loopoid(POINT, n), name=f"pair_groupoid({n})")
 
 
 def product_loopoid(loop, n):
@@ -173,7 +149,6 @@ def product_loopoid(loop, n):
         sampler=sampler,
         inverse=inverse,
         claims_loopoid=True,
-        claims_ip=loop.inverse is not None,
         name=f"product({loop.name},{n})",
         preferred_alpha_vertical=pav,
     )
@@ -225,7 +200,6 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         inverse=inverse,
         inverse_side="left",
         claims_loopoid=False,
-        claims_ip=False,
         name=f"phi_quasiloopoid({phi_name})",
     )
 
@@ -323,36 +297,14 @@ def prolongation_loopoid(q, pi):
         inverse=inverse,
         inverse_side=q.inverse_side,
         claims_loopoid=q.claims_loopoid,
-        claims_ip=q.claims_ip,
         name=f"prolongation({q.name})",
         preferred_alpha_vertical=pav,
     )
 
 
 def loop_as_loopoid(loop):
-    """A smooth loop seen as a loopoid over a zero-dimensional unit chart."""
-
-    def alpha(g):
-        return g[..., :0]
-
-    def unit_embed(u):
-        out = np.empty(u.shape[:-1] + (loop.dim,), dtype=np.result_type(u, float))
-        out[...] = loop.unit
-        return out
-
-    return ChartedQuasiloopoid(
-        dim_g=loop.dim,
-        dim_m=0,
-        alpha=alpha,
-        beta=alpha,
-        unit_embed=unit_embed,
-        mul=loop.mul,
-        sampler=loop.sample,
-        inverse=loop.inverse,
-        claims_loopoid=True,
-        claims_ip=loop.inverse is not None,
-        name=f"loop({loop.name})",
-    )
+    """A smooth loop seen as a loopoid over a point: the product with pair(0)."""
+    return replace(product_loopoid(loop, 0), name=f"loop({loop.name})")
 
 
 # ---------------------------------------------------------------------------

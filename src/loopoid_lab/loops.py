@@ -2,7 +2,8 @@
 
 A chart is evaluation-only: a multiplication map with a two-sided unit.
 Its skew algebra is the Lie functor of the loop seen as a loopoid over a
-point (``loopoids.loop_as_loopoid``, ``algebroid.loop_skew_constants``).
+point, the product with pair(0) (``loopoids.loop_as_loopoid``,
+``algebroid.loop_skew_constants``).
 
 Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
@@ -42,6 +43,11 @@ class SmoothLoopChart:
 
     def sample(self, rng, n):
         return self.unit[None, :] + rng.normal(scale=0.2, size=(n, self.dim))
+
+
+# The one-point loop: its sample is an (n, 0) draw, which leaves the
+# generator as it was.  POINT x pair(n) is the pair groupoid.
+POINT = SmoothLoopChart(dim=0, mul=lambda x, y: x, inverse=lambda x: x, name="point")
 
 
 def bracket_loop(dim, bracket_constants):

@@ -122,7 +122,7 @@ def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
     min_rank_sv = min([np.inf] + [smallest_singular_value(block) for block in blocks])
 
     inv_resid = None
-    if q.inverse is not None and q.inverse_side == "both":
+    if q.claims_ip:
         inv_resid = _worst(tangent_product(q, q.inverse(gs), _along(q.inverse, gs, vgs), base, pv) - vhs)
 
     return {

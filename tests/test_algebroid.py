@@ -20,6 +20,7 @@ from loopoid_lab.algebroid import (
     make_frame_field,
     prolong,
     prolong_algebroid,
+    tangent_chart,
 )
 from loopoid_lab.errors import RankDeficient
 from loopoid_lab.loopoids import (
@@ -29,6 +30,7 @@ from loopoid_lab.loopoids import (
     pair_groupoid,
     phi_quasiloopoid,
     product_loopoid,
+    prolongation_loopoid,
 )
 from loopoid_lab.loops import bracket_loop, octonion_chart
 from loopoid_lab.numdiff import OUTER_STEP, complex_jacobian, complex_step, directional, jacobian
@@ -602,6 +604,65 @@ def test_prolongation_pair_is_algebroid_morphism(rng):
         jpi = jacobian(pi.proj, p)
         resid = jpi @ out.rho(p)[:, : base.rank] - base.rho(pi.proj(p))
         assert np.linalg.norm(resid, axis=0).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# naturality of the Lie functor: each construction on loopoids is carried to
+# its construction on algebroids
+# ---------------------------------------------------------------------------
+
+
+def lie_of(q):
+    """The Lie functor of ``q`` as a chart: at each unit of an ``(N, dim_m)``
+    stack, the left bracket table and the frame anchors."""
+    ff = make_frame_field(q)
+    return SkewAlgebroidChart(
+        base_dim=q.dim_m,
+        rank=q.rank,
+        c_fn=lambda x: np.stack([bracket_table(q, "left", u, ff) for u in x]),
+        rho_fn=lambda x: frame_anchors(q, ff, x)[0],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["planar_loop", "octonion_loop", "bracket3_loop"])
+def test_lie_of_a_product_is_the_loop_algebra_plus_tangent(name, n):
+    # Lie(L x pair(n)) = Lie(L) + T R^n: the loop's skew constants padded
+    # with zeros, and the anchors [0 | I] exactly
+    loop = build_spec(example(name))
+    d = loop.dim
+    us = np.random.default_rng(24).normal(scale=0.3, size=(3, n))
+    lie = lie_of(product_loopoid(loop, n))
+    want = np.zeros((d + n,) * 3)
+    want[:d, :d, :d] = loop_skew_constants(loop)
+    assert np.max(np.abs(lie.c(us) - want)) < 1e-9
+    anchors = np.zeros((n, d + n))
+    anchors[:, d:] = np.eye(n)
+    assert np.array_equal(lie.rho(us), np.broadcast_to(anchors, (3, n, d + n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lie_of_the_pair_groupoid_is_the_tangent_chart(n):
+    us = np.random.default_rng(25).normal(scale=0.3, size=(3, n))
+    q, tm = pair_groupoid(n), tangent_chart(n)
+    ff = make_frame_field(q)
+    rho, drho = frame_anchors(q, ff, us)
+    assert np.array_equal(lie_of(q).c(us), tm.c(us)) and not tm.c(us).any()
+    assert np.array_equal(rho, tm.rho(us)) and np.array_equal(tm.rho(us), np.broadcast_to(np.eye(n), (3, n, n)))
+    assert not drho.any()
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("name", ["phi_loopoid", "readme_product_loopoid", "octonion_pair1_loopoid"])
+def test_lie_of_a_prolongation_is_the_prolonged_algebroid(name, fiber):
+    # Lie(pi^!! G) = pi^!! Lie(G): the two routes agree exactly
+    q = build_spec(example(name))
+    pi = SplitFibration(q.dim_m + fiber, q.dim_m)
+    ps = np.random.default_rng(26).normal(scale=0.3, size=(3, pi.dim_total))
+    lie = lie_of(prolongation_loopoid(q, pi))
+    pulled = prolong_algebroid(lie_of(q), pi)
+    assert np.max(np.abs(lie.c(ps) - pulled.c(ps))) < 1e-9
+    assert np.max(np.abs(lie.rho(ps) - pulled.rho(ps))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,11 @@ LOOPOIDS = (
     "prolonged_planar_loopoid",
     "phi_loopoid",
     "bracket3_point_loopoid",
+    "pair2_loopoid",
 )
 LOOPS = ("planar_loop", "octonion_loop", "bracket3_loop")
 SYSTEMS = ("readme_system", "phi_system")
-ALGEBROIDS = ("cross_product_algebroid", "prolonged_algebroid")
+ALGEBROIDS = ("cross_product_algebroid", "prolonged_algebroid", "tangent3_algebroid")
 FINITE = ("z4_table", "s3_transversal", "signed_basis_semidirect")
 
 

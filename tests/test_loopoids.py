@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import loopoid_lab.loopoids as loopoids_module
-from conftest import planar_feedback_chart
+from conftest import build_spec, example, planar_feedback_chart
+from loopoid_lab.algebroid import algebroid_frame
 from loopoid_lab.errors import NotMonotone, NotOdd
 from loopoid_lab.loopoids import (
     ChartedQuasiloopoid,
@@ -133,6 +134,45 @@ def test_product_with_zero_dim_loop_is_pair_groupoid(rng):
     h = np.concatenate([g[2:], rng.normal(size=2)])
     assert np.allclose(q.mul(g, h), p.mul(g, h))
     assert check_axioms(q, n_samples=8, seed=0).is_loopoid
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_groupoid_maps_are_the_written_out_formulas(n, rng):
+    # (u, v)(v, w) = (u, w), iota(u, v) = (v, u) and eps(u) = (u, u)
+    p = pair_groupoid(n)
+    u, v, w = rng.normal(size=(3, 5, n))
+    uv, vw = np.concatenate([u, v], axis=-1), np.concatenate([v, w], axis=-1)
+    assert (p.dim_g, p.dim_m, p.name) == (2 * n, n, f"pair_groupoid({n})")
+    assert np.array_equal(p.alpha(uv), u) and np.array_equal(p.beta(uv), v)
+    assert np.array_equal(p.mul(uv, vw), np.concatenate([u, w], axis=-1))
+    assert np.array_equal(p.inverse(uv), np.concatenate([v, u], axis=-1))
+    assert np.array_equal(p.unit_embed(u), np.concatenate([u, u], axis=-1))
+    assert p.claims_loopoid and p.claims_ip
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_groupoid_samples_are_one_normal_draw(n):
+    # the one-point loop factor draws a (k, 0) stack, which leaves the
+    # generator as it was
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(pair_groupoid(n).sample_g(rng, 7), ref.normal(scale=0.4, size=(7, 2 * n)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["planar_loop", "octonion_loop", "bracket3_loop"])
+def test_loop_as_loopoid_multiplies_as_its_loop(name, rng):
+    loop = build_spec(example(name))
+    q = loop_as_loopoid(loop)
+    x, y = rng.normal(scale=0.3, size=(2, 5, loop.dim))
+    assert np.array_equal(q.mul(x, y), loop.mul(x, y))
+    if loop.inverse is not None:
+        assert np.array_equal(q.inverse(x), loop.inverse(x))
+    assert np.array_equal(q.unit_embed(np.zeros((5, 0))), np.broadcast_to(loop.unit, (5, loop.dim)))
+    # over a point ker T alpha is everything: the preferred basis is the
+    # identity, which is also the null space of the empty alpha Jacobian
+    fr = algebroid_frame(q, np.zeros(0))
+    assert np.array_equal(fr.alpha_vertical, np.eye(loop.dim))
+    assert np.array_equal(null_space(np.zeros((0, loop.dim))), np.eye(loop.dim))
 
 
 def test_prolongation_identity_fibration_is_isomorphic():

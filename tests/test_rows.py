@@ -51,7 +51,6 @@ SYSTEMS = bodies("system")
 LOOPOIDS = {
     **{name.removesuffix("_loopoid"): body for name, body in bodies("loopoid").items()},
     **{f"{name}.loopoid": body["loopoid"] for name, body in SYSTEMS.items()},
-    "pair2": {"kind": "pair_groupoid", "dim": 2},
     "bracket3_as_loopoid": {"kind": "loop", "loop": example("bracket3_loop")["body"]},
     "octonion_as_loopoid": {"kind": "loop", "loop": example("octonion_loop")["body"]},
     "prolonged_octonion_pair1": {
@@ -60,7 +59,7 @@ LOOPOIDS = {
         "fibration": {"dim_total": 2, "dim_base": 1},
     },
 }
-ALGEBROIDS = {**bodies("algebroid"), "tangent2": {"kind": "tangent", "dim": 2}}
+ALGEBROIDS = bodies("algebroid")
 SHAPES = [(5,), (2, 3)]
 
 
@@ -100,6 +99,23 @@ def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
     for units in stacks(rng, shape, q.dim_m):
         assert q.unit_embed(units).shape == shape + (q.dim_g,)
         assert_rows(q.unit_embed, units)
+
+
+def stated_ip(body):
+    """The inverse-property flag each construction states: always for the
+    pair groupoid, when the loop has an inversion for a product or a loop
+    over a point, never for phi, and the base's for a prolongation."""
+    kind = body["kind"]
+    if kind == "prolongation":
+        return stated_ip(body["base"])
+    if kind in ("product", "loop"):
+        return build_loop(body["loop"], "$.body.loop").inverse is not None
+    return kind == "pair_groupoid"
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_claims_ip_is_the_stated_flag(name):
+    assert build_loopoid(LOOPOIDS[name], "$.body").claims_ip is stated_ip(LOOPOIDS[name])
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -333,6 +333,23 @@ def test_cli_lie_functor_algebroid_chart(runner, tmp_path):
     assert report["almost_lie_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("spec", ["pair2_loopoid", "tangent3_algebroid"])
+def test_cli_lie_functor_of_pair_and_tangent_is_exact(runner, tmp_path, spec):
+    # pair(2) and tangent(3) have zero brackets and constant anchors, so
+    # every bracket and residual of the report is exactly 0
+    csv_path = tmp_path / "brackets.csv"
+    result = runner.invoke(main, ["lie-functor", "--spec", str(EXAMPLES / f"{spec}.json"), "--csv", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    pair = spec == "pair2_loopoid"
+    residuals = [report["almost_lie_residual"]] + [check["value"] for check in report["checks"]]
+    if pair:
+        residuals += [report["left_right_sum_residual"], report["inversion_residual"]]
+    assert report["ok"] and residuals == [0] * (6 if pair else 2)
+    # one row per coefficient k of each pair i < j: rank 2 has 2, rank 3 has 9
+    assert [line.split(",")[-1] for line in csv_path.read_text().split()[1:]] == ["0"] * (2 if pair else 9)
+
+
 @pytest.mark.parametrize(
     "spec, field, value, check",
     [
