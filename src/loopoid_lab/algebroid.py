@@ -1,16 +1,18 @@
 """Infinitesimal structure of charted quasiloopoids.
 
-The normal bundle of the unit manifold is realized by frames, built a stack
-of unit points at a time: an alpha-vertical basis (null space of T alpha at
-the embedded unit), the beta-vertical representatives of the same normal
-classes (X^beta_i = X^alpha_i - T eps . rho_i, which forces opposite
-left/right anchors), and a basis of the embedded tangent directions.  Frames
-also carry an "anchor-aligned" beta basis: the strict representatives
-reflected across the bi-vertical subspace, so their T alpha images equal
-+rho instead of -rho.  Discrete mechanics defaults to the aligned
-orientation (it makes the two Legendre transforms agree on the unit
-manifold); brackets, anchors and the inversion identities use the strict
-one.
+The normal bundle of the unit manifold is realized by frames: an
+alpha-vertical basis (null space of T alpha at the embedded unit), the
+beta-vertical representatives of the same normal classes (X^beta_i =
+X^alpha_i - T eps . rho_i, which forces opposite left/right anchors), and a
+basis of the embedded tangent directions.  Frames also carry an
+"anchor-aligned" beta basis: the strict representatives reflected across
+the bi-vertical subspace, so their T alpha images equal +rho instead of
+-rho.  Discrete mechanics defaults to the aligned orientation (it makes the
+two Legendre transforms agree on the unit manifold); brackets, anchors and
+the inversion identities use the strict one.  A frame field derives frames
+a stack of units at a time, keeps one row per distinct triple of side
+Jacobians in a stacked store, and serves a unit or a stack a view that
+gathers only the field its caller reads.
 
 Left/right prolongations are fundamental vector fields obtained by
 complex-step derivatives of the partial multiplication along fiber
@@ -45,30 +47,56 @@ STRICT = "normal_class"
 ALIGNED = "aligned"
 
 
-@dataclass(frozen=True)
-class AlgebroidFrame:
-    """Frame of the normal bundle at one unit point."""
+FRAME_FIELDS = ("alpha_vertical", "beta_vertical", "beta_vertical_aligned", "tm_basis", "rho_left", "bivertical")
 
-    unit_point: np.ndarray
-    rank: int
-    alpha_vertical: np.ndarray        # (r, dim_g) rows, ker T alpha
-    beta_vertical: np.ndarray         # (r, dim_g) strict same-class reps, ker T beta
-    beta_vertical_aligned: np.ndarray  # (r, dim_g) reflected reps, T alpha image = +rho
-    tm_basis: np.ndarray              # (dim_m, dim_g) image of T eps
-    rho_left: np.ndarray              # (r, dim_m) anchors T beta(alpha-vertical)
-    bivertical: np.ndarray            # (k, dim_g) orthonormal rows, ker [T alpha; T beta]
+
+class FrameStore:
+    """Frames stacked by row, ``arrays[name]`` per field (``bivertical`` a
+    list), and ``rows``, the row of each derived Jacobian triple's bytes."""
+
+    def __init__(self):
+        self.rows, self.arrays = {}, {}
+
+    def add(self, frames):
+        """Append the ``(N, ...)`` field arrays of N frames; returns their rows."""
+        start = len(self.arrays.get("bivertical", ()))
+        for name, new in frames.items():
+            old = self.arrays.get(name, new[:0])
+            self.arrays[name] = old + new if name == "bivertical" else np.concatenate([old, new])
+        return np.arange(start, start + len(frames["bivertical"]))
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebroidFrame:
+    """Frame of the normal bundle at one unit (``ids`` a row), or of each
+    unit of a stack (an array of rows; each field gains a leading N): a view
+    of a ``FrameStore`` that gathers a field as it is read.  Fields: the
+    (r, dim_g) rows ``alpha_vertical`` (ker T alpha), ``beta_vertical``
+    (strict reps, ker T beta) and ``beta_vertical_aligned`` (T alpha image
+    +rho); ``tm_basis`` (dim_m, dim_g), the image of T eps; the anchors
+    ``rho_left`` (r, dim_m), T beta of the alpha-vertical rows; and the
+    (k, dim_g) orthonormal ``bivertical`` rows of ker [T alpha; T beta],
+    whose k can vary, so read at single units only."""
+
+    store: FrameStore
+    ids: object
+
+    def __getattr__(self, name):
+        if name not in FRAME_FIELDS:
+            raise AttributeError(name)
+        return self.store.arrays[name][self.ids]
 
     def beta_reps(self, orientation):
-        if orientation == STRICT:
-            return self.beta_vertical
-        if orientation == ALIGNED:
-            return self.beta_vertical_aligned
-        raise ValueError(f"unknown orientation {orientation!r}")
+        if orientation not in (STRICT, ALIGNED):
+            raise ValueError(f"unknown orientation {orientation!r}")
+        return self.beta_vertical if orientation == STRICT else self.beta_vertical_aligned
 
 
-def _derive_frames(q, units, ja, jb, tm):
-    """Frame arrays from stacked side Jacobians and the instance's preferred
-    basis (without one, null spaces); ``units`` name errors only."""
+def _derive_frames(q, units, jab, tm):
+    """Frame arrays from the stacked side Jacobians, alpha's rows over
+    beta's, and the instance's preferred basis (without one, null spaces);
+    ``units`` name errors only."""
+    ja, jb = jab[:, : q.dim_m], jab[:, q.dim_m :]
 
     def first_failing(failing, rate, message):
         if failing.any():
@@ -77,10 +105,7 @@ def _derive_frames(q, units, ja, jb, tm):
     if q.dim_m > 0:
         sv = np.minimum(smallest_singular_value(ja), smallest_singular_value(jb))
         first_failing(sv < 1e-8, sv, "alpha/beta Jacobian loses submersion rank at u = {u}: sigma_min {rate:.2e}")
-    if q.preferred_alpha_vertical is None:
-        bases = null_space(ja)
-    else:
-        bases = [q.preferred_alpha_vertical] * len(units)
+    bases = null_space(ja) if q.preferred_alpha_vertical is None else [q.preferred_alpha_vertical] * len(units)
     for p, a in zip(units, bases):
         if a.shape != (q.rank, q.dim_g):
             raise RankDeficient(f"alpha-vertical basis shape {a.shape} != ({q.rank}, {q.dim_g}) at u = {p}")
@@ -97,67 +122,61 @@ def _derive_frames(q, units, ja, jb, tm):
     first_failing(off > 1e-7, off, "beta-vertical representatives leave ker T beta at rate {rate:.2e} at u = {u}")
 
     # projectors onto the bi-vertical subspaces, spanned by orthonormal rows
-    bivertical = null_space(np.concatenate([ja, jb], axis=1))
+    bivertical = null_space(jab)
     proj = np.stack([biv.T @ biv for biv in bivertical])
     b_aligned = np.swapaxes(2.0 * proj @ bt - bt, 1, 2)
-    return list(zip(a, b, b_aligned, tm, rho, bivertical))
+    return dict(zip(FRAME_FIELDS, (a, b, b_aligned, tm, rho, bivertical)))
 
 
 def algebroid_frame(q, u, derived=None):
-    """The frame at the embedded unit of ``u``, or the list of frames of an
-    ``(N, dim_m)`` stack of units.
+    """The frame at the embedded unit of ``u``, or the frames of an
+    ``(N, dim_m)`` stack of units, viewed in the ``FrameStore`` ``derived``.
 
     The basis of ker T alpha (rows) is the instance's preferred frame when it
     has one, the same at every unit, otherwise an SVD null space.  A stack
-    takes one ``complex_jacobian`` each of alpha, beta and unit_embed.  The
-    rest of a frame is a function of the bytes of its unit's three
-    Jacobians: ``derived`` (a frame field's memo) maps them to the
-    arrays, and the keys it lacks are derived by one ``_derive_frames`` call
-    in first-occurrence order, then stored.  That call takes one stacked
-    ``smallest_singular_value`` per rank test and ``null_space`` per null
-    space, and stacked products, which run the same LAPACK/BLAS call on each
-    matrix: a frame equals its unit's alone, bit for bit.  A failed check
-    names the first failing unit and its rate, and stores nothing.
+    takes one ``complex_jacobian`` of e -> (alpha(e), beta(e)), which acts
+    row by row, and one of unit_embed.  The rest of a frame is a function of
+    the bytes of its unit's three Jacobians: the store keeps a row per
+    distinct triple and derives those it lacks by one ``_derive_frames``
+    call, whose stacked SVDs and products run one LAPACK/BLAS call per
+    matrix, so a frame equals its unit's alone, bit for bit.  A failed
+    check names the first failing unit and its rate, and stores nothing.
     """
     units = np.atleast_2d(u)
-    if not len(units):
-        return []
-    e = q.unit_embed(units)
-    ja = complex_jacobian(q.alpha, e)        # (N, m, g)
-    jb = complex_jacobian(q.beta, e)
-    tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
-    keys = [row.tobytes() for row in np.concatenate([ja, jb, tm], axis=1).reshape(len(units), -1)]
-    derived = {} if derived is None else derived
-    new = [key for key in dict.fromkeys(keys) if key not in derived]
-    if new:
-        rows = [keys.index(key) for key in new]
-        derived.update(zip(new, _derive_frames(q, units[rows], ja[rows], jb[rows], tm[rows])))
-    frames = [AlgebroidFrame(p, q.rank, *derived[key]) for p, key in zip(units, keys)]
-    return frames if np.ndim(u) > 1 else frames[0]
+    derived = FrameStore() if derived is None else derived
+    keys = []
+    if len(units):
+        jab = complex_jacobian(lambda e: np.concatenate([q.alpha(e), q.beta(e)], axis=-1), q.unit_embed(units))
+        tm = np.swapaxes(complex_jacobian(q.unit_embed, units), 1, 2)  # (N, m, g)
+        keys = [row.tobytes() for row in np.concatenate([jab, tm], axis=1).reshape(len(units), -1)]
+        new = [key for key in dict.fromkeys(keys) if key not in derived.rows]
+        if new:
+            rows = [keys.index(key) for key in new]
+            derived.rows.update(zip(new, derived.add(_derive_frames(q, units[rows], jab[rows], tm[rows]))))
+    ids = np.array([derived.rows[key] for key in keys], dtype=np.intp)
+    return AlgebroidFrame(derived, ids if np.ndim(u) > 1 else ids[0])
 
 
 def make_frame_field(q):
-    """Cached map from a unit point to its AlgebroidFrame, and from a
-    ``(N, dim_m)`` stack of units to the list of their frames.
+    """Cached map from a unit point, or an ``(N, dim_m)`` stack of units,
+    to the view of its frames in the field's ``FrameStore``.
 
     Units that agree to 12 decimals share one frame; a stack is rounded in
     one call and each row looked up by its bytes.  The rows the cache lacks
     (a repeated key by its first row) are built by one ``algebroid_frame``
-    call and only then stored, so a failed request caches nothing.  Units
-    whose Jacobians and bases agree, as all units of a linear chart do, share
-    one derivation from the field's memo (see ``algebroid_frame``).
+    call and only then cached, so a failed request caches nothing.
     """
     cache = {}
-    derived = {}
+    store = FrameStore()
 
     def field(u):
         keys = [key.tobytes() for key in np.atleast_2d(np.round(u, 12))]
         missing = [key for key in dict.fromkeys(keys) if key not in cache]
         if missing:
             first_rows = np.atleast_2d(u)[[keys.index(key) for key in missing]]
-            cache.update(zip(missing, algebroid_frame(q, first_rows, derived)))
-        frames = [cache[key] for key in keys]
-        return frames if np.ndim(u) > 1 else frames[0]
+            cache.update(zip(missing, algebroid_frame(q, first_rows, store).ids))
+        ids = np.array([cache[key] for key in keys], dtype=np.intp)
+        return AlgebroidFrame(store, ids if np.ndim(u) > 1 else ids[0])
 
     return field
 
@@ -170,12 +189,13 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     h -> m(h, g) at the unit of alpha(g) along the beta representative in
     the requested orientation.  ``coeffs`` of shape (r,) gives one vector
     per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
-    Each point's unit, frame and embedded base are resolved once (the
-    frames the stack lacks by one ``algebroid_frame`` build), and the
-    multiplication runs once, on all ``N k`` complex-step points.  A
-    complex-step point's real part is its unit, so it cannot leave the
-    slab; that its direction is tangent to the slab is a property of the
-    frame, which ``algebroid_frame`` checks once when it builds it.
+    Each point's unit, frame rows and embedded base are resolved once (the
+    rows by one gather from the frame store, the frames the stack lacks by
+    one ``algebroid_frame`` build), and the multiplication runs once, on
+    all ``N k`` complex-step points.  A complex-step point's real part is
+    its unit, so it cannot leave the slab; that its direction is tangent to
+    the slab is a property of the frame, which ``algebroid_frame`` checks
+    once when it builds it.
 
     Row contract: each point's values equal, bit for bit, those of the
     point alone, so a fundamental field can be differenced on a stencil
@@ -184,10 +204,10 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
     rows = g.reshape(-1, q.dim_g)
     if side == "left":
         u = q.beta(rows)
-        reps = np.stack([fr.alpha_vertical for fr in frame_field(u)])
+        reps = frame_field(u).alpha_vertical
     elif side == "right":
         u = q.alpha(rows)
-        reps = np.stack([fr.beta_reps(orientation) for fr in frame_field(u)])
+        reps = frame_field(u).beta_reps(orientation)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
@@ -215,7 +235,7 @@ def expand_in_frame(fr, side, value):
     if sv[-1] < 1e-10 * sv[0]:
         raise FrameSingular(f"frame condition {sv[0] / sv[-1]:.2e}")
     coeffs, *_ = np.linalg.lstsq(mat, value, rcond=None)
-    return coeffs[: fr.rank], coeffs[fr.rank :]
+    return coeffs[: len(rows)], coeffs[len(rows) :]
 
 
 def bracket_table(q, side, u, frame_field, rel_step=OUTER_STEP):
@@ -283,7 +303,7 @@ def frame_anchors(q, frame_field, us):
     """
 
     def anchors(units):
-        return np.reshape([fr.rho_left.T for fr in frame_field(units)], (len(units), q.dim_m, q.rank))
+        return np.swapaxes(frame_field(units).rho_left, 1, 2)
 
     axes = np.broadcast_to(np.eye(q.dim_m), us.shape + (q.dim_m,))
     return anchors(us), np.moveaxis(directional(anchors, us, axes), 1, -1)

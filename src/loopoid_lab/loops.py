@@ -111,11 +111,11 @@ def polynomial_mul(dim, terms):
     cols = np.tile(np.arange(dim), slots * dim)
 
     def monomials(x, exponents):
-        # np.take gives C-ordered rows, so the power runs the contiguous loop
-        # a single point gets; on other layouts numpy may pick a loop that
-        # rounds some powers differently
-        powers = np.take(x, cols, axis=-1) ** exponents
-        return np.prod(powers.reshape(np.shape(x)[:-1] + (slots, dim, dim)), axis=-1)
+        # take gives C-ordered rows, so the power runs the contiguous loop a
+        # single point gets (other layouts may round some powers otherwise);
+        # x.take and multiply.reduce are np.take and np.prod without wrappers
+        powers = x.take(cols, axis=-1) ** exponents
+        return np.multiply.reduce(powers.reshape(x.shape[:-1] + (slots, dim, dim)), axis=-1)
 
     def mul(x, y):
         terms_xy = coeff * monomials(x, x_exp) * monomials(y, y_exp)

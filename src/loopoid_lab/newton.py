@@ -29,8 +29,9 @@ def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=No
     """Drive ``residual`` to zero from ``x0``; returns (x, info dict).
 
     ``info`` holds the iteration count, the final residual norm
-    (``residual``), its vector at x (``residual_vector``) and the last
-    step Jacobian's condition number (``cond``).
+    (``residual``) and its vector at x (``residual_vector``).  A search
+    without descent takes the step Jacobian's condition number, which parts
+    ``SingularJacobian`` (above 1e12) from ``NoConvergence``.
 
     ``rcond`` truncates singular values below rcond * sigma_max in the step
     computation; use it when the differenced Jacobian has a noise floor, so
@@ -41,15 +42,12 @@ def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=No
     best = float(np.linalg.norm(r))
     if not np.isfinite(best):
         raise NumericalNoise(f"non-finite residual norm {best:.3e} at the seed")
-    cond = None
     for it in range(max_iter):
         if best < tol:
-            return x, {"iterations": it, "residual": best, "residual_vector": r, "cond": cond}
+            return x, {"iterations": it, "residual": best, "residual_vector": r}
         j = np.atleast_2d(jacobian(residual, x, fd_step))
         if not np.all(np.isfinite(j)):
             raise NumericalNoise(f"non-finite Jacobian entry at iteration {it + 1}, residual {best:.3e}")
-        sv = np.linalg.svd(j, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]
         # damping: the first of the steps 1, 1/2, ..., 2^-29 whose residual
         # drops; the full step alone, then the halvings in doubling blocks
@@ -59,11 +57,13 @@ def newton_solve(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rcond=No
                 x, r, best = accepted
                 break
         else:
+            sv = np.linalg.svd(j, compute_uv=False)
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
             if cond > 1e12:
                 raise SingularJacobian(f"stalled at residual {best:.3e} with condition {cond:.3e}", cond=cond)
             raise NoConvergence(f"no descent at residual {best:.3e} after {it + 1} iterations")
     if best < tol:
-        return x, {"iterations": max_iter, "residual": best, "residual_vector": r, "cond": cond}
+        return x, {"iterations": max_iter, "residual": best, "residual_vector": r}
     raise NoConvergence(f"residual {best:.3e} > tol {tol:.1e} after {max_iter} iterations")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from loopoid_lab import specio
 from loopoid_lab.finite import CayleyTable
+from loopoid_lab.loopoids import ChartedQuasiloopoid
 from loopoid_lab.loops import polynomial_chart
 from loopoid_lab.numdiff import OUTER_STEP, jacobian
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
@@ -87,6 +88,43 @@ def lie_bracket(field_v, field_w, x):
     vx = field_v(x)
     wx = field_w(x)
     return jacobian(field_w, x, OUTER_STEP) @ vx - jacobian(field_v, x, OUTER_STEP) @ wx
+
+
+def aff1_action_groupoid():
+    """The action groupoid of the affine group Aff(1) on R, a loopoid whose
+    frames vary from unit to unit.
+
+    A point (s, b, x) is the map y -> (1 + s) y + b taken at x: alpha is the
+    image (1 + s) x + b, beta is x, and (s, b, x)(s', b', x') = (s + s' +
+    s s', b + (1 + s) b', x') where x = alpha(s', b', x').  ker T alpha at
+    the unit (0, 0, u) is the plane orthogonal to (u, 1, 1), so its anchors
+    move with u and the anchor term of the almost-Lie check is not zero.
+    All maps are polynomial but the inverse, which divides by 1 + s.
+    """
+
+    def act(g):
+        return (1.0 + g[..., :1]) * g[..., 2:] + g[..., 1:2]
+
+    def mul(g, h):
+        s, b = g[..., :1], g[..., 1:2]
+        return np.concatenate([s + h[..., :1] + s * h[..., :1], b + (1.0 + s) * h[..., 1:2], h[..., 2:]], axis=-1)
+
+    def inverse(g):
+        scale = 1.0 + g[..., :1]
+        return np.concatenate([-g[..., :1] / scale, -g[..., 1:2] / scale, act(g)], axis=-1)
+
+    return ChartedQuasiloopoid(
+        dim_g=3,
+        dim_m=1,
+        alpha=act,
+        beta=lambda g: g[..., 2:],
+        unit_embed=lambda u: np.concatenate([0.0 * u, 0.0 * u, u], axis=-1),
+        mul=mul,
+        sampler=lambda rng, n: rng.normal(scale=0.3, size=(n, 3)),
+        inverse=inverse,
+        claims_loopoid=True,
+        name="aff1_action",
+    )
 
 
 def cubic_line_terms():

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import build_spec, cross_product_constants, example, lie_bracket, planar_feedback_chart
+from conftest import (
+    aff1_action_groupoid,
+    build_spec,
+    cross_product_constants,
+    example,
+    lie_bracket,
+    planar_feedback_chart,
+)
 from loopoid_lab import algebroid
 from loopoid_lab.algebroid import (
     ALIGNED,
@@ -82,7 +89,7 @@ def test_frame_product_h(product_h):
 
 def test_frame_smooth_loop_full_tangent():
     fr = algebroid_frame(loop_as_loopoid(octonion_chart()), np.zeros(0))
-    assert fr.rank == 8
+    assert fr.alpha_vertical.shape == (8, 8)
     assert fr.tm_basis.shape == (0, 8)
     assert np.allclose(fr.alpha_vertical, fr.beta_vertical)
 
@@ -498,6 +505,20 @@ def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
     assert builds == [len(us), 2 * len(us) * product_h.dim_m]
 
 
+def test_almost_lie_where_the_anchors_vary_with_the_unit():
+    # the action groupoid of Aff(1) on R: its frame anchors move with the
+    # unit, so the anchor brackets D rho_j . rho_i - D rho_i . rho_j the
+    # check compares are not zero, and each antisymmetrized term counts
+    q = aff1_action_groupoid()
+    us = np.array([[0.3], [-0.5], [0.8], [0.1]])
+    ff = make_frame_field(q)
+    tables = np.stack([bracket_table(q, "left", u, ff) for u in us])
+    rho, drho = frame_anchors(q, ff, us)
+    assert np.ptp(rho, axis=0).max() > 0.1
+    assert np.max(np.abs(np.einsum("sajl,sli->saij", drho, rho))) > 0.1
+    assert almost_lie_residual(tables, rho, drho) < 1e-6
+
+
 def test_almost_lie_loopoid_over_a_point():
     # dim_m = 0: the anchors' Jacobian has an empty axis and every anchor bracket is 0
     q = loop_as_loopoid(bracket_loop(3, cross_product_constants()))
@@ -677,7 +698,7 @@ def contrast_metric(q, f, u):
     ``f`` maps a ``(..., dim_g)`` stack to its ``(...)`` values."""
     ff = make_frame_field(q)
     fr = ff(u)
-    r = fr.rank
+    r = q.rank
     e0 = q.unit_embed(u)
 
     def first_derivative(j):

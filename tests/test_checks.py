@@ -5,7 +5,9 @@ line whose report carries the check and passes it, and a mutant of that run
 that fails it.  A mutant changes the input only: the control's spec, or a
 chart map, built-in table or construction patched for the run.  It never
 patches the check's own arithmetic, ``cli._check``, the report or Newton's
-stopping rule, so a check that no input can fail has no row.  A ref with no
+stopping rule, so a check that no input can fail has no row.  A control
+may patch its own input (``setup``, applied to the mutant too), to reach a
+loopoid that no spec kind builds.  A ref with no
 failing mutant goes into ``NO_MUTANT`` with the reason.  The refs the
 controls emit, the table's keys and the check table of ``docs/schemas.md``
 are one set.
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, aff1_action_groupoid
 from loopoid_lab import algebroid, cli, finite, loops, octonion
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas.md"
@@ -33,6 +35,7 @@ class Row:
     control: tuple  # the command line; a spec is its third word, an example
     spec: Optional[Callable] = None  # edits the control spec's body in place
     patch: Optional[Callable] = None  # patches the run through a monkeypatch
+    setup: Optional[Callable] = None  # patches the control and the mutant alike
 
 
 def _example(name):
@@ -55,14 +58,22 @@ def _loopoid_with(**maps):
 
 
 def _frames_with(**fields):
-    """Build each frame, then replace each named field by ``fields[name](frame)``."""
+    """Build each stack of frames, then store a copy of each unit's frame
+    whose named fields are ``fields[name](frames, units)``, and serve it."""
 
     def patch(monkeypatch):
         build = algebroid.algebroid_frame
 
         def mutant(q, u, derived=None):
-            frames = build(q, u, derived)
-            return [dataclasses.replace(fr, **{name: make(fr) for name, make in fields.items()}) for fr in frames]
+            units = np.atleast_2d(u)
+            frames = build(q, units, derived)
+            copies = {
+                name: [rows[i] for i in frames.ids] if name == "bivertical" else rows[frames.ids]
+                for name, rows in frames.store.arrays.items()
+            }
+            copies.update({name: make(frames, units) for name, make in fields.items()})
+            rows = frames.store.add(copies)
+            return algebroid.AlgebroidFrame(frames.store, rows if np.ndim(u) > 1 else rows[0])
 
         monkeypatch.setattr(algebroid, "algebroid_frame", mutant)
 
@@ -139,10 +150,14 @@ def _not_complex_analytic(q):
     return mul
 
 
-def _anchors_vary_with_the_unit(fr):
+def _builds_the_action_groupoid(monkeypatch):
+    monkeypatch.setattr(cli, "build_loopoid", lambda body, path: aff1_action_groupoid())
+
+
+def _anchors_vary_with_the_unit(frames, units):
     # anchors scaled by 1 + u_1 no longer carry the left brackets, which the
     # scaling leaves alone, to the brackets of their vector fields
-    return (1.0 + fr.unit_point[0]) * fr.rho_left
+    return (1.0 + units[:, :1, None]) * frames.rho_left
 
 
 TABLE = ("verify-finite", "--spec", _example("z4_table"))
@@ -210,10 +225,16 @@ CHECK_MUTANTS = {
     ),
     "loopoid.anchor_morphism": Row(LOOPOID_CHECK, patch=_loopoid_with(mul=_alpha_leg_moves)),
     "loopoid.inverse_property": Row(LOOPOID_CHECK_IP, patch=_conjugate_as_inverse),
-    "functor.anchor_bracket_morphism": Row(FUNCTOR, patch=_frames_with(rho_left=_anchors_vary_with_the_unit)),
+    # the action groupoid's anchors vary with the unit, so the control's
+    # anchor bracket term is not zero
+    "functor.anchor_bracket_morphism": Row(
+        FUNCTOR, setup=_builds_the_action_groupoid, patch=_frames_with(rho_left=_anchors_vary_with_the_unit)
+    ),
     "functor.inversion_normal_action": Row(FUNCTOR_IP, patch=_conjugate_as_inverse),
     # the right fields run backwards
-    "functor.left_right_opposite": Row(FUNCTOR_IP, patch=_frames_with(beta_vertical=lambda fr: -fr.beta_vertical)),
+    "functor.left_right_opposite": Row(
+        FUNCTOR_IP, patch=_frames_with(beta_vertical=lambda frames, units: -frames.beta_vertical)
+    ),
     "algebroid.anchor_bracket_morphism": Row(ALGEBROID, spec=_not_almost_lie),
     "tangent.anchor_compatibility": Row(TANGENT, patch=_loopoid_with(mul=_alpha_leg_moves)),
     "tangent.unit_action": Row(TANGENT, spec=_wrong_loop_unit),
@@ -248,8 +269,11 @@ def _invoke(args):
 
 
 @functools.lru_cache(maxsize=None)
-def _control(args):
-    return _invoke(args)
+def _control(args, setup=None):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if setup:
+            setup(monkeypatch)
+        return _invoke(args)
 
 
 def _decided(check):
@@ -262,7 +286,7 @@ def _decided(check):
 @pytest.mark.parametrize("ref", sorted(CHECK_MUTANTS))
 def test_mutant_fails_its_check(ref, monkeypatch, tmp_path):
     row = CHECK_MUTANTS[ref]
-    check = _control(row.control)[1][ref]
+    check = _control(row.control, row.setup)[1][ref]
     assert check["pass"] and _decided(check), check
 
     args = list(row.control)
@@ -271,8 +295,9 @@ def test_mutant_fails_its_check(ref, monkeypatch, tmp_path):
         row.spec(spec["body"])
         args[2] = str(tmp_path / "mutant.json")
         Path(args[2]).write_text(json.dumps(spec), encoding="utf-8")
-    if row.patch:
-        row.patch(monkeypatch)
+    for patch in (row.setup, row.patch):
+        if patch:
+            patch(monkeypatch)
     code, checks = _invoke(args)
     assert code == 1
     assert not checks[ref]["pass"] and not _decided(checks[ref]), checks[ref]
@@ -281,7 +306,7 @@ def test_mutant_fails_its_check(ref, monkeypatch, tmp_path):
 def test_every_emitted_check_has_a_mutant_and_a_schema_row():
     emitted = set()
     for row in CHECK_MUTANTS.values():
-        code, checks = _control(row.control)
+        code, checks = _control(row.control, row.setup)
         assert code == 0
         emitted |= set(checks)
     documented = set(re.findall(r"^\| `(\w+\.\w+)` \|", SCHEMAS.read_text(encoding="utf-8"), re.M))

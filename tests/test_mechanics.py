@@ -443,15 +443,12 @@ def sequential_newton(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rco
     best = float(np.linalg.norm(r))
     if not np.isfinite(best):
         raise NumericalNoise(f"non-finite residual norm {best:.3e} at the seed")
-    cond = None
     for it in range(max_iter):
         if best < tol:
-            return x, {"iterations": it, "residual": best, "residual_vector": r, "cond": cond}
+            return x, {"iterations": it, "residual": best, "residual_vector": r}
         j = np.atleast_2d(jacobian(residual, x, fd_step))
         if not np.all(np.isfinite(j)):
             raise NumericalNoise(f"non-finite Jacobian entry at iteration {it + 1}, residual {best:.3e}")
-        sv = np.linalg.svd(j, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         delta = np.linalg.lstsq(j, -r, rcond=rcond)[0]
         step = 1.0
         for _ in range(30):
@@ -463,11 +460,13 @@ def sequential_newton(residual, x0, *, tol=1e-10, max_iter=50, fd_step=1e-7, rco
                 break
             step *= 0.5
         else:
+            sv = np.linalg.svd(j, compute_uv=False)
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
             if cond > 1e12:
                 raise SingularJacobian(f"stalled at residual {best:.3e} with condition {cond:.3e}", cond=cond)
             raise NoConvergence(f"no descent at residual {best:.3e} after {it + 1} iterations")
     if best < tol:
-        return x, {"iterations": max_iter, "residual": best, "residual_vector": r, "cond": cond}
+        return x, {"iterations": max_iter, "residual": best, "residual_vector": r}
     raise NoConvergence(f"residual {best:.3e} > tol {tol:.1e} after {max_iter} iterations")
 
 
@@ -563,8 +562,9 @@ def test_trajectory_with_block_line_search_equals_sequential(readme_system, monk
 
 def counted_step_map(monkeypatch):
     """Counts of residual calls per Newton solve of the step map, of
-    ``algebroid_frame`` calls and of frames derived, filled as CLI runs go."""
-    counts = {"residual_calls": [], "frame_builds": 0, "derived": 0}
+    ``algebroid_frame`` calls, of the ``complex_jacobian`` calls they make
+    and of frames derived, filled as CLI runs go."""
+    counts = {"residual_calls": [], "frame_builds": 0, "frame_jacobians": 0, "derived": 0}
     solve = mechanics.newton_solve
 
     def spy(residual, seed, **kwargs):
@@ -576,11 +576,15 @@ def counted_step_map(monkeypatch):
 
         return solve(counted, seed, **kwargs)
 
-    build, derive = algebroid.algebroid_frame, algebroid._derive_frames
+    build, derive, differentiate = algebroid.algebroid_frame, algebroid._derive_frames, algebroid.complex_jacobian
 
     def counted_build(q, u, derived=None):
         counts["frame_builds"] += 1
         return build(q, u, derived)
+
+    def counted_jacobian(f, x):
+        counts["frame_jacobians"] += 1
+        return differentiate(f, x)
 
     def counted_derive(q, units, *rest):
         counts["derived"] += len(units)
@@ -589,6 +593,7 @@ def counted_step_map(monkeypatch):
     monkeypatch.setattr(mechanics, "newton_solve", spy)
     monkeypatch.setattr(algebroid, "algebroid_frame", counted_build)
     monkeypatch.setattr(algebroid, "_derive_frames", counted_derive)
+    monkeypatch.setattr(algebroid, "complex_jacobian", counted_jacobian)
     return counts
 
 
@@ -597,8 +602,10 @@ README_SPEC = str(EXAMPLES / "readme_system.json")
 
 # Each solve of a 2-step simulate and of legendre's three probes takes only
 # full steps, one residual call each besides its stencils.  Frames are built
-# once per request with a missing unit, and the product's frames share one
-# derivation: building every frame from scratch derived 37 and 71.
+# once per request with a missing unit, each build taking alpha's and beta's
+# Jacobians from one complex step and unit_embed's from another, and the
+# product's frames share one derivation: building every frame from scratch
+# derived 37 and 71.
 @pytest.mark.parametrize(
     "args, residual_calls, frame_builds, derived",
     [
@@ -610,7 +617,12 @@ def test_step_map_counts(monkeypatch, args, residual_calls, frame_builds, derive
     counts = counted_step_map(monkeypatch)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert counts == {"residual_calls": residual_calls, "frame_builds": frame_builds, "derived": derived}
+    assert counts == {
+        "residual_calls": residual_calls,
+        "frame_builds": frame_builds,
+        "frame_jacobians": 2 * frame_builds,
+        "derived": derived,
+    }
 
 
 def test_stalled_step_counts(monkeypatch):

@@ -14,15 +14,25 @@ carries their derivative in its imaginary part.
 """
 
 import dataclasses
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import EXAMPLES, example, lie_bracket
+from conftest import EXAMPLES, aff1_action_groupoid, example, lie_bracket
 from loopoid_lab import algebroid, loopoids, mechanics
-from loopoid_lab.algebroid import ALIGNED, STRICT, AlgebroidFrame, algebroid_frame, make_frame_field, prolong
+from loopoid_lab.algebroid import (
+    ALIGNED,
+    FRAME_FIELDS,
+    STRICT,
+    AlgebroidFrame,
+    algebroid_frame,
+    frame_anchors,
+    make_frame_field,
+    prolong,
+)
 from loopoid_lab.errors import RankDeficient
 from loopoid_lab.loopoids import COMPOSABLE_TOL, SplitFibration, pair_groupoid, sample_composable_pairs
 from loopoid_lab.newton import newton_solve
@@ -48,7 +58,7 @@ def bodies(kind):
 
 LOOPS = bodies("loop")
 SYSTEMS = bodies("system")
-LOOPOIDS = {
+SPEC_LOOPOIDS = {
     **{name.removesuffix("_loopoid"): body for name, body in bodies("loopoid").items()},
     **{f"{name}.loopoid": body["loopoid"] for name, body in SYSTEMS.items()},
     "bracket3_as_loopoid": {"kind": "loop", "loop": example("bracket3_loop")["body"]},
@@ -58,6 +68,12 @@ LOOPOIDS = {
         "base": example("octonion_pair1_loopoid")["body"],
         "fibration": {"dim_total": 2, "dim_base": 1},
     },
+}
+# each name's loopoid, built: the specs' and the test-side action groupoid,
+# whose frames vary from unit to unit
+LOOPOIDS = {
+    **{name: functools.partial(build_loopoid, body, "$.body") for name, body in SPEC_LOOPOIDS.items()},
+    "aff1_action": aff1_action_groupoid,
 }
 ALGEBROIDS = bodies("algebroid")
 SHAPES = [(5,), (2, 3)]
@@ -86,7 +102,7 @@ def assert_rows(fn, *stacks_):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
 def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    q = LOOPOIDS[name]()
     rng = np.random.default_rng(7)
     g, h = stacks(rng, shape, q.dim_g)
     assert q.mul(g, h).shape == shape + (q.dim_g,)
@@ -113,9 +129,9 @@ def stated_ip(body):
     return kind == "pair_groupoid"
 
 
-@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+@pytest.mark.parametrize("name", sorted(SPEC_LOOPOIDS))
 def test_claims_ip_is_the_stated_flag(name):
-    assert build_loopoid(LOOPOIDS[name], "$.body").claims_ip is stated_ip(LOOPOIDS[name])
+    assert LOOPOIDS[name]().claims_ip is stated_ip(SPEC_LOOPOIDS[name])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -171,7 +187,7 @@ def assert_complex_step(fn, points, directions):
 
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
 def test_loopoid_maps_carry_a_complex_step(name):
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    q = LOOPOIDS[name]()
     rng = np.random.default_rng(17)
     g, h = stacks(rng, (5,), q.dim_g)
     vg, vh = rng.normal(size=(2, 5, q.dim_g))
@@ -212,7 +228,7 @@ def test_coordinate_fibration_on_rows_equals_single_calls():
 
 
 def test_directional_matrix_equals_single_directions():
-    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
+    q = LOOPOIDS["readme_product"]()
     rng = np.random.default_rng(10)
     g, x = rng.normal(size=(2, q.dim_g))
     directions = rng.normal(size=(4, q.dim_g))
@@ -233,7 +249,7 @@ PROLONG_CASES = [("left", STRICT), ("right", STRICT), ("right", ALIGNED)]
 @pytest.mark.parametrize("side,orientation", PROLONG_CASES)
 @pytest.mark.parametrize("name", ["readme_product", "prolonged_planar", "phi", "bracket3_as_loopoid"])
 def test_prolong_on_rows_equals_single_calls(name, side, orientation):
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    q = LOOPOIDS[name]()
     ff = make_frame_field(q)
     rng = np.random.default_rng(13)
     units = rng.normal(scale=0.3, size=(4, q.dim_m))
@@ -246,7 +262,7 @@ def test_prolong_on_rows_equals_single_calls(name, side, orientation):
 
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
 def test_tangent_product_on_rows_equals_single_calls(name):
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    q = LOOPOIDS[name]()
     rng = np.random.default_rng(15)
     pairs = sample_composable_pairs(q, rng, 3)
     g, h = pairs[:, 0], pairs[:, 1]
@@ -260,12 +276,12 @@ def test_tangent_product_on_rows_equals_single_calls(name):
 
 
 
-@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+@pytest.mark.parametrize("name", sorted(SPEC_LOOPOIDS))
 def test_composable_samples_start_on_their_fibers(name, monkeypatch):
     # alpha is linear with alpha o eps = id on every spec chart, so the
     # section through each h is seeded on the alpha-fiber over beta(g) and
     # its solve returns at the seed: no Jacobian, no step
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    q = LOOPOIDS[name]()
     iterations = []
     solve = loopoids.newton_solve
 
@@ -335,7 +351,7 @@ def test_step_solve_residual_on_rows_equals_single_calls(name, monkeypatch):
 def test_complex_step_takes_an_empty_direction_axis():
     # a loop seen as a loopoid has a 0-dimensional base, where the Jacobian
     # of unit_embed has no columns: n = 0 directions of length 0
-    q = build_loopoid(LOOPOIDS["octonion_as_loopoid"], "$.body")
+    q = LOOPOIDS["octonion_as_loopoid"]()
     assert complex_step(q.unit_embed, np.zeros(0), np.eye(0)).shape == (0, q.dim_g)
     assert complex_step(q.unit_embed, np.zeros((3, 0)), np.zeros((3, 0, 0))).shape == (3, 0, q.dim_g)
 
@@ -351,7 +367,7 @@ def counting(f, shapes):
 
 
 def test_differencing_calls_its_map_once_per_stencil():
-    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
+    q = LOOPOIDS["readme_product"]()
     system = build_system(SYSTEMS["readme_system"], "$.body")
     ff = make_frame_field(q)
     x = q.unit_embed(np.array([0.2, -0.1])) + 0.05
@@ -390,22 +406,39 @@ def test_differencing_calls_its_map_once_per_stencil():
 # frames on stacks: one build per request, each frame as its unit's alone
 # ---------------------------------------------------------------------------
 
-FRAME_ARRAYS = [f.name for f in dataclasses.fields(AlgebroidFrame) if f.name != "rank"]
+# bivertical can change its row count from unit to unit, so it is read at
+# single units only
+STACKED = [name for name in FRAME_FIELDS if name != "bivertical"]
 
 
-@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def assert_built_alone(q, frames, units):
+    """Each frame that ``frames`` views, at a unit or an ``(N, dim_m)`` stack
+    of ``units``, equals bit for bit the frame built for its unit alone: row
+    i of each stacked field, and ``bivertical`` at row i's single view."""
+    units = np.atleast_2d(units)
+    ids = np.atleast_1d(frames.ids)
+    assert ids.shape == (len(units),)
+    for i, u in enumerate(units):
+        alone = algebroid_frame(q, u)
+        assert np.array_equal(AlgebroidFrame(frames.store, ids[i]).bivertical, alone.bivertical)
+        for name in STACKED:
+            stack = getattr(frames, name) if np.ndim(frames.ids) else getattr(frames, name)[None]
+            assert stack.shape == (len(units),) + getattr(alone, name).shape
+            assert np.array_equal(stack[i], getattr(alone, name))
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS) + ["skewed_pair1"])
 def test_frames_of_a_stack_equal_single_builds(name):
-    # a loop seen as a loopoid gives an (N, 0) stack of units
-    q = build_loopoid(LOOPOIDS[name], "$.body")
+    # a loop seen as a loopoid gives an (N, 0) stack of units; the stack
+    # repeats two of its units
+    q = skewed_pair1() if name == "skewed_pair1" else LOOPOIDS[name]()
     units = np.random.default_rng(20).normal(scale=0.3, size=(5, q.dim_m))
     if name == "phi":
         units[0] = [200.0, 0.2]
+    units = units[[0, 1, 2, 1, 3, 4, 0]]
     frames = algebroid_frame(q, units)
-    assert len(frames) == len(units) and len(FRAME_ARRAYS) == 7
-    for frame, u in zip(frames, units):
-        alone = algebroid_frame(q, u)
-        for field in FRAME_ARRAYS:
-            assert np.array_equal(getattr(frame, field), getattr(alone, field))
+    assert len(FRAME_FIELDS) == 6
+    assert_built_alone(q, frames, units)
 
 
 def counted_frame_maps(q):
@@ -417,13 +450,15 @@ def counted_frame_maps(q):
 
 @pytest.mark.parametrize("shape", [(), (1,), (5,)])
 def test_frame_field_builds_a_request_in_one_call(shape):
-    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    q, calls = counted_frame_maps(LOOPOIDS["readme_product"]())
     ff = make_frame_field(q)
     units = np.random.default_rng(21).normal(scale=0.3, size=shape + (q.dim_m,))
     n = int(np.prod(shape))
-    frames = ff(units) if shape else [ff(units)]
-    assert len(frames) == n and all(isinstance(frame, AlgebroidFrame) for frame in frames)
-    # unit_embed embeds the units, then is differenced along them
+    frames = ff(units)
+    assert isinstance(frames, AlgebroidFrame) and np.shape(frames.ids) == shape
+    assert frames.rho_left.shape == shape + (q.rank, q.dim_m)
+    # alpha and beta are differenced together, on the embedded units; then
+    # unit_embed along the units
     assert calls == {
         "alpha": [(n * q.dim_g,)],
         "beta": [(n * q.dim_g,)],
@@ -431,25 +466,28 @@ def test_frame_field_builds_a_request_in_one_call(shape):
     }
     for shapes in calls.values():
         shapes.clear()
-    again = ff(units) if shape else [ff(units)]
+    again = ff(units)
     assert calls == {"alpha": [], "beta": [], "unit_embed": []}
-    assert all(a is b for a, b in zip(again, frames))
+    assert again.store is frames.store and np.array_equal(again.ids, frames.ids)
 
 
 def test_frame_field_builds_a_repeated_unit_once():
-    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    q, calls = counted_frame_maps(LOOPOIDS["readme_product"]())
     ff = make_frame_field(q)
     units = np.array([[0.1, 0.2], [0.3, -0.1], [0.1, 0.2]])
     frames = ff(units)
     assert calls["alpha"] == [(2 * q.dim_g,)]
-    assert frames[0] is frames[2] and frames[0] is not frames[1]
+    # the product's units share one derived frame, stored once
+    assert frames.ids.tolist() == [0, 0, 0] and len(frames.store.arrays["bivertical"]) == 1
+    skewed = make_frame_field(skewed_pair1())
+    assert skewed(np.array([[0.1], [0.3], [0.1], [0.3]])).ids.tolist() == [0, 1, 0, 1]
 
 
 def test_empty_frame_request_calls_no_chart_map():
-    q, calls = counted_frame_maps(build_loopoid(LOOPOIDS["readme_product"], "$.body"))
+    q, calls = counted_frame_maps(LOOPOIDS["readme_product"]())
     units = np.zeros((0, q.dim_m))
-    assert make_frame_field(q)(units) == []
-    assert algebroid_frame(q, units) == []
+    assert make_frame_field(q)(units).ids.shape == (0,)
+    assert algebroid_frame(q, units).ids.shape == (0,)
     assert calls == {"alpha": [], "beta": [], "unit_embed": []}
 
 
@@ -478,29 +516,51 @@ def skewed_pair1():
 
 # every spec chart's side Jacobians at its units are constant (linear maps,
 # or phi's constraint through phi'(0) alone), so one derivation serves all
-# its units; the skewed chart derives each of its eight distinct units
-DERIVED = {"skewed_pair1": [4, 3, 1]}
+# its units; the skewed chart and the action groupoid derive each of their
+# eight distinct units
+DERIVED = {"skewed_pair1": [4, 3, 1], "aff1_action": [4, 3, 1]}
 
 
 @pytest.mark.parametrize("name", sorted(LOOPOIDS) + ["skewed_pair1"])
 def test_frame_field_serves_each_unit_its_own_frame(name, monkeypatch):
-    # the memo hands a unit the arrays derived for an earlier unit with the
-    # same side Jacobians and basis, in the same request or a later one: they
-    # are the unit's own frame, bit for bit
-    q = skewed_pair1() if name == "skewed_pair1" else build_loopoid(LOOPOIDS[name], "$.body")
+    # the store hands a unit the row derived for an earlier unit with the
+    # same side Jacobians and basis, in the same request or a later one: it
+    # is the unit's own frame, bit for bit
+    q = skewed_pair1() if name == "skewed_pair1" else LOOPOIDS[name]()
     rng = np.random.default_rng(22)
     first = rng.normal(scale=0.3, size=(4, q.dim_m))
     second = np.concatenate([first[[2, 0]], rng.normal(scale=0.3, size=(3, q.dim_m))])
     last = second[-1] + 0.25
     ff = make_frame_field(q)
     rows = counted_derivations(monkeypatch)
-    served = ff(first) + ff(second) + [ff(last)]
-    derived = list(rows)
-    assert derived == DERIVED.get(name, [1])
-    for frame, u in zip(served, [*first, *second, last]):
-        alone = algebroid_frame(q, u)
-        for field in FRAME_ARRAYS:
-            assert np.array_equal(getattr(frame, field), getattr(alone, field))
+    served = [ff(first), ff(second), ff(last)]
+    assert rows == DERIVED.get(name, [1])
+    for frames, units in zip(served, (first, second, last)):
+        assert_built_alone(q, frames, units)
+
+
+def test_a_plain_callable_field_serves_the_frame_layers(monkeypatch):
+    # a tracer wraps the field in a function: prolong, frame_anchors and the
+    # step map read frames through a call alone, so they give the same bytes
+    q = aff1_action_groupoid()
+    field = make_frame_field(q)
+    wrapped = lambda u: field(u)
+    rng = np.random.default_rng(27)
+    us = rng.normal(scale=0.3, size=(3, q.dim_m))
+    g = q.unit_embed(us) + rng.normal(scale=0.05, size=(3, q.dim_g))
+    for side, orientation in PROLONG_CASES:
+        got = prolong(q, wrapped, np.eye(q.rank), side, g, orientation)
+        assert np.array_equal(got, prolong(q, make_frame_field(q), np.eye(q.rank), side, g, orientation))
+    assert all(np.array_equal(a, b) for a, b in zip(frame_anchors(q, wrapped, us), frame_anchors(q, field, us)))
+
+    def simulate():
+        system = build_system(SYSTEMS["readme_system"], "$.body")
+        return mechanics.trajectory(system, np.array([0.3, -0.8, 0.2, 1.1, -0.4, 0.9]), 2).points
+
+    want = simulate()
+    build = mechanics.make_frame_field
+    monkeypatch.setattr(mechanics, "make_frame_field", lambda q: (lambda f: lambda u: f(u))(build(q)))
+    assert np.array_equal(simulate(), want)
 
 
 def test_a_failed_frame_derivation_stores_nothing(monkeypatch):
@@ -509,7 +569,7 @@ def test_a_failed_frame_derivation_stores_nothing(monkeypatch):
     # ker T alpha at rate 1e-3: the units 20 and 30 share a triple, and the
     # error names the first of them.  A failed request stores no derivation,
     # so it fails again, and its good unit is derived afresh, once.
-    q = build_loopoid(LOOPOIDS["readme_product"], "$.body")
+    q = LOOPOIDS["readme_product"]()
     s = q.dim_g - 2 * q.dim_m  # the first alpha-leg coordinate
     tilt = 1e-3 * np.eye(q.dim_m)[0]
     tilted = dataclasses.replace(q, alpha=lambda g: q.alpha(g) + tilt * g[..., :1] * (g[..., s : s + 1] > 10))
