@@ -19,11 +19,12 @@ complex-step derivatives of the partial multiplication along fiber
 directions; their Lie brackets at unit points, expanded back in the frame,
 are the two skew brackets carried by the normal bundle.  A bracket table
 takes every pair of frame sections from one central Jacobian of the r
-stacked fields.  The almost-Lie residual is array arithmetic on stacks of
-structure tensors, anchors and anchor derivatives, so a loopoid's functor
-output and an algebroid chart go through the same check.  A smooth loop is
-a loopoid over a point, and its skew algebra is the bracket table there
-(``loop_skew_constants``).
+stacked fields.  A loopoid's Lie functor is a ``SkewAlgebroidChart``
+(``lie_chart``) that differences its complex-stepped anchors centrally.
+The almost-Lie residual is array arithmetic on stacks of structure
+tensors, anchors and anchor derivatives, so it checks any chart.  A smooth
+loop is a loopoid over a point, and its skew algebra is the bracket table
+there (``loop_skew_constants``).
 """
 
 from dataclasses import dataclass, replace
@@ -181,21 +182,20 @@ def make_frame_field(q):
     return field
 
 
-def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
-    """Fundamental vector field values at g, a point or a ``(N, dim_g)`` stack.
+def prolong(q, frame_field, side, g, orientation=STRICT):
+    """The ``(..., r, dim_g)`` fundamental vector fields of the r frame
+    sections at g, a point or a ``(N, dim_g)`` stack.
 
     Left: the derivative of h -> m(g, h) at the unit of beta(g) along the
-    alpha-vertical representative of the section.  Right: that of
-    h -> m(h, g) at the unit of alpha(g) along the beta representative in
-    the requested orientation.  ``coeffs`` of shape (r,) gives one vector
-    per point; a (k, r) matrix gives the (k, dim_g) rows of its k sections.
-    Each point's unit, frame rows and embedded base are resolved once (the
-    rows by one gather from the frame store, the frames the stack lacks by
-    one ``algebroid_frame`` build), and the multiplication runs once, on
-    all ``N k`` complex-step points.  A complex-step point's real part is
-    its unit, so it cannot leave the slab; that its direction is tangent to
-    the slab is a property of the frame, which ``algebroid_frame`` checks
-    once when it builds it.
+    alpha-vertical rows of the frame there.  Right: that of h -> m(h, g) at
+    the unit of alpha(g) along the beta representatives in the requested
+    orientation.  Each point's unit, frame rows and embedded base are
+    resolved once (the rows by one gather from the frame store, the frames
+    the stack lacks by one ``algebroid_frame`` build), and the
+    multiplication runs once, on all ``N r`` complex-step points.  A
+    complex-step point's real part is its unit, so it cannot leave the
+    slab; that its direction is tangent to the slab is a property of the
+    frame, which ``algebroid_frame`` checks once when it builds it.
 
     Row contract: each point's values equal, bit for bit, those of the
     point alone, so a fundamental field can be differenced on a stencil
@@ -210,15 +210,14 @@ def prolong(q, frame_field, coeffs, side, g, orientation=STRICT):
         reps = frame_field(u).beta_reps(orientation)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    directions = np.atleast_2d(coeffs) @ reps  # (N, k, dim_g)
     # complex_step orders its points by point, then direction
-    fixed = np.repeat(rows, directions.shape[1], axis=0)
+    fixed = np.repeat(rows, q.rank, axis=0)
 
     def mul(points):
         return q.mul(fixed, points) if side == "left" else q.mul(points, fixed)
 
-    values = complex_step(mul, q.unit_embed(u), directions)
-    return values.reshape(g.shape[:-1] + np.shape(coeffs)[:-1] + (q.dim_g,))
+    values = complex_step(mul, q.unit_embed(u), reps)
+    return values.reshape(g.shape[:-1] + (q.rank, q.dim_g))
 
 
 def expand_in_frame(fr, side, value):
@@ -255,10 +254,7 @@ def bracket_table(q, side, u, frame_field, rel_step=OUTER_STEP):
     if r < 2:
         return table
     e = q.unit_embed(u)
-
-    def fields(g):
-        return prolong(q, frame_field, np.eye(r), side, g)
-
+    fields = lambda g: prolong(q, frame_field, side, g)
     values = fields(e)  # (r, dim_g)
     d = jacobian(fields, e, rel_step)  # d[i] = DX_i(e)
     i, j = np.triu_indices(r, 1)
@@ -290,23 +286,6 @@ def loop_skew_constants(loop):
     if drift > 1e-4:
         raise NumericalNoise(f"skew constants drift {drift:.3e} between steps {OUTER_STEP:g} and {OUTER_STEP / 2:g}")
     return -table + 0.0
-
-
-def frame_anchors(q, frame_field, us):
-    """The ``(N, dim_m, r)`` anchor columns of the frames at an
-    ``(N, dim_m)`` stack of units, and their ``(N, dim_m, r, dim_m)``
-    derivatives: the ``rho`` and ``drho`` of ``almost_lie_residual``.
-
-    The anchors come from complex steps, so they are differenced centrally,
-    by one ``directional`` at ``OUTER_STEP`` over all N units; the frames
-    of its stencil units are built by one ``algebroid_frame`` call.
-    """
-
-    def anchors(units):
-        return np.swapaxes(frame_field(units).rho_left, 1, 2)
-
-    axes = np.broadcast_to(np.eye(q.dim_m), us.shape + (q.dim_m,))
-    return anchors(us), np.moveaxis(directional(anchors, us, axes), 1, -1)
 
 
 def almost_lie_residual(c, rho, drho):
@@ -343,7 +322,8 @@ class SkewAlgebroidChart:
     matrix whose columns are the anchors of the frame sections.  Both keep
     the row contract: on a ``(..., base_dim)`` stack they return the
     ``(..., rank, rank, rank)`` and ``(..., base_dim, rank)`` stacks of the
-    rows' values.
+    rows' values.  ``stepped_anchors``, that ``rho_fn`` takes complex steps
+    itself, decides the rule of ``drho``.
     """
 
     base_dim: int
@@ -351,12 +331,36 @@ class SkewAlgebroidChart:
     c_fn: Callable
     rho_fn: Callable
     name: str = "skew_algebroid"
+    stepped_anchors: bool = False
 
     def c(self, x):
         return np.reshape(self.c_fn(x), x.shape[:-1] + (self.rank, self.rank, self.rank))
 
     def rho(self, x):
         return np.reshape(self.rho_fn(x), x.shape[:-1] + (self.base_dim, self.rank))
+
+    def drho(self, x):
+        """The ``(..., base_dim, rank, base_dim)`` base derivatives of the
+        anchors at x by numdiff's rule: one ``complex_jacobian``, or one
+        central ``directional`` at ``OUTER_STEP`` of stepped anchors."""
+        if not self.stepped_anchors:
+            return complex_jacobian(self.rho, x)
+        axes = np.broadcast_to(np.eye(self.base_dim), x.shape + (self.base_dim,))
+        return np.moveaxis(directional(self.rho, x, axes), x.ndim - 1, -1)
+
+
+def lie_chart(q, frame_field):
+    """The Lie functor of ``q`` as a chart named ``q.name``: at each unit of
+    a stack, the left ``bracket_table`` and the frames' ``rho_left``
+    anchors, read through ``frame_field``; its anchors are stepped."""
+    return SkewAlgebroidChart(
+        base_dim=q.dim_m,
+        rank=q.rank,
+        c_fn=lambda x: np.stack([bracket_table(q, "left", u, frame_field) for u in np.atleast_2d(x)]),
+        rho_fn=lambda x: np.swapaxes(frame_field(x).rho_left, -1, -2),
+        name=q.name,
+        stepped_anchors=True,
+    )
 
 
 def constant_chart(c, rho):

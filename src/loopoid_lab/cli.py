@@ -11,6 +11,7 @@ significant digits.  A spec command's ``--seed`` falls back to the spec's
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -87,11 +88,14 @@ def _finish(report, out):
     return 0 if report["ok"] else 1
 
 
-def _load_spec(path, expected_kind):
+def _load_spec(path, *kinds, seed=None):
+    """The spec at ``path``, of one of ``kinds``, its seed replaced by the
+    command's ``seed`` when one is given."""
     spec = parse_spec(Path(path).read_text(encoding="utf-8"))
-    if spec.kind != expected_kind:
-        raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs {expected_kind!r}")
-    return spec
+    if spec.kind not in kinds:
+        needs = " or ".join(kinds) if len(kinds) > 1 else repr(kinds[0])
+        raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs {needs}")
+    return spec if seed is None else replace(spec, seed=seed)
 
 
 def _point(text, option, spec, system):
@@ -169,11 +173,11 @@ def main():
 @_guarded
 def verify_finite(spec_path, out, seed):
     """Classify a finite table (or construction) and verify its contract."""
-    spec = _load_spec(spec_path, "finite")
+    spec = _load_spec(spec_path, "finite", seed=seed)
     from .finite import inverse_property, validate_latin_square
 
     table = build_finite(spec.body, "$.body")
-    rng = np.random.default_rng(seed if seed is not None else spec.seed)
+    rng = np.random.default_rng(spec.seed)
     rep = validate_latin_square(table, rng=rng)
     checks = []
     kind = spec.body["kind"]
@@ -276,11 +280,11 @@ def loop_algebra(spec_path, out, csv_path):
 @_guarded
 def loopoid_check(spec_path, out, seed, samples, tol):
     """Audit the quasiloopoid axioms on seeded samples."""
-    spec = _load_spec(spec_path, "loopoid")
+    spec = _load_spec(spec_path, "loopoid", seed=seed)
     from .loopoids import check_axioms
 
     q = build_loopoid(spec.body, "$.body")
-    rep = check_axioms(q, n_samples=samples, seed=seed if seed is not None else spec.seed, tol=tol)
+    rep = check_axioms(q, n_samples=samples, seed=spec.seed, tol=tol)
     checks = [
         _check("unit_laws", "loopoid.units", max(rep.left_unit_residual, rep.right_unit_residual), tol=tol),
         _check("unit_section", "loopoid.unit_section", rep.unit_section_residual, tol=tol),
@@ -310,51 +314,48 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
     """Skew algebroid of a loopoid or algebroid spec: brackets, almost-Lie
     residual, and for loopoids the sign theorem.
 
-    A loopoid's structure tensors are its left bracket tables at sampled
-    units and its anchors the frames' (``frame_anchors``); an algebroid
-    chart's come from its structure and anchor functions at sampled base
-    points, whose anchors are plain arithmetic and so complex-stepped.  Both
-    kinds then go through one almost-Lie check.
+    Both kinds are charts: a loopoid's is its Lie chart (``lie_chart``), the
+    left bracket tables and frame anchors at sampled units; an algebroid's
+    is the spec's, at sampled base points.  Each chart takes its anchors'
+    derivative by its own rule, and both go through one almost-Lie check.
     """
-    spec = parse_spec(Path(spec_path).read_text(encoding="utf-8"))
-    from .algebroid import almost_lie_residual, bracket_table, frame_anchors, make_frame_field
-    from .numdiff import complex_jacobian, complex_step
+    spec = _load_spec(spec_path, "loopoid", "algebroid", seed=seed)
+    from .algebroid import almost_lie_residual, bracket_table, lie_chart, make_frame_field
+    from .numdiff import complex_step
 
-    rng = np.random.default_rng(seed if seed is not None else spec.seed)
-    extra = []  # the spec kind's own checks
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "loopoid":
         q = build_loopoid(spec.body, "$.body")
         ff = make_frame_field(q)
-        us = q.sample_m(rng, samples)
-        u0 = us[0]
-        # each sample's left brackets once: the first sample's feed the CSV and
-        # the sign check, all of them the almost-Lie check
-        c = np.stack([bracket_table(q, "left", u, ff) for u in us])
-        # below rank 2 almost_lie_residual reads no anchors, so build none of their frames
-        rho, drho = frame_anchors(q, ff, us) if q.rank > 1 else (None, None)
-        sign_resid = float(np.max(np.abs(c[0] + bracket_table(q, "right", u0, ff)), initial=0.0))
-        report = {"name": q.name, "rank": q.rank, "left_right_sum_residual": sign_resid, "inversion_residual": None}
+        chart = lie_chart(q, ff)
+        xs = q.sample_m(rng, samples)
         ref = "functor"
-        if q.claims_ip:
-            fr = ff(u0)
-            # T inverse along each alpha-vertical row should give minus its beta representative
-            flipped = complex_step(q.inverse, q.unit_embed(u0), fr.alpha_vertical)
-            lemma = float(np.max(np.abs(flipped + fr.beta_vertical)))
-            report["inversion_residual"] = lemma
-            extra.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
-            extra.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
-    elif spec.kind == "algebroid":
+    else:
         chart = build_algebroid(spec.body, "$.body")
         xs = rng.normal(scale=0.4, size=(samples, chart.base_dim))
-        c, rho, drho = chart.c(xs), chart.rho(xs), complex_jacobian(chart.rho, xs)
-        report = {"name": chart.name, "rank": chart.rank, "base_dim": chart.base_dim}
         ref = "algebroid"
-    else:
-        raise LoopoidLabError(f"spec kind {spec.kind!r} but command needs loopoid or algebroid")
-    csv = _bracket_csv(c[0], csv_path)
+    # each sample's structure tensor once: the first sample's feeds the CSV
+    # and the sign check, all of them the almost-Lie check
+    c = chart.c(xs)
+    # below rank 2 almost_lie_residual reads no anchors, so take none
+    rho, drho = (chart.rho(xs), chart.drho(xs)) if chart.rank > 1 else (None, None)
     almost = almost_lie_residual(c, rho, drho)
-    checks = [_check("almost_lie", f"{ref}.anchor_bracket_morphism", almost, tol=1e-6)] + extra
-    report.update(command="lie-functor", almost_lie_residual=almost, csv=csv, checks=checks)
+    checks = [_check("almost_lie", f"{ref}.anchor_bracket_morphism", almost, tol=1e-6)]
+    report = {"name": chart.name, "rank": chart.rank}
+    if spec.kind == "loopoid":
+        sign_resid = float(np.max(np.abs(c[0] + bracket_table(q, "right", xs[0], ff)), initial=0.0))
+        report.update(left_right_sum_residual=sign_resid, inversion_residual=None)
+        if q.claims_ip:
+            fr = ff(xs[0])
+            # T inverse along each alpha-vertical row should give minus its beta representative
+            flipped = complex_step(q.inverse, q.unit_embed(xs[0]), fr.alpha_vertical)
+            lemma = float(np.max(np.abs(flipped + fr.beta_vertical)))
+            report["inversion_residual"] = lemma
+            checks.append(_check("inversion_flips_representatives", "functor.inversion_normal_action", lemma, tol=1e-7))
+            checks.append(_check("sign_theorem", "functor.left_right_opposite", sign_resid, tol=1e-6))
+    else:
+        report["base_dim"] = chart.base_dim
+    report.update(command="lie-functor", almost_lie_residual=almost, csv=_bracket_csv(c[0], csv_path), checks=checks)
     return _finish(report, out)
 
 
@@ -368,11 +369,11 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
 def tangent_check(spec_path, out, seed, samples, tol):
     """Tangent-structure audit: anchors, units, section independence,
     injectivity of tangent translations and the tangent inverse property."""
-    spec = _load_spec(spec_path, "loopoid")
+    spec = _load_spec(spec_path, "loopoid", seed=seed)
     from .tangent import INJECTIVE_SV, check_tangent_loopoid
 
     q = build_loopoid(spec.body, "$.body")
-    rep = check_tangent_loopoid(q, n_samples=samples, seed=seed if seed is not None else spec.seed, tol=tol)
+    rep = check_tangent_loopoid(q, n_samples=samples, seed=spec.seed, tol=tol)
     checks = [
         _check("tangent_anchors", "tangent.anchor_compatibility", rep["anchor_residual"], tol=tol),
         _check("tangent_units", "tangent.unit_action", rep["unit_residual"], tol=tol),
@@ -436,7 +437,7 @@ def simulate(spec_path, steps, start_str, csv_path, report_path):
 @_guarded
 def legendre_cmd(spec_path, at_str, out, seed):
     """Evaluate both Legendre transforms and the regularity report."""
-    spec = _load_spec(spec_path, "system")
+    spec = _load_spec(spec_path, "system", seed=seed)
     from .mechanics import legendre, regularity_check
 
     system = build_system(spec.body, "$.body")
@@ -447,7 +448,7 @@ def legendre_cmd(spec_path, at_str, out, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         plus = legendre(system, "plus", g)
         minus = legendre(system, "minus", g)
-        reg = regularity_check(system, q.beta(g), seed=seed if seed is not None else spec.seed)
+        reg = regularity_check(system, q.beta(g), seed=spec.seed)
         checks = [
             _check("flow_matches_legendre", "mechanics.flow_intertwines", float(reg["flow_matches_legendre_residual"]), tol=1e-7),
         ]

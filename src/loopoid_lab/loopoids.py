@@ -355,7 +355,6 @@ class AxiomReport:
     right_ip_residual: Optional[float]
     ip_identity_residual: Optional[float]
     is_ip: Optional[bool]
-    global_injectivity: str = "not checked"
     tol: float = 1e-8
 
     def to_dict(self):

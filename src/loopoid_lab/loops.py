@@ -9,13 +9,13 @@ Multiplications come as polynomial term lists (portable, sandbox-safe),
 registered builtins (octonion, bracket), or arbitrary in-process callables.
 
 Row contract: every multiplication built here takes two ``(..., dim)``
-operands with equal leading shapes and returns ``(..., dim)``, and the
-octonion inverse takes ``(..., 8)``; each row equals, bit for bit, the map
-of that row alone, so a difference stencil can evaluate all its points in
-one call.  Operands are ndarrays of any float or complex dtype and are
-never cast, so complex operands give a complex product.  Only the
-constructors cast what a caller builds: a chart's unit and the bracket
-constants.
+operands with equal leading shapes and returns ``(..., dim)`` (a
+``polynomial_map`` takes its k operands alike), and the octonion inverse
+takes ``(..., 8)``; each row equals, bit for bit, the map of that row
+alone, so a difference stencil can evaluate all its points in one call.
+Operands are ndarrays of any float or complex dtype and are never cast,
+so complex operands give a complex product.  Only the constructors cast
+what a caller builds: a chart's unit and the bracket constants.
 """
 
 from dataclasses import dataclass
@@ -84,47 +84,52 @@ def octonion_chart():
     )
 
 
-def polynomial_mul(dim, terms):
-    """Multiplication from per-coordinate term lists.
+def polynomial_map(terms, dims):
+    """Polynomial map of k operands of dimensions ``dims`` from per-coordinate
+    term lists.
 
-    ``terms[k]`` is a list of (coeff, x_exponents, y_exponents) tuples;
-    coordinate k of x * y is the sum of coeff * prod(x**xe) * prod(y**ye),
-    taken in term-list order from 0.0.  All terms are evaluated at once:
-    slot ``j`` of coordinate ``k`` holds its ``j``-th term, and the slots a
-    coordinate lacks hold the zero term (coefficient 0, exponents 0), which
-    adds an exact +0.0.
+    ``terms[i]`` is a list of (coeff, exponents_1, ..., exponents_k) tuples;
+    coordinate i of the map is the sum of coeff * prod(x_1**e_1) * ... *
+    prod(x_k**e_k), taken in term-list order from 0.0.  All terms are
+    evaluated at once: slot ``j`` of coordinate ``i`` holds its ``j``-th
+    term, and the slots a coordinate lacks hold the zero term (coefficient
+    0, exponents 0), which adds an exact +0.0.  A polynomial Lagrangian is
+    the one-operand, one-coordinate case.
     """
-    if len(terms) != dim:
-        raise ValueError(f"need {dim} coordinate term lists, got {len(terms)}")
+    dim = len(terms)
     slots = max((len(row) for row in terms), default=0)
     coeff = np.zeros((slots, dim))
-    x_exp = np.zeros((slots, dim, dim))
-    y_exp = np.zeros((slots, dim, dim))
-    for k, row in enumerate(terms):
-        for j, (c, xe, ye) in enumerate(row):
-            coeff[j, k] = float(c)
-            x_exp[j, k] = xe
-            y_exp[j, k] = ye
-    x_exp = x_exp.ravel()
-    y_exp = y_exp.ravel()
-    # every slot and coordinate reads all dim coordinates of an operand
-    cols = np.tile(np.arange(dim), slots * dim)
+    exps = [np.zeros((slots, dim, n)) for n in dims]
+    for i, row in enumerate(terms):
+        for j, (c, *es) in enumerate(row):
+            coeff[j, i] = float(c)
+            for exp, e in zip(exps, es):
+                exp[j, i] = e
+    # every slot and coordinate reads all coordinates of an operand
+    operands = [(np.tile(np.arange(n), slots * dim), exp.ravel(), exp.shape) for n, exp in zip(dims, exps)]
 
-    def monomials(x, exponents):
-        # take gives C-ordered rows, so the power runs the contiguous loop a
-        # single point gets (other layouts may round some powers otherwise);
-        # x.take and multiply.reduce are np.take and np.prod without wrappers
-        powers = x.take(cols, axis=-1) ** exponents
-        return np.multiply.reduce(powers.reshape(x.shape[:-1] + (slots, dim, dim)), axis=-1)
-
-    def mul(x, y):
-        terms_xy = coeff * monomials(x, x_exp) * monomials(y, y_exp)
-        out = np.zeros(np.shape(x)[:-1] + (dim,), dtype=np.result_type(x, y, float))
+    def f(*xs):
+        terms_x = coeff
+        for x, (cols, exponents, shape) in zip(xs, operands):
+            # take gives C-ordered rows, so the power runs the contiguous loop
+            # a single point gets (other layouts may round some powers
+            # otherwise); x.take and multiply.reduce are np.take and np.prod
+            # without wrappers
+            powers = x.take(cols, axis=-1) ** exponents
+            terms_x = terms_x * np.multiply.reduce(powers.reshape(x.shape[:-1] + shape), axis=-1)
+        out = np.zeros(np.shape(xs[0])[:-1] + (dim,), dtype=np.result_type(*xs, float))
         for j in range(slots):
-            out += terms_xy[..., j, :]
+            out += terms_x[..., j, :]
         return out
 
-    return mul
+    return f
+
+
+def polynomial_mul(dim, terms):
+    """The two-operand ``polynomial_map``: terms (coeff, x_exps, y_exps)."""
+    if len(terms) != dim:
+        raise ValueError(f"need {dim} coordinate term lists, got {len(terms)}")
+    return polynomial_map(terms, (dim, dim))
 
 
 def polynomial_chart(dim, terms, unit=None):

@@ -81,8 +81,7 @@ class Trajectory:
 def _derivative_along(system, side, g):
     """Directional derivatives of L along the side's frame fields at g, a
     point or an ``(N, dim_g)`` stack."""
-    q = system.loopoid
-    fields = prolong(q, system.frames, np.eye(q.rank), side, g, system.orientation)
+    fields = prolong(system.loopoid, system.frames, side, g, system.orientation)
     return complex_step(system.lagrangian, g, fields)
 
 

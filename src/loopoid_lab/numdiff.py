@@ -4,22 +4,23 @@ All derivatives in the package come through here, by one of two rules:
 
 - a map that is plain arithmetic (the chart maps and the translations built
   from them, the tangent product as ``mul`` along a composable pair of
-  velocities, ``phi``, the Lagrangians, the anchors of an algebroid chart)
+  velocities, ``phi``, the Lagrangians, the anchors of an algebroid spec)
   takes its first derivative by ``complex_step``, ``Im f(x + i h v) / h``
   at ``COMPLEX_STEP = 1e-30``: one evaluation per direction and no
   cancellation, so it is exact to rounding;
 - a map that itself takes a complex step or runs a Newton solve (the
-  fundamental fields and anchors of a loopoid, the Legendre chart maps, the
-  sectioned translations of ``tangent.section_product``) is differenced
-  centrally by ``jacobian`` or ``directional`` at the relative step
-  ``OUTER_STEP``, ``h = rel * max(1, |x|_inf)``.  The r fundamental fields
-  of a bracket table are one stacked field differenced by one
-  ``jacobian``, and the frame anchors at N sampled units one field
-  differenced by one stacked ``directional``.  A loop's skew algebra is
-  the bracket table over a point, taken at ``OUTER_STEP`` and at half of
-  it to bound its drift.  ``newton_solve`` differences its residual at the
-  relative step ``fd_step``: ``mechanics.step_solve`` passes 1e-5, and the
-  sections of ``loopoids`` keep the default 1e-7.
+  fundamental fields of a loopoid and the anchors of its Lie chart, the
+  Legendre chart maps, the sectioned translations of
+  ``tangent.section_product``) is differenced centrally by ``jacobian`` or
+  ``directional`` at the relative step ``OUTER_STEP``,
+  ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
+  table are one stacked field differenced by one ``jacobian``, and the
+  anchors of a Lie chart at N sampled units one field differenced by one
+  stacked ``directional`` (``SkewAlgebroidChart.drho``).  A loop's skew
+  algebra is the bracket table over a point, taken at ``OUTER_STEP`` and at
+  half of it to bound its drift.  ``newton_solve`` differences its residual
+  at the relative step ``fd_step``: ``mechanics.step_solve`` passes 1e-5,
+  and the sections of ``loopoids`` keep the default 1e-7.
 
 Row contract: every map these routines difference is called once, on the
 stack of all its stencil points, and must map each row of a ``(..., n)``

@@ -367,26 +367,6 @@ def build_algebroid(body, path):
     raise SchemaError(f"unknown algebroid kind {kind!r}", f"{path}.kind")
 
 
-def make_scalar_polynomial(terms, dim):
-    """The scalar polynomial sum of c * prod(x**e) on ``(..., dim)`` points,
-    taken in term order from 0.0, as ``polynomial_mul`` takes its terms."""
-    coeffs = [float(c) for c, _ in terms]
-    exponents = np.ravel([e for _, e in terms]).astype(np.int64)
-    cols = np.tile(np.arange(dim), len(terms))
-
-    def f(x):
-        # np.take gives C-ordered rows, so each power and product runs the
-        # contiguous loop a single point gets
-        powers = np.take(x, cols, axis=-1) ** exponents
-        monomials = np.prod(powers.reshape(np.shape(x)[:-1] + (len(terms), dim)), axis=-1)
-        out = np.zeros(np.shape(x)[:-1], dtype=np.result_type(x, float))
-        for j, c in enumerate(coeffs):
-            out += c * monomials[..., j]
-        return out
-
-    return f
-
-
 def build_system(body, path):
     from .mechanics import DiscreteLagrangianSystem
 
@@ -400,7 +380,10 @@ def build_system(body, path):
         # the stacked matmul rounds each row's |g|^2 as g @ g rounds that row alone
         lfun = lambda g: 0.5 * (g[..., None, :] @ g[..., :, None])[..., 0, 0]
     elif lkind == "polynomial":
-        lfun = make_scalar_polynomial(_scalar_terms(_need(lag, "terms", lpath), f"{lpath}.terms", q.dim_g), q.dim_g)
+        from .loops import polynomial_map
+
+        poly = polynomial_map([_scalar_terms(_need(lag, "terms", lpath), f"{lpath}.terms", q.dim_g)], (q.dim_g,))
+        lfun = lambda g: poly(g)[..., 0]
     else:
         raise SchemaError(f"unknown lagrangian kind {lkind!r}", f"{lpath}.kind")
     if body.get("start") is not None:  # the commands read it as their default point

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from loopoid_lab import specio
+from loopoid_lab.algebroid import SkewAlgebroidChart
 from loopoid_lab.finite import CayleyTable
 from loopoid_lab.loopoids import ChartedQuasiloopoid
 from loopoid_lab.loops import polynomial_chart
@@ -124,6 +125,22 @@ def aff1_action_groupoid():
         inverse=inverse,
         claims_loopoid=True,
         name="aff1_action",
+    )
+
+
+def so3_action_algebroid():
+    """The action algebroid so(3) x R^3 of the rotations of R^3, a Lie
+    algebroid whose anchors vary with the base point: the brackets
+    [e_i, e_j] = eps_ijk e_k and the anchors rho(x) e_i = x cross e_i, so
+    rho(x) is the cross-product matrix of x.  The anchors are plain
+    arithmetic, linear in x."""
+    eps = cross_product_constants()  # eps[a, b, i] = eps_abi
+    return SkewAlgebroidChart(
+        base_dim=3,
+        rank=3,
+        c_fn=lambda x: np.broadcast_to(eps, x.shape[:-1] + eps.shape),
+        rho_fn=lambda x: np.einsum("abi,...b->...ai", eps, x),
+        name="so3_action",
     )
 
 

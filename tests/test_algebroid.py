@@ -11,6 +11,7 @@ from conftest import (
     example,
     lie_bracket,
     planar_feedback_chart,
+    so3_action_algebroid,
 )
 from loopoid_lab import algebroid
 from loopoid_lab.algebroid import (
@@ -22,7 +23,7 @@ from loopoid_lab.algebroid import (
     bracket_table,
     constant_chart,
     expand_in_frame,
-    frame_anchors,
+    lie_chart,
     loop_skew_constants,
     make_frame_field,
     prolong,
@@ -40,7 +41,7 @@ from loopoid_lab.loopoids import (
     prolongation_loopoid,
 )
 from loopoid_lab.loops import bracket_loop, octonion_chart
-from loopoid_lab.numdiff import OUTER_STEP, complex_jacobian, complex_step, directional, jacobian
+from loopoid_lab.numdiff import OUTER_STEP, complex_step, directional, jacobian
 from loopoid_lab.octonion import MUL_INDEX, MUL_SIGN
 
 PHI = lambda x: x**3 + x
@@ -121,13 +122,16 @@ def test_prolong_product_h_fields(product_h, rng):
     for _ in range(10):
         g = product_h.sample_g(rng, 1)[0]
         x1, x2 = g[0], g[1]
-        assert np.allclose(prolong(product_h, ff, [1, 0, 0, 0], "left", g), [1, x2, 0, 0, 0, 0], atol=1e-7)
-        assert np.allclose(prolong(product_h, ff, [0, 1, 0, 0], "left", g), [x1, 1, 0, 0, 0, 0], atol=1e-7)
-        assert np.allclose(prolong(product_h, ff, [0, 0, 1, 0], "left", g), [0, 0, 0, 0, 1, 0], atol=1e-9)
-        assert np.allclose(prolong(product_h, ff, [1, 0, 0, 0], "right", g), [1 + x2, 0, 0, 0, 0, 0], atol=1e-7)
-        assert np.allclose(prolong(product_h, ff, [0, 1, 0, 0], "right", g), [0, 1 + x1, 0, 0, 0, 0], atol=1e-7)
-        assert np.allclose(prolong(product_h, ff, [0, 0, 1, 0], "right", g, STRICT), [0, 0, -1, 0, 0, 0], atol=1e-7)
-        assert np.allclose(prolong(product_h, ff, [0, 0, 1, 0], "right", g, ALIGNED), [0, 0, 1, 0, 0, 0], atol=1e-7)
+        left = prolong(product_h, ff, "left", g)
+        right = prolong(product_h, ff, "right", g, STRICT)
+        assert left.shape == right.shape == (4, 6)
+        assert np.allclose(left[0], [1, x2, 0, 0, 0, 0], atol=1e-7)
+        assert np.allclose(left[1], [x1, 1, 0, 0, 0, 0], atol=1e-7)
+        assert np.allclose(left[2], [0, 0, 0, 0, 1, 0], atol=1e-9)
+        assert np.allclose(right[0], [1 + x2, 0, 0, 0, 0, 0], atol=1e-7)
+        assert np.allclose(right[1], [0, 1 + x1, 0, 0, 0, 0], atol=1e-7)
+        assert np.allclose(right[2], [0, 0, -1, 0, 0, 0], atol=1e-7)
+        assert np.allclose(prolong(product_h, ff, "right", g, ALIGNED)[2], [0, 0, 1, 0, 0, 0], atol=1e-7)
 
 
 def test_prolong_at_unit_recovers_representative(product_h):
@@ -135,9 +139,7 @@ def test_prolong_at_unit_recovers_representative(product_h):
     u = np.array([0.1, 0.4])
     fr = ff(u)
     e = product_h.unit_embed(u)
-    for i in range(4):
-        got = prolong(product_h, ff, np.eye(4)[i], "left", e)
-        assert np.allclose(got, fr.alpha_vertical[i], atol=1e-9)
+    assert np.allclose(prolong(product_h, ff, "left", e), fr.alpha_vertical, atol=1e-9)
 
 
 def test_prolong_bracket_loop_formula(rng):
@@ -145,12 +147,12 @@ def test_prolong_bracket_loop_formula(rng):
     q = loop_as_loopoid(bracket_loop(3, C))
     ff = make_frame_field(q)
     x = rng.normal(scale=0.4, size=3)
+    left = prolong(q, ff, "left", x)
+    right = prolong(q, ff, "right", x)
     for i in range(3):
-        left = prolong(q, ff, np.eye(3)[i], "left", x)
-        right = prolong(q, ff, np.eye(3)[i], "right", x)
         correction = 0.5 * np.einsum("kj,j->k", C[:, i, :], x)
-        assert np.allclose(left, np.eye(3)[i] - correction, atol=1e-7)
-        assert np.allclose(right, np.eye(3)[i] + correction, atol=1e-7)
+        assert np.allclose(left[i], np.eye(3)[i] - correction, atol=1e-7)
+        assert np.allclose(right[i], np.eye(3)[i] + correction, atol=1e-7)
 
 
 def curved_loopoid():
@@ -185,10 +187,10 @@ def test_prolong_slab_guard():
     # ker T alpha leaves it at first order, which the frame's check names
     q = curved_loopoid()
     g = np.array([0.2, 0.0])
-    assert np.array_equal(prolong(q, make_frame_field(q), [1.0], "left", g), [0.0, 1.0])
+    assert np.array_equal(prolong(q, make_frame_field(q), "left", g), [[0.0, 1.0]])
     tilted = dataclasses.replace(q, preferred_alpha_vertical=TILTED)
     with pytest.raises(RankDeficient, match="ker T alpha at rate 1.00e-03"):
-        prolong(tilted, make_frame_field(tilted), [1.0], "left", g)
+        prolong(tilted, make_frame_field(tilted), "left", g)
 
 
 def test_prolong_slab_guard_checks_the_stencil_points():
@@ -208,9 +210,9 @@ def test_prolong_slab_guard_checks_the_stencil_points():
     ]:
         ff = make_frame_field(chart)
         for side, want in [("left", [0.0, 1.0]), ("right", right)]:
-            assert np.allclose(prolong(chart, ff, np.eye(1), side, g[[0, 2]]), [[want]] * 2, rtol=0, atol=1e-9)
+            assert np.allclose(prolong(chart, ff, side, g[[0, 2]]), [[want]] * 2, rtol=0, atol=1e-9)
             with pytest.raises(RankDeficient, match=message):
-                prolong(chart, ff, np.eye(1), side, g)
+                prolong(chart, ff, side, g)
 
 
 def test_frame_errors_name_the_first_failing_unit_of_a_stack():
@@ -259,8 +261,8 @@ def test_prolong_far_out_on_phi_follows_its_frame():
     for g in [q.unit_embed(np.array([200.0, 0.2])), np.array([200.0, 0.2, 0.1])]:
         left = ff(q.beta(g)).alpha_vertical[0]
         right = ff(q.alpha(g)).beta_vertical[0]
-        assert np.allclose(prolong(q, ff, [1.0], "left", g), [0.0, 0.0, left[2]], rtol=0, atol=1e-12)
-        assert np.allclose(prolong(q, ff, [1.0], "right", g), [right[0], right[1], 0.0], rtol=0, atol=1e-12)
+        assert np.allclose(prolong(q, ff, "left", g), [[0.0, 0.0, left[2]]], rtol=0, atol=1e-12)
+        assert np.allclose(prolong(q, ff, "right", g), [[right[0], right[1], 0.0]], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +270,13 @@ def test_prolong_far_out_on_phi_follows_its_frame():
 # ---------------------------------------------------------------------------
 
 
-def pair_bracket(q, side, x, y, u, ff):
+def pair_bracket(q, side, i, j, u, ff):
     """One-pair oracle of the bracket tables: the Lie bracket of the fields
-    of the sections ``x`` and ``y`` at the unit of u, each differenced by its
-    own Jacobian, expanded in the frame as (side coefficients, TM
+    of the frame sections ``i`` and ``j`` at the unit of u, each differenced
+    by its own Jacobian, expanded in the frame as (side coefficients, TM
     coefficients)."""
-    fx = lambda g: prolong(q, ff, x, side, g)
-    fy = lambda g: prolong(q, ff, y, side, g)
+    fx = lambda g: prolong(q, ff, side, g)[..., i, :]
+    fy = lambda g: prolong(q, ff, side, g)[..., j, :]
     return expand_in_frame(ff(u), side, lie_bracket(fx, fy, q.unit_embed(u)))
 
 
@@ -286,7 +288,7 @@ def test_bracket_product_h(product_h):
     assert np.allclose(left[:, 0, 1], [1, -1, 0, 0], atol=1e-6)
     assert np.allclose(right[:, 0, 1], [-1, 1, 0, 0], atol=1e-6)
     # brackets of vertical fields stay vertical
-    _, tm = pair_bracket(product_h, "left", [1, 0, 0, 0], [0, 1, 0, 0], u, ff)
+    _, tm = pair_bracket(product_h, "left", 0, 1, u, ff)
     assert np.max(np.abs(tm)) < 1e-6
     for i, j in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
         assert np.max(np.abs(left[:, i, j])) < 1e-6
@@ -330,8 +332,8 @@ def test_left_and_right_fields_commute_at_loop_unit():
     loop = planar_feedback_chart()
     q = loop_as_loopoid(loop)
     ff = make_frame_field(q)
-    fx = lambda g: prolong(q, ff, [1.0, 0.0], "left", g)
-    fy = lambda g: prolong(q, ff, [0.0, 1.0], "right", g)
+    fx = lambda g: prolong(q, ff, "left", g)[..., 0, :]
+    fy = lambda g: prolong(q, ff, "right", g)[..., 1, :]
     assert np.max(np.abs(lie_bracket(fx, fy, loop.unit))) < 1e-6
 
 
@@ -403,7 +405,7 @@ def test_bracket_table_holds_each_pairs_bracket(product_h):
         assert np.array_equal(table, -np.swapaxes(table, 1, 2))
         for i in range(r):
             for j in range(i + 1, r):
-                coeffs, _ = pair_bracket(product_h, side, np.eye(r)[i], np.eye(r)[j], u, ff)
+                coeffs, _ = pair_bracket(product_h, side, i, j, u, ff)
                 assert np.array_equal(table[:, i, j], coeffs)
 
 
@@ -453,15 +455,15 @@ def test_rank_one_bracket_table_is_zero_without_pair_work():
     assert rows == []
 
 
-def almost_lie(q, us):
-    """almost_lie_residual on the left bracket tables and frame anchors at ``us``."""
-    ff = make_frame_field(q)
-    return almost_lie_residual(np.stack([bracket_table(q, "left", u, ff) for u in us]), *frame_anchors(q, ff, us))
-
-
 def chart_almost_lie(chart, xs):
-    """almost_lie_residual of a chart at ``xs``, its anchors complex-stepped."""
-    return almost_lie_residual(chart.c(xs), chart.rho(xs), complex_jacobian(chart.rho, xs))
+    """almost_lie_residual of a chart at ``xs``, its anchors differenced by
+    the chart's rule."""
+    return almost_lie_residual(chart.c(xs), chart.rho(xs), chart.drho(xs))
+
+
+def almost_lie(q, us):
+    """almost_lie_residual of the Lie chart of ``q`` at the units ``us``."""
+    return chart_almost_lie(lie_chart(q, make_frame_field(q)), us)
 
 
 def stacked(c):
@@ -480,9 +482,10 @@ def test_almost_lie_loopoid_instances(product_h):
 
 
 def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
+    # a Lie chart's anchors take complex steps, so its drho is one central
+    # difference over the stack
     us = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.4]])
-    ff = make_frame_field(product_h)
-    tables = np.stack([bracket_table(product_h, "left", u, ff) for u in us])
+    tables = lie_chart(product_h, make_frame_field(product_h)).c(us)
     calls = []
 
     def counted(f, x, *args):
@@ -497,7 +500,8 @@ def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
 
     monkeypatch.setattr(algebroid, "directional", counted)
     monkeypatch.setattr(algebroid, "algebroid_frame", counted_frames)
-    rho, drho = frame_anchors(product_h, make_frame_field(product_h), us)
+    lie = lie_chart(product_h, make_frame_field(product_h))
+    rho, drho = lie.rho(us), lie.drho(us)
     assert (rho.shape, drho.shape) == ((3, 2, 4), (3, 2, 4, 2))
     assert almost_lie_residual(tables, rho, drho) < 1e-6
     assert len(calls) == 1 and np.array_equal(calls[0], us)
@@ -505,18 +509,37 @@ def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
     assert builds == [len(us), 2 * len(us) * product_h.dim_m]
 
 
+def negated_brackets(chart):
+    return dataclasses.replace(chart, c_fn=lambda x: -chart.c_fn(x))
+
+
 def test_almost_lie_where_the_anchors_vary_with_the_unit():
     # the action groupoid of Aff(1) on R: its frame anchors move with the
     # unit, so the anchor brackets D rho_j . rho_i - D rho_i . rho_j the
-    # check compares are not zero, and each antisymmetrized term counts
+    # check compares are not zero, and each antisymmetrized term counts;
+    # negated brackets break it
     q = aff1_action_groupoid()
     us = np.array([[0.3], [-0.5], [0.8], [0.1]])
-    ff = make_frame_field(q)
-    tables = np.stack([bracket_table(q, "left", u, ff) for u in us])
-    rho, drho = frame_anchors(q, ff, us)
+    lie = lie_chart(q, make_frame_field(q))
+    rho, drho = lie.rho(us), lie.drho(us)
     assert np.ptp(rho, axis=0).max() > 0.1
     assert np.max(np.abs(np.einsum("sajl,sli->saij", drho, rho))) > 0.1
-    assert almost_lie_residual(tables, rho, drho) < 1e-6
+    assert almost_lie_residual(lie.c(us), rho, drho) < 1e-6
+    assert chart_almost_lie(negated_brackets(lie), us) > 0.1
+
+
+def test_both_anchor_rules_where_the_anchors_vary():
+    # so(3) acting on R^3: rho(x) e_i = x cross e_i is linear in x, so the
+    # complex step differences it exactly and the Lie algebroid's residual
+    # is exactly 0; negated brackets break it.  The central rule, which a
+    # Lie chart's stepped anchors take, agrees with the complex step.
+    chart = so3_action_algebroid()
+    xs = np.random.default_rng(28).normal(scale=0.4, size=(3, 3))
+    assert np.max(np.abs(np.einsum("sajl,sli->saij", chart.drho(xs), chart.rho(xs)))) > 0.1
+    assert chart_almost_lie(chart, xs) == 0.0
+    assert chart_almost_lie(negated_brackets(chart), xs) > 0.5
+    central = dataclasses.replace(chart, stepped_anchors=True).drho(xs)
+    assert np.max(np.abs(central - chart.drho(xs))) < 1e-12
 
 
 def test_almost_lie_loopoid_over_a_point():
@@ -633,18 +656,6 @@ def test_prolongation_pair_is_algebroid_morphism(rng):
 # ---------------------------------------------------------------------------
 
 
-def lie_of(q):
-    """The Lie functor of ``q`` as a chart: at each unit of an ``(N, dim_m)``
-    stack, the left bracket table and the frame anchors."""
-    ff = make_frame_field(q)
-    return SkewAlgebroidChart(
-        base_dim=q.dim_m,
-        rank=q.rank,
-        c_fn=lambda x: np.stack([bracket_table(q, "left", u, ff) for u in x]),
-        rho_fn=lambda x: frame_anchors(q, ff, x)[0],
-    )
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", ["planar_loop", "octonion_loop", "bracket3_loop"])
 def test_lie_of_a_product_is_the_loop_algebra_plus_tangent(name, n):
@@ -653,7 +664,8 @@ def test_lie_of_a_product_is_the_loop_algebra_plus_tangent(name, n):
     loop = build_spec(example(name))
     d = loop.dim
     us = np.random.default_rng(24).normal(scale=0.3, size=(3, n))
-    lie = lie_of(product_loopoid(loop, n))
+    q = product_loopoid(loop, n)
+    lie = lie_chart(q, make_frame_field(q))
     want = np.zeros((d + n,) * 3)
     want[:d, :d, :d] = loop_skew_constants(loop)
     assert np.max(np.abs(lie.c(us) - want)) < 1e-9
@@ -666,9 +678,9 @@ def test_lie_of_a_product_is_the_loop_algebra_plus_tangent(name, n):
 def test_lie_of_the_pair_groupoid_is_the_tangent_chart(n):
     us = np.random.default_rng(25).normal(scale=0.3, size=(3, n))
     q, tm = pair_groupoid(n), tangent_chart(n)
-    ff = make_frame_field(q)
-    rho, drho = frame_anchors(q, ff, us)
-    assert np.array_equal(lie_of(q).c(us), tm.c(us)) and not tm.c(us).any()
+    lie = lie_chart(q, make_frame_field(q))
+    rho, drho = lie.rho(us), lie.drho(us)
+    assert np.array_equal(lie.c(us), tm.c(us)) and not tm.c(us).any()
     assert np.array_equal(rho, tm.rho(us)) and np.array_equal(tm.rho(us), np.broadcast_to(np.eye(n), (3, n, n)))
     assert not drho.any()
 
@@ -680,8 +692,9 @@ def test_lie_of_a_prolongation_is_the_prolonged_algebroid(name, fiber):
     q = build_spec(example(name))
     pi = SplitFibration(q.dim_m + fiber, q.dim_m)
     ps = np.random.default_rng(26).normal(scale=0.3, size=(3, pi.dim_total))
-    lie = lie_of(prolongation_loopoid(q, pi))
-    pulled = prolong_algebroid(lie_of(q), pi)
+    pro = prolongation_loopoid(q, pi)
+    lie = lie_chart(pro, make_frame_field(pro))
+    pulled = prolong_algebroid(lie_chart(q, make_frame_field(q)), pi)
     assert np.max(np.abs(lie.c(ps) - pulled.c(ps))) < 1e-9
     assert np.max(np.abs(lie.rho(ps) - pulled.rho(ps))) < 1e-9
 
@@ -704,7 +717,7 @@ def contrast_metric(q, f, u):
     def first_derivative(j):
         def phi(g):
             # g is the Jacobian's (2r, dim_g) stencil stack
-            vj = prolong(q, ff, np.eye(r)[j], "left", g)
+            vj = prolong(q, ff, "left", g)[:, j]
             return directional(f, g, vj[:, None, :], 1e-5)[:, 0]
 
         return phi

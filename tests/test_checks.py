@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import EXAMPLES, aff1_action_groupoid
+from conftest import EXAMPLES, aff1_action_groupoid, so3_action_algebroid
 from loopoid_lab import algebroid, cli, finite, loops, octonion
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas.md"
@@ -154,6 +154,21 @@ def _builds_the_action_groupoid(monkeypatch):
     monkeypatch.setattr(cli, "build_loopoid", lambda body, path: aff1_action_groupoid())
 
 
+def _builds_the_action_algebroid(monkeypatch):
+    monkeypatch.setattr(cli, "build_algebroid", lambda body, path: so3_action_algebroid())
+
+
+def _negated_brackets(monkeypatch):
+    # the anchors of [e_i, e_j] no longer equal the brackets of the anchors
+    build = cli.build_algebroid
+
+    def mutant(body, path):
+        chart = build(body, path)
+        return dataclasses.replace(chart, c_fn=lambda x: -chart.c_fn(x))
+
+    monkeypatch.setattr(cli, "build_algebroid", mutant)
+
+
 def _anchors_vary_with_the_unit(frames, units):
     # anchors scaled by 1 + u_1 no longer carry the left brackets, which the
     # scaling leaves alone, to the brackets of their vector fields
@@ -193,12 +208,6 @@ def _swap_one_and_two(body):
     body["autos"][1] = perm
 
 
-def _not_almost_lie(body):
-    # [e1, e2] = e1 with anchors (d/dx, 0): rho [e1, e2] = d/dx but [rho e1, rho e2] = 0
-    body.clear()
-    body.update(kind="constant", base_dim=1, rank=2, c=[[[0, 1], [-1, 0]], [[0, 0], [0, 0]]], rho=[[1, 0]])
-
-
 def _skips_automorphism_test(monkeypatch):
     monkeypatch.setattr(finite, "_is_table_automorphism", lambda ct, perm: True)
 
@@ -235,7 +244,9 @@ CHECK_MUTANTS = {
     "functor.left_right_opposite": Row(
         FUNCTOR_IP, patch=_frames_with(beta_vertical=lambda frames, units: -frames.beta_vertical)
     ),
-    "algebroid.anchor_bracket_morphism": Row(ALGEBROID, spec=_not_almost_lie),
+    # so(3) acting on R^3: its anchors vary with the base point, so the
+    # control's anchor bracket term is not zero
+    "algebroid.anchor_bracket_morphism": Row(ALGEBROID, setup=_builds_the_action_algebroid, patch=_negated_brackets),
     "tangent.anchor_compatibility": Row(TANGENT, patch=_loopoid_with(mul=_alpha_leg_moves)),
     "tangent.unit_action": Row(TANGENT, spec=_wrong_loop_unit),
     "tangent.section_choice": Row(TANGENT, patch=_loopoid_with(mul=_not_complex_analytic)),

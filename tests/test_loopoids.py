@@ -78,7 +78,6 @@ def test_axioms_product_loopoid():
     assert rep.alpha_anchor_residual < 1e-8 and rep.beta_anchor_residual < 1e-8
     assert rep.unities_associativity_residual < 1e-8
     assert rep.unities_definedness_mismatches == 0
-    assert rep.global_injectivity == "not checked"
 
 
 def test_axioms_pair_groupoid_exact():

@@ -20,7 +20,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.newton import newton_solve
-from loopoid_lab.numdiff import directional, jacobian
+from loopoid_lab.numdiff import complex_step, directional, jacobian
 from loopoid_lab.specio import build_system
 
 # the start point of the README system; its steps have closed forms below
@@ -401,15 +401,24 @@ def test_step_solve_multiplies_once_per_prolongation(readme_system):
 
 @pytest.mark.parametrize("side,orientation", [("left", STRICT), ("right", STRICT), ("right", ALIGNED)])
 def test_prolong_matrix_rows_equal_single_calls(kinetic_system, rng, side, orientation):
+    # the whole frame's fields at a stack of points: each point's rows are
+    # its own call's, and row i is the complex step along section i alone
     q = kinetic_system.loopoid
     ff = kinetic_system.frames
     r = q.rank
-    for g in q.sample_g(rng, 3):
-        rows = prolong(q, ff, np.eye(r), side, g, orientation)
-        singles = [prolong(q, ff, np.eye(r)[i], side, g, orientation) for i in range(r)]
-        assert rows.shape == (r, q.dim_g)
-        assert np.array_equal(rows, np.array(singles))
-        assert np.array_equal(prolong(q, ff, np.eye(r)[1:3], side, g, orientation), rows[1:3])
+    gs = q.sample_g(rng, 3)
+    rows = prolong(q, ff, side, gs, orientation)
+    assert rows.shape == (3, r, q.dim_g)
+    for g, fields in zip(gs, rows):
+        assert np.array_equal(fields, prolong(q, ff, side, g, orientation))
+        if side == "left":
+            u, translate = q.beta(g), lambda h: q.mul(g, h)
+            reps = ff(u).alpha_vertical
+        else:
+            u, translate = q.alpha(g), lambda h: q.mul(h, g)
+            reps = ff(u).beta_reps(orientation)
+        singles = [complex_step(translate, q.unit_embed(u), reps[i]) for i in range(r)]
+        assert np.array_equal(fields, np.array(singles))
 
 
 def test_trajectory_keeps_error_type_and_fields(kinetic_system):

@@ -25,9 +25,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "loopoid_lab"
 # public names kept although nothing in the package uses them, and
 # parameter defaults ("module.function.parameter") kept although nothing
 # in the package sets them, each with the reason it stays
-ALLOWED = {
-    "loopoids.AxiomReport.global_injectivity": "a fixed report field: every loopoid-check report prints it",
-}
+ALLOWED = {}
 
 
 def _is_click_command(node):

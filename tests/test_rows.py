@@ -29,7 +29,7 @@ from loopoid_lab.algebroid import (
     STRICT,
     AlgebroidFrame,
     algebroid_frame,
-    frame_anchors,
+    lie_chart,
     make_frame_field,
     prolong,
 )
@@ -254,10 +254,9 @@ def test_prolong_on_rows_equals_single_calls(name, side, orientation):
     rng = np.random.default_rng(13)
     units = rng.normal(scale=0.3, size=(4, q.dim_m))
     g = q.unit_embed(units) + rng.normal(scale=0.05, size=(4, q.dim_g))
-    for coeffs in (np.eye(q.rank)[-1], np.eye(q.rank), rng.normal(size=(2, q.rank))):
-        rows = prolong(q, ff, coeffs, side, g, orientation)
-        assert rows.shape == (4,) + coeffs.shape[:-1] + (q.dim_g,)
-        assert np.array_equal(rows, by_rows(lambda p: prolong(q, ff, coeffs, side, p, orientation), g))
+    rows = prolong(q, ff, side, g, orientation)
+    assert rows.shape == (4, q.rank, q.dim_g)
+    assert np.array_equal(rows, by_rows(lambda p: prolong(q, ff, side, p, orientation), g))
 
 
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
@@ -385,12 +384,12 @@ def test_differencing_calls_its_map_once_per_stencil():
     assert shapes == [(n,), (3 * 2,)]
 
     shapes = []
-    fields = [counting(lambda g, i=i: prolong(q, ff, np.eye(q.rank)[i], "left", g), shapes) for i in (0, 1)]
+    fields = [counting(lambda g, i=i: prolong(q, ff, "left", g)[..., i, :], shapes) for i in (0, 1)]
     lie_bracket(*fields, x)
     assert sorted(shapes) == [(), (), (2 * n,), (2 * n,)]
 
     shapes = []
-    stacked = counting(lambda g: prolong(q, ff, np.eye(q.rank), "left", g), shapes)
+    stacked = counting(lambda g: prolong(q, ff, "left", g), shapes)
     assert jacobian(stacked, x).shape == (q.rank, n, n)
     assert shapes == [(2 * n,)]
 
@@ -514,6 +513,20 @@ def skewed_pair1():
     )
 
 
+@pytest.mark.parametrize("name", sorted(LOOPOIDS) + ["skewed_pair1"])
+def test_lie_chart_on_a_stack_equals_single_units(name):
+    # the structure tensors, anchors and anchor derivatives of a stack of
+    # units equal, bit for bit, each unit's alone, read from a second chart
+    # whose field derives every frame afresh
+    q = skewed_pair1() if name == "skewed_pair1" else LOOPOIDS[name]()
+    units = np.random.default_rng(29).normal(scale=0.3, size=(3, q.dim_m))
+    stacked, single = (lie_chart(q, make_frame_field(q)) for _ in range(2))
+    for part in ("c", "rho", "drho"):
+        rows = getattr(stacked, part)(units)
+        assert rows.shape[:2] == (3, {"c": q.rank}.get(part, q.dim_m))
+        assert np.array_equal(rows, np.stack([getattr(single, part)(u) for u in units]))
+
+
 # every spec chart's side Jacobians at its units are constant (linear maps,
 # or phi's constraint through phi'(0) alone), so one derivation serves all
 # its units; the skewed chart and the action groupoid derive each of their
@@ -540,8 +553,9 @@ def test_frame_field_serves_each_unit_its_own_frame(name, monkeypatch):
 
 
 def test_a_plain_callable_field_serves_the_frame_layers(monkeypatch):
-    # a tracer wraps the field in a function: prolong, frame_anchors and the
-    # step map read frames through a call alone, so they give the same bytes
+    # a tracer wraps the field in a function: prolong, a Lie chart's anchors
+    # and the step map read frames through a call alone, so they give the
+    # same bytes
     q = aff1_action_groupoid()
     field = make_frame_field(q)
     wrapped = lambda u: field(u)
@@ -549,9 +563,11 @@ def test_a_plain_callable_field_serves_the_frame_layers(monkeypatch):
     us = rng.normal(scale=0.3, size=(3, q.dim_m))
     g = q.unit_embed(us) + rng.normal(scale=0.05, size=(3, q.dim_g))
     for side, orientation in PROLONG_CASES:
-        got = prolong(q, wrapped, np.eye(q.rank), side, g, orientation)
-        assert np.array_equal(got, prolong(q, make_frame_field(q), np.eye(q.rank), side, g, orientation))
-    assert all(np.array_equal(a, b) for a, b in zip(frame_anchors(q, wrapped, us), frame_anchors(q, field, us)))
+        got = prolong(q, wrapped, side, g, orientation)
+        assert np.array_equal(got, prolong(q, make_frame_field(q), side, g, orientation))
+    charts = lie_chart(q, wrapped), lie_chart(q, field)
+    for anchors in ("rho", "drho"):
+        assert np.array_equal(*(getattr(chart, anchors)(us) for chart in charts))
 
     def simulate():
         system = build_system(SYSTEMS["readme_system"], "$.body")

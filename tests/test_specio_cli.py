@@ -390,6 +390,25 @@ def test_cli_lie_functor_builds_anchor_frames_from_rank_two(runner, monkeypatch,
     assert sizes == builds
 
 
+@pytest.mark.parametrize("dim, reads", [(1, 0), (3, 2)])
+def test_cli_lie_functor_reads_algebroid_anchors_from_rank_two(runner, monkeypatch, tmp_path, dim, reads):
+    # the rank-1 shortcut covers an algebroid's chart too; from rank 2 its
+    # anchors are read once for rho and once, complex-stepped, for drho
+    build = cli.build_algebroid
+    calls = []
+
+    def counted(body, path):
+        chart = build(body, path)
+        return dataclasses.replace(chart, rho_fn=lambda x: calls.append(x) or chart.rho_fn(x))
+
+    monkeypatch.setattr(cli, "build_algebroid", counted)
+    path = _write(tmp_path, "tangent.json", "algebroid", {"kind": "tangent", "dim": dim})
+    result = runner.invoke(main, ["lie-functor", "--spec", path])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == reads
+    assert [np.iscomplexobj(x) for x in calls] == [False, True][:reads]
+
+
 def test_cli_tangent_check(runner, tmp_path):
     path = _write(tmp_path, "prod.json", "loopoid", PRODUCT_BODY)
     result = runner.invoke(main, ["tangent-check", "--spec", path, "--samples", "3"])
