@@ -38,7 +38,6 @@ from .numdiff import (
     OUTER_STEP,
     complex_jacobian,
     complex_step,
-    directional,
     jacobian,
     null_space,
     smallest_singular_value,
@@ -52,17 +51,21 @@ FRAME_FIELDS = ("alpha_vertical", "beta_vertical", "beta_vertical_aligned", "tm_
 
 
 class FrameStore:
-    """Frames stacked by row, ``arrays[name]`` per field (``bivertical`` a
-    list), and ``rows``, the row of each derived Jacobian triple's bytes."""
+    """The frames of ``q`` stacked by row, ``arrays[name]`` per field
+    (``bivertical`` a list), each of its shape with no rows until frames are
+    added, and ``rows``, the row of each derived Jacobian triple's bytes."""
 
-    def __init__(self):
-        self.rows, self.arrays = {}, {}
+    def __init__(self, q):
+        r, g, m = q.rank, q.dim_g, q.dim_m
+        shapes = ((r, g), (r, g), (r, g), (m, g), (r, m))
+        self.rows = {}
+        self.arrays = {name: np.zeros((0,) + shape) for name, shape in zip(FRAME_FIELDS, shapes)} | {"bivertical": []}
 
     def add(self, frames):
         """Append the ``(N, ...)`` field arrays of N frames; returns their rows."""
-        start = len(self.arrays.get("bivertical", ()))
+        start = len(self.arrays["bivertical"])
         for name, new in frames.items():
-            old = self.arrays.get(name, new[:0])
+            old = self.arrays[name]
             self.arrays[name] = old + new if name == "bivertical" else np.concatenate([old, new])
         return np.arange(start, start + len(frames["bivertical"]))
 
@@ -144,7 +147,7 @@ def algebroid_frame(q, u, derived=None):
     check names the first failing unit and its rate, and stores nothing.
     """
     units = np.atleast_2d(u)
-    derived = FrameStore() if derived is None else derived
+    derived = FrameStore(q) if derived is None else derived
     keys = []
     if len(units):
         jab = complex_jacobian(lambda e: np.concatenate([q.alpha(e), q.beta(e)], axis=-1), q.unit_embed(units))
@@ -168,7 +171,7 @@ def make_frame_field(q):
     call and only then cached, so a failed request caches nothing.
     """
     cache = {}
-    store = FrameStore()
+    store = FrameStore(q)
 
     def field(u):
         keys = [key.tobytes() for key in np.atleast_2d(np.round(u, 12))]
@@ -342,11 +345,8 @@ class SkewAlgebroidChart:
     def drho(self, x):
         """The ``(..., base_dim, rank, base_dim)`` base derivatives of the
         anchors at x by numdiff's rule: one ``complex_jacobian``, or one
-        central ``directional`` at ``OUTER_STEP`` of stepped anchors."""
-        if not self.stepped_anchors:
-            return complex_jacobian(self.rho, x)
-        axes = np.broadcast_to(np.eye(self.base_dim), x.shape + (self.base_dim,))
-        return np.moveaxis(directional(self.rho, x, axes), x.ndim - 1, -1)
+        central ``jacobian`` at ``OUTER_STEP`` of stepped anchors."""
+        return (jacobian if self.stepped_anchors else complex_jacobian)(self.rho, x)
 
 
 def lie_chart(q, frame_field):

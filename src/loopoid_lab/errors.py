@@ -85,10 +85,6 @@ class FrameSingular(LoopoidLabError):
 
 # -- tangent structure --------------------------------------------------------
 
-class IncompatibleVelocities(LoopoidLabError):
-    """Tangent vectors disagree on the shared base velocity beyond tolerance."""
-
-
 class SectionFailure(LoopoidLabError):
     """Local section construction failed to converge."""
 

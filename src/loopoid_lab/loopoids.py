@@ -22,8 +22,10 @@ work along the last axis only and never broadcast one point against a
 stack, so a caller that pairs a fixed point with a stack of points repeats
 it first.  Operands are ndarrays of any float or complex dtype and the maps
 never cast them: a complex input gives a complex output, so a ``1e-30j``
-step carries a derivative.  Data is cast to float once, where it enters the
-program: ``specio`` reads spec numbers and ``cli`` command-line points.
+step carries a derivative; but ``tangent.tangent_loopoid``'s maps take
+that step themselves and raise ``TypeError`` on a complex operand.  Data is
+cast to float once, where it enters the program: ``specio`` reads spec
+numbers and ``cli`` command-line points.
 """
 
 from dataclasses import dataclass, replace
@@ -177,8 +179,10 @@ def phi_quasiloopoid(phi, phi_name="phi"):
     def alpha(g):
         return g[..., :2]
 
+    # slices, not scalars, so that one point takes numpy's array arithmetic
+    # as a stack does: complex scalar products can round differently
     def beta(g):
-        return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2]], axis=-1)
+        return np.concatenate([g[..., :1] - phi(g[..., 1:2] - g[..., 2:]), g[..., 2:]], axis=-1)
 
     def unit_embed(u):
         return np.concatenate([u, u[..., 1:]], axis=-1)
@@ -187,7 +191,7 @@ def phi_quasiloopoid(phi, phi_name="phi"):
         return np.concatenate([g[..., :2], h[..., 2:]], axis=-1)
 
     def inverse(g):
-        return np.stack([g[..., 0] - phi(g[..., 1] - g[..., 2]), g[..., 2], g[..., 1]], axis=-1)
+        return np.concatenate([beta(g), g[..., 1:2]], axis=-1)
 
     return ChartedQuasiloopoid(
         dim_g=3,
@@ -315,8 +319,11 @@ def loop_as_loopoid(loop):
 def build_local_section(q, side, through):
     """A map s with s(q0) = through and side(s(q')) = q' near q0 = side(through).
 
-    Newton projection onto the side fiber from a seed moved along the unit
-    embedding.  Raises NoConvergence when the projection stalls.
+    Newton projection onto the side fiber from the seed
+    eps(q') + (through - eps(q0)), moved along the unit embedding; a side
+    map that reads coordinates sends the offset to exactly 0, so there the
+    seed lands on the fiber bit for bit.  Raises NoConvergence when the
+    projection stalls.
     """
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
@@ -326,7 +333,7 @@ def build_local_section(q, side, through):
 
     def section(qp):
         res = lambda p: side_map(p) - qp
-        p, _ = newton_solve(res, through + (q.unit_embed(qp) - e0), tol=1e-11, max_iter=60)
+        p, _ = newton_solve(res, q.unit_embed(qp) + (through - e0), tol=1e-11, max_iter=60)
         return p
 
     return section

@@ -50,7 +50,7 @@ from .algebroid import ALIGNED, make_frame_field, prolong
 from .errors import LoopoidLabError, NotComposable, NumericalNoise
 from .loopoids import composable
 from .newton import newton_solve
-from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
+from .numdiff import complex_jacobian, complex_step, jacobian, null_space, smallest_singular_value
 
 
 # the step map's Newton tolerance on the residual norm
@@ -188,7 +188,7 @@ def regularity_check(system, u, seed=0):
 
     The chart map g -> (beta(g), F+L(g)) into the dual-bundle chart is
     differentiated at the embedded unit and at five probe points near it,
-    all by one ``directional`` call on their stack; F+L moves only along
+    all by one stacked ``jacobian`` call; F+L moves only along
     alpha-fiber directions, so the smallest singular value is taken of the
     Jacobian restricted to those columns (the fibers of all six points from
     one stacked ``null_space``, their values from one stacked
@@ -209,16 +209,14 @@ def regularity_check(system, u, seed=0):
         return np.concatenate([q.alpha(g), legendre(system, "minus", g)], axis=-1)
 
     points = np.stack([e0] + [e0 + rng.normal(scale=0.1, size=q.dim_g) for _ in range(5)])
-    axes = np.broadcast_to(np.eye(q.dim_g), points.shape + (q.dim_g,))
 
     def fiberwise(chart, fibration):
-        """The chart's Jacobians at the points, and their least singular value on the fibers."""
-        jacs = np.swapaxes(directional(chart, points, axes), 1, 2)
+        """The least singular value of the chart's Jacobians at the points on the fibers."""
         fibs = np.stack(null_space(complex_jacobian(fibration, points)))
-        return jacs, smallest_singular_value(jacs @ np.swapaxes(fibs, 1, 2)).min()
+        return smallest_singular_value(jacobian(chart, points) @ np.swapaxes(fibs, 1, 2)).min()
 
-    jacs, min_sv_plus = fiberwise(chart_map, q.alpha)
-    _, min_sv_minus = fiberwise(chart_map_minus, q.beta)
+    min_sv_plus = fiberwise(chart_map, q.alpha)
+    min_sv_minus = fiberwise(chart_map_minus, q.beta)
 
     p2 = 0.0
     failure = None
@@ -237,7 +235,6 @@ def regularity_check(system, u, seed=0):
         "regular": bool(min_sv_plus > 1e-6),
         "min_sv_plus_fiberwise": float(min_sv_plus),
         "min_sv_minus_fiberwise": float(min_sv_minus),
-        "unit_jacobian": jacs[0],
         "flow_matches_legendre_residual": p2,
         "probe_failure": failure,
     }

@@ -3,20 +3,22 @@
 All derivatives in the package come through here, by one of two rules:
 
 - a map that is plain arithmetic (the chart maps and the translations built
-  from them, the tangent product as ``mul`` along a composable pair of
-  velocities, ``phi``, the Lagrangians, the anchors of an algebroid spec)
+  from them, ``phi``, the Lagrangians, the anchors of an algebroid spec)
   takes its first derivative by ``complex_step``, ``Im f(x + i h v) / h``
   at ``COMPLEX_STEP = 1e-30``: one evaluation per direction and no
-  cancellation, so it is exact to rounding;
+  cancellation, so it is exact to rounding.  A tangent loopoid's maps are
+  both parts, (f, T f . v), of that step of a chart map;
 - a map that itself takes a complex step or runs a Newton solve (the
   fundamental fields of a loopoid and the anchors of its Lie chart, the
-  Legendre chart maps, the sectioned translations of
+  Legendre chart maps, the maps of a tangent loopoid, which refuse a
+  complex operand, the sectioned translations of
   ``tangent.section_product``) is differenced centrally by ``jacobian`` or
   ``directional`` at the relative step ``OUTER_STEP``,
   ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
   table are one stacked field differenced by one ``jacobian``, and the
   anchors of a Lie chart at N sampled units one field differenced by one
-  stacked ``directional`` (``SkewAlgebroidChart.drho``).  A loop's skew
+  stacked ``jacobian`` (``SkewAlgebroidChart.drho``), as are the Legendre
+  chart maps at the probe points of a regularity check.  A loop's skew
   algebra is the bracket table over a point, taken at ``OUTER_STEP`` and at
   half of it to bound its drift.  ``newton_solve`` differences its residual
   at the relative step ``fd_step``: ``mechanics.step_solve`` passes 1e-5,
@@ -81,9 +83,12 @@ def complex_jacobian(f, x):
 
 
 def jacobian(f, x, rel_step=OUTER_STEP):
-    """Central-difference Jacobian of f at x from one call of f on the
-    ``(2n, n)`` stencil stack."""
-    return np.moveaxis(directional(f, x, np.eye(np.size(x)), rel_step), 0, -1)
+    """Central-difference Jacobian of f at x, or at each row of an ``(N, n)``
+    stack, from one ``directional`` along the coordinate axes: one call of f
+    on the ``2 N n`` stencil points."""
+    n = np.shape(x)[-1]
+    axes = np.broadcast_to(np.eye(n), np.shape(x)[:-1] + (n, n))
+    return np.moveaxis(directional(f, x, axes, rel_step), np.ndim(x) - 1, -1)
 
 
 def directional(f, x, v, rel_step=OUTER_STEP):

@@ -1,64 +1,72 @@
-"""Tangent multiplication.
+"""The tangent loopoid.
 
-The tangent product of (g, v_g) and (h, v_h) with matching base velocity
-v_q = T beta(v_g) = T alpha(v_h) sits over g h, and its vector is the
-derivative of the chart multiplication along the composable pair,
-T m(v_g, v_h).  ``tangent_product`` takes it by one complex step of ``mul``,
-on one point or on the rows of ``(N, dim_g)`` stacks, so the audit runs on
-the stack of its samples.  The paper assembles the vector from local
-sections through the factors,
+The tangent bundle TG of a quasiloopoid G over M is one over TM, and a
+loopoid when G is one (the paper's first theorem; for groupoids, the
+tangent groupoid).  ``tangent_loopoid(q)`` charts it by (g, v) over (u, w):
+each map is (f(x), T f . v), the two parts of one complex step of q's map
+at x + i h v, so the product of (g, v_g) and (h, v_h) is
+(g h, T m(v_g, v_h)), and a base-velocity mismatch T beta(v_g) !=
+T alpha(v_h) is a composability gap of TG.  The maps refuse a complex
+operand, through which a nested step would give a wrong derivative
+silently: their derivatives are central differences.
+
+The paper's section formula for the product vector,
 
     T r_tau(v_g) + T l_sigma(v_h) - T (l_sigma o r_tau)(v_q),
 
-sigma a beta-section through g and tau an alpha-section through h; by the
-chain rule the section terms cancel and leave T m(v_g, v_h) for any choice
-of sections.  ``section_product`` keeps that formula as the witness: the
-checker compares it with the chain-rule product, which uses no section.
+with sigma a beta-section through g and tau an alpha-section through h,
+reduces to T m(v_g, v_h) by the chain rule for any sections;
+``section_product`` keeps it as the witness that the audit compares with
+TG's product, which uses no section.
 """
 
 import numpy as np
 
-from .errors import IncompatibleVelocities, NoConvergence, NotComposable, SectionFailure
-from .loopoids import COMPOSABLE_TOL, _worst, build_local_section, sample_composable_pairs
-from .numdiff import complex_jacobian, complex_step, directional, null_space, smallest_singular_value
+from .errors import NoConvergence, SectionFailure
+from .loopoids import ChartedQuasiloopoid, _worst, build_local_section, sample_composable_pairs
+from .numdiff import COMPLEX_STEP, complex_jacobian, complex_step, directional, null_space, smallest_singular_value
 
 # tangent translations count as injective while their least singular value
 # on the alpha-fiber directions exceeds this; tangent-check gates it too
 INJECTIVE_SV = 1e-7
 
 
-def _along(f, x, v):
-    """Complex step of f at x along v, or at each row of a stack along its row of v."""
-    return complex_step(f, x, v[..., None, :])[..., 0, :]
+def _lift(f, k):
+    """The tangent map (x, v) -> (f(x), T f . v) of f, on real operands whose
+    rows are k point then k velocity coordinates: one complex step of f at
+    x + i h v."""
+
+    def lifted(*operands):
+        if any(map(np.iscomplexobj, operands)):
+            raise TypeError("the tangent chart's maps take a complex step: difference the tangent chart centrally")
+        z = f(*[x[..., :k] + (1j * COMPLEX_STEP) * x[..., k:] for x in operands])
+        return np.concatenate([z.real, z.imag / COMPLEX_STEP], axis=-1)
+
+    return lifted
 
 
-def _refuse(bad, value, error, message):
-    """Raise ``error`` with the ``value`` of the first bad row, naming the row of a stack."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise error(message.format(row=f" at row {i}" if np.ndim(bad) else "", value=np.ravel(value)[i]))
-
-
-def tangent_product(q, g, vg, h, vh):
-    """The vector T m(v_g, v_h) of the tangent product of (g, v_g) and
-    (h, v_h) over ``q.mul(g, h)``, for one point or the rows of ``(N, dim_g)``
-    stacks: one complex step of ``mul`` at (g, h) along (v_g, v_h).
-
-    A pair off the composability slab raises ``NotComposable``, a base
-    velocity mismatch |T alpha(v_h) - T beta(v_g)| above 1e-7 raises
-    ``IncompatibleVelocities``; on a stack both name the first failing row.
-    """
-    gap = np.linalg.norm(q.beta(g) - q.alpha(h), axis=-1)
-    _refuse(~(gap < COMPOSABLE_TOL), gap, NotComposable, "tangent factors not composable{row}: gap {value:.2e}")
-    mismatch = np.linalg.norm(_along(q.alpha, h, vh) - _along(q.beta, g, vg), axis=-1)
-    _refuse(mismatch > 1e-7, mismatch, IncompatibleVelocities, "base velocities differ{row} by {value:.2e}")
-    mul = lambda gh: q.mul(*np.split(gh, 2, axis=-1))
-    return _along(mul, np.concatenate([g, h], axis=-1), np.concatenate([vg, vh], axis=-1))
+def tangent_loopoid(q):
+    """TG as a ``ChartedQuasiloopoid`` of dimension 2 dim_g over 2 dim_m,
+    whose maps are the tangent maps of q's.  Its sampler draws g from q and
+    v from a normal law; it keeps q's inverse side and loopoid claim."""
+    return ChartedQuasiloopoid(
+        dim_g=2 * q.dim_g,
+        dim_m=2 * q.dim_m,
+        alpha=_lift(q.alpha, q.dim_g),
+        beta=_lift(q.beta, q.dim_g),
+        unit_embed=_lift(q.unit_embed, q.dim_m),
+        mul=_lift(q.mul, q.dim_g),
+        sampler=lambda rng, k: np.concatenate([q.sample_g(rng, k), rng.normal(size=(k, q.dim_g))], axis=1),
+        inverse=None if q.inverse is None else _lift(q.inverse, q.dim_g),
+        inverse_side=q.inverse_side,
+        claims_loopoid=q.claims_loopoid,
+        name=f"tangent({q.name})",
+    )
 
 
 def section_product(q, g, vg, h, vh):
     """The product vector by the paper's local-section formula, the witness
-    of ``tangent_product``'s chain rule.
+    of the chain rule that TG's product takes.
 
     sigma and tau are Newton-projected sections through g and h seeded
     along the unit embedding, so each term is differenced centrally
@@ -78,52 +86,37 @@ def section_product(q, g, vg, h, vh):
 
 
 def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
-    """Sampled audit of the tangent structure on the stack of samples, as in
-    ``loopoids.check_axioms``; only the witness runs per sample.  Each v_h
-    is matched to its v_g by one stacked ``pinv``: the minimum-norm correction.
-
-    Checks T alpha(X * Y) = T alpha(X), T beta(X * Y) = T beta(Y), the unit
-    action of T eps vectors, injectivity of v_h -> X * Y_h on tangent
-    fibers, agreement of the product with the local-section formula
-    (``section_product``, whose sections the product does not use), and the
-    tangent inversion when the instance's inverse is two-sided (else its
-    residual is None: a one-sided inverse has no tangent inverse property to
-    audit).
+    """Sampled audit of TG = ``tangent_loopoid(q)`` on the stack of its
+    composable pairs (X, Y), each residual a norm of whole TG rows: the
+    anchors alpha(X Y) = alpha(X) and beta(X Y) = beta(Y), the unit action
+    eps(alpha(Y)) Y = Y, injectivity of v_h -> X Y on the fiber directions
+    of ker T alpha at h, the section witness (per sample) and, when q's
+    inverse is two-sided, X^{-1} (X Y) = Y (else None: a one-sided inverse
+    has no tangent inverse property to audit).
     """
-    rng = np.random.default_rng(seed)
-    gs, hs = np.moveaxis(sample_composable_pairs(q, rng, n_samples), 1, 0)
-    vgs, vhs = np.moveaxis(rng.normal(size=(n_samples, 2, q.dim_g)), 1, 0)
-    ja_h = complex_jacobian(q.alpha, hs)
-    # match v_h's base velocity to v_g's exactly up to rounding
-    gap = ja_h @ vhs[..., None] - _along(q.beta, gs, vgs)[..., None]
-    vhs = vhs - (np.linalg.pinv(ja_h) @ gap)[..., 0]
-    base, pv = q.mul(gs, hs), tangent_product(q, gs, vgs, hs, vhs)
+    tq = tangent_loopoid(q)
+    n = q.dim_g
+    xs, ys = np.moveaxis(sample_composable_pairs(tq, np.random.default_rng(seed), n_samples), 1, 0)
+    xys = tq.mul(xs, ys)
 
-    anchor_resid = _worst(
-        _along(q.alpha, base, pv) - _along(q.alpha, gs, vgs),
-        _along(q.beta, base, pv) - _along(q.beta, hs, vhs),
-        q.alpha(base) - q.alpha(gs),
-        q.beta(base) - q.beta(hs),
-    )
+    anchor_resid = _worst(tq.alpha(xys) - tq.alpha(xs), tq.beta(xys) - tq.beta(ys))
+    unit_resid = _worst(tq.mul(tq.unit_embed(tq.alpha(ys)), ys) - ys)
 
-    # unit action: (eps(u), T eps(w)) with matching velocity leaves Y_h fixed
-    us, ws = q.alpha(hs), _along(q.alpha, hs, vhs)
-    unit_resid = _worst(tangent_product(q, q.unit_embed(us), _along(q.unit_embed, us, ws), hs, vhs) - vhs)
+    # section-choice independence: the section formula against TG's product
+    witness = [section_product(q, x[:n], x[n:], y[:n], y[n:]) for x, y in zip(xs, ys)]
+    section_resid = _worst(witness - xys[:, n:])
 
-    # section-choice independence: the section formula against the chain rule
-    section_resid = _worst([section_product(q, *sample) for sample in zip(gs, vgs, hs, vhs)] - pv)
-
-    # injectivity of v_h -> product vector on the alpha-fiber directions; the
-    # product is linear in v_h, so each column is one stacked row less pv
-    fibs = null_space(ja_h)
+    # injectivity of v_h -> X Y on the fiber directions of ker T alpha at h;
+    # the product is affine in v_h, so each column is one stacked row less X Y
+    fibs = null_space(complex_jacobian(q.alpha, ys[:, :n]))
     rows = [i for i, fib in enumerate(fibs) for _ in fib]
-    cols = tangent_product(q, gs[rows], vgs[rows], hs[rows], vhs[rows] + np.concatenate(fibs))
-    blocks = np.split(cols - pv[rows], np.cumsum([len(fib) for fib in fibs])[:-1])
+    cols = tq.mul(xs[rows], ys[rows] + np.pad(np.concatenate(fibs), ((0, 0), (n, 0)))) - xys[rows]
+    blocks = np.split(cols, np.cumsum([len(fib) for fib in fibs])[:-1])
     min_rank_sv = min([np.inf] + [smallest_singular_value(block) for block in blocks])
 
     inv_resid = None
     if q.claims_ip:
-        inv_resid = _worst(tangent_product(q, q.inverse(gs), _along(q.inverse, gs, vgs), base, pv) - vhs)
+        inv_resid = _worst(tq.mul(tq.inverse(xs), xys) - ys)
 
     return {
         "anchor_residual": anchor_resid,

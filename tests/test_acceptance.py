@@ -55,7 +55,7 @@ from loopoid_lab.mechanics import (
     trajectory,
 )
 from loopoid_lab.numdiff import jacobian
-from loopoid_lab.tangent import tangent_product
+from loopoid_lab.tangent import tangent_loopoid
 
 
 def _report(name, detail):
@@ -224,15 +224,16 @@ def test_ac5_almost_lie():
 
 def test_ac6_tangent_cotangent():
     ql = loop_as_loopoid(cubic_line_chart())
+    tql = tangent_loopoid(ql)
     rng = np.random.default_rng(5)
     worst_tan = 0.0
     worst_cot = 0.0
     for _ in range(100):
         x, y = rng.normal(scale=0.5, size=2)
         vx, vy = rng.normal(size=2)
-        vector = tangent_product(ql, np.array([x]), np.array([vx]), np.array([y]), np.array([vy]))
+        vector = tql.mul(np.array([x, vx]), np.array([y, vy]))[1]
         expected = vx * (1 + 2 * x * y) + vy * (1 + x * x)
-        worst_tan = max(worst_tan, abs(vector[0] - expected))
+        worst_tan = max(worst_tan, abs(vector - expected))
         p = rng.normal()
         # the cotangent fibrations of p dx are the Legendre transforms of p x
         system = linear_system(ql, np.array([p]))
@@ -243,13 +244,11 @@ def test_ac6_tangent_cotangent():
     assert worst_cot < 1e-7
 
     q = product_loopoid(planar_feedback_chart(), 2)
+    tq = tangent_loopoid(q)
     worst_curve = 0.0
-    for _ in range(10):
-        g, h = sample_composable_pairs(q, rng, 1)[0]
-        vg = rng.normal(size=6)
-        vh = rng.normal(size=6)
-        vh[2:4] = vg[4:6]
-        prod = tangent_product(q, g, vg, h, vh)
+    for x, y in sample_composable_pairs(tq, rng, 10):
+        (g, vg), (h, vh) = np.split(x, 2), np.split(y, 2)
+        prod = tq.mul(x, y)[6:]
 
         def curve(t):
             gc = g + t * vg
@@ -285,9 +284,10 @@ def test_ac7_discrete_mechanics(readme_system):
     assert np.abs(plus - [gg[0] + gg[1] ** 2, gg[0] ** 2 + gg[1], gg[4], gg[5]]).max() < 1e-7
     assert np.abs(minus - [gg[0] * (1 + gg[1]), gg[1] * (1 + gg[0]), gg[2], gg[3]]).max() < 1e-7
 
-    rep = regularity_check(system, np.array([0.2, -0.5]))
-    assert rep["regular"]
-    dual = rep["unit_jacobian"][2:, :]
+    u = np.array([0.2, -0.5])
+    assert regularity_check(system, u)["regular"]
+    # rows: the dual components of F+L; columns: the chart coordinates
+    dual = jacobian(lambda g: legendre(system, "plus", g), q.unit_embed(u))
     assert np.allclose(dual[:, 0], [1, 0, 0, 0], atol=1e-6)
     assert np.allclose(dual[:, 2], 0.0, atol=1e-6)
     assert np.allclose(dual[:, 4], [0, 0, 1, 0], atol=1e-6)

@@ -483,22 +483,16 @@ def test_almost_lie_loopoid_instances(product_h):
 
 def test_frame_anchors_one_directional_for_all_samples(product_h, monkeypatch):
     # a Lie chart's anchors take complex steps, so its drho is one central
-    # difference over the stack
+    # jacobian over the stack
     us = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.4]])
     tables = lie_chart(product_h, make_frame_field(product_h)).c(us)
-    calls = []
-
-    def counted(f, x, *args):
-        calls.append(x)
-        return directional(f, x, *args)
-
+    calls = counted_jacobians(monkeypatch)
     builds = []
 
     def counted_frames(q, u, derived=None):
         builds.append(len(u))
         return algebroid_frame(q, u, derived)
 
-    monkeypatch.setattr(algebroid, "directional", counted)
     monkeypatch.setattr(algebroid, "algebroid_frame", counted_frames)
     lie = lie_chart(product_h, make_frame_field(product_h))
     rho, drho = lie.rho(us), lie.drho(us)

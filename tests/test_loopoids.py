@@ -217,6 +217,28 @@ def test_build_local_section_product(rng):
     assert np.allclose(manual(q0), g)
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_a_section_of_a_coordinate_side_map_lands_on_its_fiber_exactly(side, rng):
+    # the seed eps(q') + (g - eps(q0)): a side map that reads coordinates
+    # sends the offset to exactly 0
+    q = product_loopoid(planar_feedback_chart(), 2)
+    side_map = q.alpha if side == "alpha" else q.beta
+    g = q.sample_g(rng, 1)[0]
+    sec = build_local_section(q, side, g)
+    for qp in rng.normal(scale=0.4, size=(20, 2)):
+        assert np.array_equal(side_map(sec(qp)), qp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_groupoid_inverse_property_is_exact(n):
+    # the sections land on their fibers bit for bit and the pair groupoid's
+    # maps only move coordinates, so its IP residuals are exactly 0; seed 0
+    # with 20 samples is loopoid-check's run of examples/pair2_loopoid.json
+    for seed in (0, 1):
+        rep = check_axioms(pair_groupoid(n), n_samples=20, seed=seed)
+        assert (rep.left_ip_residual, rep.right_ip_residual, rep.ip_identity_residual) == (0.0, 0.0, 0.0)
+
+
 def test_section_through_unit_point(rng):
     q = product_loopoid(planar_feedback_chart(), 2)
     u = rng.normal(size=2)

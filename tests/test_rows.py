@@ -4,13 +4,15 @@ Stencils evaluate all their points in one call, so every map a spec can
 build must give, bit for bit, the rows it gives one point at a time.  The
 cases are every loop, loopoid, algebroid and system spec in ``examples/``,
 plus the constructions no example reaches.  The maps built on them keep
-the contract too: prolongations, tangent products, the frames of a stack of units,
-derivatives along stacked bases and the step map's residual; and each
+the contract too: prolongations, the maps of a tangent loopoid, the frames
+of a stack of units, derivatives along stacked bases and the step map's
+residual; and each
 differencing routine, ``complex_step`` included, calls its map once, as
 the frame field does for each request, deriving the arrays of a frame once
 per distinct triple of side Jacobians.  The chart maps and Lagrangians also keep a
 complex input complex, so a ``COMPLEX_STEP * 1j`` step along a direction
-carries their derivative in its imaginary part.
+carries their derivative in its imaginary part; a tangent loopoid's maps
+take that step themselves and refuse a complex operand.
 """
 
 import dataclasses
@@ -34,11 +36,11 @@ from loopoid_lab.algebroid import (
     prolong,
 )
 from loopoid_lab.errors import RankDeficient
-from loopoid_lab.loopoids import COMPOSABLE_TOL, SplitFibration, pair_groupoid, sample_composable_pairs
+from loopoid_lab.loopoids import COMPOSABLE_TOL, SplitFibration, loop_as_loopoid, pair_groupoid, sample_composable_pairs
+from loopoid_lab.loops import bracket_loop
 from loopoid_lab.newton import newton_solve
 from loopoid_lab.numdiff import (
     COMPLEX_STEP,
-    complex_jacobian,
     complex_step,
     directional,
     jacobian,
@@ -47,7 +49,7 @@ from loopoid_lab.numdiff import (
 )
 from loopoid_lab.octonion import oct_conj, oct_inverse
 from loopoid_lab.specio import build_algebroid, build_loop, build_loopoid, build_system
-from loopoid_lab.tangent import tangent_product
+from loopoid_lab.tangent import tangent_loopoid
 
 SPECS = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted(EXAMPLES.glob("*.json"))}
 
@@ -99,11 +101,7 @@ def assert_rows(fn, *stacks_):
     assert np.array_equal(got, by_rows(fn, *stacks_))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("name", sorted(LOOPOIDS))
-def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
-    q = LOOPOIDS[name]()
-    rng = np.random.default_rng(7)
+def assert_chart_rows(q, shape, rng):
     g, h = stacks(rng, shape, q.dim_g)
     assert q.mul(g, h).shape == shape + (q.dim_g,)
     assert_rows(q.mul, g, h)
@@ -115,6 +113,29 @@ def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
     for units in stacks(rng, shape, q.dim_m):
         assert q.unit_embed(units).shape == shape + (q.dim_g,)
         assert_rows(q.unit_embed, units)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_loopoid_maps_on_rows_equal_single_calls(name, shape):
+    assert_chart_rows(LOOPOIDS[name](), shape, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_tangent_maps_on_rows_equal_single_calls(name):
+    # TG's maps keep the row contract on float stacks; they take a complex
+    # step themselves, so each refuses a complex operand
+    tq = tangent_loopoid(LOOPOIDS[name]())
+    rng = np.random.default_rng(17)
+    for shape in SHAPES:
+        assert_chart_rows(tq, shape, rng)
+    g, h = stacks(rng, (2,), tq.dim_g)
+    cases = [(tq.alpha, g), (tq.beta, g), (tq.unit_embed, g[:, : tq.dim_m]), (tq.mul, g, h)]
+    if tq.inverse is not None:
+        cases.append((tq.inverse, g))
+    for f, *operands in cases:
+        with pytest.raises(TypeError, match="difference the tangent chart centrally"):
+            f(*operands[:-1], operands[-1] + 0j)
 
 
 def stated_ip(body):
@@ -261,17 +282,10 @@ def test_prolong_on_rows_equals_single_calls(name, side, orientation):
 
 @pytest.mark.parametrize("name", sorted(LOOPOIDS))
 def test_tangent_product_on_rows_equals_single_calls(name):
-    q = LOOPOIDS[name]()
-    rng = np.random.default_rng(15)
-    pairs = sample_composable_pairs(q, rng, 3)
-    g, h = pairs[:, 0], pairs[:, 1]
-    vg, vh = rng.normal(size=(2, 3, q.dim_g))
-    # match each v_h's base velocity to its v_g's
-    for jac, v, target in zip(complex_jacobian(q.alpha, h), vh, complex_step(q.beta, g, vg[:, None])[:, 0]):
-        v -= np.linalg.lstsq(jac, jac @ v - target, rcond=None)[0]
-    vector = tangent_product(q, g, vg, h, vh)
-    assert vector.shape == (3, q.dim_g)
-    assert np.array_equal(vector, by_rows(lambda *row: tangent_product(q, *row), g, vg, h, vh))
+    # TG's product on a stack of its composable pairs
+    tq = tangent_loopoid(LOOPOIDS[name]())
+    pairs = sample_composable_pairs(tq, np.random.default_rng(15), 3)
+    assert_rows(tq.mul, pairs[:, 0], pairs[:, 1])
 
 
 
@@ -293,6 +307,17 @@ def test_composable_samples_start_on_their_fibers(name, monkeypatch):
     pairs = sample_composable_pairs(q, np.random.default_rng(23), 6)
     assert iterations == [0] * 6
     assert np.all(np.linalg.norm(q.beta(pairs[:, 0]) - q.alpha(pairs[:, 1]), axis=-1) < COMPOSABLE_TOL)
+
+
+def test_jacobian_of_a_stack_equals_single_points():
+    # one stencil of 2 N n points, each point differenced with its own step
+    q = LOOPOIDS["readme_product"]()
+    f = lambda g: q.mul(g, g)
+    x = np.random.default_rng(21).normal(size=(3, q.dim_g)) * np.array([[1.0], [0.1], [30.0]])
+    rows = jacobian(f, x)
+    assert rows.shape == (3, q.dim_g, q.dim_g)
+    for row, point in zip(rows, x):
+        assert np.array_equal(row, jacobian(f, point))
 
 
 def test_directional_stacked_bases_equal_single_bases():
@@ -480,6 +505,19 @@ def test_frame_field_builds_a_repeated_unit_once():
     assert frames.ids.tolist() == [0, 0, 0] and len(frames.store.arrays["bivertical"]) == 1
     skewed = make_frame_field(skewed_pair1())
     assert skewed(np.array([[0.1], [0.3], [0.1], [0.3]])).ids.tolist() == [0, 1, 0, 1]
+
+
+def test_an_empty_frame_request_returns_empty_fields():
+    # a store knows its field shapes before it derives a frame, so a request
+    # for no units reads empty fields, as a central drho's empty stencil does
+    q = loop_as_loopoid(bracket_loop(3, np.zeros((3, 3, 3))))
+    assert lie_chart(q, make_frame_field(q)).drho(np.zeros((2, 0))).shape == (2, 0, 3, 0)
+    assert make_frame_field(q)(np.zeros((0, 0))).alpha_vertical.shape == (0, 3, 3)
+    q = LOOPOIDS["readme_product"]()
+    r, g, m = q.rank, q.dim_g, q.dim_m
+    shapes = dict(zip(FRAME_FIELDS, [(0, r, g), (0, r, g), (0, r, g), (0, m, g), (0, r, m)]))
+    for frames in (make_frame_field(q)(np.zeros((0, m))), algebroid_frame(q, np.zeros((0, m)))):
+        assert {name: getattr(frames, name).shape for name in shapes} == shapes
 
 
 def test_empty_frame_request_calls_no_chart_map():

@@ -6,8 +6,8 @@ import pytest
 import loopoid_lab.loopoids as loopoids_module
 import loopoid_lab.tangent as tangent_module
 from conftest import build_spec, cubic_line_chart, example, linear_system, planar_feedback_chart
-from loopoid_lab.errors import IncompatibleVelocities, NotComposable
 from loopoid_lab.loopoids import (
+    composable,
     loop_as_loopoid,
     pair_groupoid,
     phi_quasiloopoid,
@@ -16,8 +16,7 @@ from loopoid_lab.loopoids import (
 )
 from loopoid_lab.loops import octonion_chart
 from loopoid_lab.mechanics import legendre
-from loopoid_lab.numdiff import complex_jacobian
-from loopoid_lab.tangent import check_tangent_loopoid, tangent_product
+from loopoid_lab.tangent import check_tangent_loopoid, tangent_loopoid
 
 
 @pytest.fixture(scope="module")
@@ -26,73 +25,67 @@ def cubic_loopoid():
 
 
 def test_tangent_product_cubic_line_closed_form(cubic_loopoid, rng):
+    tq = tangent_loopoid(cubic_loopoid)
     for _ in range(30):
         x, y = rng.normal(scale=0.5, size=2)
         vx, vy = rng.normal(size=2)
-        vector = tangent_product(cubic_loopoid, np.array([x]), np.array([vx]), np.array([y]), np.array([vy]))
-        assert abs(cubic_loopoid.mul(np.array([x]), np.array([y]))[0] - (x + y + x * x * y)) < 1e-12
-        assert abs(vector[0] - (vx * (1 + 2 * x * y) + vy * (1 + x * x))) < 1e-8
+        product, vector = tq.mul(np.array([x, vx]), np.array([y, vy]))
+        assert abs(product - (x + y + x * x * y)) < 1e-12
+        assert abs(vector - (vx * (1 + 2 * x * y) + vy * (1 + x * x))) < 1e-8
 
 
 def test_tangent_units_act_trivially(rng):
-    q = product_loopoid(planar_feedback_chart(), 2)
-    from loopoid_lab.numdiff import jacobian
-
-    g, h = sample_composable_pairs(q, rng, 1)[0]
-    vh = rng.normal(size=6)
-    u = np.asarray(q.alpha(h))
-    w = jacobian(q.alpha, h, 1e-5) @ vh
-    vector = tangent_product(q, q.unit_embed(u), jacobian(q.unit_embed, u, 1e-5) @ w, h, vh)
-    assert np.allclose(q.mul(q.unit_embed(u), h), h, atol=1e-10)
-    assert np.allclose(vector, vh, atol=1e-8)
+    tq = tangent_loopoid(product_loopoid(planar_feedback_chart(), 2))
+    _, y = sample_composable_pairs(tq, rng, 1)[0]
+    assert np.allclose(tq.mul(tq.unit_embed(tq.alpha(y)), y), y, atol=1e-10)
 
 
 def test_tangent_product_componentwise_on_product_instance(rng):
     loop = planar_feedback_chart()
-    q = product_loopoid(loop, 2)
-    ql = loop_as_loopoid(loop)
-    for _ in range(10):
-        g, h = sample_composable_pairs(q, rng, 1)[0]
-        vg = rng.normal(size=6)
-        vh = rng.normal(size=6)
-        vh[2:4] = vg[4:6]  # matching base velocity
-        vector = tangent_product(q, g, vg, h, vh)
-        loop_part = tangent_product(ql, g[:2], vg[:2], h[:2], vh[:2])
+    tq = tangent_loopoid(product_loopoid(loop, 2))
+    tql = tangent_loopoid(loop_as_loopoid(loop))
+    for x, y in sample_composable_pairs(tq, rng, 10):
+        (g, vg), (h, vh), vector = np.split(x, 2), np.split(y, 2), tq.mul(x, y)[6:]
+        loop_part = np.split(tql.mul(np.concatenate([g[:2], vg[:2]]), np.concatenate([h[:2], vh[:2]])), 2)[1]
         assert np.allclose(vector[:2], loop_part, atol=1e-6)
         assert np.allclose(vector[2:4], vg[2:4], atol=1e-8)
         assert np.allclose(vector[4:6], vh[4:6], atol=1e-8)
 
 
 def test_tangent_rejects_bad_pairs(rng):
-    q = product_loopoid(planar_feedback_chart(), 2)
-    g = q.sample_g(rng, 1)[0]
-    h = q.sample_g(rng, 1)[0]  # generically not composable
-    with pytest.raises(NotComposable):
-        tangent_product(q, g, np.zeros(6), h, np.zeros(6))
-    g2, h2 = sample_composable_pairs(q, rng, 1)[0]
-    vg = rng.normal(size=6)
-    vh = rng.normal(size=6)
-    vh[2:4] = vg[4:6] + 5.0  # incompatible base velocities
-    with pytest.raises(IncompatibleVelocities):
-        tangent_product(q, g2, vg, h2, vh)
+    # a base gap and a base-velocity mismatch are both composability gaps of TG
+    tq = tangent_loopoid(product_loopoid(planar_feedback_chart(), 2))
+    x, y = sample_composable_pairs(tq, rng, 1)[0]
+    assert composable(tq, x, y)
+    base_gap, velocity_gap = y.copy(), y.copy()
+    base_gap[2:4] += 0.5  # alpha(h) is h's middle leg
+    velocity_gap[8:10] += 5.0  # T alpha(v_h) is v_h's middle leg
+    assert not composable(tq, x, base_gap)
+    assert not composable(tq, x, velocity_gap)
 
 
-@pytest.mark.parametrize("error", [NotComposable, IncompatibleVelocities])
-def test_a_bad_row_of_a_stack_is_named(rng, error):
-    q = product_loopoid(planar_feedback_chart(), 2)
-    pairs = sample_composable_pairs(q, rng, 3)
-    g, h = pairs[:, 0], pairs[:, 1].copy()
-    vg, vh = rng.normal(size=(2, 3, 6))
-    vh[:, 2:4] = vg[:, 4:6]  # matching base velocities
-    if error is NotComposable:
-        h[1, 2:4] += 0.5  # alpha(h) is the middle leg: the gap is |(0.5, 0.5)|
-        message = "tangent factors not composable at row 1: gap 7.07e-01"
-    else:
-        vh[1, 2:4] += 5.0
-        message = "base velocities differ at row 1 by 7.07e+00"
-    with pytest.raises(error) as caught:
-        tangent_product(q, g, vg, h, vh)
-    assert str(caught.value) == message
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tangent_of_the_pair_groupoid_is_the_pair_groupoid_of_tm(n):
+    # T pair(n) is pair(2n) on TM in the coordinate order (s, t, v_s, v_t)
+    # against ((s, v_s), (t, v_t)): exact in the points, and in the
+    # velocities up to the one rounding of (h v) / h at the complex step h
+    tq, big = tangent_loopoid(pair_groupoid(n)), pair_groupoid(2 * n)
+    perm = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n), np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
+    back = np.argsort(perm)
+    pairs = sample_composable_pairs(big, np.random.default_rng(n), 5)
+    xs, ys = pairs[:, 0][:, back], pairs[:, 1][:, back]
+    us = np.random.default_rng(10 + n).normal(size=(5, 2 * n))
+    for got, want in (
+        (tq.mul(xs, ys), big.mul(*pairs.swapaxes(0, 1))[:, back]),
+        (tq.inverse(xs), big.inverse(pairs[:, 0])[:, back]),
+        (tq.unit_embed(us), big.unit_embed(us)[:, back]),
+        (tq.alpha(xs), big.alpha(pairs[:, 0])),
+        (tq.beta(xs), big.beta(pairs[:, 0])),
+    ):
+        half = got.shape[1] // 2
+        assert np.array_equal(got[:, :half], want[:, :half])
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert all(composable(tq, x, y) for x, y in zip(xs, ys))
 
 
 def test_check_tangent_loopoid_product_h():
@@ -127,13 +120,11 @@ def test_curve_oracle_agreement(rng):
     # differentiate matched curves through the factors directly and compare
     loop = planar_feedback_chart()
     q = product_loopoid(loop, 2)
+    tq = tangent_loopoid(q)
     worst = 0.0
-    for _ in range(10):
-        g, h = sample_composable_pairs(q, rng, 1)[0]
-        vg = rng.normal(size=6)
-        vh = rng.normal(size=6)
-        vh[2:4] = vg[4:6]
-        prod = tangent_product(q, g, vg, h, vh)
+    for x, y in sample_composable_pairs(tq, rng, 10):
+        (g, vg), (h, vh) = np.split(x, 2), np.split(y, 2)
+        prod = tq.mul(x, y)[6:]
 
         def curve(t):
             gc = g + t * vg
@@ -186,9 +177,9 @@ def test_cotangent_componentwise_on_product(rng):
 
 def test_no_cotangent_multiplication_is_exposed():
     # the double fibration is the whole cotangent interface: there is no
-    # well-defined covector product to offer
-    exported = [name.lower() for name in dir(tangent_module) if "mul" in name.lower() or "product" in name.lower()]
-    assert "tangent_product" in exported
+    # well-defined covector product to offer, and no cotangent loopoid
+    exported = [name.lower() for name in dir(tangent_module) if not name.startswith("_")]
+    assert "tangent_loopoid" in exported
     assert not any("cotangent" in name for name in exported)
 
 
@@ -228,25 +219,25 @@ def test_tangent_audit_builds_sections_only_for_the_witness(monkeypatch, q, n_sa
     ],
 )
 def test_tangent_audit_matches_base_velocities(name, monkeypatch):
-    # after the stacked pinv correction each v_h's base velocity equals its
-    # v_g's to rounding, also over a point (dim_m = 0)
+    # the audit's pairs come from TG's one fiber projection, so each Y's
+    # base point and base velocity equal X's to rounding, also over a point
+    # (dim_m = 0)
     q = build_spec(example(name))
-    calls = count_calls(monkeypatch, tangent_module, "tangent_product")
+    drawn = []
+    sample = tangent_module.sample_composable_pairs
+    monkeypatch.setattr(tangent_module, "sample_composable_pairs", lambda *a: drawn.append(sample(*a)) or drawn[-1])
     check_tangent_loopoid(q, n_samples=6, seed=2)
-    _, gs, vgs, hs, vhs = calls[0]
-    gap = complex_jacobian(q.alpha, hs) @ vhs[..., None] - complex_jacobian(q.beta, gs) @ vgs[..., None]
-    scale = np.maximum(1.0, np.linalg.norm(np.concatenate([vgs, vhs], axis=-1), axis=-1))
-    assert np.all(np.linalg.norm(gap[..., 0], axis=-1) <= 1e-12 * scale)
+    tq = tangent_loopoid(q)
+    xs, ys = drawn[0][:, 0], drawn[0][:, 1]
+    scale = np.maximum(1.0, np.linalg.norm(np.concatenate([xs, ys], axis=-1), axis=-1))
+    assert np.all(np.linalg.norm(tq.alpha(ys) - tq.beta(xs), axis=-1) <= 1e-12 * scale)
 
 
 def test_tangent_product_solves_nothing(rng, monkeypatch):
-    q = product_loopoid(planar_feedback_chart(), 2)
-    g, h = sample_composable_pairs(q, rng, 1)[0]
-    vg = rng.normal(size=6)
-    vh = rng.normal(size=6)
-    vh[2:4] = vg[4:6]
+    tq = tangent_loopoid(product_loopoid(planar_feedback_chart(), 2))
+    x, y = sample_composable_pairs(tq, rng, 1)[0]
     solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
-    assert np.all(np.isfinite(tangent_product(q, g, vg, h, vh)))
+    assert np.all(np.isfinite(tq.mul(x, y)))
     assert solves == []
 
 
@@ -277,15 +268,3 @@ def test_tangent_verdict_survives_dilations(name, lam, mu):
     assert rep["ok"] == check_tangent_loopoid(q, n_samples=5, seed=0)["ok"]
     assert rep["section_choice_residual"] < 1e-8
 
-
-def test_velocity_mismatch_raises_before_section_work(rng, monkeypatch):
-    q = product_loopoid(planar_feedback_chart(), 2)
-    g, h = sample_composable_pairs(q, rng, 1)[0]
-    vg = rng.normal(size=6)
-    vh = rng.normal(size=6)
-    vh[2:4] = vg[4:6] + 5.0
-    builds = count_calls(monkeypatch, tangent_module, "build_local_section")
-    solves = count_calls(monkeypatch, loopoids_module, "newton_solve")
-    with pytest.raises(IncompatibleVelocities):
-        tangent_product(q, g, vg, h, vh)
-    assert builds == [] and solves == []
