@@ -38,6 +38,7 @@ from .numdiff import (
     OUTER_STEP,
     complex_jacobian,
     complex_step,
+    first_derivatives,
     jacobian,
     null_space,
     smallest_singular_value,
@@ -346,7 +347,7 @@ class SkewAlgebroidChart:
         """The ``(..., base_dim, rank, base_dim)`` base derivatives of the
         anchors at x by numdiff's rule: one ``complex_jacobian``, or one
         central ``jacobian`` at ``OUTER_STEP`` of stepped anchors."""
-        return (jacobian if self.stepped_anchors else complex_jacobian)(self.rho, x)
+        return first_derivatives(self.stepped_anchors)[0](self.rho, x)
 
 
 def lie_chart(q, frame_field):

@@ -367,10 +367,11 @@ def lie_functor(spec_path, out, csv_path, seed, samples):
 @click.option("--tol", default=1e-6, type=TOL)
 @_guarded
 def tangent_check(spec_path, out, seed, samples, tol):
-    """Tangent-structure audit: anchors, units, section independence,
-    injectivity of tangent translations and the tangent inverse property."""
+    """Tangent-structure audit: the loopoid axioms of the tangent loopoid,
+    both sides of each, and section independence."""
     spec = _load_spec(spec_path, "loopoid", seed=seed)
-    from .tangent import INJECTIVE_SV, check_tangent_loopoid
+    from .loopoids import FULL_RANK_SV
+    from .tangent import check_tangent_loopoid
 
     q = build_loopoid(spec.body, "$.body")
     rep = check_tangent_loopoid(q, n_samples=samples, seed=spec.seed, tol=tol)
@@ -381,10 +382,12 @@ def tangent_check(spec_path, out, seed, samples, tol):
         _check(
             "tangent_injectivity",
             "tangent.translation_injective",
-            rep["tangent_translation_min_sv"] > INJECTIVE_SV,
+            rep["tangent_translation_min_sv"] > FULL_RANK_SV,
             expect=True,
         ),
     ]
+    if q.claims_loopoid:
+        checks.append(_check("tangent_is_loopoid", "tangent.is_loopoid", rep["axioms"]["is_loopoid"], expect=True))
     if rep["tangent_inverse_residual"] is not None:
         checks.append(_check("tangent_inverse", "tangent.inverse_property", rep["tangent_inverse_residual"], tol=tol))
     report = {"command": "tangent-check", "name": q.name, "report": rep, "checks": checks}

@@ -22,10 +22,11 @@ work along the last axis only and never broadcast one point against a
 stack, so a caller that pairs a fixed point with a stack of points repeats
 it first.  Operands are ndarrays of any float or complex dtype and the maps
 never cast them: a complex input gives a complex output, so a ``1e-30j``
-step carries a derivative; but ``tangent.tangent_loopoid``'s maps take
-that step themselves and raise ``TypeError`` on a complex operand.  Data is
-cast to float once, where it enters the program: ``specio`` reads spec
-numbers and ``cli`` command-line points.
+step carries a derivative.  A chart whose maps take that step themselves,
+``tangent.tangent_loopoid``'s, says so by ``stepped_maps``; its maps raise
+``TypeError`` on a complex operand, and ``check_axioms`` differences them
+centrally.  Data is cast to float once, where it enters the program:
+``specio`` reads spec numbers and ``cli`` command-line points.
 """
 
 from dataclasses import dataclass, replace
@@ -36,9 +37,10 @@ import numpy as np
 from .errors import NotMonotone, NotOdd
 from .loops import POINT
 from .newton import newton_solve
-from .numdiff import complex_jacobian, complex_step, null_space, smallest_singular_value
+from .numdiff import complex_step, first_derivatives, null_space, smallest_singular_value
 
 COMPOSABLE_TOL = 1e-9  # (g, h) compose when ||beta(g) - alpha(h)|| is below this
+FULL_RANK_SV = 1e-7  # a side map, or a translation on fibers, has full rank above this least singular value
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,7 @@ class ChartedQuasiloopoid:
     claims_loopoid: bool = False
     name: str = "quasiloopoid"
     preferred_alpha_vertical: Optional[np.ndarray] = None  # (r, dim_g), the same at every unit
+    stepped_maps: bool = False  # the maps take complex steps themselves (numdiff's second rule)
 
     @property
     def rank(self):
@@ -368,9 +371,16 @@ class AxiomReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def row_norms(x):
+    """The 2-norm of each row of ``x`` from one stacked product, bit for bit
+    ``np.linalg.norm`` of the row alone, which also dots a contiguous copy."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def _worst(*stacks):
-    """Largest row norm of the stacks; ``max`` skips a NaN row."""
-    return max([0.0] + [float(np.linalg.norm(row)) for rows in stacks for row in rows])
+    """Largest row norm of the stacks; ``fmax`` skips a NaN row."""
+    return float(np.fmax.reduce(np.concatenate([row_norms(rows) for rows in stacks]), initial=0.0))
 
 
 def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
@@ -379,32 +389,32 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     inversion residuals when an inversion map is present.
 
     The samples are the rows of one stack: each chart map runs once per
-    quantity, the side-map Jacobians are one stacked complex step, their
-    null spaces and least singular values one SVD per stack, and only each
-    sample's fiber images, expanded in its target fiber, are solved alone.
-    A residual is the 1-D norm of one row: an ``axis=`` norm can round
-    differently.
+    quantity, the side-map Jacobians are one stacked derivative by the
+    chart's rule (``first_derivatives(q.stepped_maps)``), their null spaces
+    and least singular values one SVD per stack; only each sample's fiber
+    images are projected on its target fiber alone, then one SVD per shape.
     """
+    jac, step = first_derivatives(q.stepped_maps)
 
     def defined(x, y):
-        return np.array([np.linalg.norm(row) for row in q.beta(x) - q.alpha(y)]) < COMPOSABLE_TOL
+        return row_norms(q.beta(x) - q.alpha(y)) < COMPOSABLE_TOL
 
     def on_fibers(point_jacs, product_jacs, points, translate):
         """(min sv, residual) of ``translate`` between side-map fibers; (inf,
-        0) where they are points.  One complex step covers all (sample, fiber
-        direction) rows, so fiber dimensions may differ between samples."""
+        0) where they are points.  One derivative covers all (sample, fiber
+        direction) rows, so fiber dimensions may differ; a central one twice."""
         fibs = null_space(point_jacs)
         rows = [i for i, fib in enumerate(fibs) for _ in fib]
         if not rows:
             return np.inf, 0.0
-        imgs = complex_step(lambda p: translate(rows, p), points[rows], np.concatenate(fibs)[:, None])[:, 0]
-        svs, resids = [np.inf], [0.0]
+        imgs = step(lambda p: translate(np.resize(rows, len(p)), p), points[rows], np.concatenate(fibs)[:, None])[:, 0]
+        coeffs, resids = {}, [0.0]
         for target, img in zip(null_space(product_jacs), np.split(imgs, np.cumsum([len(fib) for fib in fibs])[:-1])):
             if len(img):
-                coeff, *_ = np.linalg.lstsq(target.T, img.T, rcond=None)
-                svs.append(smallest_singular_value(coeff))
+                coeff = target @ img.T  # the least-squares fit: target's rows are orthonormal
+                coeffs.setdefault(coeff.shape, []).append(coeff)
                 resids.append(float(np.max(np.abs(target.T @ coeff - img.T))))
-        return min(svs), max(resids)
+        return min(smallest_singular_value(np.stack(c)).min() for c in coeffs.values()), max(resids)
 
     rng = np.random.default_rng(seed)
     us = q.sample_m(rng, n_samples)
@@ -419,22 +429,22 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     right_unit = _worst(q.mul(gs, ebs) - gs)
     left_unit = _worst(q.mul(eas, gs) - gs)
 
-    ja_g, ja_h, ja_gh = np.split(complex_jacobian(q.alpha, np.concatenate([gs, hs, ghs])), 3)
-    jb_g, jb_gh = np.split(complex_jacobian(q.beta, np.concatenate([gs, ghs])), 2)
+    ja_g, ja_h, ja_gh = np.split(jac(q.alpha, np.concatenate([gs, hs, ghs])), 3)
+    jb_g, jb_gh = np.split(jac(q.beta, np.concatenate([gs, ghs])), 2)
     a_min = smallest_singular_value(ja_g).min(initial=np.inf)
     b_min = smallest_singular_value(jb_g).min(initial=np.inf)
 
     a_anchor = _worst(q.alpha(ghs) - ags)
     b_anchor = _worst(q.beta(ghs) - bhs)
 
-    # unities associativity with definedness bookkeeping, unit in each slot
-    ua_resid, ua_mismatch = 0.0, 0
-    for x, y, z in ((eas, gs, hs), (gs, ebs, hs), (gs, hs, q.unit_embed(bhs))):
-        xy, yz = q.mul(x, y), q.mul(y, z)
-        lhs_def = defined(x, y) & defined(xy, z)
-        rhs_def = defined(y, z) & defined(x, yz)
-        ua_resid = max(ua_resid, _worst((q.mul(xy, z) - q.mul(x, yz))[lhs_def & rhs_def]))
-        ua_mismatch += int(np.sum(lhs_def != rhs_def))
+    # unities associativity with definedness bookkeeping, the unit in each
+    # slot: the three triples are one stack
+    x, y, z = np.concatenate([eas, gs, gs]), np.concatenate([gs, ebs, hs]), np.concatenate([hs, hs, q.unit_embed(bhs)])
+    xy, yz = q.mul(x, y), q.mul(y, z)
+    lhs_def = defined(x, y) & defined(xy, z)
+    rhs_def = defined(y, z) & defined(x, yz)
+    ua_resid = _worst((q.mul(xy, z) - q.mul(x, yz))[lhs_def & rhs_def])
+    ua_mismatch = int(np.sum(lhs_def != rhs_def))
 
     # translations restricted to fiber directions: left translation by g
     # on the alpha-fiber of h, right translation by h on the beta-fiber of g
@@ -442,26 +452,21 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
     rt_min, rt_resid = on_fibers(jb_g, jb_gh, gs, lambda rows, p: q.mul(p, hs[rows]))
     fiber_resid = max(lt_resid, rt_resid)
 
-    lip = rip = ipid = 0.0
-    have_inv = q.inverse is not None
-    if have_inv:
+    lip = rip = ipid = is_ip = None
+    if q.inverse is not None:
         # definedness is part of the property: a composability gap in
         # g^{-1}(gh) or (gh)h^{-1} counts against the residual
         gis, his = q.inverse(gs), q.inverse(hs)
         lip = _worst(q.beta(gis) - q.alpha(ghs), q.mul(gis, ghs) - hs)
         rip = _worst(q.beta(ghs) - q.alpha(his), q.mul(ghs, his) - gs)
         ipid = _worst(q.mul(gs, gis) - eas, q.mul(gis, gs) - ebs, q.inverse(gis) - gs)
+        is_ip = bool(lip < tol and rip < tol and ipid < tol)
 
-    submersions_ok = q.dim_m == 0 or (a_min > 1e-7 and b_min > 1e-7)
-    translations_ok = (
-        lt_min > 1e-7 and rt_min > 1e-7 and fiber_resid < max(tol, 1e-6)
-    )
+    submersions_ok = q.dim_m == 0 or (a_min > FULL_RANK_SV and b_min > FULL_RANK_SV)
+    translations_ok = lt_min > FULL_RANK_SV and rt_min > FULL_RANK_SV and fiber_resid < max(tol, 1e-6)
     anchors_ok = a_anchor < tol and b_anchor < tol
     units_ok = max(left_unit, right_unit, unit_sec) < tol
     is_loopoid = bool(submersions_ok and units_ok and anchors_ok and translations_ok)
-    is_ip = None
-    if have_inv:
-        is_ip = bool(lip < tol and rip < tol and ipid < tol)
 
     return AxiomReport(
         n_samples=n_samples,
@@ -481,9 +486,9 @@ def check_axioms(q, n_samples=25, seed=0, tol=1e-8):
         translation_fiber_residual=fiber_resid,
         translations_ok=bool(translations_ok),
         is_loopoid=is_loopoid,
-        left_ip_residual=lip if have_inv else None,
-        right_ip_residual=rip if have_inv else None,
-        ip_identity_residual=ipid if have_inv else None,
+        left_ip_residual=lip,
+        right_ip_residual=rip,
+        ip_identity_residual=ipid,
         is_ip=is_ip,
         tol=tol,
     )

@@ -14,13 +14,15 @@ All derivatives in the package come through here, by one of two rules:
   complex operand, the sectioned translations of
   ``tangent.section_product``) is differenced centrally by ``jacobian`` or
   ``directional`` at the relative step ``OUTER_STEP``,
-  ``h = rel * max(1, |x|_inf)``.  The r fundamental fields of a bracket
-  table are one stacked field differenced by one ``jacobian``, and the
-  anchors of a Lie chart at N sampled units one field differenced by one
-  stacked ``jacobian`` (``SkewAlgebroidChart.drho``), as are the Legendre
-  chart maps at the probe points of a regularity check.  A loop's skew
-  algebra is the bracket table over a point, taken at ``OUTER_STEP`` and at
-  half of it to bound its drift.  ``newton_solve`` differences its residual
+  ``h = rel * max(1, |x|_inf)``.  A chart whose maps or anchors take this
+  rule says so (``ChartedQuasiloopoid.stepped_maps``,
+  ``SkewAlgebroidChart.stepped_anchors``), and ``first_derivatives`` gives
+  ``check_axioms`` and ``drho`` the pair for it: the anchors of a Lie chart
+  at N sampled units are one field differenced by one stacked ``jacobian``,
+  as are the r fundamental fields of a bracket table and the Legendre chart
+  maps at the probe points of a regularity check.  A loop's skew algebra is
+  the bracket table over a point, taken at ``OUTER_STEP`` and at half of it
+  to bound its drift.  ``newton_solve`` differences its residual
   at the relative step ``fd_step``: ``mechanics.step_solve`` passes 1e-5,
   and the sections of ``loopoids`` keep the default 1e-7.
 
@@ -109,6 +111,12 @@ def directional(f, x, v, rel_step=OUTER_STEP):
     values = f(points.reshape(2 * math.prod(v.shape[:-1]), v.shape[-1]))
     values = values.reshape((2,) + v.shape[:-1] + values.shape[1:])
     return (values[0] - values[1]) / (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
+
+
+def first_derivatives(stepped):
+    """``(complex_jacobian, complex_step)``, or for a map that takes a complex
+    step itself (``stepped``) ``(jacobian, directional)``: two stencil rows a direction."""
+    return (jacobian, directional) if stepped else (complex_jacobian, complex_step)
 
 
 def null_space(mat):

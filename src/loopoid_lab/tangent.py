@@ -23,12 +23,8 @@ TG's product, which uses no section.
 import numpy as np
 
 from .errors import NoConvergence, SectionFailure
-from .loopoids import ChartedQuasiloopoid, _worst, build_local_section, sample_composable_pairs
-from .numdiff import COMPLEX_STEP, complex_jacobian, complex_step, directional, null_space, smallest_singular_value
-
-# tangent translations count as injective while their least singular value
-# on the alpha-fiber directions exceeds this; tangent-check gates it too
-INJECTIVE_SV = 1e-7
+from .loopoids import FULL_RANK_SV, ChartedQuasiloopoid, _worst, build_local_section, check_axioms, sample_composable_pairs
+from .numdiff import COMPLEX_STEP, complex_step, directional
 
 
 def _lift(f, k):
@@ -61,6 +57,7 @@ def tangent_loopoid(q):
         inverse_side=q.inverse_side,
         claims_loopoid=q.claims_loopoid,
         name=f"tangent({q.name})",
+        stepped_maps=True,
     )
 
 
@@ -86,43 +83,29 @@ def section_product(q, g, vg, h, vh):
 
 
 def check_tangent_loopoid(q, n_samples=8, seed=0, tol=1e-6):
-    """Sampled audit of TG = ``tangent_loopoid(q)`` on the stack of its
-    composable pairs (X, Y), each residual a norm of whole TG rows: the
-    anchors alpha(X Y) = alpha(X) and beta(X Y) = beta(Y), the unit action
-    eps(alpha(Y)) Y = Y, injectivity of v_h -> X Y on the fiber directions
-    of ker T alpha at h, the section witness (per sample) and, when q's
-    inverse is two-sided, X^{-1} (X Y) = Y (else None: a one-sided inverse
-    has no tangent inverse property to audit).
-    """
+    """Sampled audit of TG = ``tangent_loopoid(q)``: ``check_axioms`` on TG
+    (``axioms``), its anchor, unit, translation and (for a two-sided inverse,
+    else None) inverse terms maximized over both sides, and the section
+    witness on TG's own draw of pairs (X, Y) against the velocity of X Y."""
     tq = tangent_loopoid(q)
+    axioms = check_axioms(tq, n_samples, seed, tol)
     n = q.dim_g
     xs, ys = np.moveaxis(sample_composable_pairs(tq, np.random.default_rng(seed), n_samples), 1, 0)
-    xys = tq.mul(xs, ys)
-
-    anchor_resid = _worst(tq.alpha(xys) - tq.alpha(xs), tq.beta(xys) - tq.beta(ys))
-    unit_resid = _worst(tq.mul(tq.unit_embed(tq.alpha(ys)), ys) - ys)
-
-    # section-choice independence: the section formula against TG's product
     witness = [section_product(q, x[:n], x[n:], y[:n], y[n:]) for x, y in zip(xs, ys)]
-    section_resid = _worst(witness - xys[:, n:])
+    section_resid = _worst(witness - tq.mul(xs, ys)[:, n:])
 
-    # injectivity of v_h -> X Y on the fiber directions of ker T alpha at h;
-    # the product is affine in v_h, so each column is one stacked row less X Y
-    fibs = null_space(complex_jacobian(q.alpha, ys[:, :n]))
-    rows = [i for i, fib in enumerate(fibs) for _ in fib]
-    cols = tq.mul(xs[rows], ys[rows] + np.pad(np.concatenate(fibs), ((0, 0), (n, 0)))) - xys[rows]
-    blocks = np.split(cols, np.cumsum([len(fib) for fib in fibs])[:-1])
-    min_rank_sv = min([np.inf] + [smallest_singular_value(block) for block in blocks])
-
-    inv_resid = None
-    if q.claims_ip:
-        inv_resid = _worst(tq.mul(tq.inverse(xs), xys) - ys)
+    anchor_resid = max(axioms.alpha_anchor_residual, axioms.beta_anchor_residual)
+    unit_resid = max(axioms.left_unit_residual, axioms.right_unit_residual, axioms.unit_section_residual)
+    min_sv = min(axioms.left_translation_min_sv, axioms.right_translation_min_sv)
+    ips = (axioms.left_ip_residual, axioms.right_ip_residual, axioms.ip_identity_residual)
+    inv_resid = max(ips) if q.claims_ip else None
 
     return {
         "anchor_residual": anchor_resid,
         "unit_residual": unit_resid,
         "section_choice_residual": section_resid,
-        "tangent_translation_min_sv": float(min_rank_sv),
+        "tangent_translation_min_sv": min_sv,
         "tangent_inverse_residual": inv_resid,
-        "ok": bool(max(anchor_resid, unit_resid, section_resid, inv_resid or 0.0) < tol and min_rank_sv > INJECTIVE_SV),
+        "ok": bool(max(anchor_resid, unit_resid, section_resid, inv_resid or 0.0) < tol and min_sv > FULL_RANK_SV),
+        "axioms": axioms.to_dict(),
     }

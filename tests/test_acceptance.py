@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conftest import (
@@ -24,8 +23,6 @@ from conftest import (
 )
 from loopoid_lab import octonion as oct
 from loopoid_lab.algebroid import (
-    STRICT,
-    algebroid_frame,
     almost_lie_residual,
     bracket_table,
     constant_chart,
@@ -40,7 +37,6 @@ from loopoid_lab.finite import semidirect_loop, transversal_loop, validate_latin
 from loopoid_lab.loopoids import (
     SplitFibration,
     loop_as_loopoid,
-    pair_groupoid,
     product_loopoid,
     prolongation_loopoid,
     sample_composable_pairs,
@@ -48,7 +44,6 @@ from loopoid_lab.loopoids import (
 from loopoid_lab.loops import bracket_loop, octonion_chart
 from loopoid_lab.mechanics import (
     DiscreteLagrangianSystem,
-    el_residual,
     legendre,
     regularity_check,
     step_solve,

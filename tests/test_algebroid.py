@@ -13,7 +13,7 @@ from conftest import (
     planar_feedback_chart,
     so3_action_algebroid,
 )
-from loopoid_lab import algebroid
+from loopoid_lab import algebroid, numdiff
 from loopoid_lab.algebroid import (
     ALIGNED,
     STRICT,
@@ -421,7 +421,8 @@ def counted_muls(q):
 
 
 def counted_jacobians(monkeypatch):
-    """Record the number of ``jacobian`` calls the algebroid module makes."""
+    """Record the number of ``jacobian`` calls the algebroid module makes,
+    itself or through ``numdiff.first_derivatives``."""
     calls = []
 
     def counted(f, x, *args):
@@ -429,6 +430,7 @@ def counted_jacobians(monkeypatch):
         return jacobian(f, x, *args)
 
     monkeypatch.setattr(algebroid, "jacobian", counted)
+    monkeypatch.setattr(numdiff, "jacobian", counted)
     return calls
 
 

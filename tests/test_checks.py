@@ -201,6 +201,11 @@ def _mul_forgets_the_right_factor(body):
     body["loop"]["mul"]["terms"] = [[[1.0, [1, 0], [0, 0]]], [[1.0, [0, 1], [0, 0]]]]
 
 
+def _mul_forgets_the_left_factor(body):
+    # x * y = y: right translations collapse, and the unit is a left unit only
+    body["loop"]["mul"]["terms"] = [[[1.0, [0, 0], [1, 0]]], [[1.0, [0, 0], [0, 1]]]]
+
+
 def _swap_one_and_two(body):
     # an involution fixing the unit that is not an automorphism of the loop
     perm = list(range(body["loop"]["order"]))
@@ -252,6 +257,7 @@ CHECK_MUTANTS = {
     "tangent.section_choice": Row(TANGENT, patch=_loopoid_with(mul=_not_complex_analytic)),
     "tangent.translation_injective": Row(TANGENT, spec=_mul_forgets_the_right_factor),
     "tangent.inverse_property": Row(TANGENT_IP, patch=_conjugate_as_inverse),
+    "tangent.is_loopoid": Row(TANGENT, spec=_mul_forgets_the_left_factor),
     # half_sum_squares on phi: a probe step solve fails and the check reads Infinity
     "mechanics.flow_intertwines": Row(
         ("legendre", "--spec", _example("phi_system")),

@@ -18,6 +18,7 @@ from loopoid_lab.loopoids import (
     phi_quasiloopoid,
     product_loopoid,
     prolongation_loopoid,
+    row_norms,
     sample_composable_pairs,
 )
 from loopoid_lab.loops import SmoothLoopChart, octonion_chart
@@ -317,6 +318,28 @@ def test_loop_as_loopoid_over_point(rng):
     assert rep.is_loopoid and rep.is_ip
 
 
+@pytest.mark.parametrize("scale", [1e-16, 1e-8, 1e-3, 1.0, 1e3])
+def test_row_norms_equal_each_rows_own_norm(scale):
+    # bit for bit, at every width the charts reach, on a fresh stack, a
+    # column slice and a stepped slice of a wider one, and on NaN and inf rows
+    rng = np.random.default_rng(5)
+    for width in range(23):
+        wide = rng.normal(scale=scale, size=(40, 2 * width + 3))
+        stacks = [rng.normal(scale=scale, size=(40, width)), wide[:, 1 : width + 1], wide[:, ::2][:, :width]]
+        if width:
+            stacks[0][[3, 7, 11], [0, -1, 0]] = [np.nan, np.inf, -np.inf]
+        for rows in stacks:
+            got = row_norms(rows)
+            assert got.shape == (40,)
+            assert np.array_equal(got, [np.linalg.norm(row) for row in rows], equal_nan=True)
+
+
+def test_worst_skips_a_nan_row():
+    rows = np.array([[np.nan, 1.0], [3.0, 4.0], [0.0, 1.0]])
+    assert loopoids_module._worst(rows, np.zeros((2, 0)), np.zeros((0, 3))) == 5.0
+    assert loopoids_module._worst(rows[:1]) == 0.0
+
+
 def ragged_beta_quasiloopoid():
     """A chart whose beta has an analytic component 1e-9 g1 exp(4 g2): its
     Jacobian crosses the null-space rank cut inside the sampled region, so
@@ -352,7 +375,7 @@ def test_axioms_with_fiber_dimension_varying_between_samples():
         dims.add(fib.shape[0])
         img = complex_step(lambda p: q.mul(p, np.repeat(h[None], len(p), axis=0)), g, fib).T
         target = null_space(complex_jacobian(q.beta, q.mul(g, h)))
-        coeff, *_ = np.linalg.lstsq(target.T, img, rcond=None)
+        coeff = target @ img  # the least-squares fit: target's rows are orthonormal
         svs.append(smallest_singular_value(coeff))
         resids.append(float(np.max(np.abs(target.T @ coeff - img))))
     assert dims == {1, 2}
@@ -363,13 +386,19 @@ def test_axioms_with_fiber_dimension_varying_between_samples():
 
 
 @pytest.mark.parametrize(
-    "q", [product_loopoid(planar_feedback_chart(), 2), ragged_beta_quasiloopoid()], ids=["product_h", "ragged_beta"]
+    "q, coefficient_shapes",
+    [
+        (product_loopoid(planar_feedback_chart(), 2), [(7, 4, 4)] * 2),
+        # the beta-fibers at g and gh are lines or planes from sample to sample
+        (ragged_beta_quasiloopoid(), [(7, 1, 1), (3, 1, 2), (3, 2, 2), (1, 2, 1)]),
+    ],
+    ids=["product_h", "ragged_beta"],
 )
-def test_axioms_take_fiber_algebra_on_stacks(q, monkeypatch):
+def test_axioms_take_fiber_algebra_on_stacks(q, coefficient_shapes, monkeypatch):
     # one null_space call on each fiber stack (T alpha at h and gh, T beta at
-    # g and gh) and one smallest_singular_value call on each submersion stack
-    # (T alpha and T beta at g); only the coefficient matrices of the
-    # translations, one per sample, take theirs alone
+    # g and gh), one smallest_singular_value call on each submersion stack
+    # (T alpha and T beta at g), then one on the translations' coefficient
+    # matrices of each shape, left translations first
     n = 7
     shapes = {"null_space": [], "smallest_singular_value": []}
     for name, seen in shapes.items():
@@ -377,9 +406,7 @@ def test_axioms_take_fiber_algebra_on_stacks(q, monkeypatch):
         monkeypatch.setattr(loopoids_module, name, lambda m, fn=fn, seen=seen: seen.append(np.shape(m)) or fn(m))
     check_axioms(q, n_samples=n, seed=3)
     assert shapes["null_space"] == [(n, q.dim_m, q.dim_g)] * 4
-    svs = shapes["smallest_singular_value"]
-    assert svs[:2] == [(n, q.dim_m, q.dim_g)] * 2
-    assert len(svs) > 2 and all(len(shape) == 2 for shape in svs[2:])
+    assert shapes["smallest_singular_value"] == [(n, q.dim_m, q.dim_g)] * 2 + coefficient_shapes
 
 
 def sheared_pair1():

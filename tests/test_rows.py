@@ -12,7 +12,8 @@ the frame field does for each request, deriving the arrays of a frame once
 per distinct triple of side Jacobians.  The chart maps and Lagrangians also keep a
 complex input complex, so a ``COMPLEX_STEP * 1j`` step along a direction
 carries their derivative in its imaginary part; a tangent loopoid's maps
-take that step themselves and refuse a complex operand.
+take that step themselves and refuse a complex operand.  On every loopoid
+here, the audit of its tangent loopoid gives its own verdicts.
 """
 
 import dataclasses
@@ -136,6 +137,16 @@ def test_tangent_maps_on_rows_equal_single_calls(name):
     for f, *operands in cases:
         with pytest.raises(TypeError, match="difference the tangent chart centrally"):
             f(*operands[:-1], operands[-1] + 0j)
+
+
+@pytest.mark.parametrize("name", sorted(LOOPOIDS))
+def test_tangent_loopoid_keeps_the_verdicts(name):
+    # the paper's first theorem as an oracle: TG is a loopoid (with the
+    # inverse property) exactly when G is, and the audit, differencing TG's
+    # stepped maps centrally, reads the same on both
+    q = LOOPOIDS[name]()
+    tg, g = loopoids.check_axioms(tangent_loopoid(q)), loopoids.check_axioms(q)
+    assert (tg.is_loopoid, tg.is_ip) == (g.is_loopoid, g.is_ip)
 
 
 def stated_ip(body):
